@@ -348,6 +348,20 @@ pub fn wakeup_latency(scheduler: &Scheduler, submissions: usize) -> Vec<Duration
     let mut samples = Vec::with_capacity(submissions);
     for _ in 0..submissions {
         std::thread::sleep(WAKEUP_SETTLE);
+        // On a busy host the workers' spin/yield prefix can outlast the
+        // pause, and the sample would time a spinning worker's pickup, not a
+        // wake: wait (bounded) until every worker has committed its park.
+        // Each park ends in exactly one notified or backstop wake (the
+        // counters are read while workers run, hence saturating).
+        let settle_deadline = Instant::now() + WAKEUP_SETTLE * 50;
+        while Instant::now() < settle_deadline {
+            let m = scheduler.metrics();
+            let parked = m.parks.saturating_sub(m.wakeups + m.spurious_wakes);
+            if parked >= scheduler.num_threads() as u64 {
+                break;
+            }
+            std::thread::sleep(WAKEUP_SETTLE);
+        }
         let started_ns = Arc::new(AtomicU64::new(u64::MAX));
         let cell = Arc::clone(&started_ns);
         let submit = Instant::now();
@@ -519,10 +533,10 @@ pub struct IdleBurnOutcome {
 /// (so every worker is demonstrably alive), wait for the workers to park,
 /// then sample process CPU time across `wall` of doing nothing.
 ///
-/// CPU time is read from `/proc/self/task/*/schedstat` (nanosecond
-/// granularity, covers every worker thread); on platforms without procfs
-/// the outcome's `cpu` is `None` and the caller should report the scenario
-/// as unavailable rather than as zero burn.
+/// CPU time is read with [`process_cpu_time`] (nanosecond granularity,
+/// covers every worker thread); on platforms where that is unavailable the
+/// outcome's `cpu` is `None` and the caller should report the scenario as
+/// unavailable rather than as zero burn.
 pub fn idle_burn(scheduler: &Scheduler, wall: Duration) -> IdleBurnOutcome {
     scheduler.run(|_| {});
     // Let the workers drain their spin prefixes and park.
@@ -538,29 +552,38 @@ pub fn idle_burn(scheduler: &Scheduler, wall: Duration) -> IdleBurnOutcome {
     IdleBurnOutcome { wall: elapsed, cpu }
 }
 
-/// Total on-CPU time of every thread in this process, from
-/// `/proc/self/task/*/schedstat` (field 1, nanoseconds).  `None` when the
-/// interface is unavailable (non-Linux, restricted procfs).
+/// Total CPU time this process has consumed, from
+/// `clock_gettime(CLOCK_PROCESS_CPUTIME_ID)`: nanosecond granularity, and —
+/// unlike a sum over the live threads' `schedstat` — it keeps the time of
+/// threads that have exited, so it never runs backwards.  `None` where the
+/// declaration below is not known to match the platform's libc.
 pub fn process_cpu_time() -> Option<Duration> {
-    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
-    let mut total_ns = 0u64;
-    for task in tasks.flatten() {
-        let Ok(schedstat) = std::fs::read_to_string(task.path().join("schedstat")) else {
-            // A thread may exit between the readdir and the read; skip it.
-            continue;
-        };
-        // A transiently empty/partial read (thread torn down mid-read) must
-        // skip that thread, not poison the whole probe into `None`.
-        let Some(on_cpu) = schedstat
-            .split_whitespace()
-            .next()
-            .and_then(|field| field.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        total_ns += on_cpu;
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    {
+        /// `struct timespec` of 64-bit Linux.
+        #[repr(C)]
+        struct Timespec {
+            tv_sec: i64,
+            tv_nsec: i64,
+        }
+        extern "C" {
+            // std links libc on this target; no crate is needed for one call.
+            fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
+        }
+        const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
+        let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+        // SAFETY: `ts` is a valid, writable `struct timespec` with the layout
+        // this target's libc expects, and the call keeps no reference to it.
+        if unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) } != 0 {
+            return None;
+        }
+        Some(Duration::new(
+            u64::try_from(ts.tv_sec).ok()?,
+            u32::try_from(ts.tv_nsec).ok()?,
+        ))
     }
-    Some(Duration::from_nanos(total_ns))
+    #[cfg(not(all(target_os = "linux", target_pointer_width = "64")))]
+    None
 }
 
 #[cfg(test)]
@@ -621,18 +644,49 @@ mod tests {
         }
     }
 
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn process_cpu_time_is_monotone_on_linux() {
-        let a = process_cpu_time().expect("procfs available on Linux");
-        // Burn a little CPU so the clock visibly advances.
-        let mut acc = 0u64;
-        for i in 0..2_000_000u64 {
-            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
+    /// The platforms on which [`process_cpu_time`] has a clock to read.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    mod process_cpu_clock {
+        use super::*;
+
+        fn burn_cpu() {
+            let mut acc = 0u64;
+            for i in 0..2_000_000u64 {
+                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
+            }
+            std::hint::black_box(acc);
         }
-        std::hint::black_box(acc);
-        let b = process_cpu_time().expect("procfs available on Linux");
-        assert!(b >= a);
+
+        #[test]
+        fn is_monotone() {
+            let a = process_cpu_time().expect("process CPU clock available on Linux");
+            // Burn a little CPU so the clock visibly advances.
+            burn_cpu();
+            let b = process_cpu_time().expect("process CPU clock available on Linux");
+            assert!(b > a);
+        }
+
+        /// The time of a thread that exits between two samples must stay in
+        /// the total (a per-live-thread sum loses it and runs backwards).
+        #[test]
+        fn keeps_the_time_of_exited_threads() {
+            let before = process_cpu_time().expect("process CPU clock available on Linux");
+            // The thread reports its own on-CPU nanoseconds just before it
+            // exits, so preemption on a busy host cannot fail the comparison.
+            let on_cpu = std::thread::spawn(|| {
+                burn_cpu();
+                let schedstat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
+                schedstat.split_whitespace().next()?.parse::<u64>().ok()
+            })
+            .join()
+            .expect("busy thread panicked");
+            let after = process_cpu_time().expect("process CPU clock available on Linux");
+            let on_cpu = Duration::from_nanos(on_cpu.unwrap_or(0));
+            assert!(
+                after >= before + on_cpu / 2,
+                "{before:?} -> {after:?} lost an exited thread's {on_cpu:?}"
+            );
+        }
     }
 
     #[test]

@@ -83,6 +83,8 @@ pub mod scheduler;
 mod sleep;
 pub mod task;
 pub mod team;
+#[doc(hidden)]
+pub mod test_support;
 mod worker;
 
 pub use cancel::CancelCell;

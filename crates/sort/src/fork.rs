@@ -77,6 +77,7 @@ pub(crate) fn sort_task(ctx: &TaskContext<'_>, ptr: SendMutPtr<u32>, n: usize, c
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teamsteal_core::test_support::{with_watchdog, WATCHDOG};
     use teamsteal_core::StealPolicy;
     use teamsteal_data::{is_permutation_of, is_sorted, Distribution};
 
@@ -98,37 +99,57 @@ mod tests {
 
     #[test]
     fn sorts_on_four_threads_deterministic() {
-        let s = Scheduler::with_threads(4);
-        check_sort(&s, 100_000, 2);
+        with_watchdog("sorts_on_four_threads_deterministic", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            check_sort(&s, 100_000, 2);
+        });
     }
 
     #[test]
     fn sorts_on_three_threads_randomized_within_level() {
-        let s = Scheduler::builder()
-            .threads(3)
-            .steal_policy(StealPolicy::RandomizedWithinLevel)
-            .build();
-        check_sort(&s, 50_000, 3);
+        with_watchdog("sorts_on_three_threads_randomized_within_level", WATCHDOG, || {
+            let s = Scheduler::builder()
+                .threads(3)
+                .steal_policy(StealPolicy::RandomizedWithinLevel)
+                .build();
+            check_sort(&s, 50_000, 3);
+        });
     }
 
     #[test]
     fn sorts_with_uniform_random_stealing() {
-        let s = Scheduler::builder()
-            .threads(4)
-            .steal_policy(StealPolicy::UniformRandom)
-            .build();
-        check_sort(&s, 50_000, 4);
+        with_watchdog("sorts_with_uniform_random_stealing", WATCHDOG, || {
+            let s = Scheduler::builder()
+                .threads(4)
+                .steal_policy(StealPolicy::UniformRandom)
+                .build();
+            check_sort(&s, 50_000, 4);
+        });
     }
 
     #[test]
     fn stealing_actually_happens_on_multiple_workers() {
-        let s = Scheduler::with_threads(4);
-        let mut v = Distribution::Random.generate(200_000, 4, 5);
-        fork_join_sort(&s, &mut v, &SortConfig::default());
-        assert!(is_sorted(&v));
-        let m = s.metrics();
-        assert!(m.steals > 0, "parallel quicksort should trigger steals");
-        assert_eq!(m.teams_formed, 0, "fork-join variant never builds teams");
+        with_watchdog("stealing_actually_happens_on_multiple_workers", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            let mut v = Distribution::Random.generate(200_000, 4, 5);
+            fork_join_sort(&s, &mut v, &SortConfig::default());
+            assert!(is_sorted(&v));
+            let m = s.metrics();
+            assert!(m.steals > 0, "parallel quicksort should trigger steals");
+            assert_eq!(m.teams_formed, 0, "fork-join variant never builds teams");
+        });
+    }
+
+    #[test]
+    fn matches_sort_unstable_on_a_million_elements() {
+        let s = Scheduler::with_threads(2);
+        for d in Distribution::ALL {
+            let mut v = d.generate(1 << 20, 2, 6);
+            let mut reference = v.clone();
+            reference.sort_unstable();
+            fork_join_sort(&s, &mut v, &SortConfig::default());
+            assert!(v == reference, "{d:?} differs from sort_unstable");
+        }
     }
 
     #[test]
@@ -144,13 +165,15 @@ mod tests {
 
     #[test]
     fn repeated_use_of_the_same_scheduler() {
-        let s = Scheduler::with_threads(4);
-        for round in 0..5 {
-            let original = Distribution::Staggered.generate(30_000, 4, round);
-            let mut v = original.clone();
-            fork_join_sort(&s, &mut v, &SortConfig::default());
-            assert!(is_sorted(&v));
-            assert!(is_permutation_of(&original, &v));
-        }
+        with_watchdog("repeated_use_of_the_same_scheduler", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            for round in 0..5 {
+                let original = Distribution::Staggered.generate(30_000, 4, round);
+                let mut v = original.clone();
+                fork_join_sort(&s, &mut v, &SortConfig::default());
+                assert!(is_sorted(&v));
+                assert!(is_permutation_of(&original, &v));
+            }
+        });
     }
 }

@@ -13,6 +13,8 @@
 //! * [`parallel_partition`] — the Tsigas–Zhang blocked, data-parallel
 //!   partitioning step: block neutralization by a team of threads plus a
 //!   sequential cleanup phase.
+//! * `kernel` (private) — the branch-free block-neutralisation loop under
+//!   every partition above, sequential or by a team.
 //! * [`mixed`] — the mixed-mode parallel Quicksort of Algorithm 11
 //!   ("MMPar"): data-parallel partitioning by a team whose size follows
 //!   `getBestNp`, then recursion with smaller teams until the fork-join
@@ -24,6 +26,7 @@
 #![warn(missing_docs)]
 
 pub mod fork;
+mod kernel;
 pub mod mixed;
 pub mod parallel_partition;
 pub mod sample;

@@ -128,6 +128,7 @@ fn spawn_recursive(ctx: &TaskContext<'_>, ptr: SendMutPtr<u32>, len: usize, conf
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teamsteal_core::test_support::{with_watchdog, WATCHDOG};
     use teamsteal_core::StealPolicy;
     use teamsteal_data::{is_permutation_of, is_sorted, Distribution};
 
@@ -166,17 +167,19 @@ mod tests {
 
     #[test]
     fn sorts_with_a_small_config_on_four_threads() {
-        let s = Scheduler::with_threads(4);
-        let cfg = SortConfig {
-            cutoff: 256,
-            block_size: 512,
-            min_blocks_per_thread: 4,
-        };
-        check_mm_sort(&s, 200_000, &cfg, 11);
-        // Teams must actually have been built for the partitioning step.
-        let m = s.metrics();
-        assert!(m.teams_formed > 0, "mixed-mode sort should form teams");
-        assert!(m.team_tasks_executed > 0);
+        with_watchdog("sorts_with_a_small_config_on_four_threads", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            let cfg = SortConfig {
+                cutoff: 256,
+                block_size: 512,
+                min_blocks_per_thread: 4,
+            };
+            check_mm_sort(&s, 200_000, &cfg, 11);
+            // Teams must actually have been built for the partitioning step.
+            let m = s.metrics();
+            assert!(m.teams_formed > 0, "mixed-mode sort should form teams");
+            assert!(m.team_tasks_executed > 0);
+        });
     }
 
     #[test]
@@ -190,80 +193,105 @@ mod tests {
         check_mm_sort(&s, 100_000, &cfg, 12);
     }
 
+    /// Default configuration, so the team steps run from 2^20 elements down
+    /// to `best_np`'s 32 Ki-element floor and the fork-join leaf below it.
+    #[test]
+    fn matches_sort_unstable_on_a_million_elements() {
+        let s = Scheduler::with_threads(2);
+        for d in Distribution::ALL {
+            let mut v = d.generate(1 << 20, 2, 16);
+            let mut reference = v.clone();
+            reference.sort_unstable();
+            mixed_mode_sort(&s, &mut v, &SortConfig::default());
+            assert!(v == reference, "{d:?} differs from sort_unstable");
+        }
+        assert!(s.metrics().team_tasks_executed > 0);
+    }
+
     #[test]
     fn sorts_on_non_power_of_two_threads() {
-        let s = Scheduler::with_threads(3);
-        let cfg = SortConfig {
-            cutoff: 256,
-            block_size: 512,
-            min_blocks_per_thread: 4,
-        };
-        check_mm_sort(&s, 150_000, &cfg, 13);
+        with_watchdog("sorts_on_non_power_of_two_threads", WATCHDOG, || {
+            let s = Scheduler::with_threads(3);
+            let cfg = SortConfig {
+                cutoff: 256,
+                block_size: 512,
+                min_blocks_per_thread: 4,
+            };
+            check_mm_sort(&s, 150_000, &cfg, 13);
+        });
     }
 
     #[test]
     fn sorts_with_randomized_within_level_stealing() {
-        let s = Scheduler::builder()
-            .threads(4)
-            .steal_policy(StealPolicy::RandomizedWithinLevel)
-            .build();
-        let cfg = SortConfig {
-            cutoff: 256,
-            block_size: 512,
-            min_blocks_per_thread: 4,
-        };
-        check_mm_sort(&s, 150_000, &cfg, 14);
+        with_watchdog("sorts_with_randomized_within_level_stealing", WATCHDOG, || {
+            let s = Scheduler::builder()
+                .threads(4)
+                .steal_policy(StealPolicy::RandomizedWithinLevel)
+                .build();
+            let cfg = SortConfig {
+                cutoff: 256,
+                block_size: 512,
+                min_blocks_per_thread: 4,
+            };
+            check_mm_sort(&s, 150_000, &cfg, 14);
+        });
     }
 
     #[test]
     fn falls_back_to_fork_join_for_small_inputs() {
-        let s = Scheduler::with_threads(4);
-        check_mm_sort(&s, 5_000, &SortConfig::default(), 15);
-        let m = s.metrics();
-        assert_eq!(
-            m.teams_formed, 0,
-            "small inputs must not pay the team-building overhead"
-        );
+        with_watchdog("falls_back_to_fork_join_for_small_inputs", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            check_mm_sort(&s, 5_000, &SortConfig::default(), 15);
+            let m = s.metrics();
+            assert_eq!(
+                m.teams_formed, 0,
+                "small inputs must not pay the team-building overhead"
+            );
+        });
     }
 
     #[test]
     fn duplicate_heavy_input_terminates_and_sorts() {
-        let s = Scheduler::with_threads(4);
-        let cfg = SortConfig {
-            cutoff: 128,
-            block_size: 256,
-            min_blocks_per_thread: 2,
-        };
-        let original: Vec<u32> = (0..100_000).map(|i| (i % 3) as u32).collect();
-        let mut v = original.clone();
-        mixed_mode_sort(&s, &mut v, &cfg);
-        assert!(is_sorted(&v));
-        assert!(is_permutation_of(&original, &v));
-        // Fully constant input as the extreme case.
-        let mut constant = vec![7u32; 50_000];
-        mixed_mode_sort(&s, &mut constant, &cfg);
-        assert!(constant.iter().all(|&x| x == 7));
+        with_watchdog("duplicate_heavy_input_terminates_and_sorts", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            let cfg = SortConfig {
+                cutoff: 128,
+                block_size: 256,
+                min_blocks_per_thread: 2,
+            };
+            let original: Vec<u32> = (0..100_000).map(|i| (i % 3) as u32).collect();
+            let mut v = original.clone();
+            mixed_mode_sort(&s, &mut v, &cfg);
+            assert!(is_sorted(&v));
+            assert!(is_permutation_of(&original, &v));
+            // Fully constant input as the extreme case.
+            let mut constant = vec![7u32; 50_000];
+            mixed_mode_sort(&s, &mut constant, &cfg);
+            assert!(constant.iter().all(|&x| x == 7));
+        });
     }
 
     #[test]
     fn tiny_inputs_and_reuse() {
-        let s = Scheduler::with_threads(4);
-        for v in [vec![], vec![1u32], vec![2, 1]] {
-            let mut sorted = v.clone();
-            mixed_mode_sort(&s, &mut sorted, &SortConfig::default());
-            assert!(is_sorted(&sorted));
-        }
-        for round in 0..3 {
-            check_mm_sort(
-                &s,
-                80_000,
-                &SortConfig {
-                    cutoff: 256,
-                    block_size: 512,
-                    min_blocks_per_thread: 4,
-                },
-                round,
-            );
-        }
+        with_watchdog("tiny_inputs_and_reuse", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            for v in [vec![], vec![1u32], vec![2, 1]] {
+                let mut sorted = v.clone();
+                mixed_mode_sort(&s, &mut sorted, &SortConfig::default());
+                assert!(is_sorted(&sorted));
+            }
+            for round in 0..3 {
+                check_mm_sort(
+                    &s,
+                    80_000,
+                    &SortConfig {
+                        cutoff: 256,
+                        block_size: 512,
+                        min_blocks_per_thread: 4,
+                    },
+                    round,
+                );
+            }
+        });
     }
 }

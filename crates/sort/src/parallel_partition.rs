@@ -1,19 +1,21 @@
 //! The Tsigas–Zhang blocked, data-parallel partitioning step.
 //!
-//! The array is split into cache-aligned blocks.  During **phase 1** every
-//! team member repeatedly takes one block from the left end and one from the
-//! right end of the not-yet-claimed range and *neutralizes* them: elements
-//! greater than the pivot in the left block are swapped with elements less
-//! than or equal to the pivot in the right block until one of the blocks is
-//! fully scanned, at which point a fresh block is claimed from that side.
-//! When no blocks remain, each member parks its at most one unfinished block
-//! per side.
+//! Full blocks of `block_size` elements are claimed from the two ends of the
+//! array: left block `k` is `[k·bs, (k+1)·bs)`, right block `k` is
+//! `[n-(k+1)·bs, n-k·bs)`, so whatever is never claimed — whole blocks and
+//! the `n mod bs` remainder — lies in the middle.  During **phase 1** every
+//! team member keeps one left and one right block and *neutralizes* them
+//! chunk by chunk with the block kernel (`kernel.rs`): elements failing
+//! the predicate in the left block are swapped with elements satisfying it
+//! in the right block until one of the blocks is fully classified, at which
+//! point a fresh block is claimed from that side.  When no blocks remain,
+//! each member parks its at most one unfinished block per side.
 //!
 //! **Phase 2/3** (performed by the member with local id 0 after a team
 //! barrier) moves the unfinished blocks to the inner boundary of their
 //! region, so everything that is not yet classified forms one contiguous
-//! range (unfinished blocks + never-claimed middle + the sub-block tail), and
-//! finishes it with a sequential two-pointer pass.  The paper replaces the
+//! range (unfinished blocks + never-claimed middle), and finishes it with the
+//! sequential [`partition_by`] — the same kernel.  The paper replaces the
 //! original "thread 0 collects everything" second phase with a
 //! producer/consumer exchanger; we keep the sequential cleanup (its work is
 //! bounded by `O(team_size · block_size + block_size)` elements) and note the
@@ -24,18 +26,13 @@
 //! reported as `s == n` and resolved by the caller).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use teamsteal_core::TaskContext;
 use teamsteal_util::SendMutPtr;
 
+use crate::kernel::{Neutralizer, Side, CHUNK};
 use crate::seq::partition_by;
-
-/// Which side of the array a block is claimed from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Side {
-    Left,
-    Right,
-}
 
 /// Shared state of one data-parallel partitioning step, used by every member
 /// of the team executing it.  A `ParallelPartitioner` is **single use**: it
@@ -47,27 +44,28 @@ pub struct ParallelPartitioner {
     /// Packed claim counters: upper 32 bits = blocks taken from the left,
     /// lower 32 bits = blocks taken from the right.
     taken: AtomicU64,
-    /// Per-member unfinished left block (index + 1; 0 = none).
-    leftover_left: Vec<AtomicUsize>,
-    /// Per-member unfinished right block (index + 1; 0 = none).
-    leftover_right: Vec<AtomicUsize>,
+    /// Per-member unfinished block (side-local index + 1; 0 = none): the
+    /// left ones in the first half, the right ones in the second.  Allocated
+    /// by the first member that has one, for the team that actually runs the
+    /// step (which may be larger than the requested one, Refinement 2).
+    leftover: OnceLock<Box<[AtomicUsize]>>,
     /// The final split point, published by local id 0.
     split: AtomicUsize,
 }
 
 impl ParallelPartitioner {
     /// Creates the shared state for partitioning an array of `n` elements
-    /// with blocks of `block_size` elements and at most `max_team` members.
-    pub fn new(n: usize, block_size: usize, max_team: usize) -> Self {
+    /// with blocks of `block_size` elements.  The per-member state is sized
+    /// by the team that runs the step, so `_max_team` is not needed; the
+    /// parameter is kept for existing callers.
+    pub fn new(n: usize, block_size: usize, _max_team: usize) -> Self {
         let block_size = block_size.max(1);
-        let nblocks = n / block_size;
         ParallelPartitioner {
             n,
             block_size,
-            nblocks,
+            nblocks: n / block_size,
             taken: AtomicU64::new(0),
-            leftover_left: (0..max_team.max(1)).map(|_| AtomicUsize::new(0)).collect(),
-            leftover_right: (0..max_team.max(1)).map(|_| AtomicUsize::new(0)).collect(),
+            leftover: OnceLock::new(),
             split: AtomicUsize::new(0),
         }
     }
@@ -77,7 +75,19 @@ impl ParallelPartitioner {
         self.nblocks
     }
 
-    /// Claims the next block from `side`, if any block is still unclaimed.
+    /// The members' unfinished-block slots of one side; empty if no member
+    /// has published one.
+    fn leftovers(&self, side: Side) -> &[AtomicUsize] {
+        let slots = self.leftover.get().map_or(&[][..], |slots| slots);
+        let (left, right) = slots.split_at(slots.len() / 2);
+        match side {
+            Side::Left => left,
+            Side::Right => right,
+        }
+    }
+
+    /// Claims the next block from `side`, if any block is still unclaimed;
+    /// returns its side-local index.
     fn acquire_block(&self, side: Side) -> Option<usize> {
         loop {
             let cur = self.taken.load(Ordering::Acquire);
@@ -87,11 +97,8 @@ impl ParallelPartitioner {
                 return None;
             }
             let (new, index) = match side {
-                Side::Left => (((left as u64 + 1) << 32) | right as u64, left),
-                Side::Right => (
-                    ((left as u64) << 32) | (right as u64 + 1),
-                    self.nblocks - 1 - right,
-                ),
+                Side::Left => (cur + (1 << 32), left),
+                Side::Right => (cur + 1, right),
             };
             if self
                 .taken
@@ -114,15 +121,12 @@ impl ParallelPartitioner {
     /// must be valid and owned exclusively by this team task for the duration
     /// of the call.
     pub fn run(&self, ctx: &TaskContext<'_>, ptr: SendMutPtr<u32>, pivot: u32) -> usize {
-        let me = ctx.local_id();
-        debug_assert!(me < self.leftover_left.len());
-
         // ---- Phase 1: parallel block neutralization -------------------
-        self.neutralize_blocks(me, ptr, pivot);
+        self.neutralize_blocks(ctx, ptr, pivot);
         ctx.barrier();
 
         // ---- Phase 2 + 3: sequential cleanup by local id 0 -------------
-        if me == 0 {
+        if ctx.local_id() == 0 {
             let split = self.cleanup(ptr, pivot);
             self.split.store(split, Ordering::Release);
         }
@@ -130,110 +134,95 @@ impl ParallelPartitioner {
         self.split.load(Ordering::Acquire)
     }
 
-    fn block_slice<'a>(&self, ptr: SendMutPtr<u32>, block: usize) -> &'a mut [u32] {
-        // SAFETY: blocks are disjoint (acquire_block never hands the same
-        // index to two claims) and inside ptr[0..n].
-        unsafe { ptr.add(block * self.block_size).slice_mut(self.block_size) }
-    }
-
-    fn neutralize_blocks(&self, me: usize, ptr: SendMutPtr<u32>, pivot: u32) {
-        let bs = self.block_size;
-        let mut left: Option<(usize, usize)> = None; // (block, scan position)
-        let mut right: Option<(usize, usize)> = None;
-        loop {
-            if left.is_none() {
-                match self.acquire_block(Side::Left) {
-                    Some(b) => left = Some((b, 0)),
-                    None => break,
-                }
-            }
-            if right.is_none() {
-                match self.acquire_block(Side::Right) {
-                    Some(b) => right = Some((b, 0)),
-                    None => break,
-                }
-            }
-            let (lb, mut i) = left.take().expect("left block present");
-            let (rb, mut j) = right.take().expect("right block present");
-            let lslice = self.block_slice(ptr, lb);
-            let rslice = self.block_slice(ptr, rb);
-            loop {
-                while i < bs && lslice[i] <= pivot {
-                    i += 1;
-                }
-                while j < bs && rslice[j] > pivot {
-                    j += 1;
-                }
-                if i == bs || j == bs {
-                    break;
-                }
-                std::mem::swap(&mut lslice[i], &mut rslice[j]);
-                i += 1;
-                j += 1;
-            }
-            if i < bs {
-                left = Some((lb, i));
-            }
-            if j < bs {
-                right = Some((rb, j));
-            }
-        }
-        if let Some((lb, _)) = left {
-            self.leftover_left[me].store(lb + 1, Ordering::Release);
-        }
-        if let Some((rb, _)) = right {
-            self.leftover_right[me].store(rb + 1, Ordering::Release);
+    /// Element offset of block `index` of `side`.
+    fn block_start(&self, side: Side, index: usize) -> usize {
+        match side {
+            Side::Left => index * self.block_size,
+            Side::Right => self.n - (index + 1) * self.block_size,
         }
     }
 
-    /// Swaps the contents of two (disjoint) blocks.
-    fn swap_blocks(&self, ptr: SendMutPtr<u32>, a: usize, b: usize) {
-        if a == b {
-            return;
+    fn block_slice<'a>(&self, ptr: SendMutPtr<u32>, side: Side, index: usize) -> &'a mut [u32] {
+        // SAFETY: blocks are disjoint (acquire_block never hands out more
+        // than `nblocks = n / block_size` blocks in total, so the left and
+        // the right ones cannot meet) and inside ptr[0..n].
+        unsafe {
+            ptr.add(self.block_start(side, index))
+                .slice_mut(self.block_size)
         }
-        let sa = self.block_slice(ptr, a);
-        let sb = self.block_slice(ptr, b);
-        sa.swap_with_slice(sb);
     }
 
-    /// Moves the unfinished blocks of one side into that side's innermost
-    /// block slots so the unclassified data becomes contiguous.  Returns the
-    /// number of unfinished blocks on that side.
-    fn compact_leftovers(
-        &self,
-        ptr: SendMutPtr<u32>,
-        leftovers: &[usize],
-        region_start: usize,
-        region_len: usize,
-        innermost_last: bool,
-    ) -> usize {
-        let count = leftovers.len();
-        if count == 0 {
-            return 0;
+    fn neutralize_blocks(&self, ctx: &TaskContext<'_>, ptr: SendMutPtr<u32>, pivot: u32) {
+        // Per side: the claimed block and the part of it not yet handed to
+        // the kernel.  Both survive a claim on the other side, and so do the
+        // kernel's misplaced offsets of the current chunk.
+        let mut blocks: [Option<usize>; 2] = [None, None];
+        let mut unscanned: [&mut [u32]; 2] = [&mut [], &mut []];
+        let mut kernel = Neutralizer::new();
+        kernel.run(
+            |x| x <= pivot,
+            |side| {
+                let s = side as usize;
+                if unscanned[s].is_empty() {
+                    // The kernel asks only once the previous chunk is fully
+                    // classified, so the block is finished.
+                    blocks[s] = None;
+                    let index = self.acquire_block(side)?;
+                    blocks[s] = Some(index);
+                    unscanned[s] = self.block_slice(ptr, side, index);
+                }
+                let rest = std::mem::take(&mut unscanned[s]);
+                let (chunk, rest) = rest.split_at_mut(rest.len().min(CHUNK));
+                unscanned[s] = rest;
+                Some(chunk)
+            },
+        );
+        for side in [Side::Left, Side::Right] {
+            let s = side as usize;
+            if let Some(index) = blocks[s] {
+                if !unscanned[s].is_empty() || kernel.pending(side) > 0 {
+                    self.leftover.get_or_init(|| {
+                        (0..2 * ctx.team_size())
+                            .map(|_| AtomicUsize::new(0))
+                            .collect()
+                    });
+                    self.leftovers(side)[ctx.local_id()].store(index + 1, Ordering::Release);
+                }
+            }
         }
-        debug_assert!(count <= region_len);
-        // Target slots: the `count` innermost block indices of the region.
-        let targets: Vec<usize> = if innermost_last {
-            // Left region: innermost = highest indices.
-            (region_start + region_len - count..region_start + region_len).collect()
-        } else {
-            // Right region: innermost = lowest indices.
-            (region_start..region_start + count).collect()
-        };
-        let in_target = |b: usize| targets.contains(&b);
-        // Leftover blocks already inside the target zone stay; the others are
-        // swapped with target slots currently holding finished blocks.
-        let mut free_targets: Vec<usize> = targets
+    }
+
+    /// Moves the unfinished blocks of `side` into the innermost of the
+    /// `taken` block slots claimed there, so the unclassified data becomes
+    /// contiguous.  Returns the number of unfinished blocks.
+    fn compact_leftovers(&self, ptr: SendMutPtr<u32>, side: Side, taken: usize) -> usize {
+        let slots = self.leftovers(side);
+        let unfinished =
+            |index: usize| slots.iter().any(|a| a.load(Ordering::Acquire) == index + 1);
+        let count = slots
             .iter()
-            .copied()
-            .filter(|t| !leftovers.contains(t))
-            .collect();
-        for &block in leftovers.iter() {
-            if in_target(block) {
+            .filter(|a| a.load(Ordering::Acquire) > 0)
+            .count();
+        debug_assert!(count <= taken);
+        // Target zone: the `count` highest indices.  Unfinished blocks
+        // already inside stay; each one outside is swapped with the next
+        // finished block inside (there are exactly as many of either).
+        let zone = taken - count;
+        let mut target = zone;
+        for slot in slots {
+            let Some(index) = slot.load(Ordering::Acquire).checked_sub(1) else {
+                continue;
+            };
+            if index >= zone {
                 continue;
             }
-            let target = free_targets.pop().expect("enough free target slots");
-            self.swap_blocks(ptr, block, target);
+            while unfinished(target) {
+                target += 1;
+            }
+            debug_assert!(target < taken);
+            self.block_slice(ptr, side, index)
+                .swap_with_slice(self.block_slice(ptr, side, target));
+            target += 1;
         }
         count
     }
@@ -241,59 +230,26 @@ impl ParallelPartitioner {
     /// Phase 2 + 3: make the unclassified range contiguous and finish it with
     /// a sequential pass.  Returns the global split point.
     fn cleanup(&self, ptr: SendMutPtr<u32>, pivot: u32) -> usize {
-        let bs = self.block_size;
         let cur = self.taken.load(Ordering::Acquire);
         let taken_left = (cur >> 32) as usize;
         let taken_right = (cur & 0xFFFF_FFFF) as usize;
         debug_assert!(taken_left + taken_right <= self.nblocks);
 
-        let lo_left: Vec<usize> = self
-            .leftover_left
-            .iter()
-            .filter_map(|a| {
-                let v = a.load(Ordering::Acquire);
-                (v > 0).then(|| v - 1)
-            })
-            .collect();
-        let lo_right: Vec<usize> = self
-            .leftover_right
-            .iter()
-            .filter_map(|a| {
-                let v = a.load(Ordering::Acquire);
-                (v > 0).then(|| v - 1)
-            })
-            .collect();
-
-        let ll = self.compact_leftovers(ptr, &lo_left, 0, taken_left, true);
-        let rl = self.compact_leftovers(
-            ptr,
-            &lo_right,
-            self.nblocks - taken_right,
-            taken_right,
-            false,
-        );
+        let ll = self.compact_leftovers(ptr, Side::Left, taken_left);
+        let rl = self.compact_leftovers(ptr, Side::Right, taken_right);
 
         // The contiguous unclassified range: unfinished left blocks, the
-        // never-claimed middle, and the unfinished right blocks.
-        let unknown_start = (taken_left - ll) * bs;
-        let unknown_end = (self.nblocks - taken_right + rl) * bs;
+        // never-claimed middle (with the sub-block remainder), and the
+        // unfinished right blocks.
+        let unknown_start = (taken_left - ll) * self.block_size;
+        let unknown_end = self.n - (taken_right - rl) * self.block_size;
         debug_assert!(unknown_start <= unknown_end);
         // SAFETY: exclusive access (phase 1 is over; only local id 0 runs this).
-        let unknown =
-            unsafe { ptr.add(unknown_start).slice_mut(unknown_end - unknown_start) };
-        let mut split = unknown_start + partition_by(unknown, |x| x <= pivot);
-
-        // Finally fold in the sub-block tail that phase 1 never touched.
-        // Invariant: data[split .. nblocks*bs] > pivot.
-        // SAFETY: exclusive access, whole array.
-        let data = unsafe { ptr.slice_mut(self.n) };
-        for k in self.nblocks * bs..self.n {
-            if data[k] <= pivot {
-                data.swap(k, split);
-                split += 1;
-            }
-        }
-        split
+        let unknown = unsafe {
+            ptr.add(unknown_start)
+                .slice_mut(unknown_end - unknown_start)
+        };
+        unknown_start + partition_by(unknown, |x| x <= pivot)
     }
 }
 
@@ -301,49 +257,59 @@ impl ParallelPartitioner {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use teamsteal_core::test_support::{with_watchdog, WATCHDOG};
     use teamsteal_core::Scheduler;
     use teamsteal_data::{is_permutation_of, Distribution};
 
-    /// Runs the partitioner inside a real team task and checks the partition
-    /// contract.
+    /// Runs the partitioner on `data` inside a real team task and checks the
+    /// partition contract; returns the split point.
+    fn partition_in_team(
+        scheduler: &Scheduler,
+        team: usize,
+        data: &mut [u32],
+        block_size: usize,
+        pivot: u32,
+    ) -> usize {
+        let original = data.to_vec();
+        let n = data.len();
+        let ptr = SendMutPtr::from_slice(data);
+        let partitioner = Arc::new(ParallelPartitioner::new(n, block_size, team));
+        let split_seen = Arc::new(AtomicUsize::new(usize::MAX));
+        {
+            let partitioner = Arc::clone(&partitioner);
+            let split_seen = Arc::clone(&split_seen);
+            scheduler.run_team(team, move |ctx| {
+                let s = partitioner.run(ctx, ptr, pivot);
+                split_seen.store(s, Ordering::Release);
+            });
+        }
+        let split = split_seen.load(Ordering::Acquire);
+        let what = format!("n={n}, team={team}, block_size={block_size}");
+        assert!(split <= n, "{what}");
+        assert!(
+            data[..split].iter().all(|&x| x <= pivot),
+            "left side contains an element above the pivot ({what})"
+        );
+        assert!(
+            data[split..].iter().all(|&x| x > pivot),
+            "right side contains an element at or below the pivot ({what})"
+        );
+        assert!(
+            is_permutation_of(&original, data),
+            "partition changed the multiset of elements ({what})"
+        );
+        split
+    }
+
     fn check_partition(scheduler: &Scheduler, team: usize, n: usize, block_size: usize, seed: u64) {
         for d in Distribution::ALL {
-            let original = d.generate(n, 8, seed);
-            let mut data = original.clone();
-            if data.is_empty() {
-                continue;
-            }
+            let mut data = d.generate(n, 8, seed);
             let pivot = crate::seq::median_of_three(&data);
-            let ptr = SendMutPtr::from_slice(&mut data);
-            let partitioner = Arc::new(ParallelPartitioner::new(
-                n,
-                block_size,
-                scheduler.num_threads(),
-            ));
-            let split_seen = Arc::new(AtomicUsize::new(usize::MAX));
-            {
-                let partitioner = Arc::clone(&partitioner);
-                let split_seen = Arc::clone(&split_seen);
-                scheduler.run_team(team, move |ctx| {
-                    let s = partitioner.run(ctx, ptr, pivot);
-                    split_seen.store(s, Ordering::Release);
-                });
-            }
-            let split = split_seen.load(Ordering::Acquire);
-            assert!(split <= n);
+            let split = partition_in_team(scheduler, team, &mut data, block_size, pivot);
             assert!(
-                data[..split].iter().all(|&x| x <= pivot),
-                "{d:?}: left side contains an element above the pivot (n={n}, team={team})"
+                split >= 1,
+                "{d:?}: the pivot element itself must land on the left"
             );
-            assert!(
-                data[split..].iter().all(|&x| x > pivot),
-                "{d:?}: right side contains an element at or below the pivot (n={n}, team={team})"
-            );
-            assert!(
-                is_permutation_of(&original, &data),
-                "{d:?}: partition changed the multiset of elements"
-            );
-            assert!(split >= 1, "the pivot element itself must land on the left");
         }
     }
 
@@ -361,22 +327,101 @@ mod tests {
 
     #[test]
     fn partitions_with_a_team_of_four() {
-        let s = Scheduler::with_threads(4);
-        check_partition(&s, 4, 120_000, 1024, 3);
+        with_watchdog("partitions_with_a_team_of_four", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            check_partition(&s, 4, 120_000, 1024, 3);
+        });
     }
 
     #[test]
     fn handles_sizes_not_multiple_of_block_size() {
-        let s = Scheduler::with_threads(4);
-        check_partition(&s, 4, 100_003, 1024, 4);
-        check_partition(&s, 2, 1_023, 1024, 5); // fewer elements than one block
-        check_partition(&s, 4, 4_097, 4_096, 6);
+        with_watchdog("handles_sizes_not_multiple_of_block_size", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            check_partition(&s, 4, 100_003, 1024, 4);
+            check_partition(&s, 2, 1_023, 1024, 5); // fewer elements than one block
+            check_partition(&s, 4, 4_097, 4_096, 6);
+        });
     }
 
     #[test]
     fn handles_tiny_blocks_and_many_claims() {
-        let s = Scheduler::with_threads(4);
-        check_partition(&s, 4, 30_000, 64, 7);
+        with_watchdog("handles_tiny_blocks_and_many_claims", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            check_partition(&s, 4, 30_000, 64, 7);
+        });
+    }
+
+    /// Teams of 1–4 (a request for 3 may get a team of 4) against
+    /// block sizes below, equal to, above and not a multiple of the kernel
+    /// chunk, with `n` leaving a remainder and with fewer than two blocks
+    /// per member.
+    #[test]
+    fn handles_every_team_and_block_size_against_the_kernel_chunk() {
+        with_watchdog("every_team_and_block_size", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            for team in 1..=4 {
+                for block_size in [CHUNK / 2, CHUNK, CHUNK + 72, 3 * CHUNK, 1000] {
+                    for n in [
+                        20 * block_size + 17,
+                        2 * team * block_size - 1,
+                        block_size + 1,
+                    ] {
+                        check_partition(&s, team, n, block_size, (team * n) as u64);
+                    }
+                }
+            }
+        });
+    }
+
+    /// Sorted, reversed and constant input: one side never has a misplaced
+    /// element, so every block of the other side ends up unfinished or in
+    /// the never-claimed middle.
+    #[test]
+    fn handles_one_sided_inputs() {
+        let s = Scheduler::with_threads(2);
+        let n = 40_000u32;
+        for block_size in [100, 1024] {
+            let mut sorted: Vec<u32> = (0..n).collect();
+            assert_eq!(
+                partition_in_team(&s, 2, &mut sorted, block_size, n / 3),
+                n as usize / 3 + 1
+            );
+            let mut reversed: Vec<u32> = (0..n).rev().collect();
+            assert_eq!(
+                partition_in_team(&s, 2, &mut reversed, block_size, n / 3),
+                n as usize / 3 + 1
+            );
+            let mut above = vec![9u32; n as usize];
+            assert_eq!(partition_in_team(&s, 2, &mut above, block_size, 3), 0);
+        }
+    }
+
+    /// Phase 2 on a hand-built phase-1 outcome: unfinished blocks at the
+    /// outer end of their region must be swapped inwards past finished ones.
+    #[test]
+    fn cleanup_compacts_unfinished_blocks_from_anywhere() {
+        let (bs, pivot) = (4, 5u32);
+        let n = 10 * bs + 3;
+        let p = ParallelPartitioner::new(n, bs, 3);
+        // Four left and three right blocks claimed; left blocks 0 and 2 and
+        // the outermost right block are unfinished.
+        p.taken.store((4 << 32) | 3, Ordering::Release);
+        let slots = [1, 0, 3, 0, 1, 0].map(AtomicUsize::new);
+        p.leftover.set(Box::new(slots)).expect("fresh partitioner");
+        let mixed = |i: usize| if i % 2 == 0 { 1 } else { 8 };
+        let mut data: Vec<u32> = (0..n).map(mixed).collect();
+        for finished in [1, 3] {
+            data[finished * bs..][..bs].fill(0);
+        }
+        for finished in [1, 2] {
+            let start = p.block_start(Side::Right, finished);
+            data[start..][..bs].fill(9);
+        }
+        let original = data.clone();
+        let split = p.cleanup(SendMutPtr::from_slice(&mut data), pivot);
+        assert!(data[..split].iter().all(|&x| x <= pivot), "{data:?}");
+        assert!(data[split..].iter().all(|&x| x > pivot), "{data:?}");
+        assert!(is_permutation_of(&original, &data));
     }
 
     #[test]
@@ -384,36 +429,29 @@ mod tests {
         let s = Scheduler::with_threads(2);
         let n = 8_192;
         let mut data = vec![3u32; n];
-        let ptr = SendMutPtr::from_slice(&mut data);
-        let partitioner = Arc::new(ParallelPartitioner::new(n, 512, 2));
-        let split_seen = Arc::new(AtomicUsize::new(0));
-        {
-            let partitioner = Arc::clone(&partitioner);
-            let split_seen = Arc::clone(&split_seen);
-            s.run_team(2, move |ctx| {
-                let split = partitioner.run(ctx, ptr, 3);
-                split_seen.store(split, Ordering::Release);
-            });
-        }
-        assert_eq!(split_seen.load(Ordering::Acquire), n);
+        assert_eq!(partition_in_team(&s, 2, &mut data, 512, 3), n);
     }
 
     #[test]
     fn acquire_block_never_hands_out_duplicates() {
-        let p = ParallelPartitioner::new(64 * 128, 128, 4);
-        let mut seen = vec![false; p.num_blocks()];
+        let p = ParallelPartitioner::new(64 * 128 + 5, 128, 4);
+        let mut seen = vec![false; p.n];
         let mut toggle = true;
         loop {
             let side = if toggle { Side::Left } else { Side::Right };
             toggle = !toggle;
             match p.acquire_block(side) {
                 Some(b) => {
-                    assert!(!seen[b], "block {b} handed out twice");
-                    seen[b] = true;
+                    let start = p.block_start(side, b);
+                    for taken in &mut seen[start..start + 128] {
+                        assert!(!*taken, "{side:?} block {b} overlaps an earlier one");
+                        *taken = true;
+                    }
                 }
                 None => break,
             }
         }
-        assert!(seen.into_iter().all(|s| s), "every block must be claimed");
+        let claimed = seen.into_iter().filter(|&s| s).count();
+        assert_eq!(claimed, p.num_blocks() * 128, "every block must be claimed");
     }
 }

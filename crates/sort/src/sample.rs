@@ -130,6 +130,7 @@ pub fn sample_sort(scheduler: &Scheduler, data: &mut [u32], config: &SortConfig)
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use teamsteal_core::test_support::{with_watchdog, WATCHDOG};
     use teamsteal_data::{is_permutation_of, is_sorted, Distribution};
 
     fn small_config() -> SortConfig {
@@ -142,49 +143,57 @@ mod tests {
 
     #[test]
     fn tiny_inputs_fall_back_to_sequential() {
-        let s = Scheduler::with_threads(4);
-        for v in [vec![], vec![1u32], vec![3, 1, 2], (0..100u32).rev().collect()] {
-            let mut sorted = v.clone();
-            sample_sort(&s, &mut sorted, &SortConfig::default());
-            assert!(is_sorted(&sorted));
-            assert!(is_permutation_of(&v, &sorted));
-        }
+        with_watchdog("tiny_inputs_fall_back_to_sequential", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            for v in [vec![], vec![1u32], vec![3, 1, 2], (0..100u32).rev().collect()] {
+                let mut sorted = v.clone();
+                sample_sort(&s, &mut sorted, &SortConfig::default());
+                assert!(is_sorted(&sorted));
+                assert!(is_permutation_of(&v, &sorted));
+            }
+        });
     }
 
     #[test]
     fn sorts_every_distribution() {
-        let s = Scheduler::with_threads(4);
-        for d in Distribution::ALL {
-            let original = d.generate(120_000, 4, 17);
-            let mut v = original.clone();
-            sample_sort(&s, &mut v, &small_config());
-            assert!(is_sorted(&v), "{d:?} not sorted");
-            assert!(is_permutation_of(&original, &v), "{d:?} corrupted");
-        }
+        with_watchdog("sorts_every_distribution", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            for d in Distribution::ALL {
+                let original = d.generate(120_000, 4, 17);
+                let mut v = original.clone();
+                sample_sort(&s, &mut v, &small_config());
+                assert!(is_sorted(&v), "{d:?} not sorted");
+                assert!(is_permutation_of(&original, &v), "{d:?} corrupted");
+            }
+        });
     }
 
     #[test]
     fn duplicate_heavy_and_constant_inputs() {
-        let s = Scheduler::with_threads(4);
-        let original: Vec<u32> = (0..80_000).map(|i| (i % 4) as u32).collect();
-        let mut v = original.clone();
-        sample_sort(&s, &mut v, &small_config());
-        assert!(is_sorted(&v));
-        assert!(is_permutation_of(&original, &v));
+        with_watchdog("duplicate_heavy_and_constant_inputs", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            let original: Vec<u32> = (0..80_000).map(|i| (i % 4) as u32).collect();
+            let mut v = original.clone();
+            sample_sort(&s, &mut v, &small_config());
+            assert!(is_sorted(&v));
+            assert!(is_permutation_of(&original, &v));
 
-        let mut constant = vec![9u32; 50_000];
-        sample_sort(&s, &mut constant, &small_config());
-        assert!(constant.iter().all(|&x| x == 9));
+            let mut constant = vec![9u32; 50_000];
+            sample_sort(&s, &mut constant, &small_config());
+            assert!(constant.iter().all(|&x| x == 9));
+        });
     }
 
     #[test]
     fn non_power_of_two_threads_and_sizes() {
-        let s = Scheduler::with_threads(3);
-        let original = Distribution::Staggered.generate(99_991, 3, 23);
-        let mut v = original.clone();
-        sample_sort(&s, &mut v, &small_config());
-        assert!(is_sorted(&v));
-        assert!(is_permutation_of(&original, &v));
+        with_watchdog("non_power_of_two_threads_and_sizes", WATCHDOG, || {
+            let s = Scheduler::with_threads(3);
+            let original = Distribution::Staggered.generate(99_991, 3, 23);
+            let mut v = original.clone();
+            sample_sort(&s, &mut v, &small_config());
+            assert!(is_sorted(&v));
+            assert!(is_permutation_of(&original, &v));
+        });
     }
 
     #[test]

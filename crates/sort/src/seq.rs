@@ -1,6 +1,7 @@
 //! Sequential baselines: the standard-library reference sort and the
 //! handwritten sequential Quicksort ("SeqQS").
 
+use crate::kernel::{Neutralizer, Side, CHUNK};
 use crate::SortConfig;
 
 /// The "best available sequential sort" the paper normalizes all speedups to
@@ -12,7 +13,7 @@ pub fn std_sort(data: &mut [u32]) {
 
 /// Handwritten sequential Quicksort with the same cutoff as the parallel
 /// variants (the paper's *SeqQS* column): median-of-three pivot selection,
-/// two-pointer partitioning, recursion into the smaller side first and a
+/// block partitioning, recursion into the smaller side first and a
 /// switch to [`std_sort`] below the cutoff.
 pub fn sequential_quicksort(data: &mut [u32], config: &SortConfig) {
     quicksort_recursive(data, config.cutoff.max(1));
@@ -59,7 +60,7 @@ pub fn median_of_three(data: &[u32]) -> u32 {
 /// empty) gap `[left_len, right_start)` consists of elements equal to the
 /// pivot that are already in their final position.
 ///
-/// In the common case this is a single two-pointer pass splitting into
+/// In the common case this is a single [`partition_by`] pass splitting into
 /// `≤ pivot | > pivot`.  Only when every element is `≤ pivot` (e.g. the pivot
 /// is the maximum, or the slice is constant) a second pass separates the
 /// elements equal to the pivot so both recursion ranges are strictly smaller
@@ -77,26 +78,42 @@ pub fn split_around(data: &mut [u32], pivot: u32) -> (usize, usize) {
     }
 }
 
-/// In-place two-pointer partition by a predicate: afterwards every element
-/// satisfying `pred` precedes every element that does not; returns the number
-/// of elements satisfying `pred`.
+/// In-place partition by a predicate: afterwards every element satisfying
+/// `pred` precedes every element that does not; returns the number of
+/// elements satisfying `pred`.
+///
+/// Runs the block kernel (`kernel.rs`) over chunks taken alternately
+/// from the front and the back of the unscanned middle of `data`.
 pub fn partition_by(data: &mut [u32], pred: impl Fn(u32) -> bool) -> usize {
-    let mut i = 0usize;
-    let mut j = data.len();
-    loop {
-        while i < j && pred(data[i]) {
-            i += 1;
+    let mut middle = data;
+    let mut front = 0usize; // elements handed out as left chunks
+    let mut kernel = Neutralizer::new();
+    kernel.run(pred, |side| {
+        let len = middle.len().min(CHUNK);
+        if len == 0 {
+            return None;
         }
-        while i < j && !pred(data[j - 1]) {
-            j -= 1;
-        }
-        if i >= j {
-            return i;
-        }
-        data.swap(i, j - 1);
-        i += 1;
-        j -= 1;
-    }
+        let whole = std::mem::take(&mut middle);
+        let chunk = match side {
+            Side::Left => {
+                front += len;
+                let (chunk, rest) = whole.split_at_mut(len);
+                middle = rest;
+                chunk
+            }
+            Side::Right => {
+                let (rest, chunk) = whole.split_at_mut(whole.len() - len);
+                middle = rest;
+                chunk
+            }
+        };
+        Some(chunk)
+    });
+    // The middle is used up, so the last left chunk ends where the last right
+    // chunk starts, at `front`, and only one of them still has misplaced
+    // elements.
+    let (left, right) = kernel.settle();
+    front - left + right
 }
 
 #[cfg(test)]
@@ -104,6 +121,40 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use teamsteal_data::{is_permutation_of, is_sorted, Distribution};
+
+    /// The scalar two-pointer loop the block kernel replaced, kept as the
+    /// oracle the kernel is checked against.
+    fn scalar_partition_by(data: &mut [u32], pred: impl Fn(u32) -> bool) -> usize {
+        let mut i = 0usize;
+        let mut j = data.len();
+        loop {
+            while i < j && pred(data[i]) {
+                i += 1;
+            }
+            while i < j && !pred(data[j - 1]) {
+                j -= 1;
+            }
+            if i >= j {
+                return i;
+            }
+            data.swap(i, j - 1);
+            i += 1;
+            j -= 1;
+        }
+    }
+
+    /// Same split point and the same multiset on each side as the oracle.
+    fn assert_matches_oracle(input: &[u32], pred: impl Fn(u32) -> bool, what: &str) {
+        let mut expected = input.to_vec();
+        let split = scalar_partition_by(&mut expected, &pred);
+        let mut actual = input.to_vec();
+        assert_eq!(partition_by(&mut actual, &pred), split, "{what}: split point");
+        for side in [0..split, split..input.len()] {
+            expected[side.clone()].sort_unstable();
+            actual[side].sort_unstable();
+        }
+        assert_eq!(actual, expected, "{what}: sides differ");
+    }
 
     #[test]
     fn std_sort_sorts() {
@@ -139,6 +190,31 @@ mod tests {
         assert_eq!(partition_by(&mut empty, |_| true), 0);
     }
 
+    /// Every length around the chunk boundaries, on the input shapes and
+    /// predicates that drive the kernel into its corners: no misplaced
+    /// element at all, every element misplaced, one side running dry first.
+    #[test]
+    fn partition_by_matches_the_scalar_oracle_on_every_small_length() {
+        for n in 0..=4 * CHUNK as u32 + 3 {
+            let shapes: [(&str, Vec<u32>); 6] = [
+                ("sorted", (0..n).collect()),
+                ("reversed", (0..n).rev().collect()),
+                ("constant", vec![n / 2; n as usize]),
+                ("two-value", (0..n).map(|i| (i * 7 % 5 < 2) as u32 * n).collect()),
+                ("alternating", (0..n).map(|i| (i % 2) * n).collect()),
+                ("scrambled", (0..n).map(|i| i.wrapping_mul(2_654_435_761) % (n + 1)).collect()),
+            ];
+            for (shape, input) in &shapes {
+                let what = format!("{shape}, n={n}");
+                assert_matches_oracle(input, |_| true, &what);
+                assert_matches_oracle(input, |_| false, &what);
+                assert_matches_oracle(input, |x| x % 2 == 0, &what);
+                assert_matches_oracle(input, |x| x <= n / 2, &what);
+                assert_matches_oracle(input, |x| x < n / 2, &what);
+            }
+        }
+    }
+
     #[test]
     fn split_around_handles_all_equal_input() {
         let mut v = vec![5u32; 100];
@@ -165,14 +241,13 @@ mod tests {
     }
 
     #[test]
-    fn sequential_quicksort_sorts_every_distribution() {
-        let cfg = SortConfig::default();
+    fn sequential_quicksort_matches_sort_unstable_on_a_million_elements() {
         for d in Distribution::ALL {
-            let original = d.generate(50_000, 8, 11);
-            let mut v = original.clone();
-            sequential_quicksort(&mut v, &cfg);
-            assert!(is_sorted(&v), "{d:?} not sorted");
-            assert!(is_permutation_of(&original, &v), "{d:?} lost elements");
+            let mut v = d.generate(1 << 20, 8, 11);
+            let mut reference = v.clone();
+            reference.sort_unstable();
+            sequential_quicksort(&mut v, &SortConfig::default());
+            assert!(v == reference, "{d:?} differs from sort_unstable");
         }
     }
 
@@ -204,12 +279,16 @@ mod tests {
         }
 
         #[test]
-        fn partition_by_is_a_partition(mut v in proptest::collection::vec(any::<u32>(), 0..500), pivot in any::<u32>()) {
-            let original = v.clone();
-            let k = partition_by(&mut v, |x| x <= pivot);
-            prop_assert!(v[..k].iter().all(|&x| x <= pivot));
-            prop_assert!(v[k..].iter().all(|&x| x > pivot));
-            prop_assert!(is_permutation_of(&original, &v));
+        fn partition_by_matches_the_scalar_oracle(
+            v in proptest::collection::vec(any::<u32>(), 0..=4 * CHUNK + 3),
+            pivot in any::<u32>(),
+            modulus in 1u32..9,
+        ) {
+            assert_matches_oracle(&v, |x| x <= pivot, "threshold");
+            // Few distinct values, so runs of equal elements span chunks.
+            let few: Vec<u32> = v.iter().map(|x| x % modulus).collect();
+            assert_matches_oracle(&few, |x| x <= pivot % modulus, "few values");
+            assert_matches_oracle(&few, |x| x < pivot % modulus, "few values, strict");
         }
     }
 }
