@@ -268,6 +268,7 @@ pub fn bfs_mixed_with(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use teamsteal_core::test_support::{with_watchdog, WATCHDOG};
 
     #[test]
     fn csr_construction_and_accessors() {
@@ -322,31 +323,37 @@ mod tests {
 
     #[test]
     fn mixed_matches_sequential_on_grid_with_teams() {
-        let s = Scheduler::with_threads(4);
-        let g = CsrGraph::grid(300, 200);
-        let reference = bfs_sequential(&g, 0);
-        let got = bfs_mixed_with(&s, &g, 0, 128);
-        assert_eq!(got, reference);
-        assert!(
-            s.metrics().teams_formed > 0,
-            "wide middle levels must be expanded by team tasks"
-        );
+        with_watchdog("mixed_matches_sequential_on_grid_with_teams", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            let g = CsrGraph::grid(300, 200);
+            let reference = bfs_sequential(&g, 0);
+            let got = bfs_mixed_with(&s, &g, 0, 128);
+            assert_eq!(got, reference);
+            assert!(
+                s.metrics().teams_formed > 0,
+                "wide middle levels must be expanded by team tasks"
+            );
+        });
     }
 
     #[test]
     fn mixed_matches_sequential_on_random_graph() {
-        let s = Scheduler::with_threads(4);
-        let g = CsrGraph::random(20_000, 8, 77);
-        for source in [0u32, 17, 9999] {
-            assert_eq!(bfs_mixed_with(&s, &g, source, 256), bfs_sequential(&g, source));
-        }
+        with_watchdog("mixed_matches_sequential_on_random_graph", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            let g = CsrGraph::random(20_000, 8, 77);
+            for source in [0u32, 17, 9999] {
+                assert_eq!(bfs_mixed_with(&s, &g, source, 256), bfs_sequential(&g, source));
+            }
+        });
     }
 
     #[test]
     fn non_power_of_two_threads() {
-        let s = Scheduler::with_threads(3);
-        let g = CsrGraph::grid(150, 150);
-        assert_eq!(bfs_mixed_with(&s, &g, 42, 128), bfs_sequential(&g, 42));
+        with_watchdog("non_power_of_two_threads", WATCHDOG, || {
+            let s = Scheduler::with_threads(3);
+            let g = CsrGraph::grid(150, 150);
+            assert_eq!(bfs_mixed_with(&s, &g, 42, 128), bfs_sequential(&g, 42));
+        });
     }
 
     proptest! {

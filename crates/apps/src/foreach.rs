@@ -182,6 +182,7 @@ mod tests {
     use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+    use teamsteal_core::test_support::{with_watchdog, WATCHDOG};
 
     #[test]
     fn for_each_small_and_empty_inputs() {
@@ -198,44 +199,50 @@ mod tests {
 
     #[test]
     fn for_each_large_input_uses_a_team_and_touches_every_element_once() {
-        let s = Scheduler::with_threads(4);
-        let n = 150_000;
-        let mut data: Vec<u64> = vec![0; n];
-        let calls = Arc::new(AtomicU64::new(0));
-        let c = Arc::clone(&calls);
-        team_for_each_with(
-            &s,
-            &mut data,
-            move |x| {
-                *x += 1;
-                c.fetch_add(1, Ordering::Relaxed);
-            },
-            1024,
-        );
-        assert!(data.iter().all(|&x| x == 1), "every element exactly once");
-        assert_eq!(calls.load(Ordering::Relaxed), n as u64);
-        assert!(s.metrics().teams_formed > 0);
+        with_watchdog("for_each_large_input_uses_a_team", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            let n = 150_000;
+            let mut data: Vec<u64> = vec![0; n];
+            let calls = Arc::new(AtomicU64::new(0));
+            let c = Arc::clone(&calls);
+            team_for_each_with(
+                &s,
+                &mut data,
+                move |x| {
+                    *x += 1;
+                    c.fetch_add(1, Ordering::Relaxed);
+                },
+                1024,
+            );
+            assert!(data.iter().all(|&x| x == 1), "every element exactly once");
+            assert_eq!(calls.load(Ordering::Relaxed), n as u64);
+            assert!(s.metrics().teams_formed > 0);
+        });
     }
 
     #[test]
     fn map_matches_sequential_and_preserves_order() {
-        let s = Scheduler::with_threads(4);
-        let input: Vec<u32> = (0..120_000).map(|i| i % 97).collect();
-        let got = team_map_with(&s, &input, |i, &x| (i as u64) * 3 + x as u64, 1024);
-        for (i, (&x, &y)) in input.iter().zip(&got).enumerate() {
-            assert_eq!(y, i as u64 * 3 + x as u64, "mismatch at {i}");
-        }
+        with_watchdog("map_matches_sequential_and_preserves_order", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            let input: Vec<u32> = (0..120_000).map(|i| i % 97).collect();
+            let got = team_map_with(&s, &input, |i, &x| (i as u64) * 3 + x as u64, 1024);
+            for (i, (&x, &y)) in input.iter().zip(&got).enumerate() {
+                assert_eq!(y, i as u64 * 3 + x as u64, "mismatch at {i}");
+            }
+        });
     }
 
     #[test]
     fn fill_with_produces_the_requested_sequence() {
-        let s = Scheduler::with_threads(3);
-        let mut data = vec![0u64; 100_000];
-        team_fill_with(&s, &mut data, |i| (i as u64).wrapping_mul(2654435761));
-        assert!(data
-            .iter()
-            .enumerate()
-            .all(|(i, &x)| x == (i as u64).wrapping_mul(2654435761)));
+        with_watchdog("fill_with_produces_the_requested_sequence", WATCHDOG, || {
+            let s = Scheduler::with_threads(3);
+            let mut data = vec![0u64; 100_000];
+            team_fill_with(&s, &mut data, |i| (i as u64).wrapping_mul(2654435761));
+            assert!(data
+                .iter()
+                .enumerate()
+                .all(|(i, &x)| x == (i as u64).wrapping_mul(2654435761)));
+        });
     }
 
     proptest! {

@@ -114,6 +114,7 @@ pub fn histogram_mixed_with(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use teamsteal_core::test_support::{with_watchdog, WATCHDOG};
     use teamsteal_data::Distribution;
 
     #[test]
@@ -140,33 +141,39 @@ mod tests {
 
     #[test]
     fn counts_sum_to_input_length_and_match_sequential() {
-        let s = Scheduler::with_threads(4);
-        for d in Distribution::ALL {
-            let data = d.generate(150_000, 4, 5);
-            let got = histogram_mixed_with(&s, &data, 64, 1024);
-            let reference = histogram_sequential(&data, 64);
-            assert_eq!(got, reference, "{d:?} histogram mismatch");
-            assert_eq!(got.iter().sum::<u64>(), data.len() as u64);
-        }
-        assert!(s.metrics().teams_formed > 0, "large histograms must use teams");
+        with_watchdog("counts_sum_to_input_length_and_match_sequential", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            for d in Distribution::ALL {
+                let data = d.generate(150_000, 4, 5);
+                let got = histogram_mixed_with(&s, &data, 64, 1024);
+                let reference = histogram_sequential(&data, 64);
+                assert_eq!(got, reference, "{d:?} histogram mismatch");
+                assert_eq!(got.iter().sum::<u64>(), data.len() as u64);
+            }
+            assert!(s.metrics().teams_formed > 0, "large histograms must use teams");
+        });
     }
 
     #[test]
     fn more_members_than_buckets() {
-        // Bucket ranges for trailing members are empty; they must not touch
-        // the output.
-        let s = Scheduler::with_threads(4);
-        let data = Distribution::Random.generate(120_000, 4, 6);
-        let got = histogram_mixed_with(&s, &data, 2, 1024);
-        assert_eq!(got, histogram_sequential(&data, 2));
+        with_watchdog("more_members_than_buckets", WATCHDOG, || {
+            // Bucket ranges for trailing members are empty; they must not touch
+            // the output.
+            let s = Scheduler::with_threads(4);
+            let data = Distribution::Random.generate(120_000, 4, 6);
+            let got = histogram_mixed_with(&s, &data, 2, 1024);
+            assert_eq!(got, histogram_sequential(&data, 2));
+        });
     }
 
     #[test]
     fn non_power_of_two_threads() {
-        let s = Scheduler::with_threads(3);
-        let data = Distribution::Gauss.generate(100_000, 3, 7);
-        let got = histogram_mixed_with(&s, &data, 31, 1024);
-        assert_eq!(got, histogram_sequential(&data, 31));
+        with_watchdog("non_power_of_two_threads", WATCHDOG, || {
+            let s = Scheduler::with_threads(3);
+            let data = Distribution::Gauss.generate(100_000, 3, 7);
+            let got = histogram_mixed_with(&s, &data, 31, 1024);
+            assert_eq!(got, histogram_sequential(&data, 31));
+        });
     }
 
     proptest! {

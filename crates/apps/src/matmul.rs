@@ -226,6 +226,7 @@ pub fn matmul_mixed_with(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use teamsteal_core::test_support::{with_watchdog, WATCHDOG};
     use teamsteal_util::rng::Xoshiro256;
 
     fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -289,34 +290,40 @@ mod tests {
 
     #[test]
     fn mixed_matches_sequential_rectangular() {
-        let s = Scheduler::with_threads(4);
-        let a = random_matrix(83, 47, 7);
-        let b = random_matrix(47, 61, 8);
-        let reference = matmul_sequential(&a, &b);
-        let c = matmul_mixed(&s, &a, &b);
-        assert!(c.max_abs_diff(&reference) < 1e-9);
+        with_watchdog("mixed_matches_sequential_rectangular", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            let a = random_matrix(83, 47, 7);
+            let b = random_matrix(47, 61, 8);
+            let reference = matmul_sequential(&a, &b);
+            let c = matmul_mixed(&s, &a, &b);
+            assert!(c.max_abs_diff(&reference) < 1e-9);
+        });
     }
 
     #[test]
     fn team_path_is_exercised_and_matches() {
-        let s = Scheduler::with_threads(4);
-        let a = random_matrix(256, 96, 9);
-        let b = random_matrix(96, 128, 10);
-        let reference = matmul_sequential(&a, &b);
-        // Force a low threshold so bands become team tasks.
-        let c = matmul_mixed_with(&s, &a, &b, 1 << 12);
-        assert!(c.max_abs_diff(&reference) < 1e-9);
-        assert!(s.metrics().teams_formed > 0, "bands must run as team tasks");
+        with_watchdog("team_path_is_exercised_and_matches", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            let a = random_matrix(256, 96, 9);
+            let b = random_matrix(96, 128, 10);
+            let reference = matmul_sequential(&a, &b);
+            // Force a low threshold so bands become team tasks.
+            let c = matmul_mixed_with(&s, &a, &b, 1 << 12);
+            assert!(c.max_abs_diff(&reference) < 1e-9);
+            assert!(s.metrics().teams_formed > 0, "bands must run as team tasks");
+        });
     }
 
     #[test]
     fn non_power_of_two_threads() {
-        let s = Scheduler::with_threads(3);
-        let a = random_matrix(130, 70, 11);
-        let b = random_matrix(70, 90, 12);
-        let reference = matmul_sequential(&a, &b);
-        let c = matmul_mixed_with(&s, &a, &b, 1 << 12);
-        assert!(c.max_abs_diff(&reference) < 1e-9);
+        with_watchdog("non_power_of_two_threads", WATCHDOG, || {
+            let s = Scheduler::with_threads(3);
+            let a = random_matrix(130, 70, 11);
+            let b = random_matrix(70, 90, 12);
+            let reference = matmul_sequential(&a, &b);
+            let c = matmul_mixed_with(&s, &a, &b, 1 << 12);
+            assert!(c.max_abs_diff(&reference) < 1e-9);
+        });
     }
 
     proptest! {

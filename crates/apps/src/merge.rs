@@ -270,6 +270,7 @@ where
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use teamsteal_core::test_support::{with_watchdog, WATCHDOG};
     use teamsteal_data::{is_permutation_of, is_sorted, Distribution};
 
     #[test]
@@ -317,23 +318,25 @@ mod tests {
 
     #[test]
     fn parallel_merge_small_and_large() {
-        let s = Scheduler::with_threads(4);
-        // Small: sequential path.
-        let a: Vec<u32> = (0..100).map(|i| i * 2).collect();
-        let b: Vec<u32> = (0..100).map(|i| i * 2 + 1).collect();
-        let mut out = vec![0u32; 200];
-        parallel_merge(&s, &a, &b, &mut out);
-        assert!(is_sorted(&out));
+        with_watchdog("parallel_merge_small_and_large", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            // Small: sequential path.
+            let a: Vec<u32> = (0..100).map(|i| i * 2).collect();
+            let b: Vec<u32> = (0..100).map(|i| i * 2 + 1).collect();
+            let mut out = vec![0u32; 200];
+            parallel_merge(&s, &a, &b, &mut out);
+            assert!(is_sorted(&out));
 
-        // Large: team path.
-        let a: Vec<u32> = (0..120_000u32).map(|i| i * 2).collect();
-        let b: Vec<u32> = (0..80_000u32).map(|i| i * 3).collect();
-        let mut out = vec![0u32; a.len() + b.len()];
-        parallel_merge(&s, &a, &b, &mut out);
-        assert!(is_sorted(&out));
-        let mut expected: Vec<u32> = a.iter().chain(&b).copied().collect();
-        expected.sort_unstable();
-        assert_eq!(out, expected);
+            // Large: team path.
+            let a: Vec<u32> = (0..120_000u32).map(|i| i * 2).collect();
+            let b: Vec<u32> = (0..80_000u32).map(|i| i * 3).collect();
+            let mut out = vec![0u32; a.len() + b.len()];
+            parallel_merge(&s, &a, &b, &mut out);
+            assert!(is_sorted(&out));
+            let mut expected: Vec<u32> = a.iter().chain(&b).copied().collect();
+            expected.sort_unstable();
+            assert_eq!(out, expected);
+        });
     }
 
     fn check_merge_sort(threads: usize, n: usize, config: &MergeSortConfig, seed: u64) {
@@ -360,35 +363,41 @@ mod tests {
 
     #[test]
     fn merge_sort_all_distributions_four_threads() {
-        let config = MergeSortConfig {
-            leaf_size: 1024,
-            min_elements_per_member: 4096,
-        };
-        check_merge_sort(4, 150_000, &config, 21);
+        with_watchdog("merge_sort_all_distributions_four_threads", WATCHDOG, || {
+            let config = MergeSortConfig {
+                leaf_size: 1024,
+                min_elements_per_member: 4096,
+            };
+            check_merge_sort(4, 150_000, &config, 21);
+        });
     }
 
     #[test]
     fn merge_sort_uses_teams_for_large_inputs() {
-        let s = Scheduler::with_threads(4);
-        let config = MergeSortConfig {
-            leaf_size: 1024,
-            min_elements_per_member: 4096,
-        };
-        let original = Distribution::Random.generate(200_000, 4, 33);
-        let mut v = original.clone();
-        merge_sort_mixed_with(&s, &mut v, &config);
-        assert!(is_sorted(&v));
-        assert!(is_permutation_of(&original, &v));
-        assert!(s.metrics().teams_formed > 0, "top merge passes must use teams");
+        with_watchdog("merge_sort_uses_teams_for_large_inputs", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            let config = MergeSortConfig {
+                leaf_size: 1024,
+                min_elements_per_member: 4096,
+            };
+            let original = Distribution::Random.generate(200_000, 4, 33);
+            let mut v = original.clone();
+            merge_sort_mixed_with(&s, &mut v, &config);
+            assert!(is_sorted(&v));
+            assert!(is_permutation_of(&original, &v));
+            assert!(s.metrics().teams_formed > 0, "top merge passes must use teams");
+        });
     }
 
     #[test]
     fn merge_sort_non_power_of_two_threads_and_length() {
-        let config = MergeSortConfig {
-            leaf_size: 512,
-            min_elements_per_member: 2048,
-        };
-        check_merge_sort(3, 100_001, &config, 44);
+        with_watchdog("merge_sort_non_power_of_two_threads_and_length", WATCHDOG, || {
+            let config = MergeSortConfig {
+                leaf_size: 512,
+                min_elements_per_member: 2048,
+            };
+            check_merge_sort(3, 100_001, &config, 44);
+        });
     }
 
     proptest! {

@@ -64,24 +64,20 @@ use teamsteal_util::timing::time;
 ///
 /// Panics if not exactly `spawns` children executed.
 pub fn spawn_overhead(scheduler: &Scheduler, spawns: usize) -> Duration {
-    let executed = Arc::new(AtomicUsize::new(0));
-    let counter = Arc::clone(&executed);
+    // The children are empty and are counted by the workers' own counters:
+    // a shared counter (let alone an `Arc` of one, cloned per child) would
+    // put a contended line of the probe's own making under the measurement.
+    let before = scheduler.metrics();
     let (duration, ()) = time(|| {
-        scheduler.scope(|scope| {
-            let counter = Arc::clone(&counter);
-            scope.spawn(move |ctx| {
-                for _ in 0..spawns {
-                    let counter = Arc::clone(&counter);
-                    ctx.spawn(move |_| {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
+        scheduler.run(move |ctx| {
+            for _ in 0..spawns {
+                ctx.spawn(|_| {});
+            }
         });
     });
     assert_eq!(
-        executed.load(Ordering::Relaxed),
-        spawns,
+        scheduler.metrics().delta_since(&before).tasks_executed,
+        spawns as u64 + 1,
         "spawn_overhead lost or duplicated tasks"
     );
     duration
@@ -589,6 +585,7 @@ pub fn process_cpu_time() -> Option<Duration> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use teamsteal_core::test_support::{with_watchdog, WATCHDOG};
 
     #[test]
     fn spawn_overhead_runs_and_validates() {
@@ -710,57 +707,63 @@ mod tests {
 
     #[test]
     fn team_build_streak_reuses_the_warm_team() {
-        let scheduler = Scheduler::with_threads(4);
-        let before = scheduler.metrics();
-        let outcome = team_build_streak(&scheduler, 4, 48);
-        assert_eq!(outcome.tasks, 48);
-        assert_eq!(outcome.submit_to_start.len(), 48);
-        let delta = scheduler.metrics().delta_since(&before);
-        // Every team publication is classified as a cold build or a warm
-        // reuse, never both and never neither.
-        assert_eq!(delta.teams_built + delta.team_reuses, 48);
-        // Back-to-back same-r submissions land inside the keep-alive
-        // window; over 48 of them some must hit the warm pool.
-        assert!(
-            delta.team_reuses > 0,
-            "no warm reuse over 48 back-to-back team tasks"
-        );
+        with_watchdog("team_build_streak_reuses_the_warm_team", WATCHDOG, || {
+            let scheduler = Scheduler::with_threads(4);
+            let before = scheduler.metrics();
+            let outcome = team_build_streak(&scheduler, 4, 48);
+            assert_eq!(outcome.tasks, 48);
+            assert_eq!(outcome.submit_to_start.len(), 48);
+            let delta = scheduler.metrics().delta_since(&before);
+            // Every team publication is classified as a cold build or a warm
+            // reuse, never both and never neither.
+            assert_eq!(delta.teams_built + delta.team_reuses, 48);
+            // Back-to-back same-r submissions land inside the keep-alive
+            // window; over 48 of them some must hit the warm pool.
+            assert!(
+                delta.team_reuses > 0,
+                "no warm reuse over 48 back-to-back team tasks"
+            );
+        });
     }
 
     #[test]
     fn team_build_cold_pays_the_full_protocol() {
-        let scheduler = Scheduler::with_threads(4);
-        let before = scheduler.metrics();
-        let outcome = team_build_cold(&scheduler, 4, 8);
-        assert_eq!(outcome.submit_to_start.len(), 8);
-        let delta = scheduler.metrics().delta_since(&before);
-        assert_eq!(delta.teams_built + delta.team_reuses, 8);
-        // With every submission spaced past the keep-alive window, most
-        // teams are rebuilt from scratch (a reuse would need the previous
-        // team to outlive its window, which only extreme descheduling of
-        // the coordinator can cause).
-        assert!(
-            delta.teams_built > 0,
-            "cold-gap submissions never rebuilt a team"
-        );
+        with_watchdog("team_build_cold_pays_the_full_protocol", WATCHDOG, || {
+            let scheduler = Scheduler::with_threads(4);
+            let before = scheduler.metrics();
+            let outcome = team_build_cold(&scheduler, 4, 8);
+            assert_eq!(outcome.submit_to_start.len(), 8);
+            let delta = scheduler.metrics().delta_since(&before);
+            assert_eq!(delta.teams_built + delta.team_reuses, 8);
+            // With every submission spaced past the keep-alive window, most
+            // teams are rebuilt from scratch (a reuse would need the previous
+            // team to outlive its window, which only extreme descheduling of
+            // the coordinator can cause).
+            assert!(
+                delta.teams_built > 0,
+                "cold-gap submissions never rebuilt a team"
+            );
+        });
     }
 
     #[test]
     fn team_build_mix_amortizes_registration() {
-        let scheduler = Scheduler::with_threads(4);
-        let before = scheduler.metrics();
-        let d = team_build_mix(&scheduler, 6);
-        assert!(d > Duration::ZERO);
-        let delta = scheduler.metrics().delta_since(&before);
-        assert!(delta.teams_built >= 1);
-        // The fixed-r streaks queue together, so after the first build the
-        // remaining streak publications ride the formed team.
-        assert!(
-            delta.team_reuses as usize >= 6 * MIX_STREAK - 1,
-            "only {} reuses over {} streak tasks",
-            delta.team_reuses,
-            6 * MIX_STREAK
-        );
+        with_watchdog("team_build_mix_amortizes_registration", WATCHDOG, || {
+            let scheduler = Scheduler::with_threads(4);
+            let before = scheduler.metrics();
+            let d = team_build_mix(&scheduler, 6);
+            assert!(d > Duration::ZERO);
+            let delta = scheduler.metrics().delta_since(&before);
+            assert!(delta.teams_built >= 1);
+            // The fixed-r streaks queue together, so after the first build the
+            // remaining streak publications ride the formed team.
+            assert!(
+                delta.team_reuses as usize >= 6 * MIX_STREAK - 1,
+                "only {} reuses over {} streak tasks",
+                delta.team_reuses,
+                6 * MIX_STREAK
+            );
+        });
     }
 
     #[test]

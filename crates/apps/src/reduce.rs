@@ -197,6 +197,7 @@ pub fn dot_product(scheduler: &Scheduler, a: &[f64], b: &[f64]) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use teamsteal_core::test_support::{with_watchdog, WATCHDOG};
 
     fn scheduler() -> Scheduler {
         Scheduler::with_threads(4)
@@ -204,62 +205,74 @@ mod tests {
 
     #[test]
     fn empty_input_returns_identity() {
-        let s = scheduler();
-        assert_eq!(team_reduce(&s, &[], 7u64, |a, b| a + b), 7);
-        assert_eq!(parallel_sum(&s, &[]), 0);
-        assert_eq!(parallel_min(&s, &[]), None);
-        assert_eq!(parallel_max(&s, &[]), None);
-        assert_eq!(dot_product(&s, &[], &[]), 0.0);
+        with_watchdog("empty_input_returns_identity", WATCHDOG, || {
+            let s = scheduler();
+            assert_eq!(team_reduce(&s, &[], 7u64, |a, b| a + b), 7);
+            assert_eq!(parallel_sum(&s, &[]), 0);
+            assert_eq!(parallel_min(&s, &[]), None);
+            assert_eq!(parallel_max(&s, &[]), None);
+            assert_eq!(dot_product(&s, &[], &[]), 0.0);
+        });
     }
 
     #[test]
     fn small_input_stays_sequential_but_correct() {
-        let s = scheduler();
-        let data: Vec<u64> = (1..=1000).collect();
-        assert_eq!(parallel_sum(&s, &data), 500_500);
-        assert_eq!(s.metrics().teams_formed, 0, "small inputs must not build teams");
+        with_watchdog("small_input_stays_sequential_but_correct", WATCHDOG, || {
+            let s = scheduler();
+            let data: Vec<u64> = (1..=1000).collect();
+            assert_eq!(parallel_sum(&s, &data), 500_500);
+            assert_eq!(s.metrics().teams_formed, 0, "small inputs must not build teams");
+        });
     }
 
     #[test]
     fn large_sum_uses_a_team_and_matches_sequential() {
-        let s = scheduler();
-        let data: Vec<u64> = (0..200_000).map(|i| i % 1000).collect();
-        let expected: u64 = data.iter().sum();
-        assert_eq!(
-            team_reduce_with(&s, &data, 0, |a, b| a + b, 1024),
-            expected
-        );
-        let m = s.metrics();
-        assert!(m.teams_formed > 0, "large reductions must run as a team task");
-        assert!(m.team_tasks_executed > 0);
+        with_watchdog("large_sum_uses_a_team_and_matches_sequential", WATCHDOG, || {
+            let s = scheduler();
+            let data: Vec<u64> = (0..200_000).map(|i| i % 1000).collect();
+            let expected: u64 = data.iter().sum();
+            assert_eq!(
+                team_reduce_with(&s, &data, 0, |a, b| a + b, 1024),
+                expected
+            );
+            let m = s.metrics();
+            assert!(m.teams_formed > 0, "large reductions must run as a team task");
+            assert!(m.team_tasks_executed > 0);
+        });
     }
 
     #[test]
     fn min_max_on_large_input() {
-        let s = scheduler();
-        let data: Vec<u64> = (0..100_000).map(|i| (i * 2654435761u64) % 1_000_003).collect();
-        assert_eq!(parallel_min(&s, &data), data.iter().copied().min());
-        assert_eq!(parallel_max(&s, &data), data.iter().copied().max());
+        with_watchdog("min_max_on_large_input", WATCHDOG, || {
+            let s = scheduler();
+            let data: Vec<u64> = (0..100_000).map(|i| (i * 2654435761u64) % 1_000_003).collect();
+            assert_eq!(parallel_min(&s, &data), data.iter().copied().min());
+            assert_eq!(parallel_max(&s, &data), data.iter().copied().max());
+        });
     }
 
     #[test]
     fn dot_product_matches_sequential_for_large_inputs() {
-        let s = scheduler();
-        let n = 120_000;
-        let a: Vec<f64> = (0..n).map(|i| (i % 17) as f64 * 0.25).collect();
-        let b: Vec<f64> = (0..n).map(|i| (i % 13) as f64 * 0.5).collect();
-        let expected: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-        let got = dot_product(&s, &a, &b);
-        // Chunked summation reorders additions; allow a tiny relative error.
-        let rel = (got - expected).abs() / expected.abs().max(1.0);
-        assert!(rel < 1e-9, "got {got}, expected {expected}");
+        with_watchdog("dot_product_matches_sequential_for_large_inputs", WATCHDOG, || {
+            let s = scheduler();
+            let n = 120_000;
+            let a: Vec<f64> = (0..n).map(|i| (i % 17) as f64 * 0.25).collect();
+            let b: Vec<f64> = (0..n).map(|i| (i % 13) as f64 * 0.5).collect();
+            let expected: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
+            let got = dot_product(&s, &a, &b);
+            // Chunked summation reorders additions; allow a tiny relative error.
+            let rel = (got - expected).abs() / expected.abs().max(1.0);
+            assert!(rel < 1e-9, "got {got}, expected {expected}");
+        });
     }
 
     #[test]
     #[should_panic]
     fn dot_product_rejects_mismatched_lengths() {
-        let s = scheduler();
-        let _ = dot_product(&s, &[1.0, 2.0], &[1.0]);
+        with_watchdog("dot_product_rejects_mismatched_lengths", WATCHDOG, || {
+            let s = scheduler();
+            let _ = dot_product(&s, &[1.0, 2.0], &[1.0]);
+        });
     }
 
     #[test]
@@ -271,12 +284,14 @@ mod tests {
 
     #[test]
     fn works_on_non_power_of_two_thread_counts() {
-        let s = Scheduler::with_threads(3);
-        let data: Vec<u64> = (0..150_000).map(|i| i % 7).collect();
-        assert_eq!(
-            team_reduce_with(&s, &data, 0, |a, b| a + b, 1024),
-            data.iter().sum::<u64>()
-        );
+        with_watchdog("works_on_non_power_of_two_thread_counts", WATCHDOG, || {
+            let s = Scheduler::with_threads(3);
+            let data: Vec<u64> = (0..150_000).map(|i| i % 7).collect();
+            assert_eq!(
+                team_reduce_with(&s, &data, 0, |a, b| a + b, 1024),
+                data.iter().sum::<u64>()
+            );
+        });
     }
 
     proptest! {

@@ -194,6 +194,7 @@ fn scan_impl<T, F>(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use teamsteal_core::test_support::{with_watchdog, WATCHDOG};
 
     fn reference_inclusive(input: &[u64]) -> Vec<u64> {
         let mut acc = 0u64;
@@ -242,44 +243,52 @@ mod tests {
 
     #[test]
     fn large_inclusive_scan_uses_a_team() {
-        let s = Scheduler::with_threads(4);
-        let input: Vec<u64> = (0..120_000).map(|i| i % 5).collect();
-        let mut out = vec![0u64; input.len()];
-        scan_with(&s, &input, &mut out, 0, |a, b| a + b, true, 1024);
-        assert_eq!(out, reference_inclusive(&input));
-        assert!(s.metrics().teams_formed > 0, "large scans must run as team tasks");
+        with_watchdog("large_inclusive_scan_uses_a_team", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            let input: Vec<u64> = (0..120_000).map(|i| i % 5).collect();
+            let mut out = vec![0u64; input.len()];
+            scan_with(&s, &input, &mut out, 0, |a, b| a + b, true, 1024);
+            assert_eq!(out, reference_inclusive(&input));
+            assert!(s.metrics().teams_formed > 0, "large scans must run as team tasks");
+        });
     }
 
     #[test]
     fn large_exclusive_scan_matches_reference() {
-        let s = Scheduler::with_threads(4);
-        let input: Vec<u64> = (0..90_000).map(|i| (i * 7) % 11).collect();
-        let mut out = vec![0u64; input.len()];
-        scan_with(&s, &input, &mut out, 0, |a, b| a + b, false, 1024);
-        assert_eq!(out, reference_exclusive(&input));
+        with_watchdog("large_exclusive_scan_matches_reference", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            let input: Vec<u64> = (0..90_000).map(|i| (i * 7) % 11).collect();
+            let mut out = vec![0u64; input.len()];
+            scan_with(&s, &input, &mut out, 0, |a, b| a + b, false, 1024);
+            assert_eq!(out, reference_exclusive(&input));
+        });
     }
 
     #[test]
     fn max_scan_is_supported() {
-        // Scan with a non-additive associative operation (running maximum).
-        let s = Scheduler::with_threads(4);
-        let input: Vec<u64> = (0..60_000).map(|i| (i * 2654435761u64) % 1_000).collect();
-        let mut out = vec![0u64; input.len()];
-        scan_with(&s, &input, &mut out, 0, |a, b| a.max(b), true, 512);
-        let mut acc = 0u64;
-        for (i, &x) in input.iter().enumerate() {
-            acc = acc.max(x);
-            assert_eq!(out[i], acc, "mismatch at {i}");
-        }
+        with_watchdog("max_scan_is_supported", WATCHDOG, || {
+            // Scan with a non-additive associative operation (running maximum).
+            let s = Scheduler::with_threads(4);
+            let input: Vec<u64> = (0..60_000).map(|i| (i * 2654435761u64) % 1_000).collect();
+            let mut out = vec![0u64; input.len()];
+            scan_with(&s, &input, &mut out, 0, |a, b| a.max(b), true, 512);
+            let mut acc = 0u64;
+            for (i, &x) in input.iter().enumerate() {
+                acc = acc.max(x);
+                assert_eq!(out[i], acc, "mismatch at {i}");
+            }
+        });
     }
 
     #[test]
     fn non_power_of_two_threads_and_odd_lengths() {
-        let s = Scheduler::with_threads(3);
-        let input: Vec<u64> = (0..70_001).map(|i| i % 3).collect();
-        let mut out = vec![0u64; input.len()];
-        scan_with(&s, &input, &mut out, 0, |a, b| a + b, true, 512);
-        assert_eq!(out, reference_inclusive(&input));
+        with_watchdog("non_power_of_two_threads_and_odd_lengths", WATCHDOG, || {
+            let s = Scheduler::with_threads(3);
+            let input: Vec<u64> = (0..70_001).map(|i| i % 3).collect();
+            let mut out = vec![0u64; input.len()];
+            scan_with(&s, &input, &mut out, 0, |a, b| a + b, true, 512);
+            assert_eq!(out, reference_inclusive(&input));
+        });
     }
 
     proptest! {

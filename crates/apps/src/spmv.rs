@@ -257,6 +257,7 @@ pub fn power_iteration_mixed(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use teamsteal_core::test_support::{with_watchdog, WATCHDOG};
 
     fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
         a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
@@ -294,13 +295,15 @@ mod tests {
 
     #[test]
     fn mixed_matches_sequential_on_random_matrices() {
-        let s = Scheduler::with_threads(4);
-        let m = CsrMatrix::random(20_000, 20_000, 8, 99);
-        let x: Vec<f64> = (0..20_000).map(|i| ((i % 13) as f64) * 0.25).collect();
-        let reference = spmv_sequential(&m, &x);
-        let got = spmv_mixed_with(&s, &m, &x, 1024);
-        assert!(max_abs_diff(&reference, &got) < 1e-9);
-        assert!(s.metrics().teams_formed > 0, "large SpMV must run as a team");
+        with_watchdog("mixed_matches_sequential_on_random_matrices", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            let m = CsrMatrix::random(20_000, 20_000, 8, 99);
+            let x: Vec<f64> = (0..20_000).map(|i| ((i % 13) as f64) * 0.25).collect();
+            let reference = spmv_sequential(&m, &x);
+            let got = spmv_mixed_with(&s, &m, &x, 1024);
+            assert!(max_abs_diff(&reference, &got) < 1e-9);
+            assert!(s.metrics().teams_formed > 0, "large SpMV must run as a team");
+        });
     }
 
     #[test]
@@ -336,26 +339,28 @@ mod tests {
 
     #[test]
     fn nnz_balanced_bounds_cover_all_rows() {
-        // A matrix with a very skewed nnz distribution: row 0 holds half of
-        // all entries.  The balanced bounds must still partition the rows.
-        let mut triplets = Vec::new();
-        for c in 0..500 {
-            triplets.push((0usize, c, 1.0));
-        }
-        for r in 1..100 {
-            for c in 0..5 {
-                triplets.push((r, c, 1.0));
+        with_watchdog("nnz_balanced_bounds_cover_all_rows", WATCHDOG, || {
+            // A matrix with a very skewed nnz distribution: row 0 holds half of
+            // all entries.  The balanced bounds must still partition the rows.
+            let mut triplets = Vec::new();
+            for c in 0..500 {
+                triplets.push((0usize, c, 1.0));
             }
-        }
-        let m = CsrMatrix::from_triplets(100, 500, &triplets);
-        let bounds = m.nnz_balanced_bounds(4);
-        assert_eq!(bounds.first(), Some(&0));
-        assert_eq!(bounds.last(), Some(&100));
-        assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "bounds must be monotone");
-        let s = Scheduler::with_threads(4);
-        let x = vec![1.0; 500];
-        let got = spmv_mixed_with(&s, &m, &x, 16);
-        assert!(max_abs_diff(&spmv_sequential(&m, &x), &got) < 1e-12);
+            for r in 1..100 {
+                for c in 0..5 {
+                    triplets.push((r, c, 1.0));
+                }
+            }
+            let m = CsrMatrix::from_triplets(100, 500, &triplets);
+            let bounds = m.nnz_balanced_bounds(4);
+            assert_eq!(bounds.first(), Some(&0));
+            assert_eq!(bounds.last(), Some(&100));
+            assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "bounds must be monotone");
+            let s = Scheduler::with_threads(4);
+            let x = vec![1.0; 500];
+            let got = spmv_mixed_with(&s, &m, &x, 16);
+            assert!(max_abs_diff(&spmv_sequential(&m, &x), &got) < 1e-12);
+        });
     }
 
     proptest! {

@@ -138,6 +138,7 @@ pub fn jacobi_mixed(scheduler: &Scheduler, grid: &[f64], config: &StencilConfig)
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use teamsteal_core::test_support::{with_watchdog, WATCHDOG};
 
     fn spike(n: usize) -> Vec<f64> {
         let mut g = vec![0.0; n];
@@ -189,52 +190,58 @@ mod tests {
 
     #[test]
     fn mixed_matches_sequential_on_large_grid() {
-        let s = Scheduler::with_threads(4);
-        let grid: Vec<f64> = (0..80_000).map(|i| ((i % 97) as f64) * 0.5).collect();
-        let cfg = StencilConfig {
-            sweeps: 20,
-            alpha: 0.2,
-            min_cells_per_member: 1024,
-        };
-        let reference = jacobi_sequential(&grid, &cfg);
-        let got = jacobi_mixed(&s, &grid, &cfg);
-        assert!(max_abs_diff(&reference, &got) < 1e-12);
-        let m = s.metrics();
-        assert!(m.teams_formed > 0, "large stencils must run as a team task");
-        // The whole iteration is one task: the team is built once and reused
-        // across all sweeps.
-        assert!(m.team_tasks_executed as usize <= s.num_threads());
+        with_watchdog("mixed_matches_sequential_on_large_grid", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            let grid: Vec<f64> = (0..80_000).map(|i| ((i % 97) as f64) * 0.5).collect();
+            let cfg = StencilConfig {
+                sweeps: 20,
+                alpha: 0.2,
+                min_cells_per_member: 1024,
+            };
+            let reference = jacobi_sequential(&grid, &cfg);
+            let got = jacobi_mixed(&s, &grid, &cfg);
+            assert!(max_abs_diff(&reference, &got) < 1e-12);
+            let m = s.metrics();
+            assert!(m.teams_formed > 0, "large stencils must run as a team task");
+            // The whole iteration is one task: the team is built once and reused
+            // across all sweeps.
+            assert!(m.team_tasks_executed as usize <= s.num_threads());
+        });
     }
 
     #[test]
     fn boundaries_stay_fixed() {
-        let s = Scheduler::with_threads(4);
-        let mut grid: Vec<f64> = vec![0.0; 40_000];
-        grid[0] = 7.0;
-        *grid.last_mut().unwrap() = -3.0;
-        grid[20_000] = 500.0;
-        let cfg = StencilConfig {
-            sweeps: 15,
-            alpha: 0.25,
-            min_cells_per_member: 1024,
-        };
-        let out = jacobi_mixed(&s, &grid, &cfg);
-        assert_eq!(out[0], 7.0);
-        assert_eq!(*out.last().unwrap(), -3.0);
+        with_watchdog("boundaries_stay_fixed", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            let mut grid: Vec<f64> = vec![0.0; 40_000];
+            grid[0] = 7.0;
+            *grid.last_mut().unwrap() = -3.0;
+            grid[20_000] = 500.0;
+            let cfg = StencilConfig {
+                sweeps: 15,
+                alpha: 0.25,
+                min_cells_per_member: 1024,
+            };
+            let out = jacobi_mixed(&s, &grid, &cfg);
+            assert_eq!(out[0], 7.0);
+            assert_eq!(*out.last().unwrap(), -3.0);
+        });
     }
 
     #[test]
     fn odd_sweep_counts_and_non_power_of_two_threads() {
-        let s = Scheduler::with_threads(3);
-        let grid: Vec<f64> = (0..50_001).map(|i| (i % 13) as f64).collect();
-        let cfg = StencilConfig {
-            sweeps: 7,
-            alpha: 0.3,
-            min_cells_per_member: 512,
-        };
-        let reference = jacobi_sequential(&grid, &cfg);
-        let got = jacobi_mixed(&s, &grid, &cfg);
-        assert!(max_abs_diff(&reference, &got) < 1e-12);
+        with_watchdog("odd_sweep_counts_and_non_power_of_two_threads", WATCHDOG, || {
+            let s = Scheduler::with_threads(3);
+            let grid: Vec<f64> = (0..50_001).map(|i| (i % 13) as f64).collect();
+            let cfg = StencilConfig {
+                sweeps: 7,
+                alpha: 0.3,
+                min_cells_per_member: 512,
+            };
+            let reference = jacobi_sequential(&grid, &cfg);
+            let got = jacobi_mixed(&s, &grid, &cfg);
+            assert!(max_abs_diff(&reference, &got) < 1e-12);
+        });
     }
 
     proptest! {

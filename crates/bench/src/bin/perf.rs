@@ -14,8 +14,9 @@
 //!   --seed N           input seed (default 42)
 //!   --out-dir PATH     where the BENCH_*.json files are written (default .)
 //!   --check FILE       compare the fresh sort report's MMPar records
-//!                      against the baseline report FILE; exit 1 on any
-//!                      median regression beyond the tolerance
+//!                      against the baseline report FILE, and spawn_overhead
+//!                      at p = 1 against the BENCH_kernels.json next to it;
+//!                      exit 1 on any median regression beyond the tolerance
 //!   --tolerance PCT    regression tolerance in percent (default 25)
 //! ```
 //!
@@ -33,7 +34,8 @@ use std::time::{Duration, SystemTime};
 use teamsteal_apps::harness::{Kernel, Workload};
 use teamsteal_apps::micro;
 use teamsteal_bench::report::{
-    check_regressions, Environment, JsonValue, Report, RunRecord, TimingSummary, SCHEMA_VERSION,
+    check_regressions, CheckOutcome, Environment, JsonValue, Report, RunRecord, TimingSummary,
+    SCHEMA_VERSION,
 };
 use teamsteal_bench::{Variant, VariantRunner};
 use teamsteal_core::{MetricsSnapshot, Scheduler};
@@ -157,7 +159,8 @@ const HELP: &str = "Perf-trajectory harness (writes BENCH_sort.json / BENCH_kern
   --only LIST        comma-separated sweep families to run: sort,kernel,
                      micro,injection_throughput,soak,wakeup_latency,idle_burn,
                      team_build,service_latency (default: all nine)
-  --check FILE       fail (exit 1) on MMPar median regression vs baseline FILE;
+  --check FILE       fail (exit 1) on MMPar median regression vs baseline FILE
+                     (and p = 1 spawn_overhead vs the BENCH_kernels.json beside it);
                      with --smoke the comparison runs a dedicated MMPar pass at
                      the baseline's recorded size/threads so medians compare
   --tolerance PCT    regression tolerance in percent (default 25)";
@@ -1320,6 +1323,77 @@ fn check_pass_report(baseline: &Report, opts: &Options) -> Result<Report, String
     Ok(new_report(opts, "sort", records))
 }
 
+/// The micro scenario gated next to MMPar: the cost of one empty spawned
+/// task, the number ROADMAP direction 2 is about.
+const SPAWN_OVERHEAD: &str = "spawn_overhead";
+
+/// Re-measures `spawn_overhead` at the kernel baseline's recorded
+/// (spawns, threads) cells, for the same reason as [`check_pass_report`].
+fn spawn_overhead_check_report(baseline: &Report, opts: &Options) -> Report {
+    let records = baseline
+        .records
+        .iter()
+        .filter(|r| r.group == "micro" && r.name == SPAWN_OVERHEAD)
+        .map(|base| {
+            let scheduler = Scheduler::with_threads(base.threads);
+            micro_record(SPAWN_OVERHEAD, base.size, opts, base.threads, &scheduler, || {
+                micro::spawn_overhead(&scheduler, base.size)
+            })
+        })
+        .collect();
+    new_report(opts, "kernel", records)
+}
+
+/// Prints what one empty task costs at p = 2 relative to p = 1 against
+/// ROADMAP direction 2's target (within 1.2x).  Informational, like every
+/// multi-threaded cell of this probe: one producer against a thief has two
+/// regimes — the producer runs ahead (1.1-1.7x) or the thief takes each task
+/// as it is pushed (4x) — and which one a process lands in changed between
+/// builds of the same library code (EXPERIMENTS.md "The sharded scope
+/// countdown").  Says
+/// nothing on a one-core host, where p = 2 only measures time slicing.
+fn report_spawn_scaling(current: &Report) {
+    if current.environment.available_parallelism < 2 {
+        return;
+    }
+    let per_task = |threads: usize| {
+        current
+            .records
+            .iter()
+            .find(|r| r.name == SPAWN_OVERHEAD && r.threads == threads && r.size > 0)
+            .map(|r| r.secs.median_s / r.size as f64)
+    };
+    if let (Some(one), Some(two)) = (per_task(1), per_task(2)) {
+        println!(
+            "check: spawn_overhead p = 2 costs {:.2}x p = 1 per task ({:.0} vs {:.0} ns; target 1.2x)",
+            two / one,
+            two * 1e9,
+            one * 1e9
+        );
+    }
+}
+
+/// Prints the verdict of one `--check` comparison; `true` when it passed.
+fn report_check(outcome: &CheckOutcome, what: &str, baseline: &Path, tolerance_pct: f64) -> bool {
+    if outcome.passed() {
+        println!(
+            "check: OK — {} {what}(s) within +{tolerance_pct:.1}% of {}",
+            outcome.compared,
+            baseline.display()
+        );
+    } else {
+        eprintln!(
+            "check: FAILED — {} regression(s) vs {}:",
+            outcome.regressions.len(),
+            baseline.display()
+        );
+        for regression in &outcome.regressions {
+            eprintln!("  {regression}");
+        }
+    }
+    outcome.passed()
+}
+
 fn write_report(path: &Path, report: &Report) -> Result<(), String> {
     std::fs::write(path, report.to_json_string())
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -1367,6 +1441,14 @@ fn run() -> Result<i32, String> {
         }
         None => None,
     };
+    // The kernel baseline lives next to the sort one and, like it, must be
+    // read before a sweep overwrites it.  Absent or unreadable: only MMPar
+    // is gated (said below).
+    let kernel_baseline = baseline.as_ref().and_then(|(path, _)| {
+        let path = path.with_file_name("BENCH_kernels.json");
+        let report = Report::from_json_str(&std::fs::read_to_string(&path).ok()?).ok()?;
+        (report.schema_version == SCHEMA_VERSION).then_some((path, report))
+    });
 
     eprintln!(
         "perf harness — size {}, threads {:?}, {} reps after {} warmups, seed {}{}",
@@ -1502,22 +1584,27 @@ fn run() -> Result<i32, String> {
             );
             return Ok(1);
         }
-        if outcome.passed() {
+        if !report_check(&outcome, "MMPar scenario", &baseline_path, opts.tolerance_pct) {
+            return Ok(1);
+        }
+        let Some((kernels_path, kernel_baseline)) = kernel_baseline else {
+            println!("check: no BENCH_kernels.json beside the baseline; spawn_overhead not gated");
+            return Ok(0);
+        };
+        let mut current = spawn_overhead_check_report(&kernel_baseline, &opts);
+        report_spawn_scaling(&current);
+        // Only the one-thread cell — the spawn path itself — is gated.
+        current.records.retain(|r| r.threads == 1);
+        let outcome =
+            check_regressions(&kernel_baseline, &current, SPAWN_OVERHEAD, opts.tolerance_pct);
+        if outcome.compared == 0 {
             println!(
-                "check: OK — {} MMPar scenario(s) within +{:.1}% of {}",
-                outcome.compared,
-                opts.tolerance_pct,
-                baseline_path.display()
+                "check: {} has no p = 1 spawn_overhead cell; spawn_overhead not gated",
+                kernels_path.display()
             );
-        } else {
-            eprintln!(
-                "check: FAILED — {} regression(s) vs {}:",
-                outcome.regressions.len(),
-                baseline_path.display()
-            );
-            for regression in &outcome.regressions {
-                eprintln!("  {regression}");
-            }
+            return Ok(0);
+        }
+        if !report_check(&outcome, "spawn_overhead cell", &kernels_path, opts.tolerance_pct) {
             return Ok(1);
         }
     }

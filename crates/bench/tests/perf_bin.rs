@@ -187,7 +187,16 @@ fn only_soak_runs_without_other_families() {
 #[test]
 fn check_mode_fails_on_injected_regression_and_passes_on_honest_baseline() {
     let dir = scratch_dir("check");
-    let out = run_perf(&["--smoke", "--out-dir", dir.to_str().unwrap(), "--seed", "7"]);
+    // `--threads 1,2`: the spawn_overhead gate compares the p = 1 cell.
+    let out = run_perf(&[
+        "--smoke",
+        "--threads",
+        "1,2",
+        "--out-dir",
+        dir.to_str().unwrap(),
+        "--seed",
+        "7",
+    ]);
     assert!(out.status.success());
 
     let honest = dir.join("BENCH_sort.json");
@@ -213,6 +222,8 @@ fn check_mode_fails_on_injected_regression_and_passes_on_honest_baseline() {
         "honest baseline flagged as regression: {}",
         String::from_utf8_lossy(&out.stderr)
     );
+    // The BENCH_kernels.json beside the baseline gates spawn_overhead too.
+    assert!(String::from_utf8_lossy(&out.stdout).contains("spawn_overhead cell(s) within"));
 
     // Inject a regression: pretend the baseline was 1000x faster.
     for record in &mut baseline.records {
@@ -239,6 +250,32 @@ fn check_mode_fails_on_injected_regression_and_passes_on_honest_baseline() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("check: FAILED"));
     assert!(stderr.contains("MMPar"));
+
+    // The same for spawn_overhead: an honest sort baseline next to a kernel
+    // baseline whose spawn cells were a million times faster.
+    let kernels_dir = scratch_dir("check-kernels");
+    let sort_copy = kernels_dir.join("BENCH_sort.json");
+    std::fs::copy(&honest, &sort_copy).unwrap();
+    let text = std::fs::read_to_string(dir.join("BENCH_kernels.json")).unwrap();
+    let mut kernels = Report::from_json_str(&text).unwrap();
+    for record in kernels.records.iter_mut().filter(|r| r.name == "spawn_overhead") {
+        record.secs.median_s /= 1e6;
+    }
+    std::fs::write(kernels_dir.join("BENCH_kernels.json"), kernels.to_json_string()).unwrap();
+    let out = run_perf(&[
+        "--smoke",
+        "--seed",
+        "7",
+        "--out-dir",
+        scratch_dir("check-kernels-out").to_str().unwrap(),
+        "--check",
+        sort_copy.to_str().unwrap(),
+        "--tolerance",
+        "100000",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "doctored spawn cells must fail the check: {stderr}");
+    assert!(stderr.contains("micro/spawn_overhead"));
 }
 
 #[test]

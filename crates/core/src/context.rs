@@ -11,8 +11,10 @@ use crate::team::TeamBarrier;
 pub(crate) trait SpawnTarget {
     /// Allocates a task node for `job` (from the worker's arena when one is
     /// available) and pushes it onto the executing worker's local queue
-    /// (bottom), choosing the queue level from the requirement.  Increments
-    /// the scope's pending counter.  `requirement_min < requirement` marks a
+    /// (bottom), choosing the queue level from the requirement.  Counts the
+    /// task on the worker's own shard of the scope's countdown; `scope` is
+    /// the scope of the running task, whose count keeps it alive until the
+    /// new node is counted too.  `requirement_min < requirement` marks a
     /// **moldable** task (DESIGN.md §15): the worker picks the effective
     /// team size in `requirement_min ..= requirement` from current load.
     fn spawn_job_slot(
@@ -20,7 +22,7 @@ pub(crate) trait SpawnTarget {
         job: JobSlot,
         requirement: usize,
         requirement_min: usize,
-        scope: &Arc<ScopeState>,
+        scope: &ScopeState,
     );
     /// Global id of the executing worker thread.
     fn worker_id(&self) -> usize;
@@ -35,7 +37,9 @@ pub(crate) trait SpawnTarget {
 /// distinct [`local_id`](TaskContext::local_id) in `0 .. team_size`.
 pub struct TaskContext<'a> {
     pub(crate) worker: &'a dyn SpawnTarget,
-    pub(crate) scope: &'a Arc<ScopeState>,
+    /// Scope of the running task, borrowed for the duration of the run (the
+    /// task is counted in it until after the run).
+    pub(crate) scope: &'a ScopeState,
     /// Thread requirement requested at spawn time (`r`).
     pub(crate) requested: usize,
     /// Size of the executing team (may exceed `requested` when the
@@ -215,14 +219,14 @@ mod tests {
             job: JobSlot,
             requirement: usize,
             requirement_min: usize,
-            scope: &Arc<ScopeState>,
+            scope: &ScopeState,
         ) {
             drop(job);
             self.spawned.borrow_mut().push((requirement, requirement_min));
             // The test target executes nothing: account the task as
             // spawned-and-finished immediately.
-            scope.task_spawned();
-            scope.task_finished();
+            scope.task_spawned(self.worker_id());
+            scope.task_finished(self.worker_id());
         }
         fn worker_id(&self) -> usize {
             3
@@ -232,7 +236,7 @@ mod tests {
         }
     }
 
-    fn test_ctx<'a>(target: &'a RecordingTarget, scope: &'a Arc<ScopeState>) -> TaskContext<'a> {
+    fn test_ctx<'a>(target: &'a RecordingTarget, scope: &'a ScopeState) -> TaskContext<'a> {
         TaskContext {
             worker: target,
             scope,
@@ -250,7 +254,7 @@ mod tests {
             spawned: RefCell::new(Vec::new()),
             threads: 8,
         };
-        let scope = ScopeState::new();
+        let scope = ScopeState::new(4);
         let ctx = test_ctx(&target, &scope);
         assert_eq!(ctx.local_id(), 3);
         assert_eq!(ctx.team_size(), 4);
@@ -268,7 +272,7 @@ mod tests {
             spawned: RefCell::new(Vec::new()),
             threads: 8,
         };
-        let scope = ScopeState::new();
+        let scope = ScopeState::new(4);
         let ctx = test_ctx(&target, &scope);
         ctx.spawn(|_| {});
         ctx.spawn_team(4, |_| {});
@@ -284,7 +288,7 @@ mod tests {
             spawned: RefCell::new(Vec::new()),
             threads: 4,
         };
-        let scope = ScopeState::new();
+        let scope = ScopeState::new(4);
         let ctx = test_ctx(&target, &scope);
         ctx.spawn_team(8, |_| {});
     }
@@ -296,7 +300,7 @@ mod tests {
             spawned: RefCell::new(Vec::new()),
             threads: 4,
         };
-        let scope = ScopeState::new();
+        let scope = ScopeState::new(4);
         let ctx = test_ctx(&target, &scope);
         #[allow(clippy::reversed_empty_ranges)]
         ctx.spawn_team_moldable(3..=2, |_| {});
@@ -309,7 +313,7 @@ mod tests {
             spawned: RefCell::new(Vec::new()),
             threads: 4,
         };
-        let scope = ScopeState::new();
+        let scope = ScopeState::new(4);
         let ctx = test_ctx(&target, &scope);
         ctx.spawn_team_moldable(2..=8, |_| {});
     }

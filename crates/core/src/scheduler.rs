@@ -317,19 +317,23 @@ impl Scheduler {
     /// then blocks until **all** tasks spawned within the scope — directly or
     /// transitively from other tasks — have finished.
     ///
-    /// If any task panics, the panic is re-thrown here once the remaining
-    /// tasks have drained.
+    /// If any task panics — or `f` itself does — the panic is re-thrown
+    /// here once the remaining tasks have drained.
     pub fn scope<F, R>(&self, f: F) -> R
     where
         F: FnOnce(&Scope<'_>) -> R,
     {
-        let state = ScopeState::new();
+        // One countdown shard per worker plus one for this thread.
+        let state = ScopeState::new(self.num_threads() + 1);
         let scope = Scope {
             scheduler: self,
-            state: Arc::clone(&state),
+            state: &state,
         };
-        let result = f(&scope);
+        // Task nodes borrow `state`, so not even a panic in `f` may skip
+        // the wait (the same rule as `std::thread::scope`).
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&scope)));
         state.wait();
+        let result = result.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
         if let Some(payload) = state.take_panic() {
             std::panic::resume_unwind(payload);
         }
@@ -536,7 +540,7 @@ impl Drop for Scheduler {
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
-        // Free any leftover nodes (only present if a scope was abandoned).
+        // Free any leftover nodes (a `ConcurrentScope`'s, queued at shutdown).
         self.shared.drain_leftovers();
     }
 }
@@ -561,7 +565,7 @@ pub struct ReclamationSnapshot {
 /// scope and the scope call returns only once the work has drained.
 pub struct Scope<'a> {
     scheduler: &'a Scheduler,
-    state: Arc<ScopeState>,
+    state: &'a Arc<ScopeState>,
 }
 
 impl Scope<'_> {
@@ -609,7 +613,7 @@ impl Scope<'_> {
             JobSlot::Boxed(job),
             requirement,
             requirement_min,
-            Arc::clone(&self.state),
+            self.state,
         );
         self.scheduler.shared.inject(node);
     }
@@ -624,7 +628,7 @@ impl Scope<'_> {
             JobSlot::new(job),
             requirement,
             requirement_min,
-            Arc::clone(&self.state),
+            self.state,
         );
         self.scheduler.shared.inject(node);
     }
@@ -644,7 +648,8 @@ impl Scope<'_> {
 /// bookkeeping (one `Arc`), is `Clone + Send + Sync`, and accepts
 /// submissions from any number of threads while earlier tasks are still
 /// running.  Callers block only where they choose to, via
-/// [`wait_idle`](Self::wait_idle).
+/// [`wait_idle`](Self::wait_idle); dropping the last clone never blocks —
+/// tasks still outstanding keep the bookkeeping alive until they finish.
 ///
 /// A panicking task does **not** unwind any caller here (there is no scope
 /// call to re-throw from); the first payload is captured and surfaces
@@ -669,7 +674,25 @@ impl Scope<'_> {
 /// ```
 #[derive(Clone)]
 pub struct ConcurrentScope {
+    owner: Arc<ScopeOwner>,
+}
+
+/// Countdown shards of a [`ConcurrentScope`], which is created without a
+/// scheduler and so cannot size them from `P`: workers `0..7` count on a
+/// line of their own, higher ids and external submitters share.
+const CONCURRENT_SCOPE_SHARDS: usize = 8;
+
+/// What the user-facing clones of a [`ConcurrentScope`] share.  Its drop is
+/// the moment the last of them is gone, which is when task nodes that
+/// borrow the state can no longer rely on a user to keep it alive.
+struct ScopeOwner {
     state: Arc<ScopeState>,
+}
+
+impl Drop for ScopeOwner {
+    fn drop(&mut self) {
+        ScopeState::orphan(&self.state);
+    }
 }
 
 impl Default for ConcurrentScope {
@@ -682,7 +705,9 @@ impl ConcurrentScope {
     /// Creates an empty concurrent scope.
     pub fn new() -> Self {
         ConcurrentScope {
-            state: ScopeState::new(),
+            owner: Arc::new(ScopeOwner {
+                state: ScopeState::new(CONCURRENT_SCOPE_SHARDS),
+            }),
         }
     }
 
@@ -747,7 +772,7 @@ impl ConcurrentScope {
             JobSlot::new(job),
             requirement,
             requirement_min,
-            Arc::clone(&self.state),
+            &self.owner.state,
         );
         // SAFETY: between `allocate_boxed` and `inject` this thread is the
         // node's exclusive owner; the injector's release/acquire handoff
@@ -760,17 +785,19 @@ impl ConcurrentScope {
     }
 
     /// Number of submitted tasks (including their transitively spawned
-    /// children) that have not finished yet.  A point-in-time gauge: with
-    /// concurrent submitters it can be stale immediately.
+    /// children) that have not finished yet.  A point-in-time gauge (a
+    /// two-pass sum over the countdown's shards): with concurrent submitters
+    /// it can be stale immediately, but a zero is exact for some moment
+    /// during the call.
     pub fn pending(&self) -> usize {
-        self.state.pending()
+        self.owner.state.pending()
     }
 
     /// Total task panics recorded against this scope over its lifetime,
     /// including payloads dropped because an earlier panic already occupied
     /// the [`take_panic`](Self::take_panic) slot.
     pub fn panics_observed(&self) -> u64 {
-        self.state.panics_observed()
+        self.owner.state.panics_observed()
     }
 
     /// Blocks until every task accounted to this scope — submitted directly
@@ -778,13 +805,13 @@ impl ConcurrentScope {
     /// keep submitting while a caller waits; the call returns at the first
     /// observed quiescent point.
     pub fn wait_idle(&self) {
-        self.state.wait();
+        self.owner.state.wait();
     }
 
     /// Takes the first panic payload raised by a task of this scope, if any.
     /// Call at drain points to rethrow (or log) deferred task panics.
     pub fn take_panic(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        self.state.take_panic()
+        self.owner.state.take_panic()
     }
 
     fn submit_concrete<J: Job + 'static>(&self, scheduler: &Scheduler, job: J) {
@@ -795,8 +822,70 @@ impl ConcurrentScope {
             JobSlot::new(job),
             requirement,
             requirement_min,
-            Arc::clone(&self.state),
+            &self.owner.state,
         );
         scheduler.shared.inject(node);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A scheduler whose workers were never started: whatever is submitted
+    /// stays queued until the drop-time drain.
+    fn unstarted(threads: usize) -> Scheduler {
+        let config = SchedulerConfig::with_threads(threads);
+        Scheduler {
+            shared: SchedulerShared::new(&config),
+            threads: Vec::new(),
+            steal_policy: config.steal_policy,
+        }
+    }
+
+    /// Bumps the counter when dropped, i.e. when the task that captured it
+    /// is retired (these never run).
+    struct Retired(Arc<AtomicUsize>);
+
+    impl Drop for Retired {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn submit_queued(scheduler: &Scheduler, scope: &ConcurrentScope, retired: &Arc<AtomicUsize>) {
+        for _ in 0..10 {
+            let token = Retired(Arc::clone(retired));
+            scope.submit(scheduler, move |_| drop(token));
+        }
+        assert_eq!(scope.pending(), 10);
+        assert_eq!(retired.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn drop_time_drain_retires_each_queued_task_once() {
+        let scheduler = unstarted(2);
+        let scope = ConcurrentScope::new();
+        let retired = Arc::new(AtomicUsize::new(0));
+        submit_queued(&scheduler, &scope, &retired);
+        drop(scheduler);
+        assert_eq!(retired.load(Ordering::SeqCst), 10);
+        assert_eq!(scope.pending(), 0);
+        scope.wait_idle();
+    }
+
+    #[test]
+    fn queued_tasks_keep_an_abandoned_scope_state_alive() {
+        let scheduler = unstarted(2);
+        let scope = ConcurrentScope::new();
+        let retired = Arc::new(AtomicUsize::new(0));
+        submit_queued(&scheduler, &scope, &retired);
+        let state = Arc::downgrade(&scope.owner.state);
+        drop(scope);
+        assert!(state.upgrade().is_some(), "queued nodes borrow the state");
+        drop(scheduler);
+        assert_eq!(retired.load(Ordering::SeqCst), 10);
+        assert!(state.upgrade().is_none(), "the last retired task frees it");
     }
 }

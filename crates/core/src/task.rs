@@ -23,9 +23,10 @@
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
+use teamsteal_util::countdown::ShardedCountdown;
 use teamsteal_util::slab::{Recycle, Slab};
 
 use crate::cancel::CancelCell;
@@ -237,17 +238,26 @@ impl JobSlot {
     }
 }
 
-/// Completion bookkeeping for one `Scheduler::scope` invocation.
+/// Completion bookkeeping for one scope ([`Scheduler::scope`] or a
+/// [`ConcurrentScope`]).
 ///
-/// Every spawned task increments `pending`; the last team member to finish a
-/// task decrements it.  The scope call blocks until the counter returns to
-/// zero, which doubles as the termination detection of the scheduler run
-/// (see DESIGN.md §3 for why this replaces the paper's unspecified idle
-/// registration protocol).
+/// Every spawned task is counted on the spawning thread's shard of a
+/// [`ShardedCountdown`]; the last team member to finish a task counts it as
+/// finished on its own shard.  The scope call blocks until the two-pass sum
+/// reads zero, which doubles as the termination detection of the scheduler
+/// run (see DESIGN.md §3 for why this replaces the paper's unspecified idle
+/// registration protocol, and §9 for the countdown's ordering rules).
+///
+/// Task nodes and contexts **borrow** the state (`*const ScopeState`): a
+/// counted, unfinished node keeps the scope's waiter blocked — or, for a
+/// [`ConcurrentScope`] nobody waits on, its orphan count parked — so the
+/// state outlives the node.  Only what a worker touches *after* a
+/// `task_finished` goes through an owned `Arc` (the worker's scope handle).
+///
+/// [`Scheduler::scope`]: crate::Scheduler::scope
+/// [`ConcurrentScope`]: crate::ConcurrentScope
 pub struct ScopeState {
-    pending: AtomicUsize,
-    lock: Mutex<()>,
-    cv: Condvar,
+    countdown: ShardedCountdown,
     /// First panic payload raised by a task of this scope, if any.  It is
     /// re-thrown by `Scheduler::scope` after all tasks have drained, so a
     /// panicking task aborts the scope instead of wedging the scheduler.
@@ -256,17 +266,39 @@ pub struct ScopeState {
     /// payload is kept for re-throwing; this counter makes the silently
     /// dropped rest diagnosable (surfaced through `ServiceReport`).
     panics_observed: AtomicUsize,
+    /// Set while the state holds a strong count on itself on behalf of tasks
+    /// that outlived the last user handle (see [`orphan`](Self::orphan)).
+    orphaned: AtomicBool,
 }
 
 impl ScopeState {
-    pub(crate) fn new() -> Arc<Self> {
+    /// Creates the state with `shards` countdown shards: workers count on
+    /// shard `worker id`, threads outside the pool on the last one.
+    pub(crate) fn new(shards: usize) -> Arc<Self> {
         Arc::new(ScopeState {
-            pending: AtomicUsize::new(0),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
+            countdown: ShardedCountdown::new(shards),
             panic: Mutex::new(None),
             panics_observed: AtomicUsize::new(0),
+            orphaned: AtomicBool::new(false),
         })
+    }
+
+    /// An owned handle on the state a counted task node borrows.  A finisher
+    /// needs one for everything it touches *after* `task_finished`: that
+    /// increment may release the scope's waiter, and with it the last other
+    /// owner of the state (DESIGN.md §9, owned-handle rule).
+    ///
+    /// # Safety
+    ///
+    /// `scope` must be the `Arc::as_ptr` of a state kept alive by a task
+    /// node that is still counted in it.
+    pub(crate) unsafe fn acquire(scope: *const ScopeState) -> Arc<ScopeState> {
+        // SAFETY: caller contract — the state is alive, so its strong count
+        // is at least one and may be raised on behalf of a new `Arc`.
+        unsafe {
+            Arc::increment_strong_count(scope);
+            Arc::from_raw(scope)
+        }
     }
 
     /// Records the payload of a panicking task (first one wins; every call
@@ -291,43 +323,70 @@ impl ScopeState {
         self.panic.lock().expect("scope panic slot poisoned").take()
     }
 
-    /// Registers one more outstanding task.
-    ///
-    /// Relaxed suffices (DESIGN.md §9): every increment is sequenced before
-    /// the matching decrement on the spawning thread (a task is pushed only
-    /// after it is counted, and executed only after it is pushed), so the
-    /// counter's modification order can never expose a transient zero while
-    /// work is outstanding; the release/acquire pair that `wait` needs lives
-    /// entirely in [`task_finished`](Self::task_finished) and
-    /// [`wait`](Self::wait).
-    pub(crate) fn task_spawned(&self) {
-        self.pending.fetch_add(1, Ordering::Relaxed);
+    /// The shard threads outside the worker pool count on.
+    pub(crate) fn external_shard(&self) -> usize {
+        self.countdown.num_shards() - 1
     }
 
-    /// Marks one task as fully finished (all team members done).  The
-    /// release half of the AcqRel pairs with the acquire load in `wait`, so
-    /// the scope caller observes all task side effects.
-    pub(crate) fn task_finished(&self) {
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = self.lock.lock().expect("scope lock poisoned");
-            self.cv.notify_all();
+    /// Registers one more outstanding task, counted on `shard`.
+    #[inline]
+    pub(crate) fn task_spawned(&self, shard: usize) {
+        self.countdown.spawned(shard);
+    }
+
+    /// Marks one task as fully finished (all team members done), counted on
+    /// `shard`.  This may release the scope's waiter: the caller must reach
+    /// `self` through an owned `Arc` if it touches the state afterwards.
+    #[inline]
+    pub(crate) fn task_finished(&self, shard: usize) {
+        self.countdown.finished(shard);
+    }
+
+    /// Wakes the scope's waiters if there are any and every counted task has
+    /// finished.  Called by a finisher when it runs out of work that could
+    /// belong to this scope (DESIGN.md §9), through its owned handle.
+    pub(crate) fn signal_if_complete(&self) {
+        if self.countdown.signal_if_zero() {
+            self.release_orphan();
         }
     }
 
-    /// Number of not-yet-finished tasks.
+    /// Number of not-yet-finished tasks (a two-pass sum over the shards).
     pub(crate) fn pending(&self) -> usize {
-        self.pending.load(Ordering::Acquire)
+        self.countdown.pending()
     }
 
     /// Blocks until every task spawned in this scope has finished.
     pub(crate) fn wait(&self) {
-        let mut guard = self.lock.lock().expect("scope lock poisoned");
-        while self.pending.load(Ordering::Acquire) != 0 {
-            let (g, _timeout) = self
-                .cv
-                .wait_timeout(guard, std::time::Duration::from_millis(5))
-                .expect("scope lock poisoned");
-            guard = g;
+        self.countdown.wait();
+    }
+
+    /// Called when the last user handle of a [`ConcurrentScope`] goes away:
+    /// nobody will wait for the tasks still counted, yet their nodes borrow
+    /// the state.  The state therefore parks one strong count on itself and
+    /// registers as a waiter; the finisher whose `signal_if_complete` sees
+    /// the countdown at zero — or this call, if it already is — releases it.
+    ///
+    /// [`ConcurrentScope`]: crate::ConcurrentScope
+    pub(crate) fn orphan(this: &Arc<Self>) {
+        std::mem::forget(Arc::clone(this));
+        // Flag before registering: a finisher that sees the waiter (SeqCst
+        // on both sides) then also sees the flag.
+        this.orphaned.store(true, Ordering::SeqCst);
+        this.countdown.add_waiter();
+        if this.countdown.is_zero() {
+            this.release_orphan();
+        }
+    }
+
+    /// Drops the parked strong count, exactly once however many finishers
+    /// (and `orphan` itself) observe completion.
+    fn release_orphan(&self) {
+        if self.orphaned.swap(false, Ordering::SeqCst) {
+            // SAFETY: the swap won the count `orphan` forgot, which came
+            // from an `Arc<Self>`; the caller reaches `self` through a
+            // strong count of its own, so this is never the last one.
+            unsafe { Arc::decrement_strong_count(self as *const Self) };
         }
     }
 }
@@ -358,8 +417,11 @@ pub struct TaskNode {
     /// Smallest team this task accepts (`requirement_min == requirement` for
     /// rigid tasks).  Immutable after allocation.
     pub(crate) requirement_min: usize,
-    /// Scope this task belongs to (for completion counting).
-    pub(crate) scope: Arc<ScopeState>,
+    /// Scope this task belongs to (for completion counting).  Borrowed, from
+    /// `Arc::as_ptr`: the node is counted in the scope from before it is
+    /// allocated until after it is released, and a scope with a counted task
+    /// is kept alive by its waiter (see [`ScopeState`]).
+    pub(crate) scope: *const ScopeState,
     /// Team descriptor, written by the coordinator *before* the task is
     /// published and read by team members *after* they observe the
     /// publication (the publication seqlock provides the ordering).
@@ -407,7 +469,7 @@ impl TaskNode {
         job: JobSlot,
         requirement: usize,
         requirement_min: usize,
-        scope: Arc<ScopeState>,
+        scope: *const ScopeState,
         home: *const Slab<TaskNode>,
     ) -> Self {
         debug_assert!(1 <= requirement_min && requirement_min <= requirement);
@@ -429,22 +491,34 @@ impl TaskNode {
 
     /// Allocates a boxed node (used for root tasks submitted from outside
     /// the worker pool, where no arena is available) and returns the raw
-    /// pointer that travels through the deques.  The scope's pending counter
-    /// is incremented here.
+    /// pointer that travels through the deques.  The task is counted on the
+    /// scope's external shard here.
     pub(crate) fn allocate_boxed(
         job: JobSlot,
         requirement: usize,
         requirement_min: usize,
-        scope: Arc<ScopeState>,
+        scope: &Arc<ScopeState>,
     ) -> *mut TaskNode {
-        scope.task_spawned();
+        scope.task_spawned(scope.external_shard());
         Box::into_raw(Box::new(TaskNode::new_in(
             job,
             requirement,
             requirement_min,
-            scope,
+            Arc::as_ptr(scope),
             std::ptr::null(),
         )))
+    }
+
+    /// The scope this task is counted in.
+    ///
+    /// # Safety
+    ///
+    /// The node must still be counted in its scope (not yet retired through
+    /// `task_finished`), which is what keeps the borrowed state alive.
+    #[inline]
+    pub(crate) unsafe fn scope(&self) -> &ScopeState {
+        // SAFETY: caller contract.
+        unsafe { &*self.scope }
     }
 
     /// Frees a node: recycles it into its home arena, or drops the box.
@@ -486,26 +560,26 @@ unsafe impl Sync for TaskPtr {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
 
     #[test]
-    fn scope_counts_down_to_zero() {
-        let scope = ScopeState::new();
-        scope.task_spawned();
-        scope.task_spawned();
+    fn scope_counts_down_to_zero_across_shards() {
+        let scope = ScopeState::new(3);
+        assert_eq!(scope.external_shard(), 2);
+        scope.task_spawned(2);
+        scope.task_spawned(0);
         assert_eq!(scope.pending(), 2);
-        scope.task_finished();
+        scope.task_finished(1);
         assert_eq!(scope.pending(), 1);
-        scope.task_finished();
+        scope.task_finished(0);
         assert_eq!(scope.pending(), 0);
         // wait() returns immediately when nothing is pending.
         scope.wait();
     }
 
     #[test]
-    fn scope_wait_blocks_until_finished() {
-        let scope = ScopeState::new();
-        scope.task_spawned();
+    fn scope_wait_blocks_until_signalled() {
+        let scope = ScopeState::new(2);
+        scope.task_spawned(1);
         let released = Arc::new(AtomicBool::new(false));
         let waiter = {
             let scope = Arc::clone(&scope);
@@ -517,13 +591,36 @@ mod tests {
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
         released.store(true, Ordering::SeqCst);
-        scope.task_finished();
+        scope.task_finished(0);
+        scope.signal_if_complete();
         assert!(waiter.join().unwrap(), "wait returned before task finished");
     }
 
     #[test]
+    fn orphaned_state_lives_until_its_last_task_finishes() {
+        // Nothing outstanding: the parked count is released on the spot.
+        let idle = ScopeState::new(2);
+        ScopeState::orphan(&idle);
+        assert_eq!(Arc::strong_count(&idle), 1);
+
+        // A counted task: the state keeps itself alive until a finisher's
+        // completion check, which releases the count exactly once.
+        let busy = ScopeState::new(2);
+        busy.task_spawned(1);
+        ScopeState::orphan(&busy);
+        assert_eq!(Arc::strong_count(&busy), 2);
+        busy.signal_if_complete();
+        assert_eq!(Arc::strong_count(&busy), 2, "a task is still outstanding");
+        busy.task_finished(0);
+        busy.signal_if_complete();
+        assert_eq!(Arc::strong_count(&busy), 1);
+        busy.signal_if_complete();
+        assert_eq!(Arc::strong_count(&busy), 1, "released once only");
+    }
+
+    #[test]
     fn record_panic_counts_every_payload_but_keeps_the_first() {
-        let scope = ScopeState::new();
+        let scope = ScopeState::new(1);
         assert_eq!(scope.panics_observed(), 0);
         scope.record_panic(Box::new("first"));
         scope.record_panic(Box::new("second"));
@@ -535,12 +632,12 @@ mod tests {
 
     #[test]
     fn allocate_increments_pending_and_sets_defaults() {
-        let scope = ScopeState::new();
+        let scope = ScopeState::new(2);
         let ptr = TaskNode::allocate_boxed(
             JobSlot::new(TeamJob::new(4, |_ctx: &TaskContext<'_>| {})),
             4,
             2,
-            Arc::clone(&scope),
+            &scope,
         );
         assert_eq!(scope.pending(), 1);
         // SAFETY: we just allocated it and nothing else references it.
@@ -548,10 +645,11 @@ mod tests {
         assert_eq!(node.requirement, 4);
         assert_eq!(node.requirement_min, 2);
         assert_eq!(node.participants.load(Ordering::Relaxed), 1);
-        let node_scope = Arc::clone(&node.scope);
+        assert_eq!(node.scope, Arc::as_ptr(&scope));
+        assert_eq!(Arc::strong_count(&scope), 1, "nodes borrow the scope");
         // SAFETY: sole holder.
         unsafe { TaskNode::release(ptr) };
-        node_scope.task_finished();
+        scope.task_finished(0);
         assert_eq!(scope.pending(), 0);
     }
 

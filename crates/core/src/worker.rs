@@ -476,7 +476,8 @@ impl SchedulerShared {
 
     /// Frees any task nodes still sitting in queues or the injector.  Called
     /// by the scheduler after all workers have exited (only relevant when a
-    /// scope was abandoned because a task panicked).
+    /// [`ConcurrentScope`](crate::ConcurrentScope) still had tasks queued at
+    /// shutdown; `Scheduler::scope` borrows the scheduler until it drained).
     pub(crate) fn drain_leftovers(&self) {
         let mut leftovers: Vec<TaskPtr> = Vec::new();
         self.external_pins.with_pinned(|| {
@@ -495,10 +496,13 @@ impl SchedulerShared {
         }
         for TaskPtr(ptr) in leftovers {
             // SAFETY: nobody else references a node once it has been drained
-            // from a queue; the workers have all exited.
-            let scope = unsafe { Arc::clone(&(*ptr).scope) };
+            // from a queue (the workers have all exited), and it is still
+            // counted in its scope, which therefore is alive.
+            let scope = unsafe { ScopeState::acquire((*ptr).scope) };
+            // SAFETY: as above — we are the node's last holder.
             unsafe { TaskNode::release(ptr) };
-            scope.task_finished();
+            scope.task_finished(scope.external_shard());
+            scope.signal_if_complete();
         }
     }
 }
@@ -564,6 +568,14 @@ pub(crate) struct Worker {
     /// Consecutive idle parks this worker skipped under the bounded
     /// last-searcher rule; reset whenever it finds work.
     last_searcher_rounds: u32,
+    /// Owned handle on the scope whose tasks this worker is running: taken
+    /// when it claims a task of a different scope, given back when it does
+    /// so again or is about to park — once per scope switch, not per task
+    /// (DESIGN.md §9).
+    scope: Option<Arc<ScopeState>>,
+    /// `true` while this worker has counted a finish on `scope` that no
+    /// completion check has followed yet.
+    unchecked_finish: bool,
 }
 
 impl Worker {
@@ -586,6 +598,46 @@ impl Worker {
             domain,
             searching: false,
             last_searcher_rounds: 0,
+            scope: None,
+            unchecked_finish: false,
+        }
+    }
+
+    /// Makes `scope` the scope this worker holds a handle on — leaving the
+    /// previous one, with its completion check, if it differs — and returns
+    /// the state as seen through that handle.
+    ///
+    /// # Safety
+    ///
+    /// `scope` must be the scope pointer of a task node that is still
+    /// counted in it (see `ScopeState::acquire`).
+    unsafe fn enter_scope(&mut self, scope: *const ScopeState) -> &ScopeState {
+        if self.scope.as_ref().map(Arc::as_ptr) != Some(scope) {
+            self.leave_scope();
+            // SAFETY: caller contract.
+            self.scope = Some(unsafe { ScopeState::acquire(scope) });
+        }
+        self.scope.as_deref().expect("a scope was just entered")
+    }
+
+    /// Gives the held scope handle back, after a last completion check.
+    /// Called before a park (a sleeping worker must not keep a finished
+    /// scope's state alive) and when switching scopes.
+    fn leave_scope(&mut self) {
+        self.check_scope();
+        self.scope = None;
+    }
+
+    /// Wakes the held scope's waiter if this worker's finishes completed it.
+    /// Called wherever the worker can no longer vouch that more of the
+    /// scope's work is coming its way: local queues empty, a team member
+    /// done with its share, or leaving the scope.  Free unless the worker
+    /// finished a task since its last check.
+    fn check_scope(&mut self) {
+        if std::mem::take(&mut self.unchecked_finish) {
+            if let Some(scope) = &self.scope {
+                scope.signal_if_complete();
+            }
         }
     }
 
@@ -623,7 +675,10 @@ impl Worker {
     /// unpins around the block (DESIGN.md §11) and records the wake in the
     /// metrics.  Every wake counts one backoff round so streak time and the
     /// stall reports keep working.
-    fn commit_handshake_park(&self, backoff: &mut Backoff, ticket: u64) {
+    fn commit_handshake_park(&mut self, backoff: &mut Backoff, ticket: u64) {
+        // Never sleep holding a scope: our last finish may have completed it,
+        // and the handle keeps its state alive.
+        self.leave_scope();
         self.me().counters.inc_parks();
         self.participant.unpin();
         let reason = self
@@ -729,11 +784,13 @@ impl Worker {
                 self.work_on_level(level);
                 continue;
             }
-            // All local queues are empty.  If we coordinate a *formed* team,
-            // keep it warm for a bounded window first (DESIGN.md §15): a
-            // compatible task arriving within the window reuses the team
-            // with a single publication write instead of re-running the
-            // whole registration protocol.
+            // All local queues are empty, so none of the current scope's
+            // work is left here: check it for completion.
+            self.check_scope();
+            // If we coordinate a *formed* team, keep it warm for a bounded
+            // window first (DESIGN.md §15): a compatible task arriving
+            // within the window reuses the team with a single publication
+            // write instead of re-running the whole registration protocol.
             if self.warm_hold() {
                 idle.reset();
                 continue;
@@ -761,6 +818,7 @@ impl Worker {
         // triggers, instead of draining out one park backstop at a time.
         self.release_team_if_any();
         self.quit_search();
+        self.leave_scope();
         self.participant.unpin();
     }
 
@@ -818,6 +876,7 @@ impl Worker {
             idle.note_round();
             return;
         }
+        self.leave_scope();
         self.me().counters.inc_parks();
         self.participant.unpin();
         let reason = self
@@ -905,7 +964,8 @@ impl Worker {
         let node = unsafe { &*ptr };
         let ctx = TaskContext {
             worker: &*self,
-            scope: &node.scope,
+            // SAFETY: counted until `finish_node` below.
+            scope: unsafe { node.scope() },
             requested: node.requirement,
             team_size: 1,
             team_base: self.id,
@@ -922,21 +982,28 @@ impl Worker {
     fn run_job(node: &TaskNode, ctx: &TaskContext<'_>) {
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| node.job.run(ctx)));
         if let Err(payload) = result {
-            node.scope.record_panic(payload);
+            ctx.scope.record_panic(payload);
         }
     }
 
-    fn finish_node(&self, ptr: *mut TaskNode) {
+    fn finish_node(&mut self, ptr: *mut TaskNode) {
         // SAFETY: node is alive until the last participant decrements.  The
         // AcqRel makes every participant's job effects visible to the last
         // one before the node is recycled or freed.
         let node = unsafe { &*ptr };
         if node.participants.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let scope = Arc::clone(&node.scope);
+            let scope = node.scope;
             // SAFETY: we are the last participant; nobody else will touch
             // it.  The node returns to its home arena (or the heap).
             unsafe { TaskNode::release(ptr) };
-            scope.task_finished();
+            // The count goes through the owned handle: it may release the
+            // scope's waiter, after which only the handle keeps the state.
+            // For a task this worker claimed itself, entering is a pointer
+            // compare; a team member or a retired task may enter here.
+            let shard = self.id;
+            // SAFETY: the task is counted until the `task_finished`.
+            unsafe { self.enter_scope(scope) }.task_finished(shard);
+            self.unchecked_finish = true;
         }
     }
 
@@ -947,7 +1014,7 @@ impl Worker {
     /// `finish_node`.  Returns `true` when the node was retired.  The
     /// caller must be the node's exclusive owner (it popped the node and
     /// has not re-published it), so the deadline read is race-free.
-    fn retire_if_stale(&self, ptr: *mut TaskNode) -> bool {
+    fn retire_if_stale(&mut self, ptr: *mut TaskNode) -> bool {
         // SAFETY: the caller owns the node.
         let node = unsafe { &*ptr };
         if node.cancel.is_none() && node.deadline.is_none() {
@@ -986,7 +1053,12 @@ impl Worker {
     /// makes run-vs-cancel a decided race: once it succeeds, a concurrent
     /// `cancel()` observes `Claimed` and returns false; once a `cancel()`
     /// wins, the claim here fails and the task never runs.
-    fn claim_for_run(&self, ptr: *mut TaskNode) -> bool {
+    fn claim_for_run(&mut self, ptr: *mut TaskNode) -> bool {
+        // SAFETY: the caller owns the node, which is counted in its scope
+        // until `finish_node`.  Entering before the run (not only at the
+        // finish) means a scope this worker completed earlier is signalled
+        // before another scope's task runs, not after.
+        unsafe { self.enter_scope((*ptr).scope) };
         if self.retire_if_stale(ptr) {
             return false;
         }
@@ -1184,6 +1256,13 @@ impl Worker {
     /// coordinator's share.
     fn execute_team_task_as_coordinator(&mut self, ptr: *mut TaskNode, base: usize, team_size: usize) {
         debug_assert!(team_size >= 2);
+        // A start countdown of `team_size - 1` is only ever drained by that
+        // many *teamed* members polling this worker.
+        debug_assert!(
+            self.me().reg.load().teamed as usize >= team_size,
+            "publishing a task for {team_size} members to {:?}",
+            self.me().reg.load()
+        );
         // Claim before the team descriptor is written or published: members
         // only ever see already-claimed tasks, so the cancel race is decided
         // while the coordinator still owns the node exclusively.
@@ -1241,7 +1320,9 @@ impl Worker {
         let barrier = unsafe { (*node.barrier.get()).as_ref() };
         let ctx = TaskContext {
             worker: &*self,
-            scope: &node.scope,
+            // SAFETY: counted until the last participant's `finish_node`,
+            // which cannot precede ours.
+            scope: unsafe { node.scope() },
             requested: node.requirement,
             team_size,
             team_base: base,
@@ -1256,7 +1337,7 @@ impl Worker {
         self.wait_countdown_zero();
     }
 
-    fn wait_countdown_zero(&self) {
+    fn wait_countdown_zero(&mut self) {
         let mut backoff = Backoff::new();
         while self.me().start_countdown.load(Ordering::Acquire) > 0 {
             // Liveness: at shutdown, members may exit their run loop without
@@ -1597,7 +1678,9 @@ impl Worker {
         let barrier = unsafe { (*node.barrier.get()).as_ref() };
         let ctx = TaskContext {
             worker: &*self,
-            scope: &node.scope,
+            // SAFETY: counted until the last participant's `finish_node`,
+            // which cannot precede ours.
+            scope: unsafe { node.scope() },
             requested: node.requirement,
             team_size: size,
             team_base: base,
@@ -1607,6 +1690,10 @@ impl Worker {
         Self::run_job(node, &ctx);
         self.me().counters.inc_team_tasks_executed();
         self.finish_node(ptr);
+        // A member goes back to polling its coordinator, not to the run
+        // loop's "queues empty" point: if ours was the last finish, check
+        // for completion here.
+        self.check_scope();
     }
 
     // ------------------------------------------------------------------
@@ -1720,9 +1807,22 @@ impl Worker {
             if myreg.teamed > 1 {
                 return false;
             }
+            // Register first, withdraw second.  If the winner's team filled
+            // up between our poll and the CAS we are still this level's
+            // coordinator, and our advertisement — with the threads already
+            // registered on it — must stand.  Withdrawing first left a
+            // failed switch coordinating on a word that reads r = 1, which
+            // `is_complete` accepts: `coordinate_level` then "formed" a team
+            // of one and published a task for members that did not exist,
+            // whose start countdown nobody would ever drain (the ROADMAP
+            // team-formation livelock).
+            if !self.try_register_with(new) {
+                return false;
+            }
             self.me().reg.disband();
             // Revoked registrants may be parked polling our word.
             self.notify_team_range(me, myreg.required as usize);
+            return true;
         }
         self.try_register_with(new)
     }
@@ -2038,9 +2138,9 @@ impl SpawnTarget for Worker {
         job: JobSlot,
         requirement: usize,
         requirement_min: usize,
-        scope: &Arc<ScopeState>,
+        scope: &ScopeState,
     ) {
-        scope.task_spawned();
+        scope.task_spawned(self.id);
         // Moldable choice (DESIGN.md §15): pick the effective team size for
         // this spawn from current load.  Fixed-requirement spawns
         // (`requirement_min == requirement`) pass through unchanged.
@@ -2058,7 +2158,7 @@ impl SpawnTarget for Worker {
                 job,
                 requirement,
                 requirement_min,
-                Arc::clone(scope),
+                scope,
                 &me.node_pool as *const _,
             ));
         }
@@ -2098,5 +2198,42 @@ impl SpawnTarget for Worker {
 
     fn num_threads(&self) -> usize {
         self.shared.num_threads()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A coordinator that loses a conflict follows the winner — unless the
+    /// winner's team filled up first.  It then still coordinates its own
+    /// task, so its advertisement (and the registrations on it) must stand.
+    #[test]
+    fn failed_switch_keeps_the_advertisement() {
+        let shared = SchedulerShared::new(&SchedulerConfig::with_threads(4));
+        let mut loser = Worker::new(3, Arc::clone(&shared));
+        let (winner_reg, loser_reg) = (&shared.workers[0].reg, &shared.workers[3].reg);
+        // Worker 0 advertises r = 4 and has all of its threads already.
+        winner_reg.push_requirement(4);
+        for _ in 0..3 {
+            assert!(matches!(winner_reg.try_acquire(2), AcquireOutcome::Registered(_)));
+        }
+        // Worker 3 advertises r = 4 too, with one registrant so far.
+        loser_reg.push_requirement(4);
+        assert!(matches!(loser_reg.try_acquire(2), AcquireOutcome::Registered(_)));
+        let advertised = loser_reg.load();
+
+        assert!(!loser.switch_coordinator(3, 0), "worker 0 needs nobody");
+        assert_eq!(loser_reg.load(), advertised);
+        assert_eq!(shared.workers[3].coordinator.load(Ordering::Relaxed), 3);
+
+        // With a slot free at the winner the switch goes through and only
+        // then withdraws the loser's advertisement.
+        assert_eq!(winner_reg.try_release(winner_reg.load().counter), ReleaseOutcome::Released);
+        assert!(loser.switch_coordinator(3, 0));
+        assert_eq!(loser_reg.load().required, 1);
+        assert_ne!(loser_reg.load().counter, advertised.counter, "registrants are revoked");
+        assert_eq!(shared.workers[3].coordinator.load(Ordering::Relaxed), 0);
+        assert!(winner_reg.load().is_complete());
     }
 }

@@ -1,0 +1,253 @@
+//! Model-checked tests for the sharded scope countdown (`DESIGN.md` §9).
+//!
+//! The protocol under test is the real one: [`ShardedCountdown`] is built on
+//! the `teamsteal_util::sync` shim, so under `--cfg teamsteal_model` its
+//! counters, `waiters` flag, lock and condvar run on the explorer's virtual
+//! primitives.  The scenario is the smallest one that has every hazard of
+//! the sharded design in it — two workers and one waiter:
+//!
+//! * the waiter counts a root task on the external shard, hands it to
+//!   worker A and blocks in `wait`;
+//! * worker A runs the root, which spawns a child (counted on A's shard)
+//!   into A's deque and keeps running;
+//! * worker B may steal the child and finish it — on **B's** shard — while
+//!   its parent still runs, or lose the race, in which case A pops it;
+//! * each worker calls `signal_if_zero` when it has run out of work, like
+//!   `Worker::leave_scope`.
+//!
+//! Invariants, on every interleaving:
+//!
+//! 1. **No early return**: when `wait` returns, both tasks have run (their
+//!    effects are counted before their `finished`).
+//! 2. **No lost wake**: `wait` never ends on its timed backstop.  The model
+//!    fires a timeout only when nothing else can run, so a backstop wake
+//!    *is* a missed signal.
+//!
+//! A third test shows the scenario has teeth: a countdown that sums
+//! `spawned` before `finished` is caught returning early on it.
+//!
+//! Run with `RUSTFLAGS='--cfg teamsteal_model' cargo test -p teamsteal-model`.
+#![cfg(teamsteal_model)]
+
+use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Arc, Mutex as StdMutex};
+
+use teamsteal_model::{thread, Builder};
+use teamsteal_util::countdown::ShardedCountdown;
+use teamsteal_util::sync::atomic::{AtomicUsize, Ordering};
+
+/// Shard keys: one per worker, the last for the thread outside the pool.
+const A: usize = 0;
+const B: usize = 1;
+const EXTERNAL: usize = 2;
+
+/// The child's deque slot: `EMPTY` until A pushes it, `QUEUED` until A's pop
+/// or B's steal takes it (one CAS — the deque's linearization point).
+const EMPTY: usize = 0;
+const QUEUED: usize = 1;
+const TAKEN: usize = 2;
+
+/// What the two workers and the waiter share.
+struct Scene {
+    countdown: ShardedCountdown,
+    slot: AtomicUsize,
+    /// Task bodies that have run; bumped before the task's `finished`.
+    ran: AtomicUsize,
+    /// Set by A between the root's body and its `finished`.
+    root_done: AtomicUsize,
+}
+
+impl Scene {
+    fn new() -> Arc<Self> {
+        Arc::new(Scene {
+            countdown: ShardedCountdown::new(3),
+            slot: AtomicUsize::new(EMPTY),
+            ran: AtomicUsize::new(0),
+            root_done: AtomicUsize::new(0),
+        })
+    }
+
+    /// Worker A: runs the root (spawn the child, push it, finish), then pops
+    /// the child if nobody stole it, then leaves the scope.  Returns whether
+    /// it ran the child itself.
+    fn worker_a(&self) -> bool {
+        self.countdown.spawned(A);
+        self.slot.store(QUEUED, Ordering::Release);
+        self.ran.fetch_add(1, Ordering::SeqCst);
+        self.root_done.store(1, Ordering::SeqCst);
+        self.countdown.finished(A);
+        let kept = self.take_child();
+        if kept {
+            self.ran.fetch_add(1, Ordering::SeqCst);
+            self.countdown.finished(A);
+        }
+        self.countdown.signal_if_zero();
+        kept
+    }
+
+    /// Worker B: one steal attempt.  Returns `None` when it found nothing
+    /// (it then never entered the scope and has nothing to signal), else
+    /// whether the root was still running when the child finished.
+    fn worker_b(&self) -> Option<bool> {
+        if !self.take_child() {
+            return None;
+        }
+        self.ran.fetch_add(1, Ordering::SeqCst);
+        let parent_running = self.root_done.load(Ordering::SeqCst) == 0;
+        self.countdown.finished(B);
+        self.countdown.signal_if_zero();
+        Some(parent_running)
+    }
+
+    fn take_child(&self) -> bool {
+        self.slot
+            .compare_exchange(QUEUED, TAKEN, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+    }
+}
+
+/// The whole scenario against the production countdown.
+#[test]
+fn wait_returns_only_after_every_counted_task_and_is_always_signalled() {
+    let seen: Arc<StdMutex<BTreeSet<&'static str>>> = Arc::default();
+    let seen_in = Arc::clone(&seen);
+    Builder::new().preemption_bound(2).check(move || {
+        let scene = Scene::new();
+        // `Scope::spawn`: count the root, then make it runnable (spawning
+        // the worker thread is the injector's release/acquire handoff).
+        scene.countdown.spawned(EXTERNAL);
+        let a = {
+            let scene = Arc::clone(&scene);
+            thread::spawn(move || scene.worker_a())
+        };
+        let b = {
+            let scene = Arc::clone(&scene);
+            thread::spawn(move || scene.worker_b())
+        };
+
+        let by_backstop = scene.countdown.wait();
+        // Invariant 1: nothing counted is still unfinished.
+        assert_eq!(
+            scene.ran.load(Ordering::SeqCst),
+            2,
+            "wait returned while a counted task had not run"
+        );
+        // Invariant 2: completion was signalled (or seen by the first check).
+        assert!(!by_backstop, "lost wake: wait ended on its timed backstop");
+        assert_eq!(scene.countdown.pending(), 0);
+
+        let kept = a.join().unwrap();
+        let stolen = b.join().unwrap();
+        assert_eq!(kept, stolen.is_none(), "exactly one worker ran the child");
+        seen_in.lock().unwrap().insert(match stolen {
+            None => "kept",
+            Some(true) => "stolen, finished while the parent ran",
+            Some(false) => "stolen, finished after the parent",
+        });
+    });
+    // The exploration must have produced the cross-shard finish both before
+    // and after the parent's, and the unstolen case.
+    let seen = seen.lock().unwrap();
+    for outcome in [
+        "kept",
+        "stolen, finished while the parent ran",
+        "stolen, finished after the parent",
+    ] {
+        assert!(
+            seen.contains(outcome),
+            "exploration never produced a schedule with the child {outcome}: {seen:?}"
+        );
+    }
+}
+
+/// A waiter that arrives after all the work is done must not block at all:
+/// nobody is left to signal it.  (The registration in `waiters` and the
+/// check are both behind the finishes, so the check sees them.)
+#[test]
+fn late_waiter_sees_zero_without_blocking() {
+    Builder::new().preemption_bound(2).check(|| {
+        let scene = Scene::new();
+        scene.countdown.spawned(EXTERNAL);
+        let a = {
+            let scene = Arc::clone(&scene);
+            thread::spawn(move || scene.worker_a())
+        };
+        assert!(a.join().unwrap(), "without a thief A runs the child itself");
+        assert!(
+            !scene.countdown.wait(),
+            "a late waiter must not need the backstop"
+        );
+        assert_eq!(scene.ran.load(Ordering::SeqCst), 2);
+    });
+}
+
+/// Negative control: summing `spawned` **before** `finished` (or, the same
+/// mistake, one signed balance per shard) reads zero while the root is still
+/// running — the spawn pass misses the child's `+1` on shard A, the finish
+/// pass then sees its `-1` on shard B.  The explorer must find that
+/// schedule, or the positive test above proves nothing about the order.
+#[test]
+fn spawned_before_finished_is_caught_returning_early() {
+    struct Wrong {
+        spawned: [AtomicUsize; 3],
+        finished: [AtomicUsize; 3],
+    }
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        Builder::new().preemption_bound(2).check(|| {
+            let c = Arc::new(Wrong {
+                spawned: Default::default(),
+                finished: Default::default(),
+            });
+            let ran = Arc::new(AtomicUsize::new(0));
+            let slot = Arc::new(AtomicUsize::new(EMPTY));
+            c.spawned[EXTERNAL].fetch_add(1, Ordering::SeqCst);
+            let a = {
+                let (c, ran, slot) = (Arc::clone(&c), Arc::clone(&ran), Arc::clone(&slot));
+                thread::spawn(move || {
+                    c.spawned[A].fetch_add(1, Ordering::SeqCst);
+                    slot.store(QUEUED, Ordering::SeqCst);
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    c.finished[A].fetch_add(1, Ordering::SeqCst);
+                })
+            };
+            let b = {
+                let (c, ran, slot) = (Arc::clone(&c), Arc::clone(&ran), Arc::clone(&slot));
+                thread::spawn(move || {
+                    if slot.load(Ordering::SeqCst) == QUEUED {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                        c.finished[B].fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+            };
+            let sum = |side: &[AtomicUsize; 3]| {
+                side.iter().map(|s| s.load(Ordering::SeqCst)).sum::<usize>()
+            };
+            let spawned = sum(&c.spawned);
+            let finished = sum(&c.finished);
+            if spawned == finished {
+                // "Zero": the scope would return here, so both bodies must
+                // have run.
+                assert_eq!(
+                    ran.load(Ordering::SeqCst),
+                    2,
+                    "read zero while a counted task had not run"
+                );
+            }
+            a.join().unwrap();
+            b.join().unwrap();
+        });
+    }));
+    let message = match result {
+        Ok(()) => panic!("the explorer never found the torn sum"),
+        Err(payload) => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default(),
+    };
+    assert!(
+        message.contains("read zero while a counted task had not run"),
+        "failed for another reason: {message}"
+    );
+}

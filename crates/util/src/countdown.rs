@@ -1,0 +1,269 @@
+//! A sharded completion countdown: "how many spawned tasks have not
+//! finished yet", without a cache line every spawner and finisher writes.
+//!
+//! A single `pending` counter costs one read-modify-write per spawn and one
+//! per finish on a line shared by all workers; with two workers running a
+//! tree of empty tasks that line *is* the workload (DESIGN.md §9,
+//! EXPERIMENTS.md "The sharded scope countdown").  Here every thread counts
+//! on its own cache-padded shard instead:
+//!
+//! * [`spawned`](ShardedCountdown::spawned) and
+//!   [`finished`](ShardedCountdown::finished) bump **monotone** per-shard
+//!   counters.  A task may be spawned on one shard and finished on another
+//!   (it was stolen), so no single shard ever knows a balance.
+//! * [`is_zero`](ShardedCountdown::is_zero) sums every `finished` **first**
+//!   and every `spawned` **second** and reports zero only when the sums
+//!   match.  Let `t` be the moment the first pass ends: the first pass
+//!   under-estimates the finishes at `t`, the second over-estimates the
+//!   spawns at `t`, and finishes never exceed spawns — so equal sums mean
+//!   *nothing was outstanding at `t`*.  (One signed balance per shard does
+//!   not have this property: a sum can read the `-1` of a child's finish on
+//!   shard B before the `+1` of its spawn on shard A and report zero while
+//!   the parent is still running.)
+//! * Completion is **signalled**, not polled: a waiter registers in
+//!   `waiters` before it checks, a finisher calls
+//!   [`signal_if_zero`](ShardedCountdown::signal_if_zero) after its
+//!   increments, and all four accesses are `SeqCst` — the Dekker pair that
+//!   guarantees the waiter sees the last increment or the finisher sees the
+//!   waiter.  The waiter's 5 ms timed wait is a backstop the protocol never
+//!   relies on (model-checked: `crates/model/tests/scope_countdown_model.rs`).
+//!
+//! The countdown does not manage its own lifetime: `finished` may be the
+//! increment that releases a waiter who then frees the countdown, so a
+//! finisher that goes on to call `signal_if_zero` must hold an **owned**
+//! handle (an `Arc`) on whatever contains it.  The scheduler's workers cache
+//! one per scope switch (DESIGN.md §9, "owned-handle rule").
+//!
+//! ```
+//! use std::sync::Arc;
+//! use teamsteal_util::countdown::ShardedCountdown;
+//!
+//! let countdown = Arc::new(ShardedCountdown::new(3));
+//! countdown.spawned(2); // submitted from outside the pool
+//! let worker = {
+//!     let countdown = Arc::clone(&countdown);
+//!     std::thread::spawn(move || {
+//!         countdown.spawned(0); // the task spawns a child ...
+//!         countdown.finished(0); // ... runs it ...
+//!         countdown.finished(0); // ... and finishes itself
+//!         countdown.signal_if_zero();
+//!     })
+//! };
+//! countdown.wait();
+//! assert_eq!(countdown.pending(), 0);
+//! worker.join().unwrap();
+//! ```
+
+use crate::sync::atomic::{AtomicUsize, Ordering};
+use crate::sync::{Condvar, Mutex};
+use std::time::Duration;
+
+use crate::CachePadded;
+
+/// Upper bound on one blocking wait: a missed signal (a bug — the protocol
+/// has none) costs this much latency instead of a hang.
+const WAIT_BACKSTOP: Duration = Duration::from_millis(5);
+
+/// One thread's pair of monotone counters, on a cache line of its own.
+#[derive(Default)]
+struct Shard {
+    spawned: AtomicUsize,
+    finished: AtomicUsize,
+}
+
+/// A completion countdown sharded by thread.  See the [module docs](self).
+pub struct ShardedCountdown {
+    shards: Box<[CachePadded<Shard>]>,
+    /// Threads currently inside [`wait`](Self::wait) (plus any registered
+    /// through [`add_waiter`](Self::add_waiter)); finishers skip the sums
+    /// while it is zero.
+    waiters: AtomicUsize,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl ShardedCountdown {
+    /// Creates a countdown with `shards` shards (at least one).  Callers
+    /// give each thread that counts often a shard key of its own; keys are
+    /// reduced modulo the shard count, so any key is valid and two threads
+    /// sharing a shard are merely slower, never wrong.
+    pub fn new(shards: usize) -> Self {
+        ShardedCountdown {
+            shards: (0..shards.max(1)).map(|_| CachePadded::default()).collect(),
+            waiters: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Number of shards.
+    pub fn num_shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    #[inline]
+    fn shard(&self, key: usize) -> &Shard {
+        let n = self.shards.len();
+        &self.shards[if key < n { key } else { key % n }]
+    }
+
+    /// Counts one more outstanding task on shard `key`.
+    ///
+    /// Relaxed suffices: a spawn is sequenced before the push that makes the
+    /// task runnable, so it happens-before the task's own `finished` and —
+    /// when a running task spawns — before the spawner's.  Whoever
+    /// acquire-reads either of those in `is_zero`'s first pass therefore
+    /// sees this increment in the second.
+    #[inline]
+    pub fn spawned(&self, key: usize) {
+        self.shard(key).spawned.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one task as finished on shard `key`.  May release a waiter:
+    /// see the module docs for what the caller may touch afterwards.
+    ///
+    /// `SeqCst`: the release half publishes the task's effects to whoever
+    /// reads the counter in `is_zero`; the total order is the finisher's
+    /// half of the Dekker pair with `waiters`.
+    #[inline]
+    pub fn finished(&self, key: usize) {
+        self.shard(key).finished.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Sums `finished` over all shards, then `spawned`.  The order is the
+    /// whole point — see the module docs.
+    fn sums(&self) -> (usize, usize) {
+        let finished = self.shards.iter().fold(0usize, |sum, s| {
+            sum.wrapping_add(s.finished.load(Ordering::SeqCst))
+        });
+        let spawned = self.shards.iter().fold(0usize, |sum, s| {
+            sum.wrapping_add(s.spawned.load(Ordering::Acquire))
+        });
+        (finished, spawned)
+    }
+
+    /// Tasks spawned and not yet finished.  Exact at some moment during the
+    /// call when it returns zero; an upper bound on that moment's value
+    /// otherwise.
+    pub fn pending(&self) -> usize {
+        let (finished, spawned) = self.sums();
+        spawned.wrapping_sub(finished)
+    }
+
+    /// `true` when every task spawned so far had finished at some moment
+    /// during the call.
+    pub fn is_zero(&self) -> bool {
+        self.pending() == 0
+    }
+
+    /// Wakes the waiters if one is registered and nothing is outstanding.
+    /// Returns `true` when it did.  Finishers call this after their
+    /// `finished` increments, whenever they run out of work that could
+    /// belong to this countdown — not per task.
+    pub fn signal_if_zero(&self) -> bool {
+        if self.waiters.load(Ordering::SeqCst) == 0 || !self.is_zero() {
+            return false;
+        }
+        // Taking the lock orders this notification after a waiter's failed
+        // check: the waiter holds it from the check until `wait_timeout`
+        // releases it atomically with enqueueing on the condvar.
+        drop(self.lock.lock().expect("countdown lock poisoned"));
+        self.cv.notify_all();
+        true
+    }
+
+    /// Registers a permanent waiter: from now on every `signal_if_zero`
+    /// checks the sums.  For owners that want to learn of completion from
+    /// `signal_if_zero`'s return value without blocking in `wait`.
+    pub fn add_waiter(&self) {
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Blocks until nothing is outstanding.  Returns `true` when the wake-up
+    /// that ended the wait was the timed backstop rather than a signal —
+    /// with a correct caller this only happens when completion and the
+    /// timeout coincide.
+    pub fn wait(&self) -> bool {
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let mut by_backstop = false;
+        let mut guard = self.lock.lock().expect("countdown lock poisoned");
+        while !self.is_zero() {
+            let (g, timeout) = self
+                .cv
+                .wait_timeout(guard, WAIT_BACKSTOP)
+                .expect("countdown lock poisoned");
+            guard = g;
+            by_backstop = timeout.timed_out();
+        }
+        drop(guard);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        by_backstop
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    #[test]
+    fn counts_down_to_zero_across_shards() {
+        let c = ShardedCountdown::new(3);
+        assert!(c.is_zero());
+        c.spawned(0);
+        c.spawned(2);
+        assert_eq!(c.pending(), 2);
+        // Finished on a different shard than it was spawned on.
+        c.finished(1);
+        assert_eq!(c.pending(), 1);
+        c.finished(1);
+        assert!(c.is_zero());
+        assert!(!c.wait(), "nothing pending: returns without blocking");
+    }
+
+    #[test]
+    fn keys_beyond_the_shard_count_wrap() {
+        let c = ShardedCountdown::new(2);
+        assert_eq!(ShardedCountdown::new(0).num_shards(), 1);
+        c.spawned(7);
+        c.spawned(usize::MAX);
+        assert_eq!(c.pending(), 2);
+        c.finished(4);
+        c.finished(5);
+        assert!(c.is_zero());
+    }
+
+    #[test]
+    fn signal_needs_a_waiter_and_zero() {
+        let c = ShardedCountdown::new(2);
+        assert!(!c.signal_if_zero(), "no waiter registered");
+        c.add_waiter();
+        c.spawned(0);
+        assert!(!c.signal_if_zero(), "a task is outstanding");
+        c.finished(1);
+        assert!(c.signal_if_zero());
+    }
+
+    #[test]
+    fn wait_blocks_until_signalled() {
+        let c = Arc::new(ShardedCountdown::new(2));
+        c.spawned(1);
+        let released = Arc::new(AtomicBool::new(false));
+        let waiter = {
+            let (c, released) = (Arc::clone(&c), Arc::clone(&released));
+            std::thread::spawn(move || {
+                c.wait();
+                released.load(Ordering::SeqCst)
+            })
+        };
+        std::thread::sleep(Duration::from_millis(20));
+        released.store(true, Ordering::SeqCst);
+        c.finished(0);
+        c.signal_if_zero();
+        assert!(
+            waiter.join().unwrap(),
+            "wait returned before the task finished"
+        );
+    }
+}

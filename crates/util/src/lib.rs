@@ -20,6 +20,9 @@
 //! * [`epoch`] — epoch-based memory reclamation for the scheduler's
 //!   lock-free queues (injection-queue segments, deque growth buffers), so a
 //!   long-lived scheduler has bounded memory instead of leak-until-drop,
+//! * [`countdown`] — the sharded completion countdown behind scopes: spawns
+//!   and finishes count on the calling thread's own cache line, and a
+//!   two-pass sum decides "nothing outstanding",
 //! * [`eventcount`] — the futex-style blocking primitive behind the
 //!   scheduler's event-driven parking (prepare → recheck → park, targeted
 //!   per-worker wakes), replacing timed sleep-polling on every idle and
@@ -32,6 +35,7 @@
 
 pub mod backoff;
 pub mod bits;
+pub mod countdown;
 pub mod epoch;
 pub mod eventcount;
 pub mod rng;

@@ -1,0 +1,290 @@
+//! The sharded scope countdown, end to end (DESIGN.md §9): completion is
+//! signalled by a worker and never found by the waiter's 5 ms timed poll,
+//! scopes that overlap in time do not hold each other up, and every way a
+//! task can retire — run, panic, cancellation, expiry, drop-time draining —
+//! counts it exactly once.
+
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use teamsteal::crates::core::CancelCell;
+use teamsteal::{ConcurrentScope, Scheduler};
+
+mod common;
+use common::{with_watchdog, WATCHDOG};
+
+/// The backstop interval of `ShardedCountdown::wait`.
+const POLL: Duration = Duration::from_millis(5);
+
+/// Bumps `.0` when dropped: a task that captured one was retired, whether it
+/// ran or not.
+struct Retired(Arc<AtomicUsize>);
+
+impl Drop for Retired {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn back_to_back_scopes_are_signalled_not_polled() {
+    with_watchdog(
+        "back_to_back_scopes_are_signalled_not_polled",
+        WATCHDOG,
+        || {
+            const RUNS: u32 = 2000;
+            let scheduler = Scheduler::with_threads(2);
+            let ran = Arc::new(AtomicUsize::new(0));
+            let start = Instant::now();
+            for _ in 0..RUNS {
+                let ran = Arc::clone(&ran);
+                scheduler.run(move |_| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            let took = start.elapsed();
+            assert_eq!(ran.load(Ordering::Relaxed), RUNS as usize);
+            // Each scope ends microseconds after its only task; a waiter that
+            // learned of it from the timed poll would take a full interval per
+            // scope.  A healthy run is more than ten times under this bound.
+            assert!(
+                took < POLL * RUNS / 2,
+                "{RUNS} empty scopes took {took:?}: completion is riding the {POLL:?} poll"
+            );
+        },
+    );
+}
+
+#[test]
+fn short_scopes_return_while_a_long_scope_keeps_a_worker_busy() {
+    with_watchdog(
+        "short_scopes_return_while_a_long_scope_runs",
+        WATCHDOG,
+        || {
+            const SHORT_SCOPES: usize = 200;
+            let scheduler = Arc::new(Scheduler::with_threads(2));
+            let long_running = Arc::new(AtomicBool::new(false));
+            let shorts_done = Arc::new(AtomicBool::new(false));
+            let long_children = Arc::new(AtomicUsize::new(0));
+            let long_ran = Arc::new(AtomicUsize::new(0));
+
+            let long = {
+                let scheduler = Arc::clone(&scheduler);
+                let (long_running, shorts_done) =
+                    (Arc::clone(&long_running), Arc::clone(&shorts_done));
+                let (long_children, long_ran) = (Arc::clone(&long_children), Arc::clone(&long_ran));
+                std::thread::spawn(move || {
+                    // The root occupies one worker until the short scopes are
+                    // through and keeps feeding its own deque, so that worker
+                    // holds queued tasks of the long scope the whole time and
+                    // the other one alternates between stealing them and
+                    // serving the short scopes.
+                    scheduler.run(move |ctx| {
+                        long_running.store(true, Ordering::Release);
+                        while !shorts_done.load(Ordering::Acquire) {
+                            for _ in 0..8 {
+                                long_children.fetch_add(1, Ordering::Relaxed);
+                                let long_ran = Arc::clone(&long_ran);
+                                ctx.spawn(move |_| {
+                                    long_ran.fetch_add(1, Ordering::Relaxed);
+                                });
+                            }
+                            std::thread::yield_now();
+                        }
+                    });
+                })
+            };
+            while !long_running.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+
+            let short_ran = Arc::new(AtomicUsize::new(0));
+            for i in 0..SHORT_SCOPES {
+                let counter = Arc::clone(&short_ran);
+                scheduler.run(move |ctx| {
+                    ctx.spawn(move |_| {
+                        counter.fetch_add(1, Ordering::Relaxed);
+                    });
+                });
+                // The scope returned, so its child has run — and the long scope,
+                // whose root waits for `shorts_done`, has not.
+                assert_eq!(short_ran.load(Ordering::Relaxed), i + 1);
+                assert!(!long.is_finished());
+            }
+            shorts_done.store(true, Ordering::Release);
+            long.join().unwrap();
+            assert_eq!(
+                long_ran.load(Ordering::Relaxed),
+                long_children.load(Ordering::Relaxed),
+                "the long scope returned before all of its children ran"
+            );
+        },
+    );
+}
+
+#[test]
+fn nested_scope_opened_from_inside_a_task() {
+    with_watchdog("nested_scope_opened_from_inside_a_task", WATCHDOG, || {
+        let scheduler = Arc::new(Scheduler::with_threads(2));
+        let inner_ran = Arc::new(AtomicUsize::new(0));
+        let outer_ran = Arc::new(AtomicUsize::new(0));
+        {
+            let nested = Arc::clone(&scheduler);
+            let (inner_ran, outer_ran) = (Arc::clone(&inner_ran), Arc::clone(&outer_ran));
+            scheduler.run(move |ctx| {
+                // The worker running this task blocks in the inner scope's
+                // wait; the other worker runs the inner tasks and signals.
+                nested.scope(|scope| {
+                    for _ in 0..16 {
+                        let inner_ran = Arc::clone(&inner_ran);
+                        scope.spawn(move |ctx| {
+                            let inner_ran = Arc::clone(&inner_ran);
+                            ctx.spawn(move |_| {
+                                inner_ran.fetch_add(1, Ordering::Relaxed);
+                            });
+                        });
+                    }
+                });
+                assert_eq!(
+                    inner_ran.load(Ordering::Relaxed),
+                    16,
+                    "inner scope returned early"
+                );
+                // The outer scope is still counting: spawn into it after
+                // the inner one is gone.
+                for _ in 0..16 {
+                    let outer_ran = Arc::clone(&outer_ran);
+                    ctx.spawn(move |_| {
+                        outer_ran.fetch_add(1, Ordering::Relaxed);
+                    });
+                }
+            });
+        }
+        assert_eq!(outer_ran.load(Ordering::Relaxed), 16);
+    });
+}
+
+#[test]
+fn panicked_cancelled_and_expired_tasks_retire_their_count_once() {
+    with_watchdog(
+        "panicked_cancelled_and_expired_tasks_retire_once",
+        WATCHDOG,
+        || {
+            const EACH: usize = 25;
+            let scheduler = Scheduler::with_threads(2);
+            let scope = ConcurrentScope::new();
+            let ran = Arc::new(AtomicUsize::new(0));
+            let retired = Arc::new(AtomicUsize::new(0));
+
+            // A task body that records that it ran; its captured token records
+            // that it was retired, run or not.
+            let body = || {
+                let (ran, token) = (Arc::clone(&ran), Retired(Arc::clone(&retired)));
+                move || {
+                    let _token = token;
+                    ran.fetch_add(1, Ordering::Relaxed);
+                }
+            };
+            for _ in 0..EACH {
+                // Runs and spawns a child that panics.
+                let run = body();
+                scope.submit(&scheduler, move |ctx| {
+                    run();
+                    ctx.spawn(|_| panic!("deliberate test panic"));
+                });
+                // Cancelled before a worker can claim it: dropped unrun.
+                let cell = Arc::new(CancelCell::new());
+                assert!(cell.cancel());
+                let run = body();
+                scope.submit_cancellable(&scheduler, Some(cell), None, move |_| run());
+                // Deadline already passed: dropped unrun.
+                let run = body();
+                scope.submit_cancellable(&scheduler, None, Some(Instant::now()), move |_| run());
+            }
+            scope.wait_idle();
+            // A count retired twice would have let `wait_idle` return early (or
+            // wrapped `pending`); one never retired would have hung it.
+            assert_eq!(scope.pending(), 0);
+            assert_eq!(ran.load(Ordering::Relaxed), EACH);
+            assert_eq!(retired.load(Ordering::SeqCst), 3 * EACH);
+            assert_eq!(scope.panics_observed(), EACH as u64);
+            assert!(scope.take_panic().is_some());
+            let metrics = scheduler.metrics();
+            assert_eq!(metrics.tasks_cancelled, EACH as u64);
+            assert_eq!(metrics.tasks_expired, EACH as u64);
+        },
+    );
+}
+
+#[test]
+fn tasks_drained_at_scheduler_drop_retire_their_count_once() {
+    with_watchdog(
+        "tasks_drained_at_scheduler_drop_retire_once",
+        WATCHDOG,
+        || {
+            const QUEUED: usize = 50;
+            let scheduler = Scheduler::with_threads(1);
+            let scope = ConcurrentScope::new();
+            let retired = Arc::new(AtomicUsize::new(0));
+            let dropping = Arc::new(AtomicBool::new(false));
+
+            // The only worker sits in this task until the scheduler is being
+            // dropped, so the rest queue up behind it; shutdown then finds them
+            // still queued and `drain_leftovers` retires them unrun.  (However
+            // many the worker still gets to, each is retired exactly once.)
+            {
+                let dropping = Arc::clone(&dropping);
+                scope.submit(&scheduler, move |_| {
+                    while !dropping.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(Duration::from_millis(20));
+                });
+            }
+            for _ in 0..QUEUED {
+                let token = Retired(Arc::clone(&retired));
+                scope.submit(&scheduler, move |_| drop(token));
+            }
+            assert_eq!(scope.pending(), QUEUED + 1);
+            dropping.store(true, Ordering::Release);
+            drop(scheduler);
+            scope.wait_idle();
+            assert_eq!(scope.pending(), 0);
+            assert_eq!(retired.load(Ordering::SeqCst), QUEUED);
+        },
+    );
+}
+
+#[test]
+fn dropping_a_concurrent_scope_with_tasks_outstanding_is_safe() {
+    with_watchdog(
+        "dropping_a_concurrent_scope_with_tasks_outstanding",
+        WATCHDOG,
+        || {
+            const TASKS: usize = 32;
+            let scheduler = Scheduler::with_threads(2);
+            let release = Arc::new(AtomicBool::new(false));
+            let retired = Arc::new(AtomicUsize::new(0));
+            let scope = ConcurrentScope::new();
+            for _ in 0..TASKS {
+                let (release, token) = (Arc::clone(&release), Retired(Arc::clone(&retired)));
+                scope.submit(&scheduler, move |ctx| {
+                    while !release.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    // Spawning and finishing still count on the scope's state,
+                    // which no user handle keeps alive any more.
+                    ctx.spawn(move |_| drop(token));
+                });
+            }
+            drop(scope);
+            release.store(true, Ordering::Release);
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while retired.load(Ordering::SeqCst) < TASKS && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            assert_eq!(retired.load(Ordering::SeqCst), TASKS);
+        },
+    );
+}
