@@ -7,13 +7,8 @@
 //! * [`spawn_overhead`] — a tight spawn/join loop of empty tasks: the cost of
 //!   allocating a task node, pushing it through a deque, popping and
 //!   executing it, and recycling the node.  This is the paper's "overhead in
-//!   the degenerate case" measured directly.
-//! * [`steal_latency`] — a single producer spawning short tasks while the
-//!   remaining workers live entirely off steals: the cost of the steal path
-//!   (partner scan, `popTop`, re-levelling).
-//! * [`scope_inject`] — many small scopes, each submitting root tasks from
-//!   outside the worker pool: the cost of the external injection queue and
-//!   scope termination detection.
+//!   the degenerate case" measured directly; at `p ≥ 2` it is the flat
+//!   producer against thieves (the benchmark's spawn rungs are `p = 1`).
 //! * [`injection_throughput`] — many concurrent submitter threads feeding
 //!   one persistent scheduler: the aggregate capacity of the (sharded)
 //!   external injection queue, in tasks per second, plus sampled
@@ -79,80 +74,6 @@ pub fn spawn_overhead(scheduler: &Scheduler, spawns: usize) -> Duration {
         scheduler.metrics().delta_since(&before).tasks_executed,
         spawns as u64 + 1,
         "spawn_overhead lost or duplicated tasks"
-    );
-    duration
-}
-
-/// Work performed by every task of the [`steal_latency`] probe, tuned so a
-/// task is long enough to be worth stealing but short enough that steal-path
-/// costs still dominate the measurement.
-const STEAL_PROBE_SPIN: u64 = 64;
-
-/// One timed single-producer run: worker-side code spawns `tasks` short
-/// tasks from one root task while every other worker can only obtain work by
-/// stealing.  The recorded scheduler-counter delta (steals, tasks stolen)
-/// tells how much of the work actually moved.
-///
-/// # Panics
-///
-/// Panics if not exactly `tasks` tasks executed.
-pub fn steal_latency(scheduler: &Scheduler, tasks: usize) -> Duration {
-    let executed = Arc::new(AtomicUsize::new(0));
-    let counter = Arc::clone(&executed);
-    let (duration, ()) = time(|| {
-        scheduler.scope(|scope| {
-            let counter = Arc::clone(&counter);
-            scope.spawn(move |ctx| {
-                for _ in 0..tasks {
-                    let counter = Arc::clone(&counter);
-                    ctx.spawn(move |_| {
-                        // A short, optimization-proof spin standing in for a
-                        // fine-grained unit of user work.
-                        let mut acc = 0u64;
-                        for i in 0..STEAL_PROBE_SPIN {
-                            acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-                        }
-                        std::hint::black_box(acc);
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        });
-    });
-    assert_eq!(
-        executed.load(Ordering::Relaxed),
-        tasks,
-        "steal_latency lost or duplicated tasks"
-    );
-    duration
-}
-
-/// One timed injection loop: `scopes` back-to-back scopes, each submitting
-/// `per_scope` empty root tasks from the calling (non-worker) thread and
-/// waiting for them.  This is the only scenario whose task traffic flows
-/// through the external injection queue rather than worker-local deques.
-///
-/// # Panics
-///
-/// Panics if not exactly `scopes * per_scope` tasks executed.
-pub fn scope_inject(scheduler: &Scheduler, scopes: usize, per_scope: usize) -> Duration {
-    let executed = Arc::new(AtomicUsize::new(0));
-    let (duration, ()) = time(|| {
-        for _ in 0..scopes {
-            scheduler.scope(|scope| {
-                for _ in 0..per_scope {
-                    let counter = Arc::clone(&executed);
-                    scope.spawn(move |_| {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        }
-    });
-    assert_eq!(
-        executed.load(Ordering::Relaxed),
-        scopes * per_scope,
-        "scope_inject lost or duplicated tasks"
     );
     duration
 }
@@ -591,25 +512,6 @@ mod tests {
     fn spawn_overhead_runs_and_validates() {
         let scheduler = Scheduler::with_threads(1);
         let d = spawn_overhead(&scheduler, 10_000);
-        assert!(d > Duration::ZERO);
-    }
-
-    #[test]
-    fn steal_latency_moves_work_to_thieves() {
-        let scheduler = Scheduler::with_threads(2);
-        let before = scheduler.metrics();
-        let d = steal_latency(&scheduler, 20_000);
-        assert!(d > Duration::ZERO);
-        let delta = scheduler.metrics().delta_since(&before);
-        assert_eq!(delta.total_executions(), 20_000 + 1);
-        // On a single-CPU host the thief may rarely win the race for work,
-        // so only the execution count is asserted unconditionally.
-    }
-
-    #[test]
-    fn scope_inject_counts_every_root_task() {
-        let scheduler = Scheduler::with_threads(2);
-        let d = scope_inject(&scheduler, 50, 20);
         assert!(d > Duration::ZERO);
     }
 

@@ -1,7 +1,8 @@
-//! Perf-trajectory harness: sweeps the paper's sort variants and the
-//! application kernels and persists machine-readable reports
-//! (`BENCH_sort.json`, `BENCH_kernels.json`) so every PR can be compared
-//! against a recorded baseline.
+//! Perf-trajectory harness: sweeps the cells the `benchmark/` package does
+//! not measure — the sort variants over thread counts, the application
+//! kernels, and the scheduler probes of [`SCENARIOS`] — and persists
+//! machine-readable reports (`BENCH_sort.json`, `BENCH_kernels.json`) so
+//! every PR can be compared against a recorded baseline.
 //!
 //! ```text
 //! cargo run --release -p teamsteal-bench --bin perf -- [options]
@@ -13,6 +14,7 @@
 //!   --warmups N        untimed warmup runs per scenario (default 1)
 //!   --seed N           input seed (default 42)
 //!   --out-dir PATH     where the BENCH_*.json files are written (default .)
+//!   --only LIST        comma-separated scenarios to run (default: all)
 //!   --check FILE       compare the fresh sort report's MMPar records
 //!                      against the baseline report FILE, and spawn_overhead
 //!                      at p = 1 against the BENCH_kernels.json next to it;
@@ -20,12 +22,10 @@
 //!   --tolerance PCT    regression tolerance in percent (default 25)
 //! ```
 //!
-//! The JSON schema and the regeneration workflow are documented in
-//! `EXPERIMENTS.md`; the measurement methodology (warmups, why the median is
-//! the headline aggregate) in `DESIGN.md` §7.  Unlike the `tables` /
-//! `scaling` bins this harness needs no optional features: it only measures
-//! scenarios that run on the `teamsteal` scheduler itself, so its numbers
-//! are meaningful even in the offline stub build.
+//! The JSON schema, the regeneration workflow and the map of which number
+//! comes from the benchmark and which from here are in `EXPERIMENTS.md`; the
+//! measurement methodology (warmups, why the median is the headline
+//! aggregate) in `DESIGN.md` §7.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -34,8 +34,8 @@ use std::time::{Duration, SystemTime};
 use teamsteal_apps::harness::{Kernel, Workload};
 use teamsteal_apps::micro;
 use teamsteal_bench::report::{
-    check_regressions, CheckOutcome, Environment, JsonValue, Report, RunRecord, TimingSummary,
-    SCHEMA_VERSION,
+    check_regressions, host_parallelism, CheckOutcome, Environment, JsonValue, Report, RunRecord,
+    TimingSummary, SCHEMA_VERSION,
 };
 use teamsteal_bench::{Variant, VariantRunner};
 use teamsteal_core::{MetricsSnapshot, Scheduler};
@@ -44,80 +44,46 @@ use teamsteal_sort::SortConfig;
 use teamsteal_util::timing::RunStats;
 
 /// The sort variants the trajectory tracks.  `SeqStd` is the speedup
-/// denominator; the rayon baselines are excluded because in the offline stub
-/// build their numbers are not comparable (see EXPERIMENTS.md).
+/// denominator.
 const SORT_SEQUENTIAL: [Variant; 2] = [Variant::SeqStd, Variant::SeqQs];
 const SORT_PARALLEL: [Variant; 3] = [Variant::Fork, Variant::RandFork, Variant::MmPar];
 
-/// Which sweep families a run executes (`--only`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Sweeps {
-    sort: bool,
-    kernel: bool,
-    micro: bool,
-    injection: bool,
-    soak: bool,
-    wakeup_latency: bool,
-    idle_burn: bool,
-    team_build: bool,
-    service: bool,
+const SORT_FILE: &str = "BENCH_sort.json";
+const KERNELS_FILE: &str = "BENCH_kernels.json";
+
+/// One sweep family.  Its `name` is what `--only` selects, the `group` of
+/// every record it writes, and the key a partial run carries records over
+/// by; a report file's own `group` is the name of its first scenario.
+struct Scenario {
+    name: &'static str,
+    file: &'static str,
+    run: fn(&Options) -> Vec<RunRecord>,
 }
 
-impl Default for Sweeps {
-    fn default() -> Self {
-        Sweeps {
-            sort: true,
-            kernel: true,
-            micro: true,
-            injection: true,
-            soak: true,
-            wakeup_latency: true,
-            idle_burn: true,
-            team_build: true,
-            service: true,
-        }
-    }
+/// Every family `perf` measures, in report order.  A cell belongs here only
+/// if no `BENCHMARK.json` workload or ladder rung measures it
+/// (EXPERIMENTS.md, "Which number comes from where").
+#[rustfmt::skip]
+const SCENARIOS: [Scenario; 8] = [
+    Scenario { name: "sort", file: SORT_FILE, run: sweep_sorts },
+    Scenario { name: "kernel", file: KERNELS_FILE, run: sweep_kernels },
+    Scenario { name: SPAWN_OVERHEAD, file: KERNELS_FILE, run: sweep_spawn_overhead },
+    Scenario { name: "injection_throughput", file: KERNELS_FILE, run: sweep_injection },
+    Scenario { name: "soak", file: KERNELS_FILE, run: sweep_soak },
+    Scenario { name: "wakeup_latency", file: KERNELS_FILE, run: sweep_wakeup_latency },
+    Scenario { name: "idle_burn", file: KERNELS_FILE, run: sweep_idle_burn },
+    Scenario { name: "team_build", file: KERNELS_FILE, run: sweep_team_build },
+];
+
+/// The scenario gated next to MMPar: the cost of one empty spawned task, the
+/// number ROADMAP direction 2 is about.
+const SPAWN_OVERHEAD: &str = "spawn_overhead";
+
+fn scenario_names() -> String {
+    SCENARIOS.map(|s| s.name).join(", ")
 }
 
-impl Sweeps {
-    const NONE: Sweeps = Sweeps {
-        sort: false,
-        kernel: false,
-        micro: false,
-        injection: false,
-        soak: false,
-        wakeup_latency: false,
-        idle_burn: false,
-        team_build: false,
-        service: false,
-    };
-
-    /// `true` when any family writing into `BENCH_kernels.json` runs.
-    fn any_kernel_report_family(&self) -> bool {
-        self.kernel
-            || self.micro
-            || self.injection
-            || self.soak
-            || self.wakeup_latency
-            || self.idle_burn
-            || self.team_build
-            || self.service
-    }
-
-    /// `true` when every `BENCH_kernels.json` family runs (no carryover
-    /// needed).
-    fn all_kernel_report_families(&self) -> bool {
-        self.kernel
-            && self.micro
-            && self.injection
-            && self.soak
-            && self.wakeup_latency
-            && self.idle_burn
-            && self.team_build
-            && self.service
-    }
-}
-
+#[derive(Clone)]
 struct Options {
     smoke: bool,
     size: usize,
@@ -128,7 +94,8 @@ struct Options {
     out_dir: PathBuf,
     check: Option<PathBuf>,
     tolerance_pct: f64,
-    sweeps: Sweeps,
+    /// Names of the scenarios to run (`--only`; default: all of them).
+    only: Vec<&'static str>,
 }
 
 impl Default for Options {
@@ -143,12 +110,20 @@ impl Default for Options {
             out_dir: PathBuf::from("."),
             check: None,
             tolerance_pct: 25.0,
-            sweeps: Sweeps::default(),
+            only: SCENARIOS.map(|s| s.name).to_vec(),
         }
     }
 }
 
-const HELP: &str = "Perf-trajectory harness (writes BENCH_sort.json / BENCH_kernels.json).
+impl Options {
+    fn runs(&self, scenario: &Scenario) -> bool {
+        self.only.contains(&scenario.name)
+    }
+}
+
+fn help() -> String {
+    format!(
+        "Perf-trajectory harness (writes {SORT_FILE} / {KERNELS_FILE}).
   --smoke            tiny sizes and minimal repetitions (CI guard)
   --size N           sort / kernel work budget in elements (default 524288)
   --threads LIST     comma-separated thread counts (default 1,2,4)
@@ -156,14 +131,17 @@ const HELP: &str = "Perf-trajectory harness (writes BENCH_sort.json / BENCH_kern
   --warmups N        untimed warmup runs per scenario (default 1)
   --seed N           input seed (default 42)
   --out-dir PATH     output directory (default .)
-  --only LIST        comma-separated sweep families to run: sort,kernel,
-                     micro,injection_throughput,soak,wakeup_latency,idle_burn,
-                     team_build,service_latency (default: all nine)
+  --only LIST        comma-separated scenarios to run (default: all of
+                     {})
   --check FILE       fail (exit 1) on MMPar median regression vs baseline FILE
-                     (and p = 1 spawn_overhead vs the BENCH_kernels.json beside it);
+                     (and p = 1 spawn_overhead vs the {KERNELS_FILE} beside it);
                      with --smoke the comparison runs a dedicated MMPar pass at
-                     the baseline's recorded size/threads so medians compare
-  --tolerance PCT    regression tolerance in percent (default 25)";
+                     the baseline's recorded size/threads so medians compare;
+                     cells with more threads than cores are not compared
+  --tolerance PCT    regression tolerance in percent (default 25)",
+        scenario_names()
+    )
+}
 
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options::default();
@@ -214,29 +192,19 @@ fn parse_args() -> Result<Options, String> {
             }
             "--out-dir" => opts.out_dir = PathBuf::from(value("a path")?),
             "--only" => {
-                let list = value("a list")?;
-                let mut sweeps = Sweeps::NONE;
-                for family in list.split(',') {
-                    match family.trim() {
-                        "sort" => sweeps.sort = true,
-                        "kernel" => sweeps.kernel = true,
-                        "micro" => sweeps.micro = true,
-                        "injection_throughput" => sweeps.injection = true,
-                        "soak" => sweeps.soak = true,
-                        "wakeup_latency" => sweeps.wakeup_latency = true,
-                        "idle_burn" => sweeps.idle_burn = true,
-                        "team_build" => sweeps.team_build = true,
-                        "service_latency" => sweeps.service = true,
-                        other => {
-                            return Err(format!(
-                                "unknown sweep family '{other}' (expected sort, kernel, \
-                                 micro, injection_throughput, soak, wakeup_latency, \
-                                 idle_burn, team_build or service_latency)"
-                            ))
-                        }
-                    }
-                }
-                opts.sweeps = sweeps;
+                opts.only = value("a list")?
+                    .split(',')
+                    .map(|name| {
+                        let known = SCENARIOS.iter().find(|s| s.name == name.trim());
+                        known.map(|s| s.name).ok_or_else(|| {
+                            format!(
+                                "unknown sweep family '{}' (expected one of: {})",
+                                name.trim(),
+                                scenario_names()
+                            )
+                        })
+                    })
+                    .collect::<Result<_, _>>()?;
             }
             "--check" => opts.check = Some(PathBuf::from(value("a path")?)),
             "--tolerance" => {
@@ -248,7 +216,7 @@ fn parse_args() -> Result<Options, String> {
                 }
             }
             "--help" | "-h" => {
-                println!("{HELP}");
+                println!("{}", help());
                 std::process::exit(0);
             }
             other => return Err(format!("unknown argument '{other}' (try --help)")),
@@ -279,7 +247,7 @@ fn params_json(opts: &Options, group: &str) -> JsonValue {
 }
 
 fn new_report(opts: &Options, group: &str, records: Vec<RunRecord>) -> Report {
-    Report {
+    let mut report = Report {
         schema_version: SCHEMA_VERSION,
         harness: "perf".into(),
         group: group.into(),
@@ -290,7 +258,9 @@ fn new_report(opts: &Options, group: &str, records: Vec<RunRecord>) -> Report {
         environment: Environment::detect(),
         params: params_json(opts, group),
         records,
-    }
+    };
+    report.withhold_oversubscribed_speedups();
+    report
 }
 
 /// Runs `warmups` untimed and `reps` timed repetitions of one sort scenario
@@ -354,7 +324,7 @@ fn sort_record(
 
 /// Sweeps SeqQS/Fork/Randfork/MMPar (plus the Seq/STL reference) over every
 /// input distribution and thread count.
-fn sweep_sorts(opts: &Options) -> Report {
+fn sweep_sorts(opts: &Options) -> Vec<RunRecord> {
     let config = SortConfig::default();
     let mut records = Vec::new();
     // One input per distribution, shared by every variant and thread count.
@@ -407,12 +377,12 @@ fn sweep_sorts(opts: &Options) -> Report {
             }
         }
     }
-    new_report(opts, "sort", records)
+    records
 }
 
 /// Sweeps every application kernel over the thread counts, with a sequential
 /// reference per kernel.
-fn sweep_kernels(opts: &Options) -> Report {
+fn sweep_kernels(opts: &Options) -> Vec<RunRecord> {
     let mut records = Vec::new();
     let workloads: Vec<Workload> = Kernel::ALL
         .iter()
@@ -478,44 +448,39 @@ fn sweep_kernels(opts: &Options) -> Report {
             });
         }
     }
-    new_report(opts, "kernel", records)
+    records
 }
 
-/// Runs `reps` timed repetitions of one micro scenario (after `warmups`
-/// untimed ones) and folds them into a record.
-fn micro_record(
-    name: &str,
-    work_items: usize,
+/// Runs `reps` timed repetitions (after `warmups` untimed ones) of
+/// [`micro::spawn_overhead`] with `spawns` children and folds them into a
+/// record.
+fn spawn_overhead_record(
+    spawns: usize,
     opts: &Options,
     threads: usize,
-    scheduler: &teamsteal_core::Scheduler,
-    mut run_once: impl FnMut() -> std::time::Duration,
+    scheduler: &Scheduler,
 ) -> RunRecord {
     for _ in 0..opts.warmups {
-        run_once();
+        micro::spawn_overhead(scheduler, spawns);
     }
     let mut stats = RunStats::new();
     let mut metrics = MetricsSnapshot::default();
     for _ in 0..opts.reps {
         let before = scheduler.metrics();
-        stats.record(run_once());
+        stats.record(micro::spawn_overhead(scheduler, spawns));
         metrics = metrics.merge(scheduler.metrics().delta_since(&before));
     }
     let secs = TimingSummary::from_stats(&stats);
-    let per_item_ns = if work_items > 0 {
-        secs.median_s * 1e9 / work_items as f64
-    } else {
-        0.0
-    };
     eprintln!(
-        "micro   | {name:<14} | p = {threads:>2} | median {:>10.6}s | {per_item_ns:>8.1} ns/task",
-        secs.median_s
+        "spawn   | {spawns:>8} tasks | p = {threads:>2} | median {:>10.6}s | {:>8.1} ns/task",
+        secs.median_s,
+        secs.median_s * 1e9 / spawns.max(1) as f64
     );
     RunRecord {
-        group: "micro".into(),
-        name: name.into(),
+        group: SPAWN_OVERHEAD.into(),
+        name: SPAWN_OVERHEAD.into(),
         distribution: None,
-        size: work_items,
+        size: spawns,
         threads,
         warmups: opts.warmups,
         repetitions: opts.reps,
@@ -527,45 +492,17 @@ fn micro_record(
     }
 }
 
-/// Sweeps the scheduler micro-scenarios (spawn/join loop, steal-latency
-/// probe, external-injection loop) over the thread counts.  The scenario
-/// budgets are derived from `--size` so `--smoke` scales them down too.
-fn sweep_micro(opts: &Options) -> Vec<RunRecord> {
+/// Sweeps the spawn/join loop of empty tasks over the thread counts: at
+/// p = 1 the cost of the spawn path itself, at p ≥ 2 one flat producer
+/// against thieves (ROADMAP direction 2b; the benchmark's spawn rungs are
+/// p = 1 only).  The budget is derived from `--size` so `--smoke` scales it
+/// down too.
+fn sweep_spawn_overhead(opts: &Options) -> Vec<RunRecord> {
     let spawns = (opts.size / 4).max(1_000);
-    let steal_tasks = (opts.size / 8).max(1_000);
-    let scopes = (opts.size / 2_048).max(32);
-    let per_scope = 16;
-    let mut records = Vec::new();
-    for &threads in &opts.threads {
-        let scheduler = teamsteal_core::Scheduler::with_threads(threads);
-        records.push(micro_record(
-            "spawn_overhead",
-            spawns,
-            opts,
-            threads,
-            &scheduler,
-            || micro::spawn_overhead(&scheduler, spawns),
-        ));
-        if threads > 1 {
-            records.push(micro_record(
-                "steal_latency",
-                steal_tasks,
-                opts,
-                threads,
-                &scheduler,
-                || micro::steal_latency(&scheduler, steal_tasks),
-            ));
-        }
-        records.push(micro_record(
-            "scope_inject",
-            scopes * per_scope,
-            opts,
-            threads,
-            &scheduler,
-            || micro::scope_inject(&scheduler, scopes, per_scope),
-        ));
-    }
-    records
+    let cell = |&threads: &usize| {
+        spawn_overhead_record(spawns, opts, threads, &Scheduler::with_threads(threads))
+    };
+    opts.threads.iter().map(cell).collect()
 }
 
 /// Sweeps the multi-producer injection scenario
@@ -803,16 +740,16 @@ fn sweep_idle_burn(opts: &Options) -> Vec<RunRecord> {
         return Vec::new();
     }
     let wall = if opts.smoke {
-        std::time::Duration::from_millis(150)
+        Duration::from_millis(150)
     } else {
-        std::time::Duration::from_millis(500)
+        Duration::from_millis(500)
     };
     let mut records = Vec::new();
     for &threads in &opts.threads {
         let scheduler = Scheduler::with_threads(threads);
         let before = scheduler.metrics();
         let mut stats = RunStats::new();
-        let mut wall_total = std::time::Duration::ZERO;
+        let mut wall_total = Duration::ZERO;
         let mut reps_recorded = 0usize;
         for _ in 0..opts.reps {
             let outcome = micro::idle_burn(&scheduler, wall);
@@ -992,271 +929,12 @@ fn sweep_team_build(opts: &Options) -> Vec<RunRecord> {
     records
 }
 
-/// The `service_latency` family (DESIGN.md §16, EXPERIMENTS.md): drives the
-/// multi-tenant task service with the open-loop generator from
-/// [`teamsteal_service::loadgen`] and records two scenarios per thread
-/// count.  For the `service_latency_paced` record the samples *are* the
-/// sampled submit-to-complete latencies — `secs.median_s` / `secs.p95_s`
-/// read directly as p50/p95 service latency — with the arrival rate,
-/// admission counters, nearest-rank p99 and per-tenant fairness ratios
-/// (admitted share ÷ weight share; 1.0 is perfectly weighted-fair) in
-/// `extra`.  The `service_saturation` record measures the closed-loop
-/// completion ceiling and reports it as `saturation_tasks_per_sec`.
-///
-/// The `service_overload_2x` record (PR 10) is the graceful-degradation
-/// demonstration: with heavier tasks the cell first measures that
-/// configuration's saturation ceiling, then offers **2×** that rate with a
-/// per-task deadline, a high-water mark too large to shed and an admission
-/// budget too large to backpressure — so *stale-work expiry* is the only
-/// defense.  Goodput (completions within deadline per second) must hold
-/// near the at-saturation reference while `tasks_expired` absorbs the
-/// excess; the same 2× run without deadlines shows the collapse being
-/// avoided (timely completions crater even though raw throughput holds).
-fn sweep_service(opts: &Options) -> Vec<RunRecord> {
-    use teamsteal_service::loadgen::{saturation, service_latency, LoadgenConfig};
-    // Weighted tenants so the fairness ratios exercise the non-trivial
-    // (3:1) case; submitters alternate tenants, so offered load is even
-    // and the weights — not the offered split — set the fair shares.
-    let weights: Vec<u64> = vec![3, 1];
-    let paced_duration = if opts.smoke {
-        Duration::from_millis(250)
-    } else {
-        Duration::from_secs(2)
-    };
-    let arrival_rate_hz = (opts.size as u64).clamp(5_000, 50_000);
-    // Sample roughly this many latencies regardless of scale: enough for a
-    // stable nearest-rank p99, small enough that the committed baseline
-    // (which embeds `samples_s`) stays reviewable.
-    let offered_total = arrival_rate_hz as f64 * paced_duration.as_secs_f64();
-    let sample_every = ((offered_total / 512.0) as usize).max(1);
-    let mut records = Vec::new();
-    for &threads in &opts.threads {
-        let cfg = LoadgenConfig {
-            threads,
-            submitters: threads.max(2),
-            arrival_rate_hz,
-            duration: paced_duration,
-            tenant_weights: weights.clone(),
-            // Half the offered rate per weight unit: with weights 3 + 1 the
-            // combined budget is 2x the offered rate, so admission is
-            // normally quiet but bursts still brush the token buckets.
-            refill_rate: (arrival_rate_hz / 2).max(1_000),
-            burst: 256,
-            high_water: 1 << 15,
-            sample_every,
-            task_spin_ns: 500,
-            deadline: None,
-        };
-        let paced = service_latency(&cfg);
-        let mut stats = RunStats::new();
-        for latency in &paced.latencies {
-            stats.record(*latency);
-        }
-        let secs = TimingSummary::from_stats(&stats);
-        // Nearest-rank p99 over the sampled latencies (TimingSummary stops
-        // at p95; tail latency is this family's whole point).
-        let p99_s = {
-            let mut sorted: Vec<f64> = secs.samples_s.clone();
-            sorted.sort_by(f64::total_cmp);
-            if sorted.is_empty() {
-                0.0
-            } else {
-                sorted[((sorted.len() as f64 * 0.99).ceil() as usize).max(1) - 1]
-            }
-        };
-        let fairness = paced.fairness_ratios(&weights);
-        let mut extra = vec![
-            (
-                "arrival_rate_hz".into(),
-                JsonValue::Number(arrival_rate_hz as f64),
-            ),
-            ("offered".into(), JsonValue::Number(paced.offered() as f64)),
-            ("admitted".into(), JsonValue::Number(paced.admitted() as f64)),
-            (
-                "backpressure_count".into(),
-                JsonValue::Number(paced.backpressure() as f64),
-            ),
-            ("shed_count".into(), JsonValue::Number(paced.shed() as f64)),
-            ("p99_s".into(), JsonValue::Number(p99_s)),
-        ];
-        for (i, ratio) in fairness.iter().enumerate() {
-            extra.push((format!("fairness_tenant_{i}"), JsonValue::Number(*ratio)));
-        }
-        eprintln!(
-            "service | {arrival_rate_hz:>6} Hz | p = {threads:>2} | p50 {:>8.1} us | p95 {:>8.1} us | p99 {:>8.1} us | shed {} bp {}",
-            secs.median_s * 1e6,
-            secs.p95_s * 1e6,
-            p99_s * 1e6,
-            paced.shed(),
-            paced.backpressure(),
-        );
-        records.push(RunRecord {
-            group: "service_latency".into(),
-            name: "service_latency_paced".into(),
-            distribution: None,
-            size: arrival_rate_hz as usize,
-            threads,
-            warmups: 0,
-            repetitions: paced.latencies.len(),
-            secs,
-            extra: Some(JsonValue::Object(extra)),
-            metrics: paced.metrics,
-            seq_reference_s: None,
-            speedup_vs_seq: None,
-        });
-
-        let mut sat_cfg = cfg.clone();
-        sat_cfg.duration = paced_duration / 2;
-        let sat = saturation(&sat_cfg);
-        let throughput = sat.tasks_per_sec();
-        eprintln!(
-            "satsvc  | p = {threads:>2} | {:>12.0} tasks/s ceiling ({} completed)",
-            throughput, sat.completed
-        );
-        let mut stats = RunStats::new();
-        stats.record(sat.elapsed);
-        records.push(RunRecord {
-            group: "service_latency".into(),
-            name: "service_saturation".into(),
-            distribution: None,
-            size: sat.completed as usize,
-            threads,
-            warmups: 0,
-            repetitions: 1,
-            secs: TimingSummary::from_stats(&stats),
-            extra: Some(JsonValue::Object(vec![(
-                "saturation_tasks_per_sec".into(),
-                JsonValue::Number(throughput),
-            )])),
-            metrics: sat.metrics,
-            seq_reference_s: None,
-            speedup_vs_seq: None,
-        });
-
-        records.push(overload_2x_record(&cfg, paced_duration, threads));
-    }
-    records
-}
-
-/// Measures the `service_overload_2x` cell described in [`sweep_service`]'s
-/// docs and packages it as one record whose samples are the overload run's
-/// sampled latencies.
-fn overload_2x_record(
-    base_cfg: &teamsteal_service::loadgen::LoadgenConfig,
-    paced_duration: Duration,
-    threads: usize,
-) -> RunRecord {
-    use teamsteal_service::loadgen::{saturation, service_latency};
-    let deadline = Duration::from_millis(20);
-    // Heavier tasks (20 µs of work) pull the ceiling low enough that the
-    // open-loop submitters can genuinely offer twice it; an effectively
-    // unbounded admission budget and high-water mark take shedding and
-    // backpressure out of the picture, leaving expiry as the only defense.
-    let mut over_cfg = base_cfg.clone();
-    over_cfg.task_spin_ns = 20_000;
-    over_cfg.refill_rate = u64::MAX / (1 << 24);
-    over_cfg.burst = 1 << 20;
-    over_cfg.high_water = 1 << 22;
-    over_cfg.duration = paced_duration;
-
-    let mut probe_cfg = over_cfg.clone();
-    probe_cfg.duration = paced_duration / 2;
-    let ceiling = saturation(&probe_cfg).tasks_per_sec();
-    let sat_rate = (ceiling as u64).max(1_000);
-    let sample_for = |rate: u64| {
-        let offered = rate as f64 * paced_duration.as_secs_f64();
-        ((offered / 512.0) as usize).max(1)
-    };
-
-    // At-saturation goodput reference, with the same deadline.
-    over_cfg.deadline = Some(deadline);
-    over_cfg.arrival_rate_hz = sat_rate;
-    over_cfg.sample_every = sample_for(sat_rate);
-    let at_sat = service_latency(&over_cfg);
-    let goodput_sat = at_sat.goodput_per_sec().unwrap_or(0.0);
-
-    // 2× overload with deadlines: the record under test.
-    let mut cfg_2x = over_cfg.clone();
-    cfg_2x.arrival_rate_hz = sat_rate * 2;
-    cfg_2x.sample_every = sample_for(sat_rate * 2);
-    let over = service_latency(&cfg_2x);
-    let goodput_2x = over.goodput_per_sec().unwrap_or(0.0);
-
-    // The same 2× offered load *without* deadlines: raw completion
-    // throughput holds (every admitted task eventually runs), but timely
-    // completions collapse.  Estimated from the unbiased latency samples:
-    // (fraction of samples within the deadline) × completions per second.
-    let mut raw_cfg = cfg_2x.clone();
-    raw_cfg.deadline = None;
-    let raw = service_latency(&raw_cfg);
-    let raw_completed: u64 = raw.per_tenant.iter().map(|(_, s)| s.completed).sum();
-    let raw_tasks_per_sec = raw_completed as f64 / raw.elapsed.as_secs_f64().max(1e-9);
-    let timely_fraction = if raw.latencies.is_empty() {
-        0.0
-    } else {
-        raw.latencies.iter().filter(|l| **l <= deadline).count() as f64
-            / raw.latencies.len() as f64
-    };
-    let raw_timely_per_sec = raw_tasks_per_sec * timely_fraction;
-
-    let mut stats = RunStats::new();
-    for latency in &over.latencies {
-        stats.record(*latency);
-    }
-    eprintln!(
-        "overload| p = {threads:>2} | sat {:>8.0}/s | goodput@1x {:>8.0}/s | goodput@2x {:>8.0}/s | expired {} | no-deadline timely {:>8.0}/s",
-        ceiling,
-        goodput_sat,
-        goodput_2x,
-        over.metrics.tasks_expired,
-        raw_timely_per_sec,
-    );
-    RunRecord {
-        group: "service_latency".into(),
-        name: "service_overload_2x".into(),
-        distribution: None,
-        size: (sat_rate * 2) as usize,
-        threads,
-        warmups: 0,
-        repetitions: over.latencies.len(),
-        secs: TimingSummary::from_stats(&stats),
-        extra: Some(JsonValue::Object(vec![
-            ("deadline_ms".into(), JsonValue::Number(20.0)),
-            ("saturation_tasks_per_sec".into(), JsonValue::Number(ceiling)),
-            ("offered".into(), JsonValue::Number(over.offered() as f64)),
-            ("admitted".into(), JsonValue::Number(over.admitted() as f64)),
-            (
-                "goodput_at_saturation_per_sec".into(),
-                JsonValue::Number(goodput_sat),
-            ),
-            ("goodput_per_sec".into(), JsonValue::Number(goodput_2x)),
-            (
-                "deadline_miss_rate".into(),
-                JsonValue::Number(over.deadline_miss_rate().unwrap_or(0.0)),
-            ),
-            (
-                "tasks_expired".into(),
-                JsonValue::Number(over.metrics.tasks_expired as f64),
-            ),
-            (
-                "no_deadline_tasks_per_sec".into(),
-                JsonValue::Number(raw_tasks_per_sec),
-            ),
-            (
-                "no_deadline_timely_per_sec".into(),
-                JsonValue::Number(raw_timely_per_sec),
-            ),
-        ])),
-        metrics: over.metrics,
-        seq_reference_s: None,
-        speedup_vs_seq: None,
-    }
-}
-
 /// Re-measures the checked variant (MMPar) at the baseline's recorded
 /// (distribution, size, threads) cells, so `--smoke --check` compares
 /// like-for-like medians instead of smoke-sized ones.  Repetitions and
-/// warmups stay at the (smoke) values of the current run.
+/// warmups stay at the (smoke) values of the current run.  Cells the gate
+/// would not compare — oversubscribed when recorded, or on this host — are
+/// not measured either.
 fn check_pass_report(baseline: &Report, opts: &Options) -> Result<Report, String> {
     let seed = baseline
         .params
@@ -1265,9 +943,13 @@ fn check_pass_report(baseline: &Report, opts: &Options) -> Result<Report, String
         .map(|s| s as u64)
         .unwrap_or(opts.seed);
     let mmpar = Variant::MmPar.label();
+    let cores = host_parallelism();
     // Distinct cells of the baseline, preserving its sweep order.
     let mut cells: Vec<(String, usize, usize)> = Vec::new();
     for record in baseline.records.iter().filter(|r| r.name == mmpar) {
+        if baseline.oversubscribed(record) || record.threads > cores {
+            continue;
+        }
         let cell = (
             record.distribution.clone().unwrap_or_default(),
             record.size,
@@ -1276,9 +958,6 @@ fn check_pass_report(baseline: &Report, opts: &Options) -> Result<Report, String
         if !cells.contains(&cell) {
             cells.push(cell);
         }
-    }
-    if cells.is_empty() {
-        return Err("baseline contains no MMPar records to check against".into());
     }
     let config = SortConfig::default();
     let mut records = Vec::new();
@@ -1296,18 +975,7 @@ fn check_pass_report(baseline: &Report, opts: &Options) -> Result<Report, String
         let runner = runners
             .entry(threads)
             .or_insert_with(|| VariantRunner::new(threads, config.clone()));
-        let sized_opts = Options {
-            smoke: opts.smoke,
-            size,
-            threads: opts.threads.clone(),
-            reps: opts.reps,
-            warmups: opts.warmups,
-            seed,
-            out_dir: opts.out_dir.clone(),
-            check: None,
-            tolerance_pct: opts.tolerance_pct,
-            sweeps: opts.sweeps,
-        };
+        let sized_opts = Options { size, seed, ..opts.clone() };
         let (stats, metrics) =
             sort_cell(runner, Variant::MmPar, distribution, input, &sized_opts, threads);
         records.push(sort_record(
@@ -1323,22 +991,18 @@ fn check_pass_report(baseline: &Report, opts: &Options) -> Result<Report, String
     Ok(new_report(opts, "sort", records))
 }
 
-/// The micro scenario gated next to MMPar: the cost of one empty spawned
-/// task, the number ROADMAP direction 2 is about.
-const SPAWN_OVERHEAD: &str = "spawn_overhead";
-
 /// Re-measures `spawn_overhead` at the kernel baseline's recorded
-/// (spawns, threads) cells, for the same reason as [`check_pass_report`].
+/// (spawns, threads) cells, for the same reason as [`check_pass_report`] and
+/// with the same exclusions.
 fn spawn_overhead_check_report(baseline: &Report, opts: &Options) -> Report {
+    let cores = host_parallelism();
     let records = baseline
         .records
         .iter()
-        .filter(|r| r.group == "micro" && r.name == SPAWN_OVERHEAD)
+        .filter(|r| r.group == SPAWN_OVERHEAD && r.threads <= cores && !baseline.oversubscribed(r))
         .map(|base| {
             let scheduler = Scheduler::with_threads(base.threads);
-            micro_record(SPAWN_OVERHEAD, base.size, opts, base.threads, &scheduler, || {
-                micro::spawn_overhead(&scheduler, base.size)
-            })
+            spawn_overhead_record(base.size, opts, base.threads, &scheduler)
         })
         .collect();
     new_report(opts, "kernel", records)
@@ -1350,8 +1014,8 @@ fn spawn_overhead_check_report(baseline: &Report, opts: &Options) -> Report {
 /// regimes — the producer runs ahead (1.1-1.7x) or the thief takes each task
 /// as it is pushed (4x) — and which one a process lands in changed between
 /// builds of the same library code (EXPERIMENTS.md "The sharded scope
-/// countdown").  Says
-/// nothing on a one-core host, where p = 2 only measures time slicing.
+/// countdown").  Says nothing on a one-core host, where p = 2 only measures
+/// time slicing.
 fn report_spawn_scaling(current: &Report) {
     if current.environment.available_parallelism < 2 {
         return;
@@ -1407,7 +1071,8 @@ fn write_report(path: &Path, report: &Report) -> Result<(), String> {
 
 fn run() -> Result<i32, String> {
     let opts = parse_args()?;
-    if opts.check.is_some() && !opts.sweeps.sort && !opts.smoke {
+    let runs_sort = opts.only.contains(&"sort");
+    if opts.check.is_some() && !runs_sort && !opts.smoke {
         return Err("--check needs the sort sweep; drop `--only` families excluding it".into());
     }
     std::fs::create_dir_all(&opts.out_dir)
@@ -1425,7 +1090,7 @@ fn run() -> Result<i32, String> {
                 .map_err(|e| format!("baseline {} is invalid: {e}", baseline_path.display()))?;
             if report.group != "sort" {
                 return Err(format!(
-                    "baseline {} is a `{}` report; --check compares sort reports (BENCH_sort.json)",
+                    "baseline {} is a `{}` report; --check compares sort reports ({SORT_FILE})",
                     baseline_path.display(),
                     report.group
                 ));
@@ -1445,7 +1110,7 @@ fn run() -> Result<i32, String> {
     // read before a sweep overwrites it.  Absent or unreadable: only MMPar
     // is gated (said below).
     let kernel_baseline = baseline.as_ref().and_then(|(path, _)| {
-        let path = path.with_file_name("BENCH_kernels.json");
+        let path = path.with_file_name(KERNELS_FILE);
         let report = Report::from_json_str(&std::fs::read_to_string(&path).ok()?).ok()?;
         (report.schema_version == SCHEMA_VERSION).then_some((path, report))
     });
@@ -1460,93 +1125,39 @@ fn run() -> Result<i32, String> {
         if opts.smoke { " (smoke)" } else { "" }
     );
 
-    let sort_path = opts.out_dir.join("BENCH_sort.json");
-    let sort_report = if opts.sweeps.sort {
-        let report = sweep_sorts(&opts);
-        write_report(&sort_path, &report)?;
-        Some(report)
-    } else {
-        None
-    };
-
-    if opts.sweeps.any_kernel_report_family() {
-        let kernels_path = opts.out_dir.join("BENCH_kernels.json");
-        // A partial run (`--only kernel`, `--only soak`, …) must not clobber
-        // the skipped families' records in an existing report at the
-        // destination: carry them over instead.
-        let preserved: Vec<RunRecord> = if opts.sweeps.all_kernel_report_families() {
+    // One report per file that has a selected scenario, records in table
+    // order.  A partial run (`--only kernel`, `--only soak`, …) must not
+    // clobber the skipped scenarios' records in an existing report at the
+    // destination: it carries them over instead.
+    let sort_path = opts.out_dir.join(SORT_FILE);
+    let mut sort_report = None;
+    for file in [SORT_FILE, KERNELS_FILE] {
+        let scenarios: Vec<&Scenario> = SCENARIOS.iter().filter(|s| s.file == file).collect();
+        if !scenarios.iter().any(|s| opts.runs(s)) {
+            continue;
+        }
+        let path = opts.out_dir.join(file);
+        let existing = if scenarios.iter().all(|s| opts.runs(s)) {
             Vec::new()
         } else {
-            std::fs::read_to_string(&kernels_path)
+            let parsed = std::fs::read_to_string(&path)
                 .ok()
-                .and_then(|text| Report::from_json_str(&text).ok())
-                .map(|existing| {
-                    existing
-                        .records
-                        .into_iter()
-                        .filter(|r| {
-                            (r.group == "kernel" && !opts.sweeps.kernel)
-                                || (r.group == "micro" && !opts.sweeps.micro)
-                                || (r.group == "injection_throughput"
-                                    && !opts.sweeps.injection)
-                                || (r.group == "soak" && !opts.sweeps.soak)
-                                || (r.group == "wakeup_latency" && !opts.sweeps.wakeup_latency)
-                                || (r.group == "idle_burn" && !opts.sweeps.idle_burn)
-                                || (r.group == "team_build" && !opts.sweeps.team_build)
-                                || (r.group == "service_latency" && !opts.sweeps.service)
-                        })
-                        .collect()
-                })
-                .unwrap_or_default()
+                .and_then(|text| Report::from_json_str(&text).ok());
+            parsed.map(|report| report.records).unwrap_or_default()
         };
-        // Stable record order: kernel, micro, injection_throughput, soak,
-        // wakeup_latency, idle_burn, team_build, service_latency.
-        let mut records: Vec<RunRecord> = Vec::new();
-        let family = |enabled: bool,
-                          group: &str,
-                          records: &mut Vec<RunRecord>,
-                          sweep: &mut dyn FnMut() -> Vec<RunRecord>| {
-            if enabled {
-                records.extend(sweep());
+        let mut records = Vec::new();
+        for scenario in &scenarios {
+            if opts.runs(scenario) {
+                records.extend((scenario.run)(&opts));
             } else {
-                records.extend(preserved.iter().filter(|r| r.group == group).cloned());
+                records.extend(existing.iter().filter(|r| r.group == scenario.name).cloned());
             }
-        };
-        family(opts.sweeps.kernel, "kernel", &mut records, &mut || {
-            sweep_kernels(&opts).records
-        });
-        family(opts.sweeps.micro, "micro", &mut records, &mut || {
-            sweep_micro(&opts)
-        });
-        family(
-            opts.sweeps.injection,
-            "injection_throughput",
-            &mut records,
-            &mut || sweep_injection(&opts),
-        );
-        family(opts.sweeps.soak, "soak", &mut records, &mut || {
-            sweep_soak(&opts)
-        });
-        family(
-            opts.sweeps.wakeup_latency,
-            "wakeup_latency",
-            &mut records,
-            &mut || sweep_wakeup_latency(&opts),
-        );
-        family(opts.sweeps.idle_burn, "idle_burn", &mut records, &mut || {
-            sweep_idle_burn(&opts)
-        });
-        family(opts.sweeps.team_build, "team_build", &mut records, &mut || {
-            sweep_team_build(&opts)
-        });
-        family(
-            opts.sweeps.service,
-            "service_latency",
-            &mut records,
-            &mut || sweep_service(&opts),
-        );
-        let kernel_report = new_report(&opts, "kernel", records);
-        write_report(&kernels_path, &kernel_report)?;
+        }
+        let report = new_report(&opts, scenarios[0].name, records);
+        write_report(&path, &report)?;
+        if file == SORT_FILE {
+            sort_report = Some(report);
+        }
     }
 
     if let Some((baseline_path, baseline)) = baseline {
@@ -1579,7 +1190,8 @@ fn run() -> Result<i32, String> {
             // mismatches (size/threads/seed) must be loud, not green.
             eprintln!(
                 "check: FAILED — no scenario of the current run matches the baseline {} \
-                 (size/threads must match the recorded parameters)",
+                 (size/threads must match the recorded parameters; cells with more \
+                 threads than cores are not compared)",
                 baseline_path.display()
             );
             return Ok(1);
@@ -1588,7 +1200,7 @@ fn run() -> Result<i32, String> {
             return Ok(1);
         }
         let Some((kernels_path, kernel_baseline)) = kernel_baseline else {
-            println!("check: no BENCH_kernels.json beside the baseline; spawn_overhead not gated");
+            println!("check: no {KERNELS_FILE} beside the baseline; spawn_overhead not gated");
             return Ok(0);
         };
         let mut current = spawn_overhead_check_report(&kernel_baseline, &opts);

@@ -21,7 +21,7 @@
 
 use std::time::Duration;
 
-use teamsteal_bench::{render_table, run_table, TableSpec, Variant, VariantRunner};
+use teamsteal_bench::{render_table, run_table, TableSpec};
 use teamsteal_data::{Distribution, Scale};
 use teamsteal_sort::SortConfig;
 use teamsteal_util::timing::{speedup, RunStats};
@@ -140,7 +140,7 @@ fn main() {
     };
     println!(
         "teamsteal table harness — host parallelism: {}, scale {:?}, {} repetitions, sort config {:?}",
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+        teamsteal_bench::report::host_parallelism(),
         opts.scale,
         opts.reps,
         config
@@ -241,7 +241,4 @@ fn run_steal_policy_ablation(opts: &Options, config: &SortConfig) {
         }
         println!();
     }
-    // Touch the library types so the harness and the ablation stay in sync.
-    let _ = VariantRunner::new(1, config.clone());
-    let _ = Variant::MmPar;
 }

@@ -9,8 +9,7 @@
 //! | SeqQS | [`Variant::SeqQs`] — handwritten sequential Quicksort |
 //! | Fork | [`Variant::Fork`] — Algorithm 10 on the deterministic work-stealer |
 //! | Randfork | [`Variant::RandFork`] — Algorithm 10 with uniformly random stealing |
-//! | Cilk | [`Variant::RayonJoin`] — the same fork-join Quicksort on rayon (Cilk++ substitute) |
-//! | Cilk sample | [`Variant::RayonSort`] — rayon's built-in `par_sort_unstable` |
+//! | Cilk, Cilk sample | — (no honest substitute without a real fork-join runtime vendored in the repository; see DESIGN.md §3) |
 //! | MMPar | [`Variant::MmPar`] — Algorithm 11 on the team-building work-stealer |
 //!
 //! [`TableSpec`] encodes which table uses which thread count, aggregation
@@ -19,14 +18,10 @@
 
 #![warn(missing_docs)]
 
-#[cfg(feature = "cilk-substitute")]
-pub mod cilk_substitute;
 pub mod report;
 pub mod runner;
 pub mod tables;
 
-#[cfg(feature = "cilk-substitute")]
-pub use cilk_substitute::{rayon_join_quicksort, rayon_par_sort};
 pub use report::{check_regressions, CheckOutcome, Environment, JsonValue, Report, RunRecord, TimingSummary};
 pub use runner::{Measurement, Variant, VariantRunner};
 pub use tables::{render_table, run_table, Aggregation, TableResult, TableSpec};

@@ -28,7 +28,7 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
-use teamsteal_core::{MetricsSnapshot, WakeLatencyHistogram};
+use teamsteal_core::MetricsSnapshot;
 use teamsteal_util::timing::RunStats;
 
 /// Current value of the `schema_version` field written into every report.
@@ -501,169 +501,45 @@ impl TimingSummary {
     }
 }
 
-/// The scalar scheduler-counter fields serialized into every record, in
-/// schema order.  Shared by the writer, the parser and the schema
-/// documentation.
-///
-/// `nodes_recycled`, `tasks_injected` and `liveness_resyncs` were added with
-/// the arena/injector runtime (PR 3); `segments_reclaimed`,
-/// `buffers_reclaimed` and `epoch_advances` with the epoch-reclamation
-/// subsystem (PR 4); `parks`, `wakeups` and `spurious_wakes` (plus the
-/// non-scalar `wake_latency_us` bucket array) with the event-driven parking
-/// subsystem (PR 5); `injector_local_pops`, `injector_remote_pops` and
-/// `external_pin_waits` with the sharded injector (PR 6); `teams_built`,
-/// `team_reuses`, `team_shrinks`, `steals_local` and `steals_remote` with
-/// moldable teams and the topology-biased fallback scan (PR 8);
-/// `tasks_expired`, `tasks_cancelled` and `retry_attempts` with the
-/// deadline/cancellation/retry layer (PR 10).  The parser defaults absent
-/// counters to zero so reports written by earlier harnesses stay readable.
-const METRIC_FIELDS: [&str; 30] = [
-    "tasks_executed",
-    "team_tasks_executed",
-    "teams_formed",
-    "registrations",
-    "steals",
-    "tasks_stolen",
-    "failed_steal_rounds",
-    "help_steals",
-    "tasks_spawned",
-    "cas_failures",
-    "nodes_recycled",
-    "tasks_injected",
-    "injector_local_pops",
-    "injector_remote_pops",
-    "external_pin_waits",
-    "liveness_resyncs",
-    "segments_reclaimed",
-    "buffers_reclaimed",
-    "epoch_advances",
-    "parks",
-    "wakeups",
-    "spurious_wakes",
-    "teams_built",
-    "team_reuses",
-    "team_shrinks",
-    "steals_local",
-    "steals_remote",
-    "tasks_expired",
-    "tasks_cancelled",
-    "retry_attempts",
-];
-
 /// Key of the wake-latency histogram inside the metrics object: one count
 /// per bucket, bounds `teamsteal_core::metrics::WAKE_LATENCY_BOUNDS_US`
-/// (last bucket unbounded).
+/// (last bucket unbounded).  Every other key is a scalar counter named after
+/// its [`MetricsSnapshot`] field, in [`MetricsSnapshot::counters`] order.
 const WAKE_LATENCY_FIELD: &str = "wake_latency_us";
 
 fn metrics_to_json(m: &MetricsSnapshot) -> JsonValue {
-    let values = [
-        m.tasks_executed,
-        m.team_tasks_executed,
-        m.teams_formed,
-        m.registrations,
-        m.steals,
-        m.tasks_stolen,
-        m.failed_steal_rounds,
-        m.help_steals,
-        m.tasks_spawned,
-        m.cas_failures,
-        m.nodes_recycled,
-        m.tasks_injected,
-        m.injector_local_pops,
-        m.injector_remote_pops,
-        m.external_pin_waits,
-        m.liveness_resyncs,
-        m.segments_reclaimed,
-        m.buffers_reclaimed,
-        m.epoch_advances,
-        m.parks,
-        m.wakeups,
-        m.spurious_wakes,
-        m.teams_built,
-        m.team_reuses,
-        m.team_shrinks,
-        m.steals_local,
-        m.steals_remote,
-        m.tasks_expired,
-        m.tasks_cancelled,
-        m.retry_attempts,
-    ];
-    let mut pairs: Vec<(String, JsonValue)> = METRIC_FIELDS
-        .iter()
-        .zip(values)
-        .map(|(&k, v)| (k.to_string(), JsonValue::Number(v as f64)))
+    let mut pairs: Vec<(String, JsonValue)> = m
+        .counters()
+        .map(|(name, value)| (name.to_string(), JsonValue::Number(value as f64)))
         .collect();
+    let buckets = m.wake_latency.buckets.iter();
     pairs.push((
         WAKE_LATENCY_FIELD.to_string(),
-        JsonValue::Array(
-            m.wake_latency
-                .buckets
-                .iter()
-                .map(|&b| JsonValue::Number(b as f64))
-                .collect(),
-        ),
+        JsonValue::Array(buckets.map(|&b| JsonValue::Number(b as f64)).collect()),
     ));
     JsonValue::Object(pairs)
 }
 
+/// Every counter and every histogram bucket must be present: `perf` refuses
+/// baselines of another schema version, so a gap is a damaged file, not an
+/// old one.
 fn metrics_from_json(value: &JsonValue) -> Result<MetricsSnapshot, String> {
-    let field = |key: &str| -> Result<u64, String> {
+    let mut metrics = MetricsSnapshot::try_from_counters(|name| {
         value
-            .get(key)
+            .get(name)
             .and_then(JsonValue::as_f64)
             .map(|n| n as u64)
-            .ok_or_else(|| format!("metrics missing `{key}`"))
-    };
-    // Counters added after schema introduction default to zero, so older
-    // committed baselines keep parsing.
-    let optional_field = |key: &str| -> u64 {
-        value
-            .get(key)
-            .and_then(JsonValue::as_f64)
-            .map(|n| n as u64)
-            .unwrap_or(0)
-    };
-    // The wake-latency histogram is a bucket array; absent (pre-PR 5
-    // baselines) or malformed entries default to all-zero.
-    let mut wake_latency = WakeLatencyHistogram::default();
-    if let Some(buckets) = value.get(WAKE_LATENCY_FIELD).and_then(JsonValue::as_array) {
-        for (slot, bucket) in wake_latency.buckets.iter_mut().zip(buckets) {
-            *slot = bucket.as_f64().unwrap_or(0.0) as u64;
-        }
+            .ok_or_else(|| format!("metrics missing `{name}`"))
+    })?;
+    let buckets = value
+        .get(WAKE_LATENCY_FIELD)
+        .and_then(JsonValue::as_array)
+        .filter(|b| b.len() == metrics.wake_latency.buckets.len())
+        .ok_or_else(|| format!("metrics missing `{WAKE_LATENCY_FIELD}` buckets"))?;
+    for (slot, bucket) in metrics.wake_latency.buckets.iter_mut().zip(buckets) {
+        *slot = bucket.as_f64().ok_or("non-numeric wake-latency bucket")? as u64;
     }
-    Ok(MetricsSnapshot {
-        tasks_executed: field("tasks_executed")?,
-        team_tasks_executed: field("team_tasks_executed")?,
-        teams_formed: field("teams_formed")?,
-        registrations: field("registrations")?,
-        steals: field("steals")?,
-        tasks_stolen: field("tasks_stolen")?,
-        failed_steal_rounds: field("failed_steal_rounds")?,
-        help_steals: field("help_steals")?,
-        tasks_spawned: field("tasks_spawned")?,
-        cas_failures: field("cas_failures")?,
-        nodes_recycled: optional_field("nodes_recycled"),
-        tasks_injected: optional_field("tasks_injected"),
-        injector_local_pops: optional_field("injector_local_pops"),
-        injector_remote_pops: optional_field("injector_remote_pops"),
-        external_pin_waits: optional_field("external_pin_waits"),
-        liveness_resyncs: optional_field("liveness_resyncs"),
-        segments_reclaimed: optional_field("segments_reclaimed"),
-        buffers_reclaimed: optional_field("buffers_reclaimed"),
-        epoch_advances: optional_field("epoch_advances"),
-        parks: optional_field("parks"),
-        wakeups: optional_field("wakeups"),
-        spurious_wakes: optional_field("spurious_wakes"),
-        teams_built: optional_field("teams_built"),
-        team_reuses: optional_field("team_reuses"),
-        team_shrinks: optional_field("team_shrinks"),
-        steals_local: optional_field("steals_local"),
-        steals_remote: optional_field("steals_remote"),
-        tasks_expired: optional_field("tasks_expired"),
-        tasks_cancelled: optional_field("tasks_cancelled"),
-        retry_attempts: optional_field("retry_attempts"),
-        wake_latency,
-    })
+    Ok(metrics)
 }
 
 /// One measured scenario: a (name, distribution, size, threads) cell with its
@@ -671,8 +547,9 @@ fn metrics_from_json(value: &JsonValue) -> Result<MetricsSnapshot, String> {
 /// timed repetitions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
-    /// Record family: `"sort"` for the Quicksort variants, `"kernel"` for the
-    /// application kernels.
+    /// Record family: the name of the `perf` scenario that wrote it (`"sort"`
+    /// for the Quicksort variants, `"kernel"` for the application kernels,
+    /// `"soak"`, …).
     pub group: String,
     /// Scenario name: a variant label (`"MMPar"`, `"Fork"`, …) or a kernel
     /// label (`"reduce"`, `"matmul"`, …).
@@ -697,7 +574,8 @@ pub struct RunRecord {
     /// Median sequential reference time for this scenario, if one was
     /// measured (the paper's `SU` denominators).
     pub seq_reference_s: Option<f64>,
-    /// `seq_reference_s / median_s`, if a reference exists.
+    /// `seq_reference_s / median_s`, if a reference exists and the record is
+    /// not [oversubscribed](Report::oversubscribed).
     pub speedup_vs_seq: Option<f64>,
     /// Scenario-specific extra measurements as a free-form JSON object
     /// (`null` for scenarios without any).  The `soak` scenario records its
@@ -812,6 +690,12 @@ pub struct Environment {
     pub git_dirty: Option<bool>,
 }
 
+/// Hardware threads available to this process (`1` when unknown): the bound
+/// beyond which a cell is oversubscribed.
+pub fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 impl Environment {
     /// Detects the current environment.  Git queries run `git` as a
     /// subprocess and degrade to `"unknown"` / `None` when that fails.
@@ -823,9 +707,7 @@ impl Environment {
                 .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
         };
         Environment {
-            available_parallelism: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            available_parallelism: host_parallelism(),
             os: std::env::consts::OS.to_string(),
             arch: std::env::consts::ARCH.to_string(),
             git_commit: git(&["rev-parse", "HEAD"]).unwrap_or_else(|| "unknown".into()),
@@ -899,6 +781,24 @@ pub struct Report {
 }
 
 impl Report {
+    /// `true` when `record` ran more worker threads than the host this
+    /// report was recorded on has cores.  Such a cell times the OS time
+    /// slicing, not the scheduler: its speedup is withheld
+    /// ([`withhold_oversubscribed_speedups`](Self::withhold_oversubscribed_speedups))
+    /// and [`check_regressions`] does not compare it.
+    pub fn oversubscribed(&self, record: &RunRecord) -> bool {
+        record.threads > self.environment.available_parallelism
+    }
+
+    /// Clears `speedup_vs_seq` of every oversubscribed record, so the file
+    /// carries `null` where a ratio would read as a real parallel speedup.
+    pub fn withhold_oversubscribed_speedups(&mut self) {
+        let cores = self.environment.available_parallelism;
+        for record in self.records.iter_mut().filter(|r| r.threads > cores) {
+            record.speedup_vs_seq = None;
+        }
+    }
+
     /// Serializes the report to its on-disk JSON text.
     pub fn to_json_string(&self) -> String {
         JsonValue::Object(vec![
@@ -989,7 +889,8 @@ impl CheckOutcome {
 /// `tolerance_pct` percent.
 ///
 /// Scenarios with a non-positive baseline median are skipped (a degenerate
-/// baseline must not make every future run fail).
+/// baseline must not make every future run fail), and so are cells that are
+/// [oversubscribed](Report::oversubscribed) on either side.
 pub fn check_regressions(
     baseline: &Report,
     current: &Report,
@@ -1023,7 +924,8 @@ pub fn check_regressions(
             outcome.missing_baseline.push(label);
             continue;
         };
-        if base.secs.median_s <= 0.0 {
+        if base.secs.median_s <= 0.0 || baseline.oversubscribed(base) || current.oversubscribed(record)
+        {
             continue;
         }
         outcome.compared += 1;
@@ -1046,6 +948,7 @@ pub fn check_regressions(
 mod tests {
     use super::*;
     use std::time::Duration;
+    use teamsteal_core::WakeLatencyHistogram;
 
     fn sample_record(name: &str, median: f64) -> RunRecord {
         let mut stats = RunStats::new();
@@ -1195,198 +1098,90 @@ mod tests {
         assert_eq!(summary.samples_s.len(), 4);
     }
 
-    #[test]
-    fn pre_parking_baselines_parse_with_defaulted_metrics() {
-        // A record written before PR 5 carries neither the parking scalars
-        // nor the wake-latency bucket array: strip them from a fresh record
-        // and the parser must default all of them to zero (so old committed
-        // baselines keep working as `--check` inputs).
-        let report = sample_report(0.010);
-        let text = report.to_json_string();
-        let mut value = JsonValue::parse(&text).unwrap();
-        if let JsonValue::Object(pairs) = &mut value {
-            if let Some((_, JsonValue::Array(records))) =
-                pairs.iter_mut().find(|(k, _)| k == "records")
-            {
-                for record in records {
-                    if let JsonValue::Object(fields) = record {
-                        if let Some((_, JsonValue::Object(metrics))) =
-                            fields.iter_mut().find(|(k, _)| k == "metrics")
-                        {
-                            metrics.retain(|(k, _)| {
-                                !matches!(
-                                    k.as_str(),
-                                    "parks" | "wakeups" | "spurious_wakes" | "wake_latency_us"
-                                )
-                            });
-                        }
-                    }
-                }
+    /// Applies `edit` to the `metrics` object of every record of `text`.
+    fn edit_metrics(text: &str, edit: impl Fn(&mut Vec<(String, JsonValue)>)) -> String {
+        let mut value = JsonValue::parse(text).unwrap();
+        let JsonValue::Object(pairs) = &mut value else { panic!("report is an object") };
+        let Some((_, JsonValue::Array(records))) = pairs.iter_mut().find(|(k, _)| k == "records")
+        else {
+            panic!("report has records")
+        };
+        for record in records {
+            let JsonValue::Object(fields) = record else { panic!("record is an object") };
+            match fields.iter_mut().find(|(k, _)| k == "metrics") {
+                Some((_, JsonValue::Object(metrics))) => edit(metrics),
+                _ => panic!("record has metrics"),
             }
         }
-        let parsed = Report::from_json_str(&value.render()).expect("old schema parses");
-        for record in &parsed.records {
-            assert_eq!(record.metrics.parks, 0);
-            assert_eq!(record.metrics.wakeups, 0);
-            assert_eq!(record.metrics.spurious_wakes, 0);
-            assert_eq!(record.metrics.wake_latency, WakeLatencyHistogram::default());
-            // The pre-existing counters survived the strip.
-            assert_eq!(record.metrics.steals, 17);
-        }
-        // And a defaulted report round-trips stably.
-        assert_eq!(
-            Report::from_json_str(&parsed.to_json_string()).unwrap(),
-            parsed
-        );
+        value.render()
     }
 
     #[test]
-    fn pre_sharding_baselines_parse_with_defaulted_metrics() {
-        // A record written before PR 6 carries none of the sharded-injector
-        // counters: strip them from a fresh record and the parser must
-        // default all of them to zero (so PR 5-era committed baselines keep
-        // working as `--check` inputs).
-        let report = sample_report(0.010);
+    fn every_counter_round_trips_under_its_own_name_and_none_may_be_missing() {
+        let mut report = sample_report(0.010);
+        report.records.truncate(1);
+        let names: Vec<&str> = MetricsSnapshot::default().counters().map(|(n, _)| n).collect();
+        let value_of = |name: &str| names.iter().position(|n| *n == name).unwrap() as u64 + 1;
+        report.records[0].metrics = MetricsSnapshot {
+            wake_latency: WakeLatencyHistogram { buckets: [8, 7, 6, 5, 4, 3, 2, 1] },
+            ..MetricsSnapshot::try_from_counters(|name| Ok::<_, ()>(value_of(name))).unwrap()
+        };
         let text = report.to_json_string();
-        let mut value = JsonValue::parse(&text).unwrap();
-        if let JsonValue::Object(pairs) = &mut value {
-            if let Some((_, JsonValue::Array(records))) =
-                pairs.iter_mut().find(|(k, _)| k == "records")
-            {
-                for record in records {
-                    if let JsonValue::Object(fields) = record {
-                        if let Some((_, JsonValue::Object(metrics))) =
-                            fields.iter_mut().find(|(k, _)| k == "metrics")
-                        {
-                            metrics.retain(|(k, _)| {
-                                !matches!(
-                                    k.as_str(),
-                                    "injector_local_pops"
-                                        | "injector_remote_pops"
-                                        | "external_pin_waits"
-                                )
-                            });
-                        }
-                    }
-                }
+        assert_eq!(Report::from_json_str(&text).expect("report parses"), report);
+        // Field by field: the written object holds each counter under its
+        // field name with that field's value.
+        edit_metrics(&text, |metrics| {
+            assert_eq!(metrics.len(), names.len() + 1);
+            for (key, value) in metrics.iter().filter(|(k, _)| k != WAKE_LATENCY_FIELD) {
+                assert_eq!(value.as_f64(), Some(value_of(key) as f64), "`{key}`");
             }
+        });
+        // A report that lacks any one of them is refused, naming the field.
+        for missing in names.iter().copied().chain([WAKE_LATENCY_FIELD]) {
+            let gapped = edit_metrics(&text, |metrics| metrics.retain(|(k, _)| k != missing));
+            let err = Report::from_json_str(&gapped).expect_err(missing);
+            assert!(err.contains(missing), "{err}");
         }
-        let parsed = Report::from_json_str(&value.render()).expect("old schema parses");
-        for record in &parsed.records {
-            assert_eq!(record.metrics.injector_local_pops, 0);
-            assert_eq!(record.metrics.injector_remote_pops, 0);
-            assert_eq!(record.metrics.external_pin_waits, 0);
-            // The pre-existing counters survived the strip.
-            assert_eq!(record.metrics.steals, 17);
-            assert_eq!(record.metrics.parks, 12);
-        }
-        // And a defaulted report round-trips stably.
-        assert_eq!(
-            Report::from_json_str(&parsed.to_json_string()).unwrap(),
-            parsed
-        );
     }
 
     #[test]
-    fn pre_moldable_baselines_parse_with_defaulted_metrics() {
-        // A record written before PR 8 carries none of the moldable-team or
-        // steal-locality counters: strip them from a fresh record and the
-        // parser must default all of them to zero (so PR 7-era committed
-        // baselines keep working as `--check` inputs).
-        let report = sample_report(0.010);
-        let text = report.to_json_string();
-        let mut value = JsonValue::parse(&text).unwrap();
-        if let JsonValue::Object(pairs) = &mut value {
-            if let Some((_, JsonValue::Array(records))) =
-                pairs.iter_mut().find(|(k, _)| k == "records")
-            {
-                for record in records {
-                    if let JsonValue::Object(fields) = record {
-                        if let Some((_, JsonValue::Object(metrics))) =
-                            fields.iter_mut().find(|(k, _)| k == "metrics")
-                        {
-                            metrics.retain(|(k, _)| {
-                                !matches!(
-                                    k.as_str(),
-                                    "teams_built"
-                                        | "team_reuses"
-                                        | "team_shrinks"
-                                        | "steals_local"
-                                        | "steals_remote"
-                                )
-                            });
-                        }
-                    }
-                }
-            }
+    fn oversubscribed_cells_carry_no_speedup_and_are_not_compared() {
+        // Recorded on 2 cores: the p = 4 records (every `sample_record`) are
+        // oversubscribed, a p = 2 one is not.
+        let mut baseline = sample_report(0.010);
+        baseline.environment.available_parallelism = 2;
+        let mut real = sample_record("MMPar", 0.010);
+        real.threads = 2;
+        baseline.records.push(real);
+        assert!(baseline.oversubscribed(&baseline.records[0]));
+        assert!(!baseline.oversubscribed(&baseline.records[2]));
+
+        baseline.withhold_oversubscribed_speedups();
+        let speedups: Vec<_> = baseline.records.iter().map(|r| r.speedup_vs_seq).collect();
+        assert_eq!(speedups, [None, None, Some(2.0)]);
+        let text = baseline.to_json_string();
+        assert!(text.contains("\"speedup_vs_seq\": null"));
+        assert_eq!(Report::from_json_str(&text).expect("report parses"), baseline);
+
+        // A 10x slower current run fails on the real cell only...
+        let mut current = baseline.clone();
+        for record in &mut current.records {
+            record.secs.median_s *= 10.0;
         }
-        let parsed = Report::from_json_str(&value.render()).expect("old schema parses");
-        for record in &parsed.records {
-            assert_eq!(record.metrics.teams_built, 0);
-            assert_eq!(record.metrics.team_reuses, 0);
-            assert_eq!(record.metrics.team_shrinks, 0);
-            assert_eq!(record.metrics.steals_local, 0);
-            assert_eq!(record.metrics.steals_remote, 0);
-            // The pre-existing counters survived the strip.
-            assert_eq!(record.metrics.steals, 17);
-            assert_eq!(record.metrics.teams_formed, 3);
-        }
-        // And a defaulted report round-trips stably.
-        assert_eq!(
-            Report::from_json_str(&parsed.to_json_string()).unwrap(),
-            parsed
-        );
+        let outcome = check_regressions(&baseline, &current, "MMPar", 25.0);
+        assert_eq!(outcome.compared, 1);
+        assert_eq!(outcome.regressions.len(), 1);
+        assert!(outcome.regressions[0].contains("p=2"), "{:?}", outcome.regressions);
+        // ...and a current host too small for that cell compares nothing,
+        // whatever the baseline's host was.
+        current.environment.available_parallelism = 1;
+        assert_eq!(check_regressions(&baseline, &current, "MMPar", 25.0).compared, 0);
     }
 
-    #[test]
-    fn pre_cancellation_baselines_parse_with_defaulted_metrics() {
-        // A record written before PR 10 carries none of the
-        // deadline/cancellation counters: strip them from a fresh record and
-        // the parser must default all of them to zero (so PR 9-era committed
-        // baselines keep working as `--check` inputs).
-        let report = sample_report(0.010);
-        let text = report.to_json_string();
-        let mut value = JsonValue::parse(&text).unwrap();
-        if let JsonValue::Object(pairs) = &mut value {
-            if let Some((_, JsonValue::Array(records))) =
-                pairs.iter_mut().find(|(k, _)| k == "records")
-            {
-                for record in records {
-                    if let JsonValue::Object(fields) = record {
-                        if let Some((_, JsonValue::Object(metrics))) =
-                            fields.iter_mut().find(|(k, _)| k == "metrics")
-                        {
-                            metrics.retain(|(k, _)| {
-                                !matches!(
-                                    k.as_str(),
-                                    "tasks_expired" | "tasks_cancelled" | "retry_attempts"
-                                )
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        let parsed = Report::from_json_str(&value.render()).expect("old schema parses");
-        for record in &parsed.records {
-            assert_eq!(record.metrics.tasks_expired, 0);
-            assert_eq!(record.metrics.tasks_cancelled, 0);
-            assert_eq!(record.metrics.retry_attempts, 0);
-            // The pre-existing counters survived the strip.
-            assert_eq!(record.metrics.steals, 17);
-            assert_eq!(record.metrics.teams_formed, 3);
-        }
-        // And a defaulted report round-trips stably.
-        assert_eq!(
-            Report::from_json_str(&parsed.to_json_string()).unwrap(),
-            parsed
-        );
-    }
-
-    /// A `service_latency` record as `perf --only service_latency` writes
-    /// it (PR 9): the samples are submit-to-complete latencies, and the
-    /// family's counters — arrival rate, admission outcomes, nearest-rank
-    /// p99 and per-tenant fairness ratios — ride in `extra`.
+    /// A record whose samples are latencies and whose family-specific
+    /// numbers — rates, admission outcomes, a nearest-rank p99, per-tenant
+    /// ratios — ride in `extra`, the way `wakeup_latency`, `team_build` and
+    /// `injection_throughput` records carry theirs.
     fn sample_service_record() -> RunRecord {
         let mut stats = RunStats::new();
         for us in [9u64, 11, 14, 21, 34] {

@@ -6,9 +6,6 @@ use teamsteal_core::{MetricsSnapshot, Scheduler, StealPolicy};
 use teamsteal_sort::{fork_join_sort, mixed_mode_sort, sequential_quicksort, std_sort, SortConfig};
 use teamsteal_util::timing::time;
 
-#[cfg(feature = "cilk-substitute")]
-use crate::cilk_substitute::{rayon_join_quicksort, rayon_par_sort, rayon_pool};
-
 /// The sorting variants of the paper's tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
@@ -22,10 +19,6 @@ pub enum Variant {
     /// Task-parallel Quicksort with uniformly random victim selection
     /// (paper: *Randfork*).
     RandFork,
-    /// Fork-join Quicksort on rayon — the Cilk++ substitute (paper: *Cilk*).
-    RayonJoin,
-    /// Rayon's built-in parallel sort (paper: *Cilk sample*).
-    RayonSort,
     /// Mixed-mode parallel Quicksort on the team-building work-stealer
     /// (paper: *MMPar*).
     MmPar,
@@ -39,16 +32,14 @@ impl Variant {
             Variant::SeqQs => "SeqQS",
             Variant::Fork => "Fork",
             Variant::RandFork => "Randfork",
-            Variant::RayonJoin => "Rayon(Cilk)",
-            Variant::RayonSort => "RayonSort",
             Variant::MmPar => "MMPar",
         }
     }
 
     /// `true` for the variants whose speedup the paper reports in an `SU`
-    /// column (Fork, Cilk and MMPar).
+    /// column (Fork and MMPar).
     pub fn has_speedup_column(&self) -> bool {
-        matches!(self, Variant::Fork | Variant::RayonJoin | Variant::MmPar)
+        matches!(self, Variant::Fork | Variant::MmPar)
     }
 }
 
@@ -61,21 +52,19 @@ pub struct Measurement {
     pub duration: Duration,
     /// Scheduler-counter delta attributable to this run (steals, teams
     /// built, registrations, …).  Zero for variants that do not execute on a
-    /// `teamsteal` scheduler (Seq/STL, SeqQS and the rayon baselines).
+    /// `teamsteal` scheduler (Seq/STL and SeqQS).
     pub metrics: MetricsSnapshot,
 }
 
-/// Holds the lazily created execution engines (schedulers, rayon pools) so
-/// repeated measurements of one table reuse the same worker threads, as the
-/// paper's prototype does.
+/// Holds the lazily created schedulers so repeated measurements of one
+/// table reuse the same worker threads, as the paper's prototype does.  Fork
+/// and MMPar run on one deterministic scheduler (identically configured, and
+/// never timed at the same moment); only Randfork needs its own.
 pub struct VariantRunner {
     threads: usize,
     config: SortConfig,
     det: Option<Scheduler>,
     rand: Option<Scheduler>,
-    team: Option<Scheduler>,
-    #[cfg(feature = "cilk-substitute")]
-    rayon: Option<rayon::ThreadPool>,
 }
 
 impl VariantRunner {
@@ -87,56 +76,22 @@ impl VariantRunner {
             config,
             det: None,
             rand: None,
-            team: None,
-            #[cfg(feature = "cilk-substitute")]
-            rayon: None,
         }
     }
 
-    /// Number of worker threads this runner targets.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The sort configuration in use.
-    pub fn config(&self) -> &SortConfig {
-        &self.config
-    }
-
-    fn det_scheduler(&mut self) -> &Scheduler {
+    /// The scheduler a parallel `variant` runs on, built on first use.
+    fn scheduler_for(&mut self, variant: Variant) -> &Scheduler {
         let threads = self.threads;
-        self.det.get_or_insert_with(|| {
+        let (slot, policy) = match variant {
+            Variant::RandFork => (&mut self.rand, StealPolicy::UniformRandom),
+            _ => (&mut self.det, StealPolicy::Deterministic),
+        };
+        slot.get_or_insert_with(|| {
             Scheduler::builder()
                 .threads(threads)
-                .steal_policy(StealPolicy::Deterministic)
+                .steal_policy(policy)
                 .build()
         })
-    }
-
-    fn rand_scheduler(&mut self) -> &Scheduler {
-        let threads = self.threads;
-        self.rand.get_or_insert_with(|| {
-            Scheduler::builder()
-                .threads(threads)
-                .steal_policy(StealPolicy::UniformRandom)
-                .build()
-        })
-    }
-
-    fn team_scheduler(&mut self) -> &Scheduler {
-        let threads = self.threads;
-        self.team.get_or_insert_with(|| {
-            Scheduler::builder()
-                .threads(threads)
-                .steal_policy(StealPolicy::Deterministic)
-                .build()
-        })
-    }
-
-    #[cfg(feature = "cilk-substitute")]
-    fn rayon_pool(&mut self) -> &rayon::ThreadPool {
-        let threads = self.threads;
-        self.rayon.get_or_insert_with(|| rayon_pool(threads))
     }
 
     /// Sorts a copy of `input` with `variant` and returns the measurement,
@@ -161,34 +116,10 @@ impl VariantRunner {
                 time(|| sequential_quicksort(&mut data, &config)).0,
                 MetricsSnapshot::default(),
             ),
-            Variant::Fork => timed_on(self.det_scheduler(), |s| {
+            Variant::Fork | Variant::RandFork => timed_on(self.scheduler_for(variant), |s| {
                 fork_join_sort(s, &mut data, &config)
             }),
-            Variant::RandFork => timed_on(self.rand_scheduler(), |s| {
-                fork_join_sort(s, &mut data, &config)
-            }),
-            #[cfg(feature = "cilk-substitute")]
-            Variant::RayonJoin => {
-                let pool = self.rayon_pool();
-                (
-                    time(|| rayon_join_quicksort(pool, &mut data, &config)).0,
-                    MetricsSnapshot::default(),
-                )
-            }
-            #[cfg(feature = "cilk-substitute")]
-            Variant::RayonSort => {
-                let pool = self.rayon_pool();
-                (
-                    time(|| rayon_par_sort(pool, &mut data)).0,
-                    MetricsSnapshot::default(),
-                )
-            }
-            #[cfg(not(feature = "cilk-substitute"))]
-            Variant::RayonJoin | Variant::RayonSort => panic!(
-                "{} requires the `cilk-substitute` feature of teamsteal-bench",
-                variant.label()
-            ),
-            Variant::MmPar => timed_on(self.team_scheduler(), |s| {
+            Variant::MmPar => timed_on(self.scheduler_for(variant), |s| {
                 mixed_mode_sort(s, &mut data, &config)
             }),
         };
@@ -217,8 +148,6 @@ mod tests {
             Variant::SeqQs,
             Variant::Fork,
             Variant::RandFork,
-            Variant::RayonJoin,
-            Variant::RayonSort,
             Variant::MmPar,
         ];
         let mut labels: Vec<&str> = variants.iter().map(|v| v.label()).collect();
@@ -238,17 +167,13 @@ mod tests {
             min_blocks_per_thread: 4,
         };
         let mut runner = VariantRunner::new(2, config);
-        let mut variants = vec![
+        for variant in [
             Variant::SeqStd,
             Variant::SeqQs,
             Variant::Fork,
             Variant::RandFork,
             Variant::MmPar,
-        ];
-        if cfg!(feature = "cilk-substitute") {
-            variants.extend([Variant::RayonJoin, Variant::RayonSort]);
-        }
-        for variant in variants {
+        ] {
             let m = runner.measure(variant, &input);
             assert!(m.duration > Duration::ZERO);
             assert_eq!(m.variant, variant);

@@ -38,9 +38,6 @@ pub struct TableSpec {
     pub threads: usize,
     /// Average or best-of-N.
     pub aggregation: Aggregation,
-    /// Whether the table has the Cilk columns (the Solaris machines could not
-    /// run Cilk++; we mirror the column layout).
-    pub with_cilk: bool,
     /// Indices into [`Scale::sizes`] used by this table (the Opteron and Sun
     /// tables omit the 10⁹ row).
     pub size_indices: &'static [usize],
@@ -52,16 +49,16 @@ impl TableSpec {
         let six: &'static [usize] = &[0, 1, 2, 3, 4, 5];
         let five: &'static [usize] = &[0, 1, 3, 4, 5];
         vec![
-            TableSpec { number: 1, system: "8-core Intel Nehalem", threads: 8, aggregation: Aggregation::Average, with_cilk: true, size_indices: six },
-            TableSpec { number: 2, system: "8-core Intel Nehalem", threads: 8, aggregation: Aggregation::Best, with_cilk: true, size_indices: six },
-            TableSpec { number: 3, system: "16-core AMD Opteron", threads: 16, aggregation: Aggregation::Average, with_cilk: false, size_indices: five },
-            TableSpec { number: 4, system: "16-core AMD Opteron", threads: 16, aggregation: Aggregation::Best, with_cilk: false, size_indices: five },
-            TableSpec { number: 5, system: "32-core Intel Nehalem EX", threads: 32, aggregation: Aggregation::Average, with_cilk: true, size_indices: six },
-            TableSpec { number: 6, system: "32-core Intel Nehalem EX", threads: 32, aggregation: Aggregation::Best, with_cilk: true, size_indices: six },
-            TableSpec { number: 7, system: "16-core Sun T2+ (32 threads)", threads: 32, aggregation: Aggregation::Average, with_cilk: false, size_indices: five },
-            TableSpec { number: 8, system: "16-core Sun T2+ (32 threads)", threads: 32, aggregation: Aggregation::Best, with_cilk: false, size_indices: five },
-            TableSpec { number: 9, system: "16-core Sun T2+ (64 threads)", threads: 64, aggregation: Aggregation::Average, with_cilk: false, size_indices: five },
-            TableSpec { number: 10, system: "16-core Sun T2+ (64 threads)", threads: 64, aggregation: Aggregation::Best, with_cilk: false, size_indices: five },
+            TableSpec { number: 1, system: "8-core Intel Nehalem", threads: 8, aggregation: Aggregation::Average, size_indices: six },
+            TableSpec { number: 2, system: "8-core Intel Nehalem", threads: 8, aggregation: Aggregation::Best, size_indices: six },
+            TableSpec { number: 3, system: "16-core AMD Opteron", threads: 16, aggregation: Aggregation::Average, size_indices: five },
+            TableSpec { number: 4, system: "16-core AMD Opteron", threads: 16, aggregation: Aggregation::Best, size_indices: five },
+            TableSpec { number: 5, system: "32-core Intel Nehalem EX", threads: 32, aggregation: Aggregation::Average, size_indices: six },
+            TableSpec { number: 6, system: "32-core Intel Nehalem EX", threads: 32, aggregation: Aggregation::Best, size_indices: six },
+            TableSpec { number: 7, system: "16-core Sun T2+ (32 threads)", threads: 32, aggregation: Aggregation::Average, size_indices: five },
+            TableSpec { number: 8, system: "16-core Sun T2+ (32 threads)", threads: 32, aggregation: Aggregation::Best, size_indices: five },
+            TableSpec { number: 9, system: "16-core Sun T2+ (64 threads)", threads: 64, aggregation: Aggregation::Average, size_indices: five },
+            TableSpec { number: 10, system: "16-core Sun T2+ (64 threads)", threads: 64, aggregation: Aggregation::Best, size_indices: five },
         ]
     }
 
@@ -70,20 +67,16 @@ impl TableSpec {
         Self::all().into_iter().find(|t| t.number == number)
     }
 
-    /// The variants (columns) of this table, in the paper's order.
+    /// The variants (columns) of every table, in the paper's order.  The
+    /// paper's Cilk columns (Intel tables only) have no counterpart here.
     pub fn variants(&self) -> Vec<Variant> {
-        let mut v = vec![
+        vec![
             Variant::SeqStd,
             Variant::SeqQs,
             Variant::Fork,
             Variant::RandFork,
-        ];
-        if self.with_cilk && cfg!(feature = "cilk-substitute") {
-            v.push(Variant::RayonJoin);
-            v.push(Variant::RayonSort);
-        }
-        v.push(Variant::MmPar);
-        v
+            Variant::MmPar,
+        ]
     }
 }
 
@@ -186,8 +179,15 @@ pub fn run_table(
 }
 
 /// Renders a regenerated table in the paper's layout (times in seconds,
-/// speedup columns after Fork, Cilk and MMPar).
+/// speedup columns after Fork and MMPar).  When the table ran more worker
+/// threads than this host has cores its speedups measure time slicing, not
+/// parallelism, and every `SU` cell is printed as `–`.
 pub fn render_table(result: &TableResult) -> String {
+    render_for_host(result, crate::report::host_parallelism())
+}
+
+fn render_for_host(result: &TableResult, host_parallelism: usize) -> String {
+    let oversubscribed = result.spec.threads > host_parallelism;
     let mut out = String::new();
     let agg = match result.spec.aggregation {
         Aggregation::Average => "average",
@@ -227,7 +227,11 @@ pub fn render_table(result: &TableResult) -> String {
         for (i, v) in result.variants.iter().enumerate() {
             out.push_str(&format!(" {:>11.3}", row.durations[i].as_secs_f64()));
             if v.has_speedup_column() {
-                out.push_str(&format!(" {:>5.1}", result.speedup(row, *v)));
+                if oversubscribed {
+                    out.push_str(&format!(" {:>5}", "–"));
+                } else {
+                    out.push_str(&format!(" {:>5.1}", result.speedup(row, *v)));
+                }
             }
         }
         out.push('\n');
@@ -252,9 +256,6 @@ mod tests {
         assert_eq!(TableSpec::by_number(5).unwrap().threads, 32);
         assert_eq!(TableSpec::by_number(9).unwrap().threads, 64);
         assert!(TableSpec::by_number(11).is_none());
-        // Cilk columns only on the Intel machines.
-        assert!(TableSpec::by_number(1).unwrap().with_cilk);
-        assert!(!TableSpec::by_number(7).unwrap().with_cilk);
         // Odd tables are averages, even tables are best-of-N.
         for spec in &all {
             let expected = if spec.number % 2 == 1 {
@@ -268,21 +269,16 @@ mod tests {
 
     #[test]
     fn variant_order_matches_paper_columns() {
-        let with_cilk = TableSpec::by_number(1).unwrap().variants();
-        let mut expected = vec![
+        let expected = vec![
             Variant::SeqStd,
             Variant::SeqQs,
             Variant::Fork,
             Variant::RandFork,
+            Variant::MmPar,
         ];
-        if cfg!(feature = "cilk-substitute") {
-            expected.extend([Variant::RayonJoin, Variant::RayonSort]);
+        for number in [1, 3] {
+            assert_eq!(TableSpec::by_number(number).unwrap().variants(), expected);
         }
-        expected.push(Variant::MmPar);
-        assert_eq!(with_cilk, expected);
-        let without = TableSpec::by_number(3).unwrap().variants();
-        assert!(!without.contains(&Variant::RayonJoin));
-        assert_eq!(*without.last().unwrap(), Variant::MmPar);
     }
 
     #[test]
@@ -294,7 +290,6 @@ mod tests {
             system: "test",
             threads: 2,
             aggregation: Aggregation::Best,
-            with_cilk: true,
             size_indices: &[0],
         };
         let config = SortConfig {
@@ -309,7 +304,13 @@ mod tests {
             let su = result.speedup(row, Variant::MmPar);
             assert!(su > 0.0);
         }
-        let rendered = render_table(&result);
+        // On a host with as many cores as the table's threads the speedups
+        // are printed; on a smaller one they are withheld.
+        let rendered = render_for_host(&result, 2);
+        assert!(!rendered.contains('–'), "{rendered}");
+        let withheld = render_for_host(&result, 1);
+        assert_eq!(withheld.matches('–').count(), 4 * 2, "Fork and MMPar SU per row: {withheld}");
+        assert_eq!(withheld.lines().count(), rendered.lines().count());
         assert!(rendered.contains("Table 1"));
         assert!(rendered.contains("MMPar"));
         assert!(rendered.contains("Random"));

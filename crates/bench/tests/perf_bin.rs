@@ -26,6 +26,52 @@ fn run_perf(args: &[&str]) -> std::process::Output {
         .expect("perf bin runs")
 }
 
+/// The scenario names the bin lists in its `--only` error text (which it
+/// derives from its `Scenario` table).
+fn listed_scenarios() -> Vec<String> {
+    let out = run_perf(&["--only", "no-such-family"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(stderr.contains("unknown sweep family 'no-such-family'"), "{stderr}");
+    let list = stderr
+        .split("expected one of: ")
+        .nth(1)
+        .and_then(|rest| rest.split(')').next())
+        .unwrap_or_else(|| panic!("no scenario list in `{stderr}`"));
+    list.split(", ").map(str::to_string).collect()
+}
+
+#[test]
+fn scenario_table_only_flag_and_committed_baselines_name_the_same_families() {
+    let mut listed = listed_scenarios();
+    assert_eq!(listed.len(), 8, "{listed:?}");
+    // `--only` accepts exactly the listed names (`--help` exits 0 once the
+    // arguments before it parsed), and the help text shows the same list.
+    for name in &listed {
+        let out = run_perf(&["--only", name, "--help"]);
+        assert_eq!(out.status.code(), Some(0), "--only {name} rejected");
+        assert!(String::from_utf8_lossy(&out.stdout).contains(&listed.join(", ")));
+    }
+    assert_eq!(run_perf(&["--only", "micro", "--help"]).status.code(), Some(2));
+    assert_eq!(run_perf(&["--only", "service_latency", "--help"]).status.code(), Some(2));
+
+    // The committed baselines hold records of every listed family and of no
+    // other: `sort` in BENCH_sort.json, the rest in BENCH_kernels.json.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let groups = |file: &str| {
+        let text = std::fs::read_to_string(root.join(file)).expect(file);
+        let report = Report::from_json_str(&text).expect(file);
+        let mut groups: Vec<String> = report.records.into_iter().map(|r| r.group).collect();
+        groups.sort();
+        groups.dedup();
+        groups
+    };
+    assert_eq!(groups("BENCH_sort.json"), ["sort"]);
+    listed.retain(|name| name != "sort");
+    listed.sort();
+    assert_eq!(groups("BENCH_kernels.json"), listed);
+}
+
 #[test]
 fn smoke_run_writes_complete_parseable_reports() {
     let dir = scratch_dir("smoke");
@@ -54,9 +100,10 @@ fn smoke_run_writes_complete_parseable_reports() {
     for record in &sort.records {
         assert_eq!(record.secs.samples_s.len(), record.repetitions);
         assert!(record.secs.median_s > 0.0, "{} has zero median", record.name);
-        // Parallel variants carry a speedup against the Seq/STL reference.
+        // Parallel variants carry a speedup against the Seq/STL reference,
+        // unless this host has fewer cores than the cell has threads.
         if record.name == "MMPar" {
-            assert!(record.speedup_vs_seq.is_some());
+            assert_eq!(record.speedup_vs_seq.is_some(), !sort.oversubscribed(record));
         }
     }
     // The scheduler-backed variants must carry scheduler metrics; the
@@ -84,7 +131,17 @@ fn smoke_run_writes_complete_parseable_reports() {
             .unwrap_or_else(|| panic!("missing kernel record {name}"));
         assert!(record.secs.median_s > 0.0);
         assert!(record.seq_reference_s.is_some());
-        assert!(record.speedup_vs_seq.is_some());
+        assert_eq!(record.speedup_vs_seq.is_some(), !kernels.oversubscribed(record));
+    }
+
+    // Every family of the table wrote records (idle_burn is skipped only on
+    // platforms without a process-CPU clock; CI and the recording machine
+    // are Linux).
+    for family in listed_scenarios().iter().filter(|f| *f != "sort") {
+        assert!(
+            kernels.records.iter().any(|r| &r.group == family) || !cfg!(target_os = "linux"),
+            "no `{family}` record"
+        );
     }
 
     // The soak scenario carries the memory-footprint gauges in `extra` and
@@ -275,7 +332,7 @@ fn check_mode_fails_on_injected_regression_and_passes_on_honest_baseline() {
     ]);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "doctored spawn cells must fail the check: {stderr}");
-    assert!(stderr.contains("micro/spawn_overhead"));
+    assert!(stderr.contains("spawn_overhead/spawn_overhead"));
 }
 
 #[test]
@@ -284,7 +341,17 @@ fn in_place_check_compares_against_the_previous_contents() {
     // fresh report overwrites the baseline file; the gate must still compare
     // against the baseline as it was BEFORE the run, not against itself.
     let dir = scratch_dir("check-in-place");
-    let out = run_perf(&["--smoke", "--seed", "3", "--out-dir", dir.to_str().unwrap()]);
+    // `--threads 1`: a cell with more threads than cores is not compared,
+    // and the test must hold on a one-core host too.
+    let out = run_perf(&[
+        "--smoke",
+        "--threads",
+        "1",
+        "--seed",
+        "3",
+        "--out-dir",
+        dir.to_str().unwrap(),
+    ]);
     assert!(out.status.success());
     let baseline_path = dir.join("BENCH_sort.json");
     let mut baseline =
@@ -343,34 +410,41 @@ fn check_fails_when_no_scenario_matches_the_baseline() {
 
 #[test]
 fn partial_only_run_preserves_the_skipped_familys_records() {
-    // `--only micro` over an existing BENCH_kernels.json must carry the
-    // kernel records over instead of silently discarding them (and vice
-    // versa for `--only kernel`).
+    // `--only spawn_overhead` over an existing BENCH_kernels.json must carry
+    // the other families' records over instead of silently discarding them.
     let dir = scratch_dir("only-preserves");
     let out = run_perf(&["--smoke", "--out-dir", dir.to_str().unwrap()]);
     assert!(out.status.success());
     let kernels_path = dir.join("BENCH_kernels.json");
     let full = Report::from_json_str(&std::fs::read_to_string(&kernels_path).unwrap()).unwrap();
     let kernel_count = full.records.iter().filter(|r| r.group == "kernel").count();
-    let micro_count = full.records.iter().filter(|r| r.group == "micro").count();
-    assert!(kernel_count > 0 && micro_count > 0);
+    let spawn_count = full.records.iter().filter(|r| r.group == "spawn_overhead").count();
+    assert!(kernel_count > 0 && spawn_count > 0);
 
-    let out = run_perf(&["--smoke", "--only", "micro", "--out-dir", dir.to_str().unwrap()]);
+    let out = run_perf(&[
+        "--smoke",
+        "--only",
+        "spawn_overhead",
+        "--out-dir",
+        dir.to_str().unwrap(),
+    ]);
     assert!(out.status.success());
     let merged = Report::from_json_str(&std::fs::read_to_string(&kernels_path).unwrap()).unwrap();
     assert_eq!(
-        merged.records.iter().filter(|r| r.group == "kernel").count(),
-        kernel_count,
-        "a micro-only run must preserve the existing kernel records"
+        merged.records.iter().filter(|r| r.group == "spawn_overhead").count(),
+        spawn_count,
+        "the spawn_overhead records must be refreshed, not duplicated"
     );
-    assert_eq!(
-        merged.records.iter().filter(|r| r.group == "micro").count(),
-        micro_count,
-        "the micro records must be refreshed, not duplicated"
-    );
-    // Order stays kernel-first, micro-last.
-    let first_micro = merged.records.iter().position(|r| r.group == "micro").unwrap();
-    assert!(merged.records[..first_micro].iter().all(|r| r.group == "kernel"));
+    // Everything else is carried over untouched, in the same order.
+    let groups = |report: &Report| -> Vec<String> {
+        report.records.iter().map(|r| r.group.clone()).collect()
+    };
+    assert_eq!(groups(&merged), groups(&full));
+    for (kept, was) in merged.records.iter().zip(&full.records) {
+        if kept.group != "spawn_overhead" {
+            assert_eq!(kept, was, "a skipped family's record changed");
+        }
+    }
 }
 
 #[test]
@@ -380,7 +454,15 @@ fn smoke_check_compares_at_the_baselines_parameters() {
     // non-regressed baseline (medians forced to ~infinity) therefore passes
     // even though the smoke sweep itself used different sizes.
     let dir = scratch_dir("smoke-check-params");
-    let out = run_perf(&["--smoke", "--seed", "7", "--out-dir", dir.to_str().unwrap()]);
+    let out = run_perf(&[
+        "--smoke",
+        "--threads",
+        "1", // comparable on any host, see the in-place test
+        "--seed",
+        "7",
+        "--out-dir",
+        dir.to_str().unwrap(),
+    ]);
     assert!(out.status.success());
     let baseline_path = dir.join("BENCH_sort.json");
     let mut baseline =
@@ -389,6 +471,10 @@ fn smoke_check_compares_at_the_baselines_parameters() {
         record.secs.median_s *= 1000.0; // current run is guaranteed faster
     }
     std::fs::write(&baseline_path, baseline.to_json_string()).unwrap();
+    // Only the MMPar comparison is under test: without a kernel baseline
+    // beside the sort one, spawn_overhead (two smoke-sized repetitions
+    // against the default 25 %) is not gated.
+    std::fs::remove_file(dir.join("BENCH_kernels.json")).unwrap();
     let run_dir = scratch_dir("smoke-check-params-run");
     let out = run_perf(&[
         "--smoke",

@@ -3,43 +3,13 @@
 //! Section 4 of the paper lists the tunables of the prototype: backoff
 //! intervals, the number of tasks to steal, and (for the evaluation) whether
 //! stealing is deterministic or randomized.  [`SchedulerConfig`] collects
-//! them together with the machine topology so benchmarks and ablations can
-//! sweep them.
+//! the ones that are settable together with the machine topology; the steal
+//! amount is fixed at the paper's default (`2^ℓ`, capped at half the
+//! victim's queue — `worker::steal_amount`).
 
 use std::time::Duration;
 
 use teamsteal_topology::{StealPolicy, Topology};
-
-/// How many tasks a thief transfers per successful steal (Section 4,
-/// "Number of tasks to steal").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StealAmount {
-    /// Steal `2^ℓ` tasks where `ℓ` is the level of the partner the thief
-    /// reached — the paper's default ("if we reached the ℓth partner it is
-    /// likely that all threads in the 2^ℓ block around it are running out of
-    /// tasks, so steal enough for all of them").
-    #[default]
-    TwoToLevel,
-    /// Steal half of the victim's queue (the classic balancing rule of
-    /// Algorithm 3).
-    HalfOfVictim,
-    /// Steal a single task per attempt.
-    One,
-}
-
-impl StealAmount {
-    /// Number of tasks to transfer for a victim queue of `victim_len` tasks
-    /// reached at steal level `level`.  Always at least 1 and never more than
-    /// necessary to leave the victim half of its queue.
-    pub fn amount(self, victim_len: usize, level: usize) -> usize {
-        let half = (victim_len / 2).max(1);
-        match self {
-            StealAmount::TwoToLevel => half.min(1usize << level.min(20)),
-            StealAmount::HalfOfVictim => half,
-            StealAmount::One => 1,
-        }
-    }
-}
 
 /// Configuration of a [`Scheduler`](crate::Scheduler).
 #[derive(Debug, Clone)]
@@ -51,8 +21,6 @@ pub struct SchedulerConfig {
     pub topology: Option<Topology>,
     /// Victim / partner selection policy.
     pub steal_policy: StealPolicy,
-    /// Bulk steal size policy.
-    pub steal_amount: StealAmount,
     /// Seed for the per-worker PRNGs (randomized policies and tie-breaking).
     pub seed: u64,
     /// Unproductive spin/yield rounds a worker burns before committing to an
@@ -116,7 +84,6 @@ impl Default for SchedulerConfig {
                 .unwrap_or(1),
             topology: None,
             steal_policy: StealPolicy::Deterministic,
-            steal_amount: StealAmount::TwoToLevel,
             seed: 0x7465616d_73746561, // "teamstea(l)"
             park_spin_rounds: 16,
             park_backstop: Duration::from_millis(100),
@@ -175,19 +142,6 @@ mod tests {
         assert!(c.warm_keepalive > Duration::ZERO);
         assert!(c.warm_keepalive < Duration::from_millis(100));
         assert!(c.elastic_backlog_threshold > 0);
-    }
-
-    #[test]
-    fn steal_amount_policies() {
-        // Victim with 16 tasks, thief at level 2.
-        assert_eq!(StealAmount::TwoToLevel.amount(16, 2), 4);
-        assert_eq!(StealAmount::HalfOfVictim.amount(16, 2), 8);
-        assert_eq!(StealAmount::One.amount(16, 2), 1);
-        // Tiny queues still yield one task.
-        assert_eq!(StealAmount::TwoToLevel.amount(1, 3), 1);
-        assert_eq!(StealAmount::HalfOfVictim.amount(1, 0), 1);
-        // Half-of-victim caps the 2^l rule.
-        assert_eq!(StealAmount::TwoToLevel.amount(8, 5), 4);
     }
 
     #[test]

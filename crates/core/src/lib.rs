@@ -64,7 +64,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`scheduler`] | [`Scheduler`], [`SchedulerBuilder`], [`Scope`] |
-//! | [`config`] | [`SchedulerConfig`], [`StealAmount`] |
+//! | [`config`] | [`SchedulerConfig`] |
 //! | [`task`] | the [`Job`] trait and internal task nodes |
 //! | [`cancel`] | the lock-free [`CancelCell`] claim-to-run arbiter (DESIGN.md §17) |
 //! | [`context`] | [`TaskContext`] passed to every running task |
@@ -88,7 +88,7 @@ pub mod test_support;
 mod worker;
 
 pub use cancel::CancelCell;
-pub use config::{SchedulerConfig, StealAmount};
+pub use config::SchedulerConfig;
 pub use context::TaskContext;
 pub use metrics::{MetricsSnapshot, WakeLatencyHistogram};
 pub use scheduler::{ConcurrentScope, ReclamationSnapshot, Scheduler, SchedulerBuilder, Scope};

@@ -5,6 +5,11 @@
 //! executed") is directly testable through them, the ablation benchmarks
 //! report them, and they make scheduler tests meaningful (e.g. "stealing
 //! actually happened" rather than "the result happened to be correct").
+//!
+//! The counter list is written once, in the `counters!` invocation below:
+//! it generates [`WorkerCounters`], [`MetricsSnapshot`] and everything that
+//! walks the fields, so a new counter is one line there plus its
+//! `inc()`/`add()` site in the worker.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -27,315 +32,221 @@ fn wake_latency_bucket(latency: Duration) -> usize {
         .unwrap_or(WAKE_LATENCY_BUCKETS - 1)
 }
 
-/// Relaxed event counters owned by one worker.
+/// One relaxed event counter: a statistic that publishes no other data.
 #[derive(Debug, Default)]
-pub struct WorkerCounters {
-    /// Sequential (`r = 1`) tasks executed by this worker.
-    pub tasks_executed: AtomicU64,
-    /// Team tasks in whose execution this worker participated.
-    pub team_tasks_executed: AtomicU64,
-    /// Teams formed with this worker as coordinator.
-    pub teams_formed: AtomicU64,
-    /// Team-task publications onto a *freshly built* team — the coordinator
-    /// paid the full §8 protocol (partner visits, registration, countdown)
-    /// for this task.  Together with [`team_reuses`](Self::team_reuses) this
-    /// gives the warm-reuse hit rate (DESIGN.md §15).
-    pub teams_built: AtomicU64,
-    /// Team-task publications onto a still-warm team from a previous task:
-    /// the whole build protocol was skipped — one `try_reuse` load plus the
-    /// publication seqlock write.
-    pub team_reuses: AtomicU64,
-    /// Elastic-shrink events: an executing team released its members back to
-    /// the steal loop at a barrier because injector depth / sleeper pressure
-    /// crossed the configured threshold (DESIGN.md §15).
-    pub team_shrinks: AtomicU64,
-    /// Successful registrations of this worker at a foreign coordinator
-    /// (each one is exactly one CAS — the paper's "single extra CAS").
-    pub registrations: AtomicU64,
-    /// Successful steal operations (at least one task transferred).
-    pub steals: AtomicU64,
-    /// Tasks received through stealing.
-    pub tasks_stolen: AtomicU64,
-    /// Successful steals whose victim shares the thief's hierarchy domain
-    /// (the `injector_local_pops` analogue for the steal path, DESIGN.md
-    /// §13/§15): `steals_remote / (steals_local + steals_remote)` is the
-    /// cross-domain steal share.
-    pub steals_local: AtomicU64,
-    /// Successful steals from a victim in a foreign hierarchy domain.
-    pub steals_remote: AtomicU64,
-    /// Steal rounds that visited every partner without finding anything.
-    pub failed_steal_rounds: AtomicU64,
-    /// Steals performed while helping a smaller task during coordination
-    /// (Algorithm 8, lines 21–29).
-    pub help_steals: AtomicU64,
-    /// Tasks spawned by tasks running on this worker.
-    pub tasks_spawned: AtomicU64,
-    /// CAS failures on registration structures observed by this worker.
-    pub cas_failures: AtomicU64,
-    /// Task nodes served from this worker's recycling arena instead of fresh
-    /// memory (`nodes_recycled / tasks_spawned` is the arena hit rate).
-    pub nodes_recycled: AtomicU64,
-    /// Externally injected root tasks this worker pulled from the injection
-    /// queue.
-    pub tasks_injected: AtomicU64,
-    /// Injected tasks this worker popped from its **own** domain's injector
-    /// shard (DESIGN.md §13).  `injector_remote_pops / (local + remote)` is
-    /// the remote-pop share — the locality cost of injection.
-    pub injector_local_pops: AtomicU64,
-    /// Injected tasks this worker popped from a foreign domain's shard
-    /// during the distance-ordered sweep.
-    pub injector_remote_pops: AtomicU64,
-    /// Times this worker triggered the liveness backstop (coordinator
-    /// re-announcement or member re-registration after a long unproductive
-    /// poll).  Zero in healthy runs.
-    pub liveness_resyncs: AtomicU64,
-    /// Consumed injection-queue segments this worker freed while collecting
-    /// the epoch domain at a quiescent point (DESIGN.md §11).
-    pub segments_reclaimed: AtomicU64,
-    /// Retired deque growth buffers this worker freed while collecting the
-    /// epoch domain.
-    pub buffers_reclaimed: AtomicU64,
-    /// Global epoch advances won by this worker's collection calls.
-    pub epoch_advances: AtomicU64,
-    /// Times this worker committed an eventcount park (blocked on the OS
-    /// instead of sleep-polling; DESIGN.md §12).
-    pub parks: AtomicU64,
-    /// Parks that ended through an explicit notification (a targeted claim
-    /// or a ticket movement) rather than the defensive backstop.
-    pub wakeups: AtomicU64,
-    /// Parks that ended through the backstop timeout.  (Almost) zero in
-    /// healthy runs; growth means a state change forgot its notify call.
-    pub spurious_wakes: AtomicU64,
-    /// Tasks this worker dropped without running because their deadline had
-    /// already passed when the worker picked them up (DESIGN.md §17).  The
-    /// scope countdown and completion accounting still fire exactly once.
-    pub tasks_expired: AtomicU64,
-    /// Tasks this worker dropped without running because their cancel token
-    /// was cancelled before the claim-to-run CAS (DESIGN.md §17).
-    pub tasks_cancelled: AtomicU64,
-    /// Histogram of notification-to-wake latencies for parks that were
-    /// explicitly claimed by a notifier (bucket bounds:
-    /// [`WAKE_LATENCY_BOUNDS_US`]).
-    pub wake_latency: [AtomicU64; WAKE_LATENCY_BUCKETS],
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Adds one.
+    #[inline]
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// Adds `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The current value.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// Generates the counter structs and every function that enumerates their
+/// fields from one list.  `worker` counters are incremented by the worker
+/// that owns them; `aggregate` counters exist only in snapshots (a
+/// scheduler- or service-wide source fills them in).
+macro_rules! counters {
+    (
+        worker { $( $(#[$wdoc:meta])* $w:ident, )* }
+        aggregate { $( $(#[$adoc:meta])* $a:ident, )* }
+    ) => {
+        /// Relaxed event counters owned by one worker.
+        #[derive(Debug, Default)]
+        pub struct WorkerCounters {
+            $( $(#[$wdoc])* pub $w: Counter, )*
+            /// Histogram of notification-to-wake latencies for parks that
+            /// were explicitly claimed by a notifier (bucket bounds:
+            /// [`WAKE_LATENCY_BOUNDS_US`]).
+            pub wake_latency: [Counter; WAKE_LATENCY_BUCKETS],
+        }
+
+        impl WorkerCounters {
+            /// Snapshot of this worker's counters.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $w: self.$w.get(), )*
+                    $( $a: 0, )*
+                    wake_latency: WakeLatencyHistogram {
+                        buckets: std::array::from_fn(|i| self.wake_latency[i].get()),
+                    },
+                }
+            }
+
+            /// Every counter with its field name, in declaration order.
+            #[cfg(test)]
+            fn counters(&self) -> Vec<(&'static str, &Counter)> {
+                vec![$( (stringify!($w), &self.$w), )*]
+            }
+        }
+
+        /// A point-in-time copy of the counters, either of one worker or
+        /// aggregated over the whole scheduler.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $( $(#[$wdoc])* pub $w: u64, )*
+            $( $(#[$adoc])* pub $a: u64, )*
+            /// Notification-to-wake latency histogram for claimed parks.
+            pub wake_latency: WakeLatencyHistogram,
+        }
+
+        impl MetricsSnapshot {
+            /// Every scalar counter with its field name, in declaration
+            /// order (the wake-latency histogram is not a scalar and is
+            /// not listed).
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [
+                    $( (stringify!($w), self.$w), )*
+                    $( (stringify!($a), self.$a), )*
+                ]
+                .into_iter()
+            }
+
+            /// Builds a snapshot by asking `value_of` for every scalar
+            /// counter by field name — the inverse of
+            /// [`counters`](Self::counters).  The histogram starts empty.
+            pub fn try_from_counters<E>(
+                mut value_of: impl FnMut(&'static str) -> Result<u64, E>,
+            ) -> Result<MetricsSnapshot, E> {
+                Ok(MetricsSnapshot {
+                    $( $w: value_of(stringify!($w))?, )*
+                    $( $a: value_of(stringify!($a))?, )*
+                    wake_latency: WakeLatencyHistogram::default(),
+                })
+            }
+
+            /// Field-wise `f(self, other)`, histogram buckets included.
+            fn combine(&self, other: &MetricsSnapshot, f: impl Fn(u64, u64) -> u64) -> Self {
+                MetricsSnapshot {
+                    $( $w: f(self.$w, other.$w), )*
+                    $( $a: f(self.$a, other.$a), )*
+                    wake_latency: WakeLatencyHistogram {
+                        buckets: std::array::from_fn(|i| {
+                            f(self.wake_latency.buckets[i], other.wake_latency.buckets[i])
+                        }),
+                    },
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    worker {
+        /// Sequential (`r = 1`) tasks executed.
+        tasks_executed,
+        /// Team-task executions (counted once per participating worker).
+        team_tasks_executed,
+        /// Teams formed (counted at the coordinator).
+        teams_formed,
+        /// Team-task publications onto a *freshly built* team — the
+        /// coordinator paid the full §8 protocol (partner visits,
+        /// registration, countdown) for this task.  Together with
+        /// `team_reuses` this gives the warm-reuse hit rate (DESIGN.md §15).
+        teams_built,
+        /// Team-task publications onto a still-warm team from a previous
+        /// task: the whole build protocol was skipped — one `try_reuse` load
+        /// plus the publication seqlock write.
+        team_reuses,
+        /// Elastic-shrink events: an executing team released its members
+        /// back to the steal loop at a barrier because injector depth /
+        /// sleeper pressure crossed the configured threshold (DESIGN.md §15).
+        team_shrinks,
+        /// Successful registrations at a foreign coordinator (each one is
+        /// exactly one CAS — the paper's "single extra CAS").
+        registrations,
+        /// Successful steal operations (at least one task transferred).
+        steals,
+        /// Tasks received through stealing.
+        tasks_stolen,
+        /// Successful steals whose victim shares the thief's hierarchy
+        /// domain (the `injector_local_pops` analogue for the steal path,
+        /// DESIGN.md §13/§15): `steals_remote / (steals_local +
+        /// steals_remote)` is the cross-domain steal share.
+        steals_local,
+        /// Successful steals from a victim in a foreign hierarchy domain.
+        steals_remote,
+        /// Steal rounds that visited every partner without finding anything.
+        failed_steal_rounds,
+        /// Steals performed while helping a smaller task during coordination
+        /// (Algorithm 8, lines 21–29).
+        help_steals,
+        /// Tasks spawned from running tasks.
+        tasks_spawned,
+        /// CAS failures on registration structures.
+        cas_failures,
+        /// Task nodes served from a worker's recycling arena instead of
+        /// fresh memory (`nodes_recycled / tasks_spawned` is the arena hit
+        /// rate).
+        nodes_recycled,
+        /// Externally injected root tasks pulled from the injection queue.
+        tasks_injected,
+        /// Injected tasks popped from the popping worker's **own** domain's
+        /// injector shard (DESIGN.md §13).  `injector_remote_pops / (local +
+        /// remote)` is the remote-pop share — the locality cost of injection.
+        injector_local_pops,
+        /// Injected tasks popped from a foreign domain's shard during the
+        /// distance-ordered sweep.
+        injector_remote_pops,
+        /// Liveness-backstop triggers (coordinator re-announcement or member
+        /// re-registration after a long unproductive poll).  Zero in healthy
+        /// runs.
+        liveness_resyncs,
+        /// Consumed injection-queue segments freed while collecting the
+        /// epoch domain at a quiescent point (DESIGN.md §11).
+        segments_reclaimed,
+        /// Retired deque growth buffers freed while collecting the epoch
+        /// domain.
+        buffers_reclaimed,
+        /// Global epoch advances won by collection calls.
+        epoch_advances,
+        /// Eventcount parks committed (blocked on the OS instead of
+        /// sleep-polling; DESIGN.md §12).
+        parks,
+        /// Parks that ended through an explicit notification (a targeted
+        /// claim or a ticket movement) rather than the defensive backstop.
+        wakeups,
+        /// Parks that ended through the backstop timeout.  (Almost) zero in
+        /// healthy runs; growth means a state change forgot its notify call.
+        spurious_wakes,
+        /// Tasks dropped without running because their deadline had already
+        /// passed when a worker picked them up (DESIGN.md §17).  The scope
+        /// countdown and completion accounting still fire exactly once.
+        tasks_expired,
+        /// Tasks dropped without running because their cancel token was
+        /// cancelled before the claim-to-run CAS (DESIGN.md §17).
+        tasks_cancelled,
+    }
+    aggregate {
+        /// Exhaustion-backoff episodes of external submitters waiting for a
+        /// free epoch-pin slot (filled in by the scheduler-wide aggregate,
+        /// which owns the shared pin array).
+        external_pin_waits,
+        /// Admission retries performed by the service layer's `RetryPolicy`
+        /// (filled in by the service report, like `external_pin_waits`).
+        retry_attempts,
+    }
 }
 
 impl WorkerCounters {
-    #[inline]
-    fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Increments the sequential-task counter.
-    #[inline]
-    pub fn inc_tasks_executed(&self) {
-        Self::bump(&self.tasks_executed);
-    }
-
-    /// Increments the team-task participation counter.
-    #[inline]
-    pub fn inc_team_tasks_executed(&self) {
-        Self::bump(&self.team_tasks_executed);
-    }
-
-    /// Increments the teams-formed counter.
-    #[inline]
-    pub fn inc_teams_formed(&self) {
-        Self::bump(&self.teams_formed);
-    }
-
-    /// Increments the cold-path team-publication counter.
-    #[inline]
-    pub fn inc_teams_built(&self) {
-        Self::bump(&self.teams_built);
-    }
-
-    /// Increments the warm-reuse team-publication counter.
-    #[inline]
-    pub fn inc_team_reuses(&self) {
-        Self::bump(&self.team_reuses);
-    }
-
-    /// Increments the elastic-shrink counter.
-    #[inline]
-    pub fn inc_team_shrinks(&self) {
-        Self::bump(&self.team_shrinks);
-    }
-
-    /// Increments the registration counter.
-    #[inline]
-    pub fn inc_registrations(&self) {
-        Self::bump(&self.registrations);
-    }
-
-    /// Increments the successful-steal counter.
-    #[inline]
-    pub fn inc_steals(&self) {
-        Self::bump(&self.steals);
-    }
-
-    /// Increments the same-domain steal classification counter.
-    #[inline]
-    pub fn inc_steals_local(&self) {
-        Self::bump(&self.steals_local);
-    }
-
-    /// Increments the cross-domain steal classification counter.
-    #[inline]
-    pub fn inc_steals_remote(&self) {
-        Self::bump(&self.steals_remote);
-    }
-
-    /// Increments the failed-steal-round counter.
-    #[inline]
-    pub fn inc_failed_steal_rounds(&self) {
-        Self::bump(&self.failed_steal_rounds);
-    }
-
-    /// Increments the help-steal counter.
-    #[inline]
-    pub fn inc_help_steals(&self) {
-        Self::bump(&self.help_steals);
-    }
-
-    /// Increments the spawned-task counter.
-    #[inline]
-    pub fn inc_tasks_spawned(&self) {
-        Self::bump(&self.tasks_spawned);
-    }
-
-    /// Increments the registration CAS failure counter.
-    #[inline]
-    pub fn inc_cas_failures(&self) {
-        Self::bump(&self.cas_failures);
-    }
-
-    /// Increments the recycled-node counter.
-    #[inline]
-    pub fn inc_nodes_recycled(&self) {
-        Self::bump(&self.nodes_recycled);
-    }
-
-    /// Increments the injected-task counter.
-    #[inline]
-    pub fn inc_tasks_injected(&self) {
-        Self::bump(&self.tasks_injected);
-    }
-
-    /// Increments the local-shard injector pop counter.
-    #[inline]
-    pub fn inc_injector_local_pops(&self) {
-        Self::bump(&self.injector_local_pops);
-    }
-
-    /// Increments the remote-shard injector pop counter.
-    #[inline]
-    pub fn inc_injector_remote_pops(&self) {
-        Self::bump(&self.injector_remote_pops);
-    }
-
-    /// Increments the liveness-resync counter.
-    #[inline]
-    pub fn inc_liveness_resyncs(&self) {
-        Self::bump(&self.liveness_resyncs);
-    }
-
-    /// Adds `n` to the stolen-task counter.
-    #[inline]
-    pub fn add_tasks_stolen(&self, n: u64) {
-        self.tasks_stolen.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `n` to the reclaimed-segment counter.
-    #[inline]
-    pub fn add_segments_reclaimed(&self, n: u64) {
-        self.segments_reclaimed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Adds `n` to the reclaimed-buffer counter.
-    #[inline]
-    pub fn add_buffers_reclaimed(&self, n: u64) {
-        self.buffers_reclaimed.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Increments the epoch-advance counter.
-    #[inline]
-    pub fn inc_epoch_advances(&self) {
-        Self::bump(&self.epoch_advances);
-    }
-
-    /// Increments the park counter.
-    #[inline]
-    pub fn inc_parks(&self) {
-        Self::bump(&self.parks);
-    }
-
-    /// Increments the notified-wakeup counter.
-    #[inline]
-    pub fn inc_wakeups(&self) {
-        Self::bump(&self.wakeups);
-    }
-
-    /// Increments the spurious-wake (backstop) counter.
-    #[inline]
-    pub fn inc_spurious_wakes(&self) {
-        Self::bump(&self.spurious_wakes);
-    }
-
-    /// Increments the deadline-expiry drop counter.
-    #[inline]
-    pub fn inc_tasks_expired(&self) {
-        Self::bump(&self.tasks_expired);
-    }
-
-    /// Increments the cancelled-drop counter.
-    #[inline]
-    pub fn inc_tasks_cancelled(&self) {
-        Self::bump(&self.tasks_cancelled);
-    }
-
     /// Records one notification-to-wake latency sample.
     #[inline]
     pub fn record_wake_latency(&self, latency: Duration) {
-        Self::bump(&self.wake_latency[wake_latency_bucket(latency)]);
-    }
-
-    /// Snapshot of this worker's counters.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            tasks_executed: self.tasks_executed.load(Ordering::Relaxed),
-            team_tasks_executed: self.team_tasks_executed.load(Ordering::Relaxed),
-            teams_formed: self.teams_formed.load(Ordering::Relaxed),
-            teams_built: self.teams_built.load(Ordering::Relaxed),
-            team_reuses: self.team_reuses.load(Ordering::Relaxed),
-            team_shrinks: self.team_shrinks.load(Ordering::Relaxed),
-            registrations: self.registrations.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            tasks_stolen: self.tasks_stolen.load(Ordering::Relaxed),
-            steals_local: self.steals_local.load(Ordering::Relaxed),
-            steals_remote: self.steals_remote.load(Ordering::Relaxed),
-            failed_steal_rounds: self.failed_steal_rounds.load(Ordering::Relaxed),
-            help_steals: self.help_steals.load(Ordering::Relaxed),
-            tasks_spawned: self.tasks_spawned.load(Ordering::Relaxed),
-            cas_failures: self.cas_failures.load(Ordering::Relaxed),
-            nodes_recycled: self.nodes_recycled.load(Ordering::Relaxed),
-            tasks_injected: self.tasks_injected.load(Ordering::Relaxed),
-            injector_local_pops: self.injector_local_pops.load(Ordering::Relaxed),
-            injector_remote_pops: self.injector_remote_pops.load(Ordering::Relaxed),
-            external_pin_waits: 0,
-            liveness_resyncs: self.liveness_resyncs.load(Ordering::Relaxed),
-            segments_reclaimed: self.segments_reclaimed.load(Ordering::Relaxed),
-            buffers_reclaimed: self.buffers_reclaimed.load(Ordering::Relaxed),
-            epoch_advances: self.epoch_advances.load(Ordering::Relaxed),
-            parks: self.parks.load(Ordering::Relaxed),
-            wakeups: self.wakeups.load(Ordering::Relaxed),
-            spurious_wakes: self.spurious_wakes.load(Ordering::Relaxed),
-            tasks_expired: self.tasks_expired.load(Ordering::Relaxed),
-            tasks_cancelled: self.tasks_cancelled.load(Ordering::Relaxed),
-            retry_attempts: 0,
-            wake_latency: WakeLatencyHistogram {
-                buckets: std::array::from_fn(|i| self.wake_latency[i].load(Ordering::Relaxed)),
-            },
-        }
+        self.wake_latency[wake_latency_bucket(latency)].inc();
     }
 }
 
@@ -399,82 +310,6 @@ impl WakeLatencyHistogram {
     }
 }
 
-/// A point-in-time copy of the counters, either of one worker or aggregated
-/// over the whole scheduler.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Sequential tasks executed.
-    pub tasks_executed: u64,
-    /// Team-task executions (counted once per participating worker).
-    pub team_tasks_executed: u64,
-    /// Teams formed (counted at the coordinator).
-    pub teams_formed: u64,
-    /// Team-task publications that paid the full build protocol.
-    pub teams_built: u64,
-    /// Team-task publications onto a still-warm team (build skipped).
-    pub team_reuses: u64,
-    /// Elastic-shrink events (members released at a barrier under pressure).
-    pub team_shrinks: u64,
-    /// Successful team registrations.
-    pub registrations: u64,
-    /// Successful steal operations.
-    pub steals: u64,
-    /// Tasks received through stealing.
-    pub tasks_stolen: u64,
-    /// Successful steals from a victim in the thief's own hierarchy domain.
-    pub steals_local: u64,
-    /// Successful steals from a victim in a foreign hierarchy domain.
-    pub steals_remote: u64,
-    /// Unsuccessful full steal rounds.
-    pub failed_steal_rounds: u64,
-    /// Help-steals performed during coordination.
-    pub help_steals: u64,
-    /// Tasks spawned from running tasks.
-    pub tasks_spawned: u64,
-    /// Registration CAS failures.
-    pub cas_failures: u64,
-    /// Task nodes served from a worker's recycling arena.
-    pub nodes_recycled: u64,
-    /// Root tasks pulled from the external injection queue.
-    pub tasks_injected: u64,
-    /// Injected tasks popped from the popping worker's own domain shard.
-    pub injector_local_pops: u64,
-    /// Injected tasks popped from a foreign domain's shard during the
-    /// distance-ordered sweep.
-    pub injector_remote_pops: u64,
-    /// Exhaustion-backoff episodes of external submitters waiting for a
-    /// free epoch-pin slot (always zero in per-worker snapshots; filled in
-    /// by the scheduler-wide aggregate, which owns the shared pin array).
-    pub external_pin_waits: u64,
-    /// Liveness-backstop resyncs (zero in healthy runs).
-    pub liveness_resyncs: u64,
-    /// Consumed injection-queue segments freed through the epoch domain.
-    pub segments_reclaimed: u64,
-    /// Retired deque growth buffers freed through the epoch domain.
-    pub buffers_reclaimed: u64,
-    /// Global epoch advances won by collection calls.
-    pub epoch_advances: u64,
-    /// Eventcount parks committed (DESIGN.md §12).
-    pub parks: u64,
-    /// Parks ended by an explicit notification.
-    pub wakeups: u64,
-    /// Parks ended by the defensive backstop timeout ((almost) zero in
-    /// healthy runs).
-    pub spurious_wakes: u64,
-    /// Tasks dropped without running because their deadline had passed when
-    /// a worker picked them up (DESIGN.md §17).
-    pub tasks_expired: u64,
-    /// Tasks dropped without running because their cancel token lost the
-    /// claim-to-run race (DESIGN.md §17).
-    pub tasks_cancelled: u64,
-    /// Admission retries performed by the service layer's `RetryPolicy`
-    /// (always zero in per-worker snapshots; filled in by the service
-    /// report/load-generator aggregation, like `external_pin_waits`).
-    pub retry_attempts: u64,
-    /// Notification-to-wake latency histogram for claimed parks.
-    pub wake_latency: WakeLatencyHistogram,
-}
-
 impl MetricsSnapshot {
     /// Element-wise sum of two snapshots.
     ///
@@ -488,39 +323,7 @@ impl MetricsSnapshot {
     /// assert_eq!(sum.teams_formed, 1);
     /// ```
     pub fn merge(self, other: MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            tasks_executed: self.tasks_executed + other.tasks_executed,
-            team_tasks_executed: self.team_tasks_executed + other.team_tasks_executed,
-            teams_formed: self.teams_formed + other.teams_formed,
-            teams_built: self.teams_built + other.teams_built,
-            team_reuses: self.team_reuses + other.team_reuses,
-            team_shrinks: self.team_shrinks + other.team_shrinks,
-            registrations: self.registrations + other.registrations,
-            steals: self.steals + other.steals,
-            tasks_stolen: self.tasks_stolen + other.tasks_stolen,
-            steals_local: self.steals_local + other.steals_local,
-            steals_remote: self.steals_remote + other.steals_remote,
-            failed_steal_rounds: self.failed_steal_rounds + other.failed_steal_rounds,
-            help_steals: self.help_steals + other.help_steals,
-            tasks_spawned: self.tasks_spawned + other.tasks_spawned,
-            cas_failures: self.cas_failures + other.cas_failures,
-            nodes_recycled: self.nodes_recycled + other.nodes_recycled,
-            tasks_injected: self.tasks_injected + other.tasks_injected,
-            injector_local_pops: self.injector_local_pops + other.injector_local_pops,
-            injector_remote_pops: self.injector_remote_pops + other.injector_remote_pops,
-            external_pin_waits: self.external_pin_waits + other.external_pin_waits,
-            liveness_resyncs: self.liveness_resyncs + other.liveness_resyncs,
-            segments_reclaimed: self.segments_reclaimed + other.segments_reclaimed,
-            buffers_reclaimed: self.buffers_reclaimed + other.buffers_reclaimed,
-            epoch_advances: self.epoch_advances + other.epoch_advances,
-            parks: self.parks + other.parks,
-            wakeups: self.wakeups + other.wakeups,
-            spurious_wakes: self.spurious_wakes + other.spurious_wakes,
-            tasks_expired: self.tasks_expired + other.tasks_expired,
-            tasks_cancelled: self.tasks_cancelled + other.tasks_cancelled,
-            retry_attempts: self.retry_attempts + other.retry_attempts,
-            wake_latency: self.wake_latency.merge(other.wake_latency),
-        }
+        self.combine(&other, |a, b| a + b)
     }
 
     /// Element-wise difference `self - earlier`, saturating at zero.
@@ -542,55 +345,7 @@ impl MetricsSnapshot {
     /// assert_eq!(delta.teams_formed, 1);
     /// ```
     pub fn delta_since(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            tasks_executed: self.tasks_executed.saturating_sub(earlier.tasks_executed),
-            team_tasks_executed: self
-                .team_tasks_executed
-                .saturating_sub(earlier.team_tasks_executed),
-            teams_formed: self.teams_formed.saturating_sub(earlier.teams_formed),
-            teams_built: self.teams_built.saturating_sub(earlier.teams_built),
-            team_reuses: self.team_reuses.saturating_sub(earlier.team_reuses),
-            team_shrinks: self.team_shrinks.saturating_sub(earlier.team_shrinks),
-            registrations: self.registrations.saturating_sub(earlier.registrations),
-            steals: self.steals.saturating_sub(earlier.steals),
-            tasks_stolen: self.tasks_stolen.saturating_sub(earlier.tasks_stolen),
-            steals_local: self.steals_local.saturating_sub(earlier.steals_local),
-            steals_remote: self.steals_remote.saturating_sub(earlier.steals_remote),
-            failed_steal_rounds: self
-                .failed_steal_rounds
-                .saturating_sub(earlier.failed_steal_rounds),
-            help_steals: self.help_steals.saturating_sub(earlier.help_steals),
-            tasks_spawned: self.tasks_spawned.saturating_sub(earlier.tasks_spawned),
-            cas_failures: self.cas_failures.saturating_sub(earlier.cas_failures),
-            nodes_recycled: self.nodes_recycled.saturating_sub(earlier.nodes_recycled),
-            tasks_injected: self.tasks_injected.saturating_sub(earlier.tasks_injected),
-            injector_local_pops: self
-                .injector_local_pops
-                .saturating_sub(earlier.injector_local_pops),
-            injector_remote_pops: self
-                .injector_remote_pops
-                .saturating_sub(earlier.injector_remote_pops),
-            external_pin_waits: self
-                .external_pin_waits
-                .saturating_sub(earlier.external_pin_waits),
-            liveness_resyncs: self
-                .liveness_resyncs
-                .saturating_sub(earlier.liveness_resyncs),
-            segments_reclaimed: self
-                .segments_reclaimed
-                .saturating_sub(earlier.segments_reclaimed),
-            buffers_reclaimed: self
-                .buffers_reclaimed
-                .saturating_sub(earlier.buffers_reclaimed),
-            epoch_advances: self.epoch_advances.saturating_sub(earlier.epoch_advances),
-            parks: self.parks.saturating_sub(earlier.parks),
-            wakeups: self.wakeups.saturating_sub(earlier.wakeups),
-            spurious_wakes: self.spurious_wakes.saturating_sub(earlier.spurious_wakes),
-            tasks_expired: self.tasks_expired.saturating_sub(earlier.tasks_expired),
-            tasks_cancelled: self.tasks_cancelled.saturating_sub(earlier.tasks_cancelled),
-            retry_attempts: self.retry_attempts.saturating_sub(earlier.retry_attempts),
-            wake_latency: self.wake_latency.delta_since(&earlier.wake_latency),
-        }
+        self.combine(earlier, u64::saturating_sub)
     }
 
     /// Total number of task executions (sequential + team participations).
@@ -614,10 +369,10 @@ mod tests {
     fn counters_start_at_zero_and_increment() {
         let c = WorkerCounters::default();
         assert_eq!(c.snapshot(), MetricsSnapshot::default());
-        c.inc_tasks_executed();
-        c.inc_tasks_executed();
-        c.inc_teams_formed();
-        c.add_tasks_stolen(5);
+        c.tasks_executed.inc();
+        c.tasks_executed.inc();
+        c.teams_formed.inc();
+        c.tasks_stolen.add(5);
         let s = c.snapshot();
         assert_eq!(s.tasks_executed, 2);
         assert_eq!(s.teams_formed, 1);
@@ -625,77 +380,58 @@ mod tests {
         assert_eq!(s.total_executions(), 2);
     }
 
+    /// Drives every counter of the generated list to its own value, so a
+    /// field that `snapshot`, `merge`, `delta_since` or the name/value pair
+    /// of `counters`/`try_from_counters` crossed with another would show.
     #[test]
     fn every_counter_has_a_working_incrementer() {
         let c = WorkerCounters::default();
-        c.inc_tasks_executed();
-        c.inc_team_tasks_executed();
-        c.inc_teams_formed();
-        c.inc_teams_built();
-        c.inc_team_reuses();
-        c.inc_team_shrinks();
-        c.inc_registrations();
-        c.inc_steals();
-        c.inc_steals_local();
-        c.inc_steals_remote();
-        c.inc_failed_steal_rounds();
-        c.inc_help_steals();
-        c.inc_tasks_spawned();
-        c.inc_cas_failures();
-        c.inc_nodes_recycled();
-        c.inc_tasks_injected();
-        c.inc_injector_local_pops();
-        c.inc_injector_remote_pops();
-        c.inc_liveness_resyncs();
-        c.add_tasks_stolen(1);
-        c.add_segments_reclaimed(1);
-        c.add_buffers_reclaimed(1);
-        c.inc_epoch_advances();
-        c.inc_parks();
-        c.inc_wakeups();
-        c.inc_spurious_wakes();
-        c.inc_tasks_expired();
-        c.inc_tasks_cancelled();
+        let fields = c.counters();
+        for (i, (_, counter)) in fields.iter().enumerate() {
+            counter.add(i as u64 + 1);
+        }
         c.record_wake_latency(Duration::from_micros(2));
-        let s = c.snapshot();
+        let mut s = c.snapshot();
+        // The aggregate-only counters are zero in a worker's snapshot; give
+        // them their own values for the walk below.
+        assert_eq!((s.external_pin_waits, s.retry_attempts), (0, 0));
+        s.external_pin_waits = 101;
+        s.retry_attempts = 102;
+
+        let names: Vec<&str> = s.counters().map(|(name, _)| name).collect();
+        let worker_names: Vec<&str> = fields.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names[..worker_names.len()], worker_names[..]);
+        assert_eq!(names[worker_names.len()..], ["external_pin_waits", "retry_attempts"]);
+        let mut distinct = names.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), names.len());
+        for (i, (name, value)) in s.counters().enumerate() {
+            let expected = if i < worker_names.len() { i as u64 + 1 } else { 101 + (i - worker_names.len()) as u64 };
+            assert_eq!(value, expected, "snapshot field `{name}`");
+        }
+        assert_eq!(s.tasks_executed, 1, "the list starts at the first declared field");
+        assert_eq!(s.wake_latency.buckets, [0, 1, 0, 0, 0, 0, 0, 0]);
+
+        // Rebuilding by name gives the same snapshot back.
+        let lookup = |name: &'static str| {
+            s.counters().find(|(n, _)| *n == name).map(|(_, v)| v).ok_or(name)
+        };
+        let mut rebuilt = MetricsSnapshot::try_from_counters(lookup).unwrap();
+        rebuilt.wake_latency = s.wake_latency;
+        assert_eq!(rebuilt, s);
         assert_eq!(
-            s,
-            MetricsSnapshot {
-                tasks_executed: 1,
-                team_tasks_executed: 1,
-                teams_formed: 1,
-                teams_built: 1,
-                team_reuses: 1,
-                team_shrinks: 1,
-                registrations: 1,
-                steals: 1,
-                tasks_stolen: 1,
-                steals_local: 1,
-                steals_remote: 1,
-                failed_steal_rounds: 1,
-                help_steals: 1,
-                tasks_spawned: 1,
-                cas_failures: 1,
-                nodes_recycled: 1,
-                tasks_injected: 1,
-                injector_local_pops: 1,
-                injector_remote_pops: 1,
-                external_pin_waits: 0,
-                liveness_resyncs: 1,
-                segments_reclaimed: 1,
-                buffers_reclaimed: 1,
-                epoch_advances: 1,
-                parks: 1,
-                wakeups: 1,
-                spurious_wakes: 1,
-                tasks_expired: 1,
-                tasks_cancelled: 1,
-                retry_attempts: 0,
-                wake_latency: WakeLatencyHistogram {
-                    buckets: [0, 1, 0, 0, 0, 0, 0, 0],
-                },
-            }
+            MetricsSnapshot::try_from_counters(|name| if name == "parks" { Err(name) } else { Ok(0) }),
+            Err("parks")
         );
+
+        let doubled = s.merge(s);
+        for ((name, twice), (_, once)) in doubled.counters().zip(s.counters()) {
+            assert_eq!(twice, 2 * once, "merge field `{name}`");
+        }
+        assert_eq!(doubled.wake_latency.buckets, [0, 2, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(doubled.delta_since(&s), s);
+        assert_eq!(s.delta_since(&doubled), MetricsSnapshot::default());
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::thread::JoinHandle;
 use teamsteal_topology::{StealPolicy, Topology};
 
 use crate::cancel::CancelCell;
-use crate::config::{SchedulerConfig, StealAmount};
+use crate::config::SchedulerConfig;
 use crate::context::TaskContext;
 use crate::metrics::MetricsSnapshot;
 use crate::task::{Job, JobSlot, OnceJob, ScopeState, TaskNode, TeamJob};
@@ -78,22 +78,6 @@ impl SchedulerBuilder {
     /// ```
     pub fn steal_policy(mut self, policy: StealPolicy) -> Self {
         self.config.steal_policy = policy;
-        self
-    }
-
-    /// Sets how many tasks a successful steal transfers.
-    ///
-    /// ```
-    /// use teamsteal_core::{Scheduler, StealAmount};
-    ///
-    /// let scheduler = Scheduler::builder()
-    ///     .threads(2)
-    ///     .steal_amount(StealAmount::HalfOfVictim)
-    ///     .build();
-    /// scheduler.run(|_| {});
-    /// ```
-    pub fn steal_amount(mut self, amount: StealAmount) -> Self {
-        self.config.steal_amount = amount;
         self
     }
 

@@ -24,7 +24,7 @@ use teamsteal_util::rng::{worker_rng, Xoshiro256};
 use teamsteal_util::slab::Slab;
 use teamsteal_util::{bits, Backoff, CachePadded};
 
-use crate::config::{SchedulerConfig, StealAmount};
+use crate::config::SchedulerConfig;
 use crate::context::{SpawnTarget, TaskContext};
 use crate::metrics::WorkerCounters;
 use crate::sleep::SleepController;
@@ -312,7 +312,6 @@ pub(crate) struct SchedulerShared {
     /// distance-ordered shard sweep (DESIGN.md §13).
     pub(crate) domains: Domains,
     pub(crate) steal_policy: StealPolicy,
-    pub(crate) steal_amount: StealAmount,
     /// Spin/yield rounds before a blocking site commits to a park.
     pub(crate) park_spin_rounds: u32,
     /// Defensive cap on one park (see `SchedulerConfig::park_backstop`).
@@ -357,7 +356,6 @@ impl SchedulerShared {
                 .collect(),
             topology,
             steal_policy: config.steal_policy,
-            steal_amount: config.steal_amount,
             park_spin_rounds: config.park_spin_rounds,
             park_backstop: config.park_backstop,
             warm_keepalive: config.warm_keepalive,
@@ -647,10 +645,10 @@ impl Worker {
     fn collect_epoch(&self) {
         let freed = self.shared.epoch.try_collect();
         if freed.advanced {
-            self.me().counters.inc_epoch_advances();
+            self.me().counters.epoch_advances.inc();
         }
-        self.me().counters.add_segments_reclaimed(freed.freed_segments);
-        self.me().counters.add_buffers_reclaimed(freed.freed_buffers);
+        self.me().counters.segments_reclaimed.add(freed.freed_segments);
+        self.me().counters.buffers_reclaimed.add(freed.freed_buffers);
     }
 
     /// One spin/yield round of a blocking site's pre-park prefix, with the
@@ -679,7 +677,7 @@ impl Worker {
         // Never sleep holding a scope: our last finish may have completed it,
         // and the handle keeps its state alive.
         self.leave_scope();
-        self.me().counters.inc_parks();
+        self.me().counters.parks.inc();
         self.participant.unpin();
         let reason = self
             .shared
@@ -694,14 +692,14 @@ impl Worker {
     fn record_wake(&self, reason: WakeReason) {
         match reason {
             WakeReason::Notified(latency) => {
-                self.me().counters.inc_wakeups();
+                self.me().counters.wakeups.inc();
                 self.me().counters.record_wake_latency(latency);
             }
             // The global ticket moved: a notification happened somewhere
             // while we were committing.  It woke us, so it counts as a
             // wakeup, but it carries no per-slot latency sample.
-            WakeReason::TicketChanged => self.me().counters.inc_wakeups(),
-            WakeReason::Backstop => self.me().counters.inc_spurious_wakes(),
+            WakeReason::TicketChanged => self.me().counters.wakeups.inc(),
+            WakeReason::Backstop => self.me().counters.spurious_wakes.inc(),
         }
     }
 
@@ -805,7 +803,7 @@ impl Worker {
                 idle.reset();
                 continue;
             }
-            self.me().counters.inc_failed_steal_rounds();
+            self.me().counters.failed_steal_rounds.inc();
             self.stall_report("idle/steal", &idle);
             // An idle round is the cheapest quiescent point there is:
             // collect before parking, then park unpinned so reclamation
@@ -877,7 +875,7 @@ impl Worker {
             return;
         }
         self.leave_scope();
-        self.me().counters.inc_parks();
+        self.me().counters.parks.inc();
         self.participant.unpin();
         let reason = self
             .shared
@@ -973,7 +971,7 @@ impl Worker {
             barrier: None,
         };
         Self::run_job(node, &ctx);
-        self.me().counters.inc_tasks_executed();
+        self.me().counters.tasks_executed.inc();
         self.finish_node(ptr);
     }
 
@@ -1022,7 +1020,7 @@ impl Worker {
         }
         if let Some(cell) = &node.cancel {
             if cell.is_cancelled() {
-                self.me().counters.inc_tasks_cancelled();
+                self.me().counters.tasks_cancelled.inc();
                 self.finish_node(ptr);
                 return true;
             }
@@ -1038,7 +1036,7 @@ impl Worker {
                 if let Some(cell) = &node.cancel {
                     cell.expire();
                 }
-                self.me().counters.inc_tasks_expired();
+                self.me().counters.tasks_expired.inc();
                 self.finish_node(ptr);
                 return true;
             }
@@ -1068,7 +1066,7 @@ impl Worker {
             Some(cell) if !cell.try_claim() => {
                 // A `cancel()` won between the staleness probe and the
                 // claim — the decided race resolved against running.
-                self.me().counters.inc_tasks_cancelled();
+                self.me().counters.tasks_cancelled.inc();
                 self.finish_node(ptr);
                 false
             }
@@ -1146,11 +1144,11 @@ impl Worker {
                 } else {
                     match self.me().reg.try_form_team() {
                         Some(_) => {
-                            self.me().counters.inc_teams_formed();
+                            self.me().counters.teams_formed.inc();
                             true
                         }
                         None => {
-                            self.me().counters.inc_cas_failures();
+                            self.me().counters.cas_failures.inc();
                             false
                         }
                     }
@@ -1168,12 +1166,12 @@ impl Worker {
                                     self.me().reg.try_reuse(team_size as u16),
                                     ReuseOutcome::Reused(_)
                                 ) {
-                                    self.me().counters.inc_team_reuses();
+                                    self.me().counters.team_reuses.inc();
                                 }
                             } else {
                                 // Cold path: this publication paid for a
                                 // full team build.
-                                self.me().counters.inc_teams_built();
+                                self.me().counters.teams_built.inc();
                             }
                             self.execute_team_task_as_coordinator(ptr, group.start, team_size);
                             backoff.reset();
@@ -1184,7 +1182,7 @@ impl Worker {
                             // holding) the next task with the full team.
                             if self.elastic_shrink_due(team_size) {
                                 self.me().reg.disband();
-                                self.me().counters.inc_team_shrinks();
+                                self.me().counters.team_shrinks.inc();
                                 self.notify_team_range(me, team_size);
                                 return;
                             }
@@ -1215,7 +1213,7 @@ impl Worker {
                             resyncs_fired += 1;
                             self.me().reg.disband();
                             self.me().reg.push_requirement(team_size as u16);
-                            self.me().counters.inc_liveness_resyncs();
+                            self.me().counters.liveness_resyncs.inc();
                             // Stall resync is a whole-scheduler event: wake
                             // everyone so no stale park outlives it.
                             self.shared.sleep.notify_all();
@@ -1330,7 +1328,7 @@ impl Worker {
             barrier,
         };
         Self::run_job(node, &ctx);
-        self.me().counters.inc_team_tasks_executed();
+        self.me().counters.team_tasks_executed.inc();
         self.finish_node(ptr);
         // Wait until every member has started before allowing the next
         // publication or any registration change (Algorithm 5, lines 1–4).
@@ -1440,7 +1438,7 @@ impl Worker {
                 continue;
             };
             if self.transfer_steal(x, level, level) > 0 {
-                self.me().counters.inc_steals();
+                self.me().counters.steals.inc();
                 return true;
             }
         }
@@ -1597,7 +1595,7 @@ impl Worker {
                         ReleaseOutcome::Teamed => {}
                         ReleaseOutcome::Released | ReleaseOutcome::Revoked => {
                             self.leave_coordinator();
-                            self.me().counters.inc_liveness_resyncs();
+                            self.me().counters.liveness_resyncs.inc();
                             // Stall resync: wake everyone (including the
                             // abandoned coordinator) so no stale park
                             // outlives the re-synchronization.
@@ -1688,7 +1686,7 @@ impl Worker {
             barrier,
         };
         Self::run_job(node, &ctx);
-        self.me().counters.inc_team_tasks_executed();
+        self.me().counters.team_tasks_executed.inc();
         self.finish_node(ptr);
         // A member goes back to polling its coordinator, not to the run
         // loop's "queues empty" point: if ours was the last finish, check
@@ -1777,7 +1775,7 @@ impl Worker {
     fn help_steal_from(&mut self, victim: usize, req_level: usize, steal_level: usize) -> bool {
         let moved = self.transfer_steal(victim, req_level.saturating_sub(1), steal_level);
         if moved > 0 {
-            self.me().counters.inc_help_steals();
+            self.me().counters.help_steals.inc();
             true
         } else {
             false
@@ -1852,14 +1850,14 @@ impl Worker {
                 self.registered_counter[cid] = snapshot.counter;
                 self.last_seen_seq[cid] = self.last_seen_seq[cid].max(seq0);
                 self.me().coordinator.store(cid, Ordering::Release);
-                self.me().counters.inc_registrations();
+                self.me().counters.registrations.inc();
                 // The coordinator may be parked waiting for this very
                 // acquisition (ours could complete the team).
                 self.shared.sleep.notify_worker(cid);
                 true
             }
             AcquireOutcome::Contended => {
-                self.me().counters.inc_cas_failures();
+                self.me().counters.cas_failures.inc();
                 false
             }
             AcquireOutcome::NotNeeded(_) => false,
@@ -1885,7 +1883,7 @@ impl Worker {
                 };
                 let top = self.topo().num_queue_levels() - 1;
                 if self.transfer_steal(victim, top, levels.max(1) - 1) > 0 {
-                    self.me().counters.inc_steals();
+                    self.me().counters.steals.inc();
                     return true;
                 }
             }
@@ -1914,7 +1912,7 @@ impl Worker {
             // only queues up to the partner's level are eligible; within
             // those, prefer the largest tasks (Section 4).
             if self.transfer_steal(x, level, level) > 0 {
-                self.me().counters.inc_steals();
+                self.me().counters.steals.inc();
                 return true;
             }
         }
@@ -1955,7 +1953,7 @@ impl Worker {
                     safe_top = l;
                 }
                 if self.transfer_steal(victim, safe_top, safe_top) > 0 {
-                    self.me().counters.inc_steals();
+                    self.me().counters.steals.inc();
                     return true;
                 }
             }
@@ -1963,7 +1961,7 @@ impl Worker {
         false
     }
 
-    /// Transfers up to `steal_amount` tasks from `victim`'s queues (levels
+    /// Transfers up to [`steal_amount`] tasks from `victim`'s queues (levels
     /// `0..=max_qlevel`, largest first) into our own queues, re-levelling
     /// each task for our own hierarchy position (Refinement 3).  Returns the
     /// number of tasks moved.
@@ -2007,7 +2005,7 @@ impl Worker {
             if qlevel >= 1 && len == 1 && advertised_level == Some(qlevel) {
                 continue;
             }
-            let want = self.shared.steal_amount.amount(len, amount_level);
+            let want = steal_amount(len, amount_level);
             let mut moved = 0;
             let mut retries = 0;
             while moved < want {
@@ -2032,14 +2030,14 @@ impl Worker {
                 }
             }
             if moved > 0 {
-                self.me().counters.add_tasks_stolen(moved as u64);
+                self.me().counters.tasks_stolen.add(moved as u64);
                 // Locality classification (same split the injector pops
                 // report): did this steal stay inside the thief's own
                 // hierarchy domain or cross to a remote one?
                 if self.shared.domains.domain_of(victim) == self.domain {
-                    self.me().counters.inc_steals_local();
+                    self.me().counters.steals_local.inc();
                 } else {
-                    self.me().counters.inc_steals_remote();
+                    self.me().counters.steals_remote.inc();
                 }
                 if moved > 1 {
                     // Bulk steal: surplus tasks now sit in our queue — wake
@@ -2073,9 +2071,9 @@ impl Worker {
             Some((TaskPtr(ptr), pos)) => {
                 let shard = order[pos];
                 if pos == 0 {
-                    self.me().counters.inc_injector_local_pops();
+                    self.me().counters.injector_local_pops.inc();
                 } else {
-                    self.me().counters.inc_injector_remote_pops();
+                    self.me().counters.injector_remote_pops.inc();
                 }
                 // Stale-work expiry (DESIGN.md §17): a task whose deadline
                 // passed (or whose token was cancelled) while it queued is
@@ -2106,7 +2104,7 @@ impl Worker {
                 }
                 let level = self.topo().level_for_requirement(self.id, req);
                 self.me().push_task(level, ptr);
-                self.me().counters.inc_tasks_injected();
+                self.me().counters.tasks_injected.inc();
                 if self.shared.injector.shard_len(shard) > 0 {
                     // Wake chain: the submit-side hint only wakes one worker
                     // per shard's empty→non-empty transition; each consumer
@@ -2130,6 +2128,16 @@ impl Worker {
             None => false,
         }
     }
+}
+
+/// How many tasks one successful steal transfers from a queue of
+/// `victim_len` tasks reached at steal level `level` (Section 4, "Number of
+/// tasks to steal"): `2^ℓ` — "if we reached the ℓth partner it is likely
+/// that all threads in the 2^ℓ block around it are running out of tasks, so
+/// steal enough for all of them" — but at least one and never more than half
+/// of the victim's queue.
+fn steal_amount(victim_len: usize, level: usize) -> usize {
+    (victim_len / 2).max(1).min(1usize << level.min(20))
 }
 
 impl SpawnTarget for Worker {
@@ -2163,12 +2171,12 @@ impl SpawnTarget for Worker {
             ));
         }
         if recycled {
-            me.counters.inc_nodes_recycled();
+            me.counters.nodes_recycled.inc();
         }
         let level = self.topo().level_for_requirement(self.id, requirement);
         let was_empty = me.queues[level].is_empty();
         me.push_task(level, ptr);
-        me.counters.inc_tasks_spawned();
+        me.counters.tasks_spawned.inc();
         if was_empty {
             // Spawn into an empty queue: new stealable work became visible.
             // The sleep controller makes this free when nobody sleeps or a
@@ -2204,6 +2212,16 @@ impl SpawnTarget for Worker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn steal_amount_is_two_to_level_capped_at_half_the_victim() {
+        // Victim with 16 tasks, thief at level 2.
+        assert_eq!(steal_amount(16, 2), 4);
+        // Tiny queues still yield one task.
+        assert_eq!(steal_amount(1, 3), 1);
+        // Half of the victim caps the 2^l rule.
+        assert_eq!(steal_amount(8, 5), 4);
+    }
 
     /// A coordinator that loses a conflict follows the winner — unless the
     /// winner's team filled up first.  It then still coordinates its own

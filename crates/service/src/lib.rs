@@ -50,7 +50,6 @@
 
 pub mod admission;
 pub mod gate;
-pub mod loadgen;
 pub mod retry;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

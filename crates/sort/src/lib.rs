@@ -19,9 +19,6 @@
 //!   ("MMPar"): data-parallel partitioning by a team whose size follows
 //!   `getBestNp`, then recursion with smaller teams until the fork-join
 //!   algorithm takes over.
-//! * [`sample`] — a purely task-parallel sample sort, the analogue of the
-//!   "Cilk sample" baseline, used to separate the effect of team tasks from
-//!   the effect of the sorting algorithm.
 
 #![warn(missing_docs)]
 
@@ -29,13 +26,11 @@ pub mod fork;
 mod kernel;
 pub mod mixed;
 pub mod parallel_partition;
-pub mod sample;
 pub mod seq;
 
 pub use fork::fork_join_sort;
 pub use mixed::{best_np, mixed_mode_sort};
 pub use parallel_partition::ParallelPartitioner;
-pub use sample::sample_sort;
 pub use seq::{sequential_quicksort, std_sort};
 
 /// Tunable parameters of the Quicksort implementations (Section 5,

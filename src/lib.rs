@@ -51,19 +51,18 @@
 
 pub use teamsteal_core::{
     enable_stall_debug, stall_report, ConcurrentScope, Job, MetricsSnapshot, ReclamationSnapshot,
-    Scheduler, SchedulerBuilder, SchedulerConfig, Scope, StealAmount, StealPolicy, TaskContext,
+    Scheduler, SchedulerBuilder, SchedulerConfig, Scope, StealPolicy, TaskContext,
     TeamBarrier, Topology, WakeLatencyHistogram,
 };
 pub use teamsteal_data::{is_permutation_of, is_sorted, Distribution, Scale};
 pub use teamsteal_sort::{
-    best_np, fork_join_sort, mixed_mode_sort, sample_sort, sequential_quicksort, std_sort,
+    best_np, fork_join_sort, mixed_mode_sort, sequential_quicksort, std_sort,
     ParallelPartitioner, SortConfig,
 };
 
 /// The multi-tenant task-service front-end (DESIGN.md §16): a persistent
 /// scheduler behind long-lived tenant handles with weighted-fair admission,
-/// overload shedding and graceful drain, plus the open-loop load generator
-/// behind `perf --only service_latency`.
+/// overload shedding and graceful drain.
 pub mod service {
     pub use teamsteal_service::*;
 }
