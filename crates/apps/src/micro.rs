@@ -35,8 +35,8 @@
 //! * [`team_build_mix`] — a bursty heterogeneous requirement mix (fixed-`r`
 //!   streaks, moldable ranges, sequential riders) driving the moldable-`r`
 //!   chooser, shrink-reuse and the reuse pool together; its scheduler
-//!   counter deltas (`teams_built`, `team_reuses`, `team_shrinks`) tell how
-//!   much registration traffic the pool amortized away.
+//!   counter deltas (`teams_built`, `team_reuses`) tell how much
+//!   registration traffic the pool amortized away.
 //!
 //! Every scenario validates its own execution count, so a scheduler that
 //! drops or duplicates tasks can never report a good time.
@@ -389,8 +389,8 @@ pub const MIX_STREAK: usize = 4;
 /// **moldable** `1..=r` task (the scheduler picks its effective size from
 /// current load) and one sequential rider.  The pattern exercises the
 /// moldable-`r` chooser, the shrink-reuse rule (§3.1) and the warm pool in
-/// one scope; the caller reads the `teams_built` / `team_reuses` /
-/// `team_shrinks` counter deltas for the reuse hit rate.
+/// one scope; the caller reads the `teams_built` / `team_reuses` counter
+/// deltas for the reuse hit rate.
 ///
 /// # Panics
 ///

@@ -908,8 +908,8 @@ fn sweep_team_build(opts: &Options) -> Vec<RunRecord> {
         }
         let secs = TimingSummary::from_stats(&stats);
         eprintln!(
-            "teammix | {mix_bursts:>4} bursts | p = {threads:>2} | median {:>10.6}s | built {} reused {} shrunk {}",
-            secs.median_s, metrics.teams_built, metrics.team_reuses, metrics.team_shrinks
+            "teammix | {mix_bursts:>4} bursts | p = {threads:>2} | median {:>10.6}s | built {} reused {}",
+            secs.median_s, metrics.teams_built, metrics.team_reuses
         );
         records.push(RunRecord {
             group: "team_build".into(),

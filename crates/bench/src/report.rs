@@ -973,7 +973,6 @@ mod tests {
                 spurious_wakes: 1,
                 teams_built: 3,
                 team_reuses: 7,
-                team_shrinks: 2,
                 steals_local: 13,
                 steals_remote: 4,
                 wake_latency: WakeLatencyHistogram {

@@ -2,12 +2,13 @@
 //!
 //! Section 4 of the paper lists the tunables of the prototype: backoff
 //! intervals, the number of tasks to steal, and (for the evaluation) whether
-//! stealing is deterministic or randomized.  [`SchedulerConfig`] collects
-//! the ones that are settable together with the machine topology; the steal
-//! amount is fixed at the paper's default (`2^ℓ`, capped at half the
-//! victim's queue — `worker::steal_amount`).
-
-use std::time::Duration;
+//! stealing is deterministic or randomized.  [`SchedulerConfig`] is that
+//! list — thread count, machine topology, steal policy and seed — plus the
+//! two sizes a deployment sets: the injection-shard width and the external
+//! submitter pool.  The steal amount is fixed at the paper's default (`2^ℓ`,
+//! capped at half the victim's queue — `worker::steal::steal_amount`), and
+//! the backoff intervals are constants of the parking protocol
+//! (`PARK_SPIN_ROUNDS`, `PARK_BACKSTOP`, `WARM_KEEPALIVE` in `worker`).
 
 use teamsteal_topology::{StealPolicy, Topology};
 
@@ -23,20 +24,6 @@ pub struct SchedulerConfig {
     pub steal_policy: StealPolicy,
     /// Seed for the per-worker PRNGs (randomized policies and tie-breaking).
     pub seed: u64,
-    /// Unproductive spin/yield rounds a worker burns before committing to an
-    /// eventcount park (DESIGN.md §12).  The prefix keeps short contention
-    /// windows — a steal that will succeed on the next attempt, a countdown
-    /// about to hit zero — off the parking path entirely; past it the worker
-    /// blocks on the OS and is woken in O(µs) by the responsible event.
-    pub park_spin_rounds: u32,
-    /// Defensive upper bound on one eventcount park.  The parking protocol
-    /// does not rely on it (prepare → recheck → commit makes lost wakeups
-    /// impossible); it exists so that a *missed-notification bug* degrades
-    /// into bounded latency plus a visible `spurious_wakes` count instead of
-    /// a deadlock.  Parked workers cost one predicate re-check per backstop
-    /// expiry, so even the default keeps an idle scheduler's CPU use
-    /// negligible.
-    pub park_backstop: Duration,
     /// Maximum worker count per injection-shard **domain** (DESIGN.md §13).
     /// The external injection queue is sharded per domain: the domains are
     /// the groups of the largest hierarchy level whose nominal size is at
@@ -45,25 +32,6 @@ pub struct SchedulerConfig {
     /// pre-sharding behaviour).  A width ≥ `p` forces a single shard; a
     /// width of 1 gives one shard per worker.
     pub domain_width: usize,
-    /// How long a coordinator keeps a completed team *warm* — parked as a
-    /// unit, registration word intact — while it looks for a compatible next
-    /// task (DESIGN.md §15).  During the window a consecutive task with
-    /// `r ≤` team size skips partner visits and registration entirely (one
-    /// publication write).  `Duration::ZERO` disables warm reuse: every
-    /// completed team disbands at once, the pre-moldable behaviour.  The
-    /// window is an upper bound on how long up to `r − 1` workers can sit
-    /// parked instead of thieving, so it should stay well under the
-    /// coordinator resync backstop.
-    pub warm_keepalive: Duration,
-    /// Injector-depth threshold for **elastic shrink** (DESIGN.md §15): when
-    /// a team finishes a task and the pending external backlog is at least
-    /// this many tasks (or more than one task queues up while every worker
-    /// outside the team is asleep), the coordinator disbands at that barrier
-    /// instead of keeping or reusing the team, releasing members back to the
-    /// steal loop.  A backlog of exactly one never triggers a shrink — a
-    /// single consecutive task is what the warm pool exists to serve.
-    /// `usize::MAX` disables elastic shrink.
-    pub elastic_backlog_threshold: usize,
     /// Epoch-participant slots pre-registered for threads *outside* the
     /// worker pool (DESIGN.md §11): every `Scheduler::scope` submitter
     /// borrows one slot with a single CAS around each injector access.  With
@@ -85,11 +53,7 @@ impl Default for SchedulerConfig {
             topology: None,
             steal_policy: StealPolicy::Deterministic,
             seed: 0x7465616d_73746561, // "teamstea(l)"
-            park_spin_rounds: 16,
-            park_backstop: Duration::from_millis(100),
             domain_width: 8,
-            warm_keepalive: Duration::from_micros(200),
-            elastic_backlog_threshold: 64,
             external_participants: 32,
         }
     }
@@ -137,11 +101,6 @@ mod tests {
         let c = SchedulerConfig::default();
         assert!(c.num_threads >= 1);
         assert_eq!(c.steal_policy, StealPolicy::Deterministic);
-        // Warm reuse is on by default but bounded far below the coordinator
-        // resync backstop, and elastic shrink has a sane surge threshold.
-        assert!(c.warm_keepalive > Duration::ZERO);
-        assert!(c.warm_keepalive < Duration::from_millis(100));
-        assert!(c.elastic_backlog_threshold > 0);
     }
 
     #[test]

@@ -162,10 +162,6 @@ counters! {
         /// task: the whole build protocol was skipped — one `try_reuse` load
         /// plus the publication seqlock write.
         team_reuses,
-        /// Elastic-shrink events: an executing team released its members
-        /// back to the steal loop at a barrier because injector depth /
-        /// sleeper pressure crossed the configured threshold (DESIGN.md §15).
-        team_shrinks,
         /// Successful registrations at a foreign coordinator (each one is
         /// exactly one CAS — the paper's "single extra CAS").
         registrations,

@@ -98,44 +98,6 @@ impl SchedulerBuilder {
         self
     }
 
-    /// Sets the defensive upper bound on one eventcount park (see
-    /// [`SchedulerConfig::park_backstop`]): parked workers re-check their
-    /// wait condition at least this often even if a notification were lost.
-    /// The parking protocol does not rely on it; shrink it in paranoid
-    /// deployments, grow it to make idle wake-ups even rarer.
-    ///
-    /// ```
-    /// use std::time::Duration;
-    /// use teamsteal_core::Scheduler;
-    ///
-    /// let scheduler = Scheduler::builder()
-    ///     .threads(2)
-    ///     .park_backstop(Duration::from_millis(250))
-    ///     .build();
-    /// scheduler.run(|_| {});
-    /// ```
-    pub fn park_backstop(mut self, backstop: std::time::Duration) -> Self {
-        self.config.park_backstop = backstop;
-        self
-    }
-
-    /// Sets the number of unproductive spin/yield rounds a blocking site
-    /// burns before parking (see [`SchedulerConfig::park_spin_rounds`]).
-    ///
-    /// ```
-    /// use teamsteal_core::Scheduler;
-    ///
-    /// let scheduler = Scheduler::builder()
-    ///     .threads(2)
-    ///     .park_spin_rounds(4)
-    ///     .build();
-    /// scheduler.run(|_| {});
-    /// ```
-    pub fn park_spin_rounds(mut self, rounds: u32) -> Self {
-        self.config.park_spin_rounds = rounds;
-        self
-    }
-
     /// Sets the maximum worker count per injection-shard domain (see
     /// [`SchedulerConfig::domain_width`]): the external injection queue gets
     /// one shard per hierarchy domain of at most this width.  A width ≥ the
@@ -153,46 +115,6 @@ impl SchedulerBuilder {
     /// ```
     pub fn domain_width(mut self, width: usize) -> Self {
         self.config.domain_width = width;
-        self
-    }
-
-    /// Sets how long a coordinator keeps a completed team warm for reuse by
-    /// a compatible next task (see [`SchedulerConfig::warm_keepalive`]).
-    /// `Duration::ZERO` disables warm reuse — every completed team disbands
-    /// immediately, the paper's behaviour.
-    ///
-    /// ```
-    /// use std::time::Duration;
-    /// use teamsteal_core::Scheduler;
-    ///
-    /// let scheduler = Scheduler::builder()
-    ///     .threads(2)
-    ///     .warm_keepalive(Duration::from_micros(500))
-    ///     .build();
-    /// scheduler.run(|_| {});
-    /// ```
-    pub fn warm_keepalive(mut self, keepalive: std::time::Duration) -> Self {
-        self.config.warm_keepalive = keepalive;
-        self
-    }
-
-    /// Sets the injector-backlog threshold that triggers **elastic shrink**
-    /// (see [`SchedulerConfig::elastic_backlog_threshold`]): a team whose
-    /// task completes while at least this many external tasks are pending
-    /// disbands at that barrier instead of staying warm, releasing its
-    /// members back to the steal loop.  `usize::MAX` disables the mechanism.
-    ///
-    /// ```
-    /// use teamsteal_core::Scheduler;
-    ///
-    /// let scheduler = Scheduler::builder()
-    ///     .threads(2)
-    ///     .elastic_backlog_threshold(16)
-    ///     .build();
-    /// scheduler.run(|_| {});
-    /// ```
-    pub fn elastic_backlog_threshold(mut self, threshold: usize) -> Self {
-        self.config.elastic_backlog_threshold = threshold;
         self
     }
 
@@ -249,7 +171,6 @@ impl SchedulerBuilder {
 pub struct Scheduler {
     shared: Arc<SchedulerShared>,
     threads: Vec<JoinHandle<()>>,
-    steal_policy: StealPolicy,
 }
 
 impl Scheduler {
@@ -269,11 +190,7 @@ impl Scheduler {
                 .expect("failed to spawn worker thread");
             threads.push(handle);
         }
-        Scheduler {
-            shared,
-            threads,
-            steal_policy: config.steal_policy,
-        }
+        Scheduler { shared, threads }
     }
 
     /// Creates a scheduler with default configuration and the given number of
@@ -504,7 +421,7 @@ impl Scheduler {
         // so only a *minimum* above 1 is unrunnable there.
         if requirement_min > 1 {
             assert!(
-                self.steal_policy != StealPolicy::UniformRandom,
+                self.shared.steal_policy != StealPolicy::UniformRandom,
                 "team tasks (r > 1) require a hierarchical steal policy; \
                  StealPolicy::UniformRandom supports only sequential tasks"
             );
@@ -820,11 +737,9 @@ mod tests {
     /// A scheduler whose workers were never started: whatever is submitted
     /// stays queued until the drop-time drain.
     fn unstarted(threads: usize) -> Scheduler {
-        let config = SchedulerConfig::with_threads(threads);
         Scheduler {
-            shared: SchedulerShared::new(&config),
+            shared: SchedulerShared::new(&SchedulerConfig::with_threads(threads)),
             threads: Vec::new(),
-            steal_policy: config.steal_policy,
         }
     }
 

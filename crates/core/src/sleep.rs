@@ -91,54 +91,36 @@ impl SleepController {
         searching(self.state.load(Ordering::Relaxed)) <= 1
     }
 
-    /// Step 1 of an **idle** park: the searching worker becomes a sleeper
-    /// (one RMW) and reads the eventcount ticket.  The caller must re-check
-    /// for work before [`park_idle`](Self::park_idle) and call
-    /// [`cancel_idle`](Self::cancel_idle) if the recheck fires.
-    pub(crate) fn prepare_idle(&self) -> u64 {
-        self.state
-            .fetch_add(SLEEPING_ONE.wrapping_sub(SEARCHING_ONE), Ordering::SeqCst);
+    /// What a park of `class` adds to the packed word while it lasts: an
+    /// **idle** parker was a searcher and is one again on exit (it re-enters
+    /// its steal loop); a **handshake** parker (member poll, coordinator
+    /// wait, start countdown) becomes a sleeper without having searched.
+    fn sleeper_delta(class: ParkClass) -> u64 {
+        match class {
+            ParkClass::Idle => SLEEPING_ONE.wrapping_sub(SEARCHING_ONE),
+            ParkClass::Handshake => SLEEPING_ONE,
+        }
+    }
+
+    /// Step 1 of a park: the worker becomes a sleeper (one RMW) and reads
+    /// the eventcount ticket.  The caller (`Worker::park_unless`) re-checks
+    /// its wait condition before [`park`](Self::park) and calls
+    /// [`cancel`](Self::cancel) if the recheck fires.
+    pub(crate) fn prepare(&self, class: ParkClass) -> u64 {
+        self.state.fetch_add(Self::sleeper_delta(class), Ordering::SeqCst);
         self.ec.prepare_wait()
     }
 
-    /// Aborts a prepared idle park (recheck found work): back to searching.
-    pub(crate) fn cancel_idle(&self) {
-        self.state
-            .fetch_add(SEARCHING_ONE.wrapping_sub(SLEEPING_ONE), Ordering::SeqCst);
+    /// Aborts a prepared park (the recheck found something to do).
+    pub(crate) fn cancel(&self, class: ParkClass) {
+        self.state.fetch_sub(Self::sleeper_delta(class), Ordering::SeqCst);
     }
 
-    /// Step 3 of an idle park: block.  On return the worker is a searcher
-    /// again (it re-enters its steal loop).
-    pub(crate) fn park_idle(&self, slot: usize, ticket: u64, backstop: Duration) -> WakeReason {
-        let reason = self.ec.park(slot, ticket, ParkClass::Idle, backstop);
-        self.state
-            .fetch_add(SEARCHING_ONE.wrapping_sub(SLEEPING_ONE), Ordering::SeqCst);
-        reason
-    }
-
-    /// Step 1 of a **handshake** park (member poll, coordinator wait, start
-    /// countdown): the worker becomes a sleeper without having been a
-    /// searcher.
-    pub(crate) fn prepare_handshake(&self) -> u64 {
-        self.state.fetch_add(SLEEPING_ONE, Ordering::SeqCst);
-        self.ec.prepare_wait()
-    }
-
-    /// Aborts a prepared handshake park.
-    pub(crate) fn cancel_handshake(&self) {
-        self.state.fetch_sub(SLEEPING_ONE, Ordering::SeqCst);
-    }
-
-    /// Step 3 of a handshake park: block until a targeted notification (or
-    /// the backstop).
-    pub(crate) fn park_handshake(
-        &self,
-        slot: usize,
-        ticket: u64,
-        backstop: Duration,
-    ) -> WakeReason {
-        let reason = self.ec.park(slot, ticket, ParkClass::Handshake, backstop);
-        self.state.fetch_sub(SLEEPING_ONE, Ordering::SeqCst);
+    /// Step 3 of a park: block until a notification `class` accepts (or the
+    /// backstop), then leave the sleeping state.
+    pub(crate) fn park(&self, slot: usize, ticket: u64, class: ParkClass, backstop: Duration) -> WakeReason {
+        let reason = self.ec.park(slot, ticket, class, backstop);
+        self.cancel(class);
         reason
     }
 
@@ -151,7 +133,7 @@ impl SleepController {
     /// `true` if a sleeper was claimed.
     pub(crate) fn notify_work(&self, from_searcher: bool) -> bool {
         // The fence orders the caller's work publication before the count
-        // load, pairing with the RMW+fence in `prepare_*` (module docs).
+        // load, pairing with the RMW+fence in `prepare` (module docs).
         fence(Ordering::SeqCst);
         let state = self.state.load(Ordering::Relaxed);
         if sleeping(state) == 0 || searching(state) > u64::from(from_searcher) {
@@ -180,7 +162,7 @@ impl SleepController {
     }
 
     /// `true` when any worker is parked, with the `SeqCst` fence that makes
-    /// the answer reliable against a concurrent `prepare_*` (module docs):
+    /// the answer reliable against a concurrent `prepare` (module docs):
     /// a `false` guarantees every not-yet-parked worker's recheck will see
     /// the caller's preceding state change.
     fn any_sleeper(&self) -> bool {
@@ -240,9 +222,9 @@ mod tests {
         s.start_search();
         assert_eq!((s.sleepers(), s.searchers()), (0, 1));
         assert!(s.is_last_searcher());
-        let t = s.prepare_idle();
+        let t = s.prepare(ParkClass::Idle);
         assert_eq!((s.sleepers(), s.searchers()), (1, 0));
-        s.cancel_idle();
+        s.cancel(ParkClass::Idle);
         assert_eq!((s.sleepers(), s.searchers()), (0, 1));
         s.end_search();
         assert_eq!((s.sleepers(), s.searchers()), (0, 0));
@@ -256,7 +238,7 @@ mod tests {
         assert!(!s.notify_work(false));
         // A searcher is active: the work will be found without a wake.
         s.start_search();
-        let _t = s.prepare_handshake(); // one sleeper (handshake)
+        let _t = s.prepare(ParkClass::Handshake); // one sleeper
         assert_eq!((s.sleepers(), s.searchers()), (1, 1));
         assert!(!s.notify_work(false));
         // …unless the searcher is the *caller* chaining a wake: its own
@@ -264,17 +246,20 @@ mod tests {
         // nobody here, because the only sleeper is a handshake park).
         let _ = s.notify_work(true);
         assert_eq!((s.sleepers(), s.searchers()), (1, 1));
-        s.cancel_handshake();
+        s.cancel(ParkClass::Handshake);
         s.end_search();
     }
 
     #[test]
     fn handshake_prepare_cancel_balances() {
-        let s = SleepController::new(1);
-        let _t = s.prepare_handshake();
-        assert_eq!(s.sleepers(), 1);
-        s.cancel_handshake();
-        assert_eq!(s.sleepers(), 0);
+        for class in [ParkClass::Handshake, ParkClass::Idle] {
+            let s = SleepController::new(1);
+            s.start_search();
+            let _t = s.prepare(class);
+            assert_eq!(s.sleepers(), 1, "{class:?}");
+            s.cancel(class);
+            assert_eq!((s.sleepers(), s.searchers()), (0, 1), "{class:?}");
+        }
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Model-checked tests for the moldable-team warm-reuse and elastic-shrink
-//! protocols (`DESIGN.md` §15).
+//! Model-checked tests for the moldable-team warm-reuse pool and its
+//! disband (`DESIGN.md` §15).
 //!
 //! Three properties, each explored over every interleaving:
 //!
@@ -9,7 +9,7 @@
 //!   the renewed singleton.  A half-disbanded team is unobservable because
 //!   the word is a single 64-bit load.
 //! * **Exactly-once member release, no lost wakeup** — a pooled member
-//!   parked handshake-style on the eventcount must observe an elastic
+//!   parked handshake-style on the eventcount must observe the pool's
 //!   disband on every schedule: it wakes via recheck, ticket bump, or the
 //!   slot notification, releases itself exactly once, and never sleeps
 //!   into the backstop.
@@ -49,7 +49,7 @@ fn formed_pair() -> (Arc<AtomicRegistration>, u16) {
     (word, teamed.counter)
 }
 
-/// The warm-reuse claim races a disband (shutdown or elastic shrink
+/// The warm-reuse claim races a disband (shutdown or keep-alive expiry
 /// deciding against the pool).  `Reused` must hand back the *intact*
 /// pre-disband team — same size, same renewal counter — and
 /// `Incompatible` must show the renewed singleton.  Nothing in between is
@@ -106,8 +106,8 @@ fn reuse_claim_vs_disband_is_atomic() {
     );
 }
 
-/// Elastic-shrink barrier handoff: the coordinator disbands at the
-/// barrier and pings the pooled member's eventcount slot; the member is
+/// Disband handoff (keep-alive expiry or shutdown): the coordinator
+/// disbands the pool and pings the pooled member's eventcount slot; it is
 /// parked handshake-style exactly as `member_step` leaves it.  On every
 /// interleaving the member must observe the renewal (recheck, ticket
 /// bump, or slot notify — never the backstop) and release itself exactly
@@ -154,7 +154,7 @@ fn elastic_disband_releases_the_pooled_member_exactly_once() {
             let ec = Arc::clone(&ec);
             thread::spawn(move || {
                 // The §10 disband order: renew the word first, then wake
-                // the member slots (worker.rs `notify_team_range`).
+                // the member slots (`Worker::withdraw`).
                 word.disband();
                 ec.notify_slot(1);
             })

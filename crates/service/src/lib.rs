@@ -177,7 +177,6 @@ pub struct ServiceBuilder {
     threads: Option<usize>,
     refill_rate: u64,
     high_water: usize,
-    external_participants: Option<usize>,
     drain_backstop: Duration,
     tenants: Vec<TenantConfig>,
 }
@@ -197,7 +196,6 @@ impl ServiceBuilder {
             threads: None,
             refill_rate: 100_000,
             high_water: 1 << 16,
-            external_participants: None,
             drain_backstop: Duration::from_millis(10),
             tenants: Vec::new(),
         }
@@ -222,14 +220,6 @@ impl ServiceBuilder {
     /// per-domain shards) exceeds this many queued tasks.
     pub fn high_water(mut self, tasks: usize) -> Self {
         self.high_water = tasks;
-        self
-    }
-
-    /// Overrides the automatically sized external epoch-pin pool (default:
-    /// the sum of the tenants' declared `max_concurrency`, floored at the
-    /// scheduler's own default of 32).
-    pub fn external_participants(mut self, slots: usize) -> Self {
-        self.external_participants = Some(slots);
         self
     }
 
@@ -263,13 +253,14 @@ impl ServiceBuilder {
                 t.name
             );
         }
-        let external = self.external_participants.unwrap_or_else(|| {
-            self.tenants
-                .iter()
-                .map(|t| t.max_concurrency)
-                .sum::<usize>()
-                .max(32)
-        });
+        // The external epoch-pin pool covers every tenant's declared
+        // concurrency, floored at the scheduler's own default.
+        let external = self
+            .tenants
+            .iter()
+            .map(|t| t.max_concurrency)
+            .sum::<usize>()
+            .max(32);
         let mut builder = Scheduler::builder().external_participants(external);
         if let Some(threads) = self.threads {
             builder = builder.threads(threads);

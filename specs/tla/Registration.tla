@@ -164,9 +164,9 @@ FormTeam ==
     /\ UNCHANGED <<thiefState, thiefCounter, reuseClaim>>
 
 (* disband: back to the singleton state with a bumped counter; teamed     *)
-(* thieves observe the bump and leave on their own.  Covers both the      *)
-(* keep-alive expiry and the elastic-shrink barrier disband of Section 15 *)
-(* - each is this same renewal step, differing only in trigger.           *)
+(* thieves observe the bump and leave on their own.  Covers every         *)
+(* trigger of Section 15 - keep-alive expiry, a larger next task,         *)
+(* shutdown - each is this same renewal step.                             *)
 Disband ==
     /\ word.t > 1
     /\ word.n < MaxCounter

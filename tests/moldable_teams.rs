@@ -1,13 +1,12 @@
 //! Stress tests for the moldable-team machinery (DESIGN.md §15): adaptive
 //! `r_min..=r_max` requirements mixed with fixed-`r` spawns, warm team
-//! reuse across consecutive tasks, elastic shrink under backlog, and the
-//! shutdown path draining a parked warm team.  Everything runs under the
+//! reuse across consecutive tasks, and the shutdown path draining a parked
+//! warm team.  Everything runs under the
 //! shared watchdog so a lost wakeup in the pool shows up as a loud abort
 //! with a stall report instead of a silent hang.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use teamsteal::{Scheduler, StealPolicy};
 
@@ -94,44 +93,6 @@ fn warm_streak_accounts_every_publication_and_drains_on_drop() {
     });
 }
 
-/// A deep injected backlog must trigger elastic shrink: with the
-/// threshold forced down to 2, a burst of team tasks has to produce at
-/// least one barrier-point disband, and still execute every task.
-#[test]
-fn deep_backlog_triggers_elastic_shrink() {
-    with_watchdog("deep_backlog_triggers_elastic_shrink", WATCHDOG, || {
-        let scheduler = Scheduler::builder()
-            .threads(4)
-            .elastic_backlog_threshold(2)
-            .seed(0xE1A5)
-            .build();
-        let mut rounds = 0usize;
-        loop {
-            rounds += 1;
-            let before = scheduler.metrics();
-            let hits = Arc::new(AtomicUsize::new(0));
-            scheduler.scope(|scope| {
-                // All 16 nodes are injected before any team finishes, so a
-                // completing coordinator sees backlog ≥ 2 and must shrink.
-                for _ in 0..16 {
-                    let hits = Arc::clone(&hits);
-                    scope.spawn_team(2, move |ctx| {
-                        hits.fetch_add(1, Ordering::Relaxed);
-                        ctx.barrier();
-                    });
-                }
-            });
-            assert_eq!(hits.load(Ordering::Relaxed), 2 * 16);
-            if scheduler.metrics().delta_since(&before).team_shrinks > 0 {
-                break;
-            }
-            // Single-CPU scheduling can drain the injector before any team
-            // completes; retry under the watchdog's budget.
-            assert!(rounds < 100, "deep backlog never produced an elastic shrink");
-        }
-    });
-}
-
 /// Moldable spawns on the `UniformRandom` (Randfork) baseline must
 /// collapse to `r_min`: that policy has no hierarchy to recruit teams
 /// from, so `1..=k` ranges still work and run as sequential tasks when
@@ -161,32 +122,5 @@ fn moldable_collapses_to_r_min_under_uniform_random() {
         });
         assert_eq!(runs.load(Ordering::Relaxed), 32);
         assert_eq!(scheduler.metrics().teams_formed, 0);
-    });
-}
-
-/// Disabling warm reuse (`warm_keepalive = 0`) restores the pre-moldable
-/// disband-at-once behaviour: a same-`r` streak still runs correctly but
-/// never reports a reuse.
-#[test]
-fn zero_keepalive_disables_the_warm_pool() {
-    with_watchdog("zero_keepalive_disables_the_warm_pool", WATCHDOG, || {
-        let scheduler = Scheduler::builder()
-            .threads(2)
-            .warm_keepalive(Duration::ZERO)
-            .build();
-        let before = scheduler.metrics();
-        let hits = Arc::new(AtomicUsize::new(0));
-        const ROUNDS: usize = 12;
-        for _ in 0..ROUNDS {
-            let hits = Arc::clone(&hits);
-            scheduler.run_team(2, move |ctx| {
-                hits.fetch_add(1, Ordering::Relaxed);
-                ctx.barrier();
-            });
-        }
-        assert_eq!(hits.load(Ordering::Relaxed), 2 * ROUNDS);
-        let delta = scheduler.metrics().delta_since(&before);
-        assert_eq!(delta.team_reuses, 0, "a disabled pool must never report reuse");
-        assert_eq!(delta.teams_built, ROUNDS as u64);
     });
 }

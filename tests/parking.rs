@@ -132,38 +132,6 @@ fn shutdown_wakes_parked_workers() {
     });
 }
 
-/// A scheduler with a tiny park backstop stays correct: the backstop is a
-/// defensive re-check, not a correctness mechanism, so shrinking it must
-/// only add spurious wakes, never lose work.
-#[test]
-fn tiny_backstop_only_adds_spurious_wakes() {
-    with_watchdog("tiny_backstop_only_adds_spurious_wakes", WATCHDOG, || {
-        let scheduler = Scheduler::builder()
-            .threads(4)
-            .park_backstop(Duration::from_millis(1))
-            .park_spin_rounds(0)
-            .build();
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..20 {
-            let c = Arc::clone(&counter);
-            scheduler.scope(|scope| {
-                for _ in 0..16 {
-                    let c = Arc::clone(&c);
-                    scope.spawn(move |ctx| {
-                        let child = Arc::clone(&c);
-                        ctx.spawn(move |_| {
-                            child.fetch_add(1, Ordering::Relaxed);
-                        });
-                        c.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 20 * 16 * 2);
-    });
-}
-
 /// The parking subsystem under the randomized-within-level policy: mixed
 /// team and sequential traffic with parking pauses in between.
 #[test]
