@@ -1,7 +1,5 @@
 //! The execution context handed to every running task.
 
-use std::sync::Arc;
-
 use crate::task::{Job, JobSlot, OnceJob, ScopeState, TeamJob};
 use crate::team::TeamBarrier;
 
@@ -50,7 +48,7 @@ pub struct TaskContext<'a> {
     /// This member's consecutive id within the team.
     pub(crate) local_id: usize,
     /// Barrier shared by the team for this task (absent for singleton teams).
-    pub(crate) barrier: Option<&'a Arc<TeamBarrier>>,
+    pub(crate) barrier: Option<&'a TeamBarrier>,
 }
 
 impl<'a> TaskContext<'a> {
@@ -114,7 +112,7 @@ impl<'a> TaskContext<'a> {
 
     /// The team barrier, if this execution has more than one member.
     pub fn team_barrier(&self) -> Option<&TeamBarrier> {
-        self.barrier.map(|b| &**b)
+        self.barrier
     }
 
     /// Spawns a sequential (`r = 1`) child task onto the executing worker's

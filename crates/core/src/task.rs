@@ -422,13 +422,12 @@ pub struct TaskNode {
     /// allocated until after it is released, and a scope with a counted task
     /// is kept alive by its waiter (see [`ScopeState`]).
     pub(crate) scope: *const ScopeState,
-    /// Team descriptor, written by the coordinator *before* the task is
-    /// published and read by team members *after* they observe the
-    /// publication (the publication seqlock provides the ordering).
-    pub(crate) team_base: UnsafeCell<usize>,
-    pub(crate) team_size: UnsafeCell<usize>,
-    /// Barrier shared by the team for this task, sized at publication time.
-    pub(crate) barrier: UnsafeCell<Option<Arc<TeamBarrier>>>,
+    /// Barrier shared by the team for this task.  Re-armed for the team's
+    /// size by the coordinator *before* the task is published and borrowed
+    /// by team members *after* they observe the publication (the publication
+    /// seqlock provides the ordering); the node outlives every borrower by
+    /// the `participants` count.
+    pub(crate) barrier: UnsafeCell<TeamBarrier>,
     /// Team members that have not yet finished running this task.  The last
     /// one to decrement frees the node and notifies the scope.
     pub(crate) participants: AtomicU32,
@@ -446,7 +445,7 @@ pub struct TaskNode {
     pub(crate) deadline: Option<std::time::Instant>,
 }
 
-// SAFETY: the UnsafeCell fields are written only by the coordinating worker
+// SAFETY: the UnsafeCell field is written only by the coordinating worker
 // before publication and read only after the publication is observed through
 // an acquire load; `participants` and `job` are themselves thread-safe, and
 // `home`/`free_next` are only used by the release/recycle protocol.
@@ -480,9 +479,7 @@ impl TaskNode {
             requirement,
             requirement_min,
             scope,
-            team_base: UnsafeCell::new(0),
-            team_size: UnsafeCell::new(1),
-            barrier: UnsafeCell::new(None),
+            barrier: UnsafeCell::new(TeamBarrier::new(1)),
             participants: AtomicU32::new(1),
             cancel: None,
             deadline: None,

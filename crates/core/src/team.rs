@@ -10,19 +10,31 @@
 //! the one primitive every such application needs: a reusable,
 //! sense-reversing barrier sized to the team.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
-use teamsteal_util::Backoff;
+/// Back-to-back polls of the barrier's sense word a waiter makes before it
+/// starts yielding the CPU between polls.  A poll is one load and one
+/// `pause` (well under 100 ns), so a partner that is a few microseconds
+/// behind — the 99th percentile of a dense team stream is 1–3 µs — is
+/// noticed within one poll of its arrival.  A partner later than the whole
+/// budget (~8 µs) has most likely lost its CPU, and the yields are what
+/// gives it back.  Measured at 128 and 512: the same on every cell with a
+/// core per member, and at 512 a p = 4 mix on two cores ran 1.6× slower
+/// (EXPERIMENTS.md "Team hand-offs").
+const SPIN_POLLS: u32 = 128;
 
 /// A reusable sense-reversing barrier for a fixed number of participants.
 ///
-/// The barrier spins briefly and then yields / sleeps (via
-/// [`teamsteal_util::Backoff`]), so it behaves acceptably even when the team
-/// is over-subscribed onto fewer hardware threads than members.
+/// A waiter polls at constant granularity for a bounded budget and then
+/// keeps polling with `yield_now` in between, so the barrier still makes
+/// progress when the team is over-subscribed onto fewer hardware threads
+/// than members.  It never sleeps: a timed sleep cannot be cut short by the
+/// partner's arrival, and a waiter that oversleeps makes its partner wait —
+/// and escalate — at the next barrier (DESIGN.md §3).
 #[derive(Debug)]
 pub struct TeamBarrier {
-    participants: usize,
-    remaining: AtomicUsize,
+    participants: u32,
+    remaining: AtomicU32,
     sense: AtomicBool,
 }
 
@@ -34,16 +46,24 @@ impl TeamBarrier {
     /// Panics if `participants == 0`.
     pub fn new(participants: usize) -> Self {
         assert!(participants > 0, "a barrier needs at least one participant");
+        let participants = u32::try_from(participants).expect("team size fits in 32 bits");
         TeamBarrier {
             participants,
-            remaining: AtomicUsize::new(participants),
+            remaining: AtomicU32::new(participants),
             sense: AtomicBool::new(false),
         }
     }
 
+    /// Re-sizes the barrier for a new team.  The exclusive borrow is the
+    /// proof that nobody is waiting on it: the coordinator re-arms the
+    /// barrier embedded in a task node before it publishes the node.
+    pub(crate) fn rearm(&mut self, participants: usize) {
+        *self = TeamBarrier::new(participants);
+    }
+
     /// Number of threads that must arrive before the barrier opens.
     pub fn participants(&self) -> usize {
-        self.participants
+        self.participants as usize
     }
 
     /// Blocks until all participants have called `wait`.  Returns `true` on
@@ -57,9 +77,14 @@ impl TeamBarrier {
             self.sense.store(!sense, Ordering::Release);
             true
         } else {
-            let mut backoff = Backoff::new();
+            let mut polls = 0;
             while self.sense.load(Ordering::Acquire) == sense {
-                backoff.wait();
+                if polls < SPIN_POLLS {
+                    polls += 1;
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
             }
             false
         }
@@ -69,8 +94,27 @@ impl TeamBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{with_watchdog, WATCHDOG};
     use std::sync::atomic::AtomicUsize as Counter;
     use std::sync::Arc;
+
+    /// Runs `rounds` barrier rounds on `threads` scoped threads and returns
+    /// how many `wait` calls reported themselves the round's leader.
+    fn leaders_over(barrier: &TeamBarrier, threads: usize, rounds: usize) -> usize {
+        let leaders = Counter::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..threads {
+                s.spawn(|| {
+                    for _ in 0..rounds {
+                        if barrier.wait() {
+                            leaders.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }
+                });
+            }
+        });
+        leaders.load(Ordering::SeqCst)
+    }
 
     #[test]
     fn single_participant_never_blocks() {
@@ -118,31 +162,36 @@ mod tests {
     #[test]
     fn exactly_one_leader_per_round() {
         const THREADS: usize = 3;
-        const ROUNDS: usize = 50;
-        let barrier = Arc::new(TeamBarrier::new(THREADS));
-        let leaders = Arc::new(Counter::new(0));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let barrier = Arc::clone(&barrier);
-                let leaders = Arc::clone(&leaders);
-                std::thread::spawn(move || {
-                    for _ in 0..ROUNDS {
-                        if barrier.wait() {
-                            leaders.fetch_add(1, Ordering::SeqCst);
-                        }
-                        // Second barrier so rounds cannot overlap; it too has
-                        // exactly one leader.
-                        if barrier.wait() {
-                            leaders.fetch_add(1, Ordering::SeqCst);
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        // One leader per wait-round; there are 2 * ROUNDS rounds in total.
-        assert_eq!(leaders.load(Ordering::SeqCst), 2 * ROUNDS);
+        const ROUNDS: usize = 100;
+        let barrier = TeamBarrier::new(THREADS);
+        assert_eq!(leaders_over(&barrier, THREADS, ROUNDS), ROUNDS);
+    }
+
+    /// Nothing in the barrier sleeps, so on a host with fewer cores than
+    /// waiters it is the yield phase that hands the CPU to the late arrivers.
+    #[test]
+    fn oversubscribed_waiters_make_progress_by_yielding() {
+        with_watchdog("oversubscribed_waiters_make_progress_by_yielding", WATCHDOG, || {
+            const THREADS: usize = 8;
+            const ROUNDS: usize = 2_000;
+            let barrier = TeamBarrier::new(THREADS);
+            assert_eq!(leaders_over(&barrier, THREADS, ROUNDS), ROUNDS);
+        });
+    }
+
+    /// The barrier embedded in a task node is re-armed for each team it
+    /// serves; whatever size and sense the previous team left behind, every
+    /// round has exactly one leader.
+    #[test]
+    fn rearmed_barrier_has_one_leader_per_round() {
+        with_watchdog("rearmed_barrier_has_one_leader_per_round", WATCHDOG, || {
+            const ROUNDS: usize = 101; // odd: the sense ends flipped
+            let mut barrier = TeamBarrier::new(1);
+            for team_size in [2, 4, 2] {
+                barrier.rearm(team_size);
+                assert_eq!(barrier.participants(), team_size);
+                assert_eq!(leaders_over(&barrier, team_size, ROUNDS), ROUNDS);
+            }
+        });
     }
 }

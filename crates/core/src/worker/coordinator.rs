@@ -8,7 +8,6 @@
 //! each of which also wakes the team block the change affects (§12).
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use teamsteal_registration::ReuseOutcome;
 use teamsteal_topology::StealPolicy;
@@ -19,7 +18,6 @@ use super::member::PollOutcome;
 use super::{Worker, COORDINATOR_RESYNC_AFTER, WARM_KEEPALIVE};
 use crate::context::TaskContext;
 use crate::task::TaskNode;
-use crate::team::TeamBarrier;
 
 impl Worker {
     /// The paper's `coordinateTask` (Algorithm 6), generalized to one call
@@ -187,11 +185,7 @@ impl Worker {
         // it (it came out of our own queue) and no member can see it before
         // the publication below.
         let node = unsafe { &*ptr };
-        unsafe {
-            *node.team_base.get() = base;
-            *node.team_size.get() = team_size;
-            *node.barrier.get() = Some(Arc::new(TeamBarrier::new(team_size)));
-        }
+        unsafe { (*node.barrier.get()).rearm(team_size) };
         node.participants.store(team_size as u32, Ordering::Release);
 
         self.me().publication.publish(ptr, base, team_size);
@@ -200,8 +194,8 @@ impl Worker {
         self.shared.sleep.notify_workers(base..base + team_size, me);
 
         // Run our own share of the task.
-        // SAFETY: barrier was just written by us.
-        let barrier = unsafe { (*node.barrier.get()).as_ref() };
+        // SAFETY: re-armed above; from the publication on it is only shared.
+        let barrier = Some(unsafe { &*node.barrier.get() });
         let ctx = TaskContext {
             worker: &*self,
             // SAFETY: counted until the last participant's `finish_node`,
@@ -244,12 +238,22 @@ impl Worker {
         }
     }
 
-    /// Advertises requirement `r` (`push_requirement`) and wakes the team
-    /// block: candidates may be parked idle, or polling a competing
-    /// coordinator they would switch away from.
+    /// Advertises requirement `r` (`push_requirement`) and, if that changed
+    /// the registration word, wakes the team block of the larger of the old
+    /// and the new requirement: candidates may be parked idle or polling a
+    /// competing coordinator they would switch away from, and registrants a
+    /// smaller requirement revoked may be parked polling this word.  An
+    /// unchanged word has nobody to inform — an idle candidate parked after
+    /// `work_hints_visible` read this very word, and a registrant's park
+    /// recheck compares it (§12).
     pub(super) fn announce(&self, r: usize) {
-        self.me().reg.push_requirement(r as u16);
-        self.notify_team_range(r);
+        // Only this worker writes `required`, so comparing it across the
+        // call tells exactly whether `push_requirement` changed the word.
+        let old = self.me().reg.load().required;
+        let new = self.me().reg.push_requirement(r as u16).required;
+        if new != old {
+            self.notify_team_range(old.max(new) as usize);
+        }
     }
 
     /// Dissolves the team / withdraws the requirement advertisement, if

@@ -144,9 +144,9 @@ impl Worker {
         // SAFETY: we are a counted participant (our pick-up was counted by
         // the caller), so the node cannot be freed before we finish.
         let node = unsafe { &*ptr };
-        // SAFETY: the barrier was written before publication; the seqlock
+        // SAFETY: the barrier was re-armed before publication; the seqlock
         // read ordered us after that write.
-        let barrier = unsafe { (*node.barrier.get()).as_ref() };
+        let barrier = Some(unsafe { &*node.barrier.get() });
         let ctx = TaskContext {
             worker: &*self,
             // SAFETY: counted until the last participant's `finish_node`,

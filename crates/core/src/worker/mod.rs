@@ -279,6 +279,7 @@ mod tests {
     use super::*;
     use crate::config::SchedulerConfig;
     use teamsteal_registration::{AcquireOutcome, ReleaseOutcome};
+    use teamsteal_util::eventcount::ParkClass;
 
     #[test]
     fn steal_amount_is_two_to_level_capped_at_half_the_victim() {
@@ -320,5 +321,77 @@ mod tests {
         assert_ne!(loser_reg.load().counter, advertised.counter, "registrants are revoked");
         assert_eq!(shared.workers[3].coordinator.load(Ordering::Relaxed), 0);
         assert!(winner_reg.load().is_complete());
+    }
+
+    /// One wake per change of the registration word: a repeated `announce`
+    /// of the requirement already advertised notifies nobody.
+    #[test]
+    fn announce_wakes_only_when_the_word_changes() {
+        let shared = SchedulerShared::new(&SchedulerConfig::with_threads(4));
+        let coordinator = Worker::new(0, Arc::clone(&shared));
+        let reg = &shared.workers[0].reg;
+        // Somebody is committing to a park: notifications are free (and
+        // leave the ticket alone) only while nobody sleeps.
+        shared.sleep.prepare(ParkClass::Handshake);
+        let ticket = || {
+            let ticket = shared.sleep.prepare(ParkClass::Handshake);
+            shared.sleep.cancel(ParkClass::Handshake);
+            ticket
+        };
+
+        let idle = ticket();
+        coordinator.announce(2);
+        let first = ticket();
+        assert_ne!(first, idle, "the first advertisement wakes its block");
+        coordinator.announce(2);
+        assert_eq!(ticket(), first, "the same requirement again changes nothing");
+        // A registration in between changes `a`, not what is advertised.
+        assert!(matches!(reg.try_acquire(2), AcquireOutcome::Registered(_)));
+        coordinator.announce(2);
+        assert_eq!(ticket(), first);
+
+        coordinator.announce(4);
+        let grown = ticket();
+        assert_ne!(grown, first, "a larger requirement is news to the larger block");
+        assert_eq!(reg.load().required, 4);
+        coordinator.announce(2);
+        assert_ne!(ticket(), grown, "a smaller one revokes registrants: they must hear of it");
+        assert_eq!(reg.load().required, 2);
+    }
+
+    /// The audit behind DESIGN.md §12's `try_release` row: a member that
+    /// switches away lowers the old coordinator's `a` and wakes nobody.  An
+    /// advertisement reads complete only when every other worker of its
+    /// block is registered with it, so after the release the one worker of
+    /// the block that could register again is the releaser itself — which is
+    /// running.  No candidate can be asleep at that point.
+    #[test]
+    fn a_released_slot_has_no_sleeping_candidate() {
+        let shared = SchedulerShared::new(&SchedulerConfig::with_threads(4));
+        let old = &shared.workers[0].reg;
+        old.push_requirement(4);
+        let mut members: Vec<Worker> = (1..4)
+            .map(|id| Worker::new(id, Arc::clone(&shared)))
+            .collect();
+        for member in &mut members {
+            assert!(!old.load().is_complete());
+            assert!(member.try_register_with(0));
+        }
+        assert!(old.load().is_complete());
+        let unregistered = || -> Vec<usize> {
+            (1..4)
+                .filter(|&w| shared.workers[w].coordinator.load(Ordering::Relaxed) != 0)
+                .collect()
+        };
+        assert!(unregistered().is_empty(), "complete means the whole block is registered");
+
+        // Worker 2 advertises a smaller (winning) requirement that needs
+        // worker 3, which follows it.
+        shared.workers[2].reg.push_requirement(2);
+        let switcher = &mut members[2];
+        assert_eq!(switcher.id, 3);
+        assert!(switcher.switch_coordinator(0, 2));
+        assert!(!old.load().is_complete(), "the old advertisement needs a thread again");
+        assert_eq!(unregistered(), vec![3], "and only the (running) releaser could give it one");
     }
 }

@@ -61,8 +61,21 @@ impl Worker {
             let Some(x) = self.partner_at(level) else {
                 continue;
             };
-            // Team-building opportunity: does the partner's *coordinator*
-            // need us for its task (Algorithm 7, line 6)?
+            // Smaller tasks first.  Refinement 1 forbids stealing tasks for
+            // whose team both of us would be required, so only queues up to
+            // the partner's level are eligible; within those, prefer the
+            // largest tasks (Section 4).  paper: Algorithm 7 looks at the
+            // coordinator's requirement before it steals; but a coordinator
+            // does not form its team while smaller tasks are queued (Lemma
+            // 1), so a thief that registered beside them would wait for work
+            // it can do itself (DESIGN.md §5).
+            if self.transfer_steal(x, level, level) > 0 {
+                self.me().counters.steals.inc();
+                return true;
+            }
+            // Nothing to take — team-building opportunity: does the
+            // partner's *coordinator* need us for its task (Algorithm 7,
+            // line 6)?
             let xcid = self.shared.workers[x].coordinator.load(Ordering::Acquire);
             if xcid != self.id {
                 let xcreg = self.shared.workers[xcid].reg.load();
@@ -74,14 +87,6 @@ impl Worker {
                 {
                     return true;
                 }
-            }
-            // Otherwise steal from the partner.  Refinement 1 forbids
-            // stealing tasks for whose team both of us would be required, so
-            // only queues up to the partner's level are eligible; within
-            // those, prefer the largest tasks (Section 4).
-            if self.transfer_steal(x, level, level) > 0 {
-                self.me().counters.steals.inc();
-                return true;
             }
         }
         // Every partner came up empty: fall back to a full victim scan in

@@ -36,7 +36,7 @@ const YIELD_LIMIT: u32 = 10;
 /// let mut backoff = Backoff::new();
 /// for _ in 0..4 {
 ///     // ... some CAS failed / nothing to steal ...
-///     backoff.wait();
+///     backoff.spin_light();
 /// }
 /// assert!(backoff.rounds() >= 4);
 /// backoff.reset();
@@ -137,25 +137,10 @@ impl Backoff {
     }
 
     /// Performs one backoff round: spins, yields or sleeps depending on how
-    /// many unproductive rounds have already happened.
-    pub fn wait(&mut self) {
-        self.touch();
-        if self.rounds <= SPIN_LIMIT {
-            for _ in 0..(1u32 << self.rounds) {
-                core::hint::spin_loop();
-            }
-        } else if self.rounds <= SPIN_LIMIT + YIELD_LIMIT {
-            shim_thread::yield_now();
-        } else {
-            shim_thread::sleep(self.sleep);
-            self.sleep = (self.sleep * 2).min(MAX_SLEEP);
-        }
-        self.rounds = self.rounds.saturating_add(1);
-    }
-
-    /// Like [`wait`](Backoff::wait), but the timed sleeping phase is capped at
-    /// `cap` instead of [`MAX_SLEEP`].  Used where wake-up latency matters
-    /// more than CPU frugality (e.g. the external-submitter pin-slot wait).
+    /// many unproductive rounds have already happened, with the timed
+    /// sleeping phase capped at `cap` instead of [`MAX_SLEEP`].  Used where
+    /// wake-up latency matters more than CPU frugality (the
+    /// external-submitter pin-slot wait).
     ///
     /// A cap below [`INITIAL_SLEEP`] degrades the sleeping phase to
     /// `yield_now` instead of `thread::sleep`: sleeping for a sub-microsecond
@@ -216,15 +201,6 @@ mod tests {
         assert_eq!(b.rounds(), 0);
         assert!(!b.is_yielding());
         assert!(!b.is_saturated());
-    }
-
-    #[test]
-    fn escalates_to_yield_phase() {
-        let mut b = Backoff::new();
-        for _ in 0..=SPIN_LIMIT {
-            b.wait();
-        }
-        assert!(b.is_yielding());
     }
 
     #[test]
