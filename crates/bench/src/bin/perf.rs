@@ -10,7 +10,7 @@
 //!   --smoke            tiny sizes and minimal repetitions (CI guard)
 //!   --size N           sort / kernel work budget in elements (default 1<<19)
 //!   --threads LIST     comma-separated thread counts (default 1,2,4)
-//!   --reps N           timed repetitions per scenario (default 5)
+//!   --reps N           timed repetitions per scenario (default 9)
 //!   --warmups N        untimed warmup runs per scenario (default 1)
 //!   --seed N           input seed (default 42)
 //!   --out-dir PATH     where the BENCH_*.json files are written (default .)
@@ -104,7 +104,7 @@ impl Default for Options {
             smoke: false,
             size: 1 << 19,
             threads: vec![1, 2, 4],
-            reps: 5,
+            reps: 9,
             warmups: 1,
             seed: 42,
             out_dir: PathBuf::from("."),
@@ -127,7 +127,7 @@ fn help() -> String {
   --smoke            tiny sizes and minimal repetitions (CI guard)
   --size N           sort / kernel work budget in elements (default 524288)
   --threads LIST     comma-separated thread counts (default 1,2,4)
-  --reps N           timed repetitions per scenario (default 5)
+  --reps N           timed repetitions per scenario (default 9)
   --warmups N        untimed warmup runs per scenario (default 1)
   --seed N           input seed (default 42)
   --out-dir PATH     output directory (default .)
@@ -263,34 +263,42 @@ fn new_report(opts: &Options, group: &str, records: Vec<RunRecord>) -> Report {
     report
 }
 
-/// Runs `warmups` untimed and `reps` timed repetitions of one sort scenario
-/// and folds them into a record.
-fn sort_cell(
+/// Runs `warmups` untimed and `reps` timed repetitions of every variant in
+/// `variants` on one input and returns their statistics in the same order.
+/// The repetitions are interleaved — repetition `i` of every variant before
+/// repetition `i + 1` of any — so a drift of the host (frequency, a noisy
+/// neighbour) falls on all variants alike and their medians compare.
+fn sort_cells(
     runner: &mut VariantRunner,
-    variant: Variant,
+    variants: &[Variant],
     distribution: Distribution,
     input: &[u32],
     opts: &Options,
     threads: usize,
-) -> (RunStats, MetricsSnapshot) {
+) -> Vec<(RunStats, MetricsSnapshot)> {
     for _ in 0..opts.warmups {
-        runner.measure(variant, input);
+        for &variant in variants {
+            runner.measure(variant, input);
+        }
     }
-    let mut stats = RunStats::new();
-    let mut metrics = MetricsSnapshot::default();
+    let mut cells = vec![(RunStats::new(), MetricsSnapshot::default()); variants.len()];
     for _ in 0..opts.reps {
-        let m = runner.measure(variant, input);
-        stats.record(m.duration);
-        metrics = metrics.merge(m.metrics);
+        for (&variant, (stats, metrics)) in variants.iter().zip(&mut cells) {
+            let m = runner.measure(variant, input);
+            stats.record(m.duration);
+            *metrics = metrics.merge(m.metrics);
+        }
     }
-    eprintln!(
-        "sort    | {:<9} | {:<8} | p = {:>2} | median {:>10.6}s",
-        distribution.label(),
-        variant.label(),
-        threads,
-        stats.median().as_secs_f64()
-    );
-    (stats, metrics)
+    for (variant, (stats, _)) in variants.iter().zip(&cells) {
+        eprintln!(
+            "sort    | {:<9} | {:<8} | p = {:>2} | median {:>10.6}s",
+            distribution.label(),
+            variant.label(),
+            threads,
+            stats.median().as_secs_f64()
+        );
+    }
+    cells
 }
 
 fn sort_record(
@@ -338,21 +346,12 @@ fn sweep_sorts(opts: &Options) -> Vec<RunRecord> {
     // Sequential variants, measured once per distribution.
     let mut seq_runner = VariantRunner::new(1, config.clone());
     for (distribution, input) in &inputs {
-        for variant in SORT_SEQUENTIAL {
-            let (stats, metrics) =
-                sort_cell(&mut seq_runner, variant, *distribution, input, opts, 1);
+        let cells = sort_cells(&mut seq_runner, &SORT_SEQUENTIAL, *distribution, input, opts, 1);
+        for (variant, (stats, metrics)) in SORT_SEQUENTIAL.into_iter().zip(cells) {
             if variant == Variant::SeqStd {
                 seq_medians.insert(distribution.label(), stats.median().as_secs_f64());
             }
-            records.push(sort_record(
-                variant,
-                *distribution,
-                opts,
-                1,
-                &stats,
-                metrics,
-                None,
-            ));
+            records.push(sort_record(variant, *distribution, opts, 1, &stats, metrics, None));
         }
     }
 
@@ -362,10 +361,20 @@ fn sweep_sorts(opts: &Options) -> Vec<RunRecord> {
         let mut runner = VariantRunner::new(threads, config.clone());
         for (distribution, input) in &inputs {
             let seq_reference_s = seq_medians.get(distribution.label()).copied();
-            for variant in SORT_PARALLEL {
-                let (stats, metrics) =
-                    sort_cell(&mut runner, variant, *distribution, input, opts, threads);
-                records.push(sort_record(
+            let cells = sort_cells(&mut runner, &SORT_PARALLEL, *distribution, input, opts, threads);
+            // The paper's claim per cell: Fork's median over MMPar's, from
+            // the same interleaved repetitions (> 1: MMPar is faster).
+            let median_of = |variant: Variant| {
+                let at = SORT_PARALLEL.iter().position(|&v| v == variant);
+                cells[at.expect("a parallel variant")].0.median().as_secs_f64()
+            };
+            let mmpar_vs_fork = median_of(Variant::Fork) / median_of(Variant::MmPar);
+            eprintln!(
+                "sort    | {:<9} | p = {threads:>2} | mmpar_vs_fork {mmpar_vs_fork:.2}",
+                distribution.label()
+            );
+            for (variant, (stats, metrics)) in SORT_PARALLEL.into_iter().zip(cells) {
+                let mut record = sort_record(
                     variant,
                     *distribution,
                     opts,
@@ -373,7 +382,14 @@ fn sweep_sorts(opts: &Options) -> Vec<RunRecord> {
                     &stats,
                     metrics,
                     seq_reference_s,
-                ));
+                );
+                if variant == Variant::MmPar {
+                    record.extra = Some(JsonValue::Object(vec![(
+                        "mmpar_vs_fork".into(),
+                        JsonValue::Number(mmpar_vs_fork),
+                    )]));
+                }
+                records.push(record);
             }
         }
     }
@@ -977,7 +993,9 @@ fn check_pass_report(baseline: &Report, opts: &Options) -> Result<Report, String
             .or_insert_with(|| VariantRunner::new(threads, config.clone()));
         let sized_opts = Options { size, seed, ..opts.clone() };
         let (stats, metrics) =
-            sort_cell(runner, Variant::MmPar, distribution, input, &sized_opts, threads);
+            sort_cells(runner, &[Variant::MmPar], distribution, input, &sized_opts, threads)
+                .pop()
+                .expect("one cell per variant");
         records.push(sort_record(
             Variant::MmPar,
             distribution,

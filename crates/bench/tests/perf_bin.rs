@@ -102,8 +102,20 @@ fn smoke_run_writes_complete_parseable_reports() {
         assert!(record.secs.median_s > 0.0, "{} has zero median", record.name);
         // Parallel variants carry a speedup against the Seq/STL reference,
         // unless this host has fewer cores than the cell has threads.
+        // MMPar also carries Fork's median over its own, both taken from the
+        // same interleaved repetitions.
         if record.name == "MMPar" {
             assert_eq!(record.speedup_vs_seq.is_some(), !sort.oversubscribed(record));
+            let fork = sort.records.iter().find(|r| {
+                r.name == "Fork"
+                    && r.distribution == record.distribution
+                    && r.threads == record.threads
+            });
+            let expected = fork.expect("a Fork record per MMPar cell").secs.median_s
+                / record.secs.median_s;
+            let ratio = record.extra.as_ref().and_then(|e| e.get("mmpar_vs_fork"));
+            let ratio = ratio.and_then(|v| v.as_f64()).expect("MMPar record has mmpar_vs_fork");
+            assert!((ratio - expected).abs() <= 1e-9 * expected, "{ratio} vs {expected}");
         }
     }
     // The scheduler-backed variants must carry scheduler metrics; the

@@ -17,8 +17,8 @@
 //!   every partition above, sequential or by a team.
 //! * [`mixed`] — the mixed-mode parallel Quicksort of Algorithm 11
 //!   ("MMPar"): data-parallel partitioning by a team whose size follows
-//!   `getBestNp`, then recursion with smaller teams until the fork-join
-//!   algorithm takes over.
+//!   `getBestNp` capped by the subrange's share of the machine, then
+//!   recursion with smaller teams until the fork-join algorithm takes over.
 
 #![warn(missing_docs)]
 
@@ -45,7 +45,11 @@ pub struct SortConfig {
     pub block_size: usize,
     /// Minimum number of blocks each team member should get on average; the
     /// team size chosen by [`best_np`] is the largest power of two that keeps
-    /// this bound (the paper discusses 16–128 blocks per thread).
+    /// this bound (the paper discusses 16–128 blocks per thread).  Below the
+    /// root of a sort [`mixed_mode_sort`] additionally never gives a
+    /// subrange of `len` of the root's `N` elements more than its share
+    /// `p · len / N` of the `p` threads, rounded down to a power of two
+    /// ([`mixed`] module docs).
     pub min_blocks_per_thread: usize,
 }
 

@@ -1,21 +1,31 @@
 //! Mixed-mode parallel Quicksort — the paper's Algorithm 11 ("MMPar").
 //!
 //! ```text
-//! mmqsort(data, n):
+//! mmqsort(data, n):                                     // N = the root's n
 //!     if np = 1: return qsort(data, n)                  // Algorithm 10
 //!     pivot <- parallel_partition(data, n)              // team task
 //!     if localId = 0:
-//!         async(getBestNp(pivot))       mmqsort(data, pivot)
-//!         async(getBestNp(n - pivot-1)) mmqsort(data + pivot + 1, n - pivot - 1)
+//!         async(width(pivot))       mmqsort(data, pivot)
+//!         async(width(n - pivot-1)) mmqsort(data + pivot + 1, n - pivot - 1)
 //!         sync
+//!
+//! width(len) = min(getBestNp(len), prev_pow2(max(1, p * len / N)))
 //! ```
 //!
-//! The partitioning step is a data-parallel task executed by a team of
-//! `np = getBestNp(n)` threads built by the scheduler; the recursion spawns
-//! smaller teams (only powers of two, as in the paper) until [`best_np`]
-//! returns 1, at which point the classic fork-join Quicksort
-//! ([`crate::fork`]) takes over.  There is no separate `sync`: the scheduler
-//! scope that submitted the root task detects global completion.
+//! The partitioning step is a data-parallel task executed by a team of `np`
+//! threads built by the scheduler; the recursion spawns smaller teams (only
+//! powers of two, as in the paper) until the width is 1, at which point the
+//! classic fork-join Quicksort ([`crate::fork`]) takes over.  There is no
+//! separate `sync`: the scheduler scope that submitted the root task detects
+//! global completion.
+//!
+//! The width deviates from the paper, whose `getBestNp` looks at `len` alone:
+//! a subrange also never gets a team wider than its share `p * len / N` of the
+//! machine (rounded down — a child wider than its share can only form by
+//! taking a worker away from its sibling).  The root still gets
+//! `getBestNp(N)`; below it the teams of one level together cover the machine
+//! and run side by side instead of queueing for it, and at `p = 2` everything
+//! below the root is Algorithm 10's task (DESIGN.md §5, "Share cap").
 
 use std::sync::Arc;
 
@@ -48,6 +58,17 @@ pub fn best_np(n: usize, num_threads: usize, config: &SortConfig) -> usize {
     }
 }
 
+/// Team width for the partitioning step of a `len`-element subrange of a sort
+/// whose root holds `root_len` elements: [`best_np`], capped by the subrange's
+/// share `num_threads * len / root_len` of the machine rounded down to a power
+/// of two (at least 1).  The root itself gets `best_np(root_len)`.
+fn team_width(len: usize, root_len: usize, num_threads: usize, config: &SortConfig) -> usize {
+    // u128: the product cannot overflow on any target.
+    let share = num_threads as u128 * len as u128 / root_len.max(1) as u128;
+    let share = usize::try_from(share).unwrap_or(usize::MAX);
+    best_np(len, num_threads, config).min(prev_pow2(share.max(1)))
+}
+
 /// Sorts `data` with the mixed-mode parallel Quicksort (Algorithm 11) on the
 /// given scheduler.  Blocks until the array is fully sorted.
 pub fn mixed_mode_sort(scheduler: &Scheduler, data: &mut [u32], config: &SortConfig) {
@@ -58,19 +79,19 @@ pub fn mixed_mode_sort(scheduler: &Scheduler, data: &mut [u32], config: &SortCon
     let ptr = SendMutPtr::from_slice(data);
     let config = Arc::new(config.clone());
     let p = scheduler.num_threads();
-    let np = best_np(n, p, &config);
+    let np = team_width(n, n, p, &config);
     scheduler.scope(|scope| {
         if np <= 1 {
             let config = Arc::clone(&config);
             scope.spawn(move |ctx| sort_task(ctx, ptr, n, &config));
         } else {
-            scope.spawn_team(np, mm_task(ptr, n, p, Arc::clone(&config)));
+            scope.spawn_team(np, mm_task(ptr, n, n, p, Arc::clone(&config)));
         }
     });
 }
 
 /// Builds the team-task closure for one mixed-mode recursion step over
-/// `ptr[0 .. n]`.
+/// `ptr[0 .. n]` of a sort whose root holds `root_len` elements.
 ///
 /// The pivot is chosen (median of three) by the spawner, which at that point
 /// has exclusive access to the subrange; the per-step
@@ -79,6 +100,7 @@ pub fn mixed_mode_sort(scheduler: &Scheduler, data: &mut [u32], config: &SortCon
 fn mm_task(
     ptr: SendMutPtr<u32>,
     n: usize,
+    root_len: usize,
     num_threads: usize,
     config: Arc<SortConfig>,
 ) -> impl Fn(&TaskContext<'_>) + Send + Sync + 'static {
@@ -100,34 +122,42 @@ fn mm_task(
             // done with phase 1 (the partitioner's barriers ensure that).
             let data = unsafe { ptr.slice_mut(n) };
             let lt = partition_by(data, |x| x < pivot);
-            spawn_recursive(ctx, ptr, lt, &config);
+            spawn_recursive(ctx, ptr, lt, root_len, &config);
         } else {
-            spawn_recursive(ctx, ptr, split, &config);
+            spawn_recursive(ctx, ptr, split, root_len, &config);
             // SAFETY: split <= n, offset stays inside the allocation.
             let right = unsafe { ptr.add(split) };
-            spawn_recursive(ctx, right, n - split, &config);
+            spawn_recursive(ctx, right, n - split, root_len, &config);
         }
     }
 }
 
 /// Spawns the sort of one subrange, choosing between another mixed-mode team
-/// task and the fork-join Quicksort based on [`best_np`].
-fn spawn_recursive(ctx: &TaskContext<'_>, ptr: SendMutPtr<u32>, len: usize, config: &Arc<SortConfig>) {
+/// task and the fork-join Quicksort based on [`team_width`].
+fn spawn_recursive(
+    ctx: &TaskContext<'_>,
+    ptr: SendMutPtr<u32>,
+    len: usize,
+    root_len: usize,
+    config: &Arc<SortConfig>,
+) {
     if len <= 1 {
         return;
     }
-    let np = best_np(len, ctx.num_threads(), config);
+    let p = ctx.num_threads();
+    let np = team_width(len, root_len, p, config);
     if np <= 1 {
         let config = Arc::clone(config);
         ctx.spawn(move |ctx| sort_task(ctx, ptr, len, &config));
     } else {
-        ctx.spawn_team(np, mm_task(ptr, len, ctx.num_threads(), Arc::clone(config)));
+        ctx.spawn_team(np, mm_task(ptr, len, root_len, p, Arc::clone(config)));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use teamsteal_core::test_support::{with_watchdog, WATCHDOG};
     use teamsteal_core::StealPolicy;
     use teamsteal_data::{is_permutation_of, is_sorted, Distribution};
@@ -153,6 +183,84 @@ mod tests {
         let paper = SortConfig::paper();
         assert_eq!(best_np(10_000_000, 8, &paper), 8);
         assert_eq!(best_np(1_000_000, 8, &paper), 1);
+    }
+
+    /// A configuration whose `best_np` floor (one element per member) never
+    /// binds, so the tables below read the share cap alone.
+    const NO_FLOOR: SortConfig = SortConfig {
+        cutoff: 512,
+        block_size: 1,
+        min_blocks_per_thread: 1,
+    };
+
+    #[test]
+    fn team_width_is_the_floor_of_the_share() {
+        const N: usize = 1 << 22;
+        let width = |len, p| team_width(len, N, p, &NO_FLOOR);
+        for p in [2usize, 4, 6, 32] {
+            assert_eq!(width(N, p), best_np(N, p, &NO_FLOOR), "root at p = {p}");
+            // Anything under N / p is Fork's task.
+            assert_eq!(width(N / p - 1, p), 1, "p = {p}");
+            assert_eq!(width(N / p / 3, p), 1, "p = {p}");
+        }
+        // p = 2: the root gets the team, nothing below it does.
+        assert_eq!(width(N / 2, 2), 1);
+        assert_eq!(width(N - 1, 2), 1);
+        // Floor, never round up: 4.8 -> 4 and 3.2 -> 2 members.
+        assert_eq!(width(N / 10 * 6, 8), 4);
+        assert_eq!(width(N / 10 * 4, 8), 2);
+        // p = 6: shares 3 and 2.99 -> 2; p = 32: the root's two halves get 16.
+        assert_eq!(width(N / 2, 6), 2);
+        assert_eq!(width(N / 2, 32), 16);
+        assert_eq!(width(N / 2 - 1, 32), 8);
+        // The paper's floor still applies below the cap.
+        let cfg = SortConfig::default();
+        assert_eq!(team_width(1 << 20, 1 << 20, 128, &cfg), 64);
+        assert_eq!(team_width(1 << 15, 1 << 16, 8, &cfg), 2);
+        assert_eq!(team_width(1 << 14, 1 << 16, 8, &cfg), 1);
+        // Degenerate arguments stay in range.
+        assert_eq!(team_width(0, 0, 4, &cfg), 1);
+        let top_bit = 1 << (usize::BITS - 1);
+        assert_eq!(team_width(usize::MAX, usize::MAX, usize::MAX, &NO_FLOOR), top_bit);
+    }
+
+    proptest! {
+        #[test]
+        fn team_width_is_a_capped_monotone_power_of_two(
+            root_len in 1usize..(1 << 24),
+            a in 0usize..(1 << 24),
+            b in 0usize..(1 << 24),
+            p in 1usize..70,
+            floor in any::<bool>(),
+        ) {
+            let config = if floor { SortConfig::default() } else { NO_FLOOR };
+            let (a, b) = (a % (root_len + 1), b % (root_len + 1));
+            let (lo, hi) = (a.min(b), a.max(b));
+            let w_lo = team_width(lo, root_len, p, &config);
+            let w_hi = team_width(hi, root_len, p, &config);
+            prop_assert!(w_lo.is_power_of_two() && w_hi.is_power_of_two());
+            prop_assert!(w_lo <= w_hi, "not monotone: {lo} -> {w_lo}, {hi} -> {w_hi}");
+            prop_assert!(w_hi <= best_np(hi, p, &config));
+        }
+
+        /// However the recursion cuts the root, the teams of one level never
+        /// ask for more workers than the machine has.
+        #[test]
+        fn teams_of_any_split_fit_the_machine(
+            root_len in 1usize..(1 << 24),
+            cuts in proptest::collection::vec(any::<usize>(), 0..12),
+            p in 1usize..70,
+        ) {
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (root_len + 1)).collect();
+            cuts.extend([0, root_len]);
+            cuts.sort_unstable();
+            let team_members: usize = cuts
+                .windows(2)
+                .map(|w| team_width(w[1] - w[0], root_len, p, &NO_FLOOR))
+                .filter(|&width| width > 1)
+                .sum();
+            prop_assert!(team_members <= p, "{team_members} members on {p} threads");
+        }
     }
 
     fn check_mm_sort(scheduler: &Scheduler, n: usize, config: &SortConfig, seed: u64) {

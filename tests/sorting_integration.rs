@@ -9,6 +9,9 @@ use teamsteal::{
     Distribution, Scheduler, SortConfig, StealPolicy,
 };
 
+mod common;
+use common::{with_watchdog, WATCHDOG};
+
 fn small_config() -> SortConfig {
     SortConfig {
         cutoff: 256,
@@ -67,6 +70,54 @@ fn mixed_mode_sort_uses_teams_on_large_inputs_only() {
     mixed_mode_sort(&scheduler_small, &mut small, &config);
     assert!(is_sorted(&small));
     assert_eq!(scheduler_small.metrics().teams_formed, 0);
+}
+
+/// The share cap (DESIGN.md §5): on two threads only the root's share of the
+/// machine is two workers wide, so one sort runs exactly one team partition
+/// (`team_tasks_executed` counts per participant) and everything below it is
+/// Algorithm 10's task.
+#[test]
+fn two_threads_partition_only_the_root_as_a_team() {
+    with_watchdog("two_threads_partition_only_the_root_as_a_team", WATCHDOG, || {
+        let scheduler = Scheduler::with_threads(2);
+        for distribution in Distribution::ALL {
+            let mut data = distribution.generate(1 << 20, 2, 22);
+            let mut reference = data.clone();
+            reference.sort_unstable();
+            let before = scheduler.metrics();
+            mixed_mode_sort(&scheduler, &mut data, &SortConfig::default());
+            let team_tasks = scheduler.metrics().delta_since(&before).team_tasks_executed;
+            assert!(data == reference, "{distribution:?} differs from sort_unstable");
+            assert_eq!(team_tasks, 2, "{distribution:?}: one two-member root partition");
+        }
+    });
+}
+
+/// On four threads the teams below the root shrink with their share: a sort
+/// runs a handful of team partitions, not one per subrange down to
+/// `best_np`'s floor.  The bound is loose on purpose — a skewed split can keep
+/// one child above half the machine for a few levels.
+#[test]
+fn four_threads_run_a_handful_of_team_partitions() {
+    with_watchdog("four_threads_run_a_handful_of_team_partitions", WATCHDOG, || {
+        let threads = 4;
+        let scheduler = Scheduler::with_threads(threads);
+        for distribution in Distribution::ALL {
+            let input = distribution.generate(1 << 20, threads, 23);
+            let mut data = input.clone();
+            let before = scheduler.metrics();
+            mixed_mode_sort(&scheduler, &mut data, &SortConfig::default());
+            let delta = scheduler.metrics().delta_since(&before);
+            assert!(is_sorted(&data), "{distribution:?} not sorted");
+            assert!(is_permutation_of(&input, &data), "{distribution:?} corrupted");
+            assert!(
+                delta.team_tasks_executed <= 8 * threads as u64,
+                "{distribution:?}: {} team-task executions in one sort",
+                delta.team_tasks_executed
+            );
+        }
+        assert!(scheduler.metrics().teams_formed > 0);
+    });
 }
 
 #[test]
