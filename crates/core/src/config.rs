@@ -8,7 +8,8 @@
 //! submitter pool.  The steal amount is fixed at the paper's default (`2^ℓ`,
 //! capped at half the victim's queue — `worker::steal::steal_amount`), and
 //! the backoff intervals are constants of the parking protocol
-//! (`PARK_SPIN_ROUNDS`, `PARK_BACKSTOP`, `WARM_KEEPALIVE` in `worker`).
+//! (`PARK_SPIN_ROUNDS`, `HANDSHAKE_POLL`, `PARK_BACKSTOP`, `WARM_KEEPALIVE`
+//! in `worker`).
 
 use teamsteal_topology::{StealPolicy, Topology};
 

@@ -12,6 +12,9 @@
 //!   already active ⇒ also nothing to do — the searcher will find the work,
 //!   and waking a second worker would only add contention.  Only the
 //!   "sleepers, but no searcher" state pays for an actual wake.
+//! * An injected task that needs a team
+//!   ([`SleepController::notify_team_work`]) passes the same gate and then
+//!   wakes every idle sleeper of its block at once instead of one.
 //! * Team handshake events (registration, publication, disband, countdown)
 //!   always notify their **specific** target worker(s) — these paths are
 //!   cold and a missed wake there costs milliseconds, so they never gate on
@@ -124,6 +127,17 @@ impl SleepController {
         reason
     }
 
+    /// The gate of every anonymous wake: somebody sleeps, and no searcher
+    /// (other than the caller, when `from_searcher`) is already scanning for
+    /// exactly this work.  The fence orders the caller's work publication
+    /// before the count load, pairing with the RMW+fence in `prepare`
+    /// (module docs).
+    fn wake_wanted(&self, from_searcher: bool) -> bool {
+        fence(Ordering::SeqCst);
+        let state = self.state.load(Ordering::Relaxed);
+        sleeping(state) > 0 && searching(state) <= u64::from(from_searcher)
+    }
+
     /// New anonymous work became visible (a spawn into an empty queue, an
     /// injector push, a bulk steal leaving surplus).  Wakes one idle sleeper
     /// unless nobody sleeps or a searcher is already scanning for exactly
@@ -132,14 +146,7 @@ impl SleepController {
     /// own count does not suppress the wake it is trying to send.  Returns
     /// `true` if a sleeper was claimed.
     pub(crate) fn notify_work(&self, from_searcher: bool) -> bool {
-        // The fence orders the caller's work publication before the count
-        // load, pairing with the RMW+fence in `prepare` (module docs).
-        fence(Ordering::SeqCst);
-        let state = self.state.load(Ordering::Relaxed);
-        if sleeping(state) == 0 || searching(state) > u64::from(from_searcher) {
-            return false;
-        }
-        self.ec.notify_one_idle()
+        self.wake_wanted(from_searcher) && self.ec.notify_one_idle()
     }
 
     /// The locality-aware variant of [`notify_work`](Self::notify_work):
@@ -153,12 +160,22 @@ impl SleepController {
         near: std::ops::Range<usize>,
         from_searcher: bool,
     ) -> bool {
-        fence(Ordering::SeqCst);
-        let state = self.state.load(Ordering::Relaxed);
-        if sleeping(state) == 0 || searching(state) > u64::from(from_searcher) {
-            return false;
+        self.wake_wanted(from_searcher) && self.ec.notify_one_idle_in(near)
+    }
+
+    /// New work that needs a whole team became visible from outside the
+    /// pool (an injected `r > 1` task): wakes every idle sleeper of `block`
+    /// — the workers that will form the team — with one ticket bump, or one
+    /// idle sleeper elsewhere when the block has none.  Same gate as
+    /// [`notify_work`](Self::notify_work): a searcher finds the task in
+    /// microseconds and its `announce` wakes the block.  Returns the number
+    /// of sleepers claimed.
+    pub(crate) fn notify_team_work(&self, block: std::ops::Range<usize>) -> usize {
+        if self.wake_wanted(false) {
+            self.ec.notify_idle_block(block)
+        } else {
+            0
         }
-        self.ec.notify_one_idle_in(near)
     }
 
     /// `true` when any worker is parked, with the `SeqCst` fence that makes

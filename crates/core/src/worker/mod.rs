@@ -38,10 +38,23 @@ pub(crate) use shared::SchedulerShared;
 use shared::{WorkerShared, INJECT_HOME};
 
 /// Unproductive spin/yield rounds a blocking site burns before it commits to
-/// an eventcount park (DESIGN.md §12).  The prefix keeps short contention
-/// windows — a steal that will succeed on the next attempt, a countdown
-/// about to hit zero — off the parking path entirely.
+/// an eventcount park (DESIGN.md §12): seven short spins, then yields — a few
+/// microseconds in all.  The prefix keeps short contention windows — a steal
+/// that will succeed on the next attempt, a countdown about to hit zero —
+/// off the parking path entirely.  It is the whole prefix of an *idle* park;
+/// a handshake park goes on yielding until [`HANDSHAKE_POLL`] has passed.
 const PARK_SPIN_ROUNDS: u32 = 16;
+
+/// How long a team-formation handshake — the coordinator after it announced,
+/// a registrant or member waiting for the publication, the start countdown —
+/// keeps polling by `yield_now` before it parks: about one wake-up
+/// (35–60 µs on the reference host).  Whoever such a wait is for has just
+/// been woken or is about to register, i.e. is at most one wake-up away; a
+/// park committed sooner is one the partner must undo, a wake-up later
+/// (DESIGN.md §12, "Cold entry").  A time, not a round count, because a
+/// yield costs anything from 0.3 µs to a time slice; and a yield, not a
+/// spin, because the partner may need this core.
+const HANDSHAKE_POLL: Duration = Duration::from_micros(50);
 
 /// Defensive upper bound on one eventcount park.  The parking protocol does
 /// not rely on it (prepare → recheck → commit makes lost wakeups
@@ -278,8 +291,9 @@ mod tests {
     use super::steal::steal_amount;
     use super::*;
     use crate::config::SchedulerConfig;
+    use crate::task::{JobSlot, TaskNode, TeamJob};
     use teamsteal_registration::{AcquireOutcome, ReleaseOutcome};
-    use teamsteal_util::eventcount::ParkClass;
+    use teamsteal_util::eventcount::{ParkClass, WakeReason};
 
     #[test]
     fn steal_amount_is_two_to_level_capped_at_half_the_victim() {
@@ -357,6 +371,46 @@ mod tests {
         coordinator.announce(2);
         assert_ne!(ticket(), grown, "a smaller one revokes registrants: they must hear of it");
         assert_eq!(reg.load().required, 2);
+    }
+
+    /// An injected team task wakes the idle sleepers of its block together,
+    /// not one that wakes the next — and a moldable one still finds them in
+    /// the idle count it sizes itself from, because a woken idle parker is a
+    /// searcher again the moment it leaves the park.
+    #[test]
+    fn injected_team_task_wakes_its_block_and_a_moldable_one_still_counts_it_idle() {
+        let shared = SchedulerShared::new(&SchedulerConfig::with_threads(4));
+        let parked: Vec<_> = (1..4)
+            .map(|id| {
+                let shared = Arc::clone(&shared);
+                std::thread::spawn(move || {
+                    shared.sleep.start_search();
+                    let ticket = shared.sleep.prepare(ParkClass::Idle);
+                    shared.sleep.park(id, ticket, ParkClass::Idle, Duration::from_secs(30))
+                })
+            })
+            .collect();
+        while shared.sleep.sleepers() < 3 {
+            std::thread::yield_now();
+        }
+
+        let scope = ScopeState::new(5);
+        let job = JobSlot::new(TeamJob::moldable(1, 4, |_| {}));
+        shared.inject(TaskNode::allocate_boxed(job, 4, 1, &scope));
+        for sleeper in parked {
+            // A sleeper still committing to its park leaves on the ticket.
+            assert_ne!(sleeper.join().unwrap(), WakeReason::Backstop, "one inject wakes all three");
+        }
+        assert_eq!((shared.sleep.sleepers(), shared.sleep.searchers()), (0, 3));
+
+        let mut coordinator = Worker::new(0, Arc::clone(&shared));
+        coordinator.participant.pin();
+        assert!(coordinator.pop_injected());
+        coordinator.participant.unpin();
+        assert_eq!(shared.workers[0].reg.load().required, 4, "three idle workers plus the popper");
+
+        shared.drain_leftovers();
+        assert_eq!(scope.pending(), 0);
     }
 
     /// The audit behind DESIGN.md §12's `try_release` row: a member that

@@ -10,7 +10,7 @@ use std::sync::atomic::Ordering;
 use teamsteal_util::eventcount::{ParkClass, WakeReason};
 use teamsteal_util::Backoff;
 
-use super::{Worker, LAST_SEARCHER_EXTRA_ROUNDS, PARK_BACKSTOP, PARK_SPIN_ROUNDS};
+use super::{Worker, HANDSHAKE_POLL, LAST_SEARCHER_EXTRA_ROUNDS, PARK_BACKSTOP, PARK_SPIN_ROUNDS};
 
 impl Worker {
     /// One spin/yield round of a blocking site's pre-park prefix, with the
@@ -24,22 +24,27 @@ impl Worker {
     }
 
     /// One blocking round of a wait site: a spin/yield round while
-    /// `backoff`'s prefix lasts, then the park protocol (prepare → recheck →
-    /// commit, DESIGN.md §12) — block on this worker's eventcount slot
-    /// unless the scheduler is shutting down or `recheck`, the caller's full
-    /// wait condition, finds something to do.  The recheck runs *after* the
-    /// prepare announced this worker as a sleeper, so a producer that
-    /// publishes after it is guaranteed to observe a sleeper and wake it
-    /// (§12 rows A/B); anything published before is seen by the recheck
-    /// itself.  A cancelled park and a wake each count one backoff round, so
-    /// streak time and the stall reports keep working.
+    /// `backoff`'s prefix lasts — [`PARK_SPIN_ROUNDS`] rounds, and for a
+    /// handshake also the first [`HANDSHAKE_POLL`] of the streak, because
+    /// what it waits for is a partner already on its way — then the park
+    /// protocol (prepare → recheck → commit, DESIGN.md §12): block on this
+    /// worker's eventcount slot unless the scheduler is shutting down or
+    /// `recheck`, the caller's full wait condition, finds something to do.
+    /// The recheck runs *after* the prepare announced this worker as a
+    /// sleeper, so a producer that publishes after it is guaranteed to
+    /// observe a sleeper and wake it (§12 rows A/B); anything published
+    /// before is seen by the recheck itself.  A cancelled park and a wake
+    /// each count one backoff round, so streak time and the stall reports
+    /// keep working.
     pub(super) fn park_unless(
         &mut self,
         class: ParkClass,
         backoff: &mut Backoff,
         recheck: impl FnOnce(&mut Self) -> bool,
     ) {
-        if !backoff.should_park(PARK_SPIN_ROUNDS) {
+        if !backoff.should_park(PARK_SPIN_ROUNDS)
+            || (class == ParkClass::Handshake && backoff.unproductive_for() < HANDSHAKE_POLL)
+        {
             self.unpinned_spin(backoff);
             return;
         }

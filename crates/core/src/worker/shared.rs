@@ -413,9 +413,12 @@ impl SchedulerShared {
     /// Injects a root task from outside the worker pool.  Lock-free: one
     /// CAS to borrow an external epoch pin, one `fetch_add` plus a release
     /// store in the affinity shard, one release store to return the pin —
-    /// then a wake for a parked worker, so external submissions reach an
-    /// idle scheduler in microseconds instead of a sleep-poll interval.
+    /// then a wake for whoever will run it, so external submissions reach an
+    /// idle scheduler in one wake-up instead of a sleep-poll interval.
     pub(crate) fn inject(&self, ptr: *mut TaskNode) {
+        // Read before the push: afterwards the node belongs to its popper.
+        // SAFETY: until the push the caller is the node's exclusive owner.
+        let requirement = unsafe { (*ptr).requirement };
         let shard = self.inject_home();
         let observed_empty = self
             .external_pins
@@ -426,11 +429,23 @@ impl SchedulerShared {
         // is visibly non-empty, and the consumer of each injected task
         // chains a wake while elements remain in the shard it popped), so
         // skipping here only merges redundant notifications, never loses
-        // one.  The wake prefers a sleeper inside the shard's own domain
-        // and falls back to the global rotating scan (DESIGN.md §13).
-        if observed_empty {
-            self.sleep
-                .notify_work_near(self.domains.domain_range(shard), false);
+        // one.
+        if !observed_empty {
+            return;
+        }
+        let domain = self.domains.domain_range(shard);
+        if requirement > 1 {
+            // A team task needs its whole block awake: wake the block's idle
+            // sleepers together, not one worker whose `announce` wakes the
+            // next a wake-up later (DESIGN.md §12, "Cold entry").  Whichever
+            // of them pops the task coordinates; were all of them busy, any
+            // idle sleeper does and its `announce` recruits from there.
+            let block = self.topology.team_for(domain.start, requirement);
+            self.sleep.notify_team_work(block);
+        } else {
+            // One sleeper is enough, preferably one of the shard's own
+            // domain before the global rotating scan (DESIGN.md §13).
+            self.sleep.notify_work_near(domain, false);
         }
     }
 

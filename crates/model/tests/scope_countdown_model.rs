@@ -15,6 +15,15 @@
 //! * each worker calls `signal_if_zero` when it has run out of work, like
 //!   `Worker::leave_scope`.
 //!
+//! `wait` first polls (`is_zero`, `yield_now` through the shim, until its
+//! budget of virtual time is spent) and only then registers as a waiter and
+//! blocks.  Both ways out are explored: the waiter that sees zero while it
+//! polls never registers — it may be gone, and with it the last *borrowed*
+//! reference to the countdown, while a finisher still sits between its
+//! `finished` and its `signal_if_zero` (the owned-handle rule, here the
+//! `Arc<Scene>` each worker holds) — and the waiter that polls in vain is
+//! signalled.
+//!
 //! Invariants, on every interleaving:
 //!
 //! 1. **No early return**: when `wait` returns, both tasks have run (their
@@ -31,8 +40,11 @@
 
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::AtomicBool as StdAtomicBool;
 use std::sync::{Arc, Mutex as StdMutex};
+use std::time::Duration;
 
+use teamsteal_model::time::Instant;
 use teamsteal_model::{thread, Builder};
 use teamsteal_util::countdown::ShardedCountdown;
 use teamsteal_util::sync::atomic::{AtomicUsize, Ordering};
@@ -48,6 +60,10 @@ const EMPTY: usize = 0;
 const QUEUED: usize = 1;
 const TAKEN: usize = 2;
 
+/// `wait`'s poll budget (`countdown::POLL_BUDGET`): a wait that took less
+/// virtual time than this returned from its poll phase, unregistered.
+const POLL_BUDGET: Duration = Duration::from_micros(50);
+
 /// What the two workers and the waiter share.
 struct Scene {
     countdown: ShardedCountdown,
@@ -56,6 +72,10 @@ struct Scene {
     ran: AtomicUsize,
     /// Set by A between the root's body and its `finished`.
     root_done: AtomicUsize,
+    /// Bookkeeping the explorer does not schedule (plain std atomics): the
+    /// waiter is back from `wait`; a worker saw that before it signalled.
+    waiter_returned: StdAtomicBool,
+    signalled_after_return: StdAtomicBool,
 }
 
 impl Scene {
@@ -65,7 +85,18 @@ impl Scene {
             slot: AtomicUsize::new(EMPTY),
             ran: AtomicUsize::new(0),
             root_done: AtomicUsize::new(0),
+            waiter_returned: StdAtomicBool::new(false),
+            signalled_after_return: StdAtomicBool::new(false),
         })
+    }
+
+    /// `Worker::check_scope`: the finisher's half of the completion
+    /// protocol, on a countdown its waiter may already have left.
+    fn signal(&self) {
+        if self.waiter_returned.load(Ordering::SeqCst) {
+            self.signalled_after_return.store(true, Ordering::SeqCst);
+        }
+        self.countdown.signal_if_zero();
     }
 
     /// Worker A: runs the root (spawn the child, push it, finish), then pops
@@ -82,7 +113,7 @@ impl Scene {
             self.ran.fetch_add(1, Ordering::SeqCst);
             self.countdown.finished(A);
         }
-        self.countdown.signal_if_zero();
+        self.signal();
         kept
     }
 
@@ -96,7 +127,7 @@ impl Scene {
         self.ran.fetch_add(1, Ordering::SeqCst);
         let parent_running = self.root_done.load(Ordering::SeqCst) == 0;
         self.countdown.finished(B);
-        self.countdown.signal_if_zero();
+        self.signal();
         Some(parent_running)
     }
 
@@ -126,7 +157,10 @@ fn wait_returns_only_after_every_counted_task_and_is_always_signalled() {
             thread::spawn(move || scene.worker_b())
         };
 
+        let called = Instant::now();
         let by_backstop = scene.countdown.wait();
+        let polled = called.elapsed() < POLL_BUDGET;
+        scene.waiter_returned.store(true, Ordering::SeqCst);
         // Invariant 1: nothing counted is still unfinished.
         assert_eq!(
             scene.ran.load(Ordering::SeqCst),
@@ -140,19 +174,32 @@ fn wait_returns_only_after_every_counted_task_and_is_always_signalled() {
         let kept = a.join().unwrap();
         let stolen = b.join().unwrap();
         assert_eq!(kept, stolen.is_none(), "exactly one worker ran the child");
-        seen_in.lock().unwrap().insert(match stolen {
+        let mut seen = seen_in.lock().unwrap();
+        seen.insert(match stolen {
             None => "kept",
             Some(true) => "stolen, finished while the parent ran",
             Some(false) => "stolen, finished after the parent",
         });
+        seen.insert(if polled {
+            "wait ended in its poll phase"
+        } else {
+            "wait registered and blocked"
+        });
+        if polled && scene.signalled_after_return.load(Ordering::SeqCst) {
+            seen.insert("waiter gone before the last finisher signalled");
+        }
     });
     // The exploration must have produced the cross-shard finish both before
-    // and after the parent's, and the unstolen case.
+    // and after the parent's, the unstolen case, and both ways out of `wait`
+    // — including the one that makes the owned handle necessary.
     let seen = seen.lock().unwrap();
     for outcome in [
         "kept",
         "stolen, finished while the parent ran",
         "stolen, finished after the parent",
+        "wait ended in its poll phase",
+        "wait registered and blocked",
+        "waiter gone before the last finisher signalled",
     ] {
         assert!(
             seen.contains(outcome),

@@ -20,8 +20,14 @@
 //!   not have this property: a sum can read the `-1` of a child's finish on
 //!   shard B before the `+1` of its spawn on shard A and report zero while
 //!   the parent is still running.)
-//! * Completion is **signalled**, not polled: a waiter registers in
-//!   `waiters` before it checks, a finisher calls
+//! * [`wait`](ShardedCountdown::wait) **polls, then blocks**.  For about
+//!   what one blocking wake-up costs it re-reads the sums with a
+//!   `yield_now` in between — a scope that ends within that budget never
+//!   puts its caller to sleep, and the yield (not a spin) leaves the core to
+//!   the worker the caller is waiting for.  During that phase the waiter is
+//!   invisible: finishers skip the sums while `waiters` is zero.
+//! * A waiter that outlives the budget is **signalled**, not polled: it
+//!   registers in `waiters` before it checks again, a finisher calls
 //!   [`signal_if_zero`](ShardedCountdown::signal_if_zero) after its
 //!   increments, and all four accesses are `SeqCst` — the Dekker pair that
 //!   guarantees the waiter sees the last increment or the finisher sees the
@@ -29,10 +35,11 @@
 //!   relies on (model-checked: `crates/model/tests/scope_countdown_model.rs`).
 //!
 //! The countdown does not manage its own lifetime: `finished` may be the
-//! increment that releases a waiter who then frees the countdown, so a
-//! finisher that goes on to call `signal_if_zero` must hold an **owned**
-//! handle (an `Arc`) on whatever contains it.  The scheduler's workers cache
-//! one per scope switch (DESIGN.md §9, "owned-handle rule").
+//! increment that releases a waiter — a polling one needs no signal for
+//! that — who then frees the countdown, so a finisher that goes on to call
+//! `signal_if_zero` must hold an **owned** handle (an `Arc`) on whatever
+//! contains it.  The scheduler's workers cache one per scope switch
+//! (DESIGN.md §9, "owned-handle rule").
 //!
 //! ```
 //! use std::sync::Arc;
@@ -55,7 +62,8 @@
 //! ```
 
 use crate::sync::atomic::{AtomicUsize, Ordering};
-use crate::sync::{Condvar, Mutex};
+use crate::sync::time::Instant;
+use crate::sync::{thread, Condvar, Mutex};
 use std::time::Duration;
 
 use crate::CachePadded;
@@ -63,6 +71,16 @@ use crate::CachePadded;
 /// Upper bound on one blocking wait: a missed signal (a bug — the protocol
 /// has none) costs this much latency instead of a hang.
 const WAIT_BACKSTOP: Duration = Duration::from_millis(5);
+
+/// How long [`ShardedCountdown::wait`] polls before it blocks: about what
+/// the blocking wake-up it avoids costs (35–60 µs on the reference host), so
+/// a waiter that polls in vain has at most doubled its wait (competitive
+/// spinning; Karlin et al., SOSP 1991).  A time, not a poll count: a
+/// `yield_now` takes a third of a microsecond on an idle core and a whole
+/// time slice on a busy one.  And a yield, not a spin: with a worker per
+/// core the waiter is one runnable thread too many, and the same wait
+/// spinning made a cold entry *slower* than blocking at once (DESIGN.md §9).
+const POLL_BUDGET: Duration = Duration::from_micros(50);
 
 /// One thread's pair of monotone counters, on a cache line of its own.
 #[derive(Default)]
@@ -179,11 +197,23 @@ impl ShardedCountdown {
         self.waiters.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// Blocks until nothing is outstanding.  Returns `true` when the wake-up
-    /// that ended the wait was the timed backstop rather than a signal —
-    /// with a correct caller this only happens when completion and the
-    /// timeout coincide.
+    /// Waits until nothing is outstanding: polls for about one wake-up's
+    /// worth of time (`POLL_BUDGET`), yielding between polls, then registers
+    /// as a waiter and blocks until signalled.  Returns `true` when the
+    /// wake-up that ended the wait was the timed backstop rather than a
+    /// signal — with a correct caller this only happens when completion and
+    /// the timeout coincide.
     pub fn wait(&self) -> bool {
+        let start = Instant::now();
+        loop {
+            if self.is_zero() {
+                return false;
+            }
+            if start.elapsed() >= POLL_BUDGET {
+                break;
+            }
+            thread::yield_now();
+        }
         self.waiters.fetch_add(1, Ordering::SeqCst);
         let mut by_backstop = false;
         let mut guard = self.lock.lock().expect("countdown lock poisoned");
@@ -265,5 +295,38 @@ mod tests {
             waiter.join().unwrap(),
             "wait returned before the task finished"
         );
+    }
+
+    /// A wait that sees zero while it polls has never been a waiter: there is
+    /// nobody for a late `signal_if_zero` to wake, and the finishers of a
+    /// short scope never took the lock.
+    #[test]
+    fn zero_seen_in_the_poll_phase_leaves_no_waiter_registered() {
+        let c = ShardedCountdown::new(2);
+        c.spawned(0);
+        c.finished(1);
+        assert!(!c.wait());
+        assert_eq!(c.waiters.load(Ordering::SeqCst), 0);
+        assert!(!c.signal_if_zero(), "the finisher's late signal finds nobody");
+    }
+
+    /// A wait that polls in vain registers, blocks, and is released by the
+    /// finisher's signal — not by its backstop.
+    #[test]
+    fn a_wait_longer_than_the_poll_budget_registers_and_is_signalled() {
+        let c = Arc::new(ShardedCountdown::new(2));
+        c.spawned(0);
+        let waiter = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || c.wait())
+        };
+        while c.waiters.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        assert!(!c.signal_if_zero(), "registered, but a task is outstanding");
+        c.finished(1);
+        c.signal_if_zero();
+        assert!(!waiter.join().unwrap(), "ended on the backstop, not the signal");
+        assert_eq!(c.waiters.load(Ordering::SeqCst), 0);
     }
 }

@@ -281,6 +281,12 @@ impl EventCount {
         true
     }
 
+    /// [`claim`](Self::claim) restricted to [`ParkClass::Idle`] parkers: what
+    /// every anonymous wake uses, so a handshake waiter never swallows one.
+    fn claim_if_idle(&self, index: usize) -> bool {
+        self.slots[index].state.load(Ordering::SeqCst) == PARKED_IDLE && self.claim(index)
+    }
+
     /// Wakes one [`ParkClass::Idle`] waiter, if any is parked.  Bumps the
     /// ticket first, so concurrent `prepare_wait`/`park` callers abort
     /// instead of sleeping through this notification.  Returns `true` if a
@@ -307,14 +313,8 @@ impl EventCount {
     /// can never swallow it.  Returns `true` if a parked waiter was claimed.
     pub fn notify_one_idle_in(&self, preferred: std::ops::Range<usize>) -> bool {
         self.ticket.fetch_add(1, Ordering::SeqCst);
-        let n = self.slots.len();
-        for index in preferred.start..preferred.end.min(n) {
-            if self.slots[index].state.load(Ordering::SeqCst) != PARKED_IDLE {
-                continue;
-            }
-            if self.claim(index) {
-                return true;
-            }
+        if (preferred.start..preferred.end.min(self.slots.len())).any(|i| self.claim_if_idle(i)) {
+            return true;
         }
         // Fall back outward: any idle sleeper is better than a lost wake.
         // (Re-visiting the preferred slots is harmless — they are not
@@ -322,22 +322,30 @@ impl EventCount {
         self.claim_one_idle_rotating()
     }
 
+    /// Wakes **every** [`ParkClass::Idle`] waiter parked in `block` with one
+    /// ticket bump, or — when the block has none — one idle waiter anywhere:
+    /// the wake for work that needs the whole block (a team task injected
+    /// from outside, DESIGN.md §12), where waking one worker that then wakes
+    /// the next would put the two wake-ups in series.  Handshake parkers are
+    /// left alone, as by every anonymous wake.  Returns the number of
+    /// waiters claimed.
+    pub fn notify_idle_block(&self, block: std::ops::Range<usize>) -> usize {
+        self.ticket.fetch_add(1, Ordering::SeqCst);
+        let claimed = (block.start..block.end.min(self.slots.len()))
+            .filter(|&i| self.claim_if_idle(i))
+            .count();
+        if claimed == 0 {
+            return usize::from(self.claim_one_idle_rotating());
+        }
+        claimed
+    }
+
     /// The anonymous wake scan: rotating start, claims the first
     /// `PARKED_IDLE` slot.  The caller has already bumped the ticket.
     fn claim_one_idle_rotating(&self) -> bool {
         let n = self.slots.len();
         let start = self.scan_from.fetch_add(1, Ordering::Relaxed);
-        for i in 0..n {
-            let index = (start + i) % n;
-            let s = &*self.slots[index];
-            if s.state.load(Ordering::SeqCst) != PARKED_IDLE {
-                continue;
-            }
-            if self.claim(index) {
-                return true;
-            }
-        }
-        false
+        (0..n).any(|i| self.claim_if_idle((start + i) % n))
     }
 
     /// Wakes slot `index` regardless of its park class.  Returns `true` if
@@ -556,6 +564,45 @@ mod tests {
         flag.store(true, Ordering::Release);
         ec.notify_one_idle_in(2..4);
         waiter.join().unwrap();
+    }
+
+    #[test]
+    fn notify_idle_block_wakes_the_blocks_idle_waiters_together() {
+        let ec = Arc::new(EventCount::new(4));
+        // Starts a waiter that parks `slot` once, and returns when the park
+        // is published; `settle` then covers the few instructions from there
+        // to the condvar, after which a ticket bump no longer ends the park.
+        let park_once = |slot: usize, class: ParkClass| {
+            let waiter = {
+                let ec = Arc::clone(&ec);
+                std::thread::spawn(move || {
+                    let t = ec.prepare_wait();
+                    ec.park(slot, t, class, LONG)
+                })
+            };
+            while ec.slots[slot].state.load(Ordering::SeqCst) == EMPTY {
+                std::thread::yield_now();
+            }
+            waiter
+        };
+        let settle = || std::thread::sleep(Duration::from_millis(20));
+        // Slots 0 and 1 are the block: one idle waiter, one in a handshake.
+        let in_block = park_once(0, ParkClass::Idle);
+        let handshake = park_once(1, ParkClass::Handshake);
+        settle();
+        assert_eq!(ec.notify_idle_block(0..2), 1, "the idle waiter, not the handshake");
+        assert!(matches!(in_block.join().unwrap(), WakeReason::Notified(_)));
+        // No idle waiter left in the block: one from outside it, as for any
+        // anonymous work; the other one is in the next call's block.
+        let outside = [park_once(2, ParkClass::Idle), park_once(3, ParkClass::Idle)];
+        settle();
+        assert_eq!(ec.notify_idle_block(0..2), 1);
+        assert_eq!(ec.notify_idle_block(2..4), 1);
+        for waiter in outside {
+            assert!(matches!(waiter.join().unwrap(), WakeReason::Notified(_)));
+        }
+        assert!(ec.notify_slot(1), "the handshake waiter slept through all of it");
+        assert!(matches!(handshake.join().unwrap(), WakeReason::Notified(_)));
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! The sharded scope countdown, end to end (DESIGN.md §9): completion is
-//! signalled by a worker and never found by the waiter's 5 ms timed poll,
-//! scopes that overlap in time do not hold each other up, and every way a
-//! task can retire — run, panic, cancellation, expiry, drop-time draining —
-//! counts it exactly once.
+//! The sharded scope countdown, end to end (DESIGN.md §9): a short scope
+//! ends while its caller still polls, a longer one is signalled by a worker,
+//! and neither is ever found by the waiter's 5 ms timed backstop; scopes that
+//! overlap in time do not hold each other up, and every way a task can
+//! retire — run, panic, cancellation, expiry, drop-time draining — counts it
+//! exactly once.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -45,12 +46,59 @@ fn back_to_back_scopes_are_signalled_not_polled() {
             }
             let took = start.elapsed();
             assert_eq!(ran.load(Ordering::Relaxed), RUNS as usize);
-            // Each scope ends microseconds after its only task; a waiter that
-            // learned of it from the timed poll would take a full interval per
-            // scope.  A healthy run is more than ten times under this bound.
+            // Each scope ends microseconds after its only task — since the
+            // waiter polls before it blocks, usually before it has even
+            // registered, so "signalled" here mostly means "seen".  A waiter
+            // that learned of it from the timed backstop would take a full
+            // interval per scope.  A healthy run is more than ten times
+            // under this bound.
             assert!(
                 took < POLL * RUNS / 2,
-                "{RUNS} empty scopes took {took:?}: completion is riding the {POLL:?} poll"
+                "{RUNS} empty scopes took {took:?}: completion is riding the {POLL:?} backstop"
+            );
+        },
+    );
+}
+
+/// A task that outlives the waiter's poll budget (≈ 50 µs) forty times over:
+/// the caller has long since registered and blocked, and still returns by
+/// the finisher's signal — within a wake-up of the task's end, not at the
+/// next 5 ms backstop.  (`wait`'s own account of how it ended, `by_backstop
+/// == false`, is asserted where the waiter's registration can be observed:
+/// `countdown::tests::a_wait_longer_than_the_poll_budget_registers_and_is_signalled`.)
+#[test]
+fn a_scope_that_outlives_the_poll_budget_is_signalled() {
+    with_watchdog(
+        "a_scope_that_outlives_the_poll_budget_is_signalled",
+        WATCHDOG,
+        || {
+            const RUNS: usize = 21;
+            const BODY: Duration = Duration::from_millis(2);
+            let scheduler = Scheduler::with_threads(2);
+            let anchor = Instant::now();
+            let body_end = Arc::new(AtomicUsize::new(0));
+            let mut late = Vec::with_capacity(RUNS);
+            for _ in 0..RUNS {
+                let ended = Arc::clone(&body_end);
+                scheduler.run(move |_| {
+                    let start = Instant::now();
+                    while start.elapsed() < BODY {
+                        std::hint::spin_loop();
+                    }
+                    ended.store(anchor.elapsed().as_nanos() as usize, Ordering::Release);
+                });
+                let returned = anchor.elapsed();
+                late.push(returned - Duration::from_nanos(body_end.load(Ordering::Acquire) as u64));
+            }
+            late.sort();
+            let median = late[RUNS / 2];
+            // A missed signal would be found 3 ms after the body's end (the
+            // backstop armed ~50 µs after the call, minus the 2 ms body).
+            assert!(
+                median < POLL / 5,
+                "the scope returned {median:?} (median; slowest {:?}) after its task: \
+                 completion is riding the {POLL:?} backstop",
+                late[RUNS - 1]
             );
         },
     );
