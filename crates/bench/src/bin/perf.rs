@@ -5,27 +5,19 @@
 //! every PR can be compared against a recorded baseline.
 //!
 //! ```text
-//! cargo run --release -p teamsteal-bench --bin perf -- [options]
-//!
-//!   --smoke            tiny sizes and minimal repetitions (CI guard)
-//!   --size N           sort / kernel work budget in elements (default 1<<19)
-//!   --threads LIST     comma-separated thread counts (default 1,2,4)
-//!   --reps N           timed repetitions per scenario (default 9)
-//!   --warmups N        untimed warmup runs per scenario (default 1)
-//!   --seed N           input seed (default 42)
-//!   --out-dir PATH     where the BENCH_*.json files are written (default .)
-//!   --only LIST        comma-separated scenarios to run (default: all)
-//!   --check FILE       compare the fresh sort report's MMPar records
-//!                      against the baseline report FILE, and spawn_overhead
-//!                      at p = 1 against the BENCH_kernels.json next to it;
-//!                      exit 1 on any median regression beyond the tolerance
-//!   --tolerance PCT    regression tolerance in percent (default 25)
+//! cargo run --release -p teamsteal-bench --bin perf -- --help
 //! ```
+//!
+//! lists the options ([`help`] is the one copy of that list).  Exit status:
+//! 0 done, 1 a `--check` comparison regressed or compared nothing, 2 bad
+//! arguments or a report file that exists but cannot be used.
 //!
 //! The JSON schema, the regeneration workflow and the map of which number
 //! comes from the benchmark and which from here are in `EXPERIMENTS.md`; the
-//! measurement methodology (warmups, why the median is the headline
-//! aggregate) in `DESIGN.md` §7.
+//! measurement methodology (warmups, interleaved repetitions, why the median
+//! is the headline aggregate) in `DESIGN.md` §7.  Reports are read and
+//! written through the benchmark library's `Json`, samples aggregated by its
+//! `stats` (`teamsteal_bench::report`).
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -34,14 +26,14 @@ use std::time::{Duration, SystemTime};
 use teamsteal_apps::harness::{Kernel, Workload};
 use teamsteal_apps::micro;
 use teamsteal_bench::report::{
-    check_regressions, host_parallelism, CheckOutcome, Environment, JsonValue, Report, RunRecord,
-    TimingSummary, SCHEMA_VERSION,
+    check_regressions, CheckOutcome, Environment, Report, RunRecord, TimingSummary, SCHEMA_VERSION,
 };
 use teamsteal_bench::{Variant, VariantRunner};
+use teamsteal_benchmark::host;
+use teamsteal_benchmark::json::Json;
 use teamsteal_core::{MetricsSnapshot, Scheduler};
 use teamsteal_data::Distribution;
 use teamsteal_sort::SortConfig;
-use teamsteal_util::timing::RunStats;
 
 /// The sort variants the trajectory tracks.  `SeqStd` is the speedup
 /// denominator.
@@ -226,23 +218,15 @@ fn parse_args() -> Result<Options, String> {
     Ok(opts)
 }
 
-fn params_json(opts: &Options, group: &str) -> JsonValue {
-    JsonValue::Object(vec![
-        ("group".into(), JsonValue::String(group.into())),
-        ("smoke".into(), JsonValue::Bool(opts.smoke)),
-        ("size".into(), JsonValue::Number(opts.size as f64)),
-        (
-            "threads".into(),
-            JsonValue::Array(
-                opts.threads
-                    .iter()
-                    .map(|&t| JsonValue::Number(t as f64))
-                    .collect(),
-            ),
-        ),
-        ("reps".into(), JsonValue::Number(opts.reps as f64)),
-        ("warmups".into(), JsonValue::Number(opts.warmups as f64)),
-        ("seed".into(), JsonValue::Number(opts.seed as f64)),
+fn params_json(opts: &Options, group: &str) -> Json {
+    Json::obj([
+        ("group", Json::str(group)),
+        ("smoke", Json::Bool(opts.smoke)),
+        ("size", Json::Num(opts.size as f64)),
+        ("threads", Json::Arr(opts.threads.iter().map(|&t| Json::Num(t as f64)).collect())),
+        ("reps", Json::Num(opts.reps as f64)),
+        ("warmups", Json::Num(opts.warmups as f64)),
+        ("seed", Json::Num(opts.seed as f64)),
     ])
 }
 
@@ -263,11 +247,13 @@ fn new_report(opts: &Options, group: &str, records: Vec<RunRecord>) -> Report {
     report
 }
 
-/// Runs `warmups` untimed and `reps` timed repetitions of every variant in
-/// `variants` on one input and returns their statistics in the same order.
-/// The repetitions are interleaved — repetition `i` of every variant before
-/// repetition `i + 1` of any — so a drift of the host (frequency, a noisy
-/// neighbour) falls on all variants alike and their medians compare.
+/// The aggregates of `samples`, which stay in the order they were taken.
+fn summary(samples: &[Duration]) -> TimingSummary {
+    TimingSummary::from_samples(samples.iter().map(Duration::as_secs_f64).collect())
+}
+
+/// One input's interleaved repetitions of `variants`
+/// ([`VariantRunner::sort_cells`]), each variant's median printed.
 fn sort_cells(
     runner: &mut VariantRunner,
     variants: &[Variant],
@@ -275,27 +261,19 @@ fn sort_cells(
     input: &[u32],
     opts: &Options,
     threads: usize,
-) -> Vec<(RunStats, MetricsSnapshot)> {
-    for _ in 0..opts.warmups {
-        for &variant in variants {
-            runner.measure(variant, input);
-        }
-    }
-    let mut cells = vec![(RunStats::new(), MetricsSnapshot::default()); variants.len()];
-    for _ in 0..opts.reps {
-        for (&variant, (stats, metrics)) in variants.iter().zip(&mut cells) {
-            let m = runner.measure(variant, input);
-            stats.record(m.duration);
-            *metrics = metrics.merge(m.metrics);
-        }
-    }
-    for (variant, (stats, _)) in variants.iter().zip(&cells) {
+) -> Vec<(TimingSummary, MetricsSnapshot)> {
+    let cells: Vec<_> = runner
+        .sort_cells(variants, input, opts.warmups, opts.reps)
+        .into_iter()
+        .map(|(samples, metrics)| (TimingSummary::from_samples(samples), metrics))
+        .collect();
+    for (variant, (secs, _)) in variants.iter().zip(&cells) {
         eprintln!(
             "sort    | {:<9} | {:<8} | p = {:>2} | median {:>10.6}s",
             distribution.label(),
             variant.label(),
             threads,
-            stats.median().as_secs_f64()
+            secs.median_s
         );
     }
     cells
@@ -306,11 +284,10 @@ fn sort_record(
     distribution: Distribution,
     opts: &Options,
     threads: usize,
-    stats: &RunStats,
+    secs: TimingSummary,
     metrics: MetricsSnapshot,
     seq_reference_s: Option<f64>,
 ) -> RunRecord {
-    let secs = TimingSummary::from_stats(stats);
     let speedup_vs_seq = seq_reference_s
         .filter(|&s| secs.median_s > 0.0 && s > 0.0)
         .map(|s| s / secs.median_s);
@@ -347,11 +324,11 @@ fn sweep_sorts(opts: &Options) -> Vec<RunRecord> {
     let mut seq_runner = VariantRunner::new(1, config.clone());
     for (distribution, input) in &inputs {
         let cells = sort_cells(&mut seq_runner, &SORT_SEQUENTIAL, *distribution, input, opts, 1);
-        for (variant, (stats, metrics)) in SORT_SEQUENTIAL.into_iter().zip(cells) {
+        for (variant, (secs, metrics)) in SORT_SEQUENTIAL.into_iter().zip(cells) {
             if variant == Variant::SeqStd {
-                seq_medians.insert(distribution.label(), stats.median().as_secs_f64());
+                seq_medians.insert(distribution.label(), secs.median_s);
             }
-            records.push(sort_record(variant, *distribution, opts, 1, &stats, metrics, None));
+            records.push(sort_record(variant, *distribution, opts, 1, secs, metrics, None));
         }
     }
 
@@ -366,28 +343,25 @@ fn sweep_sorts(opts: &Options) -> Vec<RunRecord> {
             // the same interleaved repetitions (> 1: MMPar is faster).
             let median_of = |variant: Variant| {
                 let at = SORT_PARALLEL.iter().position(|&v| v == variant);
-                cells[at.expect("a parallel variant")].0.median().as_secs_f64()
+                cells[at.expect("a parallel variant")].0.median_s
             };
             let mmpar_vs_fork = median_of(Variant::Fork) / median_of(Variant::MmPar);
             eprintln!(
                 "sort    | {:<9} | p = {threads:>2} | mmpar_vs_fork {mmpar_vs_fork:.2}",
                 distribution.label()
             );
-            for (variant, (stats, metrics)) in SORT_PARALLEL.into_iter().zip(cells) {
+            for (variant, (secs, metrics)) in SORT_PARALLEL.into_iter().zip(cells) {
                 let mut record = sort_record(
                     variant,
                     *distribution,
                     opts,
                     threads,
-                    &stats,
+                    secs,
                     metrics,
                     seq_reference_s,
                 );
                 if variant == Variant::MmPar {
-                    record.extra = Some(JsonValue::Object(vec![(
-                        "mmpar_vs_fork".into(),
-                        JsonValue::Number(mmpar_vs_fork),
-                    )]));
+                    record.extra = Some(Json::obj([("mmpar_vs_fork", Json::Num(mmpar_vs_fork))]));
                 }
                 records.push(record);
             }
@@ -411,16 +385,14 @@ fn sweep_kernels(opts: &Options) -> Vec<RunRecord> {
         for _ in 0..opts.warmups {
             workload.run_sequential();
         }
-        let mut stats = RunStats::new();
-        for _ in 0..opts.reps {
-            stats.record(workload.run_sequential());
-        }
+        let samples: Vec<Duration> = (0..opts.reps).map(|_| workload.run_sequential()).collect();
+        let median_s = summary(&samples).median_s;
         eprintln!(
             "kernel  | {:<9} | sequential | median {:>10.6}s",
             workload.kernel().label(),
-            stats.median().as_secs_f64()
+            median_s
         );
-        seq_medians.insert(workload.kernel().label(), stats.median().as_secs_f64());
+        seq_medians.insert(workload.kernel().label(), median_s);
     }
 
     for &threads in &opts.threads {
@@ -429,14 +401,14 @@ fn sweep_kernels(opts: &Options) -> Vec<RunRecord> {
             for _ in 0..opts.warmups {
                 workload.run_mixed(&scheduler);
             }
-            let mut stats = RunStats::new();
+            let mut samples = Vec::new();
             let mut metrics = MetricsSnapshot::default();
             for _ in 0..opts.reps {
                 let before = scheduler.metrics();
-                stats.record(workload.run_mixed(&scheduler));
+                samples.push(workload.run_mixed(&scheduler));
                 metrics = metrics.merge(scheduler.metrics().delta_since(&before));
             }
-            let secs = TimingSummary::from_stats(&stats);
+            let secs = summary(&samples);
             let seq_reference_s = seq_medians.get(workload.kernel().label()).copied();
             let speedup_vs_seq = seq_reference_s
                 .filter(|&s| secs.median_s > 0.0 && s > 0.0)
@@ -479,14 +451,14 @@ fn spawn_overhead_record(
     for _ in 0..opts.warmups {
         micro::spawn_overhead(scheduler, spawns);
     }
-    let mut stats = RunStats::new();
+    let mut samples = Vec::new();
     let mut metrics = MetricsSnapshot::default();
     for _ in 0..opts.reps {
         let before = scheduler.metrics();
-        stats.record(micro::spawn_overhead(scheduler, spawns));
+        samples.push(micro::spawn_overhead(scheduler, spawns));
         metrics = metrics.merge(scheduler.metrics().delta_since(&before));
     }
-    let secs = TimingSummary::from_stats(&stats);
+    let secs = summary(&samples);
     eprintln!(
         "spawn   | {spawns:>8} tasks | p = {threads:>2} | median {:>10.6}s | {:>8.1} ns/task",
         secs.median_s,
@@ -552,20 +524,18 @@ fn sweep_injection(opts: &Options) -> Vec<RunRecord> {
             for _ in 0..opts.warmups {
                 micro::injection_throughput(&scheduler, PRODUCERS, per_producer);
             }
-            let mut stats = RunStats::new();
-            let mut submit = RunStats::new();
+            let mut samples = Vec::new();
+            let mut submit = Vec::new();
             let mut metrics = MetricsSnapshot::default();
             for _ in 0..opts.reps {
                 let before = scheduler.metrics();
                 let outcome = micro::injection_throughput(&scheduler, PRODUCERS, per_producer);
-                stats.record(outcome.duration);
+                samples.push(outcome.duration);
                 metrics = metrics.merge(scheduler.metrics().delta_since(&before));
-                for sample in outcome.submit_to_start {
-                    submit.record(sample);
-                }
+                submit.extend(outcome.submit_to_start);
             }
-            let secs = TimingSummary::from_stats(&stats);
-            let submit_secs = TimingSummary::from_stats(&submit);
+            let secs = summary(&samples);
+            let submit_secs = summary(&submit);
             let tasks_per_sec = if secs.median_s > 0.0 {
                 tasks as f64 / secs.median_s
             } else {
@@ -594,26 +564,14 @@ fn sweep_injection(opts: &Options) -> Vec<RunRecord> {
                 metrics,
                 seq_reference_s: None,
                 speedup_vs_seq: None,
-                extra: Some(JsonValue::Object(vec![
-                    ("producers".into(), JsonValue::Number(PRODUCERS as f64)),
-                    (
-                        "per_producer".into(),
-                        JsonValue::Number(per_producer as f64),
-                    ),
-                    ("shards".into(), JsonValue::Number(shards as f64)),
-                    ("tasks_per_sec".into(), JsonValue::Number(tasks_per_sec)),
-                    (
-                        "submit_to_start_median_us".into(),
-                        JsonValue::Number(submit_secs.median_s * 1e6),
-                    ),
-                    (
-                        "submit_to_start_p95_us".into(),
-                        JsonValue::Number(submit_secs.p95_s * 1e6),
-                    ),
-                    (
-                        "injector_remote_pop_share".into(),
-                        JsonValue::Number(remote_share),
-                    ),
+                extra: Some(Json::obj([
+                    ("producers", Json::Num(PRODUCERS as f64)),
+                    ("per_producer", Json::Num(per_producer as f64)),
+                    ("shards", Json::Num(shards as f64)),
+                    ("tasks_per_sec", Json::Num(tasks_per_sec)),
+                    ("submit_to_start_median_us", Json::Num(submit_secs.median_s * 1e6)),
+                    ("submit_to_start_p95_us", Json::Num(submit_secs.p95_s * 1e6)),
+                    ("injector_remote_pop_share", Json::Num(remote_share)),
                 ])),
             });
         }
@@ -642,7 +600,7 @@ fn sweep_soak(opts: &Options) -> Vec<RunRecord> {
             let scheduler = Scheduler::with_threads(threads);
             micro::soak(&scheduler, scopes.min(64), per_scope);
         }
-        let mut stats = RunStats::new();
+        let mut samples = Vec::new();
         let mut metrics = MetricsSnapshot::default();
         let mut peak_segments = 0usize;
         let mut peak_deferred = 0usize;
@@ -651,13 +609,13 @@ fn sweep_soak(opts: &Options) -> Vec<RunRecord> {
             let scheduler = Scheduler::with_threads(threads);
             let before = scheduler.metrics();
             let outcome = micro::soak(&scheduler, scopes, per_scope);
-            stats.record(outcome.duration);
+            samples.push(outcome.duration);
             metrics = metrics.merge(scheduler.metrics().delta_since(&before));
             peak_segments = peak_segments.max(outcome.peak_injector_segments);
             peak_deferred = peak_deferred.max(outcome.peak_deferred_items);
             final_segments = outcome.final_injector_segments;
         }
-        let secs = TimingSummary::from_stats(&stats);
+        let secs = summary(&samples);
         eprintln!(
             "soak    | {root_tasks:>6} roots | p = {threads:>2} | median {:>10.6}s | peak segs {peak_segments} | reclaimed {}+{}",
             secs.median_s, metrics.segments_reclaimed, metrics.buffers_reclaimed
@@ -674,21 +632,12 @@ fn sweep_soak(opts: &Options) -> Vec<RunRecord> {
             metrics,
             seq_reference_s: None,
             speedup_vs_seq: None,
-            extra: Some(JsonValue::Object(vec![
-                (
-                    "peak_injector_segments".into(),
-                    JsonValue::Number(peak_segments as f64),
-                ),
-                (
-                    "final_injector_segments".into(),
-                    JsonValue::Number(final_segments as f64),
-                ),
-                (
-                    "peak_deferred_items".into(),
-                    JsonValue::Number(peak_deferred as f64),
-                ),
-                ("scopes".into(), JsonValue::Number(scopes as f64)),
-                ("per_scope".into(), JsonValue::Number(per_scope as f64)),
+            extra: Some(Json::obj([
+                ("peak_injector_segments", Json::Num(peak_segments as f64)),
+                ("final_injector_segments", Json::Num(final_segments as f64)),
+                ("peak_deferred_items", Json::Num(peak_deferred as f64)),
+                ("scopes", Json::Num(scopes as f64)),
+                ("per_scope", Json::Num(per_scope as f64)),
             ])),
         });
     }
@@ -712,12 +661,8 @@ fn sweep_wakeup_latency(opts: &Options) -> Vec<RunRecord> {
             micro::wakeup_latency(&scheduler, warmup_submissions);
         }
         let before = scheduler.metrics();
-        let mut stats = RunStats::new();
-        for latency in micro::wakeup_latency(&scheduler, submissions) {
-            stats.record(latency);
-        }
+        let secs = summary(&micro::wakeup_latency(&scheduler, submissions));
         let metrics = scheduler.metrics().delta_since(&before);
-        let secs = TimingSummary::from_stats(&stats);
         eprintln!(
             "wakeup  | {submissions:>4} submits | p = {threads:>2} | median {:>8.1} us | p95 {:>8.1} us",
             secs.median_s * 1e6,
@@ -735,9 +680,9 @@ fn sweep_wakeup_latency(opts: &Options) -> Vec<RunRecord> {
             metrics,
             seq_reference_s: None,
             speedup_vs_seq: None,
-            extra: Some(JsonValue::Object(vec![(
-                "settle_ms".into(),
-                JsonValue::Number(micro::WAKEUP_SETTLE.as_secs_f64() * 1e3),
+            extra: Some(Json::obj([(
+                "settle_ms",
+                Json::Num(micro::WAKEUP_SETTLE.as_secs_f64() * 1e3),
             )])),
         });
     }
@@ -764,7 +709,7 @@ fn sweep_idle_burn(opts: &Options) -> Vec<RunRecord> {
     for &threads in &opts.threads {
         let scheduler = Scheduler::with_threads(threads);
         let before = scheduler.metrics();
-        let mut stats = RunStats::new();
+        let mut samples = Vec::new();
         let mut wall_total = Duration::ZERO;
         let mut reps_recorded = 0usize;
         for _ in 0..opts.reps {
@@ -772,7 +717,7 @@ fn sweep_idle_burn(opts: &Options) -> Vec<RunRecord> {
             // The probe can transiently fail (procfs race); skip the sample
             // rather than abort the sweep.
             let Some(cpu) = outcome.cpu else { continue };
-            stats.record(cpu);
+            samples.push(cpu);
             wall_total += outcome.wall;
             reps_recorded += 1;
         }
@@ -781,10 +726,9 @@ fn sweep_idle_burn(opts: &Options) -> Vec<RunRecord> {
             continue;
         }
         let metrics = scheduler.metrics().delta_since(&before);
-        let secs = TimingSummary::from_stats(&stats);
+        let secs = summary(&samples);
         let burn_ratio = if wall_total.as_secs_f64() > 0.0 {
-            stats.samples().iter().map(|d| d.as_secs_f64()).sum::<f64>()
-                / wall_total.as_secs_f64()
+            secs.samples_s.iter().sum::<f64>() / wall_total.as_secs_f64()
         } else {
             0.0
         };
@@ -806,12 +750,9 @@ fn sweep_idle_burn(opts: &Options) -> Vec<RunRecord> {
             metrics,
             seq_reference_s: None,
             speedup_vs_seq: None,
-            extra: Some(JsonValue::Object(vec![
-                (
-                    "wall_interval_s".into(),
-                    JsonValue::Number(wall.as_secs_f64()),
-                ),
-                ("cpu_per_wall".into(), JsonValue::Number(burn_ratio)),
+            extra: Some(Json::obj([
+                ("wall_interval_s", Json::Num(wall.as_secs_f64())),
+                ("cpu_per_wall", Json::Num(burn_ratio)),
             ])),
         });
     }
@@ -842,12 +783,9 @@ fn sweep_team_build(opts: &Options) -> Vec<RunRecord> {
         } else {
             0.0
         };
-        JsonValue::Object(vec![
-            ("reuse_hit_rate".into(), JsonValue::Number(hit_rate)),
-            (
-                "cold_gap_ms".into(),
-                JsonValue::Number(micro::TEAM_BUILD_COLD_GAP.as_secs_f64() * 1e3),
-            ),
+        Json::obj([
+            ("reuse_hit_rate", Json::Num(hit_rate)),
+            ("cold_gap_ms", Json::Num(micro::TEAM_BUILD_COLD_GAP.as_secs_f64() * 1e3)),
         ])
     };
     for &threads in &opts.threads {
@@ -865,11 +803,7 @@ fn sweep_team_build(opts: &Options) -> Vec<RunRecord> {
         let before = scheduler.metrics();
         let streak = micro::team_build_streak(&scheduler, r, streak_tasks);
         let streak_metrics = scheduler.metrics().delta_since(&before);
-        let mut stats = RunStats::new();
-        for latency in &streak.submit_to_start {
-            stats.record(*latency);
-        }
-        let secs = TimingSummary::from_stats(&stats);
+        let secs = summary(&streak.submit_to_start);
         let streak_median_us = secs.median_s * 1e6;
         records.push(RunRecord {
             group: "team_build".into(),
@@ -889,11 +823,7 @@ fn sweep_team_build(opts: &Options) -> Vec<RunRecord> {
         let before = scheduler.metrics();
         let cold = micro::team_build_cold(&scheduler, r, cold_tasks);
         let cold_metrics = scheduler.metrics().delta_since(&before);
-        let mut stats = RunStats::new();
-        for latency in &cold.submit_to_start {
-            stats.record(*latency);
-        }
-        let secs = TimingSummary::from_stats(&stats);
+        let secs = summary(&cold.submit_to_start);
         eprintln!(
             "team    | r = {r:>2} | p = {threads:>2} | streak median {streak_median_us:>8.1} us (hit {:>5.3}) | cold median {:>8.1} us",
             streak_metrics.team_reuses as f64
@@ -915,14 +845,14 @@ fn sweep_team_build(opts: &Options) -> Vec<RunRecord> {
             speedup_vs_seq: None,
         });
 
-        let mut stats = RunStats::new();
+        let mut samples = Vec::new();
         let mut metrics = MetricsSnapshot::default();
         for _ in 0..opts.reps {
             let before = scheduler.metrics();
-            stats.record(micro::team_build_mix(&scheduler, mix_bursts));
+            samples.push(micro::team_build_mix(&scheduler, mix_bursts));
             metrics = metrics.merge(scheduler.metrics().delta_since(&before));
         }
-        let secs = TimingSummary::from_stats(&stats);
+        let secs = summary(&samples);
         eprintln!(
             "teammix | {mix_bursts:>4} bursts | p = {threads:>2} | median {:>10.6}s | built {} reused {}",
             secs.median_s, metrics.teams_built, metrics.team_reuses
@@ -955,11 +885,11 @@ fn check_pass_report(baseline: &Report, opts: &Options) -> Result<Report, String
     let seed = baseline
         .params
         .get("seed")
-        .and_then(JsonValue::as_f64)
+        .and_then(Json::as_f64)
         .map(|s| s as u64)
         .unwrap_or(opts.seed);
     let mmpar = Variant::MmPar.label();
-    let cores = host_parallelism();
+    let cores = host::nproc();
     // Distinct cells of the baseline, preserving its sweep order.
     let mut cells: Vec<(String, usize, usize)> = Vec::new();
     for record in baseline.records.iter().filter(|r| r.name == mmpar) {
@@ -992,7 +922,7 @@ fn check_pass_report(baseline: &Report, opts: &Options) -> Result<Report, String
             .entry(threads)
             .or_insert_with(|| VariantRunner::new(threads, config.clone()));
         let sized_opts = Options { size, seed, ..opts.clone() };
-        let (stats, metrics) =
+        let (secs, metrics) =
             sort_cells(runner, &[Variant::MmPar], distribution, input, &sized_opts, threads)
                 .pop()
                 .expect("one cell per variant");
@@ -1001,7 +931,7 @@ fn check_pass_report(baseline: &Report, opts: &Options) -> Result<Report, String
             distribution,
             &sized_opts,
             threads,
-            &stats,
+            secs,
             metrics,
             None,
         ));
@@ -1013,7 +943,7 @@ fn check_pass_report(baseline: &Report, opts: &Options) -> Result<Report, String
 /// (spawns, threads) cells, for the same reason as [`check_pass_report`] and
 /// with the same exclusions.
 fn spawn_overhead_check_report(baseline: &Report, opts: &Options) -> Report {
-    let cores = host_parallelism();
+    let cores = host::nproc();
     let records = baseline
         .records
         .iter()
@@ -1076,6 +1006,19 @@ fn report_check(outcome: &CheckOutcome, what: &str, baseline: &Path, tolerance_p
     outcome.passed()
 }
 
+/// Reads the report at `path`, `None` when no file is there.  A file that is
+/// there but is not a report of this schema is an error, never an absent
+/// file: treating it as absent would skip a gate or overwrite its records.
+fn read_report(path: &Path, what: &str) -> Result<Option<Report>, String> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(format!("cannot read {what} {}: {e}", path.display())),
+    };
+    let report = Report::from_json_str(&text);
+    report.map(Some).map_err(|e| format!("{what} {} is invalid: {e}", path.display()))
+}
+
 fn write_report(path: &Path, report: &Report) -> Result<(), String> {
     std::fs::write(path, report.to_json_string())
         .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
@@ -1102,10 +1045,8 @@ fn run() -> Result<i32, String> {
     // report against itself (a vacuously green gate).
     let baseline = match &opts.check {
         Some(baseline_path) => {
-            let text = std::fs::read_to_string(baseline_path)
-                .map_err(|e| format!("cannot read baseline {}: {e}", baseline_path.display()))?;
-            let report = Report::from_json_str(&text)
-                .map_err(|e| format!("baseline {} is invalid: {e}", baseline_path.display()))?;
+            let report = read_report(baseline_path, "baseline")?
+                .ok_or_else(|| format!("baseline {} does not exist", baseline_path.display()))?;
             if report.group != "sort" {
                 return Err(format!(
                     "baseline {} is a `{}` report; --check compares sort reports ({SORT_FILE})",
@@ -1113,25 +1054,20 @@ fn run() -> Result<i32, String> {
                     report.group
                 ));
             }
-            if report.schema_version != SCHEMA_VERSION {
-                return Err(format!(
-                    "baseline {} has schema version {}, this harness writes {SCHEMA_VERSION}",
-                    baseline_path.display(),
-                    report.schema_version
-                ));
-            }
             Some((baseline_path.clone(), report))
         }
         None => None,
     };
     // The kernel baseline lives next to the sort one and, like it, must be
-    // read before a sweep overwrites it.  Absent or unreadable: only MMPar
-    // is gated (said below).
-    let kernel_baseline = baseline.as_ref().and_then(|(path, _)| {
-        let path = path.with_file_name(KERNELS_FILE);
-        let report = Report::from_json_str(&std::fs::read_to_string(&path).ok()?).ok()?;
-        (report.schema_version == SCHEMA_VERSION).then_some((path, report))
-    });
+    // read before a sweep overwrites it.  Absent: only MMPar is gated (said
+    // below).
+    let kernel_baseline = match &baseline {
+        Some((path, _)) => {
+            let path = path.with_file_name(KERNELS_FILE);
+            read_report(&path, "kernel baseline")?.map(|report| (path, report))
+        }
+        None => None,
+    };
 
     eprintln!(
         "perf harness — size {}, threads {:?}, {} reps after {} warmups, seed {}{}",
@@ -1146,9 +1082,11 @@ fn run() -> Result<i32, String> {
     // One report per file that has a selected scenario, records in table
     // order.  A partial run (`--only kernel`, `--only soak`, …) must not
     // clobber the skipped scenarios' records in an existing report at the
-    // destination: it carries them over instead.
+    // destination: it carries them over instead — read here, before any
+    // sweep, so a report that cannot be carried over stops the run at once.
     let sort_path = opts.out_dir.join(SORT_FILE);
     let mut sort_report = None;
+    let mut plans = Vec::new();
     for file in [SORT_FILE, KERNELS_FILE] {
         let scenarios: Vec<&Scenario> = SCENARIOS.iter().filter(|s| s.file == file).collect();
         if !scenarios.iter().any(|s| opts.runs(s)) {
@@ -1158,11 +1096,12 @@ fn run() -> Result<i32, String> {
         let existing = if scenarios.iter().all(|s| opts.runs(s)) {
             Vec::new()
         } else {
-            let parsed = std::fs::read_to_string(&path)
-                .ok()
-                .and_then(|text| Report::from_json_str(&text).ok());
-            parsed.map(|report| report.records).unwrap_or_default()
+            let carried = read_report(&path, "existing report")?;
+            carried.map(|report| report.records).unwrap_or_default()
         };
+        plans.push((file, path, scenarios, existing));
+    }
+    for (file, path, scenarios, existing) in plans {
         let mut records = Vec::new();
         for scenario in &scenarios {
             if opts.runs(scenario) {

@@ -21,10 +21,10 @@
 
 use std::time::Duration;
 
-use teamsteal_bench::{render_table, run_table, TableSpec};
+use teamsteal_bench::{render_table, run_table, Aggregation, TableSpec};
 use teamsteal_data::{Distribution, Scale};
 use teamsteal_sort::SortConfig;
-use teamsteal_util::timing::{speedup, RunStats};
+use teamsteal_util::timing::speedup;
 
 struct Options {
     tables: Vec<u8>,
@@ -140,7 +140,7 @@ fn main() {
     };
     println!(
         "teamsteal table harness — host parallelism: {}, scale {:?}, {} repetitions, sort config {:?}",
-        teamsteal_bench::report::host_parallelism(),
+        teamsteal_benchmark::host::nproc(),
         opts.scale,
         opts.reps,
         config
@@ -194,13 +194,13 @@ fn run_steal_policy_ablation(opts: &Options, config: &SortConfig) {
     for distribution in Distribution::ALL {
         let input = distribution.generate(size, threads, opts.seed);
         // Sequential reference for the speedup column.
-        let mut seq_stats = RunStats::new();
+        let mut seq_samples = Vec::new();
         for _ in 0..opts.reps {
             let mut copy = input.clone();
             let (d, ()) = time(|| std_sort(&mut copy));
-            seq_stats.record(d);
+            seq_samples.push(d.as_secs_f64());
         }
-        let seq = seq_stats.average();
+        let seq = Aggregation::Average.pick(&seq_samples);
         let report = |label: &str, duration: Duration| {
             println!(
                 "{:<10} {:<26} {:>11.3} {:>6.1}",
@@ -224,7 +224,7 @@ fn run_steal_policy_ablation(opts: &Options, config: &SortConfig) {
                 .threads(threads)
                 .steal_policy(policy)
                 .build();
-            let mut stats = RunStats::new();
+            let mut samples = Vec::new();
             for _ in 0..opts.reps {
                 let mut copy = input.clone();
                 let (d, ()) = time(|| {
@@ -235,9 +235,9 @@ fn run_steal_policy_ablation(opts: &Options, config: &SortConfig) {
                     }
                 });
                 assert!(teamsteal_data::is_sorted(&copy));
-                stats.record(d);
+                samples.push(d.as_secs_f64());
             }
-            report(label, stats.average());
+            report(label, Aggregation::Average.pick(&samples));
         }
         println!();
     }

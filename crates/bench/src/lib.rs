@@ -15,6 +15,13 @@
 //! [`TableSpec`] encodes which table uses which thread count, aggregation
 //! (average vs. best of N) and column set; [`run_table`] regenerates one
 //! table and [`render_table`] prints it in the paper's row/column layout.
+//! [`VariantRunner::sort_cells`] is the one loop sort samples come from, for
+//! the tables and for the `perf` bin's `BENCH_sort.json` alike.
+//!
+//! The crate is a client of the benchmark package's library
+//! (`teamsteal_benchmark`, `benchmark/` at the repository root): [`report`]
+//! is the typed `BENCH_*.json` schema over its `json::Json`, timing
+//! aggregates are its `stats`, the host's core count and commit its `host`.
 
 #![warn(missing_docs)]
 
@@ -22,6 +29,6 @@ pub mod report;
 pub mod runner;
 pub mod tables;
 
-pub use report::{check_regressions, CheckOutcome, Environment, JsonValue, Report, RunRecord, TimingSummary};
+pub use report::{check_regressions, CheckOutcome, Environment, Report, RunRecord, TimingSummary};
 pub use runner::{Measurement, Variant, VariantRunner};
 pub use tables::{render_table, run_table, Aggregation, TableResult, TableSpec};

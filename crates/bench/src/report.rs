@@ -9,11 +9,13 @@
 //!
 //! Three design constraints shape the module:
 //!
-//! 1. **No third-party dependencies.**  The build environment has no
-//!    crates.io access (see `stubs/README.md`), so the JSON layer is a small
-//!    hand-rolled writer plus a minimal recursive-descent parser
-//!    ([`JsonValue`]) instead of serde.  The parser exists so that reports
-//!    round-trip (tested), and so `--check` can read a recorded baseline.
+//! 1. **One JSON layer, one set of order statistics.**  The build
+//!    environment has no crates.io access (see `stubs/README.md`), so the
+//!    repository owns a small JSON value with a parser and a writer — the
+//!    benchmark package's [`Json`], which this module reads and writes
+//!    through; medians and percentiles are that package's `stats`.  What
+//!    lives here is the typed schema on top: every field a report must have,
+//!    checked when a file is read.
 //! 2. **Explainable numbers.**  Every [`RunRecord`] carries a
 //!    [`MetricsSnapshot`] delta next to its timing aggregates: a slowdown
 //!    with a spike in `failed_steal_rounds` reads very differently from one
@@ -25,399 +27,34 @@
 //! The JSON schema is documented in `EXPERIMENTS.md` ("Regenerating
 //! `BENCH_*.json`").
 
-use std::fmt::Write as _;
-use std::time::Duration;
-
+use teamsteal_benchmark::json::Json;
+use teamsteal_benchmark::{host, stats};
 use teamsteal_core::MetricsSnapshot;
-use teamsteal_util::timing::RunStats;
 
-/// Current value of the `schema_version` field written into every report.
+/// Value of the `schema_version` field of every report this code writes, and
+/// the only one it reads.
 pub const SCHEMA_VERSION: u64 = 1;
 
-// ---------------------------------------------------------------------------
-// JSON value: writer + minimal parser
-// ---------------------------------------------------------------------------
-
-/// A JSON document, as written and parsed by this crate.
-///
-/// Objects preserve insertion order (they are association lists, not maps) so
-/// that regenerated reports diff cleanly against committed ones.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.  Stored as `f64`; the counters this crate writes stay
-    /// far below 2^53, where `f64` is exact.
-    Number(f64),
-    /// A string (unescaped representation).
-    String(String),
-    /// An array.
-    Array(Vec<JsonValue>),
-    /// An object as an ordered association list.
-    Object(Vec<(String, JsonValue)>),
+/// `value` as a non-negative integer that an `f64` holds exactly.  `None`
+/// for whatever a cast would have bent into one: a sign, a fraction, a
+/// `null` that was a NaN when written, 2^53 and beyond.
+fn uint(value: &Json) -> Option<u64> {
+    let n = value.as_f64()?;
+    (n >= 0.0 && n.fract() == 0.0 && n < 9_007_199_254_740_992.0).then_some(n as u64)
 }
 
-impl JsonValue {
-    /// Looks up a key in an object.  Returns `None` for non-objects.
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
-        match self {
-            JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Serializes the value as pretty-printed JSON (2-space indent, `\n`
-    /// line endings, trailing newline at the top level).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn render_into(&self, out: &mut String, indent: usize) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Number(n) => render_number(out, *n),
-            JsonValue::String(s) => render_string(out, s),
-            JsonValue::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    push_indent(out, indent + 1);
-                    item.render_into(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
-            }
-            JsonValue::Object(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in pairs.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    push_indent(out, indent + 1);
-                    render_string(out, key);
-                    out.push_str(": ");
-                    value.render_into(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
-            }
-        }
-    }
-
-    /// Parses a JSON document.
-    ///
-    /// This is a minimal, strict parser: it accepts exactly one top-level
-    /// value surrounded by optional whitespace, and supports the escape
-    /// sequences of RFC 8259 including `\uXXXX` (with surrogate pairs).
-    pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        skip_ws(bytes, &mut pos);
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(JsonError::at(pos, "trailing characters after JSON value"));
-        }
-        Ok(value)
-    }
+/// Member `key` of the object `value` (a `what`, for the message) as a
+/// non-negative integer that fits `T`.
+fn uint_field<T: TryFrom<u64>>(value: &Json, what: &str, key: &str) -> Result<T, String> {
+    let field = value.get(key).ok_or_else(|| format!("{what} missing `{key}`"))?;
+    uint(field).and_then(|n| T::try_from(n).ok()).ok_or_else(|| {
+        format!("{what} `{key}` must be a non-negative integer, found {}", field.to_line())
+    })
 }
 
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-fn render_number(out: &mut String, n: f64) {
-    if n.is_finite() {
-        // `{}` on f64 produces the shortest representation that round-trips,
-        // never in exponent notation — always a valid JSON number.
-        let _ = write!(out, "{n}");
-    } else {
-        // JSON has no NaN/Infinity; degrade to null rather than emit an
-        // unparseable file.
-        out.push_str("null");
-    }
-}
-
-fn render_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Error produced by [`JsonValue::parse`]: byte offset plus message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset into the input at which parsing failed.
-    pub offset: usize,
-    /// Human-readable description of the failure.
-    pub message: String,
-}
-
-impl JsonError {
-    fn at(offset: usize, message: impl Into<String>) -> Self {
-        JsonError {
-            offset,
-            message: message.into(),
-        }
-    }
-}
-
-impl std::fmt::Display for JsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JSON parse error at byte {}: {}", self.offset, self.message)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect_literal(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
-    if bytes[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(JsonError::at(*pos, format!("expected `{lit}`")))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
-    match bytes.get(*pos) {
-        None => Err(JsonError::at(*pos, "unexpected end of input")),
-        Some(b'n') => expect_literal(bytes, pos, "null").map(|()| JsonValue::Null),
-        Some(b't') => expect_literal(bytes, pos, "true").map(|()| JsonValue::Bool(true)),
-        Some(b'f') => expect_literal(bytes, pos, "false").map(|()| JsonValue::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(JsonValue::String),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'-' | b'0'..=b'9') => parse_number(bytes, pos),
-        Some(&c) => Err(JsonError::at(*pos, format!("unexpected byte 0x{c:02x}"))),
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
-    let start = *pos;
-    if bytes.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while matches!(
-        bytes.get(*pos),
-        Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    ) {
-        *pos += 1;
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|_| JsonError::at(start, "invalid UTF-8 in number"))?;
-    text.parse::<f64>()
-        .map(JsonValue::Number)
-        .map_err(|_| JsonError::at(start, format!("invalid number `{text}`")))
-}
-
-fn parse_hex4(bytes: &[u8], pos: &mut usize) -> Result<u16, JsonError> {
-    let slice = bytes
-        .get(*pos..*pos + 4)
-        .ok_or_else(|| JsonError::at(*pos, "truncated \\u escape"))?;
-    let text = std::str::from_utf8(slice)
-        .map_err(|_| JsonError::at(*pos, "invalid UTF-8 in \\u escape"))?;
-    let code = u16::from_str_radix(text, 16)
-        .map_err(|_| JsonError::at(*pos, format!("invalid \\u escape `{text}`")))?;
-    *pos += 4;
-    Ok(code)
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    debug_assert_eq!(bytes[*pos], b'"');
-    *pos += 1;
-    let mut out = String::new();
-    let start = *pos;
-    loop {
-        match bytes.get(*pos) {
-            None => return Err(JsonError::at(start, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let esc = *bytes
-                    .get(*pos)
-                    .ok_or_else(|| JsonError::at(*pos, "truncated escape"))?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'b' => out.push('\u{08}'),
-                    b'f' => out.push('\u{0c}'),
-                    b'u' => {
-                        let hi = parse_hex4(bytes, pos)?;
-                        let c = if (0xd800..0xdc00).contains(&hi) {
-                            // High surrogate: a \uXXXX low surrogate must follow.
-                            expect_literal(bytes, pos, "\\u")?;
-                            let lo = parse_hex4(bytes, pos)?;
-                            if !(0xdc00..0xe000).contains(&lo) {
-                                return Err(JsonError::at(*pos, "invalid low surrogate"));
-                            }
-                            let c = 0x10000
-                                + ((hi as u32 - 0xd800) << 10)
-                                + (lo as u32 - 0xdc00);
-                            char::from_u32(c)
-                        } else {
-                            char::from_u32(hi as u32)
-                        };
-                        out.push(
-                            c.ok_or_else(|| JsonError::at(*pos, "invalid unicode escape"))?,
-                        );
-                    }
-                    other => {
-                        return Err(JsonError::at(
-                            *pos,
-                            format!("unknown escape `\\{}`", other as char),
-                        ))
-                    }
-                }
-            }
-            Some(_) => {
-                // Consume one UTF-8 encoded character.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| JsonError::at(*pos, "invalid UTF-8 in string"))?;
-                let c = rest.chars().next().expect("non-empty by construction");
-                if (c as u32) < 0x20 {
-                    return Err(JsonError::at(*pos, "unescaped control character"));
-                }
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
-    debug_assert_eq!(bytes[*pos], b'[');
-    *pos += 1;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(JsonValue::Array(items));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        items.push(parse_value(bytes, pos)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(JsonValue::Array(items));
-            }
-            _ => return Err(JsonError::at(*pos, "expected `,` or `]`")),
-        }
-    }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
-    debug_assert_eq!(bytes[*pos], b'{');
-    *pos += 1;
-    let mut pairs = Vec::new();
-    skip_ws(bytes, pos);
-    if bytes.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(JsonValue::Object(pairs));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b'"') {
-            return Err(JsonError::at(*pos, "expected string key"));
-        }
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        if bytes.get(*pos) != Some(&b':') {
-            return Err(JsonError::at(*pos, "expected `:`"));
-        }
-        *pos += 1;
-        skip_ws(bytes, pos);
-        let value = parse_value(bytes, pos)?;
-        pairs.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(JsonValue::Object(pairs));
-            }
-            _ => return Err(JsonError::at(*pos, "expected `,` or `}`")),
-        }
-    }
+fn str_field(value: &Json, what: &str, key: &str) -> Result<String, String> {
+    let field = value.get(key).and_then(Json::as_str);
+    field.map(str::to_string).ok_or_else(|| format!("{what} missing string `{key}`"))
 }
 
 // ---------------------------------------------------------------------------
@@ -426,8 +63,8 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonError> {
 
 /// Timing aggregates of one scenario, in seconds.
 ///
-/// Built from a [`RunStats`] via [`TimingSummary::from_stats`]; the raw
-/// samples are retained so a future reader can re-aggregate differently.
+/// Built by [`TimingSummary::from_samples`]; the raw samples are retained so
+/// a future reader can re-aggregate differently.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimingSummary {
     /// Best (minimum) sample.
@@ -447,44 +84,50 @@ pub struct TimingSummary {
 }
 
 impl TimingSummary {
-    /// Aggregates a set of recorded samples.
-    pub fn from_stats(stats: &RunStats) -> Self {
+    /// Aggregates samples given in seconds, in execution order.  Median and
+    /// percentile are the benchmark's (`stats::median`: midpoint of the two
+    /// central samples for an even count; `stats::percentile_sorted`:
+    /// nearest rank); no samples aggregate to all zeros.
+    pub fn from_samples(samples_s: Vec<f64>) -> Self {
+        if samples_s.is_empty() {
+            return TimingSummary::default();
+        }
+        let sorted = stats::sorted(&samples_s);
+        let n = sorted.len() as f64;
+        let average_s = samples_s.iter().sum::<f64>() / n;
+        let squares: f64 = samples_s.iter().map(|s| (s - average_s).powi(2)).sum();
         TimingSummary {
-            best_s: stats.best().as_secs_f64(),
-            average_s: stats.average().as_secs_f64(),
-            median_s: stats.median().as_secs_f64(),
-            p95_s: stats.p95().as_secs_f64(),
-            worst_s: stats.worst().as_secs_f64(),
-            stddev_s: stats.stddev_secs(),
-            samples_s: stats.samples().iter().map(Duration::as_secs_f64).collect(),
+            best_s: sorted[0],
+            average_s,
+            median_s: stats::median(&sorted),
+            p95_s: stats::percentile_sorted(&sorted, 95.0),
+            worst_s: sorted[sorted.len() - 1],
+            // Sample (n - 1) deviation; a single sample has none.
+            stddev_s: if sorted.len() < 2 { 0.0 } else { (squares / (n - 1.0)).sqrt() },
+            samples_s,
         }
     }
 
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("best_s".into(), JsonValue::Number(self.best_s)),
-            ("average_s".into(), JsonValue::Number(self.average_s)),
-            ("median_s".into(), JsonValue::Number(self.median_s)),
-            ("p95_s".into(), JsonValue::Number(self.p95_s)),
-            ("worst_s".into(), JsonValue::Number(self.worst_s)),
-            ("stddev_s".into(), JsonValue::Number(self.stddev_s)),
-            (
-                "samples_s".into(),
-                JsonValue::Array(self.samples_s.iter().map(|&s| JsonValue::Number(s)).collect()),
-            ),
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("best_s", Json::Num(self.best_s)),
+            ("average_s", Json::Num(self.average_s)),
+            ("median_s", Json::Num(self.median_s)),
+            ("p95_s", Json::Num(self.p95_s)),
+            ("worst_s", Json::Num(self.worst_s)),
+            ("stddev_s", Json::Num(self.stddev_s)),
+            ("samples_s", Json::Arr(self.samples_s.iter().map(|&s| Json::Num(s)).collect())),
         ])
     }
 
-    fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let num = |key: &str| -> Result<f64, String> {
-            value
-                .get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("timing summary missing number `{key}`"))
+    fn from_json(value: &Json) -> Result<Self, String> {
+        let num = |key: &str| {
+            let field = value.get(key).and_then(Json::as_f64);
+            field.ok_or_else(|| format!("timing summary missing number `{key}`"))
         };
         let samples = value
             .get("samples_s")
-            .and_then(JsonValue::as_array)
+            .and_then(Json::as_arr)
             .ok_or("timing summary missing `samples_s`")?
             .iter()
             .map(|v| v.as_f64().ok_or_else(|| "non-numeric sample".to_string()))
@@ -507,37 +150,26 @@ impl TimingSummary {
 /// its [`MetricsSnapshot`] field, in [`MetricsSnapshot::counters`] order.
 const WAKE_LATENCY_FIELD: &str = "wake_latency_us";
 
-fn metrics_to_json(m: &MetricsSnapshot) -> JsonValue {
-    let mut pairs: Vec<(String, JsonValue)> = m
-        .counters()
-        .map(|(name, value)| (name.to_string(), JsonValue::Number(value as f64)))
-        .collect();
-    let buckets = m.wake_latency.buckets.iter();
-    pairs.push((
-        WAKE_LATENCY_FIELD.to_string(),
-        JsonValue::Array(buckets.map(|&b| JsonValue::Number(b as f64)).collect()),
-    ));
-    JsonValue::Object(pairs)
+fn metrics_to_json(m: &MetricsSnapshot) -> Json {
+    let buckets = m.wake_latency.buckets.iter().map(|&b| Json::Num(b as f64));
+    let counters = m.counters().map(|(name, value)| (name, Json::Num(value as f64)));
+    Json::obj(counters.chain([(WAKE_LATENCY_FIELD, Json::Arr(buckets.collect()))]))
 }
 
-/// Every counter and every histogram bucket must be present: `perf` refuses
-/// baselines of another schema version, so a gap is a damaged file, not an
-/// old one.
-fn metrics_from_json(value: &JsonValue) -> Result<MetricsSnapshot, String> {
-    let mut metrics = MetricsSnapshot::try_from_counters(|name| {
-        value
-            .get(name)
-            .and_then(JsonValue::as_f64)
-            .map(|n| n as u64)
-            .ok_or_else(|| format!("metrics missing `{name}`"))
-    })?;
+/// Every counter and every histogram bucket must be present: a report of
+/// another schema version is refused before its records are read, so a gap
+/// is a damaged file, not an old one.
+fn metrics_from_json(value: &Json) -> Result<MetricsSnapshot, String> {
+    let mut metrics = MetricsSnapshot::try_from_counters(|name| uint_field(value, "metrics", name))?;
     let buckets = value
         .get(WAKE_LATENCY_FIELD)
-        .and_then(JsonValue::as_array)
+        .and_then(Json::as_arr)
         .filter(|b| b.len() == metrics.wake_latency.buckets.len())
         .ok_or_else(|| format!("metrics missing `{WAKE_LATENCY_FIELD}` buckets"))?;
     for (slot, bucket) in metrics.wake_latency.buckets.iter_mut().zip(buckets) {
-        *slot = bucket.as_f64().ok_or("non-numeric wake-latency bucket")? as u64;
+        *slot = uint(bucket).ok_or_else(|| {
+            format!("metrics `{WAKE_LATENCY_FIELD}` holds {}, not a count", bucket.to_line())
+        })?;
     }
     Ok(metrics)
 }
@@ -582,81 +214,44 @@ pub struct RunRecord {
     /// memory-footprint gauges here (see EXPERIMENTS.md).  Absent in
     /// reports written before schema field introduction; the parser
     /// defaults it to `None`.
-    pub extra: Option<JsonValue>,
+    pub extra: Option<Json>,
 }
 
 impl RunRecord {
     /// Serializes the record into the schema's object layout.
-    pub fn to_json(&self) -> JsonValue {
-        let opt_num = |v: Option<f64>| v.map(JsonValue::Number).unwrap_or(JsonValue::Null);
-        JsonValue::Object(vec![
-            ("group".into(), JsonValue::String(self.group.clone())),
-            ("name".into(), JsonValue::String(self.name.clone())),
-            (
-                "distribution".into(),
-                self.distribution
-                    .clone()
-                    .map(JsonValue::String)
-                    .unwrap_or(JsonValue::Null),
-            ),
-            ("size".into(), JsonValue::Number(self.size as f64)),
-            ("threads".into(), JsonValue::Number(self.threads as f64)),
-            ("warmups".into(), JsonValue::Number(self.warmups as f64)),
-            (
-                "repetitions".into(),
-                JsonValue::Number(self.repetitions as f64),
-            ),
-            ("secs".into(), self.secs.to_json()),
-            ("metrics".into(), metrics_to_json(&self.metrics)),
-            ("seq_reference_s".into(), opt_num(self.seq_reference_s)),
-            ("speedup_vs_seq".into(), opt_num(self.speedup_vs_seq)),
-            (
-                "extra".into(),
-                self.extra.clone().unwrap_or(JsonValue::Null),
-            ),
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("group", Json::str(&self.group)),
+            ("name", Json::str(&self.name)),
+            ("distribution", self.distribution.as_ref().map_or(Json::Null, Json::str)),
+            ("size", Json::Num(self.size as f64)),
+            ("threads", Json::Num(self.threads as f64)),
+            ("warmups", Json::Num(self.warmups as f64)),
+            ("repetitions", Json::Num(self.repetitions as f64)),
+            ("secs", self.secs.to_json()),
+            ("metrics", metrics_to_json(&self.metrics)),
+            ("seq_reference_s", self.seq_reference_s.map_or(Json::Null, Json::Num)),
+            ("speedup_vs_seq", self.speedup_vs_seq.map_or(Json::Null, Json::Num)),
+            ("extra", self.extra.clone().unwrap_or(Json::Null)),
         ])
     }
 
     /// Parses a record from its object layout.
-    pub fn from_json(value: &JsonValue) -> Result<Self, String> {
-        let str_field = |key: &str| -> Result<String, String> {
-            value
-                .get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("record missing string `{key}`"))
-        };
-        let usize_field = |key: &str| -> Result<usize, String> {
-            value
-                .get(key)
-                .and_then(JsonValue::as_f64)
-                .map(|n| n as usize)
-                .ok_or_else(|| format!("record missing number `{key}`"))
-        };
-        let opt_num = |key: &str| -> Option<f64> { value.get(key).and_then(JsonValue::as_f64) };
+    pub fn from_json(value: &Json) -> Result<Self, String> {
+        let opt_num = |key: &str| value.get(key).and_then(Json::as_f64);
         Ok(RunRecord {
-            group: str_field("group")?,
-            name: str_field("name")?,
-            distribution: value
-                .get("distribution")
-                .and_then(JsonValue::as_str)
-                .map(str::to_string),
-            size: usize_field("size")?,
-            threads: usize_field("threads")?,
-            warmups: usize_field("warmups")?,
-            repetitions: usize_field("repetitions")?,
-            secs: TimingSummary::from_json(
-                value.get("secs").ok_or("record missing `secs`")?,
-            )?,
-            metrics: metrics_from_json(
-                value.get("metrics").ok_or("record missing `metrics`")?,
-            )?,
+            group: str_field(value, "record", "group")?,
+            name: str_field(value, "record", "name")?,
+            distribution: str_field(value, "record", "distribution").ok(),
+            size: uint_field(value, "record", "size")?,
+            threads: uint_field(value, "record", "threads")?,
+            warmups: uint_field(value, "record", "warmups")?,
+            repetitions: uint_field(value, "record", "repetitions")?,
+            secs: TimingSummary::from_json(value.get("secs").ok_or("record missing `secs`")?)?,
+            metrics: metrics_from_json(value.get("metrics").ok_or("record missing `metrics`")?)?,
             seq_reference_s: opt_num("seq_reference_s"),
             speedup_vs_seq: opt_num("speedup_vs_seq"),
-            extra: value
-                .get("extra")
-                .filter(|v| !matches!(v, JsonValue::Null))
-                .cloned(),
+            extra: value.get("extra").filter(|v| **v != Json::Null).cloned(),
         })
     }
 
@@ -677,7 +272,8 @@ impl RunRecord {
 /// outlive the knowledge of where it was measured.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Environment {
-    /// `std::thread::available_parallelism` at measurement time.
+    /// Hardware threads available at measurement time (`host::nproc`): the
+    /// bound beyond which a cell is oversubscribed.
     pub available_parallelism: usize,
     /// Operating system (`std::env::consts::OS`).
     pub os: String,
@@ -690,70 +286,38 @@ pub struct Environment {
     pub git_dirty: Option<bool>,
 }
 
-/// Hardware threads available to this process (`1` when unknown): the bound
-/// beyond which a cell is oversubscribed.
-pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 impl Environment {
     /// Detects the current environment.  Git queries run `git` as a
     /// subprocess and degrade to `"unknown"` / `None` when that fails.
     pub fn detect() -> Self {
-        let git = |args: &[&str]| -> Option<String> {
-            let out = std::process::Command::new("git").args(args).output().ok()?;
-            out.status
-                .success()
-                .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
-        };
+        let status = std::process::Command::new("git").args(["status", "--porcelain"]).output();
+        let status = status.ok().filter(|out| out.status.success());
         Environment {
-            available_parallelism: host_parallelism(),
+            available_parallelism: host::nproc(),
             os: std::env::consts::OS.to_string(),
             arch: std::env::consts::ARCH.to_string(),
-            git_commit: git(&["rev-parse", "HEAD"]).unwrap_or_else(|| "unknown".into()),
-            git_dirty: git(&["status", "--porcelain"]).map(|s| !s.is_empty()),
+            git_commit: host::commit(),
+            git_dirty: status.map(|out| out.stdout.iter().any(|b| !b.is_ascii_whitespace())),
         }
     }
 
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "available_parallelism".into(),
-                JsonValue::Number(self.available_parallelism as f64),
-            ),
-            ("os".into(), JsonValue::String(self.os.clone())),
-            ("arch".into(), JsonValue::String(self.arch.clone())),
-            ("git_commit".into(), JsonValue::String(self.git_commit.clone())),
-            (
-                "git_dirty".into(),
-                self.git_dirty.map(JsonValue::Bool).unwrap_or(JsonValue::Null),
-            ),
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("available_parallelism", Json::Num(self.available_parallelism as f64)),
+            ("os", Json::str(&self.os)),
+            ("arch", Json::str(&self.arch)),
+            ("git_commit", Json::str(&self.git_commit)),
+            ("git_dirty", self.git_dirty.map_or(Json::Null, Json::Bool)),
         ])
     }
 
-    fn from_json(value: &JsonValue) -> Result<Self, String> {
+    fn from_json(value: &Json) -> Result<Self, String> {
         Ok(Environment {
-            available_parallelism: value
-                .get("available_parallelism")
-                .and_then(JsonValue::as_f64)
-                .ok_or("environment missing `available_parallelism`")?
-                as usize,
-            os: value
-                .get("os")
-                .and_then(JsonValue::as_str)
-                .ok_or("environment missing `os`")?
-                .to_string(),
-            arch: value
-                .get("arch")
-                .and_then(JsonValue::as_str)
-                .ok_or("environment missing `arch`")?
-                .to_string(),
-            git_commit: value
-                .get("git_commit")
-                .and_then(JsonValue::as_str)
-                .ok_or("environment missing `git_commit`")?
-                .to_string(),
-            git_dirty: value.get("git_dirty").and_then(JsonValue::as_bool),
+            available_parallelism: uint_field(value, "environment", "available_parallelism")?,
+            os: str_field(value, "environment", "os")?,
+            arch: str_field(value, "environment", "arch")?,
+            git_commit: str_field(value, "environment", "git_commit")?,
+            git_dirty: value.get("git_dirty").and_then(Json::as_bool),
         })
     }
 }
@@ -763,7 +327,8 @@ impl Environment {
 /// by the `perf` bin.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Report {
-    /// Schema version, [`SCHEMA_VERSION`] for reports written by this code.
+    /// Schema version: always [`SCHEMA_VERSION`] in a report that was read
+    /// from a file.
     pub schema_version: u64,
     /// Name of the producing harness (`"perf"`).
     pub harness: String,
@@ -775,7 +340,7 @@ pub struct Report {
     pub environment: Environment,
     /// Harness parameters, stored verbatim for reproducibility (free-form
     /// object; the `perf` bin records sizes, thread lists, reps, seed).
-    pub params: JsonValue,
+    pub params: Json,
     /// One record per measured scenario.
     pub records: Vec<RunRecord>,
 }
@@ -799,61 +364,48 @@ impl Report {
         }
     }
 
-    /// Serializes the report to its on-disk JSON text.
+    /// Serializes the report to its on-disk JSON text: two-space indent, keys
+    /// in schema order, so a regenerated report diffs cleanly against the
+    /// committed one.
     pub fn to_json_string(&self) -> String {
-        JsonValue::Object(vec![
-            (
-                "schema_version".into(),
-                JsonValue::Number(self.schema_version as f64),
-            ),
-            ("harness".into(), JsonValue::String(self.harness.clone())),
-            ("group".into(), JsonValue::String(self.group.clone())),
-            (
-                "created_unix_s".into(),
-                JsonValue::Number(self.created_unix_s as f64),
-            ),
-            ("environment".into(), self.environment.to_json()),
-            ("params".into(), self.params.clone()),
-            (
-                "records".into(),
-                JsonValue::Array(self.records.iter().map(RunRecord::to_json).collect()),
-            ),
+        Json::obj([
+            ("schema_version", Json::Num(self.schema_version as f64)),
+            ("harness", Json::str(&self.harness)),
+            ("group", Json::str(&self.group)),
+            ("created_unix_s", Json::Num(self.created_unix_s as f64)),
+            ("environment", self.environment.to_json()),
+            ("params", self.params.clone()),
+            ("records", Json::Arr(self.records.iter().map(RunRecord::to_json).collect())),
         ])
-        .render()
+        .to_pretty()
     }
 
-    /// Parses a report from its on-disk JSON text.
+    /// Parses a report from its on-disk JSON text.  A report of another
+    /// schema version is refused as such, before its records are looked at.
     pub fn from_json_str(text: &str) -> Result<Report, String> {
-        let value = JsonValue::parse(text).map_err(|e| e.to_string())?;
-        let str_field = |key: &str| -> Result<String, String> {
-            value
-                .get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("report missing string `{key}`"))
-        };
+        let value = Json::parse(text)?;
+        let schema_version: u64 = uint_field(&value, "report", "schema_version")?;
+        if schema_version != SCHEMA_VERSION {
+            return Err(format!(
+                "report has schema version {schema_version}, this harness reads {SCHEMA_VERSION}"
+            ));
+        }
         let records = value
             .get("records")
-            .and_then(JsonValue::as_array)
+            .and_then(Json::as_arr)
             .ok_or("report missing `records`")?
             .iter()
             .map(RunRecord::from_json)
             .collect::<Result<Vec<RunRecord>, String>>()?;
         Ok(Report {
-            schema_version: value
-                .get("schema_version")
-                .and_then(JsonValue::as_f64)
-                .ok_or("report missing `schema_version`")? as u64,
-            harness: str_field("harness")?,
-            group: str_field("group")?,
-            created_unix_s: value
-                .get("created_unix_s")
-                .and_then(JsonValue::as_f64)
-                .unwrap_or(0.0) as u64,
+            schema_version,
+            harness: str_field(&value, "report", "harness")?,
+            group: str_field(&value, "report", "group")?,
+            created_unix_s: uint_field(&value, "report", "created_unix_s")?,
             environment: Environment::from_json(
                 value.get("environment").ok_or("report missing `environment`")?,
             )?,
-            params: value.get("params").cloned().unwrap_or(JsonValue::Null),
+            params: value.get("params").cloned().unwrap_or(Json::Null),
             records,
         })
     }
@@ -947,14 +499,9 @@ pub fn check_regressions(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
     use teamsteal_core::WakeLatencyHistogram;
 
     fn sample_record(name: &str, median: f64) -> RunRecord {
-        let mut stats = RunStats::new();
-        stats.record(Duration::from_secs_f64(median * 0.9));
-        stats.record(Duration::from_secs_f64(median));
-        stats.record(Duration::from_secs_f64(median * 1.3));
         RunRecord {
             group: "sort".into(),
             name: name.into(),
@@ -963,7 +510,7 @@ mod tests {
             threads: 4,
             warmups: 1,
             repetitions: 3,
-            secs: TimingSummary::from_stats(&stats),
+            secs: TimingSummary::from_samples(vec![median * 0.9, median, median * 1.3]),
             metrics: MetricsSnapshot {
                 steals: 17,
                 teams_formed: 3,
@@ -982,10 +529,7 @@ mod tests {
             },
             seq_reference_s: Some(median * 2.0),
             speedup_vs_seq: Some(2.0),
-            extra: Some(JsonValue::Object(vec![(
-                "peak_injector_segments".into(),
-                JsonValue::Number(3.0),
-            )])),
+            extra: Some(Json::obj([("peak_injector_segments", Json::Num(3.0))])),
         }
     }
 
@@ -1002,76 +546,123 @@ mod tests {
                 git_commit: "deadbeef".into(),
                 git_dirty: Some(false),
             },
-            params: JsonValue::Object(vec![
-                ("size".into(), JsonValue::Number(65536.0)),
-                ("seed".into(), JsonValue::Number(42.0)),
-            ]),
+            params: Json::obj([("size", Json::Num(65536.0)), ("seed", Json::Num(42.0))]),
             records: vec![sample_record("MMPar", median), sample_record("Fork", median)],
         }
+    }
+
+    /// `text` with `edit` applied to every record object.
+    fn edit_records(text: &str, edit: impl Fn(&mut Vec<(String, Json)>)) -> String {
+        let mut value = Json::parse(text).unwrap();
+        let Json::Obj(pairs) = &mut value else { panic!("report is an object") };
+        let Some((_, Json::Arr(records))) = pairs.iter_mut().find(|(k, _)| k == "records") else {
+            panic!("report has records")
+        };
+        for record in records {
+            let Json::Obj(fields) = record else { panic!("record is an object") };
+            edit(fields);
+        }
+        value.to_pretty()
+    }
+
+    /// `text` with `edit` applied to the `metrics` object of every record.
+    fn edit_metrics(text: &str, edit: impl Fn(&mut Vec<(String, Json)>)) -> String {
+        edit_records(text, |fields| match fields.iter_mut().find(|(k, _)| k == "metrics") {
+            Some((_, Json::Obj(metrics))) => edit(metrics),
+            _ => panic!("record has metrics"),
+        })
+    }
+
+    /// `fields` with the value under `key` replaced.
+    fn set(fields: &mut [(String, Json)], key: &str, value: Json) {
+        fields.iter_mut().find(|(k, _)| k == key).expect(key).1 = value;
     }
 
     #[test]
     fn json_strings_are_escaped_and_round_trip() {
         let nasty = "quote \" backslash \\ newline \n tab \t nul \u{0} emoji 🦀";
-        let value = JsonValue::Object(vec![(
-            "k\"ey".to_string(),
-            JsonValue::String(nasty.to_string()),
-        )]);
-        let text = value.render();
-        // The rendered form must not contain raw control characters.
-        assert!(!text.chars().any(|c| (c as u32) < 0x20 && c != '\n' && c != ' '));
-        let parsed = JsonValue::parse(&text).expect("rendered JSON parses");
-        assert_eq!(parsed, value);
-        assert_eq!(
-            parsed.get("k\"ey").and_then(JsonValue::as_str),
-            Some(nasty)
-        );
+        let mut report = sample_report(0.010);
+        report.environment.git_commit = nasty.into();
+        report.records[0].name = nasty.into();
+        report.records[0].extra = Some(Json::obj([("k\"ey", Json::str(nasty))]));
+        let text = report.to_json_string();
+        // The written form must not contain raw control characters.
+        assert!(!text.chars().any(|c| (c as u32) < 0x20 && c != '\n'));
+        assert_eq!(Report::from_json_str(&text).expect("written report parses"), report);
     }
 
     #[test]
     fn json_parser_handles_scalars_arrays_and_unicode_escapes() {
-        let parsed = JsonValue::parse(
-            r#"{"a": [1, -2.5, 1e3, true, false, null], "b": "é🦀"}"#,
-        )
-        .unwrap();
-        let a = parsed.get("a").and_then(JsonValue::as_array).unwrap();
-        assert_eq!(a[0].as_f64(), Some(1.0));
-        assert_eq!(a[1].as_f64(), Some(-2.5));
-        assert_eq!(a[2].as_f64(), Some(1000.0));
-        assert_eq!(a[3].as_bool(), Some(true));
-        assert_eq!(a[5], JsonValue::Null);
-        assert_eq!(parsed.get("b").and_then(JsonValue::as_str), Some("é🦀"));
+        // `params` and `extra` are free-form: whatever a hand-edited baseline
+        // holds there comes through as written.
+        let text = sample_report(0.010).to_json_string().replacen(
+            "\"params\": {",
+            r#""params": {"a": [1, -2.5, 1e3, true, false, null], "b": "é🦀", "#,
+            1,
+        );
+        let params = Report::from_json_str(&text).expect("edited report parses").params;
+        let a = params.get("a").and_then(Json::as_arr).unwrap();
+        assert_eq!(a[..3], [Json::Num(1.0), Json::Num(-2.5), Json::Num(1000.0)]);
+        assert_eq!(a[3..], [Json::Bool(true), Json::Bool(false), Json::Null]);
+        assert_eq!(params.get("b").and_then(Json::as_str), Some("é🦀"));
+        assert_eq!(params.get("seed").and_then(Json::as_f64), Some(42.0));
     }
 
     #[test]
     fn json_parser_rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\" 1}",
-            "tru",
-            "\"unterminated",
-            "1 2",
-            "{\"a\": 1,}",
-        ] {
-            assert!(JsonValue::parse(bad).is_err(), "`{bad}` should fail");
+        let good = sample_report(0.010).to_json_string();
+        let truncated = &good[..good.len() / 2];
+        // 200 000 `[` overflowed the stack of the parser this crate used to
+        // carry; the shared one bounds the nesting it follows.
+        let deep = "[".repeat(200_000);
+        for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1 2", truncated, &deep] {
+            assert!(Report::from_json_str(bad).is_err(), "`{:.40}` should fail", bad);
         }
+        assert_eq!(Report::from_json_str(&deep).unwrap_err(), "document nests too deeply");
+        // Well-formed JSON that is not a report names what it lacks.
+        let err = Report::from_json_str("{\"schema_version\": 1}").unwrap_err();
+        assert!(err.contains("records"), "{err}");
+        let other = good.replacen("\"schema_version\": 1", "\"schema_version\": 2", 1);
+        let err = Report::from_json_str(&other).unwrap_err();
+        assert!(err.contains("schema version 2"), "{err}");
     }
 
     #[test]
     fn non_finite_numbers_render_as_null() {
-        let v = JsonValue::Array(vec![
-            JsonValue::Number(f64::NAN),
-            JsonValue::Number(f64::INFINITY),
-            JsonValue::Number(1.5),
-        ]);
-        let text = v.render();
-        let parsed = JsonValue::parse(&text).unwrap();
-        let items = parsed.as_array().unwrap();
-        assert_eq!(items[0], JsonValue::Null);
-        assert_eq!(items[1], JsonValue::Null);
-        assert_eq!(items[2].as_f64(), Some(1.5));
+        // JSON has no NaN: an optional field degrades to "absent", a required
+        // one makes the file unreadable instead of reading as zero.
+        let mut report = sample_report(0.010);
+        report.records.truncate(1);
+        report.records[0].speedup_vs_seq = Some(f64::NAN);
+        let text = report.to_json_string();
+        assert!(text.contains("\"speedup_vs_seq\": null"));
+        assert_eq!(Report::from_json_str(&text).unwrap().records[0].speedup_vs_seq, None);
+        report.records[0].secs.median_s = f64::INFINITY;
+        let err = Report::from_json_str(&report.to_json_string()).unwrap_err();
+        assert!(err.contains("median_s"), "{err}");
+    }
+
+    #[test]
+    fn integers_are_validated_not_cast() {
+        let text = sample_report(0.010).to_json_string();
+        let bad_shapes = [Json::Num(-1.0), Json::Num(2.7), Json::Null, Json::Num(1e300)];
+        for bad in &bad_shapes {
+            let refused = |edited: String, field: &str| {
+                let err = Report::from_json_str(&edited).expect_err(field);
+                assert!(err.contains(field) && err.contains("non-negative integer"), "{err}");
+            };
+            for field in ["size", "threads", "warmups", "repetitions"] {
+                refused(edit_records(&text, |r| set(r, field, bad.clone())), field);
+            }
+            refused(edit_metrics(&text, |m| set(m, "steals", bad.clone())), "steals");
+            let buckets = Json::Arr(vec![bad.clone(); 8]);
+            let edited = edit_metrics(&text, |m| set(m, WAKE_LATENCY_FIELD, buckets.clone()));
+            assert!(Report::from_json_str(&edited).unwrap_err().contains(WAKE_LATENCY_FIELD));
+            for (field, was) in [("schema_version", "1"), ("available_parallelism", "8")] {
+                let now = format!("\"{field}\": {}", bad.to_line());
+                refused(text.replacen(&format!("\"{field}\": {was}"), &now, 1), field);
+            }
+        }
     }
 
     #[test]
@@ -1086,33 +677,25 @@ mod tests {
 
     #[test]
     fn timing_summary_matches_run_stats() {
-        let mut stats = RunStats::new();
-        for ms in [10u64, 20, 30, 40] {
-            stats.record(Duration::from_millis(ms));
-        }
-        let summary = TimingSummary::from_stats(&stats);
+        // Nine samples, as `perf` takes by default.  The constants are what
+        // `teamsteal_util::timing::RunStats` (removed in PR 24) returned for
+        // them: midpoint median, nearest-rank p95 (the worst of nine), and
+        // the sample (n - 1) standard deviation.
+        let ms = [12.0, 10.0, 11.0, 30.0, 13.0, 14.0, 15.0, 16.0, 14.0];
+        let summary = TimingSummary::from_samples(ms.iter().map(|ms| ms / 1e3).collect());
         assert_eq!(summary.best_s, 0.010);
-        assert_eq!(summary.worst_s, 0.040);
-        assert_eq!(summary.median_s, 0.025);
-        assert_eq!(summary.samples_s.len(), 4);
-    }
-
-    /// Applies `edit` to the `metrics` object of every record of `text`.
-    fn edit_metrics(text: &str, edit: impl Fn(&mut Vec<(String, JsonValue)>)) -> String {
-        let mut value = JsonValue::parse(text).unwrap();
-        let JsonValue::Object(pairs) = &mut value else { panic!("report is an object") };
-        let Some((_, JsonValue::Array(records))) = pairs.iter_mut().find(|(k, _)| k == "records")
-        else {
-            panic!("report has records")
-        };
-        for record in records {
-            let JsonValue::Object(fields) = record else { panic!("record is an object") };
-            match fields.iter_mut().find(|(k, _)| k == "metrics") {
-                Some((_, JsonValue::Object(metrics))) => edit(metrics),
-                _ => panic!("record has metrics"),
-            }
-        }
-        value.render()
+        assert_eq!(summary.median_s, 0.014);
+        assert_eq!(summary.p95_s, 0.030);
+        assert_eq!(summary.worst_s, 0.030);
+        assert_eq!(summary.stddev_s, 0.005937171043518959);
+        assert!((summary.average_s - 0.015).abs() < 1e-15, "{}", summary.average_s);
+        assert_eq!(summary.samples_s[3], 0.030, "samples stay in execution order");
+        // An even count takes the midpoint, one sample has no deviation, and
+        // no samples aggregate to zeros.
+        assert_eq!(TimingSummary::from_samples(vec![0.04, 0.01, 0.03, 0.02]).median_s, 0.025);
+        let one = TimingSummary::from_samples(vec![0.007]);
+        assert_eq!((one.median_s, one.p95_s, one.stddev_s), (0.007, 0.007, 0.0));
+        assert_eq!(TimingSummary::from_samples(Vec::new()), TimingSummary::default());
     }
 
     #[test]
@@ -1142,6 +725,7 @@ mod tests {
             assert!(err.contains(missing), "{err}");
         }
     }
+
 
     #[test]
     fn oversubscribed_cells_carry_no_speedup_and_are_not_compared() {
@@ -1182,10 +766,7 @@ mod tests {
     /// ratios — ride in `extra`, the way `wakeup_latency`, `team_build` and
     /// `injection_throughput` records carry theirs.
     fn sample_service_record() -> RunRecord {
-        let mut stats = RunStats::new();
-        for us in [9u64, 11, 14, 21, 34] {
-            stats.record(Duration::from_micros(us));
-        }
+        let latencies_us = [9.0, 11.0, 14.0, 21.0, 34.0];
         RunRecord {
             group: "service_latency".into(),
             name: "service_latency_paced".into(),
@@ -1194,7 +775,7 @@ mod tests {
             threads: 2,
             warmups: 0,
             repetitions: 5,
-            secs: TimingSummary::from_stats(&stats),
+            secs: TimingSummary::from_samples(latencies_us.iter().map(|us| us / 1e6).collect()),
             metrics: MetricsSnapshot {
                 tasks_injected: 5_000,
                 injector_local_pops: 4_000,
@@ -1203,15 +784,15 @@ mod tests {
             },
             seq_reference_s: None,
             speedup_vs_seq: None,
-            extra: Some(JsonValue::Object(vec![
-                ("arrival_rate_hz".into(), JsonValue::Number(20_000.0)),
-                ("offered".into(), JsonValue::Number(5_000.0)),
-                ("admitted".into(), JsonValue::Number(4_900.0)),
-                ("backpressure_count".into(), JsonValue::Number(80.0)),
-                ("shed_count".into(), JsonValue::Number(20.0)),
-                ("p99_s".into(), JsonValue::Number(34e-6)),
-                ("fairness_tenant_0".into(), JsonValue::Number(1.02)),
-                ("fairness_tenant_1".into(), JsonValue::Number(0.94)),
+            extra: Some(Json::obj([
+                ("arrival_rate_hz", Json::Num(20_000.0)),
+                ("offered", Json::Num(5_000.0)),
+                ("admitted", Json::Num(4_900.0)),
+                ("backpressure_count", Json::Num(80.0)),
+                ("shed_count", Json::Num(20.0)),
+                ("p99_s", Json::Num(34e-6)),
+                ("fairness_tenant_0", Json::Num(1.02)),
+                ("fairness_tenant_1", Json::Num(0.94)),
             ])),
         }
     }
@@ -1236,7 +817,7 @@ mod tests {
             ("fairness_tenant_1", 0.94),
         ] {
             assert_eq!(
-                extra.get(key).and_then(JsonValue::as_f64),
+                extra.get(key).and_then(Json::as_f64),
                 Some(expected),
                 "extra field `{key}` lost in the round trip"
             );
@@ -1253,19 +834,8 @@ mod tests {
         let mut report = sample_report(0.010);
         report.group = "kernel".into();
         let text = report.to_json_string();
-        let mut value = JsonValue::parse(&text).unwrap();
-        if let JsonValue::Object(pairs) = &mut value {
-            if let Some((_, JsonValue::Array(records))) =
-                pairs.iter_mut().find(|(k, _)| k == "records")
-            {
-                for record in records {
-                    if let JsonValue::Object(fields) = record {
-                        fields.retain(|(k, _)| k != "extra");
-                    }
-                }
-            }
-        }
-        let parsed = Report::from_json_str(&value.render()).expect("old schema parses");
+        let stripped = edit_records(&text, |fields| fields.retain(|(k, _)| k != "extra"));
+        let parsed = Report::from_json_str(&stripped).expect("old schema parses");
         assert!(!parsed.records.is_empty());
         for record in &parsed.records {
             assert_eq!(record.extra, None);

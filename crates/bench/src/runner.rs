@@ -1,4 +1,6 @@
-//! Variant runners: one timed sort execution per (variant, input).
+//! Variant runners: one timed sort execution per (variant, input), and the
+//! interleaved repetition loop both `perf` and `tables` take their sort
+//! samples from.
 
 use std::time::Duration;
 
@@ -134,6 +136,37 @@ impl VariantRunner {
             metrics,
         }
     }
+
+    /// Runs `warmups` untimed and `repetitions` timed sorts of every variant
+    /// in `variants` on one input and returns, in the same order, each
+    /// variant's samples (seconds, in execution order) and summed counter
+    /// delta.  The repetitions are interleaved — repetition `i` of every
+    /// variant before repetition `i + 1` of any — so a drift of the host
+    /// (frequency, a noisy neighbour) falls on all variants alike and their
+    /// aggregates compare; timing each variant's repetitions as a block does
+    /// not give comparable numbers.
+    pub fn sort_cells(
+        &mut self,
+        variants: &[Variant],
+        input: &[u32],
+        warmups: usize,
+        repetitions: usize,
+    ) -> Vec<(Vec<f64>, MetricsSnapshot)> {
+        for _ in 0..warmups {
+            for &variant in variants {
+                self.measure(variant, input);
+            }
+        }
+        let mut cells = vec![(Vec::new(), MetricsSnapshot::default()); variants.len()];
+        for _ in 0..repetitions {
+            for (&variant, (samples, metrics)) in variants.iter().zip(&mut cells) {
+                let m = self.measure(variant, input);
+                samples.push(m.duration.as_secs_f64());
+                *metrics = metrics.merge(m.metrics);
+            }
+        }
+        cells
+    }
 }
 
 #[cfg(test)]
@@ -178,6 +211,27 @@ mod tests {
             assert!(m.duration > Duration::ZERO);
             assert_eq!(m.variant, variant);
         }
+    }
+
+    #[test]
+    fn sort_cells_returns_every_repetition_of_every_variant() {
+        let input = Distribution::Gauss.generate(40_000, 4, 5);
+        let mut runner = VariantRunner::new(2, SortConfig::default());
+        let variants = [Variant::SeqQs, Variant::MmPar, Variant::Fork];
+        let before = runner.scheduler_for(Variant::MmPar).metrics();
+        let cells = runner.sort_cells(&variants, &input, 1, 3);
+        assert_eq!(cells.len(), variants.len());
+        for (samples, _) in &cells {
+            assert_eq!(samples.len(), 3);
+            assert!(samples.iter().all(|&s| s > 0.0));
+        }
+        // The counters are those of the timed runs only: the three cells
+        // account for everything the scheduler did, less the one warmup of
+        // each of its two variants.
+        assert_eq!(cells[0].1, MetricsSnapshot::default());
+        let total = runner.scheduler_for(Variant::MmPar).metrics().delta_since(&before);
+        let timed = cells[1].1.total_executions() + cells[2].1.total_executions();
+        assert!(timed > 0 && timed < total.total_executions(), "{timed} of {total:?}");
     }
 
     #[test]

@@ -2,10 +2,12 @@
 
 use std::time::Duration;
 
+use teamsteal_benchmark::host;
 use teamsteal_data::{Distribution, Scale};
 use teamsteal_sort::SortConfig;
-use teamsteal_util::timing::{speedup, RunStats};
+use teamsteal_util::timing::speedup;
 
+use crate::report::TimingSummary;
 use crate::runner::{Variant, VariantRunner};
 
 /// How repeated measurements are aggregated into the reported number.
@@ -19,11 +21,13 @@ pub enum Aggregation {
 }
 
 impl Aggregation {
-    fn pick(&self, stats: &RunStats) -> Duration {
-        match self {
-            Aggregation::Average => stats.average(),
-            Aggregation::Best => stats.best(),
-        }
+    /// The reported time for one cell's samples (seconds).
+    pub fn pick(&self, samples_s: &[f64]) -> Duration {
+        let summary = TimingSummary::from_samples(samples_s.to_vec());
+        Duration::from_secs_f64(match self {
+            Aggregation::Average => summary.average_s,
+            Aggregation::Best => summary.best_s,
+        })
     }
 }
 
@@ -125,8 +129,11 @@ impl TableResult {
 }
 
 /// Runs the sweep for one table: every distribution × size × variant,
-/// `repetitions` times, aggregated per the spec.  `progress` is called after
-/// every finished cell with a short status line (pass `|_| {}` to silence).
+/// `repetitions` times, aggregated per the spec.  The repetitions of one row
+/// are interleaved across its variants ([`VariantRunner::sort_cells`]), so
+/// the `SU` columns divide times taken under the same host conditions.
+/// `progress` is called after every finished cell with a short status line
+/// (pass `|_| {}` to silence).
 pub fn run_table(
     spec: &TableSpec,
     scale: Scale,
@@ -145,22 +152,19 @@ pub fn run_table(
     for distribution in Distribution::ALL {
         for &size in &sizes {
             let input = distribution.generate(size, spec.threads, seed ^ size as u64);
+            let cells = runner.sort_cells(&variants, &input, 0, repetitions.max(1));
             let mut durations = Vec::with_capacity(variants.len());
-            for &variant in &variants {
-                let mut stats = RunStats::new();
-                for _ in 0..repetitions.max(1) {
-                    stats.record(runner.measure(variant, &input).duration);
-                }
+            for (variant, (samples, _)) in variants.iter().zip(&cells) {
+                durations.push(spec.aggregation.pick(samples));
                 progress(&format!(
                     "table {:>2} | {:<9} | n = {:>9} | {:<11} | {:>9.3?} ({} reps)",
                     spec.number,
                     distribution.label(),
                     size,
                     variant.label(),
-                    spec.aggregation.pick(&stats),
-                    stats.len()
+                    durations[durations.len() - 1],
+                    samples.len()
                 ));
-                durations.push(spec.aggregation.pick(&stats));
             }
             rows.push(TableRow {
                 distribution,
@@ -183,7 +187,7 @@ pub fn run_table(
 /// threads than this host has cores its speedups measure time slicing, not
 /// parallelism, and every `SU` cell is printed as `–`.
 pub fn render_table(result: &TableResult) -> String {
-    render_for_host(result, crate::report::host_parallelism())
+    render_for_host(result, host::nproc())
 }
 
 fn render_for_host(result: &TableResult, host_parallelism: usize) -> String {
@@ -317,5 +321,20 @@ mod tests {
         assert!(rendered.contains("Staggered"));
         // Header + separator + 4 rows.
         assert_eq!(rendered.lines().count(), 2 + 1 + 4);
+    }
+
+    #[test]
+    fn every_cell_aggregates_all_repetitions_of_the_interleaved_loop() {
+        let spec = TableSpec { threads: 2, size_indices: &[0], ..TableSpec::by_number(1).unwrap() };
+        let mut cells = Vec::new();
+        let progress = |line: &str| cells.push(line.to_string());
+        let result = run_table(&spec, Scale::Ci, 3, &SortConfig::default(), 7, progress);
+        assert_eq!(cells.len(), result.rows.len() * result.variants.len());
+        assert!(cells.iter().all(|line| line.ends_with("(3 reps)")), "{cells:?}");
+        // Table 1 reports averages, table 2 the best run, of the same samples.
+        let samples = [0.030, 0.010, 0.020];
+        assert_eq!(Aggregation::Best.pick(&samples), Duration::from_millis(10));
+        let average = Aggregation::Average.pick(&samples).as_secs_f64();
+        assert!((average - 0.020).abs() < 1e-9, "{average}");
     }
 }

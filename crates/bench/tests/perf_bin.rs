@@ -56,11 +56,14 @@ fn scenario_table_only_flag_and_committed_baselines_name_the_same_families() {
     assert_eq!(run_perf(&["--only", "service_latency", "--help"]).status.code(), Some(2));
 
     // The committed baselines hold records of every listed family and of no
-    // other: `sort` in BENCH_sort.json, the rest in BENCH_kernels.json.
+    // other: `sort` in BENCH_sort.json, the rest in BENCH_kernels.json.  And
+    // what `perf` would write for a report it read is the file, byte for
+    // byte: schema, key order and number formatting in one assertion.
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let groups = |file: &str| {
         let text = std::fs::read_to_string(root.join(file)).expect(file);
         let report = Report::from_json_str(&text).expect(file);
+        assert!(report.to_json_string() == text, "{file} does not reprint as committed");
         let mut groups: Vec<String> = report.records.into_iter().map(|r| r.group).collect();
         groups.sort();
         groups.dedup();
@@ -459,6 +462,59 @@ fn partial_only_run_preserves_the_skipped_familys_records() {
     }
 }
 
+/// Runs `perf` with `args` and expects it to refuse them: exit 2 and a
+/// one-line `error:` containing `named`.
+fn refused(args: &[&str], named: &str) {
+    let out = run_perf(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains("error: ") && stderr.contains(named), "{args:?}: {stderr}");
+}
+
+#[test]
+fn check_refuses_a_baseline_that_nests_too_deeply() {
+    // 200 000 `[` overflowed the stack of the parser `perf` used to carry
+    // (the process died of a signal); now it is an error message.
+    let dir = scratch_dir("deep");
+    let baseline = dir.join("BENCH_sort.json");
+    std::fs::write(&baseline, "[".repeat(200_000)).unwrap();
+    let out_dir = dir.join("out");
+    let (out_dir, baseline) = (out_dir.to_str().unwrap(), baseline.to_str().unwrap());
+    refused(&["--smoke", "--out-dir", out_dir, "--check", baseline], "nests too deeply");
+}
+
+#[test]
+fn check_refuses_a_damaged_kernel_baseline() {
+    // A BENCH_kernels.json that is beside the baseline but is not a report
+    // of this schema stops --check; "spawn_overhead not gated" is only for a
+    // file that is not there (`smoke_check_compares_at_the_baselines_parameters`).
+    let dir = scratch_dir("damaged-kernels");
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let baseline = dir.join("BENCH_sort.json");
+    std::fs::copy(root.join("BENCH_sort.json"), &baseline).unwrap();
+    let kernels = std::fs::read_to_string(root.join("BENCH_kernels.json")).unwrap();
+    let other_schema = kernels.replacen("\"schema_version\": 1", "\"schema_version\": 7", 1);
+    let out_dir = dir.join("out");
+    let (out_dir, baseline) = (out_dir.to_str().unwrap(), baseline.to_str().unwrap());
+    for (damaged, named) in [(&kernels[..kernels.len() / 2], "invalid"), (&other_schema, "version 7")] {
+        std::fs::write(dir.join("BENCH_kernels.json"), damaged).unwrap();
+        refused(&["--smoke", "--out-dir", out_dir, "--check", baseline], named);
+    }
+}
+
+#[test]
+fn partial_run_refuses_to_overwrite_a_report_it_cannot_read() {
+    // `--only soak` carries the other families' records over from the report
+    // at the destination; one it cannot parse must stay as it is, not be
+    // replaced by a report holding soak records alone.
+    let dir = scratch_dir("damaged-partial");
+    let kernels_path = dir.join("BENCH_kernels.json");
+    std::fs::write(&kernels_path, "{\"schema_version\": 1, \"records\": [").unwrap();
+    refused(&["--smoke", "--only", "soak", "--out-dir", dir.to_str().unwrap()], "BENCH_kernels.json");
+    let kept = std::fs::read_to_string(&kernels_path).unwrap();
+    assert_eq!(kept, "{\"schema_version\": 1, \"records\": [");
+}
+
 #[test]
 fn smoke_check_compares_at_the_baselines_parameters() {
     // --smoke --check must be meaningful against a full-size baseline: the
@@ -508,6 +564,7 @@ fn smoke_check_compares_at_the_baselines_parameters() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("check: OK"), "stdout: {stdout}");
+    assert!(stdout.contains("spawn_overhead not gated"), "stdout: {stdout}");
 }
 
 #[test]

@@ -27,8 +27,8 @@
 //!   scheduler's event-driven parking (prepare → recheck → park, targeted
 //!   per-worker wakes), replacing timed sleep-polling on every idle and
 //!   coordination path,
-//! * [`timing`] — monotonic timers and simple statistics used by the
-//!   benchmark harness.
+//! * [`timing`] — the monotonic timer the harnesses and examples time one
+//!   run with, and the paper's speedup ratio.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

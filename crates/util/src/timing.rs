@@ -1,10 +1,9 @@
-//! Timing and summary statistics for the benchmark harness.
+//! Wall-clock timing of one closure, and the paper's speedup ratio.
 //!
-//! The paper reports, for every configuration, the *average* and the *best
-//! (minimum)* wall-clock time over 10 repetitions, plus the speedup relative
-//! to the best sequential implementation.  [`RunStats`] captures exactly that
-//! aggregation so the table harness (crate `teamsteal-bench`) and the
-//! experiments document can share one implementation.
+//! Aggregating repeated timings — median, percentiles, the paper's average
+//! and best of 10 — is not done here: the benchmark package's `stats` module
+//! holds the one implementation, and `teamsteal-bench` builds its
+//! `TimingSummary` from it.
 
 use std::time::{Duration, Instant};
 
@@ -13,137 +12,6 @@ pub fn time<R>(f: impl FnOnce() -> R) -> (Duration, R) {
     let start = Instant::now();
     let out = f();
     (start.elapsed(), out)
-}
-
-/// Summary statistics over repeated timed runs of one configuration.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct RunStats {
-    samples: Vec<Duration>,
-}
-
-impl RunStats {
-    /// Creates an empty statistics collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, sample: Duration) {
-        self.samples.push(sample);
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Returns `true` if no samples have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// All recorded samples, in insertion order.
-    pub fn samples(&self) -> &[Duration] {
-        &self.samples
-    }
-
-    /// Average (arithmetic mean) of the samples.
-    ///
-    /// Returns [`Duration::ZERO`] when empty.
-    pub fn average(&self) -> Duration {
-        if self.samples.is_empty() {
-            return Duration::ZERO;
-        }
-        let total: Duration = self.samples.iter().sum();
-        total / self.samples.len() as u32
-    }
-
-    /// Best (minimum) sample.  Returns [`Duration::ZERO`] when empty.
-    pub fn best(&self) -> Duration {
-        self.samples.iter().min().copied().unwrap_or(Duration::ZERO)
-    }
-
-    /// Worst (maximum) sample.  Returns [`Duration::ZERO`] when empty.
-    pub fn worst(&self) -> Duration {
-        self.samples.iter().max().copied().unwrap_or(Duration::ZERO)
-    }
-
-    /// Median of the samples (the perf harness's headline aggregate: robust
-    /// against the occasional scheduling hiccup that skews the mean).
-    ///
-    /// For an even sample count the midpoint of the two central samples is
-    /// returned.  Returns [`Duration::ZERO`] when empty.
-    ///
-    /// ```
-    /// use std::time::Duration;
-    /// use teamsteal_util::timing::RunStats;
-    ///
-    /// let mut s = RunStats::new();
-    /// for ms in [30, 10, 20, 1000] {
-    ///     s.record(Duration::from_millis(ms));
-    /// }
-    /// assert_eq!(s.median(), Duration::from_millis(25)); // outlier ignored
-    /// ```
-    pub fn median(&self) -> Duration {
-        if self.samples.is_empty() {
-            return Duration::ZERO;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let n = sorted.len();
-        if n % 2 == 1 {
-            sorted[n / 2]
-        } else {
-            (sorted[n / 2 - 1] + sorted[n / 2]) / 2
-        }
-    }
-
-    /// Nearest-rank percentile of the samples, `p` in `0.0..=100.0`.
-    ///
-    /// `percentile(0.0)` is the best sample, `percentile(100.0)` the worst.
-    /// Returns [`Duration::ZERO`] when empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is not within `0.0..=100.0`.
-    pub fn percentile(&self, p: f64) -> Duration {
-        assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-        if self.samples.is_empty() {
-            return Duration::ZERO;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        let n = sorted.len();
-        // Nearest-rank: the smallest sample with at least p% of the mass at
-        // or below it.
-        let rank = ((p / 100.0) * n as f64).ceil() as usize;
-        sorted[rank.clamp(1, n) - 1]
-    }
-
-    /// The 95th percentile (nearest-rank), the tail-latency aggregate the
-    /// perf harness records next to best/average/median.
-    pub fn p95(&self) -> Duration {
-        self.percentile(95.0)
-    }
-
-    /// Sample standard deviation in seconds (0 for fewer than two samples).
-    pub fn stddev_secs(&self) -> f64 {
-        let n = self.samples.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let mean = self.average().as_secs_f64();
-        let var = self
-            .samples
-            .iter()
-            .map(|s| {
-                let d = s.as_secs_f64() - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / (n - 1) as f64;
-        var.sqrt()
-    }
 }
 
 /// Speedup of `parallel` relative to `reference` (how the paper's `SU`
@@ -171,74 +39,6 @@ mod tests {
         });
         assert_eq!(out, 42);
         assert!(d >= Duration::from_millis(2));
-    }
-
-    #[test]
-    fn stats_average_and_best() {
-        let mut s = RunStats::new();
-        s.record(Duration::from_millis(10));
-        s.record(Duration::from_millis(20));
-        s.record(Duration::from_millis(30));
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.average(), Duration::from_millis(20));
-        assert_eq!(s.best(), Duration::from_millis(10));
-        assert_eq!(s.worst(), Duration::from_millis(30));
-    }
-
-    #[test]
-    fn empty_stats_are_zero() {
-        let s = RunStats::new();
-        assert!(s.is_empty());
-        assert_eq!(s.average(), Duration::ZERO);
-        assert_eq!(s.best(), Duration::ZERO);
-        assert_eq!(s.median(), Duration::ZERO);
-        assert_eq!(s.p95(), Duration::ZERO);
-        assert_eq!(s.stddev_secs(), 0.0);
-    }
-
-    #[test]
-    fn median_is_order_independent_and_handles_even_counts() {
-        let mut s = RunStats::new();
-        s.record(Duration::from_millis(40));
-        s.record(Duration::from_millis(10));
-        s.record(Duration::from_millis(30));
-        assert_eq!(s.median(), Duration::from_millis(30));
-        s.record(Duration::from_millis(20));
-        assert_eq!(s.median(), Duration::from_millis(25));
-    }
-
-    #[test]
-    fn percentiles_follow_nearest_rank() {
-        let mut s = RunStats::new();
-        for ms in 1..=100u64 {
-            s.record(Duration::from_millis(ms));
-        }
-        assert_eq!(s.percentile(0.0), Duration::from_millis(1));
-        assert_eq!(s.percentile(50.0), Duration::from_millis(50));
-        assert_eq!(s.p95(), Duration::from_millis(95));
-        assert_eq!(s.percentile(100.0), Duration::from_millis(100));
-        // A single sample is every percentile.
-        let mut one = RunStats::new();
-        one.record(Duration::from_millis(7));
-        assert_eq!(one.percentile(1.0), Duration::from_millis(7));
-        assert_eq!(one.p95(), Duration::from_millis(7));
-    }
-
-    #[test]
-    #[should_panic]
-    fn out_of_range_percentile_panics() {
-        let mut s = RunStats::new();
-        s.record(Duration::from_millis(1));
-        s.percentile(101.0);
-    }
-
-    #[test]
-    fn stddev_of_constant_samples_is_zero() {
-        let mut s = RunStats::new();
-        for _ in 0..5 {
-            s.record(Duration::from_millis(7));
-        }
-        assert!(s.stddev_secs() < 1e-12);
     }
 
     #[test]
