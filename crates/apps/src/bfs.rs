@@ -7,17 +7,20 @@
 //! vertices that want data-parallel expansion.  That is exactly the
 //! mixed-mode shape the scheduler is built for: [`bfs_mixed`] turns every
 //! sufficiently large level into **one** team task whose members expand
-//! disjoint chunks of the frontier, and keeps small levels on the calling
-//! path.  Discovered vertices are claimed with a CAS on the distance array,
-//! so every vertex enters the next frontier exactly once.
+//! blocks of the frontier they take in turn, and runs small levels with the
+//! sequential level step on the calling thread.  Inside a team level the
+//! members mark discovered vertices with atomic loads and stores on the
+//! distance array — every writer in a level writes the same distance, so a
+//! vertex two members reach at once at worst enters the next frontier twice;
+//! outside one the array is plain memory.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use teamsteal_core::Scheduler;
-use teamsteal_util::SendConstPtr;
+use teamsteal_util::{SendConstPtr, SendMutPtr};
 
-use crate::team_size::{best_team_size, chunk_range};
+use crate::team_size::best_team_size;
 
 /// Distance value for unreachable vertices.
 pub const UNREACHABLE: u32 = u32::MAX;
@@ -132,29 +135,41 @@ impl CsrGraph {
 /// Sequential reference BFS returning the distance (in edges) from `source`
 /// to every vertex, [`UNREACHABLE`] where no path exists.
 pub fn bfs_sequential(graph: &CsrGraph, source: u32) -> Vec<u32> {
-    let n = graph.num_vertices();
-    let mut dist = vec![UNREACHABLE; n];
-    if n == 0 {
-        return dist;
-    }
-    assert!((source as usize) < n, "source vertex out of range");
-    let mut frontier = vec![source];
-    dist[source as usize] = 0;
+    let (mut dist, mut frontier) = start(graph, source);
     let mut level = 0u32;
     while !frontier.is_empty() {
         level += 1;
-        let mut next = Vec::new();
-        for &u in &frontier {
-            for &v in graph.neighbours(u) {
-                if dist[v as usize] == UNREACHABLE {
-                    dist[v as usize] = level;
-                    next.push(v);
-                }
-            }
-        }
-        frontier = next;
+        frontier = expand_level(graph, &mut dist, &frontier, level);
     }
     dist
+}
+
+/// The distance vector with only `source` reached, and the first frontier
+/// (empty for an empty graph).
+fn start(graph: &CsrGraph, source: u32) -> (Vec<u32>, Vec<u32>) {
+    let n = graph.num_vertices();
+    let mut dist = vec![UNREACHABLE; n];
+    if n == 0 {
+        return (dist, Vec::new());
+    }
+    assert!((source as usize) < n, "source vertex out of range");
+    dist[source as usize] = 0;
+    (dist, vec![source])
+}
+
+/// One level on the calling thread: every unreached neighbour of `frontier`
+/// gets distance `level` and joins the returned next frontier.
+fn expand_level(graph: &CsrGraph, dist: &mut [u32], frontier: &[u32], level: u32) -> Vec<u32> {
+    let mut next = Vec::new();
+    for &u in frontier {
+        for &v in graph.neighbours(u) {
+            if dist[v as usize] == UNREACHABLE {
+                dist[v as usize] = level;
+                next.push(v);
+            }
+        }
+    }
+    next
 }
 
 /// Minimum number of frontier edges per team member before a level is
@@ -173,95 +188,94 @@ pub fn bfs_mixed_with(
     source: u32,
     min_edges_per_member: usize,
 ) -> Vec<u32> {
-    let n = graph.num_vertices();
-    if n == 0 {
-        return Vec::new();
-    }
-    assert!((source as usize) < n, "source vertex out of range");
     let p = scheduler.num_threads();
-
-    // Shared distance array, claimed by CAS so each vertex is discovered once.
-    let dist: Arc<Vec<AtomicU32>> = Arc::new((0..n).map(|_| AtomicU32::new(UNREACHABLE)).collect());
-    dist[source as usize].store(0, Ordering::Relaxed);
-
-    // The graph is borrowed; team tasks need 'static closures, so hand the
-    // CSR arrays over as raw pointers (they outlive every blocking scope).
-    let offsets = SendConstPtr::from_slice(&graph.offsets);
-    let targets = SendConstPtr::from_slice(&graph.targets);
-    let offsets_len = graph.offsets.len();
-    let targets_len = graph.targets.len();
-
-    let mut frontier: Vec<u32> = vec![source];
+    let (mut dist, mut frontier) = start(graph, source);
+    // A level's work is the edges leaving its frontier; the frontier's size
+    // times the mean out-degree estimates it without a pass over the frontier.
+    let mean_degree = graph
+        .num_edges()
+        .div_ceil(graph.num_vertices().max(1))
+        .max(1);
     let mut level = 0u32;
     while !frontier.is_empty() {
         level += 1;
-        // Work estimate for this level: the number of edges leaving the
-        // frontier (the quantity that actually determines expansion cost).
-        let edges: usize = frontier.iter().map(|&v| graph.degree(v)).sum();
-        let team = best_team_size(edges.max(frontier.len()), min_edges_per_member, p);
-        if team <= 1 {
-            // Small level: expand on the calling thread.
-            let mut next = Vec::new();
-            for &u in &frontier {
+        let team = best_team_size(frontier.len() * mean_degree, min_edges_per_member, p);
+        frontier = if team <= 1 {
+            expand_level(graph, &mut dist, &frontier, level)
+        } else {
+            expand_level_team(scheduler, team, graph, &mut dist, &frontier, level)
+        };
+    }
+    dist
+}
+
+// `AtomicU32::from_ptr` needs `u32`'s alignment to be the atomic's.
+const _: () = assert!(std::mem::align_of::<u32>() == std::mem::align_of::<AtomicU32>());
+
+/// Frontier vertices a team member takes at a time.  Members take blocks
+/// until none is left, so a member that starts late or shares its core does
+/// less of the level instead of holding up the others.
+const CLAIM: usize = 1024;
+
+/// One level as one team task of `team` members: each expands blocks of the
+/// frontier and marks unreached vertices through an atomic view of `dist`,
+/// into a private buffer; the next frontier is the buffers in member order.
+fn expand_level_team(
+    scheduler: &Scheduler,
+    team: usize,
+    graph: &CsrGraph,
+    dist: &mut [u32],
+    frontier: &[u32],
+    level: u32,
+) -> Vec<u32> {
+    // The team task's closure must be 'static: hand the borrowed graph,
+    // frontier and distances over as raw pointers.  `run_team` blocks until
+    // the team is done, so they outlive every member, and `dist` is touched
+    // only atomically while the team runs.
+    let graph = SendConstPtr::new(graph as *const CsrGraph);
+    let frontier_len = frontier.len();
+    let frontier = SendConstPtr::from_slice(frontier);
+    let dist = SendMutPtr::from_slice(dist);
+    let buckets: Arc<Vec<Mutex<Vec<u32>>>> = Arc::new(
+        (0..scheduler.num_threads())
+            .map(|_| Mutex::new(Vec::new()))
+            .collect(),
+    );
+    let member_buckets = Arc::clone(&buckets);
+    let next_block = AtomicUsize::new(0);
+    scheduler.run_team(team, move |ctx| {
+        let me = ctx.local_id();
+        // SAFETY: see above; the graph and the frontier are never mutated.
+        let (graph, frontier) = unsafe { (&*graph.get(), frontier.slice(frontier_len)) };
+        let mut local = Vec::new();
+        loop {
+            let start = next_block.fetch_add(CLAIM, Ordering::Relaxed);
+            if start >= frontier_len {
+                break;
+            }
+            for &u in &frontier[start..frontier_len.min(start + CLAIM)] {
                 for &v in graph.neighbours(u) {
-                    if dist[v as usize]
-                        .compare_exchange(UNREACHABLE, level, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok()
-                    {
-                        next.push(v);
+                    // SAFETY: `v` indexes `dist` (it is a vertex of the
+                    // graph), the alignment is checked above, and every
+                    // access to `dist` is atomic until `run_team` returns.
+                    let d = unsafe { AtomicU32::from_ptr(dist.get().add(v as usize)) };
+                    // A plain mark, not a CAS: two members that reach `v` at
+                    // once both queue it, which repeats its expansion next
+                    // level but writes the same distance.
+                    if d.load(Ordering::Relaxed) == UNREACHABLE {
+                        d.store(level, Ordering::Relaxed);
+                        local.push(v);
                     }
                 }
             }
-            frontier = next;
-            continue;
         }
-
-        // Large level: one team task over the frontier.  Every member
-        // appends its discoveries to a private buffer; the buffers are
-        // concatenated afterwards.
-        let frontier_arc: Arc<Vec<u32>> = Arc::new(std::mem::take(&mut frontier));
-        let buckets: Arc<Vec<Mutex<Vec<u32>>>> =
-            Arc::new((0..p).map(|_| Mutex::new(Vec::new())).collect());
-        {
-            let dist = Arc::clone(&dist);
-            let frontier_arc = Arc::clone(&frontier_arc);
-            let buckets = Arc::clone(&buckets);
-            scheduler.run_team(team, move |ctx| {
-                let members = ctx.team_size();
-                let me = ctx.local_id();
-                // SAFETY: the CSR arrays outlive the blocking run_team call
-                // and are never mutated.
-                let offsets = unsafe { offsets.slice(offsets_len) };
-                let targets = unsafe { targets.slice(targets_len) };
-                let my_vertices = chunk_range(frontier_arc.len(), members, me);
-                let mut local = Vec::new();
-                for &u in &frontier_arc[my_vertices] {
-                    let adj = &targets[offsets[u as usize]..offsets[u as usize + 1]];
-                    for &v in adj {
-                        if dist[v as usize]
-                            .compare_exchange(
-                                UNREACHABLE,
-                                level,
-                                Ordering::Relaxed,
-                                Ordering::Relaxed,
-                            )
-                            .is_ok()
-                        {
-                            local.push(v);
-                        }
-                    }
-                }
-                *buckets[me].lock().expect("frontier bucket poisoned") = local;
-            });
-        }
-        let mut next = Vec::new();
-        for bucket in buckets.iter() {
-            next.append(&mut bucket.lock().expect("frontier bucket poisoned"));
-        }
-        frontier = next;
+        *member_buckets[me].lock().expect("frontier bucket poisoned") = local;
+    });
+    let mut next = Vec::new();
+    for bucket in buckets.iter() {
+        next.append(&mut bucket.lock().expect("frontier bucket poisoned"));
     }
-
-    dist.iter().map(|d| d.load(Ordering::Relaxed)).collect()
+    next
 }
 
 #[cfg(test)]
@@ -337,6 +351,27 @@ mod tests {
     }
 
     #[test]
+    fn levels_below_the_floor_never_touch_the_scheduler() {
+        with_watchdog(
+            "levels_below_the_floor_never_touch_the_scheduler",
+            WATCHDOG,
+            || {
+                // A grid's widest level has ~800 frontier edges, far below two
+                // members' worth of the default floor: every level is the
+                // sequential step on this thread.
+                let s = Scheduler::with_threads(2);
+                let g = CsrGraph::grid(300, 200);
+                let before = s.metrics();
+                let got = bfs_mixed(&s, &g, 0);
+                let delta = s.metrics().delta_since(&before);
+                assert_eq!(got, bfs_sequential(&g, 0));
+                assert_eq!(delta.total_executions(), 0, "{delta:?}");
+                assert_eq!(delta.teams_formed, 0, "{delta:?}");
+            },
+        );
+    }
+
+    #[test]
     fn mixed_matches_sequential_on_random_graph() {
         with_watchdog("mixed_matches_sequential_on_random_graph", WATCHDOG, || {
             let s = Scheduler::with_threads(4);
@@ -365,11 +400,15 @@ mod tests {
             avg_degree in 0usize..6,
             seed in any::<u64>(),
             source_pick in any::<u32>(),
+            floor_pick in 0usize..=64,
         ) {
+            // Small floors make plain -> team -> plain level sequences; 0
+            // stands for the default floor.
+            let floor = if floor_pick == 0 { MIN_EDGES_PER_MEMBER } else { floor_pick };
             let g = CsrGraph::random(n, avg_degree, seed);
             let source = source_pick % n as u32;
             let s = Scheduler::with_threads(2);
-            let got = bfs_mixed_with(&s, &g, source, 32);
+            let got = bfs_mixed_with(&s, &g, source, floor);
             prop_assert_eq!(got, bfs_sequential(&g, source));
         }
     }

@@ -1,19 +1,25 @@
 //! Uniform timed-run entry points for the application kernels.
 //!
 //! The perf-trajectory harness (`teamsteal-bench`, `perf` bin) needs to
-//! sweep every kernel the same way: prepare a deterministic input once, run
-//! an untimed sequential reference, then time repeated mixed-mode executions
-//! on a caller-supplied scheduler.  Each kernel module exposes a different
-//! natural signature (slices, matrices, graphs, configs), so this module
-//! normalizes them behind one shape:
+//! sweep every kernel the same way: prepare a deterministic input once, then
+//! time repeated executions of the kernel's sequential function (the
+//! reference) and of its mixed-mode implementation on caller-supplied
+//! schedulers.  Each kernel module exposes a different natural signature
+//! (slices, matrices, graphs, configs), so this module normalizes them
+//! behind one shape:
 //!
 //! * [`Kernel`] names a kernel ([`Kernel::ALL`] is the sweep set),
 //! * [`Workload::prepare`] builds the kernel's input for a size budget and
 //!   seed, and computes the expected output via the sequential
 //!   implementation,
-//! * [`Workload::run_sequential`] / [`Workload::run_mixed`] each perform
-//!   **one** timed, validated execution and return its wall-clock duration.
+//! * [`Workload::run`] performs **one** timed, validated execution — of the
+//!   sequential function without a scheduler, of the mixed-mode one on a
+//!   scheduler — and returns its wall-clock duration.
 //!
+//! Both sides are called the same way: output buffers are allocated outside
+//! the timed region, and every parameter passes through [`black_box`], so a
+//! constant (a bucket count, the BFS source) cannot be folded into one
+//! side's code and not the other's.
 //! Every run is validated against the expected output (exactly for integer
 //! kernels, to ~1e-9 relative error for the floating-point ones, whose
 //! chunked evaluation can legally reassociate sums), so a broken kernel can
@@ -25,12 +31,13 @@
 //!
 //! let scheduler = Scheduler::with_threads(2);
 //! let workload = Workload::prepare(Kernel::Reduce, 50_000, 42);
-//! let seq = workload.run_sequential();
-//! let mixed = workload.run_mixed(&scheduler);
+//! let seq = workload.run(None);
+//! let mixed = workload.run(Some(&scheduler));
 //! assert!(seq > std::time::Duration::ZERO);
 //! assert!(mixed > std::time::Duration::ZERO);
 //! ```
 
+use std::hint::black_box;
 use std::time::Duration;
 
 use teamsteal_core::Scheduler;
@@ -41,8 +48,8 @@ use teamsteal_util::timing::time;
 use crate::bfs::{bfs_mixed_with, bfs_sequential, CsrGraph};
 use crate::histogram::{histogram_mixed_with, histogram_sequential};
 use crate::matmul::{matmul_mixed_with, matmul_sequential, Matrix};
-use crate::reduce::team_reduce_with;
-use crate::scan::scan_with;
+use crate::reduce::{reduce_sequential, team_reduce_with};
+use crate::scan::{scan_with, sequential_scan};
 use crate::stencil::{jacobi_mixed, jacobi_sequential, StencilConfig};
 
 /// The application kernels covered by the perf harness.
@@ -139,10 +146,11 @@ impl Workload {
     /// deterministically from `seed`, and computes the expected output.
     ///
     /// `size` is the element count for the linear kernels (reduce, scan,
-    /// histogram, stencil) and a work budget for the others: matmul uses
-    /// square operands of dimension `2·∛size` and BFS a `√size × √size` grid
-    /// graph.  The per-member team threshold scales down with `size` so that
-    /// even smoke-sized workloads exercise the team path.
+    /// histogram, stencil), the vertex count of a random graph of mean
+    /// out-degree 8 for BFS (wide levels, so teams form), and a work budget
+    /// for matmul, whose square operands have dimension `2·∛size`.  The
+    /// per-member team threshold scales down with `size` so that even
+    /// smoke-sized workloads exercise the team path.
     pub fn prepare(kernel: Kernel, size: usize, seed: u64) -> Self {
         let size = size.max(16);
         // Thresholds tuned so that a perf-sized run (~2^19 elements) uses
@@ -196,8 +204,7 @@ impl Workload {
                 Payload::Matrices { a, b, expected }
             }
             Kernel::Bfs => {
-                let side = ((size as f64).sqrt() as usize).max(4);
-                let graph = CsrGraph::grid(side, side);
+                let graph = CsrGraph::random(size, 8, seed);
                 let expected = bfs_sequential(&graph, 0);
                 Payload::Graph { graph, expected }
             }
@@ -220,109 +227,55 @@ impl Workload {
         self.size
     }
 
-    /// One timed execution of the sequential implementation.
+    /// One timed execution of the kernel: its sequential function when
+    /// `scheduler` is `None`, its mixed-mode implementation on `scheduler`
+    /// otherwise.  Only the kernel call is timed; output buffers are
+    /// allocated and the result is validated outside the timed region.
+    /// Capture [`Scheduler::metrics`] around this call to attribute
+    /// scheduler events to the run.
     ///
     /// # Panics
     ///
     /// Panics if the output does not match the expected output computed at
     /// [`Workload::prepare`] time.
-    pub fn run_sequential(&self) -> Duration {
+    pub fn run(&self, scheduler: Option<&Scheduler>) -> Duration {
+        let side = if scheduler.is_some() {
+            "mixed"
+        } else {
+            "sequential"
+        };
+        let floor = black_box(self.min_per_member);
+        let add = |a: u64, b: u64| a + b;
         match &self.payload {
             Payload::ReduceInts { data, expected_sum } => {
-                let (d, total) = time(|| data.iter().sum::<u64>());
-                assert_eq!(total, *expected_sum, "sequential reduce mismatch");
+                let data = black_box(data.as_slice());
+                let (d, total) = time(|| match scheduler {
+                    None => reduce_sequential(data, 0, add),
+                    Some(s) => team_reduce_with(s, data, 0, add, floor),
+                });
+                assert_eq!(total, *expected_sum, "{side} reduce mismatch");
                 d
             }
             Payload::ScanInts {
                 data,
                 expected_scan,
             } => {
-                let (d, out) = time(|| {
-                    let mut out = Vec::with_capacity(data.len());
-                    let mut acc = 0u64;
-                    for &x in data {
-                        acc += x;
-                        out.push(acc);
-                    }
-                    out
-                });
-                assert_eq!(&out, expected_scan, "sequential scan mismatch");
-                d
-            }
-            Payload::Keys { data, expected } => {
-                let (d, out) = time(|| histogram_sequential(data, HISTOGRAM_BUCKETS));
-                assert_eq!(&out, expected, "sequential histogram mismatch");
-                d
-            }
-            Payload::Grid {
-                data,
-                config,
-                expected,
-            } => {
-                let (d, out) = time(|| jacobi_sequential(data, config));
-                assert_grids_close(&out, expected, "sequential stencil");
-                d
-            }
-            Payload::Matrices { a, b, expected } => {
-                let (d, out) = time(|| matmul_sequential(a, b));
-                assert!(
-                    out.max_abs_diff(expected) <= matmul_tolerance(a),
-                    "sequential matmul mismatch"
-                );
-                d
-            }
-            Payload::Graph { graph, expected } => {
-                let (d, out) = time(|| bfs_sequential(graph, 0));
-                assert_eq!(&out, expected, "sequential BFS mismatch");
-                d
-            }
-        }
-    }
-
-    /// One timed execution of the mixed-mode implementation on `scheduler`.
-    ///
-    /// Only the kernel itself is timed; output buffers are allocated and the
-    /// result is validated outside the timed region.  Capture
-    /// [`Scheduler::metrics`] around this call to attribute scheduler events
-    /// to the run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the output does not match the expected output computed at
-    /// [`Workload::prepare`] time.
-    pub fn run_mixed(&self, scheduler: &Scheduler) -> Duration {
-        match &self.payload {
-            Payload::ReduceInts { data, expected_sum } => {
-                let (d, total) = time(|| {
-                    team_reduce_with(scheduler, data, 0u64, |a, b| a + b, self.min_per_member)
-                });
-                assert_eq!(total, *expected_sum, "mixed reduce mismatch");
-                d
-            }
-            Payload::ScanInts {
-                data,
-                expected_scan,
-            } => {
+                let data = black_box(data.as_slice());
                 let mut out = vec![0u64; data.len()];
-                let (d, ()) = time(|| {
-                    scan_with(
-                        scheduler,
-                        data,
-                        &mut out,
-                        0u64,
-                        |a, b| a + b,
-                        true,
-                        self.min_per_member,
-                    )
+                let (d, ()) = time(|| match scheduler {
+                    None => sequential_scan(data, &mut out, 0, &add, true),
+                    Some(s) => scan_with(s, data, &mut out, 0, add, true, floor),
                 });
-                assert_eq!(&out, expected_scan, "mixed scan mismatch");
+                assert_eq!(&out, expected_scan, "{side} scan mismatch");
                 d
             }
             Payload::Keys { data, expected } => {
-                let (d, out) = time(|| {
-                    histogram_mixed_with(scheduler, data, HISTOGRAM_BUCKETS, self.min_per_member)
+                let (data, buckets) = black_box((data.as_slice(), HISTOGRAM_BUCKETS));
+                let (d, out) = time(|| match scheduler {
+                    None => histogram_sequential(data, buckets),
+                    Some(s) => histogram_mixed_with(s, data, buckets, floor),
                 });
-                assert_eq!(&out, expected, "mixed histogram mismatch");
+                assert_eq!(&out, expected, "{side} histogram mismatch");
                 d
             }
             Payload::Grid {
@@ -330,25 +283,36 @@ impl Workload {
                 config,
                 expected,
             } => {
-                let (d, out) = time(|| jacobi_mixed(scheduler, data, config));
-                assert_grids_close(&out, expected, "mixed stencil");
+                let (data, config) = black_box((data.as_slice(), config));
+                let (d, out) = time(|| match scheduler {
+                    None => jacobi_sequential(data, config),
+                    Some(s) => jacobi_mixed(s, data, config),
+                });
+                assert_grids_close(&out, expected, &format!("{side} stencil"));
                 d
             }
             Payload::Matrices { a, b, expected } => {
-                let (d, out) = time(|| {
-                    // The flops threshold mirrors `min_per_member`, scaled by
-                    // the ~2·k flops each output element costs.
-                    matmul_mixed_with(scheduler, a, b, self.min_per_member * 2 * a.cols())
+                let (a, b) = black_box((a, b));
+                // The flops threshold mirrors `min_per_member`, scaled by the
+                // ~2·k flops each output element costs.
+                let min_flops = floor * 2 * a.cols();
+                let (d, out) = time(|| match scheduler {
+                    None => matmul_sequential(a, b),
+                    Some(s) => matmul_mixed_with(s, a, b, min_flops),
                 });
                 assert!(
                     out.max_abs_diff(expected) <= matmul_tolerance(a),
-                    "mixed matmul mismatch"
+                    "{side} matmul mismatch"
                 );
                 d
             }
             Payload::Graph { graph, expected } => {
-                let (d, out) = time(|| bfs_mixed_with(scheduler, graph, 0, self.min_per_member));
-                assert_eq!(&out, expected, "mixed BFS mismatch");
+                let (graph, source) = black_box((graph, 0));
+                let (d, out) = time(|| match scheduler {
+                    None => bfs_sequential(graph, source),
+                    Some(s) => bfs_mixed_with(s, graph, source, floor),
+                });
+                assert_eq!(&out, expected, "{side} BFS mismatch");
                 d
             }
         }
@@ -390,8 +354,8 @@ mod tests {
         for kernel in Kernel::ALL {
             let workload = Workload::prepare(kernel, 30_000, 11);
             assert_eq!(workload.kernel(), kernel);
-            let seq = workload.run_sequential();
-            let mixed = workload.run_mixed(&scheduler);
+            let seq = workload.run(None);
+            let mixed = workload.run(Some(&scheduler));
             assert!(seq > Duration::ZERO, "{}", kernel.label());
             assert!(mixed > Duration::ZERO, "{}", kernel.label());
         }
@@ -423,7 +387,7 @@ mod tests {
         let scheduler = Scheduler::with_threads(2);
         let workload = Workload::prepare(Kernel::Reduce, 64 * 1024, 3);
         let before = scheduler.metrics();
-        workload.run_mixed(&scheduler);
+        workload.run(Some(&scheduler));
         let delta = scheduler.metrics().delta_since(&before);
         assert!(
             delta.teams_formed > 0,

@@ -9,14 +9,11 @@
 //!
 //! | module | kernel | how it mixes modes |
 //! |---|---|---|
-//! | [`foreach`] | data-parallel loops (`for_each`, `map`, `fill`) | one team task per loop; members own contiguous chunks, no per-chunk task allocation or join tree |
 //! | [`reduce`] | reductions (sum, min/max, dot product) | one team task; members reduce disjoint chunks, the leader combines partials after a barrier |
 //! | [`scan`] | prefix sums (inclusive / exclusive) | classic three-phase team scan: local scan, leader scans the block sums, members add their offset |
-//! | [`merge`] | mixed-mode merge sort | top recursion levels merge with co-rank-partitioned team merges, lower levels fall back to fork-join sorting of independent halves |
-//! | [`matmul`] | blocked matrix multiplication | recursive task-parallel block decomposition; large blocks become team tasks whose members own row stripes |
+//! | [`matmul`] | blocked matrix multiplication | every row band is one task; a band with enough work becomes a team task whose members own row stripes |
 //! | [`stencil`] | 1-D Jacobi / heat diffusion | every sweep is one data-parallel team task; the team is reused sweep after sweep, which is exactly the team-reuse property of Section 3.1 |
-//! | [`bfs`] | level-synchronous breadth-first search | every level expansion is a team task over the current frontier; tiny frontiers are processed by `r = 1` tasks instead |
-//! | [`spmv`] | sparse matrix–vector multiplication and power iteration | one team task with nnz-balanced row ownership; the power iteration reuses the team every step |
+//! | [`bfs`] | level-synchronous breadth-first search | a level with enough frontier edges is one team task; smaller levels run the sequential level step |
 //! | [`histogram`] | histogramming / bucket counting | members build private histograms of disjoint input chunks and merge ranges of buckets after a barrier |
 //!
 //! The [`harness`] module wraps the kernels behind uniform prepare /
@@ -26,7 +23,10 @@
 //! All kernels take an explicit [`Scheduler`](teamsteal_core::Scheduler)
 //! reference, never create their own thread pools, and choose their team
 //! sizes with the same "largest power of two that keeps enough work per
-//! member" policy the paper's `getBestNp` uses for Quicksort.
+//! member" policy the paper's `getBestNp` uses for Quicksort.  Where no
+//! team pays — below that floor, or on a one-thread scheduler — a kernel
+//! runs its sequential code on the caller's thread; only matmul spreads its
+//! independent row bands as `r = 1` tasks at `p ≥ 2`.
 //!
 //! # Example
 //!
@@ -44,28 +44,21 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod bfs;
-pub mod foreach;
 pub mod harness;
 pub mod histogram;
 pub mod matmul;
-pub mod merge;
 pub mod micro;
 pub mod reduce;
 pub mod scan;
-pub mod slots;
-pub mod spmv;
+mod slots;
 pub mod stencil;
 pub mod team_size;
 
 pub use bfs::{bfs_mixed, bfs_sequential, CsrGraph};
-pub use foreach::{team_fill_with, team_for_each, team_map};
 pub use harness::{Kernel, Workload};
 pub use histogram::{histogram_mixed, histogram_sequential};
 pub use matmul::{matmul_mixed, matmul_sequential, Matrix};
-pub use merge::{merge_sort_mixed, team_merge};
 pub use reduce::{dot_product, parallel_max, parallel_min, parallel_sum, team_reduce};
 pub use scan::{exclusive_scan_mixed, inclusive_scan_mixed};
-pub use slots::TeamSlots;
-pub use spmv::{power_iteration_mixed, spmv_mixed, spmv_sequential, CsrMatrix};
 pub use stencil::{jacobi_mixed, jacobi_sequential, StencilConfig};
 pub use team_size::best_team_size;

@@ -14,7 +14,9 @@
 //!   members compute disjoint row stripes of the band (one CAS each to join,
 //!   no further synchronization — members never write the same cache line),
 //! * small bands fall back to `r = 1` tasks, so the degenerate case is plain
-//!   task-parallel blocked matmul.
+//!   task-parallel blocked matmul,
+//! * a one-thread scheduler runs [`matmul_sequential`] on the caller's
+//!   thread: its only worker would run every band anyway, one handoff later.
 
 
 use teamsteal_core::Scheduler;
@@ -166,16 +168,16 @@ pub fn matmul_mixed_with(
     b: &Matrix,
     min_flops_per_member: usize,
 ) -> Matrix {
+    let p = scheduler.num_threads();
+    if p == 1 {
+        return matmul_sequential(a, b);
+    }
     assert_eq!(a.cols, b.rows, "inner dimensions must match");
     let (m, k, n) = (a.rows, a.cols, b.cols);
     let mut c = Matrix::zeros(m, n);
-    if m == 0 || n == 0 {
-        return c;
-    }
-    if k == 0 {
+    if m == 0 || n == 0 || k == 0 {
         return c; // already all zeros
     }
-    let p = scheduler.num_threads();
 
     let pa = SendConstPtr::from_slice(&a.data);
     let pb = SendConstPtr::from_slice(&b.data);

@@ -71,7 +71,7 @@ where
     let p = scheduler.num_threads();
     let team = best_team_size(n, min_per_member, p);
     if team <= 1 {
-        return data.iter().copied().fold(identity, combine);
+        return reduce_sequential(data, identity, combine);
     }
 
     let input = SendConstPtr::from_slice(data);
@@ -117,6 +117,16 @@ where
     // wrote the result) has finished; scope completion orders that write
     // before this read.
     unsafe { result.read(0) }
+}
+
+/// Sequential reference: `data` folded with `combine` from `identity`, the
+/// path [`team_reduce_with`] takes below its team floor.
+pub(crate) fn reduce_sequential<T, F>(data: &[T], identity: T, combine: F) -> T
+where
+    T: Copy,
+    F: Fn(T, T) -> T,
+{
+    data.iter().copied().fold(identity, combine)
 }
 
 /// Sum of a `u64` slice via a team reduction.

@@ -94,8 +94,14 @@ pub fn scan_with<T, F>(
     scan_impl(scheduler, input, out, identity, combine, inclusive, min_per_member);
 }
 
-fn sequential_scan<T, F>(input: &[T], out: &mut [T], identity: T, combine: &F, inclusive: bool)
-where
+/// Sequential reference: the scan [`scan_with`] runs below its team floor.
+pub(crate) fn sequential_scan<T, F>(
+    input: &[T],
+    out: &mut [T],
+    identity: T,
+    combine: &F,
+    inclusive: bool,
+) where
     T: Copy,
     F: Fn(T, T) -> T,
 {

@@ -24,7 +24,7 @@ use std::cell::UnsafeCell;
 ///   [`read`](TeamSlots::read) makes the caller responsible for the
 ///   discipline.
 #[derive(Debug)]
-pub struct TeamSlots<T> {
+pub(crate) struct TeamSlots<T> {
     slots: Box<[UnsafeCell<T>]>,
 }
 
@@ -35,20 +35,10 @@ unsafe impl<T: Send> Sync for TeamSlots<T> {}
 
 impl<T: Copy> TeamSlots<T> {
     /// Creates `n` slots, all initialised to `init`.
-    pub fn new(n: usize, init: T) -> Self {
+    pub(crate) fn new(n: usize, init: T) -> Self {
         TeamSlots {
             slots: (0..n).map(|_| UnsafeCell::new(init)).collect(),
         }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// `true` if there are no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 
     /// Writes `value` into slot `index`.
@@ -58,7 +48,7 @@ impl<T: Copy> TeamSlots<T> {
     /// No other thread may access slot `index` concurrently (see the type
     /// documentation for the full discipline).
     #[inline]
-    pub unsafe fn write(&self, index: usize, value: T) {
+    pub(crate) unsafe fn write(&self, index: usize, value: T) {
         // SAFETY: exclusive access to this slot is guaranteed by the caller.
         unsafe { *self.slots[index].get() = value };
     }
@@ -70,7 +60,7 @@ impl<T: Copy> TeamSlots<T> {
     /// No other thread may write slot `index` concurrently, and any previous
     /// write must be ordered before this read by a synchronization point.
     #[inline]
-    pub unsafe fn read(&self, index: usize) -> T {
+    pub(crate) unsafe fn read(&self, index: usize) -> T {
         // SAFETY: absence of concurrent writers is guaranteed by the caller.
         unsafe { *self.slots[index].get() }
     }
@@ -84,8 +74,7 @@ mod tests {
     #[test]
     fn single_threaded_write_read_roundtrip() {
         let slots = TeamSlots::new(4, 0u64);
-        assert_eq!(slots.len(), 4);
-        assert!(!slots.is_empty());
+        assert_eq!(slots.slots.len(), 4);
         for i in 0..4 {
             // SAFETY: single-threaded test.
             unsafe { slots.write(i, (i * i) as u64) };
@@ -120,7 +109,6 @@ mod tests {
     #[test]
     fn zero_slots_is_fine() {
         let slots: TeamSlots<u8> = TeamSlots::new(0, 0);
-        assert!(slots.is_empty());
-        assert_eq!(slots.len(), 0);
+        assert!(slots.slots.is_empty());
     }
 }

@@ -28,7 +28,7 @@ use teamsteal_apps::micro;
 use teamsteal_bench::report::{
     check_regressions, CheckOutcome, Environment, Report, RunRecord, TimingSummary, SCHEMA_VERSION,
 };
-use teamsteal_bench::{Variant, VariantRunner};
+use teamsteal_bench::{interleave, measured, Cell, Variant, VariantRunner};
 use teamsteal_benchmark::host;
 use teamsteal_benchmark::json::Json;
 use teamsteal_core::{MetricsSnapshot, Scheduler};
@@ -370,59 +370,43 @@ fn sweep_sorts(opts: &Options) -> Vec<RunRecord> {
     records
 }
 
-/// Sweeps every application kernel over the thread counts, with a sequential
-/// reference per kernel.
+/// Sweeps every application kernel over the thread counts.  Per kernel, the
+/// sequential reference and one cell per thread count run interleaved, on
+/// schedulers all built up front, so the control shares the host's
+/// conditions with what it controls.
 fn sweep_kernels(opts: &Options) -> Vec<RunRecord> {
-    let mut records = Vec::new();
-    let workloads: Vec<Workload> = Kernel::ALL
+    let schedulers: Vec<Scheduler> = opts
+        .threads
         .iter()
-        .map(|&k| Workload::prepare(k, opts.size, opts.seed))
+        .map(|&threads| Scheduler::with_threads(threads))
         .collect();
-
-    // Sequential references (median over the same repetition policy).
-    let mut seq_medians: HashMap<&'static str, f64> = HashMap::new();
-    for workload in &workloads {
-        for _ in 0..opts.warmups {
-            workload.run_sequential();
-        }
-        let samples: Vec<Duration> = (0..opts.reps).map(|_| workload.run_sequential()).collect();
-        let median_s = summary(&samples).median_s;
+    let mut records = Vec::new();
+    for kernel in Kernel::ALL {
+        let workload = &Workload::prepare(kernel, opts.size, opts.seed);
+        let sides = std::iter::once(None).chain(schedulers.iter().map(Some));
+        let cells = sides
+            .map(|side| Cell::new(side, move || workload.run(side)))
+            .collect();
+        let mut cells = interleave(cells, opts.warmups, opts.reps).into_iter();
+        let (sequential, _) = cells.next().expect("the sequential cell");
+        let seq_s = summary(&sequential).median_s;
         eprintln!(
-            "kernel  | {:<9} | sequential | median {:>10.6}s",
-            workload.kernel().label(),
-            median_s
+            "kernel  | {:<9} | sequential | median {seq_s:>10.6}s",
+            kernel.label()
         );
-        seq_medians.insert(workload.kernel().label(), median_s);
-    }
-
-    for &threads in &opts.threads {
-        let scheduler = Scheduler::with_threads(threads);
-        for workload in &workloads {
-            for _ in 0..opts.warmups {
-                workload.run_mixed(&scheduler);
-            }
-            let mut samples = Vec::new();
-            let mut metrics = MetricsSnapshot::default();
-            for _ in 0..opts.reps {
-                let before = scheduler.metrics();
-                samples.push(workload.run_mixed(&scheduler));
-                metrics = metrics.merge(scheduler.metrics().delta_since(&before));
-            }
+        for ((samples, metrics), &threads) in cells.zip(&opts.threads) {
             let secs = summary(&samples);
-            let seq_reference_s = seq_medians.get(workload.kernel().label()).copied();
-            let speedup_vs_seq = seq_reference_s
-                .filter(|&s| secs.median_s > 0.0 && s > 0.0)
-                .map(|s| s / secs.median_s);
+            let speedup_vs_seq = (secs.median_s > 0.0).then(|| seq_s / secs.median_s);
             eprintln!(
-                "kernel  | {:<9} | p = {:>2}     | median {:>10.6}s | SU {:>5.2}",
-                workload.kernel().label(),
-                threads,
+                "kernel  | {:<9} | p = {threads:>2}     | median {:>10.6}s | SU {:>5.2} | teams {}",
+                kernel.label(),
                 secs.median_s,
-                speedup_vs_seq.unwrap_or(0.0)
+                speedup_vs_seq.unwrap_or(0.0),
+                metrics.teams_built + metrics.team_reuses
             );
             records.push(RunRecord {
                 group: "kernel".into(),
-                name: workload.kernel().label().into(),
+                name: kernel.label().into(),
                 distribution: None,
                 size: workload.size(),
                 threads,
@@ -430,7 +414,7 @@ fn sweep_kernels(opts: &Options) -> Vec<RunRecord> {
                 repetitions: opts.reps,
                 secs,
                 metrics,
-                seq_reference_s,
+                seq_reference_s: Some(seq_s),
                 speedup_vs_seq,
                 extra: None,
             });
@@ -439,45 +423,39 @@ fn sweep_kernels(opts: &Options) -> Vec<RunRecord> {
     records
 }
 
-/// Runs `reps` timed repetitions (after `warmups` untimed ones) of
-/// [`micro::spawn_overhead`] with `spawns` children and folds them into a
-/// record.
-fn spawn_overhead_record(
-    spawns: usize,
-    opts: &Options,
-    threads: usize,
-    scheduler: &Scheduler,
-) -> RunRecord {
-    for _ in 0..opts.warmups {
-        micro::spawn_overhead(scheduler, spawns);
-    }
-    let mut samples = Vec::new();
-    let mut metrics = MetricsSnapshot::default();
-    for _ in 0..opts.reps {
-        let before = scheduler.metrics();
-        samples.push(micro::spawn_overhead(scheduler, spawns));
-        metrics = metrics.merge(scheduler.metrics().delta_since(&before));
-    }
-    let secs = summary(&samples);
-    eprintln!(
-        "spawn   | {spawns:>8} tasks | p = {threads:>2} | median {:>10.6}s | {:>8.1} ns/task",
-        secs.median_s,
-        secs.median_s * 1e9 / spawns.max(1) as f64
-    );
-    RunRecord {
-        group: SPAWN_OVERHEAD.into(),
-        name: SPAWN_OVERHEAD.into(),
-        distribution: None,
-        size: spawns,
-        threads,
-        warmups: opts.warmups,
-        repetitions: opts.reps,
-        secs,
-        metrics,
-        seq_reference_s: None,
-        speedup_vs_seq: None,
-        extra: None,
-    }
+/// The spawn/join loop of empty tasks ([`micro::spawn_overhead`]) at every
+/// `(spawns, threads)` cell, one scheduler at a time: the p = 1 cell is the
+/// gated one, and another pool's workers winding down beside it would share
+/// its cores.
+fn spawn_overhead_records(cells: &[(usize, usize)], opts: &Options) -> Vec<RunRecord> {
+    let record = |&(spawns, threads): &(usize, usize)| {
+        let scheduler = Scheduler::with_threads(threads);
+        let cell = Cell::new(Some(&scheduler), || {
+            micro::spawn_overhead(&scheduler, spawns)
+        });
+        let (samples, metrics) = interleave(vec![cell], opts.warmups, opts.reps).remove(0);
+        let secs = summary(&samples);
+        eprintln!(
+            "spawn   | {spawns:>8} tasks | p = {threads:>2} | median {:>10.6}s | {:>8.1} ns/task",
+            secs.median_s,
+            secs.median_s * 1e9 / spawns.max(1) as f64
+        );
+        RunRecord {
+            group: SPAWN_OVERHEAD.into(),
+            name: SPAWN_OVERHEAD.into(),
+            distribution: None,
+            size: spawns,
+            threads,
+            warmups: opts.warmups,
+            repetitions: opts.reps,
+            secs,
+            metrics,
+            seq_reference_s: None,
+            speedup_vs_seq: None,
+            extra: None,
+        }
+    };
+    cells.iter().map(record).collect()
 }
 
 /// Sweeps the spawn/join loop of empty tasks over the thread counts: at
@@ -487,10 +465,12 @@ fn spawn_overhead_record(
 /// down too.
 fn sweep_spawn_overhead(opts: &Options) -> Vec<RunRecord> {
     let spawns = (opts.size / 4).max(1_000);
-    let cell = |&threads: &usize| {
-        spawn_overhead_record(spawns, opts, threads, &Scheduler::with_threads(threads))
-    };
-    opts.threads.iter().map(cell).collect()
+    let cells: Vec<_> = opts
+        .threads
+        .iter()
+        .map(|&threads| (spawns, threads))
+        .collect();
+    spawn_overhead_records(&cells, opts)
 }
 
 /// Sweeps the multi-producer injection scenario
@@ -501,7 +481,8 @@ fn sweep_spawn_overhead(opts: &Options) -> Vec<RunRecord> {
 /// layout) — so the sharded-vs-single comparison lives side by side in the
 /// report.  On top of `--threads`, oversubscribed p = 32/64 "simulated big
 /// iron" cells run too: that is where the domain structure has more than
-/// one shard to spread producers over.
+/// one shard to spread producers over.  One scheduler at a time, for the
+/// reason [`spawn_overhead_records`] gives.
 fn sweep_injection(opts: &Options) -> Vec<RunRecord> {
     const PRODUCERS: usize = 8;
     let per_producer = (opts.size / 32).clamp(256, 16_384);
@@ -520,21 +501,16 @@ fn sweep_injection(opts: &Options) -> Vec<RunRecord> {
                 builder = builder.domain_width(width);
             }
             let scheduler = builder.build();
+            let cell = Cell::new(Some(&scheduler), || {
+                micro::injection_throughput(&scheduler, PRODUCERS, per_producer)
+            });
+            let (outcomes, metrics) = interleave(vec![cell], opts.warmups, opts.reps).remove(0);
             let shards = scheduler.injector_shard_segments().len();
-            for _ in 0..opts.warmups {
-                micro::injection_throughput(&scheduler, PRODUCERS, per_producer);
-            }
-            let mut samples = Vec::new();
-            let mut submit = Vec::new();
-            let mut metrics = MetricsSnapshot::default();
-            for _ in 0..opts.reps {
-                let before = scheduler.metrics();
-                let outcome = micro::injection_throughput(&scheduler, PRODUCERS, per_producer);
-                samples.push(outcome.duration);
-                metrics = metrics.merge(scheduler.metrics().delta_since(&before));
-                submit.extend(outcome.submit_to_start);
-            }
-            let secs = summary(&samples);
+            let secs = summary(&outcomes.iter().map(|o| o.duration).collect::<Vec<_>>());
+            let submit: Vec<Duration> = outcomes
+                .into_iter()
+                .flat_map(|o| o.submit_to_start)
+                .collect();
             let submit_secs = summary(&submit);
             let tasks_per_sec = if secs.median_s > 0.0 {
                 tasks as f64 / secs.median_s
@@ -607,10 +583,11 @@ fn sweep_soak(opts: &Options) -> Vec<RunRecord> {
         let mut final_segments = 0usize;
         for _ in 0..opts.reps {
             let scheduler = Scheduler::with_threads(threads);
-            let before = scheduler.metrics();
-            let outcome = micro::soak(&scheduler, scopes, per_scope);
+            let (outcome, delta) = measured(Some(&scheduler), || {
+                micro::soak(&scheduler, scopes, per_scope)
+            });
             samples.push(outcome.duration);
-            metrics = metrics.merge(scheduler.metrics().delta_since(&before));
+            metrics = metrics.merge(delta);
             peak_segments = peak_segments.max(outcome.peak_injector_segments);
             peak_deferred = peak_deferred.max(outcome.peak_deferred_items);
             final_segments = outcome.final_injector_segments;
@@ -660,9 +637,10 @@ fn sweep_wakeup_latency(opts: &Options) -> Vec<RunRecord> {
         if warmup_submissions > 0 {
             micro::wakeup_latency(&scheduler, warmup_submissions);
         }
-        let before = scheduler.metrics();
-        let secs = summary(&micro::wakeup_latency(&scheduler, submissions));
-        let metrics = scheduler.metrics().delta_since(&before);
+        let (latencies, metrics) = measured(Some(&scheduler), || {
+            micro::wakeup_latency(&scheduler, submissions)
+        });
+        let secs = summary(&latencies);
         eprintln!(
             "wakeup  | {submissions:>4} submits | p = {threads:>2} | median {:>8.1} us | p95 {:>8.1} us",
             secs.median_s * 1e6,
@@ -708,24 +686,18 @@ fn sweep_idle_burn(opts: &Options) -> Vec<RunRecord> {
     let mut records = Vec::new();
     for &threads in &opts.threads {
         let scheduler = Scheduler::with_threads(threads);
-        let before = scheduler.metrics();
-        let mut samples = Vec::new();
-        let mut wall_total = Duration::ZERO;
-        let mut reps_recorded = 0usize;
-        for _ in 0..opts.reps {
-            let outcome = micro::idle_burn(&scheduler, wall);
-            // The probe can transiently fail (procfs race); skip the sample
-            // rather than abort the sweep.
-            let Some(cpu) = outcome.cpu else { continue };
-            samples.push(cpu);
-            wall_total += outcome.wall;
-            reps_recorded += 1;
-        }
+        let cell = Cell::new(Some(&scheduler), || micro::idle_burn(&scheduler, wall));
+        let (outcomes, metrics) = interleave(vec![cell], 0, opts.reps).remove(0);
+        // The probe can transiently fail (procfs race); skip the sample
+        // rather than abort the sweep.
+        let measured = outcomes.iter().filter_map(|o| Some((o.cpu?, o.wall)));
+        let (samples, walls): (Vec<Duration>, Vec<Duration>) = measured.unzip();
+        let reps_recorded = samples.len();
         if reps_recorded == 0 {
             eprintln!("idle    | skipped p = {threads}: CPU probe failed every repetition");
             continue;
         }
-        let metrics = scheduler.metrics().delta_since(&before);
+        let wall_total: Duration = walls.iter().sum();
         let secs = summary(&samples);
         let burn_ratio = if wall_total.as_secs_f64() > 0.0 {
             secs.samples_s.iter().sum::<f64>() / wall_total.as_secs_f64()
@@ -776,17 +748,25 @@ fn sweep_team_build(opts: &Options) -> Vec<RunRecord> {
     let cold_tasks = (opts.size / 8_192).clamp(8, 48);
     let mix_bursts = (opts.size / 4_096).clamp(8, 64);
     let mut records = Vec::new();
-    let reuse_extra = |metrics: &MetricsSnapshot| {
-        let publications = metrics.teams_built + metrics.team_reuses;
-        let hit_rate = if publications > 0 {
-            metrics.team_reuses as f64 / publications as f64
-        } else {
-            0.0
-        };
-        Json::obj([
-            ("reuse_hit_rate", Json::Num(hit_rate)),
+    let hit_rate = |metrics: &MetricsSnapshot| {
+        metrics.team_reuses as f64 / (metrics.teams_built + metrics.team_reuses).max(1) as f64
+    };
+    let record = |name: &str, threads, size, warmups, reps, secs, metrics| RunRecord {
+        group: "team_build".into(),
+        name: name.into(),
+        distribution: None,
+        size,
+        threads,
+        warmups,
+        repetitions: reps,
+        secs,
+        extra: Some(Json::obj([
+            ("reuse_hit_rate", Json::Num(hit_rate(&metrics))),
             ("cold_gap_ms", Json::Num(micro::TEAM_BUILD_COLD_GAP.as_secs_f64() * 1e3)),
-        ])
+        ])),
+        metrics,
+        seq_reference_s: None,
+        speedup_vs_seq: None,
     };
     for &threads in &opts.threads {
         if threads < 2 {
@@ -799,78 +779,52 @@ fn sweep_team_build(opts: &Options) -> Vec<RunRecord> {
         if opts.warmups > 0 {
             micro::team_build_streak(&scheduler, r, 8);
         }
-
-        let before = scheduler.metrics();
-        let streak = micro::team_build_streak(&scheduler, r, streak_tasks);
-        let streak_metrics = scheduler.metrics().delta_since(&before);
-        let secs = summary(&streak.submit_to_start);
-        let streak_median_us = secs.median_s * 1e6;
-        records.push(RunRecord {
-            group: "team_build".into(),
-            name: "team_build_streak".into(),
-            distribution: None,
-            size: streak_tasks,
-            threads,
-            warmups: opts.warmups,
-            repetitions: streak_tasks,
-            secs,
-            extra: Some(reuse_extra(&streak_metrics)),
-            metrics: streak_metrics,
-            seq_reference_s: None,
-            speedup_vs_seq: None,
+        // One streak and one cold run, whose samples are their tasks'
+        // latencies; then the mix, timed end to end.
+        let streak = measured(Some(&scheduler), || {
+            micro::team_build_streak(&scheduler, r, streak_tasks)
         });
-
-        let before = scheduler.metrics();
-        let cold = micro::team_build_cold(&scheduler, r, cold_tasks);
-        let cold_metrics = scheduler.metrics().delta_since(&before);
-        let secs = summary(&cold.submit_to_start);
-        eprintln!(
-            "team    | r = {r:>2} | p = {threads:>2} | streak median {streak_median_us:>8.1} us (hit {:>5.3}) | cold median {:>8.1} us",
-            streak_metrics.team_reuses as f64
-                / (streak_metrics.teams_built + streak_metrics.team_reuses).max(1) as f64,
-            secs.median_s * 1e6,
-        );
-        records.push(RunRecord {
-            group: "team_build".into(),
-            name: "team_build_cold".into(),
-            distribution: None,
-            size: cold_tasks,
-            threads,
-            warmups: opts.warmups,
-            repetitions: cold_tasks,
-            secs,
-            extra: Some(reuse_extra(&cold_metrics)),
-            metrics: cold_metrics,
-            seq_reference_s: None,
-            speedup_vs_seq: None,
+        let cold = measured(Some(&scheduler), || {
+            micro::team_build_cold(&scheduler, r, cold_tasks)
         });
-
-        let mut samples = Vec::new();
-        let mut metrics = MetricsSnapshot::default();
-        for _ in 0..opts.reps {
-            let before = scheduler.metrics();
-            samples.push(micro::team_build_mix(&scheduler, mix_bursts));
-            metrics = metrics.merge(scheduler.metrics().delta_since(&before));
+        let mut medians_us = Vec::new();
+        for (name, (outcome, metrics)) in [("team_build_streak", streak), ("team_build_cold", cold)] {
+            let tasks = outcome.tasks;
+            let secs = summary(&outcome.submit_to_start);
+            medians_us.push((secs.median_s * 1e6, hit_rate(&metrics)));
+            records.push(record(
+                name,
+                threads,
+                tasks,
+                opts.warmups,
+                tasks,
+                secs,
+                metrics,
+            ));
         }
+        eprintln!(
+            "team    | r = {r:>2} | p = {threads:>2} | streak median {:>8.1} us (hit {:>5.3}) | cold median {:>8.1} us",
+            medians_us[0].0, medians_us[0].1, medians_us[1].0
+        );
+
+        let mix_cell = Cell::new(Some(&scheduler), || {
+            micro::team_build_mix(&scheduler, mix_bursts)
+        });
+        let (samples, metrics) = interleave(vec![mix_cell], 0, opts.reps).remove(0);
         let secs = summary(&samples);
         eprintln!(
             "teammix | {mix_bursts:>4} bursts | p = {threads:>2} | median {:>10.6}s | built {} reused {}",
             secs.median_s, metrics.teams_built, metrics.team_reuses
         );
-        records.push(RunRecord {
-            group: "team_build".into(),
-            name: "team_build_mix".into(),
-            distribution: None,
-            size: mix_bursts,
+        records.push(record(
+            "team_build_mix",
             threads,
-            warmups: 0,
-            repetitions: opts.reps,
+            mix_bursts,
+            0,
+            opts.reps,
             secs,
-            extra: Some(reuse_extra(&metrics)),
             metrics,
-            seq_reference_s: None,
-            speedup_vs_seq: None,
-        });
+        ));
     }
     records
 }
@@ -944,16 +898,13 @@ fn check_pass_report(baseline: &Report, opts: &Options) -> Result<Report, String
 /// with the same exclusions.
 fn spawn_overhead_check_report(baseline: &Report, opts: &Options) -> Report {
     let cores = host::nproc();
-    let records = baseline
+    let cells: Vec<_> = baseline
         .records
         .iter()
         .filter(|r| r.group == SPAWN_OVERHEAD && r.threads <= cores && !baseline.oversubscribed(r))
-        .map(|base| {
-            let scheduler = Scheduler::with_threads(base.threads);
-            spawn_overhead_record(base.size, opts, base.threads, &scheduler)
-        })
+        .map(|base| (base.size, base.threads))
         .collect();
-    new_report(opts, "kernel", records)
+    new_report(opts, "kernel", spawn_overhead_records(&cells, opts))
 }
 
 /// Prints what one empty task costs at p = 2 relative to p = 1 against

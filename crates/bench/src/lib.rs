@@ -15,8 +15,9 @@
 //! [`TableSpec`] encodes which table uses which thread count, aggregation
 //! (average vs. best of N) and column set; [`run_table`] regenerates one
 //! table and [`render_table`] prints it in the paper's row/column layout.
-//! [`VariantRunner::sort_cells`] is the one loop sort samples come from, for
-//! the tables and for the `perf` bin's `BENCH_sort.json` alike.
+//! [`interleave`] is the one repetition loop of the tables and of `perf`,
+//! [`measured`] the one place a counter delta is taken;
+//! [`VariantRunner::sort_cells`] runs the sort variants on the loop.
 //!
 //! The crate is a client of the benchmark package's library
 //! (`teamsteal_benchmark`, `benchmark/` at the repository root): [`report`]
@@ -30,5 +31,5 @@ pub mod runner;
 pub mod tables;
 
 pub use report::{check_regressions, CheckOutcome, Environment, Report, RunRecord, TimingSummary};
-pub use runner::{Measurement, Variant, VariantRunner};
+pub use runner::{interleave, measured, Cell, Variant, VariantRunner};
 pub use tables::{render_table, run_table, Aggregation, TableResult, TableSpec};

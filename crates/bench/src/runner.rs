@@ -1,12 +1,83 @@
-//! Variant runners: one timed sort execution per (variant, input), and the
-//! interleaved repetition loop both `perf` and `tables` take their sort
-//! samples from.
+//! The one repetition loop of `perf` and `tables` ([`interleave`]), the one
+//! place a scheduler-counter delta is taken ([`measured`]), and the sort
+//! variants the loop runs for both.
 
 use std::time::Duration;
 
 use teamsteal_core::{MetricsSnapshot, Scheduler, StealPolicy};
 use teamsteal_sort::{fork_join_sort, mixed_mode_sort, sequential_quicksort, std_sort, SortConfig};
 use teamsteal_util::timing::time;
+
+/// One cell of an interleaved measurement: a repetition, and the scheduler
+/// whose counters it moves.
+pub struct Cell<'a, T> {
+    scheduler: Option<&'a Scheduler>,
+    run: Box<dyn FnMut() -> T + 'a>,
+}
+
+impl<'a, T> Cell<'a, T> {
+    /// A cell whose every repetition is one call of `run`, charged with the
+    /// counter delta of `scheduler` (`None`: code that runs on no scheduler,
+    /// or on one of its own).
+    pub fn new(scheduler: Option<&'a Scheduler>, run: impl FnMut() -> T + 'a) -> Self {
+        Cell {
+            scheduler,
+            run: Box::new(run),
+        }
+    }
+}
+
+/// Runs `f` once and returns its result with the counter delta it moved on
+/// `scheduler` (zero without one).  Every repetition of [`interleave`] and
+/// every one-shot probe of `perf` is charged through here.
+pub fn measured<T>(scheduler: Option<&Scheduler>, f: impl FnOnce() -> T) -> (T, MetricsSnapshot) {
+    let before = scheduler.map(Scheduler::metrics);
+    let result = f();
+    let delta = scheduler
+        .zip(before)
+        .map(|(scheduler, before)| scheduler.metrics().delta_since(&before))
+        .unwrap_or_default();
+    (result, delta)
+}
+
+/// Runs `warmups` untimed and then `repetitions` recorded rounds of `cells`,
+/// and returns, in the same order, each cell's results (in execution order)
+/// and the summed counter delta of its recorded repetitions.  A round runs
+/// every cell once — repetition `i` of every cell before repetition `i + 1`
+/// of any — so a drift of the host (frequency, a noisy neighbour) falls on
+/// all cells alike and their aggregates compare; timing each cell's
+/// repetitions as a block does not give comparable numbers.  Round `i`
+/// starts at cell `i mod n`, so which cell runs first, and which runs right
+/// after a team cell whose workers are still looking for work, changes from
+/// round to round instead of always being the same one.  What a repetition
+/// times is up to its cell: the loop only orders the calls and attributes
+/// the counters.
+pub fn interleave<T>(
+    mut cells: Vec<Cell<'_, T>>,
+    warmups: usize,
+    repetitions: usize,
+) -> Vec<(Vec<T>, MetricsSnapshot)> {
+    for _ in 0..warmups {
+        for cell in &mut cells {
+            (cell.run)();
+        }
+    }
+    let mut out: Vec<_> = cells
+        .iter()
+        .map(|_| (Vec::new(), MetricsSnapshot::default()))
+        .collect();
+    for round in 0..repetitions {
+        for k in 0..cells.len() {
+            let i = (round + k) % cells.len();
+            let cell = &mut cells[i];
+            let (result, delta) = measured(cell.scheduler, &mut cell.run);
+            let (results, metrics) = &mut out[i];
+            results.push(result);
+            *metrics = metrics.merge(delta);
+        }
+    }
+    out
+}
 
 /// The sorting variants of the paper's tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,19 +114,16 @@ impl Variant {
     pub fn has_speedup_column(&self) -> bool {
         matches!(self, Variant::Fork | Variant::MmPar)
     }
-}
 
-/// One timed run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Measurement {
-    /// Which variant produced it.
-    pub variant: Variant,
-    /// Wall-clock duration of the sort (input generation excluded).
-    pub duration: Duration,
-    /// Scheduler-counter delta attributable to this run (steals, teams
-    /// built, registrations, …).  Zero for variants that do not execute on a
-    /// `teamsteal` scheduler (Seq/STL and SeqQS).
-    pub metrics: MetricsSnapshot,
+    /// The steal policy of the scheduler a parallel variant runs on; `None`
+    /// for the sequential ones.
+    fn steal_policy(self) -> Option<StealPolicy> {
+        match self {
+            Variant::SeqStd | Variant::SeqQs => None,
+            Variant::RandFork => Some(StealPolicy::UniformRandom),
+            Variant::Fork | Variant::MmPar => Some(StealPolicy::Deterministic),
+        }
+    }
 }
 
 /// Holds the lazily created schedulers so repeated measurements of one
@@ -65,8 +133,7 @@ pub struct Measurement {
 pub struct VariantRunner {
     threads: usize,
     config: SortConfig,
-    det: Option<Scheduler>,
-    rand: Option<Scheduler>,
+    schedulers: Vec<(StealPolicy, Scheduler)>,
 }
 
 impl VariantRunner {
@@ -76,75 +143,45 @@ impl VariantRunner {
         VariantRunner {
             threads,
             config,
-            det: None,
-            rand: None,
+            schedulers: Vec::new(),
         }
     }
 
-    /// The scheduler a parallel `variant` runs on, built on first use.
-    fn scheduler_for(&mut self, variant: Variant) -> &Scheduler {
-        let threads = self.threads;
-        let (slot, policy) = match variant {
-            Variant::RandFork => (&mut self.rand, StealPolicy::UniformRandom),
-            _ => (&mut self.det, StealPolicy::Deterministic),
-        };
-        slot.get_or_insert_with(|| {
-            Scheduler::builder()
-                .threads(threads)
-                .steal_policy(policy)
-                .build()
-        })
+    /// The scheduler `variant` runs on, if it is parallel and already built.
+    fn scheduler(&self, variant: Variant) -> Option<&Scheduler> {
+        let policy = variant.steal_policy()?;
+        self.schedulers
+            .iter()
+            .find(|(p, _)| *p == policy)
+            .map(|(_, s)| s)
     }
 
-    /// Sorts a copy of `input` with `variant` and returns the measurement,
-    /// including the scheduler-counter delta the run caused.  The sorted
-    /// output is validated (cheap sortedness check) so a broken variant can
-    /// never silently report a good time.
-    pub fn measure(&mut self, variant: Variant, input: &[u32]) -> Measurement {
+    /// Sorts a copy of `input` with `variant` and returns how long the sort
+    /// took (the copy excluded).  The output is validated (cheap sortedness
+    /// check) so a broken variant can never silently report a good time.
+    fn sort_once(&self, variant: Variant, input: &[u32]) -> Duration {
         let mut data = input.to_vec();
-        let config = self.config.clone();
-        // Times `f` on `scheduler` and attributes the counter delta to it.
-        fn timed_on(
-            scheduler: &Scheduler,
-            f: impl FnOnce(&Scheduler),
-        ) -> (Duration, MetricsSnapshot) {
-            let before = scheduler.metrics();
-            let (duration, ()) = time(|| f(scheduler));
-            (duration, scheduler.metrics().delta_since(&before))
-        }
-        let (duration, metrics) = match variant {
-            Variant::SeqStd => (time(|| std_sort(&mut data)).0, MetricsSnapshot::default()),
-            Variant::SeqQs => (
-                time(|| sequential_quicksort(&mut data, &config)).0,
-                MetricsSnapshot::default(),
-            ),
-            Variant::Fork | Variant::RandFork => timed_on(self.scheduler_for(variant), |s| {
-                fork_join_sort(s, &mut data, &config)
-            }),
-            Variant::MmPar => timed_on(self.scheduler_for(variant), |s| {
-                mixed_mode_sort(s, &mut data, &config)
-            }),
+        let config = &self.config;
+        let (duration, ()) = match (variant, self.scheduler(variant)) {
+            (Variant::SeqStd, _) => time(|| std_sort(&mut data)),
+            (Variant::SeqQs, _) => time(|| sequential_quicksort(&mut data, config)),
+            (Variant::MmPar, Some(s)) => time(|| mixed_mode_sort(s, &mut data, config)),
+            (_, Some(s)) => time(|| fork_join_sort(s, &mut data, config)),
+            (_, None) => unreachable!("sort_cells builds every scheduler first"),
         };
         assert!(
             teamsteal_data::is_sorted(&data),
             "{} produced an unsorted result",
             variant.label()
         );
-        Measurement {
-            variant,
-            duration,
-            metrics,
-        }
+        duration
     }
 
     /// Runs `warmups` untimed and `repetitions` timed sorts of every variant
-    /// in `variants` on one input and returns, in the same order, each
-    /// variant's samples (seconds, in execution order) and summed counter
-    /// delta.  The repetitions are interleaved — repetition `i` of every
-    /// variant before repetition `i + 1` of any — so a drift of the host
-    /// (frequency, a noisy neighbour) falls on all variants alike and their
-    /// aggregates compare; timing each variant's repetitions as a block does
-    /// not give comparable numbers.
+    /// in `variants` on one input through [`interleave`], every scheduler
+    /// built first, and returns in the same order each variant's samples
+    /// (seconds, in execution order) and summed counter delta (zero for the
+    /// sequential variants).
     pub fn sort_cells(
         &mut self,
         variants: &[Variant],
@@ -152,20 +189,28 @@ impl VariantRunner {
         warmups: usize,
         repetitions: usize,
     ) -> Vec<(Vec<f64>, MetricsSnapshot)> {
-        for _ in 0..warmups {
-            for &variant in variants {
-                self.measure(variant, input);
+        for policy in variants.iter().filter_map(|v| v.steal_policy()) {
+            if !self.schedulers.iter().any(|(p, _)| *p == policy) {
+                let scheduler = Scheduler::builder()
+                    .threads(self.threads)
+                    .steal_policy(policy);
+                self.schedulers.push((policy, scheduler.build()));
             }
         }
-        let mut cells = vec![(Vec::new(), MetricsSnapshot::default()); variants.len()];
-        for _ in 0..repetitions {
-            for (&variant, (samples, metrics)) in variants.iter().zip(&mut cells) {
-                let m = self.measure(variant, input);
-                samples.push(m.duration.as_secs_f64());
-                *metrics = metrics.merge(m.metrics);
-            }
-        }
-        cells
+        let this = &*self;
+        let cells = variants
+            .iter()
+            .map(|&v| Cell::new(this.scheduler(v), move || this.sort_once(v, input)))
+            .collect();
+        interleave(cells, warmups, repetitions)
+            .into_iter()
+            .map(|(durations, metrics)| {
+                (
+                    durations.iter().map(Duration::as_secs_f64).collect(),
+                    metrics,
+                )
+            })
+            .collect()
     }
 }
 
@@ -200,16 +245,15 @@ mod tests {
             min_blocks_per_thread: 4,
         };
         let mut runner = VariantRunner::new(2, config);
-        for variant in [
+        let variants = [
             Variant::SeqStd,
             Variant::SeqQs,
             Variant::Fork,
             Variant::RandFork,
             Variant::MmPar,
-        ] {
-            let m = runner.measure(variant, &input);
-            assert!(m.duration > Duration::ZERO);
-            assert_eq!(m.variant, variant);
+        ];
+        for (samples, _) in runner.sort_cells(&variants, &input, 0, 1) {
+            assert!(samples.len() == 1 && samples[0] > 0.0, "{samples:?}");
         }
     }
 
@@ -218,7 +262,8 @@ mod tests {
         let input = Distribution::Gauss.generate(40_000, 4, 5);
         let mut runner = VariantRunner::new(2, SortConfig::default());
         let variants = [Variant::SeqQs, Variant::MmPar, Variant::Fork];
-        let before = runner.scheduler_for(Variant::MmPar).metrics();
+        runner.sort_cells(&variants, &input, 0, 1);
+        let before = runner.scheduler(Variant::MmPar).unwrap().metrics();
         let cells = runner.sort_cells(&variants, &input, 1, 3);
         assert_eq!(cells.len(), variants.len());
         for (samples, _) in &cells {
@@ -229,9 +274,37 @@ mod tests {
         // account for everything the scheduler did, less the one warmup of
         // each of its two variants.
         assert_eq!(cells[0].1, MetricsSnapshot::default());
-        let total = runner.scheduler_for(Variant::MmPar).metrics().delta_since(&before);
+        let after = runner.scheduler(Variant::MmPar).unwrap().metrics();
+        let total = after.delta_since(&before).total_executions();
         let timed = cells[1].1.total_executions() + cells[2].1.total_executions();
-        assert!(timed > 0 && timed < total.total_executions(), "{timed} of {total:?}");
+        assert!(timed > 0 && timed < total, "{timed} of {total}");
+
+        // The loop under sort_cells: untimed warm-ups, then round after
+        // round of every cell, each round starting one cell further on, and
+        // each cell charged with exactly the tasks it ran (cell k runs
+        // k + 1 on the one shared scheduler).
+        let scheduler = Scheduler::with_threads(2);
+        let calls = std::cell::RefCell::new(Vec::new());
+        let cells = (0..3)
+            .map(|k| {
+                let (scheduler, calls) = (&scheduler, &calls);
+                Cell::new(Some(scheduler), move || {
+                    calls.borrow_mut().push(k);
+                    scheduler.run(move |ctx| (0..k).for_each(|_| ctx.spawn(|_| {})));
+                    k
+                })
+            })
+            .collect();
+        let results = interleave(cells, 1, 3);
+        assert_eq!(*calls.borrow(), [0, 1, 2, 0, 1, 2, 1, 2, 0, 2, 0, 1]);
+        for (k, (runs, metrics)) in results.into_iter().enumerate() {
+            assert_eq!(runs, [k, k, k]);
+            assert_eq!(
+                metrics.tasks_executed,
+                3 * (k as u64 + 1),
+                "cell {k}: {metrics:?}"
+            );
+        }
     }
 
     #[test]
@@ -243,16 +316,15 @@ mod tests {
             min_blocks_per_thread: 2,
         };
         let mut runner = VariantRunner::new(2, config);
-        let seq = runner.measure(Variant::SeqQs, &input);
-        assert_eq!(seq.metrics, teamsteal_core::MetricsSnapshot::default());
-        let fork = runner.measure(Variant::Fork, &input);
+        let mut metrics_of = |variant| runner.sort_cells(&[variant], &input, 0, 1)[0].1;
+        assert_eq!(metrics_of(Variant::SeqQs), MetricsSnapshot::default());
         assert!(
-            fork.metrics.tasks_executed > 0,
+            metrics_of(Variant::Fork).tasks_executed > 0,
             "fork-join sort must execute r = 1 tasks"
         );
-        let mm = runner.measure(Variant::MmPar, &input);
+        let mm = metrics_of(Variant::MmPar);
         assert!(
-            mm.metrics.teams_formed > 0,
+            mm.teams_formed > 0,
             "mixed-mode sort at this size must build at least one team"
         );
         // A second measurement reuses the scheduler but the delta is still
@@ -260,12 +332,12 @@ mod tests {
         // would make the second run report ~2x the first run's executions
         // (same input, same work), so a 1.5x bound detects it while leaving
         // headroom for scheduling variance in the per-run counts.
-        let mm2 = runner.measure(Variant::MmPar, &input);
+        let mm2 = metrics_of(Variant::MmPar);
         assert!(
-            mm2.metrics.total_executions() * 2 < mm.metrics.total_executions() * 3,
+            mm2.total_executions() * 2 < mm.total_executions() * 3,
             "second run reported {} executions vs {} on the first — delta looks cumulative",
-            mm2.metrics.total_executions(),
-            mm.metrics.total_executions()
+            mm2.total_executions(),
+            mm.total_executions()
         );
     }
 }

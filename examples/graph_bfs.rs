@@ -1,30 +1,40 @@
-//! Breadth-first search over a grid graph with team-parallel frontier
-//! expansion.
+//! Breadth-first search with team-parallel frontier expansion.
 //!
 //! BFS levels start tiny, grow into wide data-parallel frontiers, and shrink
 //! again — the mixed-mode shape the scheduler targets: small levels stay on
-//! one thread, wide levels become one team task each.
+//! one thread, wide levels become one team task each.  The default input is
+//! a random graph of mean out-degree 8, whose middle levels hold most of its
+//! vertices; a grid's levels are never wider than its diagonal and never
+//! reach a team at the default floor.
 //!
 //! ```text
-//! cargo run --release --example graph_bfs [width] [height] [threads]
+//! cargo run --release --example graph_bfs [vertices] [threads]
+//! cargo run --release --example graph_bfs grid [width] [height] [threads]
 //! ```
 
 use teamsteal::apps::bfs::{bfs_mixed, bfs_sequential, CsrGraph, UNREACHABLE};
 use teamsteal::Scheduler;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let width: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(600);
-    let height: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(400);
-    let threads: usize = args
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4));
-
-    println!("graph_bfs: {width}x{height} grid graph, {threads} worker threads");
-    let graph = CsrGraph::grid(width, height);
+    let mut args = std::env::args().skip(1).peekable();
+    let grid = args.next_if_eq("grid").is_some();
+    let mut number = |default: usize| args.next().and_then(|a| a.parse().ok()).unwrap_or(default);
+    let graph = if grid {
+        let (width, height) = (number(600), number(400));
+        println!("graph_bfs: {width}x{height} grid graph");
+        CsrGraph::grid(width, height)
+    } else {
+        let vertices = number(1 << 19);
+        println!("graph_bfs: random graph, {vertices} vertices of mean out-degree 8");
+        CsrGraph::random(vertices, 8, 42)
+    };
+    let threads = number(
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4),
+    );
     println!(
-        "  {} vertices, {} directed edges",
+        "  {} vertices, {} directed edges, {threads} worker threads",
         graph.num_vertices(),
         graph.num_edges()
     );
@@ -55,7 +65,7 @@ fn main() {
 
     let metrics = scheduler.metrics();
     println!(
-        "  scheduler: {} teams formed for the wide levels, {} sequential tasks",
-        metrics.teams_formed, metrics.tasks_executed
+        "  scheduler: {} teams formed for the wide levels, {} team-member executions",
+        metrics.teams_formed, metrics.team_tasks_executed
     );
 }

@@ -3,9 +3,9 @@
 //! One of the arguments the paper makes for putting data-parallel tasks *on
 //! the work-stealer* (instead of hand-rolled helper threads) is composability:
 //! different parallel computations can share the same worker pool and
-//! load-balance against each other.  This example runs the whole kernel suite
-//! — reduction, prefix sum, histogram, merge sort, matrix multiplication —
-//! back to back on a single scheduler and reports what the scheduler did.
+//! load-balance against each other.  This example runs the kernel suite —
+//! reduction, prefix sum, histogram, matrix multiplication — back to back on
+//! a single scheduler and reports what the scheduler did.
 //!
 //! ```text
 //! cargo run --release --example kernel_suite [n] [threads]
@@ -13,7 +13,6 @@
 
 use teamsteal::apps::histogram::{histogram_mixed, histogram_sequential};
 use teamsteal::apps::matmul::{matmul_mixed, matmul_sequential, Matrix};
-use teamsteal::apps::merge::merge_sort_mixed;
 use teamsteal::apps::reduce::{dot_product, parallel_max, parallel_sum};
 use teamsteal::apps::scan::inclusive_scan_mixed;
 use teamsteal::{Distribution, Scheduler};
@@ -59,12 +58,6 @@ fn main() {
         .map(|(i, c)| (i, *c))
         .unwrap();
     println!("  histogram: densest bucket {} holds {} keys", densest.0, densest.1);
-
-    // Mixed-mode merge sort.
-    let mut to_sort = Distribution::Staggered.generate(n, threads, 11);
-    merge_sort_mixed(&scheduler, &mut to_sort);
-    assert!(teamsteal::is_sorted(&to_sort));
-    println!("  msort:     sorted {} staggered keys", to_sort.len());
 
     // Matrix multiplication (kept small so the example stays quick).
     let dim = 160;

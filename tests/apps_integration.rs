@@ -14,8 +14,7 @@ use std::sync::Arc;
 
 use teamsteal::apps::bfs::{bfs_mixed_with, bfs_sequential, CsrGraph};
 use teamsteal::apps::histogram::{histogram_mixed_with, histogram_sequential};
-use teamsteal::apps::matmul::{matmul_mixed_with, matmul_sequential, Matrix};
-use teamsteal::apps::merge::{merge_sort_mixed_with, MergeSortConfig};
+use teamsteal::apps::matmul::{matmul_mixed, matmul_mixed_with, matmul_sequential, Matrix};
 use teamsteal::apps::reduce::{parallel_sum, team_reduce_with};
 use teamsteal::apps::scan::scan_with;
 use teamsteal::apps::stencil::{jacobi_mixed, jacobi_sequential, StencilConfig};
@@ -46,18 +45,11 @@ fn kernel_suite_shares_one_scheduler() {
         histogram_sequential(&keys, 48)
     );
 
-    let mut to_sort = Distribution::Staggered.generate(n, 4, 5);
-    let original = to_sort.clone();
-    merge_sort_mixed_with(
-        &scheduler,
-        &mut to_sort,
-        &MergeSortConfig {
-            leaf_size: 1024,
-            min_elements_per_member: 4096,
-        },
-    );
-    assert!(is_sorted(&to_sort));
-    assert!(is_permutation_of(&original, &to_sort));
+    // Row bands below the default flops floor are r = 1 tasks.
+    let a = Matrix::from_fn(96, 80, |i, j| ((i * 7 + j) % 13) as f64);
+    let b = Matrix::from_fn(80, 64, |i, j| ((i + j * 3) % 11) as f64);
+    let product = matmul_mixed(&scheduler, &a, &b);
+    assert!(product.max_abs_diff(&matmul_sequential(&a, &b)) < 1e-9);
 
     let grid: Vec<f64> = (0..n).map(|i| (i % 31) as f64).collect();
     let stencil_cfg = StencilConfig {
@@ -75,7 +67,10 @@ fn kernel_suite_shares_one_scheduler() {
     let metrics = scheduler.metrics();
     assert!(metrics.teams_formed > 0, "the suite must have formed teams");
     assert!(metrics.team_tasks_executed > 0);
-    assert!(metrics.tasks_executed > 0, "merge-sort leaves are r = 1 tasks");
+    assert!(
+        metrics.tasks_executed > 0,
+        "matmul's row bands are r = 1 tasks"
+    );
 }
 
 /// The mixed-mode Quicksort and a team reduction submitted to the same
