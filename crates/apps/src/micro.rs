@@ -32,11 +32,11 @@
 //!   team tasks vs the same tasks spaced past the warm keep-alive window:
 //!   the direct measurement of the warm team-reuse pool (DESIGN.md §15).
 //!   Like `wakeup_latency`, the samples *are* the latencies.
-//! * [`team_build_mix`] — a bursty heterogeneous requirement mix (fixed-`r`
-//!   streaks, moldable ranges, sequential riders) driving the moldable-`r`
-//!   chooser, shrink-reuse and the reuse pool together; its scheduler
-//!   counter deltas (`teams_built`, `team_reuses`) tell how much
-//!   registration traffic the pool amortized away.
+//! * [`team_build_mix`] — a bursty heterogeneous requirement mix (full-width
+//!   streaks, a half-width task, sequential riders) driving shrink-reuse and
+//!   the reuse pool together; its scheduler counter deltas (`teams_built`,
+//!   `team_reuses`) tell how much registration traffic the pool amortized
+//!   away.
 //!
 //! Every scenario validates its own execution count, so a scheduler that
 //! drops or duplicates tasks can never report a good time.
@@ -385,12 +385,12 @@ fn team_build_run(
 pub const MIX_STREAK: usize = 4;
 
 /// One timed heterogeneous-requirement run: a root task spawns `bursts`
-/// bursts, each a streak of [`MIX_STREAK`] fixed-`r` team tasks, one
-/// **moldable** `1..=r` task (the scheduler picks its effective size from
-/// current load) and one sequential rider.  The pattern exercises the
-/// moldable-`r` chooser, the shrink-reuse rule (§3.1) and the warm pool in
-/// one scope; the caller reads the `teams_built` / `team_reuses` counter
-/// deltas for the reuse hit rate.
+/// bursts, each a streak of [`MIX_STREAK`] team tasks of width
+/// `r = min(p, 4)`, one task of `r / 2` (a rider at `r = 2`, a smaller team
+/// at `r = 4`) and one sequential rider.  The pattern exercises the
+/// shrink-reuse rule (§3.1) and the warm pool in one scope; the caller reads
+/// the `teams_built` / `team_reuses` counter deltas for the reuse hit rate.
+/// Needs `p ≥ 2`.
 ///
 /// # Panics
 ///
@@ -414,7 +414,7 @@ pub fn team_build_mix(scheduler: &Scheduler, bursts: usize) -> Duration {
                         });
                     }
                     let c = Arc::clone(&counter);
-                    ctx.spawn_team_moldable(1..=wide, move |tc| {
+                    ctx.spawn_team(wide / 2, move |tc| {
                         if tc.local_id() == 0 {
                             c.fetch_add(1, Ordering::Relaxed);
                         }

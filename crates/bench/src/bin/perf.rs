@@ -739,8 +739,8 @@ fn sweep_idle_burn(opts: &Options) -> Vec<RunRecord> {
 /// / `secs.p95_s` read directly as seconds of team-build latency — and the
 /// `reuse_hit_rate` extra reports how many publications rode a warm team
 /// (`team_reuses / (teams_built + team_reuses)`, EXPERIMENTS.md).  The
-/// `mix` record times a bursty heterogeneous requirement mix (fixed-`r`
-/// streaks, moldable ranges, sequential riders) end-to-end.
+/// `mix` record times a bursty heterogeneous requirement mix (full-width
+/// streaks, a half-width task, sequential riders) end-to-end.
 fn sweep_team_build(opts: &Options) -> Vec<RunRecord> {
     let streak_tasks = (opts.size / 2_048).clamp(32, 256);
     // Every cold submission pays a keep-alive-expiry gap, which bounds how

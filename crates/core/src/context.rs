@@ -1,6 +1,8 @@
 //! The execution context handed to every running task.
 
-use crate::task::{Job, JobSlot, OnceJob, ScopeState, TeamJob};
+use teamsteal_topology::StealPolicy;
+
+use crate::task::{check_requirement, Job, JobSlot, OnceJob, ScopeState, TeamJob};
 use crate::team::TeamBarrier;
 
 /// Internal interface the executing worker exposes to the task context so
@@ -12,20 +14,14 @@ pub(crate) trait SpawnTarget {
     /// (bottom), choosing the queue level from the requirement.  Counts the
     /// task on the worker's own shard of the scope's countdown; `scope` is
     /// the scope of the running task, whose count keeps it alive until the
-    /// new node is counted too.  `requirement_min < requirement` marks a
-    /// **moldable** task (DESIGN.md §15): the worker picks the effective
-    /// team size in `requirement_min ..= requirement` from current load.
-    fn spawn_job_slot(
-        &self,
-        job: JobSlot,
-        requirement: usize,
-        requirement_min: usize,
-        scope: &ScopeState,
-    );
+    /// new node is counted too.  The caller has checked the requirement.
+    fn spawn_job_slot(&self, job: JobSlot, requirement: usize, scope: &ScopeState);
     /// Global id of the executing worker thread.
     fn worker_id(&self) -> usize;
     /// Total number of worker threads in the scheduler.
     fn num_threads(&self) -> usize;
+    /// The scheduler's partner / victim selection policy.
+    fn steal_policy(&self) -> StealPolicy;
 }
 
 /// Context of one task execution on one worker.
@@ -132,8 +128,8 @@ impl<'a> TaskContext<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `threads` is zero or exceeds the number of scheduler
-    /// threads.
+    /// Panics if `threads` is zero, exceeds the number of scheduler threads,
+    /// or is above 1 under [`StealPolicy::UniformRandom`].
     pub fn spawn_team<F>(&self, threads: usize, f: F)
     where
         F: Fn(&TaskContext<'_>) + Send + Sync + 'static,
@@ -141,63 +137,17 @@ impl<'a> TaskContext<'a> {
         self.spawn_concrete(TeamJob::new(threads, f));
     }
 
-    /// Spawns a **moldable** data-parallel child task (DESIGN.md §15): any
-    /// team size in `threads` (an inclusive range) can run the closure, and
-    /// the scheduler picks the effective size from current load — small when
-    /// the machine is saturated (no point building a team it cannot fill),
-    /// large when workers sit idle.  The closure must therefore adapt to
-    /// [`team_size`](TaskContext::team_size) like any other team job.
-    ///
-    /// `spawn_team_moldable(r..=r, f)` is equivalent to `spawn_team(r, f)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty, starts at zero, or ends beyond the
-    /// number of scheduler threads.
-    pub fn spawn_team_moldable<F>(&self, threads: std::ops::RangeInclusive<usize>, f: F)
-    where
-        F: Fn(&TaskContext<'_>) + Send + Sync + 'static,
-    {
-        let (min, max) = (*threads.start(), *threads.end());
-        assert!(min <= max, "moldable range {min}..={max} is empty");
-        self.spawn_concrete(TeamJob::moldable(min, max, f));
-    }
-
-    /// Spawns an arbitrary [`Job`] implementation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the job's requirement is zero or exceeds the number of
-    /// scheduler threads.
-    pub fn spawn_job(&self, job: Box<dyn Job>) {
-        let requirement = job.requirement();
-        let requirement_min = job.requirement_min();
-        self.check_requirement(requirement, requirement_min);
-        self.worker
-            .spawn_job_slot(JobSlot::Boxed(job), requirement, requirement_min, self.scope);
-    }
-
     /// Spawns a concretely typed job, storing it inline in the task node
     /// when it fits (the common case for `spawn` / `spawn_team` closures).
     fn spawn_concrete<J: Job + 'static>(&self, job: J) {
         let requirement = job.requirement();
-        let requirement_min = job.requirement_min();
-        self.check_requirement(requirement, requirement_min);
+        check_requirement(
+            requirement,
+            self.worker.num_threads(),
+            self.worker.steal_policy(),
+        );
         self.worker
-            .spawn_job_slot(JobSlot::new(job), requirement, requirement_min, self.scope);
-    }
-
-    fn check_requirement(&self, requirement: usize, requirement_min: usize) {
-        assert!(requirement_min >= 1, "a task requires at least one thread");
-        assert!(
-            requirement_min <= requirement,
-            "minimum requirement {requirement_min} exceeds the requirement {requirement}"
-        );
-        assert!(
-            requirement <= self.worker.num_threads(),
-            "task requires {requirement} threads but the scheduler only has {}",
-            self.worker.num_threads()
-        );
+            .spawn_job_slot(JobSlot::new(job), requirement, self.scope);
     }
 }
 
@@ -207,20 +157,14 @@ mod tests {
     use std::cell::RefCell;
 
     struct RecordingTarget {
-        spawned: RefCell<Vec<(usize, usize)>>,
+        spawned: RefCell<Vec<usize>>,
         threads: usize,
     }
 
     impl SpawnTarget for RecordingTarget {
-        fn spawn_job_slot(
-            &self,
-            job: JobSlot,
-            requirement: usize,
-            requirement_min: usize,
-            scope: &ScopeState,
-        ) {
+        fn spawn_job_slot(&self, job: JobSlot, requirement: usize, scope: &ScopeState) {
             drop(job);
-            self.spawned.borrow_mut().push((requirement, requirement_min));
+            self.spawned.borrow_mut().push(requirement);
             // The test target executes nothing: account the task as
             // spawned-and-finished immediately.
             scope.task_spawned(self.worker_id());
@@ -231,6 +175,9 @@ mod tests {
         }
         fn num_threads(&self) -> usize {
             self.threads
+        }
+        fn steal_policy(&self) -> StealPolicy {
+            StealPolicy::Deterministic
         }
     }
 
@@ -274,8 +221,7 @@ mod tests {
         let ctx = test_ctx(&target, &scope);
         ctx.spawn(|_| {});
         ctx.spawn_team(4, |_| {});
-        ctx.spawn_team_moldable(2..=6, |_| {});
-        assert_eq!(*target.spawned.borrow(), vec![(1, 1), (4, 4), (6, 2)]);
+        assert_eq!(*target.spawned.borrow(), vec![1, 4]);
         assert_eq!(scope.pending(), 0, "test target finishes tasks immediately");
     }
 
@@ -289,30 +235,5 @@ mod tests {
         let scope = ScopeState::new(4);
         let ctx = test_ctx(&target, &scope);
         ctx.spawn_team(8, |_| {});
-    }
-
-    #[test]
-    #[should_panic]
-    fn spawn_team_moldable_rejects_empty_range() {
-        let target = RecordingTarget {
-            spawned: RefCell::new(Vec::new()),
-            threads: 4,
-        };
-        let scope = ScopeState::new(4);
-        let ctx = test_ctx(&target, &scope);
-        #[allow(clippy::reversed_empty_ranges)]
-        ctx.spawn_team_moldable(3..=2, |_| {});
-    }
-
-    #[test]
-    #[should_panic]
-    fn spawn_team_moldable_rejects_oversized_ceiling() {
-        let target = RecordingTarget {
-            spawned: RefCell::new(Vec::new()),
-            threads: 4,
-        };
-        let scope = ScopeState::new(4);
-        let ctx = test_ctx(&target, &scope);
-        ctx.spawn_team_moldable(2..=8, |_| {});
     }
 }

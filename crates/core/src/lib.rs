@@ -65,7 +65,7 @@
 //! |---|---|
 //! | [`scheduler`] | [`Scheduler`], [`SchedulerBuilder`], [`Scope`] |
 //! | [`config`] | [`SchedulerConfig`] |
-//! | [`task`] | the [`Job`] trait and internal task nodes |
+//! | [`task`] | task nodes and scope bookkeeping (internal) |
 //! | [`cancel`] | the lock-free [`CancelCell`] claim-to-run arbiter (DESIGN.md §17) |
 //! | [`context`] | [`TaskContext`] passed to every running task |
 //! | [`team`] | [`TeamBarrier`] for intra-team synchronization |
@@ -92,7 +92,6 @@ pub use config::SchedulerConfig;
 pub use context::TaskContext;
 pub use metrics::{MetricsSnapshot, WakeLatencyHistogram};
 pub use scheduler::{ConcurrentScope, ReclamationSnapshot, Scheduler, SchedulerBuilder, Scope};
-pub use task::Job;
 pub use team::TeamBarrier;
 pub use worker::{enable_stall_debug, stall_report};
 
@@ -285,13 +284,27 @@ mod tests {
         });
     }
 
+    /// Every way a team task enters a `UniformRandom` scheduler is refused
+    /// before the task is counted: that policy builds no teams, so a queued
+    /// team task would never run and its scope would never return.  The
+    /// in-task spawn panics inside its parent, whose scope re-throws it.
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "hierarchical steal policy")]
     fn uniform_random_policy_rejects_team_tasks() {
-        let s = Scheduler::builder()
-            .threads(4)
-            .steal_policy(StealPolicy::UniformRandom)
-            .build();
-        s.run_team(2, |_| {});
+        with_watchdog("uniform_random_policy_rejects_team_tasks", WATCHDOG, || {
+            let s = Scheduler::builder()
+                .threads(4)
+                .steal_policy(StealPolicy::UniformRandom)
+                .build();
+            let refused = |f: &dyn Fn()| {
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+                assert!(result.is_err(), "a team task was accepted under UniformRandom");
+            };
+            refused(&|| s.run_team(2, |_| {}));
+            let concurrent = ConcurrentScope::new();
+            refused(&|| concurrent.submit_team(&s, 2, |_| {}));
+            assert_eq!(concurrent.pending(), 0, "the refused task was counted");
+            s.run(|ctx| ctx.spawn_team(2, |_| {}));
+        });
     }
 }

@@ -10,7 +10,7 @@ use crate::cancel::CancelCell;
 use crate::config::SchedulerConfig;
 use crate::context::TaskContext;
 use crate::metrics::MetricsSnapshot;
-use crate::task::{Job, JobSlot, OnceJob, ScopeState, TaskNode, TeamJob};
+use crate::task::{check_requirement, Job, JobSlot, OnceJob, ScopeState, TaskNode, TeamJob};
 use crate::worker::{SchedulerShared, Worker};
 
 /// Builder for a [`Scheduler`].
@@ -259,27 +259,6 @@ impl Scheduler {
         self.scope(|s| s.spawn_team(threads, f));
     }
 
-    /// Convenience wrapper: runs a single **moldable** team root task
-    /// (DESIGN.md §15) — any team size in the inclusive `threads` range can
-    /// execute it, and the scheduler picks the effective size from current
-    /// load — and waits for everything it (transitively) spawns.
-    ///
-    /// ```
-    /// use teamsteal_core::Scheduler;
-    ///
-    /// let scheduler = Scheduler::with_threads(4);
-    /// scheduler.run_team_moldable(2..=4, |ctx| {
-    ///     assert!((2..=4).contains(&ctx.requested_threads()));
-    ///     ctx.barrier();
-    /// });
-    /// ```
-    pub fn run_team_moldable<F>(&self, threads: std::ops::RangeInclusive<usize>, f: F)
-    where
-        F: Fn(&TaskContext<'_>) + Send + Sync + 'static,
-    {
-        self.scope(|s| s.spawn_team_moldable(threads, f));
-    }
-
     /// Per-worker metric snapshots, indexed by worker id.
     pub fn worker_metrics(&self) -> Vec<MetricsSnapshot> {
         self.shared
@@ -405,27 +384,28 @@ impl Scheduler {
         self.shared.external_pins.capacity()
     }
 
-    fn check_requirement(&self, requirement: usize, requirement_min: usize) {
-        assert!(requirement_min >= 1, "a task requires at least one thread");
-        assert!(
-            requirement_min <= requirement,
-            "minimum requirement {requirement_min} exceeds the requirement {requirement}"
-        );
-        assert!(
-            requirement <= self.num_threads(),
-            "task requires {requirement} threads but the scheduler only has {}",
-            self.num_threads()
-        );
-        // A moldable task collapses to `requirement_min` under
-        // `UniformRandom` (there is no hierarchy to recruit a team from),
-        // so only a *minimum* above 1 is unrunnable there.
-        if requirement_min > 1 {
-            assert!(
-                self.shared.steal_policy != StealPolicy::UniformRandom,
-                "team tasks (r > 1) require a hierarchical steal policy; \
-                 StealPolicy::UniformRandom supports only sequential tasks"
-            );
+    /// The one way a root task enters the scheduler: check its requirement,
+    /// allocate the node and count it in `state`, attach the cancel cell and
+    /// deadline, and inject it.  Small jobs are stored inline in the (boxed)
+    /// node, so external submission costs one allocation.
+    fn submit_root<J: Job + 'static>(
+        &self,
+        state: &Arc<ScopeState>,
+        job: J,
+        cancel: Option<Arc<CancelCell>>,
+        deadline: Option<std::time::Instant>,
+    ) {
+        let requirement = job.requirement();
+        check_requirement(requirement, self.num_threads(), self.shared.steal_policy);
+        let node = TaskNode::allocate_boxed(JobSlot::new(job), requirement, state);
+        // SAFETY: between `allocate_boxed` and `inject` this thread is the
+        // node's exclusive owner; the injector's release/acquire handoff
+        // publishes the fields to the popping worker.
+        unsafe {
+            (*node).cancel = cancel;
+            (*node).deadline = deadline;
         }
+        self.shared.inject(node);
     }
 }
 
@@ -475,63 +455,23 @@ impl Scope<'_> {
     where
         F: FnOnce(&TaskContext<'_>) + Send + 'static,
     {
-        self.spawn_concrete(OnceJob::new(f));
+        self.scheduler
+            .submit_root(self.state, OnceJob::new(f), None, None);
     }
 
     /// Submits a data-parallel root task requiring `threads` workers.  The
     /// closure is executed by every member of the team built for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `threads` is zero, exceeds the number of scheduler threads,
+    /// or is above 1 under [`StealPolicy::UniformRandom`].
     pub fn spawn_team<F>(&self, threads: usize, f: F)
     where
         F: Fn(&TaskContext<'_>) + Send + Sync + 'static,
     {
-        self.spawn_concrete(TeamJob::new(threads, f));
-    }
-
-    /// Submits a **moldable** data-parallel root task (DESIGN.md §15): any
-    /// team size in the inclusive `threads` range can run the closure; the
-    /// scheduler picks the effective size from current load when the task is
-    /// pulled from the injection queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty, starts at zero, or ends beyond the
-    /// number of scheduler threads.
-    pub fn spawn_team_moldable<F>(&self, threads: std::ops::RangeInclusive<usize>, f: F)
-    where
-        F: Fn(&TaskContext<'_>) + Send + Sync + 'static,
-    {
-        let (min, max) = (*threads.start(), *threads.end());
-        assert!(min <= max, "moldable range {min}..={max} is empty");
-        self.spawn_concrete(TeamJob::moldable(min, max, f));
-    }
-
-    /// Submits an arbitrary [`Job`] implementation as a root task.
-    pub fn spawn_job(&self, job: Box<dyn Job>) {
-        let requirement = job.requirement();
-        let requirement_min = job.requirement_min();
-        self.scheduler.check_requirement(requirement, requirement_min);
-        let node = TaskNode::allocate_boxed(
-            JobSlot::Boxed(job),
-            requirement,
-            requirement_min,
-            self.state,
-        );
-        self.scheduler.shared.inject(node);
-    }
-
-    /// Submits a concretely typed root task.  Small jobs are stored inline
-    /// in the (boxed) node, so external submission costs one allocation.
-    fn spawn_concrete<J: Job + 'static>(&self, job: J) {
-        let requirement = job.requirement();
-        let requirement_min = job.requirement_min();
-        self.scheduler.check_requirement(requirement, requirement_min);
-        let node = TaskNode::allocate_boxed(
-            JobSlot::new(job),
-            requirement,
-            requirement_min,
-            self.state,
-        );
-        self.scheduler.shared.inject(node);
+        self.scheduler
+            .submit_root(self.state, TeamJob::new(threads, f), None, None);
     }
 
     /// Number of worker threads of the underlying scheduler.
@@ -618,7 +558,7 @@ impl ConcurrentScope {
     where
         F: FnOnce(&TaskContext<'_>) + Send + 'static,
     {
-        self.submit_concrete(scheduler, OnceJob::new(f));
+        scheduler.submit_root(&self.owner.state, OnceJob::new(f), None, None);
     }
 
     /// Submits a data-parallel root task requiring `threads` workers (see
@@ -627,27 +567,7 @@ impl ConcurrentScope {
     where
         F: Fn(&TaskContext<'_>) + Send + Sync + 'static,
     {
-        self.submit_concrete(scheduler, TeamJob::new(threads, f));
-    }
-
-    /// Submits a **moldable** data-parallel root task (see
-    /// [`Scope::spawn_team_moldable`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range is empty, starts at zero, or ends beyond the
-    /// number of scheduler threads.
-    pub fn submit_team_moldable<F>(
-        &self,
-        scheduler: &Scheduler,
-        threads: std::ops::RangeInclusive<usize>,
-        f: F,
-    ) where
-        F: Fn(&TaskContext<'_>) + Send + Sync + 'static,
-    {
-        let (min, max) = (*threads.start(), *threads.end());
-        assert!(min <= max, "moldable range {min}..={max} is empty");
-        self.submit_concrete(scheduler, TeamJob::moldable(min, max, f));
+        scheduler.submit_root(&self.owner.state, TeamJob::new(threads, f), None, None);
     }
 
     /// Submits a sequential root task with a cancellation cell and/or an
@@ -665,24 +585,7 @@ impl ConcurrentScope {
     ) where
         F: FnOnce(&TaskContext<'_>) + Send + 'static,
     {
-        let job = OnceJob::new(f);
-        let requirement = job.requirement();
-        let requirement_min = job.requirement_min();
-        scheduler.check_requirement(requirement, requirement_min);
-        let node = TaskNode::allocate_boxed(
-            JobSlot::new(job),
-            requirement,
-            requirement_min,
-            &self.owner.state,
-        );
-        // SAFETY: between `allocate_boxed` and `inject` this thread is the
-        // node's exclusive owner; the injector's release/acquire handoff
-        // publishes the fields to the popping worker.
-        unsafe {
-            (*node).cancel = cancel;
-            (*node).deadline = deadline;
-        }
-        scheduler.shared.inject(node);
+        scheduler.submit_root(&self.owner.state, OnceJob::new(f), cancel, deadline);
     }
 
     /// Number of submitted tasks (including their transitively spawned
@@ -713,19 +616,6 @@ impl ConcurrentScope {
     /// Call at drain points to rethrow (or log) deferred task panics.
     pub fn take_panic(&self) -> Option<Box<dyn std::any::Any + Send>> {
         self.owner.state.take_panic()
-    }
-
-    fn submit_concrete<J: Job + 'static>(&self, scheduler: &Scheduler, job: J) {
-        let requirement = job.requirement();
-        let requirement_min = job.requirement_min();
-        scheduler.check_requirement(requirement, requirement_min);
-        let node = TaskNode::allocate_boxed(
-            JobSlot::new(job),
-            requirement,
-            requirement_min,
-            &self.owner.state,
-        );
-        scheduler.shared.inject(node);
     }
 }
 

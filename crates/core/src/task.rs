@@ -13,8 +13,8 @@
 //!
 //! * **Inline job storage** — closures small enough for the node's fixed
 //!   payload area are moved *into* the node (`JobSlot::Inline`); only
-//!   oversized closures and type-erased `Box<dyn Job>` submissions pay for
-//!   a separate heap allocation (`JobSlot::Boxed`).
+//!   oversized closures pay for a separate heap allocation
+//!   (`JobSlot::Boxed`).
 //! * **Node recycling** — nodes spawned from worker threads come from the
 //!   worker's slab arena ([`teamsteal_util::slab::Slab`]) and are returned
 //!   to it by whichever thread finishes the task last; nodes submitted from
@@ -26,6 +26,7 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
+use teamsteal_topology::StealPolicy;
 use teamsteal_util::countdown::ShardedCountdown;
 use teamsteal_util::slab::{Recycle, Slab};
 
@@ -42,25 +43,37 @@ use crate::team::TeamBarrier;
 /// same job object concurrently, each with a different
 /// [`TaskContext::local_id`].  The job body coordinates its members through
 /// the context (team barrier, local ids) exactly like an SPMD kernel.
-pub trait Job: Send + Sync {
-    /// Number of threads this job requires (the paper's `r`).  Must be at
-    /// least 1 and at most the number of scheduler threads.
-    fn requirement(&self) -> usize {
-        1
-    }
-
-    /// Smallest team this job can run on (**moldable** jobs, DESIGN.md §15).
-    /// The scheduler picks an effective team size in
-    /// `requirement_min() ..= requirement()` from current load; the default
-    /// (`== requirement()`) keeps the job rigid, the paper's model.  Must be
-    /// at least 1 and at most [`requirement`](Job::requirement).
-    fn requirement_min(&self) -> usize {
-        self.requirement()
-    }
+pub(crate) trait Job: Send + Sync {
+    /// Number of threads this job requires (the paper's `r`), checked by
+    /// [`check_requirement`] before the task is counted.
+    fn requirement(&self) -> usize;
 
     /// Executes the job.  For team jobs this is called once per team member,
     /// concurrently.
     fn run(&self, ctx: &TaskContext<'_>);
+}
+
+/// The one validation of a task's requirement, run by every way a task
+/// enters the scheduler before the task is counted in its scope or pushed:
+/// `r` must be at least 1 and at most the thread count, and a team task
+/// (`r > 1`) needs a hierarchical steal policy — `UniformRandom` builds no
+/// teams, so a queued team task would never run and its scope never return.
+///
+/// # Panics
+///
+/// Panics if the requirement is unrunnable on a scheduler of `num_threads`
+/// workers stealing by `policy`.
+pub(crate) fn check_requirement(requirement: usize, num_threads: usize, policy: StealPolicy) {
+    assert!(requirement >= 1, "a task requires at least one thread");
+    assert!(
+        requirement <= num_threads,
+        "task requires {requirement} threads but the scheduler only has {num_threads}"
+    );
+    assert!(
+        requirement == 1 || policy != StealPolicy::UniformRandom,
+        "team tasks (r > 1) require a hierarchical steal policy; \
+         StealPolicy::UniformRandom supports only sequential tasks"
+    );
 }
 
 /// Adapter: a sequential (`r = 1`) job from a closure that is executed
@@ -102,36 +115,18 @@ impl<F: FnOnce(&TaskContext<'_>) + Send> Job for OnceJob<F> {
 /// team member.
 pub(crate) struct TeamJob<F: Fn(&TaskContext<'_>) + Send + Sync> {
     requirement: usize,
-    requirement_min: usize,
     f: F,
 }
 
 impl<F: Fn(&TaskContext<'_>) + Send + Sync> TeamJob<F> {
     pub(crate) fn new(requirement: usize, f: F) -> Self {
-        TeamJob {
-            requirement,
-            requirement_min: requirement,
-            f,
-        }
-    }
-
-    /// A moldable team job: any team size in `min ..= max` can run it.
-    pub(crate) fn moldable(min: usize, max: usize, f: F) -> Self {
-        TeamJob {
-            requirement: max,
-            requirement_min: min,
-            f,
-        }
+        TeamJob { requirement, f }
     }
 }
 
 impl<F: Fn(&TaskContext<'_>) + Send + Sync> Job for TeamJob<F> {
     fn requirement(&self) -> usize {
         self.requirement
-    }
-
-    fn requirement_min(&self) -> usize {
-        self.requirement_min
     }
 
     fn run(&self, ctx: &TaskContext<'_>) {
@@ -198,7 +193,7 @@ impl Drop for InlineJob {
 pub(crate) enum JobSlot {
     /// Small job moved into the node's payload area — no heap allocation.
     Inline(InlineJob),
-    /// Oversized or pre-boxed (`spawn_job`) job.
+    /// Job too large (or too aligned) for the payload area.
     Boxed(Box<dyn Job>),
 }
 
@@ -408,15 +403,9 @@ pub struct TaskNode {
     home: *const Slab<TaskNode>,
     /// The user job.
     pub(crate) job: JobSlot,
-    /// Thread requirement `r` the scheduler honours for this task.  For
-    /// moldable tasks this starts at the spawn-time ceiling (`r_max`) and is
-    /// rewritten — only ever by the worker that currently *owns* the node,
-    /// before (re-)pushing it — to the effective size chosen from current
-    /// load (DESIGN.md §15).  The deque/injector handoff publishes the write.
+    /// Thread requirement `r` of this task, fixed at spawn (the paper's
+    /// model: a task never changes its requirement).
     pub(crate) requirement: usize,
-    /// Smallest team this task accepts (`requirement_min == requirement` for
-    /// rigid tasks).  Immutable after allocation.
-    pub(crate) requirement_min: usize,
     /// Scope this task belongs to (for completion counting).  Borrowed, from
     /// `Arc::as_ptr`: the node is counted in the scope from before it is
     /// allocated until after it is released, and a scope with a counted task
@@ -467,17 +456,14 @@ impl TaskNode {
     pub(crate) fn new_in(
         job: JobSlot,
         requirement: usize,
-        requirement_min: usize,
         scope: *const ScopeState,
         home: *const Slab<TaskNode>,
     ) -> Self {
-        debug_assert!(1 <= requirement_min && requirement_min <= requirement);
         TaskNode {
             free_next: AtomicPtr::new(std::ptr::null_mut()),
             home,
             job,
             requirement,
-            requirement_min,
             scope,
             barrier: UnsafeCell::new(TeamBarrier::new(1)),
             participants: AtomicU32::new(1),
@@ -493,14 +479,12 @@ impl TaskNode {
     pub(crate) fn allocate_boxed(
         job: JobSlot,
         requirement: usize,
-        requirement_min: usize,
         scope: &Arc<ScopeState>,
     ) -> *mut TaskNode {
         scope.task_spawned(scope.external_shard());
         Box::into_raw(Box::new(TaskNode::new_in(
             job,
             requirement,
-            requirement_min,
             Arc::as_ptr(scope),
             std::ptr::null(),
         )))
@@ -633,14 +617,12 @@ mod tests {
         let ptr = TaskNode::allocate_boxed(
             JobSlot::new(TeamJob::new(4, |_ctx: &TaskContext<'_>| {})),
             4,
-            2,
             &scope,
         );
         assert_eq!(scope.pending(), 1);
         // SAFETY: we just allocated it and nothing else references it.
         let node = unsafe { &*ptr };
         assert_eq!(node.requirement, 4);
-        assert_eq!(node.requirement_min, 2);
         assert_eq!(node.participants.load(Ordering::Relaxed), 1);
         assert_eq!(node.scope, Arc::as_ptr(&scope));
         assert_eq!(Arc::strong_count(&scope), 1, "nodes borrow the scope");
@@ -648,16 +630,6 @@ mod tests {
         unsafe { TaskNode::release(ptr) };
         scope.task_finished(0);
         assert_eq!(scope.pending(), 0);
-    }
-
-    #[test]
-    fn moldable_team_job_reports_its_range() {
-        let j = TeamJob::moldable(2, 6, |_ctx: &TaskContext<'_>| {});
-        assert_eq!(j.requirement(), 6);
-        assert_eq!(j.requirement_min(), 2);
-        // Rigid jobs default the floor to the ceiling.
-        let r = TeamJob::new(4, |_ctx: &TaskContext<'_>| {});
-        assert_eq!(r.requirement_min(), 4);
     }
 
     #[test]

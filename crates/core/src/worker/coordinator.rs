@@ -1,7 +1,6 @@
 //! The coordinator side of team-building: `coordinateTask` (Algorithm 6)
 //! generalized to one call per queue level, the coordinator resync backstop
-//! (DESIGN.md §10), and the moldable-`r` chooser with the warm team-reuse
-//! pool (DESIGN.md §15).
+//! (DESIGN.md §10), and the warm team-reuse pool (DESIGN.md §15).
 //!
 //! The registration word `R = {r, a, t, N}` changes only through
 //! [`Worker::announce`], [`Worker::withdraw`] and [`Worker::shrink_to`],
@@ -10,7 +9,6 @@
 use std::sync::atomic::Ordering;
 
 use teamsteal_registration::ReuseOutcome;
-use teamsteal_topology::StealPolicy;
 use teamsteal_util::eventcount::ParkClass;
 use teamsteal_util::Backoff;
 
@@ -93,7 +91,7 @@ impl Worker {
                         Some(ptr) => {
                             if team_formed {
                                 // Publication onto an already-formed team:
-                                // the moldable fast path (one seqlock write,
+                                // the warm fast path (one seqlock write,
                                 // no registration traffic).  `try_reuse` is
                                 // a single Acquire load validating the team
                                 // is still whole (DESIGN.md §15).
@@ -292,7 +290,7 @@ impl Worker {
     }
 
     // ------------------------------------------------------------------
-    // Moldable teams: the chooser and the warm reuse pool (DESIGN.md §15)
+    // The warm team-reuse pool (DESIGN.md §15)
     // ------------------------------------------------------------------
 
     /// Bounded warm-hold window run when the local queues are empty but this
@@ -346,24 +344,5 @@ impl Worker {
             }
         }
         false
-    }
-
-    /// Picks the effective team size for a **moldable** task (requirement
-    /// range `r_min ..= r_max`, DESIGN.md §15) from current load: one idle
-    /// worker per extra member (the sleep controller's packed sleeper and
-    /// searcher counts, plus the spawner itself), clamped into the range.
-    /// Under `UniformRandom` (the no-team baseline) it collapses to
-    /// `r_min`, which keeps `1..=k` moldable spawns runnable there.
-    pub(super) fn effective_requirement(&self, r_max: usize, r_min: usize) -> usize {
-        debug_assert!(1 <= r_min && r_min <= r_max);
-        if r_min == r_max {
-            return r_max;
-        }
-        if self.shared.steal_policy == StealPolicy::UniformRandom {
-            return r_min;
-        }
-        let sleep = &self.shared.sleep;
-        let idle = (sleep.sleepers() + sleep.searchers()) as usize;
-        (idle + 1).clamp(r_min, r_max)
     }
 }

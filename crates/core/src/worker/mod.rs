@@ -374,11 +374,9 @@ mod tests {
     }
 
     /// An injected team task wakes the idle sleepers of its block together,
-    /// not one that wakes the next — and a moldable one still finds them in
-    /// the idle count it sizes itself from, because a woken idle parker is a
-    /// searcher again the moment it leaves the park.
+    /// not one that wakes the next.
     #[test]
-    fn injected_team_task_wakes_its_block_and_a_moldable_one_still_counts_it_idle() {
+    fn injected_team_task_wakes_its_block() {
         let shared = SchedulerShared::new(&SchedulerConfig::with_threads(4));
         let parked: Vec<_> = (1..4)
             .map(|id| {
@@ -395,19 +393,13 @@ mod tests {
         }
 
         let scope = ScopeState::new(5);
-        let job = JobSlot::new(TeamJob::moldable(1, 4, |_| {}));
-        shared.inject(TaskNode::allocate_boxed(job, 4, 1, &scope));
+        let job = JobSlot::new(TeamJob::new(4, |_| {}));
+        shared.inject(TaskNode::allocate_boxed(job, 4, &scope));
         for sleeper in parked {
             // A sleeper still committing to its park leaves on the ticket.
             assert_ne!(sleeper.join().unwrap(), WakeReason::Backstop, "one inject wakes all three");
         }
         assert_eq!((shared.sleep.sleepers(), shared.sleep.searchers()), (0, 3));
-
-        let mut coordinator = Worker::new(0, Arc::clone(&shared));
-        coordinator.participant.pin();
-        assert!(coordinator.pop_injected());
-        coordinator.participant.unpin();
-        assert_eq!(shared.workers[0].reg.load().required, 4, "three idle workers plus the popper");
 
         shared.drain_leftovers();
         assert_eq!(scope.pending(), 0);

@@ -175,18 +175,8 @@ impl Worker {
 }
 
 impl SpawnTarget for Worker {
-    fn spawn_job_slot(
-        &self,
-        job: JobSlot,
-        requirement: usize,
-        requirement_min: usize,
-        scope: &ScopeState,
-    ) {
+    fn spawn_job_slot(&self, job: JobSlot, requirement: usize, scope: &ScopeState) {
         scope.task_spawned(self.id);
-        // Moldable choice (DESIGN.md §15): pick the effective team size for
-        // this spawn from current load.  Fixed-requirement spawns
-        // (`requirement_min == requirement`) pass through unchanged.
-        let requirement = self.effective_requirement(requirement, requirement_min);
         let me = self.me();
         // SAFETY: a worker is the sole allocator of its own arena, and
         // `spawn_job_slot` only runs on the worker's own thread (tasks spawn
@@ -199,7 +189,6 @@ impl SpawnTarget for Worker {
             ptr.write(TaskNode::new_in(
                 job,
                 requirement,
-                requirement_min,
                 scope,
                 &me.node_pool as *const _,
             ));
@@ -221,11 +210,6 @@ impl SpawnTarget for Worker {
             // paper: the registration structure's `r` is updated whenever a
             // task is pushed to the bottom of a queue, so idle threads can
             // already register while we are still executing.
-            assert!(
-                self.shared.steal_policy != StealPolicy::UniformRandom,
-                "team tasks (r > 1) require a hierarchical steal policy; \
-                 StealPolicy::UniformRandom supports only sequential tasks"
-            );
             let group = self.topo().group_size(self.id, level);
             self.announce(group);
         }
@@ -237,5 +221,9 @@ impl SpawnTarget for Worker {
 
     fn num_threads(&self) -> usize {
         self.shared.num_threads()
+    }
+
+    fn steal_policy(&self) -> StealPolicy {
+        self.shared.steal_policy
     }
 }

@@ -262,19 +262,7 @@ impl Worker {
                     return true;
                 }
                 // SAFETY: the node is alive while it sits in the injector.
-                let req_max = unsafe { (*ptr).requirement };
-                let req_min = unsafe { (*ptr).requirement_min };
-                // Moldable choice (DESIGN.md §15): externally injected tasks
-                // carry their ceiling; the popping worker picks the
-                // effective size from current load.  The rewrite is safe —
-                // we popped the node, so until the `push_task` below makes
-                // it visible again we are its exclusive owner, and the
-                // deque's release/acquire handoff publishes the new value
-                // to any later thief.
-                let req = self.effective_requirement(req_max, req_min);
-                if req != req_max {
-                    unsafe { (*ptr).requirement = req };
-                }
+                let req = unsafe { (*ptr).requirement };
                 let level = self.topo().level_for_requirement(self.id, req);
                 self.me().push_task(level, ptr);
                 self.me().counters.tasks_injected.inc();

@@ -1,4 +1,4 @@
-//! Model-checked tests for the moldable-team warm-reuse pool and its
+//! Model-checked tests for the warm team-reuse pool and its
 //! disband (`DESIGN.md` §15).
 //!
 //! Three properties, each explored over every interleaving:

@@ -50,9 +50,9 @@
 #![warn(missing_docs)]
 
 pub use teamsteal_core::{
-    enable_stall_debug, stall_report, ConcurrentScope, Job, MetricsSnapshot, ReclamationSnapshot,
-    Scheduler, SchedulerBuilder, SchedulerConfig, Scope, StealPolicy, TaskContext,
-    TeamBarrier, Topology, WakeLatencyHistogram,
+    enable_stall_debug, stall_report, ConcurrentScope, MetricsSnapshot, ReclamationSnapshot,
+    Scheduler, SchedulerBuilder, SchedulerConfig, Scope, StealPolicy, TaskContext, TeamBarrier,
+    Topology, WakeLatencyHistogram,
 };
 pub use teamsteal_data::{is_permutation_of, is_sorted, Distribution, Scale};
 pub use teamsteal_sort::{
@@ -68,8 +68,8 @@ pub mod service {
 }
 
 /// Further mixed-mode parallel application kernels built on the scheduler
-/// (reductions, scans, merge sort, matrix multiplication, stencils, BFS,
-/// histograms) — the paper's "future work" applications.
+/// (reductions, scans, matrix multiplication, stencils, BFS, histograms) —
+/// the paper's "future work" applications.
 pub mod apps {
     pub use teamsteal_apps::*;
 }

@@ -40,7 +40,7 @@ fn oscillating_team_sizes() {
     with_watchdog("oscillating_team_sizes", WATCHDOG, || {
         let scheduler = Scheduler::with_threads(4);
         let total = Arc::new(AtomicUsize::new(0));
-        let sizes = [2usize, 4, 2, 1, 4, 1, 2, 4];
+        let sizes = [2usize, 4, 2, 1, 4, 1, 2, 4].repeat(3);
         scheduler.scope(|scope| {
             for &r in &sizes {
                 let total = Arc::clone(&total);
@@ -50,7 +50,8 @@ fn oscillating_team_sizes() {
                     });
                 } else {
                     scope.spawn_team(r, move |ctx| {
-                        assert!(ctx.team_size() >= ctx.requested_threads());
+                        assert_eq!(ctx.requested_threads(), r);
+                        assert!(ctx.team_size() >= r);
                         total.fetch_add(1, Ordering::Relaxed);
                         ctx.barrier();
                     });

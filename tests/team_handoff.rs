@@ -4,7 +4,7 @@
 //! change) nor leave one of them parked as a registrant beside singletons it
 //! could steal (`steal_round` takes smaller tasks before it registers).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -183,5 +183,38 @@ fn member_switches_leave_no_sleeper_behind() {
             "rounds wait for the park backstop: median {median:?}, slowest {:?}, {delta:?}",
             round_times[ROUNDS - 1]
         );
+    });
+}
+
+/// A streak of identical full-machine teams must classify every
+/// publication exactly once — `teams_built + team_reuses` equals the
+/// number of team tasks — and the scheduler must shut down cleanly while
+/// the last team is still parked warm (the drop races the keep-alive
+/// window, so both the warm and the expired arm get exercised over CI
+/// runs).
+#[test]
+fn warm_streak_accounts_every_publication_and_drains_on_drop() {
+    with_watchdog("warm_streak_accounts_every_publication", WATCHDOG, || {
+        const ROUNDS: usize = 24;
+        let scheduler = Scheduler::with_threads(2);
+        let before = scheduler.metrics();
+        let hits = Arc::new(AtomicUsize::new(0));
+        for _ in 0..ROUNDS {
+            let hits = Arc::clone(&hits);
+            scheduler.run_team(2, move |ctx| {
+                hits.fetch_add(1, Ordering::Relaxed);
+                ctx.barrier();
+            });
+        }
+        assert_eq!(hits.load(Ordering::Relaxed), 2 * ROUNDS);
+        let delta = scheduler.metrics().delta_since(&before);
+        assert_eq!(
+            delta.teams_built + delta.team_reuses,
+            ROUNDS as u64,
+            "every team publication must be counted as exactly one build or reuse"
+        );
+        // Immediately drop with the team likely still in its keep-alive
+        // window: shutdown must disband the parked members, not hang.
+        drop(scheduler);
     });
 }
