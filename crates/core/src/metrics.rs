@@ -7,9 +7,9 @@
 //! actually happened" rather than "the result happened to be correct").
 //!
 //! The counter list is written once, in the `counters!` invocation below:
-//! it generates [`WorkerCounters`], [`MetricsSnapshot`] and everything that
-//! walks the fields, so a new counter is one line there plus its
-//! `inc()`/`add()` site in the worker.
+//! it generates the crate-private per-worker counter struct,
+//! [`MetricsSnapshot`] and everything that walks the fields, so a new
+//! counter is one line there plus its `inc()`/`add()` site in the worker.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -33,25 +33,33 @@ fn wake_latency_bucket(latency: Duration) -> usize {
 }
 
 /// One relaxed event counter: a statistic that publishes no other data.
+///
+/// **Single writer.**  Only the worker that owns the counter may call
+/// [`inc`](Self::inc) or [`add`](Self::add): an increment is a relaxed load
+/// and a relaxed store, not a locked read-modify-write, so two writers
+/// would lose counts.  Every increment in the scheduler goes through the
+/// incrementing worker's own `Worker::me()`.  Any thread may read
+/// ([`get`](Self::get)); a reader sees some recent value.
 #[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
+pub(crate) struct Counter(AtomicU64);
 
 impl Counter {
-    /// Adds one.
+    /// Adds one.  Owner only (see the type's docs).
     #[inline]
-    pub fn inc(&self) {
+    pub(crate) fn inc(&self) {
         self.add(1);
     }
 
-    /// Adds `n`.
+    /// Adds `n`.  Owner only (see the type's docs).
     #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+    pub(crate) fn add(&self, n: u64) {
+        let value = self.0.load(Ordering::Relaxed).wrapping_add(n);
+        self.0.store(value, Ordering::Relaxed);
     }
 
     /// The current value.
     #[inline]
-    pub fn get(&self) -> u64 {
+    pub(crate) fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -65,19 +73,20 @@ macro_rules! counters {
         worker { $( $(#[$wdoc:meta])* $w:ident, )* }
         aggregate { $( $(#[$adoc:meta])* $a:ident, )* }
     ) => {
-        /// Relaxed event counters owned by one worker.
+        /// Relaxed event counters owned by one worker, which alone writes
+        /// them (see [`Counter`]).
         #[derive(Debug, Default)]
-        pub struct WorkerCounters {
-            $( $(#[$wdoc])* pub $w: Counter, )*
+        pub(crate) struct WorkerCounters {
+            $( $(#[$wdoc])* pub(crate) $w: Counter, )*
             /// Histogram of notification-to-wake latencies for parks that
             /// were explicitly claimed by a notifier (bucket bounds:
             /// [`WAKE_LATENCY_BOUNDS_US`]).
-            pub wake_latency: [Counter; WAKE_LATENCY_BUCKETS],
+            pub(crate) wake_latency: [Counter; WAKE_LATENCY_BUCKETS],
         }
 
         impl WorkerCounters {
             /// Snapshot of this worker's counters.
-            pub fn snapshot(&self) -> MetricsSnapshot {
+            pub(crate) fn snapshot(&self) -> MetricsSnapshot {
                 MetricsSnapshot {
                     $( $w: self.$w.get(), )*
                     $( $a: 0, )*
@@ -241,7 +250,7 @@ counters! {
 impl WorkerCounters {
     /// Records one notification-to-wake latency sample.
     #[inline]
-    pub fn record_wake_latency(&self, latency: Duration) {
+    pub(crate) fn record_wake_latency(&self, latency: Duration) {
         self.wake_latency[wake_latency_bucket(latency)].inc();
     }
 }

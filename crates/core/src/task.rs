@@ -418,7 +418,9 @@ pub struct TaskNode {
     /// the `participants` count.
     pub(crate) barrier: UnsafeCell<TeamBarrier>,
     /// Team members that have not yet finished running this task.  The last
-    /// one to decrement frees the node and notifies the scope.
+    /// one to decrement frees the node and notifies the scope.  Only team
+    /// tasks (`requirement > 1`) count it down: an `r = 1` task has exactly
+    /// one participant, its runner or the exclusive owner that retires it.
     pub(crate) participants: AtomicU32,
     /// Claim-to-run arbiter for cancellable tasks (DESIGN.md §17), shared
     /// with the submitter's cancel token.  `None` (the default for every
@@ -503,24 +505,33 @@ impl TaskNode {
     }
 
     /// Frees a node: recycles it into its home arena, or drops the box.
+    /// `own` is the arena of the calling worker (`None` off the pool): a
+    /// node coming home to it goes on the owner's private free list, with
+    /// no atomic read-modify-write; any other arena node takes the arena's
+    /// remote list (DESIGN.md §8).
     ///
     /// # Safety
     ///
     /// `ptr` must come from [`TaskNode::allocate_boxed`] or a slab `alloc`
     /// that recorded the slab in `home`, the caller must be the last holder
-    /// of the node, and the node must not be touched afterwards.
-    pub(crate) unsafe fn release(ptr: *mut TaskNode) {
+    /// of the node, and the node must not be touched afterwards.  `own`, if
+    /// given, must be the arena whose owner thread is the caller.
+    pub(crate) unsafe fn release(ptr: *mut TaskNode, own: Option<&Slab<TaskNode>>) {
         // SAFETY: the node is still alive here; reading `home` is fine.
         let home = unsafe { (*ptr).home };
         if home.is_null() {
             // SAFETY: allocated by `allocate_boxed`.
             drop(unsafe { Box::from_raw(ptr) });
-        } else {
-            // SAFETY: drop the contents in place, then hand the dead slot
-            // back to its arena; the arena outlives all nodes (see `home`).
-            unsafe {
-                std::ptr::drop_in_place(ptr);
-                (*home).free(ptr);
+            return;
+        }
+        // SAFETY: drop the contents in place, then hand the dead slot back
+        // to its arena; the arena outlives all nodes (see `home`), and the
+        // caller owns `own` (contract above).
+        unsafe {
+            std::ptr::drop_in_place(ptr);
+            match own {
+                Some(own) if std::ptr::eq(own, home) => own.free_owned(ptr),
+                _ => (*home).free(ptr),
             }
         }
     }
@@ -627,7 +638,7 @@ mod tests {
         assert_eq!(node.scope, Arc::as_ptr(&scope));
         assert_eq!(Arc::strong_count(&scope), 1, "nodes borrow the scope");
         // SAFETY: sole holder.
-        unsafe { TaskNode::release(ptr) };
+        unsafe { TaskNode::release(ptr, None) };
         scope.task_finished(0);
         assert_eq!(scope.pending(), 0);
     }

@@ -84,15 +84,18 @@ impl Worker {
     }
 
     pub(super) fn finish_node(&mut self, ptr: *mut TaskNode) {
-        // SAFETY: node is alive until the last participant decrements.  The
-        // AcqRel makes every participant's job effects visible to the last
-        // one before the node is recycled or freed.
+        // SAFETY: node is alive until the last participant decrements.  An
+        // `r = 1` node has one participant, us, and skips the count; for a
+        // team node the AcqRel makes every participant's job effects
+        // visible to the last one before the node is recycled or freed
+        // (DESIGN.md §9).
         let node = unsafe { &*ptr };
-        if node.participants.fetch_sub(1, Ordering::AcqRel) == 1 {
+        if node.requirement == 1 || node.participants.fetch_sub(1, Ordering::AcqRel) == 1 {
             let scope = node.scope;
             // SAFETY: we are the last participant; nobody else will touch
-            // it.  The node returns to its home arena (or the heap).
-            unsafe { TaskNode::release(ptr) };
+            // it.  The node returns to its home arena (or the heap); our
+            // own arena is ours to recycle into without an atomic RMW.
+            unsafe { TaskNode::release(ptr, Some(&self.me().node_pool)) };
             // The count goes through the owned handle: it may release the
             // scope's waiter, after which only the handle keeps the state.
             // For a task this worker claimed itself, entering is a pointer

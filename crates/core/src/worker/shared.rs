@@ -474,8 +474,9 @@ impl SchedulerShared {
             // from a queue (the workers have all exited), and it is still
             // counted in its scope, which therefore is alive.
             let scope = unsafe { ScopeState::acquire((*ptr).scope) };
-            // SAFETY: as above — we are the node's last holder.
-            unsafe { TaskNode::release(ptr) };
+            // SAFETY: as above — we are the node's last holder, and no
+            // worker's arena is ours.
+            unsafe { TaskNode::release(ptr, None) };
             scope.task_finished(scope.external_shard());
             scope.signal_if_complete();
         }

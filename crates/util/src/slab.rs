@@ -5,25 +5,32 @@
 //! misses and a lock-free-but-contended malloc on most allocators, and the
 //! paper's "a single extra CAS" overhead claim drowns in it.  A [`Slab`]
 //! instead hands out slots from worker-owned memory chunks and recycles
-//! freed slots through an intrusive lock-free free list, so steady-state
-//! spawn/finish cycles never touch the global allocator.
+//! freed slots through intrusive free lists, so steady-state spawn/finish
+//! cycles never touch the global allocator.
 //!
 //! # Ownership protocol
 //!
 //! A slab has one **owner** (the worker whose spawn path allocates from it)
 //! and arbitrarily many **releasers** (whichever thread happens to finish a
-//! task last frees its node *back to the node's home slab*):
+//! task last frees its node *back to the node's home slab*).  Freed slots go
+//! to one of two lists, split by who frees them (free-list sharding, as in
+//! Leijen, Zorn and de Moura, *Mimalloc: Free List Sharding in Action*,
+//! 2019):
 //!
-//! * [`Slab::alloc`] — owner only.  Pops a recycled slot from the free list,
-//!   or carves a fresh slot from the current chunk (allocating a new chunk
-//!   from the global allocator when the current one is full).
-//! * [`Slab::free`] — any thread.  Pushes a slot whose contents have already
-//!   been dropped onto the free list (one CAS, no allocation).
+//! * [`Slab::free_owned`] — owner only.  Pushes onto the **private** list, a
+//!   plain pointer no other thread reads: no atomic read-modify-write.
+//! * [`Slab::free`] — any thread.  Pushes onto the **remote** list, a
+//!   Treiber stack (a CAS loop, no allocation).
+//! * [`Slab::alloc`] — owner only.  Pops the private list; when that is
+//!   empty, takes the whole remote stack over as the new private list with
+//!   one `swap`; when both are empty, carves a fresh slot from the current
+//!   chunk (allocating a new chunk from the global allocator when the
+//!   current one is full).
 //!
-//! The free list is a Treiber stack with *multiple producers and a single
-//! consumer*; because only the owner pops, the classic ABA hazard (a popped
-//! node re-appearing as head with a different successor) cannot occur: a
-//! node can only leave the stack through the single consumer itself.
+//! The remote stack has *multiple producers and a single consumer* that
+//! only ever detaches it whole, so the classic ABA hazard of a Treiber pop
+//! (a popped node re-appearing as head with a different successor) cannot
+//! occur: no slot is ever popped from it one at a time.
 //!
 //! Memory is only returned to the global allocator when the slab is dropped;
 //! the retained footprint is bounded by the high-water mark of simultaneously
@@ -34,11 +41,11 @@
 //! The slab hands out raw, uninitialized slots and never runs destructors on
 //! them; callers `ptr::write` on alloc and `ptr::drop_in_place` before free.
 //! The intrusive link lives *inside* the object (see [`Recycle`]) so that a
-//! slot on the free list needs no side allocation.
+//! slot on either free list needs no side allocation.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicPtr, Ordering};
 
 use crate::CachePadded;
 
@@ -96,21 +103,20 @@ struct BumpState<T> {
 /// A recycling slab allocator.  See the [module docs](self) for the
 /// ownership protocol and safety contract.
 pub struct Slab<T: Recycle> {
-    /// Head of the intrusive Treiber free stack.  Padded to its own cache
-    /// line: remote releasers CAS it while the owner's bump state stays
-    /// clean.
-    free: CachePadded<AtomicPtr<T>>,
+    /// Head of the intrusive Treiber stack that non-owners free onto.
+    /// Padded to its own cache line: remote releasers CAS it while the
+    /// owner's private list and bump state stay clean.
+    remote: CachePadded<AtomicPtr<T>>,
+    /// Head of the owner's private free list.  Owner-only (see
+    /// [`Slab::alloc`] and [`Slab::free_owned`]).
+    private: UnsafeCell<*mut T>,
     /// Bump-allocation state.  Owner-only (see [`Slab::alloc`]).
     bump: UnsafeCell<BumpState<T>>,
-    /// Slots handed out over the slab's lifetime (fresh + recycled).
-    allocated: AtomicU64,
-    /// Slots handed out from the free list rather than from a chunk.
-    recycled: AtomicU64,
 }
 
-// SAFETY: `free` is an atomic; `bump` is only touched by the owner thread
-// (contract on `alloc`); the counters are atomics.  `T: Send` because slots
-// are released from other threads.
+// SAFETY: `remote` is an atomic; `private` and `bump` are only touched by
+// the owner thread (contracts on `alloc` and `free_owned`).  `T: Send`
+// because slots are released from other threads.
 unsafe impl<T: Recycle + Send> Send for Slab<T> {}
 unsafe impl<T: Recycle + Send> Sync for Slab<T> {}
 
@@ -125,49 +131,45 @@ impl<T: Recycle> Slab<T> {
     /// [`alloc`](Slab::alloc).
     pub fn new() -> Self {
         Slab {
-            free: CachePadded::new(AtomicPtr::new(std::ptr::null_mut())),
+            remote: CachePadded::new(AtomicPtr::new(std::ptr::null_mut())),
+            private: UnsafeCell::new(std::ptr::null_mut()),
             bump: UnsafeCell::new(BumpState {
                 chunks: Vec::new(),
                 used_in_last: 0,
             }),
-            allocated: AtomicU64::new(0),
-            recycled: AtomicU64::new(0),
         }
     }
 
     /// Hands out one uninitialized slot and reports whether it was recycled
-    /// from the free list (`true`) or carved fresh from a chunk (`false`).
+    /// from a free list (`true`) or carved fresh from a chunk (`false`).
     /// The caller must `ptr::write` a value before using it.
     ///
     /// # Safety
     ///
-    /// Owner only: at most one thread may call `alloc` on a given slab at a
-    /// time (it is the single consumer of the free list and the only toucher
-    /// of the bump state).
+    /// Owner only: at most one thread may call `alloc` or
+    /// [`free_owned`](Slab::free_owned) on a given slab at a time (it is the
+    /// single consumer of the remote stack and the only toucher of the
+    /// private list and the bump state).
     pub unsafe fn alloc(&self) -> (*mut T, bool) {
-        self.allocated.fetch_add(1, Ordering::Relaxed);
-        // Single-consumer pop from the Treiber stack.  The Acquire on the
-        // head pairs with the Release in `free`, making the link write (and
-        // the releaser's drop of the slot contents) visible before reuse.
-        let mut head = self.free.load(Ordering::Acquire);
-        while !head.is_null() {
-            // SAFETY: `head` is on the free list, so its link field was
-            // written by `free` and stays valid until we pop it (only we
-            // pop).
-            let next = unsafe { (*T::free_link(head)).load(Ordering::Relaxed) };
-            match self
-                .free
-                .compare_exchange_weak(head, next, Ordering::Acquire, Ordering::Acquire)
-            {
-                Ok(_) => {
-                    self.recycled.fetch_add(1, Ordering::Relaxed);
-                    return (head, true);
-                }
-                Err(observed) => head = observed,
-            }
+        // SAFETY: owner-only access per the contract above.
+        let private = unsafe { &mut *self.private.get() };
+        if private.is_null() && !self.remote.load(Ordering::Relaxed).is_null() {
+            // Take the whole remote stack over in one step.  The Acquire
+            // pairs with the Release of every `free` push before it (each
+            // push's CAS continues the release sequence of the ones below
+            // it), making the link writes and the releasers' drops of the
+            // slot contents visible before reuse.
+            *private = self.remote.swap(std::ptr::null_mut(), Ordering::Acquire);
         }
-        // SAFETY: same owner-only contract as `alloc` itself.
-        (unsafe { self.bump_alloc() }, false)
+        let head = *private;
+        if head.is_null() {
+            // SAFETY: same owner-only contract as `alloc` itself.
+            return (unsafe { self.bump_alloc() }, false);
+        }
+        // SAFETY: `head` is on the private list, so its link field was
+        // written by `free` or `free_owned` and nobody else reads it.
+        *private = unsafe { (*T::free_link(head)).load(Ordering::Relaxed) };
+        (head, true)
     }
 
     /// Carves a fresh slot, growing by one chunk when needed.  Owner only.
@@ -188,7 +190,24 @@ impl<T: Recycle> Slab<T> {
         slot.cast::<T>()
     }
 
-    /// Returns a dead slot to the free list.  Safe to call from any thread.
+    /// Returns a dead slot to the owner's private list: two plain writes,
+    /// no atomic read-modify-write.
+    ///
+    /// # Safety
+    ///
+    /// Owner only, like [`alloc`](Slab::alloc); otherwise the contract of
+    /// [`free`](Slab::free).
+    pub unsafe fn free_owned(&self, ptr: *mut T) {
+        // SAFETY: owner-only access per the contract above.
+        let private = unsafe { &mut *self.private.get() };
+        // SAFETY: `ptr` came from this slab's `alloc` (caller contract); a
+        // plain write (re)initializes the link in the dead slot.
+        unsafe { T::free_link(ptr).write(AtomicPtr::new(*private)) };
+        *private = ptr;
+    }
+
+    /// Returns a dead slot to the remote list.  Safe to call from any
+    /// thread.
     ///
     /// # Safety
     ///
@@ -200,34 +219,23 @@ impl<T: Recycle> Slab<T> {
         // SAFETY: `ptr` came from this slab's `alloc` (caller contract), so
         // it points into a live chunk allocation.
         let link = unsafe { T::free_link(ptr) };
-        let mut head = self.free.load(Ordering::Relaxed);
+        let mut head = self.remote.load(Ordering::Relaxed);
         loop {
             // SAFETY: the link field is inside the slot, which we own until
             // the CAS below publishes it.  A plain write (re)initializes the
             // atomic in possibly-uninitialized memory.
             unsafe { link.write(AtomicPtr::new(head)) };
-            // Release pairs with the Acquire pop in `alloc`: the link write
-            // and the caller's drop of the contents become visible to the
-            // owner before the slot can be reused.
+            // Release pairs with the Acquire takeover in `alloc`: the link
+            // write and the caller's drop of the contents become visible to
+            // the owner before the slot can be reused.
             match self
-                .free
+                .remote
                 .compare_exchange_weak(head, ptr, Ordering::Release, Ordering::Relaxed)
             {
                 Ok(_) => return,
                 Err(observed) => head = observed,
             }
         }
-    }
-
-    /// Slots handed out over the slab's lifetime (fresh and recycled).
-    pub fn allocated(&self) -> u64 {
-        self.allocated.load(Ordering::Relaxed)
-    }
-
-    /// Slots that were served from the free list instead of fresh memory.
-    /// `recycled() / allocated()` is the steady-state hit rate of the arena.
-    pub fn recycled(&self) -> u64 {
-        self.recycled.load(Ordering::Relaxed)
     }
 }
 
@@ -269,6 +277,15 @@ mod tests {
         (ptr, recycled)
     }
 
+    /// Frees `ptr` from the owner thread.
+    fn free_owned(slab: &Slab<Node>, ptr: *mut Node) {
+        // SAFETY: tests are single-owner per slab; `ptr` is live and ours.
+        unsafe {
+            std::ptr::drop_in_place(ptr);
+            slab.free_owned(ptr);
+        }
+    }
+
     #[test]
     fn fresh_allocations_are_distinct() {
         let slab: Slab<Node> = Slab::new();
@@ -278,8 +295,6 @@ mod tests {
             assert!(!recycled, "nothing was freed yet");
             assert!(seen.insert(ptr as usize), "slab handed out a live slot twice");
         }
-        assert_eq!(slab.allocated(), 3 * CHUNK_SLOTS as u64);
-        assert_eq!(slab.recycled(), 0);
     }
 
     #[test]
@@ -287,18 +302,22 @@ mod tests {
         let slab: Slab<Node> = Slab::new();
         let (a, _) = write_node(&slab, 1);
         let (b, _) = write_node(&slab, 2);
+        let (c, _) = write_node(&slab, 3);
+        let (d, _) = write_node(&slab, 4);
+        // Two slots through the remote list, two through the private one.
         unsafe {
             std::ptr::drop_in_place(a);
             slab.free(a);
             std::ptr::drop_in_place(b);
             slab.free(b);
         }
-        let (r1, rec1) = write_node(&slab, 3);
-        let (r2, rec2) = write_node(&slab, 4);
-        assert!(rec1 && rec2);
-        assert_eq!(r1, b, "free list is LIFO");
-        assert_eq!(r2, a);
-        assert_eq!(slab.recycled(), 2);
+        free_owned(&slab, c);
+        free_owned(&slab, d);
+        let handed: Vec<(*mut Node, bool)> = (5..9).map(|v| write_node(&slab, v)).collect();
+        // The private list drains first, LIFO; the remote stack is taken
+        // over whole once it is empty and drains LIFO too.
+        assert_eq!(handed, [(d, true), (c, true), (b, true), (a, true)]);
+        assert!(!write_node(&slab, 9).1, "both lists are empty again");
     }
 
     #[test]
@@ -326,8 +345,10 @@ mod tests {
                 (htx, handle)
             })
             .collect();
+        let mut recycled_while_freeing = 0;
         for i in 0..N {
-            let (ptr, _) = write_node(&slab, i as u64);
+            let (ptr, recycled) = write_node(&slab, i as u64);
+            recycled_while_freeing += usize::from(recycled);
             helpers[i % helpers.len()]
                 .0
                 .send(ptr as usize)
@@ -338,49 +359,113 @@ mod tests {
             handle.join().unwrap();
         }
         assert_eq!(released.load(Ordering::Relaxed), N);
-        // Everything is free now; the next N allocations reuse memory only.
-        let before = slab.recycled();
-        for i in 0..N {
-            let (_ptr, _) = write_node(&slab, i as u64);
+        // Everything is free now and nothing is live, so the next N
+        // allocations reuse memory only: the `N - recycled_while_freeing`
+        // slots ever carved, then fresh ones.
+        let carved = N - recycled_while_freeing;
+        let recycled_after = (0..N).filter(|&i| write_node(&slab, i as u64).1).count();
+        assert_eq!(recycled_after, carved, "the owner saw a remote free late");
+    }
+
+    /// Dropping a slab with slots on both free lists (and live ones) frees
+    /// its chunks without touching the slots: Miri or a sanitizer would
+    /// flag a double free or a read of a dead slot here.
+    #[test]
+    fn drop_with_slots_on_both_lists() {
+        let slab: Slab<Node> = Slab::new();
+        let slots = (0..CHUNK_SLOTS as u64 + 3).map(|v| write_node(&slab, v).0);
+        for (i, ptr) in slots.enumerate() {
+            match i % 3 {
+                0 => free_owned(&slab, ptr),
+                1 => unsafe {
+                    std::ptr::drop_in_place(ptr);
+                    slab.free(ptr);
+                },
+                _ => {} // still live: its plain-data contents need no drop
+            }
         }
-        assert!(
-            slab.recycled() >= before + (N as u64).min(CHUNK_SLOTS as u64),
-            "owner must observe remotely freed slots"
-        );
+        drop(slab);
+    }
+
+    /// One step of the two-list proptest.
+    #[derive(Debug)]
+    enum Op {
+        Alloc,
+        FreeOwned,
+        FreeRemote,
     }
 
     proptest! {
-        /// Drives a slab through arbitrary alloc/free sequences and checks
-        /// the core invariant of node recycling: a slot handed out by
-        /// `alloc` is never handed out again while it is still live.
+        /// Drives a slab through arbitrary sequences of `alloc`, owner
+        /// frees and frees issued from a second thread, and checks the core
+        /// invariant of node recycling: a slot handed out by `alloc` is
+        /// never handed out again while it is still live (its canary would
+        /// be overwritten), and a slot freed onto either list comes back
+        /// flagged `recycled` before any fresh slot is carved.
         #[test]
-        fn reuse_never_aliases_a_live_slot(ops in proptest::collection::vec(any::<bool>(), 1..256)) {
-            let slab: Slab<Node> = Slab::new();
-            let mut live: Vec<*mut Node> = Vec::new();
+        fn reuse_never_aliases_a_live_slot(codes in proptest::collection::vec(0u8..3, 1..256)) {
+            let slab: Arc<Slab<Node>> = Arc::new(Slab::new());
+            let (to_remote, remote_rx) = std::sync::mpsc::channel::<usize>();
+            let (freed_tx, freed) = std::sync::mpsc::channel::<()>();
+            let remote = {
+                let slab = Arc::clone(&slab);
+                std::thread::spawn(move || {
+                    while let Ok(addr) = remote_rx.recv() {
+                        let ptr = addr as *mut Node;
+                        unsafe {
+                            std::ptr::drop_in_place(ptr);
+                            slab.free(ptr);
+                        }
+                        freed_tx.send(()).expect("owner alive");
+                    }
+                })
+            };
+            // Live slots with the canary each was written with.
+            let mut live: Vec<(*mut Node, u64)> = Vec::new();
             let mut live_set: HashSet<usize> = HashSet::new();
+            let mut free_slots = 0usize;
             let mut next_value = 0u64;
-            for op in ops {
-                if op || live.is_empty() {
-                    let (ptr, _) = write_node(&slab, next_value);
-                    prop_assert!(
-                        live_set.insert(ptr as usize),
-                        "slab handed out live slot {:p} twice", ptr
-                    );
-                    // The slot must faithfully hold what was written.
-                    prop_assert_eq!(unsafe { (*ptr).value }, next_value);
-                    live.push(ptr);
-                    next_value += 1;
-                } else {
-                    let ptr = live.swap_remove(next_value as usize % live.len());
-                    live_set.remove(&(ptr as usize));
-                    unsafe {
-                        std::ptr::drop_in_place(ptr);
-                        slab.free(ptr);
+            for code in codes {
+                let op = match code {
+                    _ if live.is_empty() => Op::Alloc,
+                    0 => Op::Alloc,
+                    1 => Op::FreeOwned,
+                    _ => Op::FreeRemote,
+                };
+                match op {
+                    Op::Alloc => {
+                        let (ptr, recycled) = write_node(&slab, next_value);
+                        prop_assert!(
+                            live_set.insert(ptr as usize),
+                            "slab handed out live slot {:p} twice", ptr
+                        );
+                        prop_assert_eq!(recycled, free_slots > 0, "a freed slot was skipped or invented");
+                        free_slots -= usize::from(recycled);
+                        live.push((ptr, next_value));
+                        next_value += 1;
+                    }
+                    Op::FreeOwned | Op::FreeRemote => {
+                        let (ptr, canary) = live.swap_remove(next_value as usize % live.len());
+                        // Nothing else wrote the slot while it was live.
+                        prop_assert_eq!(unsafe { (*ptr).value }, canary);
+                        live_set.remove(&(ptr as usize));
+                        if matches!(op, Op::FreeOwned) {
+                            free_owned(&slab, ptr);
+                        } else {
+                            to_remote.send(ptr as usize).expect("remote freer alive");
+                            freed.recv().expect("remote freer alive");
+                        }
+                        free_slots += 1;
                     }
                 }
             }
-            // Live slots still hold distinct addresses and intact values.
+            drop(to_remote);
+            remote.join().unwrap();
+            // Live slots still hold distinct addresses and intact canaries.
             prop_assert_eq!(live.len(), live_set.len());
+            for &(ptr, canary) in &live {
+                prop_assert_eq!(unsafe { (*ptr).value }, canary);
+            }
         }
     }
 }

@@ -1,17 +1,19 @@
 //! Stress tests for the spawn-path arena and the lock-free injection queue.
 //!
-//! The task-node arena recycles nodes through an intrusive free list and the
-//! injector is a segment-chained MPMC queue; both are exactly the kind of
-//! lock-free code whose bugs show up as lost, duplicated or corrupted tasks
-//! under concurrency.  These tests hammer them through the public API and
-//! verify exactly-once execution, correct completion accounting (a returned
-//! scope *is* the pending-counter invariant) and that recycling actually
-//! happens (via the scheduler metrics).
+//! The task-node arena recycles nodes through two intrusive free lists (the
+//! owner's private one and a lock-free remote one) and the injector is a
+//! segment-chained MPMC queue; both are exactly the kind of lock-free code
+//! whose bugs show up as lost, duplicated or corrupted tasks under
+//! concurrency.  These tests hammer them through the public API and verify
+//! exactly-once execution, correct completion accounting (a returned scope
+//! *is* the pending-counter invariant), that recycling actually happens and
+//! that the single-writer worker counters stay exact (via the scheduler
+//! metrics).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use teamsteal::Scheduler;
+use teamsteal::{Scheduler, TaskContext};
 
 mod common;
 use common::{with_watchdog, WATCHDOG};
@@ -52,6 +54,57 @@ fn steady_state_spawns_recycle_nodes() {
             delta.nodes_recycled, delta.tasks_spawned,
             "a warmed-up arena must serve every steady-state spawn from the \
              free list"
+        );
+    });
+}
+
+/// Worker counters are single-writer (a relaxed load and store, not a
+/// locked add): only the worker that owns a counter may bump it.  An
+/// oversubscribed pool (8 workers on however few cores) that steals and
+/// frees nodes across workers all the time must still count every spawn
+/// and every execution exactly once — a write to another worker's counter
+/// would race with that worker's own and lose counts.
+#[test]
+fn counters_stay_exact_under_cross_worker_frees() {
+    #[derive(Default)]
+    struct Tally {
+        spawned: AtomicU64,
+        ran: AtomicU64,
+    }
+    fn tree(ctx: &TaskContext<'_>, depth: u32, tally: &Arc<Tally>) {
+        tally.ran.fetch_add(1, Ordering::Relaxed);
+        if depth == 0 {
+            return;
+        }
+        for _ in 0..2 {
+            let tally = Arc::clone(tally);
+            tally.spawned.fetch_add(1, Ordering::Relaxed);
+            ctx.spawn(move |ctx| tree(ctx, depth - 1, &tally));
+        }
+    }
+    with_watchdog("counters_stay_exact_under_cross_worker_frees", WATCHDOG, || {
+        const DEPTH: u32 = 16;
+        const TREES: u64 = 20;
+        let scheduler = Scheduler::with_threads(8);
+        let tally = Arc::new(Tally::default());
+        let before = scheduler.metrics();
+        for _ in 0..TREES {
+            let tally = Arc::clone(&tally);
+            scheduler.run(move |ctx| tree(ctx, DEPTH, &tally));
+        }
+        let delta = scheduler.metrics().delta_since(&before);
+        let spawned = tally.spawned.load(Ordering::Relaxed);
+        let ran = tally.ran.load(Ordering::Relaxed);
+        assert_eq!(ran, TREES * ((1 << (DEPTH + 1)) - 1), "every task of every tree ran");
+        assert_eq!(spawned, ran - TREES, "every task but the roots is an in-task spawn");
+        assert!(delta.steals > 0, "an 8-worker pool on this tree must steal: {delta:?}");
+        assert_eq!(delta.tasks_spawned, spawned, "in-task spawns counted exactly once");
+        assert_eq!(delta.tasks_executed, ran, "executions counted exactly once");
+        assert!(
+            delta.nodes_recycled <= delta.tasks_spawned,
+            "more recycled nodes ({}) than spawns ({})",
+            delta.nodes_recycled,
+            delta.tasks_spawned
         );
     });
 }
