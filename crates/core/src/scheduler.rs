@@ -10,7 +10,7 @@ use crate::cancel::CancelCell;
 use crate::config::SchedulerConfig;
 use crate::context::TaskContext;
 use crate::metrics::MetricsSnapshot;
-use crate::task::{check_requirement, Job, JobSlot, OnceJob, ScopeState, TaskNode, TeamJob};
+use crate::task::{check_requirement, Job, JobSlot, OnceJob, ScopeState, TeamJob};
 use crate::worker::{SchedulerShared, Worker};
 
 /// Builder for a [`Scheduler`].
@@ -385,9 +385,11 @@ impl Scheduler {
     }
 
     /// The one way a root task enters the scheduler: check its requirement,
-    /// allocate the node and count it in `state`, attach the cancel cell and
-    /// deadline, and inject it.  Small jobs are stored inline in the (boxed)
-    /// node, so external submission costs one allocation.
+    /// count it on `state`'s external shard, and inject it.  Under one
+    /// external pin claim the injection allocates the node from the claimed
+    /// slot's arena, attaches the cancel cell and deadline, and pushes it.
+    /// Small jobs are stored inline in the node, so a submission touches
+    /// the global allocator only while that arena grows.
     fn submit_root<J: Job + 'static>(
         &self,
         state: &Arc<ScopeState>,
@@ -397,15 +399,14 @@ impl Scheduler {
     ) {
         let requirement = job.requirement();
         check_requirement(requirement, self.num_threads(), self.shared.steal_policy);
-        let node = TaskNode::allocate_boxed(JobSlot::new(job), requirement, state);
-        // SAFETY: between `allocate_boxed` and `inject` this thread is the
-        // node's exclusive owner; the injector's release/acquire handoff
-        // publishes the fields to the popping worker.
-        unsafe {
-            (*node).cancel = cancel;
-            (*node).deadline = deadline;
-        }
-        self.shared.inject(node);
+        state.task_spawned(state.external_shard());
+        self.shared.inject(
+            Arc::as_ptr(state),
+            JobSlot::new(job),
+            requirement,
+            cancel,
+            deadline,
+        );
     }
 }
 
@@ -662,6 +663,44 @@ mod tests {
         assert_eq!(retired.load(Ordering::SeqCst), 10);
         assert_eq!(scope.pending(), 0);
         scope.wait_idle();
+    }
+
+    /// Two submitters fill the queues of an unstarted scheduler from the
+    /// arenas of their external pin slots, then the drop-time drain frees
+    /// every node into its home arena before the arenas themselves drop:
+    /// each queued job is dropped exactly once.
+    #[test]
+    fn drop_time_drain_returns_nodes_from_two_submitters_once() {
+        const PER_SUBMITTER: usize = 500;
+        /// Counts the drops of job `.1`'s captures in slot `.1` of `.0`.
+        struct Dropped(Arc<Vec<AtomicUsize>>, usize);
+        impl Drop for Dropped {
+            fn drop(&mut self) {
+                self.0[self.1].fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let scheduler = unstarted(2);
+        let scope = ConcurrentScope::new();
+        let dropped: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..2 * PER_SUBMITTER).map(|_| AtomicUsize::new(0)).collect());
+        std::thread::scope(|threads| {
+            for t in 0..2 {
+                let (scheduler, scope, dropped) = (&scheduler, &scope, &dropped);
+                threads.spawn(move || {
+                    for id in t * PER_SUBMITTER..(t + 1) * PER_SUBMITTER {
+                        let token = Dropped(Arc::clone(dropped), id);
+                        scope.submit(scheduler, move |_| drop(token));
+                    }
+                });
+            }
+        });
+        assert_eq!(scope.pending(), 2 * PER_SUBMITTER);
+        assert!(dropped.iter().all(|count| count.load(Ordering::SeqCst) == 0));
+        drop(scheduler);
+        assert_eq!(scope.pending(), 0);
+        for (id, count) in dropped.iter().enumerate() {
+            assert_eq!(count.load(Ordering::SeqCst), 1, "job {id} dropped a wrong number of times");
+        }
     }
 
     #[test]

@@ -15,11 +15,12 @@
 //!   payload area are moved *into* the node (`JobSlot::Inline`); only
 //!   oversized closures pay for a separate heap allocation
 //!   (`JobSlot::Boxed`).
-//! * **Node recycling** — nodes spawned from worker threads come from the
-//!   worker's slab arena ([`teamsteal_util::slab::Slab`]) and are returned
-//!   to it by whichever thread finishes the task last; nodes submitted from
-//!   outside the pool (no arena available) fall back to `Box`.  The `home`
-//!   pointer records which of the two frees the node.
+//! * **Node recycling** — every node comes from a slab arena
+//!   ([`teamsteal_util::slab::Slab`]) and is returned to it by whichever
+//!   thread finishes the task last.  A node spawned from a task comes from
+//!   the spawning worker's arena; a root task submitted from outside the
+//!   pool comes from the arena of the external pin slot its submitter
+//!   claims to push it.  The `home` pointer records the arena.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -388,18 +389,18 @@ impl ScopeState {
 
 /// The scheduler-internal representation of one spawned task.
 ///
-/// Nodes spawned on worker threads live in the spawning worker's slab arena
-/// and are recycled there by the last finishing participant; externally
-/// submitted nodes are boxed.  Either way the node travels through the
-/// deques as a raw pointer and is freed exactly once, by
+/// Every node lives in a slab arena — the spawning worker's, or for a root
+/// task the arena of the external pin slot its submitter claimed — and is
+/// recycled there by the last finishing participant.  The node travels
+/// through the deques as a raw pointer and is freed exactly once, by
 /// `TaskNode::release`.
 pub struct TaskNode {
     /// Intrusive link used by the home slab while the node is dead.  Never
     /// touched while the node is alive.
     free_next: AtomicPtr<TaskNode>,
-    /// The arena this node recycles into; null for box-allocated nodes.
-    /// Points into the scheduler's shared worker state, which outlives every
-    /// node (workers are joined and queues drained before it drops).
+    /// The arena this node recycles into: a worker's or an external pin
+    /// slot's.  Points into the scheduler's shared state, which outlives
+    /// every node (workers are joined and queues drained before it drops).
     home: *const Slab<TaskNode>,
     /// The user job.
     pub(crate) job: JobSlot,
@@ -453,43 +454,40 @@ unsafe impl Recycle for TaskNode {
 }
 
 impl TaskNode {
-    /// Builds a node value.  `home` is the slab the node recycles into
-    /// (null ⇒ the node is boxed and freed through `Box::from_raw`).
-    pub(crate) fn new_in(
+    /// Allocates a node from `pool`, writes it with the default team and
+    /// cancellation state, and reports whether the slot was recycled.  The
+    /// caller has counted the task in `scope`; until the node is pushed it
+    /// is the node's exclusive owner.
+    ///
+    /// # Safety
+    ///
+    /// The caller must be `pool`'s current owner (`Slab::alloc`'s
+    /// contract), and `pool` must outlive the node.
+    #[inline]
+    pub(crate) unsafe fn alloc_in(
+        pool: &Slab<TaskNode>,
         job: JobSlot,
         requirement: usize,
         scope: *const ScopeState,
-        home: *const Slab<TaskNode>,
-    ) -> Self {
-        TaskNode {
-            free_next: AtomicPtr::new(std::ptr::null_mut()),
-            home,
-            job,
-            requirement,
-            scope,
-            barrier: UnsafeCell::new(TeamBarrier::new(1)),
-            participants: AtomicU32::new(1),
-            cancel: None,
-            deadline: None,
+    ) -> (*mut TaskNode, bool) {
+        // SAFETY: caller contract.
+        let (ptr, recycled) = unsafe { pool.alloc() };
+        // SAFETY: the slot is uninitialized (fresh, or recycled after its
+        // contents were dropped) and ours until it is pushed.
+        unsafe {
+            ptr.write(TaskNode {
+                free_next: AtomicPtr::new(std::ptr::null_mut()),
+                home: pool,
+                job,
+                requirement,
+                scope,
+                barrier: UnsafeCell::new(TeamBarrier::new(1)),
+                participants: AtomicU32::new(1),
+                cancel: None,
+                deadline: None,
+            });
         }
-    }
-
-    /// Allocates a boxed node (used for root tasks submitted from outside
-    /// the worker pool, where no arena is available) and returns the raw
-    /// pointer that travels through the deques.  The task is counted on the
-    /// scope's external shard here.
-    pub(crate) fn allocate_boxed(
-        job: JobSlot,
-        requirement: usize,
-        scope: &Arc<ScopeState>,
-    ) -> *mut TaskNode {
-        scope.task_spawned(scope.external_shard());
-        Box::into_raw(Box::new(TaskNode::new_in(
-            job,
-            requirement,
-            Arc::as_ptr(scope),
-            std::ptr::null(),
-        )))
+        (ptr, recycled)
     }
 
     /// The scope this task is counted in.
@@ -504,26 +502,21 @@ impl TaskNode {
         unsafe { &*self.scope }
     }
 
-    /// Frees a node: recycles it into its home arena, or drops the box.
-    /// `own` is the arena of the calling worker (`None` off the pool): a
-    /// node coming home to it goes on the owner's private free list, with
-    /// no atomic read-modify-write; any other arena node takes the arena's
-    /// remote list (DESIGN.md §8).
+    /// Frees a node: drops its contents and recycles it into its home
+    /// arena.  `own` is the arena of the calling worker (`None` off the
+    /// pool): a node coming home to it goes on the owner's private free
+    /// list, with no atomic read-modify-write; any other node takes its
+    /// arena's remote list (DESIGN.md §8).
     ///
     /// # Safety
     ///
-    /// `ptr` must come from [`TaskNode::allocate_boxed`] or a slab `alloc`
-    /// that recorded the slab in `home`, the caller must be the last holder
-    /// of the node, and the node must not be touched afterwards.  `own`, if
-    /// given, must be the arena whose owner thread is the caller.
+    /// `ptr` must come from [`TaskNode::alloc_in`], the caller must be the
+    /// last holder of the node, and the node must not be touched
+    /// afterwards.  `own`, if given, must be the arena whose owner the
+    /// caller is.
     pub(crate) unsafe fn release(ptr: *mut TaskNode, own: Option<&Slab<TaskNode>>) {
         // SAFETY: the node is still alive here; reading `home` is fine.
         let home = unsafe { (*ptr).home };
-        if home.is_null() {
-            // SAFETY: allocated by `allocate_boxed`.
-            drop(unsafe { Box::from_raw(ptr) });
-            return;
-        }
         // SAFETY: drop the contents in place, then hand the dead slot back
         // to its arena; the arena outlives all nodes (see `home`), and the
         // caller owns `own` (contract above).
@@ -625,20 +618,33 @@ mod tests {
     #[test]
     fn allocate_increments_pending_and_sets_defaults() {
         let scope = ScopeState::new(2);
-        let ptr = TaskNode::allocate_boxed(
-            JobSlot::new(TeamJob::new(4, |_ctx: &TaskContext<'_>| {})),
-            4,
-            &scope,
-        );
+        let pool = Slab::new();
+        let job = || JobSlot::new(TeamJob::new(4, |_ctx: &TaskContext<'_>| {}));
+        scope.task_spawned(scope.external_shard());
+        // SAFETY: this thread is the pool's only allocator.
+        let (ptr, recycled) = unsafe { TaskNode::alloc_in(&pool, job(), 4, Arc::as_ptr(&scope)) };
+        assert!(!recycled, "a fresh arena carves its first slot");
         assert_eq!(scope.pending(), 1);
         // SAFETY: we just allocated it and nothing else references it.
         let node = unsafe { &*ptr };
         assert_eq!(node.requirement, 4);
         assert_eq!(node.participants.load(Ordering::Relaxed), 1);
+        assert!(node.cancel.is_none() && node.deadline.is_none());
         assert_eq!(node.scope, Arc::as_ptr(&scope));
+        assert!(std::ptr::eq(node.home, &pool), "the node records its arena");
         assert_eq!(Arc::strong_count(&scope), 1, "nodes borrow the scope");
-        // SAFETY: sole holder.
+        // SAFETY: sole holder, freeing from off the pool's owner side.
         unsafe { TaskNode::release(ptr, None) };
+        scope.task_finished(0);
+        assert_eq!(scope.pending(), 0);
+
+        // The remote free comes home to the pool's next allocation.
+        scope.task_spawned(scope.external_shard());
+        // SAFETY: as above.
+        let (again, recycled) = unsafe { TaskNode::alloc_in(&pool, job(), 4, Arc::as_ptr(&scope)) };
+        assert_eq!((again, recycled), (ptr, true));
+        // SAFETY: sole holder, and the pool's owner.
+        unsafe { TaskNode::release(again, Some(&pool)) };
         scope.task_finished(0);
         assert_eq!(scope.pending(), 0);
     }

@@ -291,7 +291,7 @@ mod tests {
     use super::steal::steal_amount;
     use super::*;
     use crate::config::SchedulerConfig;
-    use crate::task::{JobSlot, TaskNode, TeamJob};
+    use crate::task::{JobSlot, TeamJob};
     use teamsteal_registration::{AcquireOutcome, ReleaseOutcome};
     use teamsteal_util::eventcount::{ParkClass, WakeReason};
 
@@ -393,8 +393,9 @@ mod tests {
         }
 
         let scope = ScopeState::new(5);
+        scope.task_spawned(scope.external_shard());
         let job = JobSlot::new(TeamJob::new(4, |_| {}));
-        shared.inject(TaskNode::allocate_boxed(job, 4, &scope));
+        shared.inject(Arc::as_ptr(&scope), job, 4, None, None);
         for sleeper in parked {
             // A sleeper still committing to its park leaves on the ticket.
             assert_ne!(sleeper.join().unwrap(), WakeReason::Backstop, "one inject wakes all three");

@@ -93,8 +93,8 @@ impl Worker {
         if node.requirement == 1 || node.participants.fetch_sub(1, Ordering::AcqRel) == 1 {
             let scope = node.scope;
             // SAFETY: we are the last participant; nobody else will touch
-            // it.  The node returns to its home arena (or the heap); our
-            // own arena is ours to recycle into without an atomic RMW.
+            // it.  The node returns to its home arena; our own arena is
+            // ours to recycle into without an atomic RMW.
             unsafe { TaskNode::release(ptr, Some(&self.me().node_pool)) };
             // The count goes through the owned handle: it may release the
             // scope's waiter, after which only the handle keeps the state.
@@ -183,19 +183,9 @@ impl SpawnTarget for Worker {
         let me = self.me();
         // SAFETY: a worker is the sole allocator of its own arena, and
         // `spawn_job_slot` only runs on the worker's own thread (tasks spawn
-        // through the context of the worker executing them).
-        let (ptr, recycled) = unsafe { me.node_pool.alloc() };
-        // SAFETY: the slot is uninitialized (fresh or recycled-after-drop);
-        // `home` points into the shared worker state, which outlives every
-        // node.
-        unsafe {
-            ptr.write(TaskNode::new_in(
-                job,
-                requirement,
-                scope,
-                &me.node_pool as *const _,
-            ));
-        }
+        // through the context of the worker executing them); the arena lives
+        // in the shared worker state, which outlives every node.
+        let (ptr, recycled) = unsafe { TaskNode::alloc_in(&me.node_pool, job, requirement, scope) };
         if recycled {
             me.counters.nodes_recycled.inc();
         }

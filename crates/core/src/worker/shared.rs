@@ -8,7 +8,7 @@
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use teamsteal_deque::{RawDeque, ShardedInjector};
 use teamsteal_registration::AtomicRegistration;
@@ -19,10 +19,11 @@ use teamsteal_util::{bits, Backoff, CachePadded};
 
 use super::publication::Publication;
 use super::Worker;
+use crate::cancel::CancelCell;
 use crate::config::SchedulerConfig;
 use crate::metrics::WorkerCounters;
 use crate::sleep::SleepController;
-use crate::task::{ScopeState, TaskNode, TaskPtr};
+use crate::task::{JobSlot, ScopeState, TaskNode, TaskPtr};
 
 /// Runtime switch for the stall-state dumps, in addition to the
 /// `TEAMSTEAL_STALL_DEBUG` environment variable.  See [`enable_stall_debug`].
@@ -162,6 +163,13 @@ impl WorkerShared {
 /// one CAS, pin, touch the queue, unpin and release — keeping the injection
 /// path lock-free (a claimed slot is exclusive, so the `UnsafeCell` access
 /// is data-race free).
+///
+/// Each slot also owns a task-node arena, the external counterpart of a
+/// worker's `node_pool` (DESIGN.md §8).  Whoever holds a slot's claim is
+/// that arena's one allocator: the `busy` CAS (Acquire) and the release
+/// store (Release) hand the owner role from one claimant to the next, so a
+/// submission allocates its node from the slot it already claims to push
+/// it, and workers free the node onto the arena's remote list.
 pub(crate) struct ExternalPins {
     slots: Box<[CachePadded<ExternalSlot>]>,
     /// Exhaustion episodes: a submitter scanned every slot, found all of
@@ -174,10 +182,14 @@ pub(crate) struct ExternalPins {
 struct ExternalSlot {
     busy: AtomicBool,
     participant: UnsafeCell<Participant>,
+    /// Arena of the nodes this slot's claimants submit: `alloc` only under
+    /// the claim, `free` from any thread.
+    node_pool: Slab<TaskNode>,
 }
 
-// SAFETY: `participant` is only touched between a successful `busy` CAS
-// (Acquire) and the matching Release store, which serializes all access.
+// SAFETY: `participant` and the owner side of `node_pool` are only touched
+// between a successful `busy` CAS (Acquire) and the matching Release store,
+// which serializes all access.
 unsafe impl Sync for ExternalPins {}
 unsafe impl Send for ExternalPins {}
 
@@ -191,6 +203,7 @@ impl ExternalPins {
                         participant: UnsafeCell::new(
                             epoch.register().expect("domain sized for the external pool"),
                         ),
+                        node_pool: Slab::new(),
                     })
                 })
                 .collect(),
@@ -208,8 +221,10 @@ impl ExternalPins {
         self.slots.len()
     }
 
-    /// Runs `f` pinned to a borrowed external participant.
-    pub(crate) fn with_pinned<R>(&self, f: impl FnOnce() -> R) -> R {
+    /// Runs `f` pinned to a borrowed external participant.  `f` receives
+    /// the claimed slot's node arena, whose only allocator it is until it
+    /// returns.
+    pub(crate) fn with_pinned<R>(&self, f: impl FnOnce(&Slab<TaskNode>) -> R) -> R {
         /// Unpins and releases the claimed slot even if `f` unwinds: a
         /// leaked claim would otherwise leave its participant pinned at a
         /// stale epoch *forever*, wedging reclamation for the scheduler's
@@ -252,7 +267,7 @@ impl ExternalPins {
                 // SAFETY: the claimed `busy` flag gives us exclusive access
                 // until the guard's Release store.
                 unsafe { &*slot.participant.get() }.pin();
-                let result = f();
+                let result = f(&slot.node_pool);
                 drop(guard);
                 return result;
             }
@@ -410,19 +425,35 @@ impl SchedulerShared {
         }) % self.injector.num_shards()
     }
 
-    /// Injects a root task from outside the worker pool.  Lock-free: one
-    /// CAS to borrow an external epoch pin, one `fetch_add` plus a release
-    /// store in the affinity shard, one release store to return the pin —
-    /// then a wake for whoever will run it, so external submissions reach an
-    /// idle scheduler in one wake-up instead of a sleep-poll interval.
-    pub(crate) fn inject(&self, ptr: *mut TaskNode) {
-        // Read before the push: afterwards the node belongs to its popper.
-        // SAFETY: until the push the caller is the node's exclusive owner.
-        let requirement = unsafe { (*ptr).requirement };
+    /// Injects a root task from outside the worker pool; the caller has
+    /// counted it in `scope`.  Lock-free: one CAS to borrow an external
+    /// epoch pin, whose slot's arena gives the node; one `fetch_add` plus a
+    /// release store in the affinity shard; one release store to return the
+    /// pin — then a wake for whoever will run it, so external submissions
+    /// reach an idle scheduler in one wake-up instead of a sleep-poll
+    /// interval.
+    pub(crate) fn inject(
+        &self,
+        scope: *const ScopeState,
+        job: JobSlot,
+        requirement: usize,
+        cancel: Option<Arc<CancelCell>>,
+        deadline: Option<Instant>,
+    ) {
         let shard = self.inject_home();
-        let observed_empty = self
-            .external_pins
-            .with_pinned(|| self.injector.push_to(shard, TaskPtr(ptr)));
+        let observed_empty = self.external_pins.with_pinned(|pool| {
+            // SAFETY: the claim makes this thread the pool's only allocator,
+            // and the pool lives in `self`, which outlives every node.
+            let (ptr, _) = unsafe { TaskNode::alloc_in(pool, job, requirement, scope) };
+            // SAFETY: until the push this thread is the node's exclusive
+            // owner; the injector's release/acquire handoff publishes the
+            // fields to the popping worker.
+            unsafe {
+                (*ptr).cancel = cancel;
+                (*ptr).deadline = deadline;
+            }
+            self.injector.push_to(shard, TaskPtr(ptr))
+        });
         // Wake hint: a push that observed other elements in flight on this
         // shard needs no wake — the transition push that made the shard
         // non-empty already issued one (workers never park while any shard
@@ -455,7 +486,7 @@ impl SchedulerShared {
     /// shutdown; `Scheduler::scope` borrows the scheduler until it drained).
     pub(crate) fn drain_leftovers(&self) {
         let mut leftovers: Vec<TaskPtr> = Vec::new();
-        self.external_pins.with_pinned(|| {
+        self.external_pins.with_pinned(|_| {
             for shard in 0..self.injector.num_shards() {
                 while let Some(task) = self.injector.pop_from(shard) {
                     leftovers.push(task);
@@ -475,7 +506,7 @@ impl SchedulerShared {
             // counted in its scope, which therefore is alive.
             let scope = unsafe { ScopeState::acquire((*ptr).scope) };
             // SAFETY: as above — we are the node's last holder, and no
-            // worker's arena is ours.
+            // arena is ours: the node goes on its home's remote list.
             unsafe { TaskNode::release(ptr, None) };
             scope.task_finished(scope.external_shard());
             scope.signal_if_complete();

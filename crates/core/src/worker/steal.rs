@@ -264,8 +264,11 @@ impl Worker {
                 // SAFETY: the node is alive while it sits in the injector.
                 let req = unsafe { (*ptr).requirement };
                 let level = self.topo().level_for_requirement(self.id, req);
-                self.me().push_task(level, ptr);
+                // Count before the push: once queued, a thief may run the
+                // task and complete its scope before this worker goes on,
+                // and a reader of the metrics after the scope must see it.
                 self.me().counters.tasks_injected.inc();
+                self.me().push_task(level, ptr);
                 if self.shared.injector.shard_len(shard) > 0 {
                     // Wake chain: the submit-side hint only wakes one worker
                     // per shard's empty→non-empty transition; each consumer

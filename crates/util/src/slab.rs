@@ -10,9 +10,15 @@
 //!
 //! # Ownership protocol
 //!
-//! A slab has one **owner** (the worker whose spawn path allocates from it)
-//! and arbitrarily many **releasers** (whichever thread happens to finish a
-//! task last frees its node *back to the node's home slab*).  Freed slots go
+//! A slab has one **owner** (whoever allocates from it) and arbitrarily
+//! many **releasers** (whichever thread happens to finish a task last frees
+//! its node *back to the node's home slab*).  The owner is whoever holds an
+//! exclusive claim on the slab, and need not be one thread for life: a
+//! worker owns its slab for its whole lifetime, while the slab of an
+//! external submission slot changes hands with every claim.  The claim must
+//! be handed over with Acquire/Release — the new owner acquires what the
+//! old one released — so each owner sees its predecessor's private list and
+//! bump state.  Freed slots go
 //! to one of two lists, split by who frees them (free-list sharding, as in
 //! Leijen, Zorn and de Moura, *Mimalloc: Free List Sharding in Action*,
 //! 2019):
@@ -115,7 +121,7 @@ pub struct Slab<T: Recycle> {
 }
 
 // SAFETY: `remote` is an atomic; `private` and `bump` are only touched by
-// the owner thread (contracts on `alloc` and `free_owned`).  `T: Send`
+// the current owner (contracts on `alloc` and `free_owned`).  `T: Send`
 // because slots are released from other threads.
 unsafe impl<T: Recycle + Send> Send for Slab<T> {}
 unsafe impl<T: Recycle + Send> Sync for Slab<T> {}
@@ -149,7 +155,8 @@ impl<T: Recycle> Slab<T> {
     /// Owner only: at most one thread may call `alloc` or
     /// [`free_owned`](Slab::free_owned) on a given slab at a time (it is the
     /// single consumer of the remote stack and the only toucher of the
-    /// private list and the bump state).
+    /// private list and the bump state), and a change of owner must be
+    /// ordered by an Acquire/Release handover (see the module docs).
     pub unsafe fn alloc(&self) -> (*mut T, bool) {
         // SAFETY: owner-only access per the contract above.
         let private = unsafe { &mut *self.private.get() };
@@ -385,6 +392,80 @@ mod tests {
             }
         }
         drop(slab);
+    }
+
+    /// An owner role that changes hands: two threads take turns as the
+    /// slab's owner through an `AtomicBool` claim (Acquire CAS, Release
+    /// store), as the external submission slots of a scheduler do.  Each
+    /// allocates and writes canaries under the claim and hands the slots to
+    /// a third thread that checks them and frees them remotely.  A slot
+    /// handed out twice while live would break a canary or show up twice
+    /// in the live set.
+    #[test]
+    fn alternating_owners_never_alias_a_live_slot() {
+        use std::collections::HashMap;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Mutex;
+        const PER_OWNER: u64 = 20_000;
+        let slab: Arc<Slab<Node>> = Arc::new(Slab::new());
+        let claim = Arc::new(AtomicBool::new(false));
+        let live: Arc<Mutex<HashMap<usize, u64>>> = Arc::new(Mutex::new(HashMap::new()));
+        let (to_freer, freer_rx) = std::sync::mpsc::channel::<usize>();
+        let freer = {
+            let slab = Arc::clone(&slab);
+            let live = Arc::clone(&live);
+            std::thread::spawn(move || {
+                let mut freed = 0u64;
+                while let Ok(addr) = freer_rx.recv() {
+                    let ptr = addr as *mut Node;
+                    let canary = live.lock().unwrap().remove(&addr).expect("freed slot was live");
+                    assert_eq!(unsafe { (*ptr).value }, canary, "a live slot was overwritten");
+                    unsafe {
+                        std::ptr::drop_in_place(ptr);
+                        slab.free(ptr);
+                    }
+                    freed += 1;
+                }
+                freed
+            })
+        };
+        let owners: Vec<_> = (0..2u64)
+            .map(|owner| {
+                let slab = Arc::clone(&slab);
+                let claim = Arc::clone(&claim);
+                let live = Arc::clone(&live);
+                let to_freer = to_freer.clone();
+                std::thread::spawn(move || {
+                    let mut done = 0;
+                    while done < PER_OWNER {
+                        if claim
+                            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                            .is_err()
+                        {
+                            std::hint::spin_loop();
+                            continue;
+                        }
+                        // A short turn as owner, then hand the claim over.
+                        for _ in 0..(done % 7 + 1).min(PER_OWNER - done) {
+                            let canary = (owner << 32) | done;
+                            let (ptr, _) = write_node(&slab, canary);
+                            let previous = live.lock().unwrap().insert(ptr as usize, canary);
+                            assert!(previous.is_none(), "slab handed out live slot {ptr:p} twice");
+                            to_freer.send(ptr as usize).expect("freer alive");
+                            done += 1;
+                        }
+                        claim.store(false, Ordering::Release);
+                        std::thread::yield_now();
+                    }
+                })
+            })
+            .collect();
+        drop(to_freer);
+        for owner in owners {
+            owner.join().unwrap();
+        }
+        assert_eq!(freer.join().unwrap(), 2 * PER_OWNER);
+        assert!(live.lock().unwrap().is_empty());
     }
 
     /// One step of the two-list proptest.

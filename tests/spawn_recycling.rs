@@ -1,10 +1,11 @@
-//! Stress tests for the spawn-path arena and the lock-free injection queue.
+//! Stress tests for the task-node arenas and the lock-free injection queue.
 //!
-//! The task-node arena recycles nodes through two intrusive free lists (the
-//! owner's private one and a lock-free remote one) and the injector is a
-//! segment-chained MPMC queue; both are exactly the kind of lock-free code
-//! whose bugs show up as lost, duplicated or corrupted tasks under
-//! concurrency.  These tests hammer them through the public API and verify
+//! A task-node arena recycles nodes through two intrusive free lists (the
+//! owner's private one and a lock-free remote one); a worker owns its arena
+//! for life, an external pin slot's arena changes owner with every claim.
+//! The injector is a segment-chained MPMC queue.  Both are exactly the kind
+//! of lock-free code whose bugs show up as lost, duplicated or corrupted
+//! tasks under concurrency.  These tests hammer them through the public API and verify
 //! exactly-once execution, correct completion accounting (a returned scope
 //! *is* the pending-counter invariant), that recycling actually happens and
 //! that the single-writer worker counters stay exact (via the scheduler
@@ -13,7 +14,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use teamsteal::{Scheduler, TaskContext};
+use teamsteal::{ConcurrentScope, Scheduler, TaskContext};
 
 mod common;
 use common::{with_watchdog, WATCHDOG};
@@ -253,5 +254,77 @@ fn oversized_captures_mix_with_inline_ones() {
         let expected_big: usize = (0..N).filter(|i| i % 2 == 1).sum();
         assert_eq!(small_sum.load(Ordering::Relaxed), expected_small);
         assert_eq!(big_sum.load(Ordering::Relaxed), expected_big);
+    });
+}
+
+/// Root tasks take their nodes from the arena of the external pin slot their
+/// submitter claims, and with more submitters than slots every arena
+/// changes owner all the time while workers free its nodes remotely.  Each
+/// task carries a canary the body checks and marks its id in an
+/// exactly-once bitmap: a node handed to two live tasks, or recycled while
+/// still queued, breaks one or the other.
+#[test]
+fn external_arenas_change_hands_without_aliasing() {
+    with_watchdog("external_arenas_change_hands_without_aliasing", WATCHDOG, || {
+        const SUBMITTERS: usize = 6;
+        const PER_SUBMITTER: usize = 20_000;
+        const TASKS: usize = SUBMITTERS * PER_SUBMITTER;
+        const MAGIC: usize = 0x5a5a_c3c3;
+        #[derive(Default)]
+        struct Check {
+            bad_canaries: AtomicUsize,
+            repeats: AtomicUsize,
+        }
+        let scheduler = Arc::new(
+            Scheduler::builder()
+                .threads(2)
+                .external_participants(2)
+                .build(),
+        );
+        let scope = ConcurrentScope::new();
+        let ran: Arc<Vec<AtomicU64>> =
+            Arc::new((0..TASKS.div_ceil(64)).map(|_| AtomicU64::new(0)).collect());
+        let check = Arc::new(Check::default());
+        let before = scheduler.metrics();
+        let submitters: Vec<_> = (0..SUBMITTERS)
+            .map(|t| {
+                let scheduler = Arc::clone(&scheduler);
+                let scope = scope.clone();
+                let ran = Arc::clone(&ran);
+                let check = Arc::clone(&check);
+                std::thread::spawn(move || {
+                    for id in t * PER_SUBMITTER..(t + 1) * PER_SUBMITTER {
+                        let canary = (id, id ^ MAGIC);
+                        let ran = Arc::clone(&ran);
+                        let check = Arc::clone(&check);
+                        scope.submit(&scheduler, move |_| {
+                            let (id, sealed) = canary;
+                            if sealed != id ^ MAGIC {
+                                check.bad_canaries.fetch_add(1, Ordering::Relaxed);
+                                return;
+                            }
+                            let bit = 1u64 << (id % 64);
+                            if ran[id / 64].fetch_or(bit, Ordering::Relaxed) & bit != 0 {
+                                check.repeats.fetch_add(1, Ordering::Relaxed);
+                            }
+                        });
+                    }
+                })
+            })
+            .collect();
+        for submitter in submitters {
+            submitter.join().unwrap();
+        }
+        scope.wait_idle();
+        assert!(scope.take_panic().is_none(), "no task may panic");
+        assert_eq!(check.bad_canaries.load(Ordering::Relaxed), 0, "a task ran a torn node");
+        assert_eq!(check.repeats.load(Ordering::Relaxed), 0, "a task ran twice");
+        let missing = (0..TASKS)
+            .filter(|&id| ran[id / 64].load(Ordering::Relaxed) & (1 << (id % 64)) == 0)
+            .count();
+        assert_eq!(missing, 0, "every submitted task ran");
+        let delta = scheduler.metrics().delta_since(&before);
+        assert_eq!(delta.tasks_injected as usize, TASKS);
+        assert_eq!(delta.total_executions() as usize, TASKS);
     });
 }
