@@ -64,7 +64,6 @@
 //! | module | contents |
 //! |---|---|
 //! | [`scheduler`] | [`Scheduler`], [`SchedulerBuilder`], [`Scope`] |
-//! | [`config`] | [`SchedulerConfig`] |
 //! | [`task`] | task nodes and scope bookkeeping (internal) |
 //! | [`cancel`] | the lock-free [`CancelCell`] claim-to-run arbiter (DESIGN.md §17) |
 //! | [`context`] | [`TaskContext`] passed to every running task |
@@ -76,7 +75,6 @@
 #![warn(missing_docs)]
 
 pub mod cancel;
-pub mod config;
 pub mod context;
 pub mod metrics;
 pub mod scheduler;
@@ -88,7 +86,6 @@ pub mod test_support;
 mod worker;
 
 pub use cancel::CancelCell;
-pub use config::SchedulerConfig;
 pub use context::TaskContext;
 pub use metrics::{MetricsSnapshot, WakeLatencyHistogram};
 pub use scheduler::{ConcurrentScope, ReclamationSnapshot, Scheduler, SchedulerBuilder, Scope};

@@ -7,13 +7,24 @@ use std::thread::JoinHandle;
 use teamsteal_topology::{StealPolicy, Topology};
 
 use crate::cancel::CancelCell;
-use crate::config::SchedulerConfig;
 use crate::context::TaskContext;
 use crate::metrics::MetricsSnapshot;
 use crate::task::{check_requirement, Job, JobSlot, OnceJob, ScopeState, TeamJob};
 use crate::worker::{SchedulerShared, Worker};
 
-/// Builder for a [`Scheduler`].
+/// Builder for a [`Scheduler`], and the one place its six settable values
+/// live; each is documented on its setter.
+///
+/// Section 4 of the paper lists the tunables of the prototype: backoff
+/// intervals, the number of tasks to steal, and (for the evaluation) whether
+/// stealing is deterministic or randomized.  The builder sets that list —
+/// thread count, machine topology, steal policy and seed — plus the two
+/// sizes a deployment sets: the injection-shard width and the external
+/// submitter pool.  The steal amount is fixed at the paper's default (`2^ℓ`,
+/// capped at half the victim's queue — `worker::steal::steal_amount`), and
+/// the backoff intervals are constants of the parking protocol
+/// (`PARK_SPIN_ROUNDS`, `HANDSHAKE_POLL`, `PARK_BACKSTOP`, `WARM_KEEPALIVE`
+/// in `worker`).
 ///
 /// ```
 /// use teamsteal_core::Scheduler;
@@ -25,13 +36,34 @@ use crate::worker::{SchedulerShared, Worker};
 ///     .build();
 /// assert_eq!(scheduler.num_threads(), 4);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SchedulerBuilder {
-    config: SchedulerConfig,
+    pub(crate) num_threads: usize,
+    pub(crate) topology: Option<Topology>,
+    pub(crate) steal_policy: StealPolicy,
+    pub(crate) seed: u64,
+    pub(crate) domain_width: usize,
+    pub(crate) external_participants: usize,
+}
+
+impl Default for SchedulerBuilder {
+    fn default() -> Self {
+        SchedulerBuilder {
+            num_threads: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+            topology: None,
+            steal_policy: StealPolicy::Deterministic,
+            seed: 0x7465616d_73746561, // "teamstea(l)"
+            domain_width: 8,
+            external_participants: 32,
+        }
+    }
 }
 
 impl SchedulerBuilder {
-    /// Sets the number of worker threads (the paper's `p`).
+    /// Sets the number of worker threads (the paper's `p`).  Defaults to the
+    /// machine's available parallelism.
     ///
     /// ```
     /// use teamsteal_core::Scheduler;
@@ -40,12 +72,13 @@ impl SchedulerBuilder {
     /// assert_eq!(scheduler.num_threads(), 3);
     /// ```
     pub fn threads(mut self, threads: usize) -> Self {
-        self.config.num_threads = threads;
+        self.num_threads = threads;
         self
     }
 
     /// Sets an explicit machine topology (Refinement 3).  Its size must match
-    /// the configured thread count.
+    /// the configured thread count.  Defaults to [`Topology::balanced`] over
+    /// the thread count.
     ///
     /// ```
     /// use teamsteal_core::{Scheduler, Topology};
@@ -57,15 +90,16 @@ impl SchedulerBuilder {
     /// assert_eq!(scheduler.topology().num_threads(), 4);
     /// ```
     pub fn topology(mut self, topology: Topology) -> Self {
-        self.config.topology = Some(topology);
+        self.topology = Some(topology);
         self
     }
 
     /// Sets the partner / victim selection policy.
     ///
-    /// [`StealPolicy::Deterministic`] is the paper's team-building scheduler;
-    /// [`StealPolicy::UniformRandom`] is the classic randomized work-stealer
-    /// (the *Randfork* baseline) and supports only `r = 1` tasks.
+    /// [`StealPolicy::Deterministic`] (the default) is the paper's
+    /// team-building scheduler; [`StealPolicy::UniformRandom`] is the classic
+    /// randomized work-stealer (the *Randfork* baseline) and supports only
+    /// `r = 1` tasks.
     ///
     /// ```
     /// use teamsteal_core::{Scheduler, StealPolicy};
@@ -77,11 +111,12 @@ impl SchedulerBuilder {
     /// scheduler.run(|_| {});
     /// ```
     pub fn steal_policy(mut self, policy: StealPolicy) -> Self {
-        self.config.steal_policy = policy;
+        self.steal_policy = policy;
         self
     }
 
-    /// Sets the PRNG seed used for randomized stealing.
+    /// Sets the seed of the per-worker PRNGs (randomized policies and
+    /// tie-breaking).
     ///
     /// ```
     /// use teamsteal_core::{Scheduler, StealPolicy};
@@ -94,15 +129,17 @@ impl SchedulerBuilder {
     /// scheduler.run(|_| {});
     /// ```
     pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
+        self.seed = seed;
         self
     }
 
-    /// Sets the maximum worker count per injection-shard domain (see
-    /// [`SchedulerConfig::domain_width`]): the external injection queue gets
-    /// one shard per hierarchy domain of at most this width.  A width ≥ the
-    /// thread count forces a single shard (the pre-sharding behaviour); a
-    /// width of 1 gives one shard per worker.
+    /// Sets the maximum worker count per injection-shard **domain**
+    /// (DESIGN.md §13).  The external injection queue is sharded per domain:
+    /// the domains are the groups of the largest hierarchy level whose
+    /// nominal size is at most this width, so the default of 8 gives one
+    /// shard per 8-worker neighbourhood (and machines with `p ≤ 8` keep a
+    /// single shard, the pre-sharding behaviour).  A width ≥ the thread
+    /// count forces a single shard; a width of 1 gives one shard per worker.
     ///
     /// ```
     /// use teamsteal_core::Scheduler;
@@ -114,15 +151,19 @@ impl SchedulerBuilder {
     /// assert_eq!(scheduler.injector_shard_segments().len(), 2);
     /// ```
     pub fn domain_width(mut self, width: usize) -> Self {
-        self.config.domain_width = width;
+        self.domain_width = width;
         self
     }
 
-    /// Sets the number of pre-registered epoch-pin slots for threads outside
-    /// the worker pool (see [`SchedulerConfig::external_participants`]).
-    /// Size it at least as large as the peak number of threads submitting
-    /// concurrently: with the pool exhausted, surplus submitters spin-wait
-    /// for a slot and are counted in `external_pin_waits`.
+    /// Sets the number of epoch-participant slots pre-registered for threads
+    /// *outside* the worker pool (DESIGN.md §11): every submitter borrows one
+    /// slot with a single CAS around each injector access.  With more
+    /// simultaneous submitters than slots, the surplus spin-waits for a free
+    /// slot (counted in `external_pin_waits`) — harmless for a handful of
+    /// threads, a hard convoy for service front-ends with hundreds of them.
+    /// Size this at least as large as the peak number of threads that submit
+    /// concurrently; the default of 32 preserves the pre-service behaviour.
+    /// Values below 1 are clamped to 1.
     ///
     /// ```
     /// use teamsteal_core::Scheduler;
@@ -134,28 +175,48 @@ impl SchedulerBuilder {
     /// assert_eq!(scheduler.external_pin_slots(), 128);
     /// ```
     pub fn external_participants(mut self, slots: usize) -> Self {
-        self.config.external_participants = slots;
-        self
-    }
-
-    /// Overrides the full configuration.
-    ///
-    /// ```
-    /// use teamsteal_core::{Scheduler, SchedulerConfig};
-    ///
-    /// let scheduler = Scheduler::builder()
-    ///     .config(SchedulerConfig::with_threads(2))
-    ///     .build();
-    /// assert_eq!(scheduler.num_threads(), 2);
-    /// ```
-    pub fn config(mut self, config: SchedulerConfig) -> Self {
-        self.config = config;
+        self.external_participants = slots;
         self
     }
 
     /// Builds the scheduler and starts its worker threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the thread count is zero or an explicit topology disagrees
+    /// with it.
     pub fn build(self) -> Scheduler {
-        Scheduler::new(self.config)
+        let shared = SchedulerShared::new(&self);
+        let mut threads = Vec::with_capacity(shared.num_threads());
+        for id in 0..shared.num_threads() {
+            let shared = Arc::clone(&shared);
+            let handle = std::thread::Builder::new()
+                .name(format!("teamsteal-worker-{id}"))
+                .spawn(move || {
+                    let mut worker = Worker::new(id, shared);
+                    worker.run_loop();
+                })
+                .expect("failed to spawn worker thread");
+            threads.push(handle);
+        }
+        Scheduler { shared, threads }
+    }
+
+    /// The explicit topology if one was set (its size must match the thread
+    /// count), otherwise a balanced hierarchy.
+    pub(crate) fn resolve_topology(&self) -> Topology {
+        assert!(self.num_threads > 0, "scheduler needs at least one thread");
+        match &self.topology {
+            Some(t) => {
+                assert_eq!(
+                    t.num_threads(),
+                    self.num_threads,
+                    "topology size must match num_threads"
+                );
+                t.clone()
+            }
+            None => Topology::balanced(self.num_threads),
+        }
     }
 }
 
@@ -174,29 +235,10 @@ pub struct Scheduler {
 }
 
 impl Scheduler {
-    /// Creates a scheduler with the given configuration and starts its
-    /// workers.
-    pub fn new(config: SchedulerConfig) -> Self {
-        let shared = SchedulerShared::new(&config);
-        let mut threads = Vec::with_capacity(shared.num_threads());
-        for id in 0..shared.num_threads() {
-            let shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("teamsteal-worker-{id}"))
-                .spawn(move || {
-                    let mut worker = Worker::new(id, shared);
-                    worker.run_loop();
-                })
-                .expect("failed to spawn worker thread");
-            threads.push(handle);
-        }
-        Scheduler { shared, threads }
-    }
-
-    /// Creates a scheduler with default configuration and the given number of
-    /// threads.
+    /// Creates a scheduler with the given number of threads and every other
+    /// value at its [`SchedulerBuilder`] default.
     pub fn with_threads(threads: usize) -> Self {
-        Self::new(SchedulerConfig::with_threads(threads))
+        Self::builder().threads(threads).build()
     }
 
     /// Returns a [`SchedulerBuilder`].
@@ -259,15 +301,6 @@ impl Scheduler {
         self.scope(|s| s.spawn_team(threads, f));
     }
 
-    /// Per-worker metric snapshots, indexed by worker id.
-    pub fn worker_metrics(&self) -> Vec<MetricsSnapshot> {
-        self.shared
-            .workers
-            .iter()
-            .map(|w| w.counters.snapshot())
-            .collect()
-    }
-
     /// Aggregated metrics over all workers.
     ///
     /// Counters are cumulative over the scheduler's lifetime; diff two
@@ -289,20 +322,14 @@ impl Scheduler {
     /// ```
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut aggregate = self
-            .worker_metrics()
-            .into_iter()
+            .shared
+            .workers
+            .iter()
+            .map(|w| w.counters.snapshot())
             .fold(MetricsSnapshot::default(), MetricsSnapshot::merge);
         // Scheduler-wide counters that no single worker owns.
         aggregate.external_pin_waits = self.shared.external_pins.pin_waits();
         aggregate
-    }
-
-    /// One-line dump of every worker's scheduler-visible state (registration
-    /// word, coordinator, start countdown, queue lengths) plus the injection
-    /// queue length.  Lock-free and safe to call while the scheduler is
-    /// running; intended for stall diagnostics and test watchdogs.
-    pub fn debug_state(&self) -> String {
-        self.shared.debug_state_line()
     }
 
     /// Point-in-time snapshot of the memory-reclamation state (DESIGN.md
@@ -629,7 +656,7 @@ mod tests {
     /// stays queued until the drop-time drain.
     fn unstarted(threads: usize) -> Scheduler {
         Scheduler {
-            shared: SchedulerShared::new(&SchedulerConfig::with_threads(threads)),
+            shared: SchedulerShared::new(&Scheduler::builder().threads(threads)),
             threads: Vec::new(),
         }
     }
@@ -701,6 +728,59 @@ mod tests {
         for (id, count) in dropped.iter().enumerate() {
             assert_eq!(count.load(Ordering::SeqCst), 1, "job {id} dropped a wrong number of times");
         }
+    }
+
+    #[test]
+    fn default_uses_available_parallelism() {
+        let b = Scheduler::builder();
+        assert!(b.num_threads >= 1);
+        assert_eq!(b.steal_policy, StealPolicy::Deterministic);
+    }
+
+    #[test]
+    fn default_domain_width_keeps_small_machines_single_shard() {
+        use teamsteal_topology::Domains;
+        let b = Scheduler::builder().threads(4);
+        let domains = Domains::new(&b.resolve_topology(), b.domain_width);
+        assert_eq!(domains.num_domains(), 1);
+        // A 32-thread machine shards at the default width of 8.
+        let b = Scheduler::builder().threads(32);
+        let domains = Domains::new(&b.resolve_topology(), b.domain_width);
+        assert_eq!(domains.num_domains(), 4);
+    }
+
+    #[test]
+    fn resolve_topology_balanced_by_default() {
+        let t = Scheduler::builder().threads(6).resolve_topology();
+        assert_eq!(t.num_threads(), 6);
+        assert_eq!(t.level_sizes(), &[1, 2, 3, 6]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn mismatched_topology_is_rejected() {
+        let _ = Scheduler::builder()
+            .threads(4)
+            .topology(Topology::balanced(8))
+            .resolve_topology();
+    }
+
+    /// All six setters reach the built scheduler: the four values it
+    /// exposes read back as set.
+    #[test]
+    fn every_setter_reaches_the_built_scheduler() {
+        let scheduler = Scheduler::builder()
+            .threads(4)
+            .topology(Topology::power_of_two(4))
+            .steal_policy(StealPolicy::RandomizedWithinLevel)
+            .seed(0xfeed)
+            .domain_width(2)
+            .external_participants(5)
+            .build();
+        assert_eq!(scheduler.num_threads(), 4);
+        assert_eq!(scheduler.topology().level_sizes(), &[1, 2, 4]);
+        assert_eq!(scheduler.injector_shard_segments().len(), 2);
+        assert_eq!(scheduler.external_pin_slots(), 5);
     }
 
     #[test]

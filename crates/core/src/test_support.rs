@@ -56,9 +56,9 @@ where
                  scheduler liveness regression.  Dumping scheduler state, then \
                  enabling worker stall self-reports for ~5s before aborting."
             );
-            // Same code path as `Scheduler::debug_state` and the workers'
-            // periodic stall self-reports, so the immediate dump below and
-            // the self-reports that follow are directly comparable.
+            // `stall_report` is the same code path as the workers' periodic
+            // stall self-reports, so the immediate dump below and the
+            // self-reports that follow are directly comparable.
             for (i, line) in crate::stall_report().iter().enumerate() {
                 eprintln!("[watchdog] scheduler #{i}: {line}");
             }

@@ -290,7 +290,6 @@ impl Worker {
 mod tests {
     use super::steal::steal_amount;
     use super::*;
-    use crate::config::SchedulerConfig;
     use crate::task::{JobSlot, TeamJob};
     use teamsteal_registration::{AcquireOutcome, ReleaseOutcome};
     use teamsteal_util::eventcount::{ParkClass, WakeReason};
@@ -310,7 +309,7 @@ mod tests {
     /// task, so its advertisement (and the registrations on it) must stand.
     #[test]
     fn failed_switch_keeps_the_advertisement() {
-        let shared = SchedulerShared::new(&SchedulerConfig::with_threads(4));
+        let shared = SchedulerShared::new(&crate::Scheduler::builder().threads(4));
         let mut loser = Worker::new(3, Arc::clone(&shared));
         let (winner_reg, loser_reg) = (&shared.workers[0].reg, &shared.workers[3].reg);
         // Worker 0 advertises r = 4 and has all of its threads already.
@@ -341,7 +340,7 @@ mod tests {
     /// of the requirement already advertised notifies nobody.
     #[test]
     fn announce_wakes_only_when_the_word_changes() {
-        let shared = SchedulerShared::new(&SchedulerConfig::with_threads(4));
+        let shared = SchedulerShared::new(&crate::Scheduler::builder().threads(4));
         let coordinator = Worker::new(0, Arc::clone(&shared));
         let reg = &shared.workers[0].reg;
         // Somebody is committing to a park: notifications are free (and
@@ -377,7 +376,7 @@ mod tests {
     /// not one that wakes the next.
     #[test]
     fn injected_team_task_wakes_its_block() {
-        let shared = SchedulerShared::new(&SchedulerConfig::with_threads(4));
+        let shared = SchedulerShared::new(&crate::Scheduler::builder().threads(4));
         let parked: Vec<_> = (1..4)
             .map(|id| {
                 let shared = Arc::clone(&shared);
@@ -414,7 +413,7 @@ mod tests {
     /// running.  No candidate can be asleep at that point.
     #[test]
     fn a_released_slot_has_no_sleeping_candidate() {
-        let shared = SchedulerShared::new(&SchedulerConfig::with_threads(4));
+        let shared = SchedulerShared::new(&crate::Scheduler::builder().threads(4));
         let old = &shared.workers[0].reg;
         old.push_requirement(4);
         let mut members: Vec<Worker> = (1..4)

@@ -20,9 +20,9 @@ use teamsteal_util::{bits, Backoff, CachePadded};
 use super::publication::Publication;
 use super::Worker;
 use crate::cancel::CancelCell;
-use crate::config::SchedulerConfig;
 use crate::metrics::WorkerCounters;
 use crate::sleep::SleepController;
+use crate::SchedulerBuilder;
 use crate::task::{JobSlot, ScopeState, TaskNode, TaskPtr};
 
 /// Runtime switch for the stall-state dumps, in addition to the
@@ -44,14 +44,14 @@ pub fn enable_stall_debug() {
 /// are weak; dead ones are pruned on every touch.
 static SCHEDULERS: Mutex<Vec<Weak<SchedulerShared>>> = Mutex::new(Vec::new());
 
-/// One [`Scheduler::debug_state`](crate::Scheduler::debug_state) line per
-/// scheduler currently alive in this process.
+/// One state line per scheduler currently alive in this process: every
+/// worker's registration word, coordinator, start countdown and queue
+/// lengths, plus the injection queue's lengths.
 ///
-/// This is the same code path as `debug_state` and the workers' periodic
-/// stall self-reports (`debug_state_line`), so a watchdog dump, a worker's
-/// self-report, and an explicit `debug_state` call can be compared
-/// line-for-line.  Lock-free with respect to the schedulers themselves and
-/// safe to call while they are running (or wedged).
+/// This is the same code path as the workers' periodic stall self-reports
+/// (`debug_state_line`), so a watchdog dump and a worker's self-report can
+/// be compared line-for-line.  Lock-free with respect to the schedulers
+/// themselves and safe to call while they are running (or wedged).
 pub fn stall_report() -> Vec<String> {
     let mut registry = SCHEDULERS.lock().unwrap_or_else(|e| e.into_inner());
     registry.retain(|weak| weak.strong_count() > 0);
@@ -152,7 +152,7 @@ impl WorkerShared {
 /// A fixed pool of pre-registered epoch participants that threads outside
 /// the worker pool borrow around each injector access (`Scheduler::scope`
 /// submitters, drop-time draining).  The pool size comes from
-/// [`SchedulerConfig::external_participants`] (default 32); more
+/// [`SchedulerBuilder::external_participants`] (default 32); more
 /// simultaneous submitters than that wait for a free slot under a capped
 /// backoff (spin, then yield, then bounded sleeps of ≤ 50 µs) and are
 /// counted in `external_pin_waits`.  The wait is bounded because every
@@ -323,12 +323,12 @@ pub(crate) struct SchedulerShared {
 }
 
 impl SchedulerShared {
-    pub(crate) fn new(config: &SchedulerConfig) -> Arc<Self> {
-        let topology = config.resolve_topology();
+    pub(crate) fn new(builder: &SchedulerBuilder) -> Arc<Self> {
+        let topology = builder.resolve_topology();
         let p = topology.num_threads();
         let queue_levels = topology.num_queue_levels();
-        let domains = Domains::new(&topology, config.domain_width);
-        let external_participants = config.external_participants.max(1);
+        let domains = Domains::new(&topology, builder.domain_width);
+        let external_participants = builder.external_participants.max(1);
         let epoch = Domain::new(p + external_participants);
         let external_pins = ExternalPins::new(&epoch, external_participants);
         let shared = Arc::new(SchedulerShared {
@@ -336,8 +336,8 @@ impl SchedulerShared {
                 .map(|id| CachePadded::new(WorkerShared::new(id, queue_levels, &epoch)))
                 .collect(),
             topology,
-            steal_policy: config.steal_policy,
-            seed: config.seed,
+            steal_policy: builder.steal_policy,
+            seed: builder.seed,
             sleep: SleepController::new(p),
             // SAFETY: all injector access goes through pinned participants —
             // workers pin for the whole loop iteration, external submitters
@@ -364,8 +364,8 @@ impl SchedulerShared {
 
     /// One-line state dump of every worker (registration word, coordinator,
     /// start countdown, queue lengths) plus the injector's total and
-    /// per-shard lengths.  Lock-free; shared by the stall reporter and
-    /// `Scheduler::debug_state`.
+    /// per-shard lengths.  Lock-free; shared by the workers' stall
+    /// self-reports and [`stall_report`].
     pub(crate) fn debug_state_line(&self) -> String {
         let shard_lens: Vec<usize> = (0..self.injector.num_shards())
             .map(|s| self.injector.shard_len(s))

@@ -1,4 +1,4 @@
-//! A lock-free Chase–Lev work-stealing deque with steal-half support.
+//! A lock-free Chase–Lev work-stealing deque and the injection queues.
 //!
 //! Standard work-stealing (Section 2 of the paper) keeps per-thread,
 //! double-ended queues with the operations `pushBottom`, `popBottom`,
@@ -7,14 +7,13 @@
 //! same queues — one per size class (Refinement 1) — so this crate is the
 //! storage substrate for both the classic and the mixed-mode scheduler.
 //!
-//! Two layers are provided:
-//!
-//! * [`RawDeque`] — the lock-free core, storing `usize`-sized words.  Slots
-//!   are `AtomicUsize`, which makes the racy read in `steal` well defined
-//!   (no torn reads) without an `unsafe` data race.
-//! * [`Deque<T>`] — a typed wrapper that owns boxed `T` values and exposes
-//!   the paper's API, including [`Deque::steal_half_into`] (the paper's
-//!   `popappend`: transfer up to half of the victim's tasks to the thief).
+//! [`RawDeque`] is that deque (Chase and Lev, *Dynamic Circular
+//! Work-Stealing Deque*, SPAA 2005) over `usize`-sized words: the scheduler
+//! stores task-node pointers in it and owns what they point to.  Slots are
+//! `AtomicUsize`, which makes the racy read in `steal_top` well defined (no
+//! torn reads) without an `unsafe` data race.  The paper's `popappend` — a
+//! thief moving up to half of a victim's tasks — is a loop of `steal_top`
+//! calls in the scheduler's `transfer_steal`.
 //!
 //! The crate also provides [`Injector`], a lock-free unbounded MPMC FIFO the
 //! scheduler uses as its external root-task injection queue (see the
@@ -27,35 +26,31 @@
 //! A deque is shared between its **owner** (the worker whose queue it is) and
 //! arbitrarily many **thieves**.  `push_bottom` and `pop_bottom` must only be
 //! called by the owner; `steal_top`, `len` and `is_empty` may be called by
-//! anyone.  The scheduler upholds this statically (each worker only pushes to
-//! and pops from its own queues); the deque checks it in debug builds via an
-//! owner-thread assertion.
+//! anyone.  The owner-only rule is the caller's contract, which the deque
+//! does not check; the scheduler upholds it (each worker only pushes to and
+//! pops from its own queues).
 //!
 //! # Memory management
 //!
 //! A thief may hold a stale buffer pointer while the owner grows the deque,
-//! so retired growth buffers cannot be freed immediately.  Two reclamation
-//! modes ship:
+//! so retired growth buffers cannot be freed immediately.  Growth always
+//! defers the old buffer into a [`teamsteal_util::epoch::Domain`], which
+//! frees it once every registered participant has passed a quiescent point.
+//! The scheduler passes its own domain ([`RawDeque::in_domain`]), so a
+//! long-lived scheduler does not retain every buffer it ever grew through;
+//! the safety argument shares DESIGN.md §11 with the injection queue.  A
+//! standalone deque ([`RawDeque::new`]) retires into a private domain that
+//! nothing collects, so its buffers live until the deque drops (bounded by
+//! twice the queue's high-water mark) and its callers need not pin.
 //!
-//! * **Standalone** ([`RawDeque::new`] / [`RawDeque::with_capacity`]): the
-//!   classic "leaky buffer" variant of Chase–Lev — retired buffers are kept
-//!   on a list until the deque drops.  Bounded by twice the high-water mark
-//!   of the queue, and safe for unpinned callers.
-//! * **Epoch-reclaimed** ([`RawDeque::in_domain`]): retired buffers are
-//!   handed to a [`teamsteal_util::epoch::Domain`] and freed once every
-//!   registered participant has passed a quiescent point, so a long-lived
-//!   scheduler's footprint does not retain every buffer it ever grew
-//!   through.  The scheduler runs all its per-worker deques in this mode;
-//!   the safety argument shares DESIGN.md §11 with the injection queue.
-//!
-//! The [`Injector`]'s consumed segments follow the same epoch scheme (see
-//! the [`injector`] module docs).
+//! The [`Injector`]'s consumed segments follow the same scheme (see the
+//! [`injector`] module docs).
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use teamsteal_util::epoch::{Deferred, Domain, ReclaimClass};
 
@@ -121,17 +116,13 @@ pub struct RawDeque {
     top: AtomicIsize,
     bottom: AtomicIsize,
     buffer: AtomicPtr<Buffer>,
-    /// Retired buffers kept until drop so stale readers stay valid.  Only
-    /// populated when no epoch domain is attached; empty otherwise (growth
-    /// defers directly into the domain).
-    retired: Mutex<Vec<*mut Buffer>>,
-    /// Epoch domain retired buffers are deferred into, when attached.
-    domain: Option<Arc<Domain>>,
+    /// Epoch domain retired buffers are deferred into.
+    domain: Arc<Domain>,
 }
 
 // SAFETY: all shared mutable state is accessed through atomics; buffer
-// contents are plain words whose ownership semantics are imposed by the typed
-// wrapper.
+// contents are plain words, and what they point to (if anything) is owned
+// by the caller, not the deque.
 unsafe impl Send for RawDeque {}
 unsafe impl Sync for RawDeque {}
 
@@ -142,27 +133,20 @@ impl Default for RawDeque {
 }
 
 impl RawDeque {
-    /// Creates an empty deque.
+    /// Creates an empty deque with a **private** epoch domain.
+    ///
+    /// Nothing ever collects a private domain, so retired growth buffers are
+    /// retained until drop and thieves need not pin — appropriate for tests
+    /// and standalone use.  The scheduler's bounded footprint comes from
+    /// [`RawDeque::in_domain`].
     pub fn new() -> Self {
-        Self::with_capacity(MIN_CAPACITY)
-    }
-
-    /// Creates an empty deque with at least the given initial capacity
-    /// (rounded up to a power of two).
-    pub fn with_capacity(capacity: usize) -> Self {
-        let capacity = capacity.max(MIN_CAPACITY).next_power_of_two();
-        let buffer = Box::into_raw(Buffer::new(capacity));
-        RawDeque {
-            top: AtomicIsize::new(0),
-            bottom: AtomicIsize::new(0),
-            buffer: AtomicPtr::new(buffer),
-            retired: Mutex::new(Vec::new()),
-            domain: None,
-        }
+        // SAFETY: the private domain is never exposed, so no collector
+        // exists and unpinned access can never observe freed memory.
+        unsafe { Self::in_domain(Domain::new(1)) }
     }
 
     /// Creates an empty deque whose retired growth buffers are reclaimed
-    /// through `domain` instead of being retained until drop.
+    /// through `domain`.
     ///
     /// # Safety
     ///
@@ -174,9 +158,12 @@ impl RawDeque {
     /// `push_bottom`/`pop_bottom` are exempt: the owner only ever
     /// dereferences the *current* buffer, which is never deferred.
     pub unsafe fn in_domain(domain: Arc<Domain>) -> Self {
-        let mut deque = Self::new();
-        deque.domain = Some(domain);
-        deque
+        RawDeque {
+            top: AtomicIsize::new(0),
+            bottom: AtomicIsize::new(0),
+            buffer: AtomicPtr::new(Box::into_raw(Buffer::new(MIN_CAPACITY))),
+            domain,
+        }
     }
 
     /// Number of elements currently in the deque.  Like the paper's
@@ -249,10 +236,10 @@ impl RawDeque {
         if t >= b {
             return Steal::Empty;
         }
-        // SAFETY: a stale buffer pointer remains readable — without a domain
-        // retired buffers live until drop, and with one they are freed only
-        // after this (pinned, per the `in_domain` contract) thief's next
-        // quiescent point.  The value is only trusted if the CAS on `top`
+        // SAFETY: a stale buffer pointer remains readable — retired buffers
+        // are freed only after this (pinned, per the `in_domain` contract)
+        // thief's next quiescent point, and never while the domain is
+        // private.  The value is only trusted if the CAS on `top`
         // succeeds, and the owner never overwrites live slots in a retired
         // buffer (growth copies them to the new buffer first).
         let buf = unsafe { &*self.buffer.load(Ordering::Acquire) };
@@ -280,19 +267,12 @@ impl RawDeque {
         // Retire the old buffer: thieves may still read it through a stale
         // pointer, but the owner never writes live slots into a retired
         // buffer again (the live range was copied to the new one above).
-        match &self.domain {
-            // SAFETY: the buffer is unlinked (the `buffer` pointer moved on
-            // above, Release-ordered before this defer's epoch read), this
-            // retire path runs once per buffer, and pinned thieves are
-            // exactly what the deferred free waits out (`in_domain`
-            // contract).
-            Some(domain) => domain.defer(unsafe { Deferred::from_box(old_ptr, ReclaimClass::Buffer) }),
-            None => self
-                .retired
-                .lock()
-                .expect("deque retire list poisoned")
-                .push(old_ptr),
-        }
+        // SAFETY: the buffer is unlinked (the `buffer` pointer moved on
+        // above, Release-ordered before this defer's epoch read), this
+        // retire path runs once per buffer, and pinned thieves are exactly
+        // what the deferred free waits out (`in_domain` contract).
+        self.domain
+            .defer(unsafe { Deferred::from_box(old_ptr, ReclaimClass::Buffer) });
         // SAFETY: the pointer was just created; it is freed at drop time.
         unsafe { &*new_ptr }
     }
@@ -300,146 +280,9 @@ impl RawDeque {
 
 impl Drop for RawDeque {
     fn drop(&mut self) {
-        let retired = std::mem::take(
-            &mut *self.retired.lock().expect("deque retire list poisoned"),
-        );
-        for ptr in retired {
-            // SAFETY: each pointer was created by Box::into_raw and is freed
-            // exactly once here (retired buffers are never also deferred).
-            drop(unsafe { Box::from_raw(ptr) });
-        }
         // SAFETY: the current buffer is owned by the deque and freed only
         // here; deferred buffers belong to the domain instead.
         drop(unsafe { Box::from_raw(*self.buffer.get_mut()) });
-    }
-}
-
-/// A typed work-stealing deque that owns its elements (boxed internally).
-///
-/// Dropping a non-empty `Deque<T>` drops the remaining elements.
-pub struct Deque<T> {
-    raw: RawDeque,
-    _marker: std::marker::PhantomData<T>,
-}
-
-impl<T: Send> Default for Deque<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Send> Deque<T> {
-    /// Creates an empty deque.
-    pub fn new() -> Self {
-        Deque {
-            raw: RawDeque::new(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Creates an empty deque with at least the given initial capacity.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Deque {
-            raw: RawDeque::with_capacity(capacity),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Snapshot of the number of elements.
-    pub fn len(&self) -> usize {
-        self.raw.len()
-    }
-
-    /// `true` if the deque was observed empty.
-    pub fn is_empty(&self) -> bool {
-        self.raw.is_empty()
-    }
-
-    /// Pushes a value at the bottom (owner only) — the paper's `pushBottom`.
-    pub fn push_bottom(&self, value: T) {
-        let ptr = Box::into_raw(Box::new(value)) as usize;
-        self.raw.push_bottom(ptr);
-    }
-
-    /// Pops a value from the bottom (owner only) — the paper's `popBottom`.
-    pub fn pop_bottom(&self) -> Option<T> {
-        self.raw.pop_bottom().map(|ptr| {
-            // SAFETY: every word in the deque was produced by Box::into_raw in
-            // push_bottom, and ownership is transferred exactly once (either
-            // to pop_bottom or to a successful steal).
-            *unsafe { Box::from_raw(ptr as *mut T) }
-        })
-    }
-
-    /// Attempts to steal a value from the top — the paper's `popTop`.
-    pub fn steal_top(&self) -> Steal<T> {
-        match self.raw.steal_top() {
-            // SAFETY: see pop_bottom.
-            Steal::Stolen(ptr) => Steal::Stolen(*unsafe { Box::from_raw(ptr as *mut T) }),
-            Steal::Empty => Steal::Empty,
-            Steal::Retry => Steal::Retry,
-        }
-    }
-
-    /// The paper's `popappend(v, T)` (Algorithm 4): repeatedly steal from
-    /// `self` (the victim) and append to `dest` (the thief's own deque), up
-    /// to `max` elements, returning how many were transferred.  The caller
-    /// must be the owner of `dest`.
-    ///
-    /// Transient `Retry` results are retried a bounded number of times so a
-    /// single contended CAS does not abort the whole bulk transfer.
-    pub fn steal_half_into(&self, dest: &Deque<T>, max: usize) -> usize {
-        let mut moved = 0;
-        let mut retries = 0;
-        while moved < max {
-            match self.steal_top() {
-                Steal::Stolen(v) => {
-                    dest.push_bottom(v);
-                    moved += 1;
-                    retries = 0;
-                }
-                Steal::Empty => break,
-                Steal::Retry => {
-                    retries += 1;
-                    if retries > 8 {
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-            }
-        }
-        moved
-    }
-
-    /// Steals one element, retrying through transient contention, and returns
-    /// it directly to the caller instead of appending it to a queue.  This is
-    /// the "last stolen task is returned immediately" rule from Section 4 of
-    /// the paper.
-    pub fn steal_one(&self) -> Option<T> {
-        let mut retries = 0;
-        loop {
-            match self.steal_top() {
-                Steal::Stolen(v) => return Some(v),
-                Steal::Empty => return None,
-                Steal::Retry => {
-                    retries += 1;
-                    if retries > 16 {
-                        return None;
-                    }
-                    std::hint::spin_loop();
-                }
-            }
-        }
-    }
-}
-
-impl<T> Drop for Deque<T> {
-    fn drop(&mut self) {
-        // Drain and drop any remaining owned elements.
-        while let Some(ptr) = self.raw.pop_bottom() {
-            // SAFETY: same ownership argument as pop_bottom.
-            drop(unsafe { Box::from_raw(ptr as *mut T) });
-        }
     }
 }
 
@@ -451,7 +294,7 @@ mod tests {
 
     #[test]
     fn lifo_for_owner() {
-        let q: Deque<u32> = Deque::new();
+        let q = RawDeque::new();
         assert!(q.is_empty());
         for i in 0..10 {
             q.push_bottom(i);
@@ -466,7 +309,7 @@ mod tests {
 
     #[test]
     fn fifo_for_thieves() {
-        let q: Deque<u32> = Deque::new();
+        let q = RawDeque::new();
         for i in 0..10 {
             q.push_bottom(i);
         }
@@ -478,37 +321,21 @@ mod tests {
 
     #[test]
     fn growth_preserves_contents() {
-        let q: Deque<usize> = Deque::with_capacity(4);
+        let q = RawDeque::new();
         let n = 10_000;
         for i in 0..n {
             q.push_bottom(i);
         }
         assert_eq!(q.len(), n);
+        // Every doubling retired its old buffer into the private domain.
+        let doublings = (n.next_power_of_two() / MIN_CAPACITY).trailing_zeros() as usize;
+        assert_eq!(q.domain.pending(), doublings);
         let mut out = Vec::new();
         while let Some(v) = q.pop_bottom() {
             out.push(v);
         }
         out.reverse();
         assert_eq!(out, (0..n).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn drop_releases_remaining_elements() {
-        static DROPS: StdAtomicUsize = StdAtomicUsize::new(0);
-        struct Token;
-        impl Drop for Token {
-            fn drop(&mut self) {
-                DROPS.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        {
-            let q: Deque<Token> = Deque::new();
-            for _ in 0..8 {
-                q.push_bottom(Token);
-            }
-            let _ = q.pop_bottom();
-        }
-        assert_eq!(DROPS.load(Ordering::SeqCst), 8);
     }
 
     #[test]
@@ -539,30 +366,16 @@ mod tests {
     }
 
     #[test]
-    fn steal_half_balances_queues() {
-        let victim: Deque<u32> = Deque::new();
-        let thief: Deque<u32> = Deque::new();
-        for i in 0..100 {
-            victim.push_bottom(i);
-        }
-        let moved = victim.steal_half_into(&thief, 50);
-        assert_eq!(moved, 50);
-        assert_eq!(victim.len(), 50);
-        assert_eq!(thief.len(), 50);
-        // The thief received the oldest tasks, in order.
-        for i in (0..50).rev() {
-            assert_eq!(thief.pop_bottom(), Some(i));
-        }
-    }
-
-    #[test]
     fn concurrent_steals_deliver_every_element_once() {
         const N: usize = 20_000;
         const THIEVES: usize = 4;
-        let q: Arc<Deque<usize>> = Arc::new(Deque::new());
+        let q = Arc::new(RawDeque::new());
         let seen = Arc::new((0..N).map(|_| StdAtomicUsize::new(0)).collect::<Vec<_>>());
 
         // Owner pushes and occasionally pops; thieves steal concurrently.
+        // The pushes outgrow the initial buffer many times over, so thieves
+        // also read buffers that growth has already retired into the
+        // private domain.
         let handles: Vec<_> = (0..THIEVES)
             .map(|_| {
                 let q = Arc::clone(&q);
@@ -619,11 +432,16 @@ mod tests {
         // Repeatedly race pop_bottom and steal_top over a single element; the
         // element must go to exactly one side.
         for _ in 0..2_000 {
-            let q: Arc<Deque<u64>> = Arc::new(Deque::new());
+            let q = Arc::new(RawDeque::new());
             q.push_bottom(7);
             let thief = {
                 let q = Arc::clone(&q);
-                std::thread::spawn(move || q.steal_one())
+                std::thread::spawn(move || loop {
+                    match q.steal_top() {
+                        Steal::Retry => std::hint::spin_loop(),
+                        other => return other.success(),
+                    }
+                })
             };
             let owner = q.pop_bottom();
             let stolen = thief.join().unwrap();

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use teamsteal_util::epoch::Domain;
 
-use crate::{Injector, Steal};
+use crate::Injector;
 
 /// An array of [`Injector`] shards with affinity-keyed push and
 /// local-first/sweep pop.  See the module docs.
@@ -54,8 +54,8 @@ impl<T: Send> ShardedInjector<T> {
     ///
     /// Same contract as [`Injector::in_domain`], extended over every shard:
     /// for as long as `domain` can be collected, every thread calling
-    /// [`push_to`](Self::push_to)/[`try_pop_from`](Self::try_pop_from)/
-    /// [`pop_from`](Self::pop_from)/[`pop_sweep`](Self::pop_sweep) must do
+    /// [`push_to`](Self::push_to)/[`pop_from`](Self::pop_from)/
+    /// [`pop_sweep`](Self::pop_sweep) must do
     /// so while pinned to a registered participant of that same domain.
     /// The length/segment accessors are exempt.
     ///
@@ -86,13 +86,6 @@ impl<T: Send> ShardedInjector<T> {
     #[inline]
     pub fn push_to(&self, shard: usize, value: T) -> bool {
         self.shards[shard % self.shards.len()].push(value)
-    }
-
-    /// One non-blocking pop attempt on shard `shard`
-    /// (see [`Injector::try_pop`]).
-    #[inline]
-    pub fn try_pop_from(&self, shard: usize) -> Steal<T> {
-        self.shards[shard].try_pop()
     }
 
     /// Pops from shard `shard`, absorbing transient `Retry` results

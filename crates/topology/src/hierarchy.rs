@@ -3,28 +3,6 @@
 use teamsteal_util::bits;
 use teamsteal_util::rng::Xoshiro256;
 
-/// One level of the steal / team hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Level {
-    /// Nominal size `n_ℓ` of a group at this level (Refinement 3).  For a
-    /// power-of-two machine this is exactly `2^ℓ`.
-    pub nominal_size: usize,
-}
-
-/// Where a thread stands with respect to a team built by a coordinator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Membership {
-    /// The thread belongs to the team and executes the task with this local
-    /// id (0 is the leftmost thread of the team, which is not necessarily the
-    /// coordinator).
-    Member {
-        /// Consecutive local id within the team, `0 ≤ local_id < team_size`.
-        local_id: usize,
-    },
-    /// The thread is outside the team boundaries and is never required.
-    Outside,
-}
-
 /// Precomputed description of the machine's thread hierarchy.
 ///
 /// A `Topology` knows, for every thread id and every level,
@@ -246,14 +224,6 @@ impl Topology {
         &self.level_sizes
     }
 
-    /// The levels as [`Level`] descriptors.
-    pub fn levels(&self) -> Vec<Level> {
-        self.level_sizes
-            .iter()
-            .map(|&nominal_size| Level { nominal_size })
-            .collect()
-    }
-
     /// First id of the level-`level` group containing `thread`.
     #[inline]
     pub fn group_base(&self, thread: usize, level: usize) -> usize {
@@ -338,19 +308,6 @@ impl Topology {
     pub fn team_for(&self, coordinator: usize, req: usize) -> std::ops::Range<usize> {
         let level = self.level_for_requirement(coordinator, req);
         self.group_range(coordinator, level)
-    }
-
-    /// Membership of `thread` in the team built by `coordinator` for a task
-    /// requiring `req` threads, and the local id it would get.
-    pub fn membership(&self, coordinator: usize, thread: usize, req: usize) -> Membership {
-        let team = self.team_for(coordinator, req);
-        if team.contains(&thread) {
-            Membership::Member {
-                local_id: thread - team.start,
-            }
-        } else {
-            Membership::Outside
-        }
     }
 
     /// The paper's `overlap(x, y, size)` predicate (Algorithm 9): would
@@ -446,13 +403,15 @@ mod tests {
         let topo = Topology::power_of_two(8);
         // Coordinator 5, r = 4 => team {4,5,6,7}.
         assert_eq!(topo.team_for(5, 4), 4..8);
-        assert_eq!(topo.membership(5, 4, 4), Membership::Member { local_id: 0 });
-        assert_eq!(topo.membership(5, 7, 4), Membership::Member { local_id: 3 });
-        assert_eq!(topo.membership(5, 3, 4), Membership::Outside);
+        assert!(topo.overlap(5, 4, 4) && topo.overlap(5, 7, 4));
+        assert_eq!(topo.local_id(4, 4), 0);
+        assert_eq!(topo.local_id(7, 4), 3);
+        assert!(!topo.overlap(5, 3, 4));
         // Degenerate r = 1: singleton team.
         assert_eq!(topo.team_for(6, 1), 6..7);
-        assert_eq!(topo.membership(6, 6, 1), Membership::Member { local_id: 0 });
-        assert_eq!(topo.membership(6, 7, 1), Membership::Outside);
+        assert!(topo.overlap(6, 6, 1));
+        assert_eq!(topo.local_id(6, 1), 0);
+        assert!(!topo.overlap(6, 7, 1));
     }
 
     #[test]
@@ -625,23 +584,19 @@ mod tests {
                 let team = topo.team_for(coord, req);
                 prop_assert!(team.contains(&coord));
                 prop_assert!(team.len() >= req);
+                // Every member computes its local id from the team size and
+                // its own id alone (Section 3.1): together they are 0..len.
                 let mut seen = vec![false; team.len()];
                 for t in team.clone() {
-                    match topo.membership(coord, t, req) {
-                        Membership::Member { local_id } => {
-                            prop_assert!(local_id < team.len());
-                            prop_assert!(!seen[local_id]);
-                            seen[local_id] = true;
-                        }
-                        Membership::Outside => prop_assert!(false, "team member marked outside"),
-                    }
+                    let local_id = topo.local_id(t, team.len());
+                    prop_assert!(local_id < team.len());
+                    prop_assert!(!seen[local_id]);
+                    seen[local_id] = true;
                 }
                 prop_assert!(seen.into_iter().all(|s| s));
-                // Threads outside the range are Outside.
+                // The coordinator's view of its team is exactly the range.
                 for t in 0..p {
-                    if !team.contains(&t) {
-                        prop_assert_eq!(topo.membership(coord, t, req), Membership::Outside);
-                    }
+                    prop_assert_eq!(topo.overlap(coord, t, req), team.contains(&t));
                 }
             }
         }

@@ -31,7 +31,7 @@ mod domains;
 mod hierarchy;
 
 pub use domains::Domains;
-pub use hierarchy::{Level, Topology};
+pub use hierarchy::Topology;
 
 /// Policy for choosing a steal / team-building partner at a given level.
 ///

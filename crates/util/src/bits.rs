@@ -41,21 +41,6 @@ pub fn is_pow2(x: usize) -> bool {
     x != 0 && x & (x - 1) == 0
 }
 
-/// Rounds `x` up to the next power of two.  `0` is rounded to `1`.
-///
-/// ```
-/// use teamsteal_util::bits::next_pow2;
-/// assert_eq!(next_pow2(0), 1);
-/// assert_eq!(next_pow2(1), 1);
-/// assert_eq!(next_pow2(3), 4);
-/// assert_eq!(next_pow2(4), 4);
-/// assert_eq!(next_pow2(5), 8);
-/// ```
-#[inline]
-pub fn next_pow2(x: usize) -> usize {
-    x.max(1).next_power_of_two()
-}
-
 /// Rounds `x` down to the previous power of two.  `0` stays `0`.
 #[inline]
 pub fn prev_pow2(x: usize) -> usize {
@@ -266,16 +251,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn next_pow2_is_minimal(x in 0usize..=(1 << 40)) {
-            let n = next_pow2(x);
-            prop_assert!(is_pow2(n));
-            prop_assert!(n >= x.max(1));
-            if n > 1 {
-                prop_assert!(n / 2 < x.max(1));
-            }
-        }
-
         #[test]
         fn overlap_is_equivalence_within_team(
             a in 0usize..1024, b in 0usize..1024, r_log in 0usize..10

@@ -124,18 +124,6 @@ impl Xoshiro256 {
         // 53 random mantissa bits.
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-
-    /// Fisher–Yates shuffle of a slice.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        let n = slice.len();
-        if n < 2 {
-            return;
-        }
-        for i in (1..n).rev() {
-            let j = self.next_usize_below(i + 1);
-            slice.swap(i, j);
-        }
-    }
 }
 
 /// A per-worker RNG seeded from the worker id and a global seed, so that runs
@@ -215,17 +203,6 @@ mod tests {
             let x = rng.next_f64();
             assert!((0.0..1.0).contains(&x));
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Xoshiro256::new(11);
-        let mut v: Vec<u32> = (0..257).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..257).collect::<Vec<_>>());
-        assert_ne!(v, sorted, "a 257-element shuffle should not be identity");
     }
 
     proptest! {

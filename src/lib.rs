@@ -51,7 +51,7 @@
 
 pub use teamsteal_core::{
     enable_stall_debug, stall_report, ConcurrentScope, MetricsSnapshot, ReclamationSnapshot,
-    Scheduler, SchedulerBuilder, SchedulerConfig, Scope, StealPolicy, TaskContext, TeamBarrier,
+    Scheduler, SchedulerBuilder, Scope, StealPolicy, TaskContext, TeamBarrier,
     Topology, WakeLatencyHistogram,
 };
 pub use teamsteal_data::{is_permutation_of, is_sorted, Distribution, Scale};
