@@ -2,19 +2,22 @@
 //! (DESIGN.md §16).
 //!
 //! Every submission enters the gate before it touches the scheduler and
-//! exits it when its task **completes** (not when `submit` returns), so the
-//! gate's `in_flight` counter covers both submitters mid-pipeline and
-//! admitted tasks still running.  `drain()` flips the gate shut and waits
-//! for `in_flight` to hit zero; the inc-then-check entry protocol makes the
-//! classic drain race (a submitter slipping a task in after the drainer
-//! decided the service is empty) impossible.
+//! exits it once its task is **counted** in the service's scope (or the
+//! submission failed), so the gate's `in_flight` counter covers exactly the
+//! submitters mid-pipeline.  `drain()` flips the gate shut, waits for
+//! `in_flight` to hit zero, and then waits for the scope's countdown to
+//! empty; the inc-then-check entry protocol makes the classic drain race
+//! (a submitter slipping a task in after the drainer decided the service
+//! is empty) impossible.
 //!
 //! The protocol runs on `teamsteal_util::sync` types, so the model suite
 //! (`crates/model/tests/service_model.rs`) explores every interleaving of
-//! racing submitters against a drainer through the `cfg(teamsteal_model)`
-//! shim — the ordering argument below is machine-checked, not prose-only.
+//! racing submitters against a drainer and a worker through the
+//! `cfg(teamsteal_model)` shim, with the gate composed with the real scope
+//! countdown — the ordering argument below is machine-checked, not
+//! prose-only.
 //!
-//! ## Why inc-then-check is safe (DESIGN.md §16 table, rows A–C)
+//! ## Why inc-then-check is safe (DESIGN.md §16 table, rows A–D)
 //!
 //! All gate accesses are `SeqCst`, so they embed into one total order `S`.
 //! A submitter increments `in_flight` (A) and *then* loads `state` (B); the
@@ -26,8 +29,9 @@
 //!   (decrementing what it incremented).  No task enters after C unseen.
 //! * If A precedes C, the increment is visible to every D, so the drainer
 //!   cannot observe zero until the submission's matching exit — which for
-//!   an *admitted* task happens at task completion.  Hence "drain returns ⇒
-//!   every admitted task has completed".
+//!   an *admitted* task follows the scope's count of it.  The drainer's
+//!   scope wait that comes next therefore covers the task: "drain returns
+//!   ⇒ every admitted task has completed".
 //! * Exactly-once: only one caller wins the `Open → Draining` CAS; every
 //!   later `drain()` observes the transition and merely waits.
 //!
@@ -46,10 +50,11 @@ use teamsteal_util::sync::{Condvar, Mutex};
 pub enum GateState {
     /// Accepting submissions.
     Open,
-    /// `drain()` has begun: new submissions are rejected, existing work is
-    /// still running.
+    /// `drain()` has begun: new submissions are rejected, ones already in
+    /// the gate may still be completing.
     Draining,
-    /// All in-flight work has completed; the gate is permanently shut.
+    /// No submission is in flight and none can enter; the gate is
+    /// permanently shut.
     Drained,
 }
 
@@ -60,15 +65,15 @@ const DRAINED: u32 = 2;
 /// The admission/drain gate described in the module docs.
 pub struct DrainGate {
     state: AtomicU32,
-    /// Submissions mid-pipeline plus admitted tasks not yet completed.
+    /// Submissions mid-pipeline: entered, not yet exited.
     in_flight: AtomicUsize,
     /// Times the drainer's backstop timeout fired with work still in
     /// flight (i.e. the defensive `wait_timeout` did real waiting instead
     /// of being woken by the final exit).  Mirrors the §12 eventcount
-    /// backstop counter.  Fires are *expected* when a drain overlaps tasks
-    /// that outlast the backstop duration; what would indicate a
-    /// lost-notification bug is the counter growing while `in_flight`
-    /// holds steady at a small value with no long task running.
+    /// backstop counter.  Fires are *expected* when a drain overlaps
+    /// entries held longer than the backstop duration; what would indicate
+    /// a lost-notification bug is the counter growing while `in_flight`
+    /// holds steady at a small value with no long entry held.
     backstops: AtomicU64,
     lock: Mutex<()>,
     cv: Condvar,
@@ -94,7 +99,8 @@ impl DrainGate {
 
     /// Attempts to enter the gate.  On `true` the caller holds one
     /// `in_flight` reference and **must** balance it exactly once with
-    /// [`exit`](Self::exit) — typically from the task's completion guard.
+    /// [`exit`](Self::exit) — typically once the submission has handed its
+    /// task to the scheduler.
     /// On `false` the gate is draining (or drained) and the reference has
     /// already been released.
     pub fn try_enter(&self) -> bool {

@@ -8,8 +8,10 @@
 //!
 //! 1. **Drain gate** ([`gate::DrainGate`]) — [`TaskService::drain`] rejects
 //!    new work, runs every admitted task to completion exactly once, and
-//!    releases the workers back to their parked idle loop.  The racing
-//!    submitter-vs-drainer protocol is model-checked
+//!    releases the workers back to their parked idle loop.  The gate
+//!    brackets each submission; the service's scope counts each admitted
+//!    task until it finishes.  The two together, racing submitters against
+//!    a drainer and a worker, are model-checked
 //!    (`crates/model/tests/service_model.rs`).
 //! 2. **Overload shedding** — submissions are shed with
 //!    [`SubmitError::Overloaded`] while the injector backlog (the PR 6
@@ -177,7 +179,6 @@ pub struct ServiceBuilder {
     threads: Option<usize>,
     refill_rate: u64,
     high_water: usize,
-    drain_backstop: Duration,
     tenants: Vec<TenantConfig>,
 }
 
@@ -196,7 +197,6 @@ impl ServiceBuilder {
             threads: None,
             refill_rate: 100_000,
             high_water: 1 << 16,
-            drain_backstop: Duration::from_millis(10),
             tenants: Vec::new(),
         }
     }
@@ -220,13 +220,6 @@ impl ServiceBuilder {
     /// per-domain shards) exceeds this many queued tasks.
     pub fn high_water(mut self, tasks: usize) -> Self {
         self.high_water = tasks;
-        self
-    }
-
-    /// Defensive re-check period while [`TaskService::drain`] waits for
-    /// in-flight work (the drain protocol does not rely on it).
-    pub fn drain_backstop(mut self, backstop: Duration) -> Self {
-        self.drain_backstop = backstop;
         self
     }
 
@@ -292,7 +285,6 @@ impl ServiceBuilder {
                 scope: ConcurrentScope::new(),
                 gate: DrainGate::new(),
                 high_water: self.high_water,
-                drain_backstop: self.drain_backstop,
                 start: Instant::now(),
                 tenants,
             }),
@@ -360,12 +352,15 @@ impl TenantState {
     }
 }
 
+/// Defensive re-check period while [`TaskService::drain`] waits for
+/// submissions mid-pipeline (the drain protocol does not rely on it).
+const DRAIN_BACKSTOP: Duration = Duration::from_millis(10);
+
 struct ServiceCore {
     scheduler: Scheduler,
     scope: ConcurrentScope,
     gate: DrainGate,
     high_water: usize,
-    drain_backstop: Duration,
     start: Instant,
     tenants: Vec<Arc<TenantState>>,
 }
@@ -380,26 +375,37 @@ impl ServiceCore {
     }
 
     /// Graceful drain, idempotent across racing callers: flip the gate,
-    /// wait for every gate entry (submitters mid-pipeline + admitted tasks)
-    /// to retire, then wait for transitively spawned children.  Afterwards
-    /// the workers are back in their parked idle loop — "released" in the
-    /// event-driven sense of §12: asleep on the eventcount, not burning
-    /// CPU — and are joined when the service drops.
+    /// wait until no submitter is mid-pipeline, then wait for the scope to
+    /// empty.  A submitter leaves the gate only after its task is counted
+    /// in the scope, so the scope wait covers every admitted task and its
+    /// transitively spawned children.  Afterwards the workers are back in
+    /// their parked idle loop — "released" in the event-driven sense of
+    /// §12: asleep on the eventcount, not burning CPU — and are joined when
+    /// the service drops.
     fn drain(&self) -> bool {
         let initiated = self.gate.begin_drain();
-        self.gate.await_empty(self.drain_backstop);
-        // Gate entries cover admitted root tasks; children spawned *by*
-        // tasks (ctx.spawn) are accounted to the concurrent scope.
+        self.gate.await_empty(DRAIN_BACKSTOP);
         self.scope.wait_idle();
         initiated
     }
 }
 
-/// Releases an admitted task's gate entry and bumps its tenant's completion
-/// counter when the task finishes — **including by panic**: the guard is
-/// dropped during unwind, so a panicking tenant task cannot wedge a drain.
+/// A submitter's hold on the drain gate, taken before admission.  The
+/// submission keeps it until the scope has counted its task (or the
+/// submission failed or panicked), so a drainer that finds the gate empty
+/// finds every admitted task in the scope's count.
+struct GateEntry<'a>(&'a DrainGate);
+
+impl Drop for GateEntry<'_> {
+    fn drop(&mut self) {
+        self.0.exit();
+    }
+}
+
+/// Bumps an admitted task's tenant completion counter when the task
+/// retires — **including by panic**: the guard is dropped during unwind,
+/// and before the scope counts the task finished, so a drain sees it.
 struct CompletionGuard {
-    core: Arc<ServiceCore>,
     state: Arc<TenantState>,
     /// `TaskHandle::is_finished` flag for `submit_with` submissions.
     /// Flipped on drop, so it covers every way a task retires: ran,
@@ -413,16 +419,14 @@ impl Drop for CompletionGuard {
             finished.store(true, Ordering::Release);
         }
         self.state.completed.fetch_add(1, Ordering::Relaxed);
-        self.core.gate.exit();
     }
 }
 
 /// A cloneable cancellation token covering any number of
-/// [`Tenant::submit_with`] submissions.  Obtained from a [`TaskHandle`]
-/// or created up front with [`CancelToken::new`] and passed in via
-/// [`SubmitOptions::cancel_token`] — e.g. one shared token fanned out
-/// over a batch so a single [`cancel`](Self::cancel) sweeps the whole
-/// batch.
+/// [`Tenant::submit_with`] submissions.  Created up front with
+/// [`CancelToken::new`] and passed in via [`SubmitOptions::cancel_token`]
+/// — e.g. one shared token fanned out over a batch so a single
+/// [`cancel`](Self::cancel) sweeps the whole batch.
 ///
 /// Each submission still gets its **own** per-task claim cell (the
 /// run-vs-cancel race is decided per task, so sharing a token never
@@ -521,8 +525,8 @@ pub struct SubmitOptions {
     /// has none).
     pub deadline: Option<Duration>,
     /// An externally created token, e.g. one shared across a batch.
-    /// `None` gives the task its own fresh token, reachable through the
-    /// returned [`TaskHandle`].
+    /// `None` attaches the task to no token: it can still be cancelled
+    /// alone through the returned [`TaskHandle`].
     pub cancel_token: Option<CancelToken>,
     /// Retry schedule for admission failures ([`SubmitError::Backpressure`]
     /// / [`SubmitError::Overloaded`]).  `None` fails fast on the first
@@ -557,7 +561,6 @@ impl SubmitOptions {
 
 /// Handle to one [`Tenant::submit_with`] submission.
 pub struct TaskHandle {
-    token: CancelToken,
     /// This submission's own claim cell — the same one the worker's
     /// claim gate CASes on, so the handle's answers are per-task even
     /// when the token is shared across a batch.
@@ -571,7 +574,7 @@ impl TaskHandle {
     /// never to execute (dropped at pop/claim time, counted as
     /// `tasks_cancelled`).  Returns `false` when the task was already
     /// claimed for execution, expired, or cancelled.  To sweep a whole
-    /// batch sharing one token, cancel via [`token`](Self::token).
+    /// batch, cancel the [`CancelToken`] it was submitted with.
     pub fn cancel(&self) -> bool {
         self.cell.cancel()
     }
@@ -598,14 +601,6 @@ impl TaskHandle {
     pub fn is_expired(&self) -> bool {
         self.cell.is_expired()
     }
-
-    /// The submission's cancellation token (cheap to clone and share).
-    /// Cancelling it sweeps every task attached to it — just this one,
-    /// unless the submission passed a shared token in via
-    /// [`SubmitOptions::cancel_token`].
-    pub fn token(&self) -> CancelToken {
-        self.token.clone()
-    }
 }
 
 /// Point-in-time health snapshot from [`TaskService::report`]: the SLO
@@ -615,12 +610,14 @@ impl TaskHandle {
 pub struct ServiceReport {
     /// Current drain-gate lifecycle state.
     pub state: GateState,
-    /// Submissions mid-pipeline plus admitted tasks not yet retired.
+    /// Submissions mid-pipeline plus the service's unfinished tasks,
+    /// children included.
     pub in_flight: usize,
     /// Times the drainer's defensive backstop timeout fired with work
     /// still in flight (see [`gate::DrainGate::backstops`]).  Fires are
-    /// normal when a drain overlaps tasks outlasting the backstop; growth
-    /// with no long task running would signal a lost drain notification.
+    /// normal when a drain overlaps a submission outlasting the backstop;
+    /// growth with no slow submission would signal a lost drain
+    /// notification.
     pub gate_backstops: u64,
     /// Total task panics observed, including the ones whose payloads were
     /// dropped because an earlier panic's payload was still held (only the
@@ -693,7 +690,7 @@ impl TaskService {
     }
 
     /// Per-tenant counter snapshot, in registration order.
-    pub fn tenant_stats(&self) -> Vec<(String, TenantStats)> {
+    fn tenant_stats(&self) -> Vec<(String, TenantStats)> {
         self.core
             .tenants
             .iter()
@@ -741,7 +738,7 @@ impl TaskService {
         let metrics = self.metrics();
         ServiceReport {
             state: self.core.gate.state(),
-            in_flight: self.core.gate.in_flight(),
+            in_flight: self.core.gate.in_flight() + self.core.scope.pending(),
             gate_backstops: self.core.gate.backstops(),
             panics_observed: self.core.scope.panics_observed(),
             tasks_expired: metrics.tasks_expired,
@@ -753,10 +750,8 @@ impl TaskService {
 }
 
 impl Drop for TaskService {
-    /// Drains before the scheduler can shut down.  Running tasks hold
-    /// `Arc`s to the service core (their completion guards), so without
-    /// the drain the last task to finish would drop the core — and join
-    /// the worker pool — from *inside* a worker thread.
+    /// Drains before the scheduler can shut down, so every admitted task
+    /// runs before the workers stop.
     fn drop(&mut self) {
         self.core.drain();
     }
@@ -794,7 +789,7 @@ impl Tenant {
     where
         F: FnOnce(&TaskContext<'_>) + Send + 'static,
     {
-        let guard = self.admit()?;
+        let (_entry, guard) = self.admit(None).map_err(|(err, _)| err)?;
         self.core
             .scope
             .submit(&self.core.scheduler, move |ctx| {
@@ -812,7 +807,7 @@ impl Tenant {
     where
         F: Fn(&TaskContext<'_>) + Send + Sync + 'static,
     {
-        let guard = self.admit()?;
+        let (_entry, guard) = self.admit(None).map_err(|(err, _)| err)?;
         self.core
             .scope
             .submit_team(&self.core.scheduler, threads, move |ctx| {
@@ -848,17 +843,17 @@ impl Tenant {
             .deadline
             .or(self.state.default_deadline)
             .and_then(|d| Instant::now().checked_add(d));
-        let token = opts.cancel_token.unwrap_or_default();
         let cell = Arc::new(CancelCell::new());
         let finished = Arc::new(AtomicBool::new(false));
         let mut f = Some(f);
         let mut attempt = || -> Result<(), (SubmitError, Option<Duration>)> {
-            let guard = self.admit_with(Some(Arc::clone(&finished)))?;
-            // Register the task's own claim cell with the (possibly
-            // batch-shared) token only once it is actually admitted, so a
-            // token sweep's "won at least one race" answer never counts a
-            // submission that was rejected.
-            token.attach(Arc::clone(&cell));
+            let (_entry, guard) = self.admit(Some(Arc::clone(&finished)))?;
+            // Register the task's own claim cell with the caller's token
+            // only once it is actually admitted, so a token sweep's "won at
+            // least one race" answer never counts a rejected submission.
+            if let Some(token) = &opts.cancel_token {
+                token.attach(Arc::clone(&cell));
+            }
             let job = f.take().expect("one success consumes the closure");
             self.core.scope.submit_cancellable(
                 &self.core.scheduler,
@@ -883,51 +878,47 @@ impl Tenant {
             }
         };
         result.map(|()| TaskHandle {
-            token,
             cell,
             finished,
         })
     }
 
-    /// Runs the admission pipeline and, on success, returns the completion
-    /// guard carrying the gate entry.
-    fn admit(&self) -> Result<CompletionGuard, SubmitError> {
-        self.admit_with(None).map_err(|(err, _)| err)
-    }
-
-    /// [`admit`](Self::admit) with the `is_finished` flag threaded into
-    /// the guard and, on failure, the admission layer's wait hint (how
-    /// long until the refill law could cover the shortfall) threaded out
-    /// for retry schedules.
-    fn admit_with(
+    /// Runs the admission pipeline.  On success it returns the gate entry,
+    /// which the caller holds until the scope has counted the task, and
+    /// the task's completion guard, carrying the `is_finished` flag if
+    /// given.  On failure it returns the admission layer's wait hint (how
+    /// long until the refill law could cover the shortfall) for retry
+    /// schedules.
+    fn admit(
         &self,
         finished: Option<Arc<AtomicBool>>,
-    ) -> Result<CompletionGuard, (SubmitError, Option<Duration>)> {
+    ) -> Result<(GateEntry<'_>, CompletionGuard), (SubmitError, Option<Duration>)> {
         self.state.offered.fetch_add(1, Ordering::Relaxed);
         if !self.core.gate.try_enter() {
             self.state.drain_rejected.fetch_add(1, Ordering::Relaxed);
             return Err((SubmitError::Draining, None));
         }
+        let entry = GateEntry(&self.core.gate);
         // Shed before spending tokens: under overload the tenant keeps its
         // budget for when the backlog recedes.
         if self.core.backlog() > self.core.high_water {
-            self.core.gate.exit();
             self.state.shed.fetch_add(1, Ordering::Relaxed);
             return Err((SubmitError::Overloaded, None));
         }
         if let Err((err, hint)) = self.acquire_token() {
-            self.core.gate.exit();
             self.state
                 .counter_for(err)
                 .fetch_add(1, Ordering::Relaxed);
             return Err((err, hint));
         }
         self.state.admitted.fetch_add(1, Ordering::Relaxed);
-        Ok(CompletionGuard {
-            core: Arc::clone(&self.core),
-            state: Arc::clone(&self.state),
-            finished,
-        })
+        Ok((
+            entry,
+            CompletionGuard {
+                state: Arc::clone(&self.state),
+                finished,
+            },
+        ))
     }
 
     fn acquire_token(&self) -> Result<(), (SubmitError, Option<Duration>)> {

@@ -1,8 +1,9 @@
 //! Watchdogged integration tests for the multi-tenant task service
 //! (`teamsteal::service`, DESIGN.md §16): weighted fairness under offered
 //! skew, backlog bounded by the high-water shed gate, the drain-vs-submit
-//! race, clean submit-after-drain failure, and the external-pin pool sized
-//! to the declared submitter concurrency.
+//! race, clean submit-after-drain failure, the external-pin pool sized
+//! to the declared submitter concurrency, and the `in_flight` gauge across
+//! a panicking submission and a queued backlog.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -289,5 +290,64 @@ fn external_pin_pool_scales_to_declared_concurrency() {
             0,
             "submitters waited for epoch-pin slots at the declared concurrency"
         );
+    });
+}
+
+/// A team submission wider than the pool passes admission and then panics
+/// on the caller when the scheduler checks its requirement.  The unwind
+/// must release the submitter's gate entry and retire the admitted task,
+/// or the drain below would wait forever.
+#[test]
+fn panicking_submission_releases_its_gate_entry() {
+    const WORKERS: usize = 2;
+    with_watchdog("panicking_submission", WATCHDOG, || {
+        let service = ServiceBuilder::new()
+            .threads(WORKERS)
+            .tenant(TenantConfig::new("t"))
+            .build();
+        let tenant = service.tenant("t").unwrap();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            tenant.submit_team(WORKERS + 1, |_| {})
+        }));
+        assert!(result.is_err(), "an unrunnable team width must panic");
+        let report = service.drain();
+        assert_eq!(report.admitted(), 1, "the panic came after admission");
+        assert_eq!(report.completed(), report.admitted());
+        assert_eq!(service.report().in_flight, 0);
+    });
+}
+
+/// `ServiceReport::in_flight` counts admitted tasks until they finish, not
+/// just submissions mid-pipeline: with the only worker held, every queued
+/// submission shows, and after the drain none does.
+#[test]
+fn in_flight_counts_queued_tasks_until_the_drain() {
+    const QUEUED: usize = 8;
+    with_watchdog("in_flight_counts_queued", WATCHDOG, || {
+        let service = ServiceBuilder::new()
+            .threads(1)
+            .tenant(TenantConfig::new("t").burst(2 * QUEUED as u64))
+            .build();
+        let tenant = service.tenant("t").unwrap();
+        let release = Arc::new(AtomicBool::new(false));
+        {
+            let release = Arc::clone(&release);
+            tenant
+                .submit(move |_| {
+                    while !release.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                })
+                .unwrap();
+        }
+        for _ in 0..QUEUED {
+            tenant.submit(|_| {}).unwrap();
+        }
+        let in_flight = service.report().in_flight;
+        assert!(in_flight >= QUEUED, "in_flight {in_flight} < {QUEUED} queued");
+        release.store(true, Ordering::Release);
+        let report = service.drain();
+        assert_eq!(report.completed(), report.admitted());
+        assert_eq!(service.report().in_flight, 0);
     });
 }
