@@ -66,8 +66,8 @@ impl Counter {
 
 /// Generates the counter structs and every function that enumerates their
 /// fields from one list.  `worker` counters are incremented by the worker
-/// that owns them; `aggregate` counters exist only in snapshots (a
-/// scheduler- or service-wide source fills them in).
+/// that owns them; `aggregate` counters exist only in snapshots (the
+/// scheduler-wide aggregate fills them in).
 macro_rules! counters {
     (
         worker { $( $(#[$wdoc:meta])* $w:ident, )* }
@@ -241,9 +241,6 @@ counters! {
         /// free epoch-pin slot (filled in by the scheduler-wide aggregate,
         /// which owns the shared pin array).
         external_pin_waits,
-        /// Admission retries performed by the service layer's `RetryPolicy`
-        /// (filled in by the service report, like `external_pin_waits`).
-        retry_attempts,
     }
 }
 
@@ -397,16 +394,15 @@ mod tests {
         }
         c.record_wake_latency(Duration::from_micros(2));
         let mut s = c.snapshot();
-        // The aggregate-only counters are zero in a worker's snapshot; give
-        // them their own values for the walk below.
-        assert_eq!((s.external_pin_waits, s.retry_attempts), (0, 0));
+        // The aggregate-only counter is zero in a worker's snapshot; give
+        // it its own value for the walk below.
+        assert_eq!(s.external_pin_waits, 0);
         s.external_pin_waits = 101;
-        s.retry_attempts = 102;
 
         let names: Vec<&str> = s.counters().map(|(name, _)| name).collect();
         let worker_names: Vec<&str> = fields.iter().map(|(name, _)| *name).collect();
         assert_eq!(names[..worker_names.len()], worker_names[..]);
-        assert_eq!(names[worker_names.len()..], ["external_pin_waits", "retry_attempts"]);
+        assert_eq!(names[worker_names.len()..], ["external_pin_waits"]);
         let mut distinct = names.clone();
         distinct.sort_unstable();
         distinct.dedup();

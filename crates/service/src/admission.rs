@@ -1,4 +1,4 @@
-//! Weighted-fair admission: one lock-free token bucket per tenant
+//! Per-tenant admission: one lock-free token bucket per tenant
 //! (DESIGN.md §16).
 //!
 //! The bucket is the *cumulative-credit* formulation of the classic token
@@ -14,7 +14,8 @@
 //! `rate × weightᵢ` tokens per second, so when every tenant saturates its
 //! bucket, admitted throughput converges to the weight ratio regardless of
 //! offered-load skew (the proptests in this module drive randomized
-//! weight/arrival sequences at that invariant).
+//! weight/arrival sequences at that invariant).  The service gives every
+//! tenant weight 1, so its tenants share the refill rate equally.
 //!
 //! Time is passed in explicitly (microseconds since bucket creation), which
 //! keeps the arithmetic deterministic for the accounting proptests; the
@@ -45,9 +46,8 @@ pub struct TokenBucket {
     admitted: AtomicU64,
 }
 
-/// A failed admission: the bucket is short `shortfall_ut` µtokens.
-/// [`TokenBucket::wait_hint_us`] converts the shortfall into the earliest time
-/// the refill law could cover it.
+/// A failed admission: the bucket is short `shortfall_ut` µtokens, which
+/// the refill law pours in after `shortfall_ut / (rate × weight)` µs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shortfall {
     /// Missing µtokens at the probed instant.
@@ -105,13 +105,6 @@ impl TokenBucket {
         }
     }
 
-    /// Microseconds until the refill law covers `shortfall` (rounded up).
-    /// A *hint*: racing tenant threads may consume the refilled tokens
-    /// first, so blocking callers re-probe in a loop.
-    pub fn wait_hint_us(&self, shortfall: Shortfall) -> u64 {
-        shortfall.shortfall_ut.div_ceil(self.rate_ut_per_us)
-    }
-
     /// Cumulative admitted tasks.
     pub fn admitted(&self) -> u64 {
         self.admitted.load(Ordering::Relaxed)
@@ -132,7 +125,7 @@ mod tests {
         let shortfall = bucket.try_acquire_at(0).unwrap_err();
         assert_eq!(shortfall.shortfall_ut, MICRO);
         // 1000 tasks/s == one task per 1000 µs.
-        assert_eq!(bucket.wait_hint_us(shortfall), 1_000);
+        assert!(bucket.try_acquire_at(999).is_err());
         assert!(bucket.try_acquire_at(1_000).is_ok());
     }
 
@@ -189,8 +182,9 @@ mod tests {
         }
 
         /// Refill monotonicity: the credit line never decreases as time
-        /// advances, and a rejection's wait hint is honest — re-probing at
-        /// `now + hint` (with no competing consumer) succeeds.
+        /// advances, and a rejection's shortfall is honest — re-probing
+        /// once the refill law has covered it (with no competing consumer)
+        /// succeeds.
         #[test]
         fn refill_is_monotone_and_wait_hints_are_honest(
             rate in 1u64..2_000,
@@ -204,12 +198,13 @@ mod tests {
             for pair in sorted.windows(2) {
                 prop_assert!(bucket.credited_ut(pair[0]) <= bucket.credited_ut(pair[1]));
             }
-            // Drain the initial burst, then check the hint at a probe point.
+            // Drain the initial burst, then check the shortfall at a probe
+            // point: `rate × weight` µtokens accrue per µs.
             let probe = sorted[0];
             while bucket.try_acquire_at(probe).is_ok() {}
             let shortfall = bucket.try_acquire_at(probe).unwrap_err();
-            let hint = bucket.wait_hint_us(shortfall);
-            prop_assert!(bucket.try_acquire_at(probe + hint).is_ok());
+            let wait_us = shortfall.shortfall_ut.div_ceil(rate * weight);
+            prop_assert!(bucket.try_acquire_at(probe + wait_us).is_ok());
         }
 
         /// Weighted-fair convergence: two saturating tenants with weights

@@ -39,6 +39,11 @@
 //! monitor lock before notifying, and the drainer re-checks `in_flight`
 //! under that same lock before parking, with a defensive backstop timeout
 //! on top (the same belt-and-suspenders shape as the eventcount, §12).
+//! In the service the backstop is purely defensive: a submission holds its
+//! entry across a few atomic checks and the scope's injection, with no
+//! sleep of its own (only the scheduler's 50 µs-capped pin-slot backoff
+//! when more submitters than pin slots race), so the final exit's
+//! notification, not the timeout, ends a drain's wait.
 
 use std::time::Duration;
 
@@ -70,10 +75,12 @@ pub struct DrainGate {
     /// Times the drainer's backstop timeout fired with work still in
     /// flight (i.e. the defensive `wait_timeout` did real waiting instead
     /// of being woken by the final exit).  Mirrors the §12 eventcount
-    /// backstop counter.  Fires are *expected* when a drain overlaps
-    /// entries held longer than the backstop duration; what would indicate
-    /// a lost-notification bug is the counter growing while `in_flight`
-    /// holds steady at a small value with no long entry held.
+    /// backstop counter.  A fire needs an entry held longer than the
+    /// backstop duration (the service's submissions never sleep inside
+    /// the gate, so only a descheduled submitter holds one that long);
+    /// what would indicate a lost-notification bug is the counter growing
+    /// while `in_flight` holds steady at a small value with no long entry
+    /// held.
     backstops: AtomicU64,
     lock: Mutex<()>,
     cv: Condvar,

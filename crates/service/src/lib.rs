@@ -17,11 +17,13 @@
 //!    [`SubmitError::Overloaded`] while the injector backlog (the PR 6
 //!    per-shard gauges, summed) sits above the configured high-water mark,
 //!    bounding queue memory and queueing delay under overload.
-//! 3. **Weighted-fair admission** ([`admission::TokenBucket`]) — each
-//!    tenant's token budget refills at `refill_rate × weight` tasks per
-//!    second, so a hot tenant saturates its own budget instead of starving
-//!    the rest; the excess gets [`SubmitError::Backpressure`] or bounded
-//!    blocking, per the tenant's [`AdmissionPolicy`].
+//! 3. **Per-tenant admission** ([`admission::TokenBucket`]) — each
+//!    tenant's token budget refills at `refill_rate` tasks per second, so a
+//!    hot tenant saturates its own budget instead of starving the rest; the
+//!    excess gets [`SubmitError::Backpressure`] at once.
+//!
+//! A submission runs gate → shed → one bucket probe → scope: it is admitted
+//! or refused on the spot, and never waits for a budget to refill.
 //!
 //! ```
 //! use teamsteal_service::{ServiceBuilder, TenantConfig};
@@ -29,8 +31,8 @@
 //! let service = ServiceBuilder::new()
 //!     .threads(2)
 //!     .refill_rate(1_000_000)
-//!     .tenant(TenantConfig::new("interactive").weight(3))
-//!     .tenant(TenantConfig::new("batch").weight(1))
+//!     .tenant(TenantConfig::new("interactive"))
+//!     .tenant(TenantConfig::new("batch").burst(8))
 //!     .build();
 //! let interactive = service.tenant("interactive").unwrap();
 //! let hits = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
@@ -52,7 +54,6 @@
 
 pub mod admission;
 pub mod gate;
-pub mod retry;
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -62,26 +63,12 @@ use teamsteal_core::{CancelCell, ConcurrentScope, MetricsSnapshot, Scheduler, Ta
 
 use admission::TokenBucket;
 use gate::{DrainGate, GateState};
-pub use retry::RetryPolicy;
-
-/// What a tenant's excess submissions (beyond its refilled token budget)
-/// experience.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionPolicy {
-    /// Fail fast with [`SubmitError::Backpressure`] — the open-loop choice:
-    /// the caller owns the retry/drop decision.
-    Reject,
-    /// Block the submitting thread until the budget refills, up to the
-    /// given bound, then fail with [`SubmitError::Backpressure`] — the
-    /// closed-loop choice: the submitter is paced to its fair rate.
-    Block(Duration),
-}
 
 /// Why a submission was not admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The tenant's token budget is exhausted (and any blocking bound
-    /// expired).  Retry after backing off, or drop the work.
+    /// The tenant's token budget is exhausted.  Retry after backing off,
+    /// or drop the work.
     Backpressure,
     /// The global injector backlog is above the high-water mark; the
     /// submission was shed to bound queueing delay.  Retry after backing
@@ -109,56 +96,25 @@ impl std::error::Error for SubmitError {}
 #[derive(Debug, Clone)]
 pub struct TenantConfig {
     name: String,
-    weight: u64,
     burst: u64,
-    policy: AdmissionPolicy,
     max_concurrency: usize,
-    default_deadline: Option<Duration>,
 }
 
 impl TenantConfig {
-    /// A tenant with weight 1, a 32-task burst allowance, the fail-fast
-    /// [`AdmissionPolicy::Reject`], an expected submission concurrency
-    /// of 4 threads and no default deadline.
+    /// A tenant with a 32-task burst allowance and an expected submission
+    /// concurrency of 4 threads.
     pub fn new(name: impl Into<String>) -> Self {
         TenantConfig {
             name: name.into(),
-            weight: 1,
             burst: 32,
-            policy: AdmissionPolicy::Reject,
             max_concurrency: 4,
-            default_deadline: None,
         }
-    }
-
-    /// Default per-task deadline, applied to every [`Tenant::submit_with`]
-    /// submission that does not set its own `SubmitOptions::deadline`.
-    /// Tasks still queued when their deadline passes are dropped without
-    /// running (counted as `tasks_expired`); plain [`Tenant::submit`]
-    /// ignores the default — an SLO is something a tenant opts into.
-    pub fn default_deadline(mut self, deadline: Duration) -> Self {
-        self.default_deadline = Some(deadline);
-        self
-    }
-
-    /// Relative share of the service's admission budget: the tenant's
-    /// bucket refills at `refill_rate × weight` tasks per second.
-    pub fn weight(mut self, weight: u64) -> Self {
-        self.weight = weight;
-        self
     }
 
     /// Bucket capacity in tasks: how large a burst is admitted ahead of
     /// the refill rate from a full (idle) bucket.
     pub fn burst(mut self, burst: u64) -> Self {
         self.burst = burst;
-        self
-    }
-
-    /// What excess submissions experience (default
-    /// [`AdmissionPolicy::Reject`]).
-    pub fn policy(mut self, policy: AdmissionPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -190,7 +146,7 @@ impl Default for ServiceBuilder {
 
 impl ServiceBuilder {
     /// A service with scheduler-default worker threads, a refill rate of
-    /// 100 000 tasks/s per weight unit, a 65 536-task high-water mark and
+    /// 100 000 tasks/s per tenant, a 65 536-task high-water mark and
     /// no tenants (register at least one before [`build`](Self::build)).
     pub fn new() -> Self {
         ServiceBuilder {
@@ -207,9 +163,8 @@ impl ServiceBuilder {
         self
     }
 
-    /// Admission budget refill rate in tasks per second *per weight unit*:
-    /// a tenant with weight `w` is admitted at up to `refill_rate × w`
-    /// sustained tasks per second.
+    /// Admission budget refill rate in tasks per second: every tenant is
+    /// admitted at up to `refill_rate` sustained tasks per second.
     pub fn refill_rate(mut self, tasks_per_sec: u64) -> Self {
         self.refill_rate = tasks_per_sec;
         self
@@ -265,17 +220,13 @@ impl ServiceBuilder {
             .map(|t| {
                 Arc::new(TenantState {
                     name: t.name,
-                    bucket: TokenBucket::new(self.refill_rate, t.weight, t.burst),
-                    weight: t.weight,
-                    policy: t.policy,
-                    default_deadline: t.default_deadline,
+                    bucket: TokenBucket::new(self.refill_rate, 1, t.burst),
                     offered: AtomicU64::new(0),
                     admitted: AtomicU64::new(0),
                     rejected: AtomicU64::new(0),
                     shed: AtomicU64::new(0),
                     drain_rejected: AtomicU64::new(0),
                     completed: AtomicU64::new(0),
-                    retry_attempts: AtomicU64::new(0),
                 })
             })
             .collect();
@@ -298,7 +249,8 @@ impl ServiceBuilder {
 /// drain_rejected`, and after a drain `completed == admitted`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TenantStats {
-    /// Submissions attempted through [`Tenant::submit`].
+    /// Submissions attempted through [`Tenant::submit`],
+    /// [`Tenant::submit_team`] and [`Tenant::submit_with`].
     pub offered: u64,
     /// Submissions admitted to the scheduler.
     pub admitted: u64,
@@ -316,26 +268,17 @@ pub struct TenantStats {
     /// without running — cancelled or expired — also count: retirement
     /// runs their completion guard.
     pub completed: u64,
-    /// Submission attempts beyond each call's first, performed by
-    /// [`Tenant::submit_with`] retry schedules.  Every retry is also a
-    /// fresh `offered` submission, so the conservation invariant is
-    /// untouched.
-    pub retry_attempts: u64,
 }
 
 struct TenantState {
     name: String,
     bucket: TokenBucket,
-    weight: u64,
-    policy: AdmissionPolicy,
-    default_deadline: Option<Duration>,
     offered: AtomicU64,
     admitted: AtomicU64,
     rejected: AtomicU64,
     shed: AtomicU64,
     drain_rejected: AtomicU64,
     completed: AtomicU64,
-    retry_attempts: AtomicU64,
 }
 
 impl TenantState {
@@ -347,7 +290,6 @@ impl TenantState {
             shed: self.shed.load(Ordering::Relaxed),
             drain_rejected: self.drain_rejected.load(Ordering::Relaxed),
             completed: self.completed.load(Ordering::Relaxed),
-            retry_attempts: self.retry_attempts.load(Ordering::Relaxed),
         }
     }
 }
@@ -515,27 +457,21 @@ impl CancelToken {
 }
 
 /// Per-submission options for [`Tenant::submit_with`].  The `Default`
-/// value is equivalent to plain [`Tenant::submit`] except that the tenant's
-/// [`TenantConfig::default_deadline`] applies.
+/// value is equivalent to plain [`Tenant::submit`].
 #[derive(Debug, Clone, Default)]
 pub struct SubmitOptions {
     /// Relative deadline: a task still queued this long after submission
-    /// is dropped without running (`tasks_expired`).  `None` falls back to
-    /// the tenant's default deadline (and to "no deadline" if the tenant
-    /// has none).
+    /// is dropped without running (`tasks_expired`).  `None` means no
+    /// deadline.
     pub deadline: Option<Duration>,
     /// An externally created token, e.g. one shared across a batch.
     /// `None` attaches the task to no token: it can still be cancelled
     /// alone through the returned [`TaskHandle`].
     pub cancel_token: Option<CancelToken>,
-    /// Retry schedule for admission failures ([`SubmitError::Backpressure`]
-    /// / [`SubmitError::Overloaded`]).  `None` fails fast on the first
-    /// error, like plain [`Tenant::submit`].
-    pub retry: Option<RetryPolicy>,
 }
 
 impl SubmitOptions {
-    /// Options with no deadline override, no shared token and no retry.
+    /// Options with no deadline and no shared token.
     pub fn new() -> Self {
         Self::default()
     }
@@ -549,12 +485,6 @@ impl SubmitOptions {
     /// Supplies a shared cancellation token.
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel_token = Some(token);
-        self
-    }
-
-    /// Sets the retry schedule.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
         self
     }
 }
@@ -614,10 +544,11 @@ pub struct ServiceReport {
     /// children included.
     pub in_flight: usize,
     /// Times the drainer's defensive backstop timeout fired with work
-    /// still in flight (see [`gate::DrainGate::backstops`]).  Fires are
-    /// normal when a drain overlaps a submission outlasting the backstop;
-    /// growth with no slow submission would signal a lost drain
-    /// notification.
+    /// still in flight (see [`gate::DrainGate::backstops`]).  A submission
+    /// holds the gate only for its admission checks and the scope's
+    /// injection, so a fire means a submitter was descheduled, or waited
+    /// for an external pin slot, for longer than the backstop; growth
+    /// without either would signal a lost drain notification.
     pub gate_backstops: u64,
     /// Total task panics observed, including the ones whose payloads were
     /// dropped because an earlier panic's payload was still held (only the
@@ -627,8 +558,9 @@ pub struct ServiceReport {
     pub tasks_expired: u64,
     /// Tasks dropped without running because their token was cancelled.
     pub tasks_cancelled: u64,
-    /// Retry attempts performed by [`Tenant::submit_with`] schedules,
-    /// summed over tenants.
+    /// Always 0: the service has no retry layer.  Kept because the
+    /// benchmark's service workloads (`benchmark/src/workloads/service.rs`)
+    /// record it.
     pub retry_attempts: u64,
     /// Per-tenant counters, in registration order.
     pub tenants: Vec<(String, TenantStats)>,
@@ -719,18 +651,9 @@ impl TaskService {
         self.core.scope.take_panic()
     }
 
-    /// Aggregated scheduler metrics with the service-plane
-    /// `retry_attempts` counter filled in (the scheduler's own snapshot
-    /// always carries it as zero — retries happen above the injector).
+    /// Aggregated metrics of the wrapped scheduler.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut metrics = self.core.scheduler.metrics();
-        metrics.retry_attempts = self
-            .core
-            .tenants
-            .iter()
-            .map(|t| t.retry_attempts.load(Ordering::Relaxed))
-            .sum();
-        metrics
+        self.core.scheduler.metrics()
     }
 
     /// Point-in-time health snapshot; see [`ServiceReport`].
@@ -743,7 +666,7 @@ impl TaskService {
             panics_observed: self.core.scope.panics_observed(),
             tasks_expired: metrics.tasks_expired,
             tasks_cancelled: metrics.tasks_cancelled,
-            retry_attempts: metrics.retry_attempts,
+            retry_attempts: 0,
             tenants: self.tenant_stats(),
         }
     }
@@ -771,11 +694,6 @@ impl Tenant {
         &self.state.name
     }
 
-    /// The tenant's fair-share weight.
-    pub fn weight(&self) -> u64 {
-        self.state.weight
-    }
-
     /// Counter snapshot for this tenant.
     pub fn stats(&self) -> TenantStats {
         self.state.stats()
@@ -789,7 +707,7 @@ impl Tenant {
     where
         F: FnOnce(&TaskContext<'_>) + Send + 'static,
     {
-        let (_entry, guard) = self.admit(None).map_err(|(err, _)| err)?;
+        let (_entry, guard) = self.admit(None)?;
         self.core
             .scope
             .submit(&self.core.scheduler, move |ctx| {
@@ -807,7 +725,7 @@ impl Tenant {
     where
         F: Fn(&TaskContext<'_>) + Send + Sync + 'static,
     {
-        let (_entry, guard) = self.admit(None).map_err(|(err, _)| err)?;
+        let (_entry, guard) = self.admit(None)?;
         self.core
             .scope
             .submit_team(&self.core.scheduler, threads, move |ctx| {
@@ -822,16 +740,13 @@ impl Tenant {
     }
 
     /// Submits a sequential task with per-submission SLO options: a
-    /// deadline (explicit or the tenant default), an optional shared
-    /// cancellation token, and an optional admission retry schedule.
-    /// Returns a [`TaskHandle`] for cancelling and observing the task.
+    /// deadline and an optional shared cancellation token.  Returns a
+    /// [`TaskHandle`] for cancelling and observing the task.
     ///
-    /// The deadline clock starts at *submission* (before any retry
-    /// sleeps): an SLO measures the caller's wait, not the queue's.  A
-    /// task whose deadline passes while it is still queued is dropped
-    /// without running and counted as `tasks_expired`; its completion
-    /// guard still runs, so drains and accounting never wedge on expired
-    /// work.
+    /// The deadline clock starts at submission.  A task whose deadline
+    /// passes while it is still queued is dropped without running and
+    /// counted as `tasks_expired`; its completion guard still runs, so
+    /// drains and accounting never wedge on expired work.
     pub fn submit_with<F>(&self, opts: SubmitOptions, f: F) -> Result<TaskHandle, SubmitError>
     where
         F: FnOnce(&TaskContext<'_>) + Send + 'static,
@@ -839,77 +754,53 @@ impl Tenant {
         // `checked_add`: a huge relative deadline (say `Duration::MAX` as
         // an "effectively none" sentinel) saturates to no deadline instead
         // of panicking the submitting thread.
-        let deadline = opts
-            .deadline
-            .or(self.state.default_deadline)
-            .and_then(|d| Instant::now().checked_add(d));
-        let cell = Arc::new(CancelCell::new());
+        let deadline = opts.deadline.and_then(|d| Instant::now().checked_add(d));
         let finished = Arc::new(AtomicBool::new(false));
-        let mut f = Some(f);
-        let mut attempt = || -> Result<(), (SubmitError, Option<Duration>)> {
-            let (_entry, guard) = self.admit(Some(Arc::clone(&finished)))?;
-            // Register the task's own claim cell with the caller's token
-            // only once it is actually admitted, so a token sweep's "won at
-            // least one race" answer never counts a rejected submission.
-            if let Some(token) = &opts.cancel_token {
-                token.attach(Arc::clone(&cell));
-            }
-            let job = f.take().expect("one success consumes the closure");
-            self.core.scope.submit_cancellable(
-                &self.core.scheduler,
-                Some(Arc::clone(&cell)),
-                deadline,
-                move |ctx| {
-                    let _guard = guard;
-                    job(ctx);
-                },
-            );
-            Ok(())
-        };
-        let result = match &opts.retry {
-            None => attempt().map_err(|(err, _)| err),
-            Some(policy) => {
-                let (result, retries) =
-                    retry::run_with_retry(policy, std::thread::sleep, attempt);
-                self.state
-                    .retry_attempts
-                    .fetch_add(retries, Ordering::Relaxed);
-                result
-            }
-        };
-        result.map(|()| TaskHandle {
-            cell,
-            finished,
-        })
+        let (_entry, guard) = self.admit(Some(Arc::clone(&finished)))?;
+        let cell = Arc::new(CancelCell::new());
+        // Register the task's own claim cell with the caller's token only
+        // once it is admitted, so a token sweep's "won at least one race"
+        // answer never counts a rejected submission.
+        if let Some(token) = &opts.cancel_token {
+            token.attach(Arc::clone(&cell));
+        }
+        self.core.scope.submit_cancellable(
+            &self.core.scheduler,
+            Some(Arc::clone(&cell)),
+            deadline,
+            move |ctx| {
+                let _guard = guard;
+                f(ctx);
+            },
+        );
+        Ok(TaskHandle { cell, finished })
     }
 
-    /// Runs the admission pipeline.  On success it returns the gate entry,
+    /// Runs the admission pipeline: drain gate, overload shed, one probe
+    /// of the tenant's token bucket.  On success it returns the gate entry,
     /// which the caller holds until the scope has counted the task, and
     /// the task's completion guard, carrying the `is_finished` flag if
-    /// given.  On failure it returns the admission layer's wait hint (how
-    /// long until the refill law could cover the shortfall) for retry
-    /// schedules.
+    /// given.
     fn admit(
         &self,
         finished: Option<Arc<AtomicBool>>,
-    ) -> Result<(GateEntry<'_>, CompletionGuard), (SubmitError, Option<Duration>)> {
+    ) -> Result<(GateEntry<'_>, CompletionGuard), SubmitError> {
         self.state.offered.fetch_add(1, Ordering::Relaxed);
         if !self.core.gate.try_enter() {
             self.state.drain_rejected.fetch_add(1, Ordering::Relaxed);
-            return Err((SubmitError::Draining, None));
+            return Err(SubmitError::Draining);
         }
         let entry = GateEntry(&self.core.gate);
         // Shed before spending tokens: under overload the tenant keeps its
         // budget for when the backlog recedes.
         if self.core.backlog() > self.core.high_water {
             self.state.shed.fetch_add(1, Ordering::Relaxed);
-            return Err((SubmitError::Overloaded, None));
+            return Err(SubmitError::Overloaded);
         }
-        if let Err((err, hint)) = self.acquire_token() {
-            self.state
-                .counter_for(err)
-                .fetch_add(1, Ordering::Relaxed);
-            return Err((err, hint));
+        let now_us = self.core.now_us();
+        if self.state.bucket.try_acquire_at(now_us).is_err() {
+            self.state.rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(SubmitError::Backpressure);
         }
         self.state.admitted.fetch_add(1, Ordering::Relaxed);
         Ok((
@@ -919,62 +810,6 @@ impl Tenant {
                 finished,
             },
         ))
-    }
-
-    fn acquire_token(&self) -> Result<(), (SubmitError, Option<Duration>)> {
-        let hint = |shortfall| {
-            Some(Duration::from_micros(
-                self.state.bucket.wait_hint_us(shortfall).max(1),
-            ))
-        };
-        match self.state.bucket.try_acquire_at(self.core.now_us()) {
-            Ok(()) => Ok(()),
-            Err(first) => match self.state.policy {
-                AdmissionPolicy::Reject => Err((SubmitError::Backpressure, hint(first))),
-                AdmissionPolicy::Block(max_wait) => {
-                    // `checked_add`: an absurdly large bound (a "block
-                    // forever" sentinel) means no deadline rather than a
-                    // panic; the drain check below still bounds the wait.
-                    let deadline = Instant::now().checked_add(max_wait);
-                    let mut shortfall = first;
-                    loop {
-                        // A drain must not wait out blocked submitters:
-                        // abort the block as soon as the gate flips.
-                        if self.core.gate.state() != GateState::Open {
-                            return Err((SubmitError::Draining, None));
-                        }
-                        let now = Instant::now();
-                        if deadline.is_some_and(|d| now >= d) {
-                            return Err((SubmitError::Backpressure, hint(shortfall)));
-                        }
-                        let mut nap = Duration::from_micros(
-                            self.state.bucket.wait_hint_us(shortfall).max(1),
-                        )
-                        // Cap each nap so the drain/deadline checks stay
-                        // responsive even with huge shortfalls.
-                        .min(Duration::from_millis(1));
-                        if let Some(d) = deadline {
-                            nap = nap.min(d - now);
-                        }
-                        std::thread::sleep(nap);
-                        match self.state.bucket.try_acquire_at(self.core.now_us()) {
-                            Ok(()) => return Ok(()),
-                            Err(s) => shortfall = s,
-                        }
-                    }
-                }
-            },
-        }
-    }
-}
-
-impl TenantState {
-    fn counter_for(&self, err: SubmitError) -> &AtomicU64 {
-        match err {
-            SubmitError::Backpressure => &self.rejected,
-            SubmitError::Overloaded => &self.shed,
-            SubmitError::Draining => &self.drain_rejected,
-        }
     }
 }
 
@@ -1050,25 +885,6 @@ mod tests {
             stats.offered,
             "conservation"
         );
-    }
-
-    #[test]
-    fn block_policy_paces_instead_of_rejecting() {
-        let service = ServiceBuilder::new()
-            .threads(1)
-            .refill_rate(2_000) // refills fast enough to cover the block bound
-            .tenant(
-                TenantConfig::new("t")
-                    .burst(1)
-                    .policy(AdmissionPolicy::Block(Duration::from_secs(2))),
-            )
-            .build();
-        let tenant = service.tenant("t").unwrap();
-        for _ in 0..8 {
-            tenant.submit(|_| {}).unwrap();
-        }
-        assert_eq!(tenant.stats().rejected, 0);
-        assert_eq!(tenant.stats().admitted, 8);
     }
 
     #[test]

@@ -78,22 +78,6 @@ impl Backoff {
         self.rounds
     }
 
-    /// Returns `true` once the backoff has escalated past the pure-spinning
-    /// phase.  Callers that park on OS primitives can use this as the signal
-    /// to do so.
-    #[inline]
-    pub fn is_yielding(&self) -> bool {
-        self.rounds > SPIN_LIMIT
-    }
-
-    /// Returns `true` once the backoff has reached the timed sleeping phase
-    /// with the maximum interval, i.e. the caller has been unproductive for a
-    /// long time.
-    #[inline]
-    pub fn is_saturated(&self) -> bool {
-        self.rounds > SPIN_LIMIT + YIELD_LIMIT && self.sleep >= MAX_SLEEP
-    }
-
     /// Returns `true` once `prefix_rounds` unproductive rounds have passed:
     /// the caller has exhausted its spin/yield prefix and should park on an
     /// OS primitive (the scheduler's eventcount) instead of burning more
@@ -199,8 +183,7 @@ mod tests {
     fn starts_in_spin_phase() {
         let b = Backoff::new();
         assert_eq!(b.rounds(), 0);
-        assert!(!b.is_yielding());
-        assert!(!b.is_saturated());
+        assert_eq!(b.sleep, INITIAL_SLEEP);
     }
 
     #[test]
@@ -209,9 +192,9 @@ mod tests {
         for _ in 0..20 {
             b.spin_light();
         }
-        assert!(b.is_yielding());
+        assert!(b.rounds() > SPIN_LIMIT, "20 rounds escalate past spinning");
         b.reset();
-        assert!(!b.is_yielding());
+        assert!(b.rounds() <= SPIN_LIMIT, "reset returns to spinning");
         assert_eq!(b.rounds(), 0);
     }
 
@@ -223,7 +206,9 @@ mod tests {
         // logic by forcing many doublings).
         b.rounds = SPIN_LIMIT + YIELD_LIMIT + 1;
         b.sleep = MAX_SLEEP;
-        assert!(b.is_saturated());
+        assert!(b.rounds() > SPIN_LIMIT + YIELD_LIMIT);
+        // Saturated: the sleeping phase at the maximum interval.
+        assert_eq!(b.capped_interval(Duration::MAX), Some(MAX_SLEEP));
         // Doubling past the cap must not exceed MAX_SLEEP.
         let doubled = (b.sleep * 2).min(MAX_SLEEP);
         assert_eq!(doubled, MAX_SLEEP);

@@ -95,14 +95,6 @@ pub fn team_base(id: usize, team_size: usize) -> usize {
     id & !(team_size - 1)
 }
 
-/// The rightmost (largest) thread id of the power-of-two team of size
-/// `team_size` containing `id`: set all bits below the msb of `team_size`.
-#[inline]
-pub fn team_last(id: usize, team_size: usize) -> usize {
-    debug_assert!(is_pow2(team_size));
-    id | (team_size - 1)
-}
-
 /// Local id of `id` within its power-of-two team of size `team_size`
 /// (Section 3.1: subtract the leftmost thread id).
 #[inline]
@@ -226,9 +218,12 @@ mod tests {
             let r = 1usize << r_log;
             for id in 0..p {
                 let base = team_base(id, r);
-                let last = team_last(id, r);
+                let last = base + r - 1;
                 assert_eq!(base % r, 0);
-                assert_eq!(last, base + r - 1);
+                // The last member shares the base: the team is exactly
+                // the r ids from the base on.
+                assert_eq!(team_base(last, r), base);
+                assert_eq!(team_base(last + 1, r), base + r);
                 assert!(base <= id && id <= last);
                 assert_eq!(local_id(id, r), id - base);
             }

@@ -1,18 +1,14 @@
 //! Watchdogged integration tests for the SLO-enforcement layer
 //! (`teamsteal::service`, DESIGN.md §17): cancellation before pop never
-//! executes, deadline expiry drops work at claim time, retries recover
-//! from backpressure, the report surfaces panics and gate backstops, and
-//! `TaskService::drop` stays live with submitters blocked in bounded-block
-//! admission while tasks are mid-flight.
+//! executes, deadline expiry drops work at claim time, the report surfaces
+//! panics and gate backstops, and `TaskService::drop` stays live with
+//! submitters looping on refused admissions while a task is mid-flight.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use teamsteal::service::{
-    AdmissionPolicy, CancelToken, RetryPolicy, ServiceBuilder, SubmitError, SubmitOptions,
-    TenantConfig,
-};
+use teamsteal::service::{CancelToken, ServiceBuilder, SubmitError, SubmitOptions, TenantConfig};
 
 mod common;
 use common::{with_watchdog, WATCHDOG};
@@ -73,19 +69,14 @@ fn cancelled_before_pop_never_increments_tasks_executed() {
     });
 }
 
-/// A queued task whose deadline (here the tenant's `default_deadline`)
-/// passes before any worker claims it is dropped at pop time and counted
+/// A queued task whose deadline passes before any worker claims it is dropped at pop time and counted
 /// in `tasks_expired`, without ever running.
 #[test]
 fn expired_task_is_dropped_at_claim_time() {
     with_watchdog("expired_before_pop", WATCHDOG, || {
         let service = ServiceBuilder::new()
             .threads(1)
-            .tenant(
-                TenantConfig::new("t")
-                    .burst(8)
-                    .default_deadline(Duration::from_millis(5)),
-            )
+            .tenant(TenantConfig::new("t").burst(8))
             .build();
         let tenant = service.tenant("t").unwrap();
         let release = Arc::new(AtomicBool::new(false));
@@ -93,13 +84,15 @@ fn expired_task_is_dropped_at_claim_time() {
 
         let ran = Arc::new(AtomicBool::new(false));
         let ran_in = Arc::clone(&ran);
-        // No explicit deadline: the tenant default applies.
         let handle = tenant
-            .submit_with(SubmitOptions::new(), move |_| {
-                ran_in.store(true, Ordering::SeqCst);
-            })
+            .submit_with(
+                SubmitOptions::new().deadline(Duration::from_millis(5)),
+                move |_| {
+                    ran_in.store(true, Ordering::SeqCst);
+                },
+            )
             .unwrap();
-        // Let the default deadline lapse while the task is still queued.
+        // Let the deadline lapse while the task is still queued.
         std::thread::sleep(Duration::from_millis(20));
         release.store(true, Ordering::Release);
         let report = service.drain();
@@ -248,29 +241,22 @@ fn cancelled_token_poisons_later_submissions() {
     });
 }
 
-/// Effectively-infinite durations are "no deadline"/"no bound"
-/// sentinels, not panics: `Duration::MAX` as a per-task deadline, a
-/// tenant default, or a `Block` admission bound must all submit and run
-/// normally (regression: unchecked `Instant::now() + d` overflowed).
+/// Effectively-infinite durations are "no deadline" sentinels, not
+/// panics: `Duration::MAX` (or any deadline past the end of `Instant`'s
+/// range) as a per-task deadline must submit and run normally
+/// (regression: unchecked `Instant::now() + d` overflowed).
 #[test]
 fn huge_durations_mean_no_deadline_not_a_panic() {
     with_watchdog("huge_durations", WATCHDOG, || {
         let service = ServiceBuilder::new()
             .threads(1)
-            .tenant(
-                TenantConfig::new("t")
-                    .burst(8)
-                    .default_deadline(Duration::MAX)
-                    .policy(AdmissionPolicy::Block(Duration::MAX)),
-            )
+            .tenant(TenantConfig::new("t").burst(8))
             .build();
         let tenant = service.tenant("t").unwrap();
         let ran = Arc::new(AtomicUsize::new(0));
-        // One submission exercises the explicit-deadline path, the other
-        // the tenant-default path.
         let opts = [
             SubmitOptions::new().deadline(Duration::MAX),
-            SubmitOptions::new(),
+            SubmitOptions::new().deadline(Duration::from_secs(u64::MAX / 2)),
         ];
         for opts in opts {
             let ran = Arc::clone(&ran);
@@ -283,39 +269,6 @@ fn huge_durations_mean_no_deadline_not_a_panic() {
         service.drain();
         assert_eq!(ran.load(Ordering::SeqCst), 2);
         assert_eq!(service.metrics().tasks_expired, 0);
-    });
-}
-
-/// With a one-token burst already spent, a `Reject`-policy submission
-/// fails immediately — but the same submission with a [`RetryPolicy`]
-/// backs off (floored by the bucket's honest wait hint) and lands once
-/// the bucket refills.  The spent attempts surface in the tenant stats
-/// and the service report.
-#[test]
-fn retry_recovers_from_backpressure() {
-    with_watchdog("retry_recovers", WATCHDOG, || {
-        let service = ServiceBuilder::new()
-            .threads(1)
-            .refill_rate(200)
-            .tenant(TenantConfig::new("t").burst(1).policy(AdmissionPolicy::Reject))
-            .build();
-        let tenant = service.tenant("t").unwrap();
-        tenant.submit(|_| {}).unwrap();
-        // The bucket is now empty; a plain retry-less submission rejects.
-        assert_eq!(
-            tenant.submit(|_| {}).unwrap_err(),
-            SubmitError::Backpressure
-        );
-        // With retries the hint-floored backoff rides out the ~5ms refill.
-        let policy = RetryPolicy::new(20)
-            .base(Duration::from_millis(1))
-            .cap(Duration::from_millis(50));
-        tenant
-            .submit_with(SubmitOptions::new().retry(policy), |_| {})
-            .expect("retries must outlast a 5ms token refill");
-        assert!(tenant.stats().retry_attempts >= 1);
-        assert!(service.report().retry_attempts >= 1);
-        service.drain();
     });
 }
 
@@ -346,9 +299,10 @@ fn report_surfaces_panics_and_gate_backstops() {
 }
 
 /// Liveness under teardown: dropping the service while submitter threads
-/// are blocked inside bounded-`Block` admission *and* tasks are mid-flight
-/// must wake every submitter (with `Draining` or a late admission) and
-/// complete the implicit drain — no submitter or worker may wedge.
+/// loop on refused admissions *and* a task is mid-flight must complete the
+/// implicit drain, and every submitter must see `Draining` and stop — no
+/// submitter or worker may wedge, and every task admitted before the drop
+/// runs.
 #[test]
 fn drop_with_blocked_submitters_and_midflight_tasks_stays_live() {
     const SUBMITTERS: usize = 4;
@@ -356,53 +310,59 @@ fn drop_with_blocked_submitters_and_midflight_tasks_stays_live() {
         let service = ServiceBuilder::new()
             .threads(2)
             .refill_rate(1)
-            .tenant(
-                TenantConfig::new("t")
-                    .burst(1)
-                    .policy(AdmissionPolicy::Block(Duration::from_secs(30))),
-            )
+            .tenant(TenantConfig::new("t").burst(1))
             .build();
         let tenant = service.tenant("t").unwrap();
-        // Mid-flight work: occupies a worker until we release it below.
+        // Mid-flight work: occupies a worker until we release it below.  It
+        // also spends the one-token burst.
         let release = Arc::new(AtomicBool::new(false));
         tenant.submit(blocker(&release)).unwrap();
 
-        // These threads exhaust the one-token burst and block in admission
-        // (refill is 1/s; the 30s bound means only drain can wake them
-        // promptly).
-        let returned = Arc::new(AtomicUsize::new(0));
+        // These threads retry against the empty budget (refill is 1/s) until
+        // the drain refuses them; each returns how many of its submissions
+        // were admitted.
         let threads: Vec<_> = (0..SUBMITTERS)
             .map(|_| {
                 let tenant = tenant.clone();
-                let returned = Arc::clone(&returned);
                 std::thread::spawn(move || {
-                    let result = tenant.submit(|_| {});
-                    returned.fetch_add(1, Ordering::SeqCst);
-                    result
+                    let mut admitted = 0u64;
+                    loop {
+                        match tenant.submit(|_| {}) {
+                            Ok(()) => admitted += 1,
+                            Err(SubmitError::Backpressure) => std::thread::yield_now(),
+                            Err(SubmitError::Draining) => return admitted,
+                            Err(other) => panic!("unexpected submit error: {other:?}"),
+                        }
+                    }
                 })
             })
             .collect();
-        // Give the submitters time to actually park in the block loop.
-        while tenant.stats().offered < 1 + SUBMITTERS as u64 {
+        // Let the submitters get refused a few times each.
+        while tenant.stats().rejected < 16 * SUBMITTERS as u64 {
             std::thread::yield_now();
         }
-        std::thread::sleep(Duration::from_millis(50));
 
         // Unblock the in-flight task just before teardown so the implicit
         // drain can complete, then drop the service out from under the
-        // blocked submitters.
+        // looping submitters.
         release.store(true, Ordering::Release);
         drop(service);
 
-        for thread in threads {
-            match thread.join().expect("submitter panicked") {
-                // Admitted before the gate flipped, or woken by drain.
-                Ok(()) | Err(SubmitError::Draining) | Err(SubmitError::Backpressure) => {}
-                Err(other) => panic!("unexpected submit error after drop: {other:?}"),
-            }
-        }
-        assert_eq!(returned.load(Ordering::SeqCst), SUBMITTERS);
+        let admitted: u64 = threads
+            .into_iter()
+            .map(|thread| thread.join().expect("submitter panicked"))
+            .sum();
         // Post-drop submissions on surviving tenant handles fail cleanly.
         assert_eq!(tenant.submit(|_| {}).unwrap_err(), SubmitError::Draining);
+        let stats = tenant.stats();
+        assert_eq!(stats.admitted, 1 + admitted);
+        assert_eq!(
+            stats.completed, stats.admitted,
+            "the drop drained every admitted task"
+        );
+        assert_eq!(
+            stats.admitted + stats.rejected + stats.shed + stats.drain_rejected,
+            stats.offered
+        );
     });
 }
