@@ -234,64 +234,89 @@ impl Worker {
         0
     }
 
-    /// Pulls one externally injected root task into the local queue:
-    /// this worker's own domain shard first, then the remaining shards in
-    /// hierarchy-distance order (DESIGN.md §13).  Lock-free: idle workers
-    /// polling empty shards never serialize.
+    /// Pulls a batch of externally injected root tasks into the local
+    /// queues with one claim CAS: this worker's own domain shard first,
+    /// then the remaining shards in hierarchy-distance order (DESIGN.md
+    /// §13).  A shard holding `len` tasks for `w` workers yields at most
+    /// `min(INJECTED_BATCH, len / w + 1)`, so no worker hoards a backlog its
+    /// domain shares.  Lock-free: idle workers polling empty shards never
+    /// serialize.
     pub(super) fn pop_injected(&mut self) -> bool {
-        let order = self.shared.domains.sweep_order(self.domain);
-        match self.shared.injector.pop_sweep(order) {
-            Some((TaskPtr(ptr), pos)) => {
-                let shard = order[pos];
-                if pos == 0 {
-                    self.me().counters.injector_local_pops.inc();
-                } else {
-                    self.me().counters.injector_remote_pops.inc();
-                }
-                // Stale-work expiry (DESIGN.md §17): a task whose deadline
-                // passed (or whose token was cancelled) while it queued is
-                // dropped here, before it costs a deque slot, a team or an
-                // execution — the pop already made us its exclusive owner.
-                if self.retire_if_stale(ptr) {
-                    if self.shared.injector.shard_len(shard) > 0 {
-                        self.shared.sleep.notify_work_near(
-                            self.shared.domains.domain_range(shard),
-                            self.searching,
-                        );
-                    }
-                    return true;
-                }
-                // SAFETY: the node is alive while it sits in the injector.
-                let req = unsafe { (*ptr).requirement };
-                let level = self.topo().level_for_requirement(self.id, req);
-                // Count before the push: once queued, a thief may run the
-                // task and complete its scope before this worker goes on,
-                // and a reader of the metrics after the scope must see it.
-                self.me().counters.tasks_injected.inc();
-                self.me().push_task(level, ptr);
-                if self.shared.injector.shard_len(shard) > 0 {
-                    // Wake chain: the submit-side hint only wakes one worker
-                    // per shard's empty→non-empty transition; each consumer
-                    // passes the wake on while elements remain in the shard
-                    // it popped, preferring a sleeper of that shard's own
-                    // domain.  The caller is the searching worker that
-                    // popped, so its own searcher count must not suppress
-                    // the chain.
-                    self.shared.sleep.notify_work_near(
-                        self.shared.domains.domain_range(shard),
-                        self.searching,
-                    );
-                }
-                if req > 1 {
-                    let group = self.topo().group_size(self.id, level);
-                    self.announce(group);
-                }
-                true
-            }
-            None => false,
+        let shared = &self.shared;
+        // The common case of a search round: nothing injected.  Two loads
+        // per shard decide it, before any batch bound is worked out.
+        if shared.injector.is_empty() {
+            return false;
         }
+        let order = shared.domains.sweep_order(self.domain);
+        let mut batch = [std::ptr::null_mut::<TaskNode>(); INJECTED_BATCH];
+        let mut claimed = 0;
+        let share = |shard: usize| {
+            let workers = shared.domains.domain_range(shard).len();
+            (shared.injector.shard_len(shard) / workers + 1).min(INJECTED_BATCH)
+        };
+        let Some((_, pos)) = shared.injector.pop_sweep(order, share, |TaskPtr(ptr)| {
+            batch[claimed] = ptr;
+            claimed += 1;
+        }) else {
+            return false;
+        };
+        let shard = order[pos];
+        if pos == 0 {
+            self.me().counters.injector_local_pops.add(claimed as u64);
+        } else {
+            self.me().counters.injector_remote_pops.add(claimed as u64);
+        }
+        // Stale-work expiry (DESIGN.md §17): a task whose deadline passed
+        // (or whose token was cancelled) while it queued is dropped here,
+        // before it costs a deque slot, a team or an execution — the claim
+        // already made us its exclusive owner.
+        let mut kept = 0;
+        for i in 0..claimed {
+            if !self.retire_if_stale(batch[i]) {
+                batch[kept] = batch[i];
+                kept += 1;
+            }
+        }
+        // Count before the pushes: once queued, a thief may run a task and
+        // complete its scope before this worker goes on, and a reader of the
+        // metrics after the scope must see it.
+        self.me().counters.tasks_injected.add(kept as u64);
+        // Newest first, so the LIFO pops of each level run the batch oldest
+        // first; across levels the smallest tasks run first (Lemma 1).
+        for &ptr in batch[..kept].iter().rev() {
+            // SAFETY: the node is alive until it finishes, and nobody can
+            // run it before it is pushed.
+            let req = unsafe { (*ptr).requirement };
+            let level = self.topo().level_for_requirement(self.id, req);
+            self.me().push_task(level, ptr);
+            if req > 1 {
+                let group = self.topo().group_size(self.id, level);
+                self.announce(group);
+            }
+        }
+        if kept > 1 || self.shared.injector.shard_len(shard) > 0 {
+            // Wake chain, one wake per claim: the submit-side hint only
+            // wakes one worker per shard's empty→non-empty transition; each
+            // consumer passes the wake on while a surplus sits in its queues
+            // (the bulk-steal rule of `transfer_steal`) or elements remain
+            // in the shard it claimed from, preferring a sleeper of that
+            // shard's own domain.  The caller is the searching worker that
+            // claimed, so its own searcher count must not suppress the
+            // chain.
+            self.shared.sleep.notify_work_near(
+                self.shared.domains.domain_range(shard),
+                self.searching,
+            );
+        }
+        true
     }
 }
+
+/// The most injected tasks one claim moves into a worker's queues (the cap
+/// crossbeam-deque's `Injector::steal_batch` uses too).  A stack array of
+/// this many pointers holds the batch.
+const INJECTED_BATCH: usize = 32;
 
 /// How many tasks one successful steal transfers from a queue of
 /// `victim_len` tasks reached at steal level `level` (Section 4, "Number of

@@ -12,10 +12,13 @@
 //!   *written* with a release store.  Producers never block each other; a new
 //!   segment is allocated (and linked in with a CAS) once per
 //!   [`SEGMENT_SLOTS`] pushes.
-//! * **pop** (any thread): read the head index, check that the slot's
-//!   producer has finished writing, then claim the index with one CAS.  A
-//!   consumer never waits on a slow producer — it returns [`Steal::Retry`]
-//!   instead of spinning, so an idle worker just goes back to stealing.
+//! * **pop** (any thread): read the head index, check that the slots'
+//!   producers have finished writing, then claim the whole run of written
+//!   slots — up to a caller's bound and never past the segment's end — with
+//!   one CAS ([`Injector::try_pop_batch`]; [`Injector::try_pop`] is the
+//!   claim of one).  A consumer never waits on a slow producer — it returns
+//!   [`Steal::Retry`] instead of spinning, so an idle worker just goes back
+//!   to stealing.
 //!
 //! # Memory reclamation
 //!
@@ -44,6 +47,7 @@ use std::sync::Arc;
 use teamsteal_util::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
 use teamsteal_util::epoch::{Deferred, Domain, ReclaimClass};
+use teamsteal_util::CachePadded;
 
 use crate::Steal;
 
@@ -101,10 +105,13 @@ impl<T> Segment<T> {
 /// See the [module docs](self) for the design; the scheduler uses it as the
 /// external root-task injection queue.
 pub struct Injector<T> {
-    /// Next index to consume.  `head <= tail` always.
-    head: AtomicUsize,
+    /// Next index to consume.  `head <= tail` always.  `head` and `tail`
+    /// sit on separate cache lines, so a submitter's `fetch_add` on `tail`
+    /// does not invalidate the line a consumer CASes, and neighbouring
+    /// shards of a `ShardedInjector` share no line either.
+    head: CachePadded<AtomicUsize>,
     /// Next index to produce (indices below `tail` are reserved).
-    tail: AtomicUsize,
+    tail: CachePadded<AtomicUsize>,
     /// A segment at or before the one containing `head`, **and** the
     /// reclamation frontier: every segment before it has been retired
     /// (deferred into the epoch domain), so the live chain starts here.
@@ -151,7 +158,8 @@ impl<T: Send> Injector<T> {
     ///
     /// For as long as `domain` can be collected
     /// ([`Domain::try_collect`]), every thread calling [`push`](Self::push),
-    /// [`try_pop`](Self::try_pop) or [`pop`](Self::pop) must do so while
+    /// [`try_pop_batch`](Self::try_pop_batch), [`try_pop`](Self::try_pop)
+    /// or [`pop`](Self::pop) must do so while
     /// pinned to a registered participant of that same domain
     /// ([`teamsteal_util::epoch::Participant::pin`]), and must treat any
     /// segment pointer as dead across a repin.  `len`/`is_empty` and
@@ -159,8 +167,8 @@ impl<T: Send> Injector<T> {
     pub unsafe fn in_domain(domain: Arc<Domain>) -> Self {
         let first = Segment::new(0);
         Injector {
-            head: AtomicUsize::new(0),
-            tail: AtomicUsize::new(0),
+            head: CachePadded::new(AtomicUsize::new(0)),
+            tail: CachePadded::new(AtomicUsize::new(0)),
             head_seg: AtomicPtr::new(first),
             tail_seg: AtomicPtr::new(first),
             domain,
@@ -304,6 +312,30 @@ impl<T: Send> Injector<T> {
     /// producer has not finished writing (or another consumer got in the
     /// way); the caller may retry immediately or come back later.
     pub fn try_pop(&self) -> Steal<T> {
+        let mut out = None;
+        match self.try_pop_batch(1, |value| out = Some(value)) {
+            Steal::Stolen(_) => Steal::Stolen(out.expect("a claim of one hands out one value")),
+            Steal::Empty => Steal::Empty,
+            Steal::Retry => Steal::Retry,
+        }
+    }
+
+    /// Claims up to `max` of the oldest elements with one `head` CAS and
+    /// hands them to `sink` oldest first; returns how many were claimed.
+    /// The claim is the run of *written* slots in
+    /// `[head, min(tail, head + max, end of head's segment))`, so it stops
+    /// at the first slot whose producer has not finished and never crosses
+    /// a segment.  Safe to call from any thread.
+    ///
+    /// [`Steal::Retry`] has the meaning it has for
+    /// [`try_pop`](Self::try_pop).  Should `sink` panic, the values not yet
+    /// handed out are leaked, never dropped twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max == 0`.
+    pub fn try_pop_batch(&self, max: usize, mut sink: impl FnMut(T)) -> Steal<usize> {
+        assert!(max > 0, "a claim takes at least one element");
         loop {
             let head = self.head.load(Ordering::Acquire);
             let tail = self.tail.load(Ordering::Acquire);
@@ -334,24 +366,33 @@ impl<T: Send> Injector<T> {
                 self.advance_head_and_retire(hint, seg_ptr);
             }
             let seg = unsafe { &*seg_ptr };
-            let slot = seg.slot(head);
-            if slot.state.load(Ordering::Acquire) != WRITTEN {
-                // Reserved but not yet written: do not wait on the producer.
+            let seg_end = seg.start + SEGMENT_SLOTS;
+            let limit = tail.min(head.saturating_add(max)).min(seg_end);
+            // The contiguous run of written slots from `head`: a reserved
+            // but unwritten slot ends it, so no claim waits on a producer.
+            let mut end = head;
+            while end < limit && seg.slot(end).state.load(Ordering::Acquire) == WRITTEN {
+                end += 1;
+            }
+            if end == head {
                 return Steal::Retry;
             }
             if self
                 .head
-                .compare_exchange(head, head + 1, Ordering::AcqRel, Ordering::Relaxed)
+                .compare_exchange(head, end, Ordering::AcqRel, Ordering::Relaxed)
                 .is_err()
             {
-                // Another consumer claimed this index; try the next one.
+                // Another consumer claimed some of these indices; start over.
                 continue;
             }
-            // We own index `head` exclusively now, and we observed WRITTEN
-            // with Acquire before claiming it.
-            // SAFETY: exactly one consumer claims each index.
-            let value = unsafe { (*slot.value.get()).assume_init_read() };
-            if head + 1 == seg.start + SEGMENT_SLOTS {
+            // We own indices `head..end` exclusively now (`head` only moves
+            // forward, so the CAS from `head` means nobody claimed any of
+            // them), and we observed each one WRITTEN with Acquire first.
+            for index in head..end {
+                // SAFETY: exactly one consumer claims each index.
+                sink(unsafe { (*seg.slot(index).value.get()).assume_init_read() });
+            }
+            if end == seg_end {
                 // We consumed the last slot of this segment: if its
                 // successor is already linked, advance the head hint past it
                 // and retire it eagerly (otherwise the lag-detection above
@@ -361,7 +402,7 @@ impl<T: Send> Injector<T> {
                     self.advance_head_and_retire(seg_ptr, next);
                 }
             }
-            return Steal::Stolen(value);
+            return Steal::Stolen(end - head);
         }
     }
 
@@ -423,15 +464,24 @@ impl<T: Send> Injector<T> {
     /// Dequeues the oldest element, retrying through transient
     /// [`Steal::Retry`] results a bounded number of times.
     pub fn pop(&self) -> Option<T> {
+        let mut out = None;
+        self.pop_batch(1, |value| out = Some(value));
+        out
+    }
+
+    /// [`try_pop_batch`](Self::try_pop_batch), retrying through transient
+    /// [`Steal::Retry`] results a bounded number of times; returns how many
+    /// elements `sink` received (0 when the queue stayed empty or busy).
+    pub(crate) fn pop_batch(&self, max: usize, mut sink: impl FnMut(T)) -> usize {
         let mut retries = 0;
         loop {
-            match self.try_pop() {
-                Steal::Stolen(v) => return Some(v),
-                Steal::Empty => return None,
+            match self.try_pop_batch(max, &mut sink) {
+                Steal::Stolen(n) => return n,
+                Steal::Empty => return 0,
                 Steal::Retry => {
                     retries += 1;
                     if retries > 32 {
-                        return None;
+                        return 0;
                     }
                     std::hint::spin_loop();
                 }
@@ -484,6 +534,126 @@ mod tests {
         }
         assert!(q.pop().is_none());
         assert!(q.is_empty());
+    }
+
+    /// Claims one batch into a `Vec` (`None` for `Empty`/`Retry`).
+    fn batch<T: Send>(q: &Injector<T>, max: usize) -> Option<Vec<T>> {
+        let mut got = Vec::new();
+        match q.try_pop_batch(max, |v| got.push(v)) {
+            Steal::Stolen(n) => {
+                assert_eq!(n, got.len(), "the count matches what the sink received");
+                Some(got)
+            }
+            Steal::Empty | Steal::Retry => None,
+        }
+    }
+
+    #[test]
+    fn batch_is_fifo_and_bounded_by_max() {
+        let q: Injector<usize> = Injector::new();
+        for i in 0..10 {
+            q.push(i);
+        }
+        assert_eq!(batch(&q, 4), Some(vec![0, 1, 2, 3]));
+        assert_eq!(batch(&q, 1), Some(vec![4]));
+        // A bound above the queue length takes what is there.
+        assert_eq!(batch(&q, 100), Some(vec![5, 6, 7, 8, 9]));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn batch_stops_at_the_segment_end() {
+        let q: Injector<usize> = Injector::new();
+        let n = SEGMENT_SLOTS + 5;
+        for i in 0..n {
+            q.push(i);
+        }
+        assert_eq!(batch(&q, 3), Some(vec![0, 1, 2]));
+        // The rest of the first segment, not a slot past it.
+        let first = batch(&q, usize::MAX).expect("first segment");
+        assert_eq!(first, (3..SEGMENT_SLOTS).collect::<Vec<_>>());
+        // Taking the segment's last slot retired it off the live chain.
+        assert_eq!(q.live_segments(), 1);
+        assert_eq!(batch(&q, usize::MAX), Some((SEGMENT_SLOTS..n).collect()));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn batch_from_an_empty_queue_claims_nothing() {
+        let q: Injector<u32> = Injector::new();
+        assert!(matches!(q.try_pop_batch(8, |_| panic!("nothing to hand out")), Steal::Empty));
+        q.push(1);
+        assert_eq!(batch(&q, 8), Some(vec![1]));
+        assert!(matches!(q.try_pop_batch(8, |_| panic!("nothing to hand out")), Steal::Empty));
+        assert!(q.push(2), "a drained queue observes empty again");
+    }
+
+    #[test]
+    fn two_producers_and_two_batch_consumers_deliver_exactly_once() {
+        const PRODUCERS: usize = 2;
+        const PER_PRODUCER: usize = 20_000;
+        let q: Arc<Injector<usize>> = Arc::new(Injector::new());
+        let seen = Arc::new(
+            (0..PRODUCERS * PER_PRODUCER)
+                .map(|_| StdAtomicUsize::new(0))
+                .collect::<Vec<_>>(),
+        );
+        let produced = Arc::new(StdAtomicUsize::new(0));
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let (q, produced) = (Arc::clone(&q), Arc::clone(&produced));
+                std::thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        q.push(p * PER_PRODUCER + i);
+                        produced.fetch_add(1, Ordering::SeqCst);
+                    }
+                })
+            })
+            .collect();
+        let consumers: Vec<_> = [3usize, 17]
+            .into_iter()
+            .map(|max| {
+                let (q, seen, produced) = (Arc::clone(&q), Arc::clone(&seen), Arc::clone(&produced));
+                std::thread::spawn(move || {
+                    let mut last = [None::<usize>; PRODUCERS];
+                    let mut taken = 0usize;
+                    loop {
+                        let mut got = Vec::new();
+                        match q.try_pop_batch(max, |v| got.push(v)) {
+                            Steal::Stolen(n) => assert!(n <= max && n == got.len()),
+                            Steal::Retry => continue,
+                            Steal::Empty => {
+                                if produced.load(Ordering::SeqCst) == PRODUCERS * PER_PRODUCER
+                                    && q.is_empty()
+                                {
+                                    break;
+                                }
+                                std::thread::yield_now();
+                                continue;
+                            }
+                        }
+                        for v in got {
+                            // Each consumer sees every producer's values in
+                            // push order, across batches too.
+                            let (p, i) = (v / PER_PRODUCER, v % PER_PRODUCER);
+                            assert!(last[p].map_or(true, |prev| i > prev), "producer {p} reordered");
+                            last[p] = Some(i);
+                            seen[v].fetch_add(1, Ordering::SeqCst);
+                            taken += 1;
+                        }
+                    }
+                    taken
+                })
+            })
+            .collect();
+        for producer in producers {
+            producer.join().unwrap();
+        }
+        let taken: usize = consumers.into_iter().map(|c| c.join().unwrap()).sum();
+        assert_eq!(taken, PRODUCERS * PER_PRODUCER, "every element delivered");
+        for (i, s) in seen.iter().enumerate() {
+            assert_eq!(s.load(Ordering::SeqCst), 1, "element {i} delivered exactly once");
+        }
     }
 
     #[test]

@@ -95,15 +95,24 @@ impl<T: Send> ShardedInjector<T> {
         self.shards[shard].pop()
     }
 
-    /// Pops from the first non-empty shard in `order` (the caller's
-    /// hierarchy-distance sweep, local shard first).  Returns the value
-    /// together with the index *into `order`* it came from, so the caller
-    /// can tell a local hit (`0`) from a remote one and knows which shard
-    /// to re-check for wake chaining.
-    pub fn pop_sweep(&self, order: &[usize]) -> Option<(T, usize)> {
+    /// Claims a batch from the first non-empty shard in `order` (the
+    /// caller's hierarchy-distance sweep, local shard first): at most
+    /// `max(shard)` elements, handed to `sink` oldest first with one claim
+    /// CAS ([`Injector::try_pop_batch`]).  Returns the number claimed
+    /// together with the index *into `order`* of the shard they came from,
+    /// so the caller can tell a local hit (`0`) from a remote one and knows
+    /// which shard to re-check for wake chaining.  A single-element caller
+    /// passes `|_| 1`.
+    pub fn pop_sweep(
+        &self,
+        order: &[usize],
+        max: impl Fn(usize) -> usize,
+        mut sink: impl FnMut(T),
+    ) -> Option<(usize, usize)> {
         for (pos, &shard) in order.iter().enumerate() {
-            if let Some(value) = self.shards[shard].pop() {
-                return Some((value, pos));
+            let n = self.shards[shard].pop_batch(max(shard), &mut sink);
+            if n > 0 {
+                return Some((n, pos));
             }
         }
         None
@@ -142,6 +151,13 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// A single-element sweep: the value and its position in `order`.
+    fn pop_one<T: Send>(q: &ShardedInjector<T>, order: &[usize]) -> Option<(T, usize)> {
+        let mut out = None;
+        let (_, pos) = q.pop_sweep(order, |_| 1, |v| out = Some(v))?;
+        out.map(|v| (v, pos))
+    }
+
     #[test]
     fn push_wraps_affinity_keys_and_pops_fifo_per_shard() {
         let q: ShardedInjector<usize> = ShardedInjector::new(3);
@@ -164,9 +180,26 @@ mod tests {
         q.push_to(2, 7);
         q.push_to(3, 9);
         // Sweep order [1, 2, 3, 0]: shard 1 is empty, shard 2 yields first.
-        assert_eq!(q.pop_sweep(&[1, 2, 3, 0]), Some((7, 1)));
-        assert_eq!(q.pop_sweep(&[1, 2, 3, 0]), Some((9, 2)));
-        assert_eq!(q.pop_sweep(&[1, 2, 3, 0]), None);
+        assert_eq!(pop_one(&q, &[1, 2, 3, 0]), Some((7, 1)));
+        assert_eq!(pop_one(&q, &[1, 2, 3, 0]), Some((9, 2)));
+        assert_eq!(pop_one(&q, &[1, 2, 3, 0]), None);
+    }
+
+    #[test]
+    fn sweep_claims_a_batch_bounded_per_shard() {
+        let q: ShardedInjector<u32> = ShardedInjector::new(2);
+        for v in 0..5 {
+            q.push_to(1, v);
+        }
+        q.push_to(0, 9);
+        // Shard 0 comes first and yields its one element even under a
+        // larger bound; shard 1 then yields its oldest three.
+        let mut got = Vec::new();
+        let max = |shard: usize| if shard == 0 { 4 } else { 3 };
+        assert_eq!(q.pop_sweep(&[0, 1], max, |v| got.push(v)), Some((1, 0)));
+        assert_eq!(q.pop_sweep(&[0, 1], max, |v| got.push(v)), Some((3, 1)));
+        assert_eq!(got, vec![9, 0, 1, 2]);
+        assert_eq!(q.shard_len(1), 2);
     }
 
     #[test]
@@ -213,7 +246,7 @@ mod tests {
                 // Each consumer sweeps starting from its own shard.
                 let order: Vec<usize> = (0..SHARDS).map(|i| (home + i) % SHARDS).collect();
                 std::thread::spawn(move || loop {
-                    match q.pop_sweep(&order) {
+                    match pop_one(&q, &order) {
                         Some((v, _)) => {
                             seen[v].fetch_add(1, Ordering::SeqCst);
                         }

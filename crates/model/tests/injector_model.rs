@@ -149,6 +149,67 @@ fn segment_retire_race_keeps_values_exactly_once() {
     });
 }
 
+/// A batch claim races a single-element claim and the producer across the
+/// segment boundary: the batch consumer (`max = 2`) may take a run that
+/// ends at the segment's last slot and retire the segment, while the
+/// `try_pop` consumer and the producer linking the next segment interleave
+/// with it.  Every value must be delivered exactly once, each consumer must
+/// see the values in queue order, and the drained chain must hold one live
+/// segment.
+#[test]
+fn batch_claim_races_single_claim_across_the_segment_boundary() {
+    // Stale `Relaxed` reads off for the same reason as the retire race
+    // above: `live_segments` is a deliberately `Relaxed` gauge.
+    Builder::new().without_stale_reads().preemption_bound(2).check(|| {
+        let inj = Arc::new(Injector::new());
+        let producer = {
+            let inj = Arc::clone(&inj);
+            thread::spawn(move || {
+                for v in 0..3usize {
+                    inj.push(v);
+                }
+            })
+        };
+        let batcher = {
+            let inj = Arc::clone(&inj);
+            thread::spawn(move || {
+                let mut got = Vec::new();
+                for _ in 0..4 {
+                    match inj.try_pop_batch(2, |v| got.push(v)) {
+                        Steal::Stolen(n) => assert!((1..=2).contains(&n), "claimed {n} of max 2"),
+                        Steal::Empty | Steal::Retry => continue,
+                    }
+                }
+                got
+            })
+        };
+        let single = {
+            let inj = Arc::clone(&inj);
+            thread::spawn(move || {
+                let mut got = Vec::new();
+                for _ in 0..4 {
+                    if let Steal::Stolen(v) = inj.try_pop() {
+                        got.push(v);
+                    }
+                }
+                got
+            })
+        };
+        producer.join().unwrap();
+        let taken = [batcher.join().unwrap(), single.join().unwrap()];
+        for got in &taken {
+            assert!(got.windows(2).all(|w| w[0] < w[1]), "a consumer saw values out of order: {taken:?}");
+        }
+        let mut all: Vec<usize> = taken.iter().flatten().copied().collect();
+        while let Some(v) = inj.pop() {
+            all.push(v);
+        }
+        all.sort_unstable();
+        assert_eq!(all, vec![0, 1, 2], "exactly-once violated: {taken:?}");
+        assert_eq!(inj.live_segments(), 1, "drained injector must keep exactly one live segment");
+    });
+}
+
 /// The sharded facade keeps the per-shard invariants when two producers
 /// target different shards: a sweep drains both shards exactly once and
 /// FIFO holds within each shard.
@@ -170,8 +231,9 @@ fn sharded_sweep_drains_each_shard_exactly_once() {
             h.join().unwrap();
         }
         let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(), Vec::new()];
-        while let Some((v, shard)) = sharded.pop_sweep(&[0, 1]) {
-            per_shard[shard].push(v);
+        let mut got = None;
+        while let Some((_, shard)) = sharded.pop_sweep(&[0, 1], |_| 1, |v| got = Some(v)) {
+            per_shard[shard].extend(got.take());
         }
         assert_eq!(per_shard[0], vec![0, 1]);
         assert_eq!(per_shard[1], vec![10, 11]);

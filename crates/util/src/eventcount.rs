@@ -522,11 +522,23 @@ mod tests {
                 })
             })
             .collect();
-        std::thread::sleep(Duration::from_millis(30));
+        let all_parked = |slots: std::ops::Range<usize>| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !slots.clone().all(|i| ec.slots[i].state.load(Ordering::SeqCst) == PARKED_IDLE) {
+                assert!(Instant::now() < deadline, "waiters {slots:?} not parked within 10 s");
+                std::thread::yield_now();
+            }
+        };
+        all_parked(0..4);
         // Repeatedly wake with a preference for slots 2..4; slots 0 and 1
         // must never be claimed while a preferred sleeper is available.
+        // Each wake first waits until both are parked: a woken waiter may
+        // take longer than the pause below to park again on an
+        // oversubscribed host, and with neither preferred slot parked the
+        // fallback rightly wakes slot 0 or 1.
         let mut claimed = 0;
         for _ in 0..50 {
+            all_parked(2..4);
             if ec.notify_one_idle_in(2..4) {
                 claimed += 1;
             }

@@ -112,6 +112,73 @@ fn expired_task_is_dropped_at_claim_time() {
     });
 }
 
+/// An idle worker claims the injected backlog in one batch and screens each
+/// task at the claim: in a batch that mixes cancelled, expired and live
+/// tasks, each stale one is retired exactly once without running and every
+/// live one runs.  The closures' captured state counts its drops, so a
+/// retire that dropped a job twice (or never) shows.
+#[test]
+fn stale_tasks_in_a_claimed_batch_retire_once_and_the_rest_run() {
+    const TASKS: usize = 12;
+    struct Dropped(Arc<AtomicUsize>);
+    impl Drop for Dropped {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    with_watchdog("stale_tasks_in_a_batch", WATCHDOG, || {
+        let service = ServiceBuilder::new()
+            .threads(1)
+            .tenant(TenantConfig::new("t").burst(32))
+            .build();
+        let tenant = service.tenant("t").unwrap();
+        let release = Arc::new(AtomicBool::new(false));
+        tenant.submit(blocker(&release)).unwrap();
+
+        // Task i is cancelled when i % 3 == 1, expires when i % 3 == 2 and
+        // runs otherwise; all of them queue behind the blocker, so the one
+        // worker claims them together once it is released.
+        let (ran, dropped) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let handles: Vec<_> = (0..TASKS)
+            .map(|i| {
+                let options = if i % 3 == 2 {
+                    SubmitOptions::new().deadline(Duration::from_millis(5))
+                } else {
+                    SubmitOptions::new()
+                };
+                let (ran, guard) = (Arc::clone(&ran), Dropped(Arc::clone(&dropped)));
+                tenant
+                    .submit_with(options, move |_| {
+                        let _guard = guard;
+                        ran.fetch_add(1, Ordering::SeqCst);
+                    })
+                    .unwrap()
+            })
+            .collect();
+        for handle in handles.iter().skip(1).step_by(3) {
+            assert!(handle.cancel(), "cancel must win while the task is queued");
+        }
+        // Let the deadlines lapse while the tasks are still queued.
+        std::thread::sleep(Duration::from_millis(20));
+        release.store(true, Ordering::Release);
+        let report = service.drain();
+
+        let stale = TASKS / 3;
+        assert_eq!(ran.load(Ordering::SeqCst), TASKS - 2 * stale, "every live task runs");
+        assert_eq!(dropped.load(Ordering::SeqCst), TASKS, "each job is dropped exactly once");
+        for (i, handle) in handles.iter().enumerate() {
+            assert!(handle.is_finished(), "task {i} finished its guard");
+            assert_eq!(handle.is_cancelled(), i % 3 == 1, "task {i}");
+            assert_eq!(handle.is_expired(), i % 3 == 2, "task {i}");
+        }
+        let metrics = service.metrics();
+        assert_eq!(metrics.tasks_executed as usize, 1 + TASKS - 2 * stale);
+        assert_eq!(metrics.tasks_cancelled as usize, stale);
+        assert_eq!(metrics.tasks_expired as usize, stale);
+        assert_eq!(report.completed(), report.admitted());
+    });
+}
+
 /// The batch fan-out contract of a shared [`CancelToken`]: each
 /// submission keeps its own claim cell, so an *uncancelled* shared token
 /// never stops any batch member from running.  (Regression: a one-shot

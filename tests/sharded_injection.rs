@@ -201,3 +201,35 @@ fn single_shard_width_keeps_exactly_once_semantics() {
         assert_eq!(delta.injector_local_pops, delta.tasks_injected);
     });
 }
+
+#[test]
+fn a_claimed_backlog_runs_in_submission_order() {
+    with_watchdog("claimed_backlog_order", WATCHDOG, || {
+        // One worker, held by the first task until 100 more are queued
+        // behind it: the worker then claims the backlog in batches, and
+        // its `r = 1` tasks must still run in submission order.
+        const BACKLOG: usize = 100;
+        let scheduler = Scheduler::builder().threads(1).build();
+        let before = scheduler.metrics();
+        let submitted = Arc::new(AtomicUsize::new(0));
+        let order = Arc::new(std::sync::Mutex::new(Vec::with_capacity(BACKLOG)));
+        scheduler.scope(|scope| {
+            let gate = Arc::clone(&submitted);
+            scope.spawn(move |_| {
+                while gate.load(Ordering::Acquire) < BACKLOG {
+                    std::thread::yield_now();
+                }
+            });
+            for i in 0..BACKLOG {
+                let order = Arc::clone(&order);
+                scope.spawn(move |_| order.lock().unwrap().push(i));
+                submitted.fetch_add(1, Ordering::Release);
+            }
+        });
+        let order = order.lock().unwrap();
+        assert_eq!(*order, (0..BACKLOG).collect::<Vec<_>>());
+        let delta = scheduler.metrics().delta_since(&before);
+        assert_eq!(delta.tasks_injected as usize, BACKLOG + 1);
+        assert_eq!(delta.injector_local_pops, delta.tasks_injected, "{delta:?}");
+    });
+}
