@@ -603,7 +603,10 @@ impl ConcurrentScope {
     /// task up after `cancel.cancel()` won the claim race, or after
     /// `deadline` has passed, drops it **without running it** — the scope
     /// countdown and the closure's captured state (e.g. a completion guard)
-    /// are still retired exactly once.
+    /// are still retired exactly once.  However the task retires — also
+    /// when the scheduler's shutdown drops it unclaimed — `cancel`'s
+    /// [`is_finished`](CancelCell::is_finished) turns true once the
+    /// closure has been dropped.
     pub fn submit_cancellable<F>(
         &self,
         scheduler: &Scheduler,
@@ -727,6 +730,49 @@ mod tests {
         assert_eq!(scope.pending(), 0);
         for (id, count) in dropped.iter().enumerate() {
             assert_eq!(count.load(Ordering::SeqCst), 1, "job {id} dropped a wrong number of times");
+        }
+    }
+
+    /// The drop-time drain is a retire path too: each queued cancellable
+    /// task's cell reads finished afterwards — never before its job's
+    /// captures dropped — with no outcome settled, and no `cancel()` can
+    /// win any more.
+    #[test]
+    fn drop_time_drain_finishes_each_cell_after_its_job() {
+        /// Records, when the job that captured it is dropped, whether its
+        /// cell already read finished.
+        struct Probe(Arc<CancelCell>, Arc<AtomicUsize>);
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                if self.0.is_finished() {
+                    self.1.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+        }
+        let scheduler = unstarted(2);
+        let scope = ConcurrentScope::new();
+        let early = Arc::new(AtomicUsize::new(0));
+        let cells: Vec<Arc<CancelCell>> = (0..10).map(|_| Arc::new(CancelCell::new())).collect();
+        for cell in &cells {
+            let probe = Probe(Arc::clone(cell), Arc::clone(&early));
+            scope.submit_cancellable(&scheduler, Some(Arc::clone(cell)), None, move |_| {
+                drop(probe)
+            });
+        }
+        assert!(cells
+            .iter()
+            .all(|cell| cell.is_pending() && !cell.is_finished()));
+        drop(scheduler);
+        assert_eq!(scope.pending(), 0);
+        assert_eq!(
+            early.load(Ordering::SeqCst),
+            0,
+            "FINISHED set before the job dropped"
+        );
+        for cell in &cells {
+            assert!(cell.is_finished());
+            assert!(!cell.is_claimed() && !cell.is_cancelled() && !cell.is_expired());
+            assert!(!cell.cancel(), "a drained task cannot be cancelled");
         }
     }
 

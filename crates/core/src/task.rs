@@ -428,7 +428,7 @@ pub struct TaskNode {
     /// internal spawn path) keeps the hot paths free of cancellation
     /// checks.  Written only while the submitter exclusively owns the node
     /// (between allocation and injection); the injector handoff publishes
-    /// it.
+    /// it.  `release` sets the cell's FINISHED bit after the job drops.
     pub(crate) cancel: Option<Arc<CancelCell>>,
     /// Absolute deadline after which the task is dropped without running
     /// (DESIGN.md §17).  Plain data: checked only by the worker that
@@ -502,11 +502,13 @@ impl TaskNode {
         unsafe { &*self.scope }
     }
 
-    /// Frees a node: drops its contents and recycles it into its home
-    /// arena.  `own` is the arena of the calling worker (`None` off the
-    /// pool): a node coming home to it goes on the owner's private free
-    /// list, with no atomic read-modify-write; any other node takes its
-    /// arena's remote list (DESIGN.md §8).
+    /// Frees a node: drops its contents, recycles it into its home arena,
+    /// and then sets its cancel cell's FINISHED bit (DESIGN.md §17), so a
+    /// handle that sees the bit also sees the job's captures dropped.
+    /// `own` is the arena of the calling worker (`None` off the pool): a
+    /// node coming home to it goes on the owner's private free list, with
+    /// no atomic read-modify-write; any other node takes its arena's
+    /// remote list (DESIGN.md §8).
     ///
     /// # Safety
     ///
@@ -515,8 +517,9 @@ impl TaskNode {
     /// afterwards.  `own`, if given, must be the arena whose owner the
     /// caller is.
     pub(crate) unsafe fn release(ptr: *mut TaskNode, own: Option<&Slab<TaskNode>>) {
-        // SAFETY: the node is still alive here; reading `home` is fine.
-        let home = unsafe { (*ptr).home };
+        // SAFETY: the node is still alive and the caller's alone; the cell
+        // is taken out so it outlives the drop below.
+        let (home, cancel) = unsafe { ((*ptr).home, (*ptr).cancel.take()) };
         // SAFETY: drop the contents in place, then hand the dead slot back
         // to its arena; the arena outlives all nodes (see `home`), and the
         // caller owns `own` (contract above).
@@ -526,6 +529,9 @@ impl TaskNode {
                 Some(own) if std::ptr::eq(own, home) => own.free_owned(ptr),
                 _ => (*home).free(ptr),
             }
+        }
+        if let Some(cell) = cancel {
+            cell.finish();
         }
     }
 }

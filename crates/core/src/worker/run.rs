@@ -129,9 +129,9 @@ impl Worker {
         }
         if let Some(deadline) = node.deadline {
             if std::time::Instant::now() >= deadline {
-                // Settle the cell to `Expired` so a late `cancel()`,
-                // `is_expired` or `is_finished` observer sees a coherent
-                // terminal state (and expiry never reports as cancelled).
+                // Settle the cell to `Expired` so a late `cancel()` or
+                // `is_expired` observer sees a coherent terminal state
+                // (and expiry never reports as cancelled).
                 // Losing this CAS to a racing `cancel()` still drops the
                 // task; only the expired-vs-cancelled attribution is
                 // best-effort in that one window.

@@ -132,6 +132,23 @@ macro_rules! int_atomic {
                 }
             }
 
+            /// Atomic fetch-or; RMWs always read the latest value.
+            pub fn fetch_or(&self, val: $prim, order: Ordering) -> $prim {
+                match execution::current() {
+                    Some(ctx) => {
+                        let obj = self.obj(&ctx);
+                        let old = ctx
+                            .exec
+                            .atomic_rmw(ctx.tid, obj, |v| ((v as $prim) | val) as u64)
+                            as $prim;
+                        self.value
+                            .store(old | val, std::sync::atomic::Ordering::SeqCst);
+                        old
+                    }
+                    None => self.value.fetch_or(val, order),
+                }
+            }
+
             /// Strong compare-exchange.
             pub fn compare_exchange(
                 &self,

@@ -27,11 +27,18 @@
 //! cancel* (the owning worker's `expire()` against an external
 //! `cancel()` — exactly one settles the cell, the task never runs, and
 //! the attribution is coherent: `cancel() == true ⇔ is_cancelled()`).
+//! Last, *finish vs cancel*: the releaser drops the job's captures and then
+//! sets the cell's FINISHED bit, racing a canceller and an observer.  Seen
+//! finished, the cell has a terminal outcome, refuses every transition, and
+//! the captures are gone; and `cancel() == true ⇔ is_cancelled()` still
+//! holds with the bit set.  A negative control that sets the bit before the
+//! drop must be caught.
 //!
 //! Run with `RUSTFLAGS='--cfg teamsteal_model' cargo test -p teamsteal-model`.
 #![cfg(teamsteal_model)]
 
 use std::collections::BTreeSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex as StdMutex};
 
 use teamsteal_core::CancelCell;
@@ -328,4 +335,151 @@ fn expiry_vs_cancel_settles_coherently() {
             "exploration never produced a schedule where the task {outcome}: {seen:?}"
         );
     }
+}
+
+/// How the releaser in [`finish_race`] retires the task.
+#[derive(Clone, Copy)]
+enum Retire {
+    /// The worker path: claim-gate, then run or drop, then release.
+    Claim,
+    /// The scheduler's shutdown drain: release without claiming.
+    Drain,
+}
+
+/// One finish-vs-cancel schedule: a releaser retires the task the `retire`
+/// way — dropping the job's captures, then setting FINISHED, or the other
+/// way round when `finish_first` — while a canceller races `cancel()` and
+/// an observer polls `is_finished()` once.  Returns what the schedule
+/// showed: whether the task ran, whether the cancel won, and whether the
+/// observer saw the task finished.
+fn finish_race(retire: Retire, finish_first: bool) -> (bool, bool, bool) {
+    let cell = Arc::new(CancelCell::new());
+    // The job's captured state: 1 once dropped.
+    let dropped = Arc::new(AtomicUsize::new(0));
+
+    let releaser = {
+        let (cell, dropped) = (Arc::clone(&cell), Arc::clone(&dropped));
+        thread::spawn(move || {
+            let ran = matches!(retire, Retire::Claim) && cell.try_claim();
+            // `TaskNode::release`: the job drops, then the bit is set.
+            if finish_first {
+                cell.finish();
+            }
+            dropped.fetch_add(1, Ordering::SeqCst);
+            if !finish_first {
+                cell.finish();
+            }
+            ran
+        })
+    };
+    let canceller = {
+        let cell = Arc::clone(&cell);
+        thread::spawn(move || {
+            let won = cell.cancel();
+            // A won cancel reads as cancelled at once, and stays so.
+            assert!(
+                !won || cell.is_cancelled(),
+                "cancel() won but is_cancelled() is false"
+            );
+            won
+        })
+    };
+    let observer = {
+        let (cell, dropped) = (Arc::clone(&cell), Arc::clone(&dropped));
+        thread::spawn(move || {
+            if !cell.is_finished() {
+                return false;
+            }
+            assert_eq!(
+                dropped.load(Ordering::SeqCst),
+                1,
+                "is_finished() before the job's captures dropped"
+            );
+            assert!(!cell.is_pending(), "a finished cell reads pending");
+            if matches!(retire, Retire::Claim) {
+                assert!(
+                    cell.is_claimed() || cell.is_cancelled(),
+                    "a finished, claim-gated task has no outcome"
+                );
+            }
+            true
+        })
+    };
+
+    let ran = releaser.join().unwrap();
+    let cancel_won = canceller.join().unwrap();
+    let saw_finished = observer.join().unwrap();
+
+    assert!(cell.is_finished());
+    assert_eq!(dropped.load(Ordering::SeqCst), 1);
+    assert!(!(ran && cancel_won), "a task ran although cancel() won");
+    assert_eq!(
+        cancel_won,
+        cell.is_cancelled(),
+        "cancel() == true ⇔ is_cancelled()"
+    );
+    assert!(!cell.is_expired());
+    assert_eq!(ran, cell.is_claimed());
+    assert!(
+        !cell.cancel() && !cell.try_claim() && !cell.expire(),
+        "a finished cell refuses"
+    );
+    (ran, cancel_won, saw_finished)
+}
+
+/// Finish vs cancel, on both retire paths: on every interleaving the
+/// FINISHED bit is observed only after the captures dropped and alongside a
+/// settled cell, and the masked outcome reads keep `cancel() == true ⇔
+/// is_cancelled()` once the bit is set.
+#[test]
+fn finish_vs_cancel_observes_dropped_captures() {
+    for retire in [Retire::Claim, Retire::Drain] {
+        let seen: Arc<StdMutex<BTreeSet<(bool, bool, bool)>>> = Arc::default();
+        let seen_in = Arc::clone(&seen);
+        Builder::new().preemption_bound(2).check(move || {
+            let outcome = finish_race(retire, false);
+            seen_in.lock().unwrap().insert(outcome);
+        });
+        let seen = seen.lock().unwrap();
+        // Every side of each race must have been reached: the cancel won
+        // and lost, the observer came early and late, and on the claim
+        // path the task ran.
+        for (what, reached) in [
+            ("cancel won", seen.iter().any(|o| o.1)),
+            ("cancel lost", seen.iter().any(|o| !o.1)),
+            ("observer saw finished", seen.iter().any(|o| o.2)),
+            ("observer came early", seen.iter().any(|o| !o.2)),
+            (
+                "task ran",
+                seen.iter().any(|o| o.0) || matches!(retire, Retire::Drain),
+            ),
+        ] {
+            assert!(reached, "exploration never reached `{what}`: {seen:?}");
+        }
+    }
+}
+
+/// Negative control: a releaser that sets FINISHED **before** dropping the
+/// job lets an observer see a finished task whose captures are still
+/// alive.  The explorer must find that schedule, or the positive test
+/// above proves nothing about the order.
+#[test]
+fn finish_before_drop_is_caught() {
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        Builder::new().preemption_bound(2).check(|| {
+            finish_race(Retire::Claim, true);
+        });
+    }));
+    let message = match result {
+        Ok(()) => panic!("the explorer never found the early FINISHED"),
+        Err(payload) => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default(),
+    };
+    assert!(
+        message.contains("is_finished() before the job's captures dropped"),
+        "failed for another reason: {message}"
+    );
 }

@@ -51,6 +51,33 @@ fn rmw_is_atomic() {
     });
 }
 
+/// `fetch_or` is an RMW too: two threads setting different bits always
+/// end with both set, each sees the other's bit or not depending on the
+/// order, and the exploration reaches both orders.
+#[test]
+fn fetch_or_is_atomic() {
+    let seen: Arc<StdMutex<BTreeSet<(usize, usize)>>> = Arc::default();
+    let sink = Arc::clone(&seen);
+    model(move || {
+        let x = Arc::new(AtomicUsize::new(0));
+        let x2 = Arc::clone(&x);
+        let t = thread::spawn(move || x2.fetch_or(0b01, Ordering::SeqCst));
+        let mine = x.fetch_or(0b10, Ordering::SeqCst);
+        let theirs = t.join().unwrap();
+        assert_eq!(x.load(Ordering::SeqCst), 0b11, "a bit was lost");
+        assert!(mine == 0 || mine == 0b01);
+        assert!(theirs == 0 || theirs == 0b10);
+        assert!(mine == 0 || theirs == 0, "exactly one RMW ran first");
+        sink.lock().unwrap().insert((mine, theirs));
+    });
+    let seen = seen.lock().unwrap();
+    assert_eq!(
+        *seen,
+        BTreeSet::from([(0, 0b10), (0b01, 0)]),
+        "missed an order: {seen:?}"
+    );
+}
+
 /// Sleep-set pruning must not lose outcomes: the pruned exploration sees
 /// the same set of final values as the unpruned one, with no more
 /// schedules.

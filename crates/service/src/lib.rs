@@ -60,6 +60,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use teamsteal_core::{CancelCell, ConcurrentScope, MetricsSnapshot, Scheduler, TaskContext};
+use teamsteal_util::CachePadded;
 
 use admission::TokenBucket;
 use gate::{DrainGate, GateState};
@@ -226,7 +227,7 @@ impl ServiceBuilder {
                     rejected: AtomicU64::new(0),
                     shed: AtomicU64::new(0),
                     drain_rejected: AtomicU64::new(0),
-                    completed: AtomicU64::new(0),
+                    completed: CachePadded::new(AtomicU64::new(0)),
                 })
             })
             .collect();
@@ -278,7 +279,9 @@ struct TenantState {
     rejected: AtomicU64,
     shed: AtomicU64,
     drain_rejected: AtomicU64,
-    completed: AtomicU64,
+    /// Written by the workers retiring the tenant's tasks: on a line of
+    /// its own, away from the submitters' counter and bucket writes.
+    completed: CachePadded<AtomicU64>,
 }
 
 impl TenantState {
@@ -299,6 +302,10 @@ impl TenantState {
 const DRAIN_BACKSTOP: Duration = Duration::from_millis(10);
 
 struct ServiceCore {
+    /// Declared before `tenants`, so it drops first: its shutdown joins the
+    /// workers and drops any task still queued, and with it that task's
+    /// [`CompletionGuard`], while the tenant states the guards borrow are
+    /// still alive.
     scheduler: Scheduler,
     scope: ConcurrentScope,
     gate: DrainGate,
@@ -308,10 +315,6 @@ struct ServiceCore {
 }
 
 impl ServiceCore {
-    fn now_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
-
     fn backlog(&self) -> usize {
         self.scheduler.injector_len()
     }
@@ -347,20 +350,36 @@ impl Drop for GateEntry<'_> {
 /// Bumps an admitted task's tenant completion counter when the task
 /// retires — **including by panic**: the guard is dropped during unwind,
 /// and before the scope counts the task finished, so a drain sees it.
+///
+/// The guard borrows its tenant's state instead of owning a count on it,
+/// which saves a reference-count RMW on the submitter and another on the
+/// worker per task.
 struct CompletionGuard {
-    state: Arc<TenantState>,
-    /// `TaskHandle::is_finished` flag for `submit_with` submissions.
-    /// Flipped on drop, so it covers every way a task retires: ran,
-    /// panicked, cancelled, or expired.
-    finished: Option<Arc<AtomicBool>>,
+    /// From `Arc::as_ptr` on one of `ServiceCore::tenants`.
+    state: *const TenantState,
 }
+
+// SAFETY: the one field points to a `TenantState`, which is `Sync` and
+// outlives the guard (see `drop`); the guard only increments an atomic
+// through it, on whichever thread drops it.
+unsafe impl Send for CompletionGuard {}
+// SAFETY: a shared `&CompletionGuard` (every member of a team job holds
+// one) gives no access to the pointer at all.
+unsafe impl Sync for CompletionGuard {}
 
 impl Drop for CompletionGuard {
     fn drop(&mut self) {
-        if let Some(finished) = &self.finished {
-            finished.store(true, Ordering::Release);
-        }
-        self.state.completed.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the state outlives every guard.  `ServiceCore::tenants`
+        // keeps it alive until the core drops, which is after the drain
+        // (`TaskService::drop` drains, and a `Tenant` clone holds the core
+        // itself).  Every admitted task finishes before the drain returns,
+        // and a task drops its guard before the scope counts it finished
+        // (DESIGN.md §16, row D).  A task the scheduler's own shutdown
+        // still drops goes with `ServiceCore::scheduler`, which is declared,
+        // and so dropped, before `ServiceCore::tenants`.
+        unsafe { &*self.state }
+            .completed
+            .fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -493,9 +512,9 @@ impl SubmitOptions {
 pub struct TaskHandle {
     /// This submission's own claim cell — the same one the worker's
     /// claim gate CASes on, so the handle's answers are per-task even
-    /// when the token is shared across a batch.
+    /// when the token is shared across a batch.  Its FINISHED bit answers
+    /// [`is_finished`](Self::is_finished).
     cell: Arc<CancelCell>,
-    finished: Arc<AtomicBool>,
 }
 
 impl TaskHandle {
@@ -513,9 +532,13 @@ impl TaskHandle {
     /// cancelled, or expired.  Distinguish via
     /// [`is_cancelled`](Self::is_cancelled) /
     /// [`is_expired`](Self::is_expired): a finished task with neither set
-    /// executed.
+    /// executed.  Reads the FINISHED bit of the task's
+    /// [`CancelCell`], which the scheduler sets after the task's closure —
+    /// with its captures and the tenant's completion count — has dropped,
+    /// so a `true` also shows the task's effects and its
+    /// [`TenantStats::completed`] increment.
     pub fn is_finished(&self) -> bool {
-        self.finished.load(Ordering::Acquire)
+        self.cell.is_finished()
     }
 
     /// `true` once a `cancel()` call — through this handle, or a token
@@ -707,7 +730,7 @@ impl Tenant {
     where
         F: FnOnce(&TaskContext<'_>) + Send + 'static,
     {
-        let (_entry, guard) = self.admit(None)?;
+        let (_entry, guard) = self.admit(Instant::now())?;
         self.core
             .scope
             .submit(&self.core.scheduler, move |ctx| {
@@ -725,7 +748,7 @@ impl Tenant {
     where
         F: Fn(&TaskContext<'_>) + Send + Sync + 'static,
     {
-        let (_entry, guard) = self.admit(None)?;
+        let (_entry, guard) = self.admit(Instant::now())?;
         self.core
             .scope
             .submit_team(&self.core.scheduler, threads, move |ctx| {
@@ -751,12 +774,13 @@ impl Tenant {
     where
         F: FnOnce(&TaskContext<'_>) + Send + 'static,
     {
+        // One clock read serves the token bucket and the deadline.
+        let now = Instant::now();
+        let (_entry, guard) = self.admit(now)?;
         // `checked_add`: a huge relative deadline (say `Duration::MAX` as
         // an "effectively none" sentinel) saturates to no deadline instead
         // of panicking the submitting thread.
-        let deadline = opts.deadline.and_then(|d| Instant::now().checked_add(d));
-        let finished = Arc::new(AtomicBool::new(false));
-        let (_entry, guard) = self.admit(Some(Arc::clone(&finished)))?;
+        let deadline = opts.deadline.and_then(|d| now.checked_add(d));
         let cell = Arc::new(CancelCell::new());
         // Register the task's own claim cell with the caller's token only
         // once it is admitted, so a token sweep's "won at least one race"
@@ -773,18 +797,14 @@ impl Tenant {
                 f(ctx);
             },
         );
-        Ok(TaskHandle { cell, finished })
+        Ok(TaskHandle { cell })
     }
 
     /// Runs the admission pipeline: drain gate, overload shed, one probe
-    /// of the tenant's token bucket.  On success it returns the gate entry,
-    /// which the caller holds until the scope has counted the task, and
-    /// the task's completion guard, carrying the `is_finished` flag if
-    /// given.
-    fn admit(
-        &self,
-        finished: Option<Arc<AtomicBool>>,
-    ) -> Result<(GateEntry<'_>, CompletionGuard), SubmitError> {
+    /// of the tenant's token bucket at `now`.  On success it returns the
+    /// gate entry, which the caller holds until the scope has counted the
+    /// task, and the task's completion guard.
+    fn admit(&self, now: Instant) -> Result<(GateEntry<'_>, CompletionGuard), SubmitError> {
         self.state.offered.fetch_add(1, Ordering::Relaxed);
         if !self.core.gate.try_enter() {
             self.state.drain_rejected.fetch_add(1, Ordering::Relaxed);
@@ -797,7 +817,7 @@ impl Tenant {
             self.state.shed.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::Overloaded);
         }
-        let now_us = self.core.now_us();
+        let now_us = now.duration_since(self.core.start).as_micros() as u64;
         if self.state.bucket.try_acquire_at(now_us).is_err() {
             self.state.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(SubmitError::Backpressure);
@@ -806,8 +826,7 @@ impl Tenant {
         Ok((
             entry,
             CompletionGuard {
-                state: Arc::clone(&self.state),
-                finished,
+                state: Arc::as_ptr(&self.state),
             },
         ))
     }

@@ -8,7 +8,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use teamsteal::service::{CancelToken, ServiceBuilder, SubmitError, SubmitOptions, TenantConfig};
+use teamsteal::service::{
+    CancelToken, ServiceBuilder, SubmitError, SubmitOptions, TaskHandle, TenantConfig,
+};
 
 mod common;
 use common::{with_watchdog, WATCHDOG};
@@ -176,6 +178,105 @@ fn stale_tasks_in_a_claimed_batch_retire_once_and_the_rest_run() {
         assert_eq!(metrics.tasks_cancelled as usize, stale);
         assert_eq!(metrics.tasks_expired as usize, stale);
         assert_eq!(report.completed(), report.admitted());
+    });
+}
+
+/// `TaskHandle::is_finished` on every way a task retires in the service:
+/// it ran, it panicked, a `cancel()` won before the claim, or its deadline
+/// lapsed in the queue.  The handle is polled, not drained: whenever it
+/// reads finished, the job's captures have been dropped and the tenant's
+/// `completed` count includes the task, because the scheduler sets the
+/// cell's FINISHED bit only after the job has dropped.
+#[test]
+fn is_finished_follows_every_retire_path() {
+    struct Dropped(Arc<AtomicUsize>);
+    impl Drop for Dropped {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    with_watchdog("is_finished_retire_paths", WATCHDOG, || {
+        let service = ServiceBuilder::new()
+            .threads(1)
+            .tenant(TenantConfig::new("t").burst(16))
+            .build();
+        let tenant = service.tenant("t").unwrap();
+        // Submits one task that holds a drop probe, through `options`;
+        // `panics` decides whether its body panics.
+        let submit = |options: SubmitOptions, panics: bool| {
+            let dropped = Arc::new(AtomicUsize::new(0));
+            let probe = Dropped(Arc::clone(&dropped));
+            let ran = Arc::new(AtomicBool::new(false));
+            let ran_in = Arc::clone(&ran);
+            let handle = tenant
+                .submit_with(options, move |_| {
+                    let _probe = probe;
+                    ran_in.store(true, Ordering::SeqCst);
+                    if panics {
+                        panic!("retire path: panicked");
+                    }
+                })
+                .unwrap();
+            (handle, dropped, ran)
+        };
+        // Waits until `handle` reads finished; by then at least `retired`
+        // tasks, this one included, have retired.
+        let await_finished = |handle: &TaskHandle, dropped: &AtomicUsize, retired: u64| {
+            while !handle.is_finished() {
+                std::thread::yield_now();
+            }
+            assert_eq!(
+                dropped.load(Ordering::SeqCst),
+                1,
+                "finished before its captures dropped"
+            );
+            let stats = tenant.stats();
+            assert!(
+                stats.completed >= retired,
+                "finished before the tenant counted it: {stats:?}"
+            );
+        };
+
+        // Ran.
+        let (handle, dropped, ran) = submit(SubmitOptions::new(), false);
+        await_finished(&handle, &dropped, 1);
+        assert!(ran.load(Ordering::SeqCst));
+        assert!(!handle.is_cancelled() && !handle.is_expired());
+        assert!(!handle.cancel(), "a finished task cannot be cancelled");
+
+        // Panicked: the unwind drops the probe.
+        let (handle, dropped, ran) = submit(SubmitOptions::new(), true);
+        await_finished(&handle, &dropped, 2);
+        assert!(ran.load(Ordering::SeqCst));
+        assert!(!handle.is_cancelled() && !handle.is_expired());
+        assert!(service.take_panic().is_some());
+
+        // Cancelled before the claim, and expired in the queue: both queue
+        // behind a blocker on the one worker.
+        let release = Arc::new(AtomicBool::new(false));
+        tenant.submit(blocker(&release)).unwrap();
+        let (cancelled, cancelled_dropped, cancelled_ran) = submit(SubmitOptions::new(), false);
+        let (expired, expired_dropped, expired_ran) = submit(
+            SubmitOptions::new().deadline(Duration::from_millis(5)),
+            false,
+        );
+        assert!(
+            cancelled.cancel(),
+            "cancel must win while the task is queued"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+        release.store(true, Ordering::Release);
+        // The cancelled task may retire before the blocker does.
+        await_finished(&cancelled, &cancelled_dropped, 3);
+        assert!(cancelled.is_cancelled() && !cancelled.is_expired());
+        await_finished(&expired, &expired_dropped, 4);
+        assert!(expired.is_expired() && !expired.is_cancelled());
+        assert!(!expired.cancel(), "an expired task cannot be cancelled");
+        assert!(!cancelled_ran.load(Ordering::SeqCst) && !expired_ran.load(Ordering::SeqCst));
+
+        let report = service.drain();
+        assert_eq!(report.completed(), report.admitted());
+        assert_eq!(report.admitted(), 5);
     });
 }
 

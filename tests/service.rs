@@ -1,6 +1,7 @@
 //! Watchdogged integration tests for the multi-tenant task service
 //! (`teamsteal::service`, DESIGN.md §16): fairness under offered skew, backlog bounded by the high-water shed gate, the drain-vs-submit
-//! race, clean submit-after-drain failure, the external-pin pool sized
+//! race, clean submit-after-drain failure, a tenant handle outliving its
+//! service, the external-pin pool sized
 //! to the declared submitter concurrency, and the `in_flight` gauge across
 //! a panicking submission and a queued backlog.
 
@@ -8,7 +9,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use teamsteal::service::{ServiceBuilder, SubmitError, TaskService, TenantConfig};
+use teamsteal::service::{ServiceBuilder, SubmitError, SubmitOptions, TaskService, TenantConfig};
 
 mod common;
 use common::{with_watchdog, WATCHDOG};
@@ -229,6 +230,57 @@ fn submit_after_drain_fails_cleanly() {
         assert_eq!(tenant.submit(|_| {}), Err(SubmitError::Draining));
         assert_eq!(tenant.submit_team(2, |_| {}), Err(SubmitError::Draining));
         let stats = tenant.stats();
+        assert_eq!(
+            stats.admitted + stats.rejected + stats.shed + stats.drain_rejected,
+            stats.offered
+        );
+    });
+}
+
+/// A `Tenant` handle may outlive its `TaskService`.  Dropping the service
+/// drains it — every admitted task, slow ones included, finishes — and
+/// the handle then gets `Draining` on every path while its counters still
+/// balance: the completion guards that borrowed the tenant's state all
+/// ran before the drain returned.
+#[test]
+fn tenant_outliving_its_service_gets_draining_and_balances() {
+    with_watchdog("tenant_outlives_service", WATCHDOG, || {
+        let service = ServiceBuilder::new()
+            .threads(2)
+            .tenant(TenantConfig::new("t").burst(64))
+            .build();
+        let tenant = service.tenant("t").unwrap();
+        let ran = Arc::new(AtomicUsize::new(0));
+        for i in 0..32 {
+            let ran = Arc::clone(&ran);
+            let task = move |_: &teamsteal::TaskContext<'_>| {
+                if i % 8 == 0 {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                ran.fetch_add(1, Ordering::SeqCst);
+            };
+            if i % 2 == 0 {
+                tenant.submit(task).unwrap();
+            } else {
+                tenant.submit_with(SubmitOptions::new(), task).unwrap();
+            }
+        }
+        drop(service);
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            32,
+            "the drop drained every task"
+        );
+        assert_eq!(tenant.submit(|_| {}), Err(SubmitError::Draining));
+        assert_eq!(tenant.submit_team(1, |_| {}), Err(SubmitError::Draining));
+        assert!(matches!(
+            tenant.submit_with(SubmitOptions::new(), |_| {}),
+            Err(SubmitError::Draining)
+        ));
+        let stats = tenant.stats();
+        assert_eq!(stats.admitted, 32);
+        assert_eq!(stats.completed, stats.admitted);
+        assert_eq!(stats.drain_rejected, 3);
         assert_eq!(
             stats.admitted + stats.rejected + stats.shed + stats.drain_rejected,
             stats.offered
