@@ -20,11 +20,11 @@ use crate::worker::{SchedulerShared, Worker};
 /// stealing is deterministic or randomized.  The builder sets that list —
 /// thread count, machine topology, steal policy and seed — plus the two
 /// sizes a deployment sets: the injection-shard width and the external
-/// submitter pool.  The steal amount is fixed at the paper's default (`2^ℓ`,
-/// capped at half the victim's queue — `worker::steal::steal_amount`), and
-/// the backoff intervals are constants of the parking protocol
-/// (`PARK_SPIN_ROUNDS`, `HANDSHAKE_POLL`, `PARK_BACKSTOP`, `WARM_KEEPALIVE`
-/// in `worker`).
+/// submitter pool.  The steal amount is fixed: the paper's default (`2^ℓ`,
+/// capped at half the victim's queue), raised to 32 for a queue of 64 or
+/// more (`worker::steal::steal_amount`); the backoff intervals are
+/// constants of the parking protocol (`PARK_SPIN_ROUNDS`, `HANDSHAKE_POLL`,
+/// `PARK_BACKSTOP`, `WARM_KEEPALIVE` in `worker`).
 ///
 /// ```
 /// use teamsteal_core::Scheduler;

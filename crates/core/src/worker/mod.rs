@@ -302,6 +302,13 @@ mod tests {
         assert_eq!(steal_amount(1, 3), 1);
         // Half of the victim caps the 2^l rule.
         assert_eq!(steal_amount(8, 5), 4);
+        // Below 64 tasks a level-0 steal still takes one.
+        assert_eq!(steal_amount(63, 0), 1);
+        // A long queue yields a batch of 32 at any level...
+        assert_eq!(steal_amount(64, 0), 32);
+        assert_eq!(steal_amount(10_000, 0), 32);
+        // ...or 2^l where that is larger.
+        assert_eq!(steal_amount(10_000, 7), 128);
     }
 
     /// A coordinator that loses a conflict follows the winner — unless the

@@ -137,7 +137,11 @@ impl Worker {
     /// Transfers up to [`steal_amount`] tasks from `victim`'s queues (levels
     /// `0..=max_qlevel`, largest first) into our own queues, re-levelling
     /// each task for our own hierarchy position (Refinement 3).  Returns the
-    /// number of tasks moved.
+    /// number of tasks moved, at most [`steal_amount`]'s: `2^amount_level`
+    /// from a queue under `2 · INJECTED_BATCH`, at least `INJECTED_BATCH`
+    /// from a longer one, never more than half the queue.  Each task is claimed by its own `steal_top` CAS — one CAS for the
+    /// whole range could take the task the owner's LIFO `pop_bottom` is
+    /// taking at the same moment.
     pub(super) fn transfer_steal(&mut self, victim: usize, max_qlevel: usize, amount_level: usize) -> usize {
         let me = self.id;
         if victim == me {
@@ -314,8 +318,9 @@ impl Worker {
 }
 
 /// The most injected tasks one claim moves into a worker's queues (the cap
-/// crossbeam-deque's `Injector::steal_batch` uses too).  A stack array of
-/// this many pointers holds the batch.
+/// crossbeam-deque's `Injector::steal_batch` uses too), and the batch one
+/// steal takes from a long victim queue (`steal_amount`).  A stack array of
+/// this many pointers holds an injector batch.
 const INJECTED_BATCH: usize = 32;
 
 /// How many tasks one successful steal transfers from a queue of
@@ -324,6 +329,18 @@ const INJECTED_BATCH: usize = 32;
 /// that all threads in the 2^ℓ block around it are running out of tasks, so
 /// steal enough for all of them" — but at least one and never more than half
 /// of the victim's queue.
+///
+/// A queue of at least `2 · INJECTED_BATCH` tasks yields at least
+/// `INJECTED_BATCH` of them whatever the level.  Only a flat spawn loop
+/// queues that many: a LIFO divide-and-conquer queue holds one pending
+/// sibling per recursion level, so trees and sorts stay below the threshold
+/// and keep `2^ℓ`, whose single level-0 task is the oldest and largest
+/// subtree.  A flat loop's tasks are all alike, and at `2^0 = 1` a thief
+/// would pay a whole steal round for each of them.
 pub(super) fn steal_amount(victim_len: usize, level: usize) -> usize {
-    (victim_len / 2).max(1).min(1usize << level.min(20))
+    let mut want = 1usize << level.min(20);
+    if victim_len >= 2 * INJECTED_BATCH {
+        want = want.max(INJECTED_BATCH);
+    }
+    (victim_len / 2).max(1).min(want)
 }

@@ -3,12 +3,14 @@
 //! between tasks (the team barrier polls, `announce` wakes only on a word
 //! change) nor leave one of them parked as a registrant beside singletons it
 //! could steal (`steal_round` takes smaller tasks before it registers).
+//! A thief takes a batch from a long queue and one task from a short one,
+//! and either way every task runs exactly once.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use teamsteal::{MetricsSnapshot, Scheduler};
+use teamsteal::{MetricsSnapshot, Scheduler, TaskContext};
 
 mod common;
 use common::{with_watchdog, WATCHDOG};
@@ -126,6 +128,89 @@ fn thief_takes_singletons_before_it_registers() {
             "one worker ran under 5 % of {SINGLETONS} singletons in each of {ATTEMPTS} streams \
              (steals, smaller share): {seen:?}"
         );
+    });
+}
+
+/// Marks task `i` as run and fails if it already was (one bit per task).
+struct RunOnce(Vec<AtomicU64>);
+
+impl RunOnce {
+    fn new(tasks: usize) -> Self {
+        RunOnce((0..tasks.div_ceil(64)).map(|_| AtomicU64::new(0)).collect())
+    }
+
+    fn mark(&self, i: usize) {
+        let bit = 1 << (i % 64);
+        let before = self.0[i / 64].fetch_or(bit, Ordering::Relaxed);
+        assert_eq!(before & bit, 0, "task {i} ran twice");
+    }
+
+    fn all_ran(&self, tasks: usize) -> bool {
+        (0..tasks).all(|i| self.0[i / 64].load(Ordering::Relaxed) & (1 << (i % 64)) != 0)
+    }
+}
+
+/// A flat spawn loop queues thousands of tasks, so a thief takes a batch
+/// per steal (`tasks_stolen > steals`); a binary tree's LIFO queue holds
+/// one pending sibling per level, far under the batch threshold, so every
+/// steal there takes one task, the oldest and largest subtree
+/// (`tasks_stolen == steals`).  Every task runs exactly once in both.  A
+/// stream the host keeps one worker away from steals nothing, so each shape
+/// is repeated until a steal happened (bounded attempts).
+#[test]
+fn thief_takes_a_batch_from_a_long_queue_and_one_task_from_a_short_one() {
+    const CHILDREN: usize = 20_000;
+    const DEPTH: u32 = 12;
+    const TREE_TASKS: usize = (1 << (DEPTH + 1)) - 1;
+    const ATTEMPTS: usize = 20;
+    fn tree(ctx: &TaskContext<'_>, index: usize, ran: &Arc<RunOnce>) {
+        ran.mark(index);
+        if 2 * index + 1 >= TREE_TASKS {
+            spin_for(Duration::from_micros(1));
+            return;
+        }
+        for child in [2 * index + 1, 2 * index + 2] {
+            let ran = Arc::clone(ran);
+            ctx.spawn(move |c| tree(c, child, &ran));
+        }
+    }
+    with_watchdog("thief_takes_a_batch_from_a_long_queue", WATCHDOG, || {
+        let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+        let scheduler = Scheduler::with_threads(2);
+        let mut seen = Vec::new();
+        let batched = (0..ATTEMPTS).any(|_| {
+            let ran = Arc::new(RunOnce::new(CHILDREN));
+            let before = scheduler.metrics();
+            let marks = Arc::clone(&ran);
+            scheduler.run(move |ctx| {
+                for i in 0..CHILDREN {
+                    let marks = Arc::clone(&marks);
+                    ctx.spawn(move |_| {
+                        spin_for(Duration::from_nanos(500));
+                        marks.mark(i);
+                    });
+                }
+            });
+            let delta = scheduler.metrics().delta_since(&before);
+            assert!(ran.all_ran(CHILDREN), "a flat-loop task was lost: {delta:?}");
+            assert_eq!(delta.tasks_executed, CHILDREN as u64 + 1, "{delta:?}");
+            seen.push((delta.steals, delta.tasks_stolen));
+            delta.tasks_stolen > delta.steals
+        });
+        assert!(batched, "no steal took more than one task (steals, tasks stolen): {seen:?}");
+        let mut seen = Vec::new();
+        let stole = (0..ATTEMPTS).any(|_| {
+            let ran = Arc::new(RunOnce::new(TREE_TASKS));
+            let before = scheduler.metrics();
+            let marks = Arc::clone(&ran);
+            scheduler.run(move |ctx| tree(ctx, 0, &marks));
+            let delta = scheduler.metrics().delta_since(&before);
+            assert!(ran.all_ran(TREE_TASKS), "a tree task was lost: {delta:?}");
+            assert_eq!(delta.tasks_stolen, delta.steals, "a tree steal took a batch: {delta:?}");
+            seen.push(delta.steals);
+            delta.steals > 0
+        });
+        assert!(stole, "no tree was stolen from in {ATTEMPTS} attempts (steals): {seen:?}");
     });
 }
 
