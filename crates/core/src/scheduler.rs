@@ -12,19 +12,21 @@ use crate::metrics::MetricsSnapshot;
 use crate::task::{check_requirement, Job, JobSlot, OnceJob, ScopeState, TeamJob};
 use crate::worker::{SchedulerShared, Worker};
 
-/// Builder for a [`Scheduler`], and the one place its six settable values
+/// Builder for a [`Scheduler`], and the one place its five settable values
 /// live; each is documented on its setter.
 ///
 /// Section 4 of the paper lists the tunables of the prototype: backoff
 /// intervals, the number of tasks to steal, and (for the evaluation) whether
 /// stealing is deterministic or randomized.  The builder sets that list —
-/// thread count, machine topology, steal policy and seed — plus the two
-/// sizes a deployment sets: the injection-shard width and the external
-/// submitter pool.  The steal amount is fixed: the paper's default (`2^ℓ`,
-/// capped at half the victim's queue), raised to 32 for a queue of 64 or
-/// more (`worker::steal::steal_amount`); the backoff intervals are
-/// constants of the parking protocol (`PARK_SPIN_ROUNDS`, `HANDSHAKE_POLL`,
-/// `PARK_BACKSTOP`, `WARM_KEEPALIVE` in `worker`).
+/// thread count, machine topology, steal policy and seed — plus the one
+/// size a deployment sets: the injection-shard width.  The pool of epoch
+/// pins external submitters borrow is fixed at 32 slots
+/// (`worker::shared::EXTERNAL_PARTICIPANTS`).  The steal amount is fixed:
+/// the paper's default (`2^ℓ`, capped at half the victim's queue), raised
+/// to 32 for a queue of 64 or more (`worker::steal::steal_amount`); the
+/// backoff intervals are constants of the parking protocol
+/// (`PARK_SPIN_ROUNDS`, `HANDSHAKE_POLL`, `PARK_BACKSTOP`, `WARM_KEEPALIVE`
+/// in `worker`).
 ///
 /// ```
 /// use teamsteal_core::Scheduler;
@@ -43,7 +45,6 @@ pub struct SchedulerBuilder {
     pub(crate) steal_policy: StealPolicy,
     pub(crate) seed: u64,
     pub(crate) domain_width: usize,
-    pub(crate) external_participants: usize,
 }
 
 impl Default for SchedulerBuilder {
@@ -56,7 +57,6 @@ impl Default for SchedulerBuilder {
             steal_policy: StealPolicy::Deterministic,
             seed: 0x7465616d_73746561, // "teamstea(l)"
             domain_width: 8,
-            external_participants: 32,
         }
     }
 }
@@ -152,30 +152,6 @@ impl SchedulerBuilder {
     /// ```
     pub fn domain_width(mut self, width: usize) -> Self {
         self.domain_width = width;
-        self
-    }
-
-    /// Sets the number of epoch-participant slots pre-registered for threads
-    /// *outside* the worker pool (DESIGN.md §11): every submitter borrows one
-    /// slot with a single CAS around each injector access.  With more
-    /// simultaneous submitters than slots, the surplus spin-waits for a free
-    /// slot (counted in `external_pin_waits`) — harmless for a handful of
-    /// threads, a hard convoy for service front-ends with hundreds of them.
-    /// Size this at least as large as the peak number of threads that submit
-    /// concurrently; the default of 32 preserves the pre-service behaviour.
-    /// Values below 1 are clamped to 1.
-    ///
-    /// ```
-    /// use teamsteal_core::Scheduler;
-    ///
-    /// let scheduler = Scheduler::builder()
-    ///     .threads(2)
-    ///     .external_participants(128)
-    ///     .build();
-    /// assert_eq!(scheduler.external_pin_slots(), 128);
-    /// ```
-    pub fn external_participants(mut self, slots: usize) -> Self {
-        self.external_participants = slots;
         self
     }
 
@@ -379,11 +355,10 @@ impl Scheduler {
             .collect()
     }
 
-    /// Current queue length of every injection shard, indexed by
-    /// shard/domain (DESIGN.md §13).  This is the external **backlog**
-    /// gauge — root tasks submitted but not yet popped by a worker — that
-    /// admission-control layers use as their high-water signal.  Lock-free
-    /// reads; values may be stale by the time the caller acts on them.
+    /// Total external **backlog**: root tasks submitted but not yet popped
+    /// by a worker, summed over the injection shards (DESIGN.md §13).  The
+    /// service sheds on it.  Lock-free reads; the value may be stale by the
+    /// time the caller acts on it.
     ///
     /// ```
     /// use teamsteal_core::Scheduler;
@@ -391,24 +366,10 @@ impl Scheduler {
     /// let scheduler = Scheduler::with_threads(2);
     /// scheduler.run(|_| {});
     /// // After a scope has drained, no external backlog remains.
-    /// assert_eq!(scheduler.injector_shard_lens().iter().sum::<usize>(), 0);
+    /// assert_eq!(scheduler.injector_len(), 0);
     /// ```
-    pub fn injector_shard_lens(&self) -> Vec<usize> {
-        (0..self.shared.injector.num_shards())
-            .map(|s| self.shared.injector.shard_len(s))
-            .collect()
-    }
-
-    /// Total external backlog: the sum of
-    /// [`injector_shard_lens`](Self::injector_shard_lens) over all shards.
     pub fn injector_len(&self) -> usize {
         self.shared.injector.len()
-    }
-
-    /// Number of pre-registered epoch-pin slots for external submitter
-    /// threads (see [`SchedulerBuilder::external_participants`]).
-    pub fn external_pin_slots(&self) -> usize {
-        self.shared.external_pins.capacity()
     }
 
     /// The one way a root task enters the scheduler: check its requirement,
@@ -811,7 +772,7 @@ mod tests {
             .resolve_topology();
     }
 
-    /// All six setters reach the built scheduler: the four values it
+    /// All five setters reach the built scheduler: the three values it
     /// exposes read back as set.
     #[test]
     fn every_setter_reaches_the_built_scheduler() {
@@ -821,12 +782,10 @@ mod tests {
             .steal_policy(StealPolicy::RandomizedWithinLevel)
             .seed(0xfeed)
             .domain_width(2)
-            .external_participants(5)
             .build();
         assert_eq!(scheduler.num_threads(), 4);
         assert_eq!(scheduler.topology().level_sizes(), &[1, 2, 4]);
         assert_eq!(scheduler.injector_shard_segments().len(), 2);
-        assert_eq!(scheduler.external_pin_slots(), 5);
     }
 
     #[test]

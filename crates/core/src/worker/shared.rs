@@ -25,18 +25,16 @@ use crate::sleep::SleepController;
 use crate::SchedulerBuilder;
 use crate::task::{JobSlot, ScopeState, TaskNode, TaskPtr};
 
-/// Runtime switch for the stall-state dumps, in addition to the
-/// `TEAMSTEAL_STALL_DEBUG` environment variable.  See [`enable_stall_debug`].
-static FORCE_STALL_DEBUG: AtomicBool = AtomicBool::new(false);
+/// The switch for the stall-state dumps.  See [`enable_stall_debug`].
+static STALL_DEBUG: AtomicBool = AtomicBool::new(false);
 
-/// Turns on the scheduler's periodic stall-state dumps at runtime, as if
-/// `TEAMSTEAL_STALL_DEBUG` had been set.  Intended for test watchdogs that
-/// have detected a hang and want the workers to report their state before
-/// the process is aborted.  There is deliberately no way to turn the dumps
-/// off again: by the time this is called, the process is already doomed to
-/// debugging.
+/// Turns on the scheduler's periodic stall-state dumps.  Intended for test
+/// watchdogs that have detected a hang and want the workers to report their
+/// state before the process is aborted.  There is deliberately no way to
+/// turn the dumps off again: by the time this is called, the process is
+/// already doomed to debugging.
 pub fn enable_stall_debug() {
-    FORCE_STALL_DEBUG.store(true, Ordering::Release);
+    STALL_DEBUG.store(true, Ordering::Release);
 }
 
 /// Process-wide registry of live schedulers, so a watchdog that detected a
@@ -149,14 +147,19 @@ impl WorkerShared {
     }
 }
 
-/// A fixed pool of pre-registered epoch participants that threads outside
-/// the worker pool borrow around each injector access (`Scheduler::scope`
-/// submitters, drop-time draining).  The pool size comes from
-/// [`SchedulerBuilder::external_participants`] (default 32); more
-/// simultaneous submitters than that wait for a free slot under a capped
-/// backoff (spin, then yield, then bounded sleeps of ≤ 50 µs) and are
-/// counted in `external_pin_waits`.  The wait is bounded because every
-/// claim is released after one queue operation, so a slot frees in O(µs).
+/// Number of slots in every scheduler's [`ExternalPins`] pool.  More
+/// threads than this in the middle of an injection at the same moment wait
+/// for a slot, and each such episode is counted in `external_pin_waits`:
+/// the signal to raise the constant (DESIGN.md §13).
+pub(crate) const EXTERNAL_PARTICIPANTS: usize = 32;
+
+/// A fixed pool of [`EXTERNAL_PARTICIPANTS`] pre-registered epoch
+/// participants that threads outside the worker pool borrow around each
+/// injector access (`Scheduler::scope` submitters, drop-time draining).
+/// More simultaneous submitters than slots wait for a free slot, spinning
+/// and then yielding, and are counted in `external_pin_waits`.  The wait is
+/// short because every claim is released after one queue operation, and a
+/// yield gives the CPU to a holder that was preempted.
 ///
 /// Workers own their participant for the whole thread lifetime; external
 /// submitters are arbitrary short-lived threads, so they claim a slot with
@@ -216,11 +219,6 @@ impl ExternalPins {
         self.pin_waits.load(Ordering::Relaxed)
     }
 
-    /// Number of slots in the pool.
-    pub(crate) fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Runs `f` pinned to a borrowed external participant.  `f` receives
     /// the claimed slot's node arena, whose only allocator it is until it
     /// returns.
@@ -272,15 +270,15 @@ impl ExternalPins {
                 return result;
             }
             // All slots claimed: more threads are mid-injection right now
-            // than the pool has slots.  Briefly back off and rescan — a slot
-            // frees after one queue operation, so the capped wait (≤ 50 µs)
-            // bounds the added latency while keeping the path allocation- and
-            // lock-free.  Count the episode so saturation is observable.
+            // than the pool has slots.  Spin, then yield, and rescan — a
+            // slot frees after one queue operation, and a yield lets a
+            // preempted holder finish it.  Count the episode so saturation
+            // is observable.
             if !waited {
                 waited = true;
                 self.pin_waits.fetch_add(1, Ordering::Relaxed);
             }
-            backoff.wait_capped(std::time::Duration::from_micros(50));
+            backoff.spin_light();
         }
     }
 }
@@ -328,9 +326,8 @@ impl SchedulerShared {
         let p = topology.num_threads();
         let queue_levels = topology.num_queue_levels();
         let domains = Domains::new(&topology, builder.domain_width);
-        let external_participants = builder.external_participants.max(1);
-        let epoch = Domain::new(p + external_participants);
-        let external_pins = ExternalPins::new(&epoch, external_participants);
+        let epoch = Domain::new(p + EXTERNAL_PARTICIPANTS);
+        let external_pins = ExternalPins::new(&epoch, EXTERNAL_PARTICIPANTS);
         let shared = Arc::new(SchedulerShared {
             workers: (0..p)
                 .map(|id| CachePadded::new(WorkerShared::new(id, queue_levels, &epoch)))
@@ -515,15 +512,12 @@ impl SchedulerShared {
 }
 
 impl Worker {
-    /// `true` when the `TEAMSTEAL_STALL_DEBUG` environment variable is set
-    /// or [`enable_stall_debug`] was called: long-running waits then print a
-    /// one-line state dump of every worker at spaced intervals, which is the
-    /// intended way to diagnose a scheduler that appears to make no
-    /// progress.
+    /// `true` once [`enable_stall_debug`] was called: long-running waits
+    /// then print a one-line state dump of every worker at spaced
+    /// intervals, which is the intended way to diagnose a scheduler that
+    /// appears to make no progress.
     fn stall_debug_enabled() -> bool {
-        static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *ENABLED.get_or_init(|| std::env::var_os("TEAMSTEAL_STALL_DEBUG").is_some())
-            || FORCE_STALL_DEBUG.load(Ordering::Acquire)
+        STALL_DEBUG.load(Ordering::Acquire)
     }
 
     /// Prints the scheduler-wide state when a wait site has been
@@ -546,5 +540,53 @@ impl Worker {
             backoff.unproductive_for(),
             self.shared.debug_state_line()
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Two claimants hold both slots of a two-slot pool until a third has
+    /// found it exhausted; then they release and the third gets through.
+    /// No slot is ever held twice, and the third claimant's episode is
+    /// counted once however often it rescans.
+    #[test]
+    fn exhausted_pool_counts_one_wait_and_admits_the_next_claimant() {
+        let pins = ExternalPins::new(&Domain::new(2), 2);
+        let held = [AtomicBool::new(false), AtomicBool::new(false)];
+        let double_claims = AtomicUsize::new(0);
+        let holders_inside = AtomicUsize::new(0);
+        let claim = |hold: bool| {
+            pins.with_pinned(|pool| {
+                let slot = (0..2)
+                    .find(|&i| std::ptr::eq(pool, &pins.slots[i].node_pool))
+                    .expect("the arena of a pool slot");
+                if held[slot].swap(true, Ordering::AcqRel) {
+                    double_claims.fetch_add(1, Ordering::Relaxed);
+                }
+                if hold {
+                    holders_inside.fetch_add(1, Ordering::AcqRel);
+                    while pins.pin_waits() == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+                held[slot].store(false, Ordering::Release);
+            })
+        };
+        std::thread::scope(|threads| {
+            threads.spawn(|| claim(true));
+            threads.spawn(|| claim(true));
+            while holders_inside.load(Ordering::Acquire) < 2 {
+                std::thread::yield_now();
+            }
+            claim(false);
+        });
+        assert_eq!(
+            double_claims.load(Ordering::Relaxed),
+            0,
+            "a slot was held twice"
+        );
+        assert_eq!(pins.pin_waits(), 1, "one exhaustion episode, counted once");
     }
 }

@@ -41,8 +41,8 @@
 //! on top (the same belt-and-suspenders shape as the eventcount, §12).
 //! In the service the backstop is purely defensive: a submission holds its
 //! entry across a few atomic checks and the scope's injection, with no
-//! sleep of its own (only the scheduler's 50 µs-capped pin-slot backoff
-//! when more submitters than pin slots race), so the final exit's
+//! sleep of its own (only the scheduler's spin-then-yield wait for a pin
+//! slot when more submitters than pin slots race), so the final exit's
 //! notification, not the timeout, ends a drain's wait.
 
 use std::time::Duration;

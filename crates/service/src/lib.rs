@@ -98,17 +98,14 @@ impl std::error::Error for SubmitError {}
 pub struct TenantConfig {
     name: String,
     burst: u64,
-    max_concurrency: usize,
 }
 
 impl TenantConfig {
-    /// A tenant with a 32-task burst allowance and an expected submission
-    /// concurrency of 4 threads.
+    /// A tenant with a 32-task burst allowance.
     pub fn new(name: impl Into<String>) -> Self {
         TenantConfig {
             name: name.into(),
             burst: 32,
-            max_concurrency: 4,
         }
     }
 
@@ -118,19 +115,10 @@ impl TenantConfig {
         self.burst = burst;
         self
     }
-
-    /// Expected number of threads submitting through this tenant
-    /// concurrently.  The service sizes the scheduler's external epoch-pin
-    /// pool from the sum over all tenants, so submissions stay convoy-free
-    /// at the declared concurrency (`external_pin_waits` stays 0).
-    pub fn max_concurrency(mut self, threads: usize) -> Self {
-        self.max_concurrency = threads;
-        self
-    }
 }
 
-/// Builder for a [`TaskService`].  Tenants are registered up front so the
-/// service can size the scheduler (external pin pool) before it starts.
+/// Builder for a [`TaskService`].  Tenants are registered up front, before
+/// the scheduler starts.
 #[derive(Debug, Clone)]
 pub struct ServiceBuilder {
     threads: Option<usize>,
@@ -202,15 +190,7 @@ impl ServiceBuilder {
                 t.name
             );
         }
-        // The external epoch-pin pool covers every tenant's declared
-        // concurrency, floored at the scheduler's own default.
-        let external = self
-            .tenants
-            .iter()
-            .map(|t| t.max_concurrency)
-            .sum::<usize>()
-            .max(32);
-        let mut builder = Scheduler::builder().external_participants(external);
+        let mut builder = Scheduler::builder();
         if let Some(threads) = self.threads {
             builder = builder.threads(threads);
         }
@@ -916,22 +896,6 @@ mod tests {
         assert_eq!(report.completed(), 1, "panic still retires the task");
         let payload = service.take_panic().expect("panic payload captured");
         assert_eq!(*payload.downcast_ref::<&str>().unwrap(), "tenant bug");
-    }
-
-    #[test]
-    fn auto_sized_external_pins_cover_declared_concurrency() {
-        let service = ServiceBuilder::new()
-            .threads(1)
-            .tenant(TenantConfig::new("a").max_concurrency(40))
-            .tenant(TenantConfig::new("b").max_concurrency(24))
-            .build();
-        assert_eq!(service.scheduler().external_pin_slots(), 64);
-        // Few declared submitters still get the scheduler default of 32.
-        let small = ServiceBuilder::new()
-            .threads(1)
-            .tenant(TenantConfig::new("a"))
-            .build();
-        assert_eq!(small.scheduler().external_pin_slots(), 32);
     }
 
     #[test]

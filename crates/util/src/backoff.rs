@@ -1,34 +1,28 @@
-//! Exponential backoff.
+//! Exponential backoff that never sleeps.
 //!
 //! The paper (Section 4, "Backoff intervals") uses exponential backoff
 //! starting at 1 µs and capped at 10 ms whenever a steal attempt, a CAS on a
-//! registration structure, or team coordination makes no progress.  This
-//! module implements that policy with a cheap spinning phase before the timed
-//! sleeping phase so that short contention windows never reach the kernel.
+//! registration structure, or team coordination makes no progress.  Here
+//! those waits park on the eventcount instead (DESIGN.md §12), so the
+//! paper's intervals live in the parking constants of `teamsteal-core`'s
+//! worker (`PARK_SPIN_ROUNDS`, `HANDSHAKE_POLL`, `PARK_BACKSTOP`).  What is
+//! left here is the spin-then-yield prefix of those waits and of the short
+//! ones that never park, plus the round count and streak time the parking
+//! and stall-report paths read.
 
 use crate::sync::thread as shim_thread;
 use crate::sync::time::Instant;
 use std::time::Duration;
 
-/// Initial sleep interval of the timed phase (the paper's 1 µs).
-pub const INITIAL_SLEEP: Duration = Duration::from_micros(1);
-
-/// Maximum sleep interval of the timed phase (the paper's 10 ms).
-pub const MAX_SLEEP: Duration = Duration::from_millis(10);
-
 /// Number of exponential spin rounds executed before the backoff starts
-/// yielding / sleeping.
+/// yielding.
 const SPIN_LIMIT: u32 = 6;
-
-/// Number of yield rounds executed after spinning and before sleeping.
-const YIELD_LIMIT: u32 = 10;
 
 /// Exponential backoff helper.
 ///
 /// A `Backoff` value tracks how many unproductive rounds the caller has been
-/// through and escalates from busy spinning (`core::hint::spin_loop`), to
-/// `std::thread::yield_now`, to timed sleeps that double from
-/// [`INITIAL_SLEEP`] up to [`MAX_SLEEP`].
+/// through and escalates from busy spinning (`core::hint::spin_loop`) to
+/// `std::thread::yield_now`.
 ///
 /// ```
 /// use teamsteal_util::Backoff;
@@ -45,7 +39,6 @@ const YIELD_LIMIT: u32 = 10;
 #[derive(Debug, Clone)]
 pub struct Backoff {
     rounds: u32,
-    sleep: Duration,
     /// Wall-clock start of the current unproductive streak, recorded on the
     /// first wait round and cleared by [`reset`](Backoff::reset).  Lets
     /// event-driven callers (which accumulate *rounds* only on wakes, not on
@@ -65,7 +58,6 @@ impl Backoff {
     pub const fn new() -> Self {
         Backoff {
             rounds: 0,
-            sleep: INITIAL_SLEEP,
             since: None,
         }
     }
@@ -94,7 +86,7 @@ impl Backoff {
         self.since.map(|s| s.elapsed()).unwrap_or(Duration::ZERO)
     }
 
-    /// Records an unproductive round without spinning, yielding or sleeping.
+    /// Records an unproductive round without spinning or yielding.
     /// Used by callers whose delay comes from elsewhere (an eventcount park)
     /// but who still track escalation and streak time through the backoff.
     #[inline]
@@ -116,52 +108,14 @@ impl Backoff {
     #[inline]
     pub fn reset(&mut self) {
         self.rounds = 0;
-        self.sleep = INITIAL_SLEEP;
         self.since = None;
     }
 
-    /// Performs one backoff round: spins, yields or sleeps depending on how
-    /// many unproductive rounds have already happened, with the timed
-    /// sleeping phase capped at `cap` instead of [`MAX_SLEEP`].  Used where
-    /// wake-up latency matters more than CPU frugality (the
-    /// external-submitter pin-slot wait).
-    ///
-    /// A cap below [`INITIAL_SLEEP`] degrades the sleeping phase to
-    /// `yield_now` instead of `thread::sleep`: sleeping for a sub-microsecond
-    /// (or zero) duration returns immediately on most platforms, which would
-    /// turn the "sleeping" phase into an unbounded busy-spin that never
-    /// cedes the CPU.
-    pub fn wait_capped(&mut self, cap: Duration) {
-        self.touch();
-        if self.rounds <= SPIN_LIMIT {
-            for _ in 0..(1u32 << self.rounds) {
-                core::hint::spin_loop();
-            }
-        } else if self.rounds <= SPIN_LIMIT + YIELD_LIMIT {
-            shim_thread::yield_now();
-        } else {
-            match self.capped_interval(cap) {
-                Some(interval) => {
-                    shim_thread::sleep(interval);
-                    self.sleep = (self.sleep * 2).min(MAX_SLEEP).min(cap.max(INITIAL_SLEEP));
-                }
-                None => shim_thread::yield_now(),
-            }
-        }
-        self.rounds = self.rounds.saturating_add(1);
-    }
-
-    /// The sleep interval one `wait_capped(cap)` round would use in the
-    /// sleeping phase, or `None` when the cap is too small to sleep
-    /// meaningfully and the round must yield instead.
-    fn capped_interval(&self, cap: Duration) -> Option<Duration> {
-        let interval = self.sleep.min(cap);
-        (interval >= INITIAL_SLEEP).then_some(interval)
-    }
-
-    /// Performs a single *light* backoff round that never sleeps.  Used on
-    /// paths where the caller must stay responsive (e.g. a coordinator
-    /// waiting for the start countdown `G` of an already published task).
+    /// Performs one backoff round: spins for the first rounds, then yields.
+    /// Used on paths whose wait ends within a few operations of another
+    /// thread (a coordinator waiting for the start countdown `G` of an
+    /// already published task, a submitter waiting for an external pin
+    /// slot): a yield hands the CPU to that thread when it was preempted.
     pub fn spin_light(&mut self) {
         self.touch();
         if self.rounds <= SPIN_LIMIT {
@@ -183,7 +137,6 @@ mod tests {
     fn starts_in_spin_phase() {
         let b = Backoff::new();
         assert_eq!(b.rounds(), 0);
-        assert_eq!(b.sleep, INITIAL_SLEEP);
     }
 
     #[test]
@@ -199,51 +152,11 @@ mod tests {
     }
 
     #[test]
-    fn sleep_interval_is_capped() {
-        let mut b = Backoff::new();
-        // Drive the internal state far past saturation without actually
-        // sleeping (we manipulate rounds via spin_light, then check the cap
-        // logic by forcing many doublings).
-        b.rounds = SPIN_LIMIT + YIELD_LIMIT + 1;
-        b.sleep = MAX_SLEEP;
-        assert!(b.rounds() > SPIN_LIMIT + YIELD_LIMIT);
-        // Saturated: the sleeping phase at the maximum interval.
-        assert_eq!(b.capped_interval(Duration::MAX), Some(MAX_SLEEP));
-        // Doubling past the cap must not exceed MAX_SLEEP.
-        let doubled = (b.sleep * 2).min(MAX_SLEEP);
-        assert_eq!(doubled, MAX_SLEEP);
-    }
-
-    #[test]
     fn rounds_saturate_instead_of_overflowing() {
         let mut b = Backoff::new();
         b.rounds = u32::MAX;
         b.spin_light();
         assert_eq!(b.rounds(), u32::MAX);
-    }
-
-    #[test]
-    fn sub_microsecond_caps_yield_instead_of_busy_spinning() {
-        let mut b = Backoff::new();
-        // Drive the backoff into the sleeping phase.
-        b.rounds = SPIN_LIMIT + YIELD_LIMIT + 1;
-        // A cap below INITIAL_SLEEP (including zero) must not produce a
-        // sleep interval: thread::sleep would return immediately and the
-        // caller would busy-spin without ever ceding the CPU.
-        assert_eq!(b.capped_interval(Duration::ZERO), None);
-        assert_eq!(b.capped_interval(Duration::from_nanos(500)), None);
-        // At or above INITIAL_SLEEP the sleep interval is used, capped.
-        assert_eq!(b.capped_interval(INITIAL_SLEEP), Some(INITIAL_SLEEP));
-        b.sleep = Duration::from_micros(64);
-        assert_eq!(
-            b.capped_interval(Duration::from_micros(8)),
-            Some(Duration::from_micros(8))
-        );
-        // And the degraded rounds still escalate (terminate) behaviourally.
-        let rounds_before = b.rounds();
-        b.wait_capped(Duration::ZERO);
-        b.wait_capped(Duration::from_nanos(1));
-        assert_eq!(b.rounds(), rounds_before + 2);
     }
 
     #[test]

@@ -1,12 +1,14 @@
 //! A futex-style eventcount: the blocking primitive behind the scheduler's
 //! event-driven parking (DESIGN.md §12).
 //!
-//! The paper assumes idle workers notice new work "promptly", but until PR 5
-//! the reproduction discovered it by *timed polling*: every idle, member-poll
-//! and coordinator-wait path ended in a capped [`Backoff`](crate::Backoff)
-//! nap, trading wake-up latency against idle CPU burn.  An eventcount removes
-//! that trade-off: waiters block on an OS primitive and producers wake them
-//! in O(µs), with a protocol that makes a **lost wakeup impossible**:
+//! The paper's idle workers back off exponentially between failed attempts,
+//! from 1 µs up to 10 ms; timed sleeps like those trade wake-up latency
+//! against idle CPU burn.  An eventcount removes that trade-off: waiters
+//! block on an OS primitive and producers wake them in O(µs), with a
+//! protocol that makes a **lost wakeup impossible**.  The paper's intervals
+//! survive as the scheduler's parking constants (a spin/yield prefix, a
+//! handshake poll window, a defensive backstop), and
+//! [`Backoff`](crate::Backoff) keeps only the spin-then-yield prefix:
 //!
 //! 1. [`prepare_wait`](EventCount::prepare_wait) — read the *ticket* (a
 //!    global notification counter) before re-checking the wait condition.

@@ -5,9 +5,11 @@
 //!
 //! * [`CachePadded`] — re-exported cache-line padding wrapper used to keep
 //!   per-worker hot words on separate cache lines,
-//! * [`Backoff`] — the exponential backoff used everywhere the paper calls
-//!   `backoff()` (Section 4: "exponential backoff, starting at 1 microsecond,
-//!   and going up to 10 milliseconds"),
+//! * [`Backoff`] — the spin-then-yield prefix of the scheduler's waits and
+//!   its unproductive-round count; the paper's `backoff()` intervals
+//!   (Section 4: "starting at 1 microsecond, and going up to 10
+//!   milliseconds") became the parking constants of the worker, since the
+//!   waits that used to sleep now park on the [`eventcount`],
 //! * [`rng`] — small, fast, deterministic PRNGs (SplitMix64 / Xoshiro256++)
 //!   used for randomized victim selection (the paper's *Randfork* baseline and
 //!   Refinement 4) and for the benchmark input generators,

@@ -49,7 +49,6 @@ fn external_submit_wakes_parked_workers() {
     }));
     let before = scheduler.metrics();
     for _ in 0..20 {
-        std::thread::sleep(Duration::from_millis(3));
         let hit = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hit);
         scheduler.scope(|scope| {
@@ -58,6 +57,14 @@ fn external_submit_wakes_parked_workers() {
             });
         });
         assert_eq!(hit.load(Ordering::Relaxed), 1);
+        // Let the worker that ran it park again, so the next submission
+        // meets a parked scheduler too.
+        let parks = scheduler.metrics().parks;
+        assert!(
+            eventually(Duration::from_secs(5), || scheduler.metrics().parks > parks),
+            "no worker parked after a submission: {:?}",
+            scheduler.metrics()
+        );
     }
     let delta = scheduler.metrics().delta_since(&before);
     assert!(
@@ -80,11 +87,23 @@ fn team_handshakes_wake_parked_members() {
     with_watchdog("team_handshakes_wake_parked_members", WATCHDOG, || {
         let scheduler = Scheduler::with_threads(4);
         let before_all = scheduler.metrics();
+        // A new scheduler has counted no parks; every later round starts
+        // when the previous `run_team` returned.
+        let mut parks_at_round_start = 0;
         for round in 0..10 {
             // Let everyone park between team tasks, so every handshake
             // (announcement, registration, publication, countdown) has to
-            // cross a parked worker.
-            std::thread::sleep(Duration::from_millis(5));
+            // cross a parked worker.  Four parks, not three: the three
+            // members of the last round's warm team park while its
+            // coordinator still holds it, and a round started then would
+            // reuse that team instead of forming one.
+            assert!(
+                eventually(Duration::from_secs(5), || {
+                    scheduler.metrics().parks >= parks_at_round_start + 4
+                }),
+                "workers never parked before round {round}: {:?}",
+                scheduler.metrics()
+            );
             let hits = Arc::new(AtomicUsize::new(0));
             let h = Arc::clone(&hits);
             scheduler.run_team(4, move |ctx| {
@@ -92,6 +111,7 @@ fn team_handshakes_wake_parked_members() {
                 ctx.barrier();
             });
             assert_eq!(hits.load(Ordering::Relaxed), 4, "round {round}");
+            parks_at_round_start = scheduler.metrics().parks;
         }
         let delta = scheduler.metrics().delta_since(&before_all);
         assert_eq!(delta.teams_formed, 10);

@@ -266,8 +266,10 @@ fn oversized_captures_mix_with_inline_ones() {
 #[test]
 fn external_arenas_change_hands_without_aliasing() {
     with_watchdog("external_arenas_change_hands_without_aliasing", WATCHDOG, || {
-        const SUBMITTERS: usize = 6;
-        const PER_SUBMITTER: usize = 20_000;
+        // More submitters than the pool's 32 slots, so the slots' arenas
+        // keep changing owner.
+        const SUBMITTERS: usize = 40;
+        const PER_SUBMITTER: usize = 3_000;
         const TASKS: usize = SUBMITTERS * PER_SUBMITTER;
         const MAGIC: usize = 0x5a5a_c3c3;
         #[derive(Default)]
@@ -275,12 +277,7 @@ fn external_arenas_change_hands_without_aliasing() {
             bad_canaries: AtomicUsize,
             repeats: AtomicUsize,
         }
-        let scheduler = Arc::new(
-            Scheduler::builder()
-                .threads(2)
-                .external_participants(2)
-                .build(),
-        );
+        let scheduler = Arc::new(Scheduler::builder().threads(2).build());
         let scope = ConcurrentScope::new();
         let ran: Arc<Vec<AtomicU64>> =
             Arc::new((0..TASKS.div_ceil(64)).map(|_| AtomicU64::new(0)).collect());
