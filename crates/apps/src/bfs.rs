@@ -337,17 +337,21 @@ mod tests {
 
     #[test]
     fn mixed_matches_sequential_on_grid_with_teams() {
-        with_watchdog("mixed_matches_sequential_on_grid_with_teams", WATCHDOG, || {
-            let s = Scheduler::with_threads(4);
-            let g = CsrGraph::grid(300, 200);
-            let reference = bfs_sequential(&g, 0);
-            let got = bfs_mixed_with(&s, &g, 0, 128);
-            assert_eq!(got, reference);
-            assert!(
-                s.metrics().teams_formed > 0,
-                "wide middle levels must be expanded by team tasks"
-            );
-        });
+        with_watchdog(
+            "mixed_matches_sequential_on_grid_with_teams",
+            WATCHDOG,
+            || {
+                let s = Scheduler::with_threads(4);
+                let g = CsrGraph::grid(300, 200);
+                let reference = bfs_sequential(&g, 0);
+                let got = bfs_mixed_with(&s, &g, 0, 128);
+                assert_eq!(got, reference);
+                assert!(
+                    s.metrics().teams_formed > 0,
+                    "wide middle levels must be expanded by team tasks"
+                );
+            },
+        );
     }
 
     #[test]
@@ -377,7 +381,10 @@ mod tests {
             let s = Scheduler::with_threads(4);
             let g = CsrGraph::random(20_000, 8, 77);
             for source in [0u32, 17, 9999] {
-                assert_eq!(bfs_mixed_with(&s, &g, source, 256), bfs_sequential(&g, source));
+                assert_eq!(
+                    bfs_mixed_with(&s, &g, source, 256),
+                    bfs_sequential(&g, source)
+                );
             }
         });
     }

@@ -109,10 +109,7 @@ enum Payload {
         expected_scan: Vec<u64>,
     },
     /// Histogram keys with expected bucket counts.
-    Keys {
-        data: Vec<u32>,
-        expected: Vec<u64>,
-    },
+    Keys { data: Vec<u32>, expected: Vec<u64> },
     /// Stencil grid with the expected post-iteration grid.
     Grid {
         data: Vec<f64>,
@@ -126,10 +123,7 @@ enum Payload {
         expected: Matrix,
     },
     /// BFS graph with the expected distance vector.
-    Graph {
-        graph: CsrGraph,
-        expected: Vec<u32>,
-    },
+    Graph { graph: CsrGraph, expected: Vec<u32> },
 }
 
 /// A prepared, validated kernel workload with uniform timed-run entry
@@ -366,15 +360,22 @@ mod tests {
         let a = Workload::prepare(Kernel::Reduce, 10_000, 5);
         let b = Workload::prepare(Kernel::Reduce, 10_000, 5);
         let (
-            Payload::ReduceInts { expected_sum: sa, .. },
-            Payload::ReduceInts { expected_sum: sb, .. },
+            Payload::ReduceInts {
+                expected_sum: sa, ..
+            },
+            Payload::ReduceInts {
+                expected_sum: sb, ..
+            },
         ) = (&a.payload, &b.payload)
         else {
             panic!("reduce payload is ReduceInts");
         };
         assert_eq!(sa, sb);
         let c = Workload::prepare(Kernel::Reduce, 10_000, 6);
-        let Payload::ReduceInts { expected_sum: sc, .. } = &c.payload else {
+        let Payload::ReduceInts {
+            expected_sum: sc, ..
+        } = &c.payload
+        else {
             panic!("reduce payload is ReduceInts");
         };
         assert_ne!(sa, sc, "different seeds must give different inputs");

@@ -141,17 +141,24 @@ mod tests {
 
     #[test]
     fn counts_sum_to_input_length_and_match_sequential() {
-        with_watchdog("counts_sum_to_input_length_and_match_sequential", WATCHDOG, || {
-            let s = Scheduler::with_threads(4);
-            for d in Distribution::ALL {
-                let data = d.generate(150_000, 4, 5);
-                let got = histogram_mixed_with(&s, &data, 64, 1024);
-                let reference = histogram_sequential(&data, 64);
-                assert_eq!(got, reference, "{d:?} histogram mismatch");
-                assert_eq!(got.iter().sum::<u64>(), data.len() as u64);
-            }
-            assert!(s.metrics().teams_formed > 0, "large histograms must use teams");
-        });
+        with_watchdog(
+            "counts_sum_to_input_length_and_match_sequential",
+            WATCHDOG,
+            || {
+                let s = Scheduler::with_threads(4);
+                for d in Distribution::ALL {
+                    let data = d.generate(150_000, 4, 5);
+                    let got = histogram_mixed_with(&s, &data, 64, 1024);
+                    let reference = histogram_sequential(&data, 64);
+                    assert_eq!(got, reference, "{d:?} histogram mismatch");
+                    assert_eq!(got.iter().sum::<u64>(), data.len() as u64);
+                }
+                assert!(
+                    s.metrics().teams_formed > 0,
+                    "large histograms must use teams"
+                );
+            },
+        );
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! * a one-thread scheduler runs [`matmul_sequential`] on the caller's
 //!   thread: its only worker would run every band anyway, one handoff later.
 
-
 use teamsteal_core::Scheduler;
 use teamsteal_util::{SendConstPtr, SendMutPtr};
 
@@ -48,7 +47,11 @@ impl Matrix {
     ///
     /// Panics if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "element count must match the shape");
+        assert_eq!(
+            data.len(),
+            rows * cols,
+            "element count must match the shape"
+        );
         Matrix { rows, cols, data }
     }
 

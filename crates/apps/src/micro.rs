@@ -488,7 +488,10 @@ pub fn process_cpu_time() -> Option<Duration> {
             fn clock_gettime(clock_id: i32, tp: *mut Timespec) -> i32;
         }
         const CLOCK_PROCESS_CPUTIME_ID: i32 = 2;
-        let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+        let mut ts = Timespec {
+            tv_sec: 0,
+            tv_nsec: 0,
+        };
         // SAFETY: `ts` is a valid, writable `struct timespec` with the layout
         // this target's libc expects, and the call keeps no reference to it.
         if unsafe { clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &mut ts) } != 0 {

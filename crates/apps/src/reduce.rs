@@ -157,7 +157,11 @@ pub fn parallel_max(scheduler: &Scheduler, data: &[u64]) -> Option<u64> {
 ///
 /// Panics if the slices have different lengths.
 pub fn dot_product(scheduler: &Scheduler, a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot product requires equally long vectors");
+    assert_eq!(
+        a.len(),
+        b.len(),
+        "dot product requires equally long vectors"
+    );
     let n = a.len();
     if n == 0 {
         return 0.0;
@@ -231,31 +235,41 @@ mod tests {
             let s = scheduler();
             let data: Vec<u64> = (1..=1000).collect();
             assert_eq!(parallel_sum(&s, &data), 500_500);
-            assert_eq!(s.metrics().teams_formed, 0, "small inputs must not build teams");
+            assert_eq!(
+                s.metrics().teams_formed,
+                0,
+                "small inputs must not build teams"
+            );
         });
     }
 
     #[test]
     fn large_sum_uses_a_team_and_matches_sequential() {
-        with_watchdog("large_sum_uses_a_team_and_matches_sequential", WATCHDOG, || {
-            let s = scheduler();
-            let data: Vec<u64> = (0..200_000).map(|i| i % 1000).collect();
-            let expected: u64 = data.iter().sum();
-            assert_eq!(
-                team_reduce_with(&s, &data, 0, |a, b| a + b, 1024),
-                expected
-            );
-            let m = s.metrics();
-            assert!(m.teams_formed > 0, "large reductions must run as a team task");
-            assert!(m.team_tasks_executed > 0);
-        });
+        with_watchdog(
+            "large_sum_uses_a_team_and_matches_sequential",
+            WATCHDOG,
+            || {
+                let s = scheduler();
+                let data: Vec<u64> = (0..200_000).map(|i| i % 1000).collect();
+                let expected: u64 = data.iter().sum();
+                assert_eq!(team_reduce_with(&s, &data, 0, |a, b| a + b, 1024), expected);
+                let m = s.metrics();
+                assert!(
+                    m.teams_formed > 0,
+                    "large reductions must run as a team task"
+                );
+                assert!(m.team_tasks_executed > 0);
+            },
+        );
     }
 
     #[test]
     fn min_max_on_large_input() {
         with_watchdog("min_max_on_large_input", WATCHDOG, || {
             let s = scheduler();
-            let data: Vec<u64> = (0..100_000).map(|i| (i * 2654435761u64) % 1_000_003).collect();
+            let data: Vec<u64> = (0..100_000)
+                .map(|i| (i * 2654435761u64) % 1_000_003)
+                .collect();
             assert_eq!(parallel_min(&s, &data), data.iter().copied().min());
             assert_eq!(parallel_max(&s, &data), data.iter().copied().max());
         });
@@ -263,17 +277,21 @@ mod tests {
 
     #[test]
     fn dot_product_matches_sequential_for_large_inputs() {
-        with_watchdog("dot_product_matches_sequential_for_large_inputs", WATCHDOG, || {
-            let s = scheduler();
-            let n = 120_000;
-            let a: Vec<f64> = (0..n).map(|i| (i % 17) as f64 * 0.25).collect();
-            let b: Vec<f64> = (0..n).map(|i| (i % 13) as f64 * 0.5).collect();
-            let expected: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-            let got = dot_product(&s, &a, &b);
-            // Chunked summation reorders additions; allow a tiny relative error.
-            let rel = (got - expected).abs() / expected.abs().max(1.0);
-            assert!(rel < 1e-9, "got {got}, expected {expected}");
-        });
+        with_watchdog(
+            "dot_product_matches_sequential_for_large_inputs",
+            WATCHDOG,
+            || {
+                let s = scheduler();
+                let n = 120_000;
+                let a: Vec<f64> = (0..n).map(|i| (i % 17) as f64 * 0.25).collect();
+                let b: Vec<f64> = (0..n).map(|i| (i % 13) as f64 * 0.5).collect();
+                let expected: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
+                let got = dot_product(&s, &a, &b);
+                // Chunked summation reorders additions; allow a tiny relative error.
+                let rel = (got - expected).abs() / expected.abs().max(1.0);
+                assert!(rel < 1e-9, "got {got}, expected {expected}");
+            },
+        );
     }
 
     #[test]

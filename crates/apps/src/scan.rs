@@ -55,7 +55,15 @@ pub fn inclusive_scan_mixed<T, F>(
     T: Copy + Send + Sync + 'static,
     F: Fn(T, T) -> T + Send + Sync + 'static,
 {
-    scan_impl(scheduler, input, out, identity, combine, true, MIN_ELEMENTS_PER_MEMBER);
+    scan_impl(
+        scheduler,
+        input,
+        out,
+        identity,
+        combine,
+        true,
+        MIN_ELEMENTS_PER_MEMBER,
+    );
 }
 
 /// Exclusive prefix sum: `out[0] = identity`, `out[i] = combine(input[0], …,
@@ -74,7 +82,15 @@ pub fn exclusive_scan_mixed<T, F>(
     T: Copy + Send + Sync + 'static,
     F: Fn(T, T) -> T + Send + Sync + 'static,
 {
-    scan_impl(scheduler, input, out, identity, combine, false, MIN_ELEMENTS_PER_MEMBER);
+    scan_impl(
+        scheduler,
+        input,
+        out,
+        identity,
+        combine,
+        false,
+        MIN_ELEMENTS_PER_MEMBER,
+    );
 }
 
 /// Scan with an explicit work-per-member threshold (used by tests and the
@@ -91,7 +107,15 @@ pub fn scan_with<T, F>(
     T: Copy + Send + Sync + 'static,
     F: Fn(T, T) -> T + Send + Sync + 'static,
 {
-    scan_impl(scheduler, input, out, identity, combine, inclusive, min_per_member);
+    scan_impl(
+        scheduler,
+        input,
+        out,
+        identity,
+        combine,
+        inclusive,
+        min_per_member,
+    );
 }
 
 /// Sequential reference: the scan [`scan_with`] runs below its team floor.
@@ -129,7 +153,11 @@ fn scan_impl<T, F>(
     T: Copy + Send + Sync + 'static,
     F: Fn(T, T) -> T + Send + Sync + 'static,
 {
-    assert_eq!(input.len(), out.len(), "scan output must match the input length");
+    assert_eq!(
+        input.len(),
+        out.len(),
+        "scan output must match the input length"
+    );
     let n = input.len();
     if n == 0 {
         return;
@@ -255,7 +283,10 @@ mod tests {
             let mut out = vec![0u64; input.len()];
             scan_with(&s, &input, &mut out, 0, |a, b| a + b, true, 1024);
             assert_eq!(out, reference_inclusive(&input));
-            assert!(s.metrics().teams_formed > 0, "large scans must run as team tasks");
+            assert!(
+                s.metrics().teams_formed > 0,
+                "large scans must run as team tasks"
+            );
         });
     }
 

@@ -12,7 +12,6 @@
 //! The kernel solves the 1-D heat equation with fixed (Dirichlet) boundary
 //! values: `next[i] = prev[i] + alpha * (prev[i-1] - 2 prev[i] + prev[i+1])`.
 
-
 use teamsteal_core::Scheduler;
 use teamsteal_util::SendMutPtr;
 
@@ -74,7 +73,11 @@ pub fn jacobi_mixed(scheduler: &Scheduler, grid: &[f64], config: &StencilConfig)
         return grid.to_vec();
     }
     let interior = n - 2;
-    let team = best_team_size(interior, config.min_cells_per_member, scheduler.num_threads());
+    let team = best_team_size(
+        interior,
+        config.min_cells_per_member,
+        scheduler.num_threads(),
+    );
     if team <= 1 {
         return jacobi_sequential(grid, config);
     }
@@ -149,7 +152,10 @@ mod tests {
     }
 
     fn max_abs_diff(a: &[f64], b: &[f64]) -> f64 {
-        a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f64::max)
     }
 
     #[test]
@@ -230,18 +236,22 @@ mod tests {
 
     #[test]
     fn odd_sweep_counts_and_non_power_of_two_threads() {
-        with_watchdog("odd_sweep_counts_and_non_power_of_two_threads", WATCHDOG, || {
-            let s = Scheduler::with_threads(3);
-            let grid: Vec<f64> = (0..50_001).map(|i| (i % 13) as f64).collect();
-            let cfg = StencilConfig {
-                sweeps: 7,
-                alpha: 0.3,
-                min_cells_per_member: 512,
-            };
-            let reference = jacobi_sequential(&grid, &cfg);
-            let got = jacobi_mixed(&s, &grid, &cfg);
-            assert!(max_abs_diff(&reference, &got) < 1e-12);
-        });
+        with_watchdog(
+            "odd_sweep_counts_and_non_power_of_two_threads",
+            WATCHDOG,
+            || {
+                let s = Scheduler::with_threads(3);
+                let grid: Vec<f64> = (0..50_001).map(|i| (i % 13) as f64).collect();
+                let cfg = StencilConfig {
+                    sweeps: 7,
+                    alpha: 0.3,
+                    min_cells_per_member: 512,
+                };
+                let reference = jacobi_sequential(&grid, &cfg);
+                let got = jacobi_mixed(&s, &grid, &cfg);
+                assert!(max_abs_diff(&reference, &got) < 1e-12);
+            },
+        );
     }
 
     proptest! {

@@ -59,7 +59,10 @@ pub fn best_team_size(total_work: usize, min_work_per_member: usize, num_threads
 /// ```
 pub fn chunk_range(len: usize, parts: usize, index: usize) -> std::ops::Range<usize> {
     assert!(parts > 0, "cannot split into zero chunks");
-    assert!(index < parts, "chunk index {index} out of range for {parts} chunks");
+    assert!(
+        index < parts,
+        "chunk index {index} out of range for {parts} chunks"
+    );
     let base = len / parts;
     let extra = len % parts;
     let start = index * base + index.min(extra);

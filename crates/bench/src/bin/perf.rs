@@ -161,7 +161,11 @@ fn parse_args() -> Result<Options, String> {
                 let list = value("a list")?;
                 opts.threads = list
                     .split(',')
-                    .map(|t| t.trim().parse().map_err(|e| format!("bad thread count: {e}")))
+                    .map(|t| {
+                        t.trim()
+                            .parse()
+                            .map_err(|e| format!("bad thread count: {e}"))
+                    })
                     .collect::<Result<Vec<usize>, String>>()?;
                 if opts.threads.is_empty() || opts.threads.contains(&0) {
                     return Err("--threads needs a non-empty list of positive counts".into());
@@ -223,7 +227,10 @@ fn params_json(opts: &Options, group: &str) -> Json {
         ("group", Json::str(group)),
         ("smoke", Json::Bool(opts.smoke)),
         ("size", Json::Num(opts.size as f64)),
-        ("threads", Json::Arr(opts.threads.iter().map(|&t| Json::Num(t as f64)).collect())),
+        (
+            "threads",
+            Json::Arr(opts.threads.iter().map(|&t| Json::Num(t as f64)).collect()),
+        ),
         ("reps", Json::Num(opts.reps as f64)),
         ("warmups", Json::Num(opts.warmups as f64)),
         ("seed", Json::Num(opts.seed as f64)),
@@ -323,12 +330,27 @@ fn sweep_sorts(opts: &Options) -> Vec<RunRecord> {
     // Sequential variants, measured once per distribution.
     let mut seq_runner = VariantRunner::new(1, config.clone());
     for (distribution, input) in &inputs {
-        let cells = sort_cells(&mut seq_runner, &SORT_SEQUENTIAL, *distribution, input, opts, 1);
+        let cells = sort_cells(
+            &mut seq_runner,
+            &SORT_SEQUENTIAL,
+            *distribution,
+            input,
+            opts,
+            1,
+        );
         for (variant, (secs, metrics)) in SORT_SEQUENTIAL.into_iter().zip(cells) {
             if variant == Variant::SeqStd {
                 seq_medians.insert(distribution.label(), secs.median_s);
             }
-            records.push(sort_record(variant, *distribution, opts, 1, secs, metrics, None));
+            records.push(sort_record(
+                variant,
+                *distribution,
+                opts,
+                1,
+                secs,
+                metrics,
+                None,
+            ));
         }
     }
 
@@ -338,7 +360,14 @@ fn sweep_sorts(opts: &Options) -> Vec<RunRecord> {
         let mut runner = VariantRunner::new(threads, config.clone());
         for (distribution, input) in &inputs {
             let seq_reference_s = seq_medians.get(distribution.label()).copied();
-            let cells = sort_cells(&mut runner, &SORT_PARALLEL, *distribution, input, opts, threads);
+            let cells = sort_cells(
+                &mut runner,
+                &SORT_PARALLEL,
+                *distribution,
+                input,
+                opts,
+                threads,
+            );
             // The paper's claim per cell: Fork's median over MMPar's, from
             // the same interleaved repetitions (> 1: MMPar is faster).
             let median_of = |variant: Variant| {
@@ -545,7 +574,10 @@ fn sweep_injection(opts: &Options) -> Vec<RunRecord> {
                     ("per_producer", Json::Num(per_producer as f64)),
                     ("shards", Json::Num(shards as f64)),
                     ("tasks_per_sec", Json::Num(tasks_per_sec)),
-                    ("submit_to_start_median_us", Json::Num(submit_secs.median_s * 1e6)),
+                    (
+                        "submit_to_start_median_us",
+                        Json::Num(submit_secs.median_s * 1e6),
+                    ),
                     ("submit_to_start_p95_us", Json::Num(submit_secs.p95_s * 1e6)),
                     ("injector_remote_pop_share", Json::Num(remote_share)),
                 ])),
@@ -762,7 +794,10 @@ fn sweep_team_build(opts: &Options) -> Vec<RunRecord> {
         secs,
         extra: Some(Json::obj([
             ("reuse_hit_rate", Json::Num(hit_rate(&metrics))),
-            ("cold_gap_ms", Json::Num(micro::TEAM_BUILD_COLD_GAP.as_secs_f64() * 1e3)),
+            (
+                "cold_gap_ms",
+                Json::Num(micro::TEAM_BUILD_COLD_GAP.as_secs_f64() * 1e3),
+            ),
         ])),
         metrics,
         seq_reference_s: None,
@@ -788,7 +823,8 @@ fn sweep_team_build(opts: &Options) -> Vec<RunRecord> {
             micro::team_build_cold(&scheduler, r, cold_tasks)
         });
         let mut medians_us = Vec::new();
-        for (name, (outcome, metrics)) in [("team_build_streak", streak), ("team_build_cold", cold)] {
+        for (name, (outcome, metrics)) in [("team_build_streak", streak), ("team_build_cold", cold)]
+        {
             let tasks = outcome.tasks;
             let secs = summary(&outcome.submit_to_start);
             medians_us.push((secs.median_s * 1e6, hit_rate(&metrics)));
@@ -875,11 +911,21 @@ fn check_pass_report(baseline: &Report, opts: &Options) -> Result<Report, String
         let runner = runners
             .entry(threads)
             .or_insert_with(|| VariantRunner::new(threads, config.clone()));
-        let sized_opts = Options { size, seed, ..opts.clone() };
-        let (secs, metrics) =
-            sort_cells(runner, &[Variant::MmPar], distribution, input, &sized_opts, threads)
-                .pop()
-                .expect("one cell per variant");
+        let sized_opts = Options {
+            size,
+            seed,
+            ..opts.clone()
+        };
+        let (secs, metrics) = sort_cells(
+            runner,
+            &[Variant::MmPar],
+            distribution,
+            input,
+            &sized_opts,
+            threads,
+        )
+        .pop()
+        .expect("one cell per variant");
         records.push(sort_record(
             Variant::MmPar,
             distribution,
@@ -967,7 +1013,9 @@ fn read_report(path: &Path, what: &str) -> Result<Option<Report>, String> {
         Err(e) => return Err(format!("cannot read {what} {}: {e}", path.display())),
     };
     let report = Report::from_json_str(&text);
-    report.map(Some).map_err(|e| format!("{what} {} is invalid: {e}", path.display()))
+    report
+        .map(Some)
+        .map_err(|e| format!("{what} {} is invalid: {e}", path.display()))
 }
 
 fn write_report(path: &Path, report: &Report) -> Result<(), String> {
@@ -1058,7 +1106,12 @@ fn run() -> Result<i32, String> {
             if opts.runs(scenario) {
                 records.extend((scenario.run)(&opts));
             } else {
-                records.extend(existing.iter().filter(|r| r.group == scenario.name).cloned());
+                records.extend(
+                    existing
+                        .iter()
+                        .filter(|r| r.group == scenario.name)
+                        .cloned(),
+                );
             }
         }
         let report = new_report(&opts, scenarios[0].name, records);
@@ -1077,8 +1130,12 @@ fn run() -> Result<i32, String> {
         } else {
             sort_report.expect("--check without --smoke requires the sort sweep")
         };
-        let outcome =
-            check_regressions(&baseline, &current, Variant::MmPar.label(), opts.tolerance_pct);
+        let outcome = check_regressions(
+            &baseline,
+            &current,
+            Variant::MmPar.label(),
+            opts.tolerance_pct,
+        );
         for missing in &outcome.missing_baseline {
             eprintln!("check: no baseline record for {missing}");
         }
@@ -1104,7 +1161,12 @@ fn run() -> Result<i32, String> {
             );
             return Ok(1);
         }
-        if !report_check(&outcome, "MMPar scenario", &baseline_path, opts.tolerance_pct) {
+        if !report_check(
+            &outcome,
+            "MMPar scenario",
+            &baseline_path,
+            opts.tolerance_pct,
+        ) {
             return Ok(1);
         }
         let Some((kernels_path, kernel_baseline)) = kernel_baseline else {
@@ -1115,8 +1177,12 @@ fn run() -> Result<i32, String> {
         report_spawn_scaling(&current);
         // Only the one-thread cell — the spawn path itself — is gated.
         current.records.retain(|r| r.threads == 1);
-        let outcome =
-            check_regressions(&kernel_baseline, &current, SPAWN_OVERHEAD, opts.tolerance_pct);
+        let outcome = check_regressions(
+            &kernel_baseline,
+            &current,
+            SPAWN_OVERHEAD,
+            opts.tolerance_pct,
+        );
         if outcome.compared == 0 {
             println!(
                 "check: {} has no p = 1 spawn_overhead cell; spawn_overhead not gated",
@@ -1124,7 +1190,12 @@ fn run() -> Result<i32, String> {
             );
             return Ok(0);
         }
-        if !report_check(&outcome, "spawn_overhead cell", &kernels_path, opts.tolerance_pct) {
+        if !report_check(
+            &outcome,
+            "spawn_overhead cell",
+            &kernels_path,
+            opts.tolerance_pct,
+        ) {
             return Ok(1);
         }
     }

@@ -214,10 +214,18 @@ fn run_steal_policy_ablation(opts: &Options, config: &SortConfig) {
 
         let configs: [(&str, StealPolicy, bool); 5] = [
             ("fork / deterministic", StealPolicy::Deterministic, false),
-            ("fork / rand-within-level", StealPolicy::RandomizedWithinLevel, false),
+            (
+                "fork / rand-within-level",
+                StealPolicy::RandomizedWithinLevel,
+                false,
+            ),
             ("fork / uniform-random", StealPolicy::UniformRandom, false),
             ("mmpar / deterministic", StealPolicy::Deterministic, true),
-            ("mmpar / rand-within-level", StealPolicy::RandomizedWithinLevel, true),
+            (
+                "mmpar / rand-within-level",
+                StealPolicy::RandomizedWithinLevel,
+                true,
+            ),
         ];
         for (label, policy, mixed) in configs {
             let scheduler = Scheduler::builder()

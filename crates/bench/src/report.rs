@@ -46,15 +46,24 @@ fn uint(value: &Json) -> Option<u64> {
 /// Member `key` of the object `value` (a `what`, for the message) as a
 /// non-negative integer that fits `T`.
 fn uint_field<T: TryFrom<u64>>(value: &Json, what: &str, key: &str) -> Result<T, String> {
-    let field = value.get(key).ok_or_else(|| format!("{what} missing `{key}`"))?;
-    uint(field).and_then(|n| T::try_from(n).ok()).ok_or_else(|| {
-        format!("{what} `{key}` must be a non-negative integer, found {}", field.to_line())
-    })
+    let field = value
+        .get(key)
+        .ok_or_else(|| format!("{what} missing `{key}`"))?;
+    uint(field)
+        .and_then(|n| T::try_from(n).ok())
+        .ok_or_else(|| {
+            format!(
+                "{what} `{key}` must be a non-negative integer, found {}",
+                field.to_line()
+            )
+        })
 }
 
 fn str_field(value: &Json, what: &str, key: &str) -> Result<String, String> {
     let field = value.get(key).and_then(Json::as_str);
-    field.map(str::to_string).ok_or_else(|| format!("{what} missing string `{key}`"))
+    field
+        .map(str::to_string)
+        .ok_or_else(|| format!("{what} missing string `{key}`"))
 }
 
 // ---------------------------------------------------------------------------
@@ -103,7 +112,11 @@ impl TimingSummary {
             p95_s: stats::percentile_sorted(&sorted, 95.0),
             worst_s: sorted[sorted.len() - 1],
             // Sample (n - 1) deviation; a single sample has none.
-            stddev_s: if sorted.len() < 2 { 0.0 } else { (squares / (n - 1.0)).sqrt() },
+            stddev_s: if sorted.len() < 2 {
+                0.0
+            } else {
+                (squares / (n - 1.0)).sqrt()
+            },
             samples_s,
         }
     }
@@ -116,7 +129,10 @@ impl TimingSummary {
             ("p95_s", Json::Num(self.p95_s)),
             ("worst_s", Json::Num(self.worst_s)),
             ("stddev_s", Json::Num(self.stddev_s)),
-            ("samples_s", Json::Arr(self.samples_s.iter().map(|&s| Json::Num(s)).collect())),
+            (
+                "samples_s",
+                Json::Arr(self.samples_s.iter().map(|&s| Json::Num(s)).collect()),
+            ),
         ])
     }
 
@@ -152,7 +168,9 @@ const WAKE_LATENCY_FIELD: &str = "wake_latency_us";
 
 fn metrics_to_json(m: &MetricsSnapshot) -> Json {
     let buckets = m.wake_latency.buckets.iter().map(|&b| Json::Num(b as f64));
-    let counters = m.counters().map(|(name, value)| (name, Json::Num(value as f64)));
+    let counters = m
+        .counters()
+        .map(|(name, value)| (name, Json::Num(value as f64)));
     Json::obj(counters.chain([(WAKE_LATENCY_FIELD, Json::Arr(buckets.collect()))]))
 }
 
@@ -160,7 +178,8 @@ fn metrics_to_json(m: &MetricsSnapshot) -> Json {
 /// another schema version is refused before its records are read, so a gap
 /// is a damaged file, not an old one.
 fn metrics_from_json(value: &Json) -> Result<MetricsSnapshot, String> {
-    let mut metrics = MetricsSnapshot::try_from_counters(|name| uint_field(value, "metrics", name))?;
+    let mut metrics =
+        MetricsSnapshot::try_from_counters(|name| uint_field(value, "metrics", name))?;
     let buckets = value
         .get(WAKE_LATENCY_FIELD)
         .and_then(Json::as_arr)
@@ -168,7 +187,10 @@ fn metrics_from_json(value: &Json) -> Result<MetricsSnapshot, String> {
         .ok_or_else(|| format!("metrics missing `{WAKE_LATENCY_FIELD}` buckets"))?;
     for (slot, bucket) in metrics.wake_latency.buckets.iter_mut().zip(buckets) {
         *slot = uint(bucket).ok_or_else(|| {
-            format!("metrics `{WAKE_LATENCY_FIELD}` holds {}, not a count", bucket.to_line())
+            format!(
+                "metrics `{WAKE_LATENCY_FIELD}` holds {}, not a count",
+                bucket.to_line()
+            )
         })?;
     }
     Ok(metrics)
@@ -223,15 +245,24 @@ impl RunRecord {
         Json::obj([
             ("group", Json::str(&self.group)),
             ("name", Json::str(&self.name)),
-            ("distribution", self.distribution.as_ref().map_or(Json::Null, Json::str)),
+            (
+                "distribution",
+                self.distribution.as_ref().map_or(Json::Null, Json::str),
+            ),
             ("size", Json::Num(self.size as f64)),
             ("threads", Json::Num(self.threads as f64)),
             ("warmups", Json::Num(self.warmups as f64)),
             ("repetitions", Json::Num(self.repetitions as f64)),
             ("secs", self.secs.to_json()),
             ("metrics", metrics_to_json(&self.metrics)),
-            ("seq_reference_s", self.seq_reference_s.map_or(Json::Null, Json::Num)),
-            ("speedup_vs_seq", self.speedup_vs_seq.map_or(Json::Null, Json::Num)),
+            (
+                "seq_reference_s",
+                self.seq_reference_s.map_or(Json::Null, Json::Num),
+            ),
+            (
+                "speedup_vs_seq",
+                self.speedup_vs_seq.map_or(Json::Null, Json::Num),
+            ),
             ("extra", self.extra.clone().unwrap_or(Json::Null)),
         ])
     }
@@ -290,7 +321,9 @@ impl Environment {
     /// Detects the current environment.  Git queries run `git` as a
     /// subprocess and degrade to `"unknown"` / `None` when that fails.
     pub fn detect() -> Self {
-        let status = std::process::Command::new("git").args(["status", "--porcelain"]).output();
+        let status = std::process::Command::new("git")
+            .args(["status", "--porcelain"])
+            .output();
         let status = status.ok().filter(|out| out.status.success());
         Environment {
             available_parallelism: host::nproc(),
@@ -303,7 +336,10 @@ impl Environment {
 
     fn to_json(&self) -> Json {
         Json::obj([
-            ("available_parallelism", Json::Num(self.available_parallelism as f64)),
+            (
+                "available_parallelism",
+                Json::Num(self.available_parallelism as f64),
+            ),
             ("os", Json::str(&self.os)),
             ("arch", Json::str(&self.arch)),
             ("git_commit", Json::str(&self.git_commit)),
@@ -375,7 +411,10 @@ impl Report {
             ("created_unix_s", Json::Num(self.created_unix_s as f64)),
             ("environment", self.environment.to_json()),
             ("params", self.params.clone()),
-            ("records", Json::Arr(self.records.iter().map(RunRecord::to_json).collect())),
+            (
+                "records",
+                Json::Arr(self.records.iter().map(RunRecord::to_json).collect()),
+            ),
         ])
         .to_pretty()
     }
@@ -403,7 +442,9 @@ impl Report {
             group: str_field(&value, "report", "group")?,
             created_unix_s: uint_field(&value, "report", "created_unix_s")?,
             environment: Environment::from_json(
-                value.get("environment").ok_or("report missing `environment`")?,
+                value
+                    .get("environment")
+                    .ok_or("report missing `environment`")?,
             )?,
             params: value.get("params").cloned().unwrap_or(Json::Null),
             records,
@@ -468,15 +509,13 @@ pub fn check_regressions(
             record.size,
             record.threads
         );
-        let Some(base) = baseline
-            .records
-            .iter()
-            .find(|b| b.scenario_key() == key)
-        else {
+        let Some(base) = baseline.records.iter().find(|b| b.scenario_key() == key) else {
             outcome.missing_baseline.push(label);
             continue;
         };
-        if base.secs.median_s <= 0.0 || baseline.oversubscribed(base) || current.oversubscribed(record)
+        if base.secs.median_s <= 0.0
+            || baseline.oversubscribed(base)
+            || current.oversubscribed(record)
         {
             continue;
         }
@@ -547,19 +586,26 @@ mod tests {
                 git_dirty: Some(false),
             },
             params: Json::obj([("size", Json::Num(65536.0)), ("seed", Json::Num(42.0))]),
-            records: vec![sample_record("MMPar", median), sample_record("Fork", median)],
+            records: vec![
+                sample_record("MMPar", median),
+                sample_record("Fork", median),
+            ],
         }
     }
 
     /// `text` with `edit` applied to every record object.
     fn edit_records(text: &str, edit: impl Fn(&mut Vec<(String, Json)>)) -> String {
         let mut value = Json::parse(text).unwrap();
-        let Json::Obj(pairs) = &mut value else { panic!("report is an object") };
+        let Json::Obj(pairs) = &mut value else {
+            panic!("report is an object")
+        };
         let Some((_, Json::Arr(records))) = pairs.iter_mut().find(|(k, _)| k == "records") else {
             panic!("report has records")
         };
         for record in records {
-            let Json::Obj(fields) = record else { panic!("record is an object") };
+            let Json::Obj(fields) = record else {
+                panic!("record is an object")
+            };
             edit(fields);
         }
         value.to_pretty()
@@ -567,9 +613,11 @@ mod tests {
 
     /// `text` with `edit` applied to the `metrics` object of every record.
     fn edit_metrics(text: &str, edit: impl Fn(&mut Vec<(String, Json)>)) -> String {
-        edit_records(text, |fields| match fields.iter_mut().find(|(k, _)| k == "metrics") {
-            Some((_, Json::Obj(metrics))) => edit(metrics),
-            _ => panic!("record has metrics"),
+        edit_records(text, |fields| {
+            match fields.iter_mut().find(|(k, _)| k == "metrics") {
+                Some((_, Json::Obj(metrics))) => edit(metrics),
+                _ => panic!("record has metrics"),
+            }
         })
     }
 
@@ -588,7 +636,10 @@ mod tests {
         let text = report.to_json_string();
         // The written form must not contain raw control characters.
         assert!(!text.chars().any(|c| (c as u32) < 0x20 && c != '\n'));
-        assert_eq!(Report::from_json_str(&text).expect("written report parses"), report);
+        assert_eq!(
+            Report::from_json_str(&text).expect("written report parses"),
+            report
+        );
     }
 
     #[test]
@@ -600,7 +651,9 @@ mod tests {
             r#""params": {"a": [1, -2.5, 1e3, true, false, null], "b": "é🦀", "#,
             1,
         );
-        let params = Report::from_json_str(&text).expect("edited report parses").params;
+        let params = Report::from_json_str(&text)
+            .expect("edited report parses")
+            .params;
         let a = params.get("a").and_then(Json::as_arr).unwrap();
         assert_eq!(a[..3], [Json::Num(1.0), Json::Num(-2.5), Json::Num(1000.0)]);
         assert_eq!(a[3..], [Json::Bool(true), Json::Bool(false), Json::Null]);
@@ -616,9 +669,16 @@ mod tests {
         // carry; the shared one bounds the nesting it follows.
         let deep = "[".repeat(200_000);
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "tru", "1 2", truncated, &deep] {
-            assert!(Report::from_json_str(bad).is_err(), "`{:.40}` should fail", bad);
+            assert!(
+                Report::from_json_str(bad).is_err(),
+                "`{:.40}` should fail",
+                bad
+            );
         }
-        assert_eq!(Report::from_json_str(&deep).unwrap_err(), "document nests too deeply");
+        assert_eq!(
+            Report::from_json_str(&deep).unwrap_err(),
+            "document nests too deeply"
+        );
         // Well-formed JSON that is not a report names what it lacks.
         let err = Report::from_json_str("{\"schema_version\": 1}").unwrap_err();
         assert!(err.contains("records"), "{err}");
@@ -636,7 +696,10 @@ mod tests {
         report.records[0].speedup_vs_seq = Some(f64::NAN);
         let text = report.to_json_string();
         assert!(text.contains("\"speedup_vs_seq\": null"));
-        assert_eq!(Report::from_json_str(&text).unwrap().records[0].speedup_vs_seq, None);
+        assert_eq!(
+            Report::from_json_str(&text).unwrap().records[0].speedup_vs_seq,
+            None
+        );
         report.records[0].secs.median_s = f64::INFINITY;
         let err = Report::from_json_str(&report.to_json_string()).unwrap_err();
         assert!(err.contains("median_s"), "{err}");
@@ -645,22 +708,38 @@ mod tests {
     #[test]
     fn integers_are_validated_not_cast() {
         let text = sample_report(0.010).to_json_string();
-        let bad_shapes = [Json::Num(-1.0), Json::Num(2.7), Json::Null, Json::Num(1e300)];
+        let bad_shapes = [
+            Json::Num(-1.0),
+            Json::Num(2.7),
+            Json::Null,
+            Json::Num(1e300),
+        ];
         for bad in &bad_shapes {
             let refused = |edited: String, field: &str| {
                 let err = Report::from_json_str(&edited).expect_err(field);
-                assert!(err.contains(field) && err.contains("non-negative integer"), "{err}");
+                assert!(
+                    err.contains(field) && err.contains("non-negative integer"),
+                    "{err}"
+                );
             };
             for field in ["size", "threads", "warmups", "repetitions"] {
                 refused(edit_records(&text, |r| set(r, field, bad.clone())), field);
             }
-            refused(edit_metrics(&text, |m| set(m, "steals", bad.clone())), "steals");
+            refused(
+                edit_metrics(&text, |m| set(m, "steals", bad.clone())),
+                "steals",
+            );
             let buckets = Json::Arr(vec![bad.clone(); 8]);
             let edited = edit_metrics(&text, |m| set(m, WAKE_LATENCY_FIELD, buckets.clone()));
-            assert!(Report::from_json_str(&edited).unwrap_err().contains(WAKE_LATENCY_FIELD));
+            assert!(Report::from_json_str(&edited)
+                .unwrap_err()
+                .contains(WAKE_LATENCY_FIELD));
             for (field, was) in [("schema_version", "1"), ("available_parallelism", "8")] {
                 let now = format!("\"{field}\": {}", bad.to_line());
-                refused(text.replacen(&format!("\"{field}\": {was}"), &now, 1), field);
+                refused(
+                    text.replacen(&format!("\"{field}\": {was}"), &now, 1),
+                    field,
+                );
             }
         }
     }
@@ -688,24 +767,42 @@ mod tests {
         assert_eq!(summary.p95_s, 0.030);
         assert_eq!(summary.worst_s, 0.030);
         assert_eq!(summary.stddev_s, 0.005937171043518959);
-        assert!((summary.average_s - 0.015).abs() < 1e-15, "{}", summary.average_s);
-        assert_eq!(summary.samples_s[3], 0.030, "samples stay in execution order");
+        assert!(
+            (summary.average_s - 0.015).abs() < 1e-15,
+            "{}",
+            summary.average_s
+        );
+        assert_eq!(
+            summary.samples_s[3], 0.030,
+            "samples stay in execution order"
+        );
         // An even count takes the midpoint, one sample has no deviation, and
         // no samples aggregate to zeros.
-        assert_eq!(TimingSummary::from_samples(vec![0.04, 0.01, 0.03, 0.02]).median_s, 0.025);
+        assert_eq!(
+            TimingSummary::from_samples(vec![0.04, 0.01, 0.03, 0.02]).median_s,
+            0.025
+        );
         let one = TimingSummary::from_samples(vec![0.007]);
         assert_eq!((one.median_s, one.p95_s, one.stddev_s), (0.007, 0.007, 0.0));
-        assert_eq!(TimingSummary::from_samples(Vec::new()), TimingSummary::default());
+        assert_eq!(
+            TimingSummary::from_samples(Vec::new()),
+            TimingSummary::default()
+        );
     }
 
     #[test]
     fn every_counter_round_trips_under_its_own_name_and_none_may_be_missing() {
         let mut report = sample_report(0.010);
         report.records.truncate(1);
-        let names: Vec<&str> = MetricsSnapshot::default().counters().map(|(n, _)| n).collect();
+        let names: Vec<&str> = MetricsSnapshot::default()
+            .counters()
+            .map(|(n, _)| n)
+            .collect();
         let value_of = |name: &str| names.iter().position(|n| *n == name).unwrap() as u64 + 1;
         report.records[0].metrics = MetricsSnapshot {
-            wake_latency: WakeLatencyHistogram { buckets: [8, 7, 6, 5, 4, 3, 2, 1] },
+            wake_latency: WakeLatencyHistogram {
+                buckets: [8, 7, 6, 5, 4, 3, 2, 1],
+            },
             ..MetricsSnapshot::try_from_counters(|name| Ok::<_, ()>(value_of(name))).unwrap()
         };
         let text = report.to_json_string();
@@ -726,7 +823,6 @@ mod tests {
         }
     }
 
-
     #[test]
     fn oversubscribed_cells_carry_no_speedup_and_are_not_compared() {
         // Recorded on 2 cores: the p = 4 records (every `sample_record`) are
@@ -744,7 +840,10 @@ mod tests {
         assert_eq!(speedups, [None, None, Some(2.0)]);
         let text = baseline.to_json_string();
         assert!(text.contains("\"speedup_vs_seq\": null"));
-        assert_eq!(Report::from_json_str(&text).expect("report parses"), baseline);
+        assert_eq!(
+            Report::from_json_str(&text).expect("report parses"),
+            baseline
+        );
 
         // A 10x slower current run fails on the real cell only...
         let mut current = baseline.clone();
@@ -754,11 +853,18 @@ mod tests {
         let outcome = check_regressions(&baseline, &current, "MMPar", 25.0);
         assert_eq!(outcome.compared, 1);
         assert_eq!(outcome.regressions.len(), 1);
-        assert!(outcome.regressions[0].contains("p=2"), "{:?}", outcome.regressions);
+        assert!(
+            outcome.regressions[0].contains("p=2"),
+            "{:?}",
+            outcome.regressions
+        );
         // ...and a current host too small for that cell compares nothing,
         // whatever the baseline's host was.
         current.environment.available_parallelism = 1;
-        assert_eq!(check_regressions(&baseline, &current, "MMPar", 25.0).compared, 0);
+        assert_eq!(
+            check_regressions(&baseline, &current, "MMPar", 25.0).compared,
+            0
+        );
     }
 
     /// A record whose samples are latencies and whose family-specific

@@ -53,16 +53,76 @@ impl TableSpec {
         let six: &'static [usize] = &[0, 1, 2, 3, 4, 5];
         let five: &'static [usize] = &[0, 1, 3, 4, 5];
         vec![
-            TableSpec { number: 1, system: "8-core Intel Nehalem", threads: 8, aggregation: Aggregation::Average, size_indices: six },
-            TableSpec { number: 2, system: "8-core Intel Nehalem", threads: 8, aggregation: Aggregation::Best, size_indices: six },
-            TableSpec { number: 3, system: "16-core AMD Opteron", threads: 16, aggregation: Aggregation::Average, size_indices: five },
-            TableSpec { number: 4, system: "16-core AMD Opteron", threads: 16, aggregation: Aggregation::Best, size_indices: five },
-            TableSpec { number: 5, system: "32-core Intel Nehalem EX", threads: 32, aggregation: Aggregation::Average, size_indices: six },
-            TableSpec { number: 6, system: "32-core Intel Nehalem EX", threads: 32, aggregation: Aggregation::Best, size_indices: six },
-            TableSpec { number: 7, system: "16-core Sun T2+ (32 threads)", threads: 32, aggregation: Aggregation::Average, size_indices: five },
-            TableSpec { number: 8, system: "16-core Sun T2+ (32 threads)", threads: 32, aggregation: Aggregation::Best, size_indices: five },
-            TableSpec { number: 9, system: "16-core Sun T2+ (64 threads)", threads: 64, aggregation: Aggregation::Average, size_indices: five },
-            TableSpec { number: 10, system: "16-core Sun T2+ (64 threads)", threads: 64, aggregation: Aggregation::Best, size_indices: five },
+            TableSpec {
+                number: 1,
+                system: "8-core Intel Nehalem",
+                threads: 8,
+                aggregation: Aggregation::Average,
+                size_indices: six,
+            },
+            TableSpec {
+                number: 2,
+                system: "8-core Intel Nehalem",
+                threads: 8,
+                aggregation: Aggregation::Best,
+                size_indices: six,
+            },
+            TableSpec {
+                number: 3,
+                system: "16-core AMD Opteron",
+                threads: 16,
+                aggregation: Aggregation::Average,
+                size_indices: five,
+            },
+            TableSpec {
+                number: 4,
+                system: "16-core AMD Opteron",
+                threads: 16,
+                aggregation: Aggregation::Best,
+                size_indices: five,
+            },
+            TableSpec {
+                number: 5,
+                system: "32-core Intel Nehalem EX",
+                threads: 32,
+                aggregation: Aggregation::Average,
+                size_indices: six,
+            },
+            TableSpec {
+                number: 6,
+                system: "32-core Intel Nehalem EX",
+                threads: 32,
+                aggregation: Aggregation::Best,
+                size_indices: six,
+            },
+            TableSpec {
+                number: 7,
+                system: "16-core Sun T2+ (32 threads)",
+                threads: 32,
+                aggregation: Aggregation::Average,
+                size_indices: five,
+            },
+            TableSpec {
+                number: 8,
+                system: "16-core Sun T2+ (32 threads)",
+                threads: 32,
+                aggregation: Aggregation::Best,
+                size_indices: five,
+            },
+            TableSpec {
+                number: 9,
+                system: "16-core Sun T2+ (64 threads)",
+                threads: 64,
+                aggregation: Aggregation::Average,
+                size_indices: five,
+            },
+            TableSpec {
+                number: 10,
+                system: "16-core Sun T2+ (64 threads)",
+                threads: 64,
+                aggregation: Aggregation::Best,
+                size_indices: five,
+            },
         ]
     }
 
@@ -313,7 +373,11 @@ mod tests {
         let rendered = render_for_host(&result, 2);
         assert!(!rendered.contains('–'), "{rendered}");
         let withheld = render_for_host(&result, 1);
-        assert_eq!(withheld.matches('–').count(), 4 * 2, "Fork and MMPar SU per row: {withheld}");
+        assert_eq!(
+            withheld.matches('–').count(),
+            4 * 2,
+            "Fork and MMPar SU per row: {withheld}"
+        );
         assert_eq!(withheld.lines().count(), rendered.lines().count());
         assert!(rendered.contains("Table 1"));
         assert!(rendered.contains("MMPar"));
@@ -325,12 +389,19 @@ mod tests {
 
     #[test]
     fn every_cell_aggregates_all_repetitions_of_the_interleaved_loop() {
-        let spec = TableSpec { threads: 2, size_indices: &[0], ..TableSpec::by_number(1).unwrap() };
+        let spec = TableSpec {
+            threads: 2,
+            size_indices: &[0],
+            ..TableSpec::by_number(1).unwrap()
+        };
         let mut cells = Vec::new();
         let progress = |line: &str| cells.push(line.to_string());
         let result = run_table(&spec, Scale::Ci, 3, &SortConfig::default(), 7, progress);
         assert_eq!(cells.len(), result.rows.len() * result.variants.len());
-        assert!(cells.iter().all(|line| line.ends_with("(3 reps)")), "{cells:?}");
+        assert!(
+            cells.iter().all(|line| line.ends_with("(3 reps)")),
+            "{cells:?}"
+        );
         // Table 1 reports averages, table 2 the best run, of the same samples.
         let samples = [0.030, 0.010, 0.020];
         assert_eq!(Aggregation::Best.pick(&samples), Duration::from_millis(10));

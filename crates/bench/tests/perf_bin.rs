@@ -32,7 +32,10 @@ fn listed_scenarios() -> Vec<String> {
     let out = run_perf(&["--only", "no-such-family"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(stderr.contains("unknown sweep family 'no-such-family'"), "{stderr}");
+    assert!(
+        stderr.contains("unknown sweep family 'no-such-family'"),
+        "{stderr}"
+    );
     let list = stderr
         .split("expected one of: ")
         .nth(1)
@@ -52,8 +55,16 @@ fn scenario_table_only_flag_and_committed_baselines_name_the_same_families() {
         assert_eq!(out.status.code(), Some(0), "--only {name} rejected");
         assert!(String::from_utf8_lossy(&out.stdout).contains(&listed.join(", ")));
     }
-    assert_eq!(run_perf(&["--only", "micro", "--help"]).status.code(), Some(2));
-    assert_eq!(run_perf(&["--only", "service_latency", "--help"]).status.code(), Some(2));
+    assert_eq!(
+        run_perf(&["--only", "micro", "--help"]).status.code(),
+        Some(2)
+    );
+    assert_eq!(
+        run_perf(&["--only", "service_latency", "--help"])
+            .status
+            .code(),
+        Some(2)
+    );
 
     // The committed baselines hold records of every listed family and of no
     // other: `sort` in BENCH_sort.json, the rest in BENCH_kernels.json.  And
@@ -63,7 +74,10 @@ fn scenario_table_only_flag_and_committed_baselines_name_the_same_families() {
     let groups = |file: &str| {
         let text = std::fs::read_to_string(root.join(file)).expect(file);
         let report = Report::from_json_str(&text).expect(file);
-        assert!(report.to_json_string() == text, "{file} does not reprint as committed");
+        assert!(
+            report.to_json_string() == text,
+            "{file} does not reprint as committed"
+        );
         let mut groups: Vec<String> = report.records.into_iter().map(|r| r.group).collect();
         groups.sort();
         groups.dedup();
@@ -102,23 +116,35 @@ fn smoke_run_writes_complete_parseable_reports() {
     }
     for record in &sort.records {
         assert_eq!(record.secs.samples_s.len(), record.repetitions);
-        assert!(record.secs.median_s > 0.0, "{} has zero median", record.name);
+        assert!(
+            record.secs.median_s > 0.0,
+            "{} has zero median",
+            record.name
+        );
         // Parallel variants carry a speedup against the Seq/STL reference,
         // unless this host has fewer cores than the cell has threads.
         // MMPar also carries Fork's median over its own, both taken from the
         // same interleaved repetitions.
         if record.name == "MMPar" {
-            assert_eq!(record.speedup_vs_seq.is_some(), !sort.oversubscribed(record));
+            assert_eq!(
+                record.speedup_vs_seq.is_some(),
+                !sort.oversubscribed(record)
+            );
             let fork = sort.records.iter().find(|r| {
                 r.name == "Fork"
                     && r.distribution == record.distribution
                     && r.threads == record.threads
             });
-            let expected = fork.expect("a Fork record per MMPar cell").secs.median_s
-                / record.secs.median_s;
+            let expected =
+                fork.expect("a Fork record per MMPar cell").secs.median_s / record.secs.median_s;
             let ratio = record.extra.as_ref().and_then(|e| e.get("mmpar_vs_fork"));
-            let ratio = ratio.and_then(|v| v.as_f64()).expect("MMPar record has mmpar_vs_fork");
-            assert!((ratio - expected).abs() <= 1e-9 * expected, "{ratio} vs {expected}");
+            let ratio = ratio
+                .and_then(|v| v.as_f64())
+                .expect("MMPar record has mmpar_vs_fork");
+            assert!(
+                (ratio - expected).abs() <= 1e-9 * expected,
+                "{ratio} vs {expected}"
+            );
         }
     }
     // The scheduler-backed variants must carry scheduler metrics; the
@@ -146,7 +172,10 @@ fn smoke_run_writes_complete_parseable_reports() {
             .unwrap_or_else(|| panic!("missing kernel record {name}"));
         assert!(record.secs.median_s > 0.0);
         assert!(record.seq_reference_s.is_some());
-        assert_eq!(record.speedup_vs_seq.is_some(), !kernels.oversubscribed(record));
+        assert_eq!(
+            record.speedup_vs_seq.is_some(),
+            !kernels.oversubscribed(record)
+        );
     }
 
     // Every family of the table wrote records (idle_burn is skipped only on
@@ -239,7 +268,13 @@ fn smoke_run_writes_complete_parseable_reports() {
 #[test]
 fn only_soak_runs_without_other_families() {
     let dir = scratch_dir("only-soak");
-    let out = run_perf(&["--smoke", "--only", "soak", "--out-dir", dir.to_str().unwrap()]);
+    let out = run_perf(&[
+        "--smoke",
+        "--only",
+        "soak",
+        "--out-dir",
+        dir.to_str().unwrap(),
+    ]);
     assert!(
         out.status.success(),
         "perf --smoke --only soak failed: {}",
@@ -330,10 +365,18 @@ fn check_mode_fails_on_injected_regression_and_passes_on_honest_baseline() {
     std::fs::copy(&honest, &sort_copy).unwrap();
     let text = std::fs::read_to_string(dir.join("BENCH_kernels.json")).unwrap();
     let mut kernels = Report::from_json_str(&text).unwrap();
-    for record in kernels.records.iter_mut().filter(|r| r.name == "spawn_overhead") {
+    for record in kernels
+        .records
+        .iter_mut()
+        .filter(|r| r.name == "spawn_overhead")
+    {
         record.secs.median_s /= 1e6;
     }
-    std::fs::write(kernels_dir.join("BENCH_kernels.json"), kernels.to_json_string()).unwrap();
+    std::fs::write(
+        kernels_dir.join("BENCH_kernels.json"),
+        kernels.to_json_string(),
+    )
+    .unwrap();
     let out = run_perf(&[
         "--smoke",
         "--seed",
@@ -346,7 +389,11 @@ fn check_mode_fails_on_injected_regression_and_passes_on_honest_baseline() {
         "100000",
     ]);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "doctored spawn cells must fail the check: {stderr}");
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "doctored spawn cells must fail the check: {stderr}"
+    );
     assert!(stderr.contains("spawn_overhead/spawn_overhead"));
 }
 
@@ -433,7 +480,11 @@ fn partial_only_run_preserves_the_skipped_familys_records() {
     let kernels_path = dir.join("BENCH_kernels.json");
     let full = Report::from_json_str(&std::fs::read_to_string(&kernels_path).unwrap()).unwrap();
     let kernel_count = full.records.iter().filter(|r| r.group == "kernel").count();
-    let spawn_count = full.records.iter().filter(|r| r.group == "spawn_overhead").count();
+    let spawn_count = full
+        .records
+        .iter()
+        .filter(|r| r.group == "spawn_overhead")
+        .count();
     assert!(kernel_count > 0 && spawn_count > 0);
 
     let out = run_perf(&[
@@ -446,7 +497,11 @@ fn partial_only_run_preserves_the_skipped_familys_records() {
     assert!(out.status.success());
     let merged = Report::from_json_str(&std::fs::read_to_string(&kernels_path).unwrap()).unwrap();
     assert_eq!(
-        merged.records.iter().filter(|r| r.group == "spawn_overhead").count(),
+        merged
+            .records
+            .iter()
+            .filter(|r| r.group == "spawn_overhead")
+            .count(),
         spawn_count,
         "the spawn_overhead records must be refreshed, not duplicated"
     );
@@ -468,7 +523,10 @@ fn refused(args: &[&str], named: &str) {
     let out = run_perf(args);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-    assert!(stderr.contains("error: ") && stderr.contains(named), "{args:?}: {stderr}");
+    assert!(
+        stderr.contains("error: ") && stderr.contains(named),
+        "{args:?}: {stderr}"
+    );
 }
 
 #[test]
@@ -480,7 +538,10 @@ fn check_refuses_a_baseline_that_nests_too_deeply() {
     std::fs::write(&baseline, "[".repeat(200_000)).unwrap();
     let out_dir = dir.join("out");
     let (out_dir, baseline) = (out_dir.to_str().unwrap(), baseline.to_str().unwrap());
-    refused(&["--smoke", "--out-dir", out_dir, "--check", baseline], "nests too deeply");
+    refused(
+        &["--smoke", "--out-dir", out_dir, "--check", baseline],
+        "nests too deeply",
+    );
 }
 
 #[test]
@@ -496,9 +557,15 @@ fn check_refuses_a_damaged_kernel_baseline() {
     let other_schema = kernels.replacen("\"schema_version\": 1", "\"schema_version\": 7", 1);
     let out_dir = dir.join("out");
     let (out_dir, baseline) = (out_dir.to_str().unwrap(), baseline.to_str().unwrap());
-    for (damaged, named) in [(&kernels[..kernels.len() / 2], "invalid"), (&other_schema, "version 7")] {
+    for (damaged, named) in [
+        (&kernels[..kernels.len() / 2], "invalid"),
+        (&other_schema, "version 7"),
+    ] {
         std::fs::write(dir.join("BENCH_kernels.json"), damaged).unwrap();
-        refused(&["--smoke", "--out-dir", out_dir, "--check", baseline], named);
+        refused(
+            &["--smoke", "--out-dir", out_dir, "--check", baseline],
+            named,
+        );
     }
 }
 
@@ -510,7 +577,16 @@ fn partial_run_refuses_to_overwrite_a_report_it_cannot_read() {
     let dir = scratch_dir("damaged-partial");
     let kernels_path = dir.join("BENCH_kernels.json");
     std::fs::write(&kernels_path, "{\"schema_version\": 1, \"records\": [").unwrap();
-    refused(&["--smoke", "--only", "soak", "--out-dir", dir.to_str().unwrap()], "BENCH_kernels.json");
+    refused(
+        &[
+            "--smoke",
+            "--only",
+            "soak",
+            "--out-dir",
+            dir.to_str().unwrap(),
+        ],
+        "BENCH_kernels.json",
+    );
     let kept = std::fs::read_to_string(&kernels_path).unwrap();
     assert_eq!(kept, "{\"schema_version\": 1, \"records\": [");
 }
@@ -564,7 +640,10 @@ fn smoke_check_compares_at_the_baselines_parameters() {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("check: OK"), "stdout: {stdout}");
-    assert!(stdout.contains("spawn_overhead not gated"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("spawn_overhead not gated"),
+        "stdout: {stdout}"
+    );
 }
 
 #[test]

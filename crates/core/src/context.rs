@@ -204,10 +204,16 @@ mod tests {
         assert_eq!(ctx.local_id(), 3);
         assert_eq!(ctx.team_size(), 4);
         assert_eq!(ctx.requested_threads(), 3);
-        assert!(ctx.is_surplus(), "local id 3 with 3 requested threads is surplus");
+        assert!(
+            ctx.is_surplus(),
+            "local id 3 with 3 requested threads is surplus"
+        );
         assert_eq!(ctx.global_thread_id(), 3);
         assert_eq!(ctx.num_threads(), 8);
-        assert!(ctx.barrier(), "no barrier behaves like a trivially open one");
+        assert!(
+            ctx.barrier(),
+            "no barrier behaves like a trivially open one"
+        );
         assert!(ctx.team_barrier().is_none());
     }
 

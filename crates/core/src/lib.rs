@@ -155,25 +155,29 @@ mod tests {
 
     #[test]
     fn team_task_runs_on_every_member_with_distinct_local_ids() {
-        with_watchdog("team_task_runs_on_every_member_with_distinct_local_ids", WATCHDOG, || {
-            let s = Scheduler::with_threads(4);
-            let seen = Arc::new([
-                AtomicUsize::new(0),
-                AtomicUsize::new(0),
-                AtomicUsize::new(0),
-                AtomicUsize::new(0),
-            ]);
-            let seen2 = Arc::clone(&seen);
-            s.run_team(4, move |ctx| {
-                assert_eq!(ctx.team_size(), 4);
-                assert_eq!(ctx.requested_threads(), 4);
-                seen2[ctx.local_id()].fetch_add(1, Ordering::Relaxed);
-                ctx.barrier();
-            });
-            for slot in seen.iter() {
-                assert_eq!(slot.load(Ordering::Relaxed), 1);
-            }
-        });
+        with_watchdog(
+            "team_task_runs_on_every_member_with_distinct_local_ids",
+            WATCHDOG,
+            || {
+                let s = Scheduler::with_threads(4);
+                let seen = Arc::new([
+                    AtomicUsize::new(0),
+                    AtomicUsize::new(0),
+                    AtomicUsize::new(0),
+                    AtomicUsize::new(0),
+                ]);
+                let seen2 = Arc::clone(&seen);
+                s.run_team(4, move |ctx| {
+                    assert_eq!(ctx.team_size(), 4);
+                    assert_eq!(ctx.requested_threads(), 4);
+                    seen2[ctx.local_id()].fetch_add(1, Ordering::Relaxed);
+                    ctx.barrier();
+                });
+                for slot in seen.iter() {
+                    assert_eq!(slot.load(Ordering::Relaxed), 1);
+                }
+            },
+        );
     }
 
     #[test]
@@ -226,59 +230,67 @@ mod tests {
 
     #[test]
     fn pending_small_and_large_teams_do_not_deadlock() {
-        with_watchdog("pending_small_and_large_teams_do_not_deadlock", WATCHDOG, || {
-            // Regression test: with an r = 2 task and an r = 4 task pending in the
-            // same scope, two half-machine teams used to form, both try to grow,
-            // and deadlock (Section 3.1 requires the coordinator to *disband* a
-            // formed team before coordinating a larger task).
-            let s = Scheduler::with_threads(4);
-            let small = counter();
-            let large = counter();
-            for _ in 0..5 {
-                let small = Arc::clone(&small);
-                let large = Arc::clone(&large);
-                s.scope(|scope| {
-                    for _ in 0..2 {
-                        let c = Arc::clone(&small);
-                        scope.spawn_team(2, move |ctx| {
-                            c.fetch_add(1, Ordering::Relaxed);
-                            ctx.barrier();
-                        });
-                        let c = Arc::clone(&large);
-                        scope.spawn_team(4, move |ctx| {
-                            c.fetch_add(1, Ordering::Relaxed);
-                            ctx.barrier();
-                        });
-                    }
-                });
-            }
-            assert_eq!(small.load(Ordering::Relaxed), 5 * 2 * 2);
-            assert_eq!(large.load(Ordering::Relaxed), 5 * 2 * 4);
-        });
+        with_watchdog(
+            "pending_small_and_large_teams_do_not_deadlock",
+            WATCHDOG,
+            || {
+                // Regression test: with an r = 2 task and an r = 4 task pending in the
+                // same scope, two half-machine teams used to form, both try to grow,
+                // and deadlock (Section 3.1 requires the coordinator to *disband* a
+                // formed team before coordinating a larger task).
+                let s = Scheduler::with_threads(4);
+                let small = counter();
+                let large = counter();
+                for _ in 0..5 {
+                    let small = Arc::clone(&small);
+                    let large = Arc::clone(&large);
+                    s.scope(|scope| {
+                        for _ in 0..2 {
+                            let c = Arc::clone(&small);
+                            scope.spawn_team(2, move |ctx| {
+                                c.fetch_add(1, Ordering::Relaxed);
+                                ctx.barrier();
+                            });
+                            let c = Arc::clone(&large);
+                            scope.spawn_team(4, move |ctx| {
+                                c.fetch_add(1, Ordering::Relaxed);
+                                ctx.barrier();
+                            });
+                        }
+                    });
+                }
+                assert_eq!(small.load(Ordering::Relaxed), 5 * 2 * 2);
+                assert_eq!(large.load(Ordering::Relaxed), 5 * 2 * 4);
+            },
+        );
     }
 
     #[test]
     fn uniform_random_policy_runs_sequential_tasks() {
-        with_watchdog("uniform_random_policy_runs_sequential_tasks", WATCHDOG, || {
-            let s = Scheduler::builder()
-                .threads(3)
-                .steal_policy(StealPolicy::UniformRandom)
-                .build();
-            let c = counter();
-            let cc = Arc::clone(&c);
-            s.scope(|scope| {
-                for _ in 0..50 {
-                    let cc = Arc::clone(&cc);
-                    scope.spawn(move |ctx| {
+        with_watchdog(
+            "uniform_random_policy_runs_sequential_tasks",
+            WATCHDOG,
+            || {
+                let s = Scheduler::builder()
+                    .threads(3)
+                    .steal_policy(StealPolicy::UniformRandom)
+                    .build();
+                let c = counter();
+                let cc = Arc::clone(&c);
+                s.scope(|scope| {
+                    for _ in 0..50 {
                         let cc = Arc::clone(&cc);
-                        ctx.spawn(move |_| {
-                            cc.fetch_add(1, Ordering::Relaxed);
+                        scope.spawn(move |ctx| {
+                            let cc = Arc::clone(&cc);
+                            ctx.spawn(move |_| {
+                                cc.fetch_add(1, Ordering::Relaxed);
+                            });
                         });
-                    });
-                }
-            });
-            assert_eq!(c.load(Ordering::Relaxed), 50);
-        });
+                    }
+                });
+                assert_eq!(c.load(Ordering::Relaxed), 50);
+            },
+        );
     }
 
     /// Every way a team task enters a `UniformRandom` scheduler is refused
@@ -295,7 +307,10 @@ mod tests {
                 .build();
             let refused = |f: &dyn Fn()| {
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-                assert!(result.is_err(), "a team task was accepted under UniformRandom");
+                assert!(
+                    result.is_err(),
+                    "a team task was accepted under UniformRandom"
+                );
             };
             refused(&|| s.run_team(2, |_| {}));
             let concurrent = ConcurrentScope::new();

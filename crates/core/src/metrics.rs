@@ -20,8 +20,7 @@ pub const WAKE_LATENCY_BUCKETS: usize = 8;
 /// Upper bounds (exclusive, in microseconds) of the wake-latency buckets;
 /// the last bucket is unbounded.  Factor-4 spacing from 1 µs to 4 ms covers
 /// everything between "futex fast path" and "the backstop fired".
-pub const WAKE_LATENCY_BOUNDS_US: [u64; WAKE_LATENCY_BUCKETS - 1] =
-    [1, 4, 16, 64, 256, 1024, 4096];
+pub const WAKE_LATENCY_BOUNDS_US: [u64; WAKE_LATENCY_BUCKETS - 1] = [1, 4, 16, 64, 256, 1024, 4096];
 
 /// Index of the bucket a wake latency falls into.
 fn wake_latency_bucket(latency: Duration) -> usize {
@@ -305,9 +304,7 @@ impl WakeLatencyHistogram {
     /// Element-wise difference, saturating at zero.
     pub fn delta_since(&self, earlier: &WakeLatencyHistogram) -> WakeLatencyHistogram {
         WakeLatencyHistogram {
-            buckets: std::array::from_fn(|i| {
-                self.buckets[i].saturating_sub(earlier.buckets[i])
-            }),
+            buckets: std::array::from_fn(|i| self.buckets[i].saturating_sub(earlier.buckets[i])),
         }
     }
 }
@@ -408,21 +405,35 @@ mod tests {
         distinct.dedup();
         assert_eq!(distinct.len(), names.len());
         for (i, (name, value)) in s.counters().enumerate() {
-            let expected = if i < worker_names.len() { i as u64 + 1 } else { 101 + (i - worker_names.len()) as u64 };
+            let expected = if i < worker_names.len() {
+                i as u64 + 1
+            } else {
+                101 + (i - worker_names.len()) as u64
+            };
             assert_eq!(value, expected, "snapshot field `{name}`");
         }
-        assert_eq!(s.tasks_executed, 1, "the list starts at the first declared field");
+        assert_eq!(
+            s.tasks_executed, 1,
+            "the list starts at the first declared field"
+        );
         assert_eq!(s.wake_latency.buckets, [0, 1, 0, 0, 0, 0, 0, 0]);
 
         // Rebuilding by name gives the same snapshot back.
         let lookup = |name: &'static str| {
-            s.counters().find(|(n, _)| *n == name).map(|(_, v)| v).ok_or(name)
+            s.counters()
+                .find(|(n, _)| *n == name)
+                .map(|(_, v)| v)
+                .ok_or(name)
         };
         let mut rebuilt = MetricsSnapshot::try_from_counters(lookup).unwrap();
         rebuilt.wake_latency = s.wake_latency;
         assert_eq!(rebuilt, s);
         assert_eq!(
-            MetricsSnapshot::try_from_counters(|name| if name == "parks" { Err(name) } else { Ok(0) }),
+            MetricsSnapshot::try_from_counters(|name| if name == "parks" {
+                Err(name)
+            } else {
+                Ok(0)
+            }),
             Err("parks")
         );
 
@@ -447,7 +458,10 @@ mod tests {
         assert_eq!(h.total(), 4);
         assert_eq!(h.percentile_bound_us(50.0), Some(4));
         assert_eq!(h.percentile_bound_us(100.0), None, "top bucket unbounded");
-        assert_eq!(WakeLatencyHistogram::default().percentile_bound_us(95.0), None);
+        assert_eq!(
+            WakeLatencyHistogram::default().percentile_bound_us(95.0),
+            None
+        );
         // Merge and delta are element-wise.
         let merged = h.merge(h);
         assert_eq!(merged.total(), 8);

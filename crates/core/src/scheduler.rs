@@ -672,8 +672,11 @@ mod tests {
         }
         let scheduler = unstarted(2);
         let scope = ConcurrentScope::new();
-        let dropped: Arc<Vec<AtomicUsize>> =
-            Arc::new((0..2 * PER_SUBMITTER).map(|_| AtomicUsize::new(0)).collect());
+        let dropped: Arc<Vec<AtomicUsize>> = Arc::new(
+            (0..2 * PER_SUBMITTER)
+                .map(|_| AtomicUsize::new(0))
+                .collect(),
+        );
         std::thread::scope(|threads| {
             for t in 0..2 {
                 let (scheduler, scope, dropped) = (&scheduler, &scope, &dropped);
@@ -686,11 +689,17 @@ mod tests {
             }
         });
         assert_eq!(scope.pending(), 2 * PER_SUBMITTER);
-        assert!(dropped.iter().all(|count| count.load(Ordering::SeqCst) == 0));
+        assert!(dropped
+            .iter()
+            .all(|count| count.load(Ordering::SeqCst) == 0));
         drop(scheduler);
         assert_eq!(scope.pending(), 0);
         for (id, count) in dropped.iter().enumerate() {
-            assert_eq!(count.load(Ordering::SeqCst), 1, "job {id} dropped a wrong number of times");
+            assert_eq!(
+                count.load(Ordering::SeqCst),
+                1,
+                "job {id} dropped a wrong number of times"
+            );
         }
     }
 

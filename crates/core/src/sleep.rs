@@ -110,18 +110,26 @@ impl SleepController {
     /// its wait condition before [`park`](Self::park) and calls
     /// [`cancel`](Self::cancel) if the recheck fires.
     pub(crate) fn prepare(&self, class: ParkClass) -> u64 {
-        self.state.fetch_add(Self::sleeper_delta(class), Ordering::SeqCst);
+        self.state
+            .fetch_add(Self::sleeper_delta(class), Ordering::SeqCst);
         self.ec.prepare_wait()
     }
 
     /// Aborts a prepared park (the recheck found something to do).
     pub(crate) fn cancel(&self, class: ParkClass) {
-        self.state.fetch_sub(Self::sleeper_delta(class), Ordering::SeqCst);
+        self.state
+            .fetch_sub(Self::sleeper_delta(class), Ordering::SeqCst);
     }
 
     /// Step 3 of a park: block until a notification `class` accepts (or the
     /// backstop), then leave the sleeping state.
-    pub(crate) fn park(&self, slot: usize, ticket: u64, class: ParkClass, backstop: Duration) -> WakeReason {
+    pub(crate) fn park(
+        &self,
+        slot: usize,
+        ticket: u64,
+        class: ParkClass,
+        backstop: Duration,
+    ) -> WakeReason {
         let reason = self.ec.park(slot, ticket, class, backstop);
         self.cancel(class);
         reason

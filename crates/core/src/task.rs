@@ -682,6 +682,10 @@ mod tests {
         assert!(slot.is_inline());
         assert_eq!(DROPS.load(Ordering::SeqCst), 0);
         drop(slot);
-        assert_eq!(DROPS.load(Ordering::SeqCst), 1, "unexecuted inline job drops its capture");
+        assert_eq!(
+            DROPS.load(Ordering::SeqCst),
+            1,
+            "unexecuted inline job drops its capture"
+        );
     }
 }

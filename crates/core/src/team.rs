@@ -171,12 +171,16 @@ mod tests {
     /// waiters it is the yield phase that hands the CPU to the late arrivers.
     #[test]
     fn oversubscribed_waiters_make_progress_by_yielding() {
-        with_watchdog("oversubscribed_waiters_make_progress_by_yielding", WATCHDOG, || {
-            const THREADS: usize = 8;
-            const ROUNDS: usize = 2_000;
-            let barrier = TeamBarrier::new(THREADS);
-            assert_eq!(leaders_over(&barrier, THREADS, ROUNDS), ROUNDS);
-        });
+        with_watchdog(
+            "oversubscribed_waiters_make_progress_by_yielding",
+            WATCHDOG,
+            || {
+                const THREADS: usize = 8;
+                const ROUNDS: usize = 2_000;
+                let barrier = TeamBarrier::new(THREADS);
+                assert_eq!(leaders_over(&barrier, THREADS, ROUNDS), ROUNDS);
+            },
+        );
     }
 
     /// The barrier embedded in a task node is re-armed for each team it

@@ -163,7 +163,12 @@ impl Worker {
 
     /// Publishes `ptr` to the (already formed) team and executes the
     /// coordinator's share.
-    fn execute_team_task_as_coordinator(&mut self, ptr: *mut TaskNode, base: usize, team_size: usize) {
+    fn execute_team_task_as_coordinator(
+        &mut self,
+        ptr: *mut TaskNode,
+        base: usize,
+        team_size: usize,
+    ) {
         debug_assert!(team_size >= 2);
         // A start countdown of `team_size - 1` is only ever drained by that
         // many *teamed* members polling this worker.

@@ -113,8 +113,7 @@ impl Worker {
                 // prepare) needs handling.
                 let mut polled = PollOutcome::Nothing;
                 self.park_unless(ParkClass::Handshake, backoff, |w| {
-                    if w.shared.workers[cid].reg.load() != creg
-                        || w.read_publication(cid).is_some()
+                    if w.shared.workers[cid].reg.load() != creg || w.read_publication(cid).is_some()
                     {
                         return true;
                     }
@@ -173,7 +172,12 @@ impl Worker {
 
     /// The paper's `pollPartners(c, r)` (Algorithm 8), called both by a
     /// coordinator (`my_coord == self.id`) and by registered members.
-    pub(super) fn poll_partners(&mut self, my_coord: usize, req: usize, req_level: usize) -> PollOutcome {
+    pub(super) fn poll_partners(
+        &mut self,
+        my_coord: usize,
+        req: usize,
+        req_level: usize,
+    ) -> PollOutcome {
         let me = self.id;
         for level in 0..req_level {
             let Some(x) = self.partner_at(level) else {
@@ -204,8 +208,7 @@ impl Worker {
                 // We win; the partner's team will eventually come to us.
                 continue;
             }
-            let needed_by_them =
-                !xcreg.is_complete() && self.topo().overlap(xcid, me, their_r);
+            let needed_by_them = !xcreg.is_complete() && self.topo().overlap(xcid, me, their_r);
             if needed_by_them {
                 if self.switch_coordinator(my_coord, xcid) {
                     return PollOutcome::Switched;

@@ -33,8 +33,8 @@ mod run;
 mod shared;
 mod steal;
 
-pub use shared::{enable_stall_debug, stall_report};
 pub(crate) use shared::SchedulerShared;
+pub use shared::{enable_stall_debug, stall_report};
 use shared::{WorkerShared, INJECT_HOME};
 
 /// Unproductive spin/yield rounds a blocking site burns before it commits to
@@ -162,8 +162,14 @@ impl Worker {
         if freed.advanced {
             self.me().counters.epoch_advances.inc();
         }
-        self.me().counters.segments_reclaimed.add(freed.freed_segments);
-        self.me().counters.buffers_reclaimed.add(freed.freed_buffers);
+        self.me()
+            .counters
+            .segments_reclaimed
+            .add(freed.freed_segments);
+        self.me()
+            .counters
+            .buffers_reclaimed
+            .add(freed.freed_buffers);
     }
 
     #[inline]
@@ -322,11 +328,17 @@ mod tests {
         // Worker 0 advertises r = 4 and has all of its threads already.
         winner_reg.push_requirement(4);
         for _ in 0..3 {
-            assert!(matches!(winner_reg.try_acquire(2), AcquireOutcome::Registered(_)));
+            assert!(matches!(
+                winner_reg.try_acquire(2),
+                AcquireOutcome::Registered(_)
+            ));
         }
         // Worker 3 advertises r = 4 too, with one registrant so far.
         loser_reg.push_requirement(4);
-        assert!(matches!(loser_reg.try_acquire(2), AcquireOutcome::Registered(_)));
+        assert!(matches!(
+            loser_reg.try_acquire(2),
+            AcquireOutcome::Registered(_)
+        ));
         let advertised = loser_reg.load();
 
         assert!(!loser.switch_coordinator(3, 0), "worker 0 needs nobody");
@@ -335,10 +347,17 @@ mod tests {
 
         // With a slot free at the winner the switch goes through and only
         // then withdraws the loser's advertisement.
-        assert_eq!(winner_reg.try_release(winner_reg.load().counter), ReleaseOutcome::Released);
+        assert_eq!(
+            winner_reg.try_release(winner_reg.load().counter),
+            ReleaseOutcome::Released
+        );
         assert!(loser.switch_coordinator(3, 0));
         assert_eq!(loser_reg.load().required, 1);
-        assert_ne!(loser_reg.load().counter, advertised.counter, "registrants are revoked");
+        assert_ne!(
+            loser_reg.load().counter,
+            advertised.counter,
+            "registrants are revoked"
+        );
         assert_eq!(shared.workers[3].coordinator.load(Ordering::Relaxed), 0);
         assert!(winner_reg.load().is_complete());
     }
@@ -364,7 +383,11 @@ mod tests {
         let first = ticket();
         assert_ne!(first, idle, "the first advertisement wakes its block");
         coordinator.announce(2);
-        assert_eq!(ticket(), first, "the same requirement again changes nothing");
+        assert_eq!(
+            ticket(),
+            first,
+            "the same requirement again changes nothing"
+        );
         // A registration in between changes `a`, not what is advertised.
         assert!(matches!(reg.try_acquire(2), AcquireOutcome::Registered(_)));
         coordinator.announce(2);
@@ -372,10 +395,17 @@ mod tests {
 
         coordinator.announce(4);
         let grown = ticket();
-        assert_ne!(grown, first, "a larger requirement is news to the larger block");
+        assert_ne!(
+            grown, first,
+            "a larger requirement is news to the larger block"
+        );
         assert_eq!(reg.load().required, 4);
         coordinator.announce(2);
-        assert_ne!(ticket(), grown, "a smaller one revokes registrants: they must hear of it");
+        assert_ne!(
+            ticket(),
+            grown,
+            "a smaller one revokes registrants: they must hear of it"
+        );
         assert_eq!(reg.load().required, 2);
     }
 
@@ -390,7 +420,9 @@ mod tests {
                 std::thread::spawn(move || {
                     shared.sleep.start_search();
                     let ticket = shared.sleep.prepare(ParkClass::Idle);
-                    shared.sleep.park(id, ticket, ParkClass::Idle, Duration::from_secs(30))
+                    shared
+                        .sleep
+                        .park(id, ticket, ParkClass::Idle, Duration::from_secs(30))
                 })
             })
             .collect();
@@ -404,7 +436,11 @@ mod tests {
         shared.inject(Arc::as_ptr(&scope), job, 4, None, None);
         for sleeper in parked {
             // A sleeper still committing to its park leaves on the ticket.
-            assert_ne!(sleeper.join().unwrap(), WakeReason::Backstop, "one inject wakes all three");
+            assert_ne!(
+                sleeper.join().unwrap(),
+                WakeReason::Backstop,
+                "one inject wakes all three"
+            );
         }
         assert_eq!((shared.sleep.sleepers(), shared.sleep.searchers()), (0, 3));
 
@@ -436,7 +472,10 @@ mod tests {
                 .filter(|&w| shared.workers[w].coordinator.load(Ordering::Relaxed) != 0)
                 .collect()
         };
-        assert!(unregistered().is_empty(), "complete means the whole block is registered");
+        assert!(
+            unregistered().is_empty(),
+            "complete means the whole block is registered"
+        );
 
         // Worker 2 advertises a smaller (winning) requirement that needs
         // worker 3, which follows it.
@@ -444,7 +483,14 @@ mod tests {
         let switcher = &mut members[2];
         assert_eq!(switcher.id, 3);
         assert!(switcher.switch_coordinator(0, 2));
-        assert!(!old.load().is_complete(), "the old advertisement needs a thread again");
-        assert_eq!(unregistered(), vec![3], "and only the (running) releaser could give it one");
+        assert!(
+            !old.load().is_complete(),
+            "the old advertisement needs a thread again"
+        );
+        assert_eq!(
+            unregistered(),
+            vec![3],
+            "and only the (running) releaser could give it one"
+        );
     }
 }

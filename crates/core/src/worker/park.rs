@@ -58,7 +58,10 @@ impl Worker {
             self.me().counters.parks.inc();
             // Unpinned around the block (DESIGN.md §11).
             self.participant.unpin();
-            let reason = self.shared.sleep.park(self.id, ticket, class, PARK_BACKSTOP);
+            let reason = self
+                .shared
+                .sleep
+                .park(self.id, ticket, class, PARK_BACKSTOP);
             self.participant.pin();
             self.record_wake(reason);
         }
@@ -141,10 +144,7 @@ impl Worker {
             }
             let reg = w.reg.load();
             let required = reg.required as usize;
-            if required > 1
-                && !reg.is_complete()
-                && self.topo().overlap(other, self.id, required)
-            {
+            if required > 1 && !reg.is_complete() && self.topo().overlap(other, self.id, required) {
                 return true;
             }
         }

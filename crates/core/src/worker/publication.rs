@@ -143,7 +143,11 @@ mod tests {
         p.publish(task(1), 4, 4);
         assert_eq!(p.read_newer_than(0), Some((task(1), 4, 4, 2)));
         for remaining in (0..3).rev() {
-            assert_eq!(p.picked_up(), remaining == 0, "only the last pick-up reports it");
+            assert_eq!(
+                p.picked_up(),
+                remaining == 0,
+                "only the last pick-up reports it"
+            );
             assert_eq!(p.pending_pickups(), remaining);
         }
     }
@@ -168,11 +172,19 @@ mod tests {
         assert_eq!(p.stable_seq(), 2);
         p.publish_seq.store(3, Ordering::Relaxed);
         p.task.store(task(2), Ordering::Relaxed);
-        assert_eq!(p.read_newer_than(0), None, "an odd sequence is never returned");
+        assert_eq!(
+            p.read_newer_than(0),
+            None,
+            "an odd sequence is never returned"
+        );
         let seen = p.stable_seq();
         assert_eq!(seen, 4);
         p.publish_seq.store(4, Ordering::Release);
-        assert_eq!(p.read_newer_than(seen), None, "published before the registrant joined");
+        assert_eq!(
+            p.read_newer_than(seen),
+            None,
+            "published before the registrant joined"
+        );
         assert_eq!(p.read_newer_than(2), Some((task(2), 0, 1, 4)));
     }
 }

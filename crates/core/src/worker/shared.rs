@@ -22,8 +22,8 @@ use super::Worker;
 use crate::cancel::CancelCell;
 use crate::metrics::WorkerCounters;
 use crate::sleep::SleepController;
-use crate::SchedulerBuilder;
 use crate::task::{JobSlot, ScopeState, TaskNode, TaskPtr};
+use crate::SchedulerBuilder;
 
 /// The switch for the stall-state dumps.  See [`enable_stall_debug`].
 static STALL_DEBUG: AtomicBool = AtomicBool::new(false);
@@ -126,7 +126,9 @@ impl WorkerShared {
 
     /// Pops from the bottom of queue `level`.  **Owner only.**
     pub(super) fn pop_task(&self, level: usize) -> Option<*mut TaskNode> {
-        self.queues[level].pop_bottom().map(|word| word as *mut TaskNode)
+        self.queues[level]
+            .pop_bottom()
+            .map(|word| word as *mut TaskNode)
     }
 
     /// Returns the index of the lowest non-empty queue, if any, using the
@@ -140,7 +142,8 @@ impl WorkerShared {
             if !self.queues[level].is_empty() {
                 return Some(level);
             }
-            self.occupancy.fetch_and(!(1usize << level), Ordering::Relaxed);
+            self.occupancy
+                .fetch_and(!(1usize << level), Ordering::Relaxed);
             mask = bits::clear_bit(mask, level);
         }
         None
@@ -204,7 +207,9 @@ impl ExternalPins {
                     CachePadded::new(ExternalSlot {
                         busy: AtomicBool::new(false),
                         participant: UnsafeCell::new(
-                            epoch.register().expect("domain sized for the external pool"),
+                            epoch
+                                .register()
+                                .expect("domain sized for the external pool"),
                         ),
                         node_pool: Slab::new(),
                     })

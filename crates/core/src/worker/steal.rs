@@ -109,7 +109,11 @@ impl Worker {
             let dom = self.shared.domains.sweep_order(self.domain)[pos];
             let range = self.shared.domains.domain_range(dom);
             let len = range.len();
-            let start = if len > 1 { self.rng.next_usize_below(len) } else { 0 };
+            let start = if len > 1 {
+                self.rng.next_usize_below(len)
+            } else {
+                0
+            };
             for i in 0..len {
                 let victim = range.start + (start + i) % len;
                 if victim == self.id {
@@ -142,7 +146,12 @@ impl Worker {
     /// from a longer one, never more than half the queue.  Each task is claimed by its own `steal_top` CAS — one CAS for the
     /// whole range could take the task the owner's LIFO `pop_bottom` is
     /// taking at the same moment.
-    pub(super) fn transfer_steal(&mut self, victim: usize, max_qlevel: usize, amount_level: usize) -> usize {
+    pub(super) fn transfer_steal(
+        &mut self,
+        victim: usize,
+        max_qlevel: usize,
+        amount_level: usize,
+    ) -> usize {
         let me = self.id;
         if victim == me {
             return 0;
@@ -158,7 +167,10 @@ impl Worker {
         // if any (its registration's `r` mapped onto its hierarchy position).
         let vreg = vshared.reg.load();
         let advertised_level = if vreg.required > 1 {
-            Some(self.topo().level_for_requirement(victim, vreg.required as usize))
+            Some(
+                self.topo()
+                    .level_for_requirement(victim, vreg.required as usize),
+            )
         } else {
             None
         };
@@ -308,10 +320,9 @@ impl Worker {
             // shard's own domain.  The caller is the searching worker that
             // claimed, so its own searcher count must not suppress the
             // chain.
-            self.shared.sleep.notify_work_near(
-                self.shared.domains.domain_range(shard),
-                self.searching,
-            );
+            self.shared
+                .sleep
+                .notify_work_near(self.shared.domains.domain_range(shard), self.searching);
         }
         true
     }

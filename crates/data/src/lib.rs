@@ -87,11 +87,19 @@ fn buckets(n: usize, p: usize, rng: &mut Xoshiro256) -> Vec<u32> {
     let mut out = Vec::with_capacity(n);
     let block_len = n / p;
     for block in 0..p {
-        let this_block = if block == p - 1 { n - block_len * (p - 1) } else { block_len };
+        let this_block = if block == p - 1 {
+            n - block_len * (p - 1)
+        } else {
+            block_len
+        };
         let sub = this_block / p;
         for j in 0..p {
             let lo = j as u64 * range;
-            let count = if j == p - 1 { this_block - sub * (p - 1) } else { sub };
+            let count = if j == p - 1 {
+                this_block - sub * (p - 1)
+            } else {
+                sub
+            };
             for _ in 0..count {
                 out.push((lo + rng.next_below(range.max(1))) as u32);
             }
@@ -109,7 +117,11 @@ fn staggered(n: usize, p: usize, rng: &mut Xoshiro256) -> Vec<u32> {
     let mut out = Vec::with_capacity(n);
     let block_len = n / p;
     for block in 0..p {
-        let this_block = if block == p - 1 { n - block_len * (p - 1) } else { block_len };
+        let this_block = if block == p - 1 {
+            n - block_len * (p - 1)
+        } else {
+            block_len
+        };
         let target = if block < p / 2 {
             2 * block + 1
         } else {
@@ -267,7 +279,9 @@ mod tests {
         assert!(data[..sub].iter().all(|&x| x <= quarter));
         // ... and the last n/p² values of the first block from the top quarter.
         let block = n / p;
-        assert!(data[block - sub..block].iter().all(|&x| x >= 3 * quarter - 3));
+        assert!(data[block - sub..block]
+            .iter()
+            .all(|&x| x >= 3 * quarter - 3));
     }
 
     #[test]

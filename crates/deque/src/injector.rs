@@ -207,7 +207,12 @@ impl<T: Send> Injector<T> {
     /// Finds the segment containing `index`, walking (and extending) the
     /// chain from `from`.  `index` must be a reserved slot index and `from`
     /// must start at or before it.
-    fn segment_for(&self, mut from: *mut Segment<T>, index: usize, extend: bool) -> Option<*mut Segment<T>> {
+    fn segment_for(
+        &self,
+        mut from: *mut Segment<T>,
+        index: usize,
+        extend: bool,
+    ) -> Option<*mut Segment<T>> {
         loop {
             // SAFETY: `from` was reachable from a hint while we are pinned
             // (the `in_domain` contract), so even if it has since been
@@ -503,7 +508,9 @@ impl<T> Drop for Injector<T> {
             // SAFETY: the chain is only freed here, exactly once.
             let seg = unsafe { Box::from_raw(seg_ptr) };
             for index in seg.start..seg.start + SEGMENT_SLOTS {
-                if index >= head && index < tail && seg.slot(index).state.load(Ordering::Relaxed) == WRITTEN
+                if index >= head
+                    && index < tail
+                    && seg.slot(index).state.load(Ordering::Relaxed) == WRITTEN
                 {
                     // SAFETY: unclaimed, fully written slot; dropped once.
                     unsafe { (*seg.slot(index).value.get()).assume_init_drop() };
@@ -581,10 +588,16 @@ mod tests {
     #[test]
     fn batch_from_an_empty_queue_claims_nothing() {
         let q: Injector<u32> = Injector::new();
-        assert!(matches!(q.try_pop_batch(8, |_| panic!("nothing to hand out")), Steal::Empty));
+        assert!(matches!(
+            q.try_pop_batch(8, |_| panic!("nothing to hand out")),
+            Steal::Empty
+        ));
         q.push(1);
         assert_eq!(batch(&q, 8), Some(vec![1]));
-        assert!(matches!(q.try_pop_batch(8, |_| panic!("nothing to hand out")), Steal::Empty));
+        assert!(matches!(
+            q.try_pop_batch(8, |_| panic!("nothing to hand out")),
+            Steal::Empty
+        ));
         assert!(q.push(2), "a drained queue observes empty again");
     }
 
@@ -613,7 +626,8 @@ mod tests {
         let consumers: Vec<_> = [3usize, 17]
             .into_iter()
             .map(|max| {
-                let (q, seen, produced) = (Arc::clone(&q), Arc::clone(&seen), Arc::clone(&produced));
+                let (q, seen, produced) =
+                    (Arc::clone(&q), Arc::clone(&seen), Arc::clone(&produced));
                 std::thread::spawn(move || {
                     let mut last = [None::<usize>; PRODUCERS];
                     let mut taken = 0usize;
@@ -636,7 +650,10 @@ mod tests {
                             // Each consumer sees every producer's values in
                             // push order, across batches too.
                             let (p, i) = (v / PER_PRODUCER, v % PER_PRODUCER);
-                            assert!(last[p].map_or(true, |prev| i > prev), "producer {p} reordered");
+                            assert!(
+                                last[p].map_or(true, |prev| i > prev),
+                                "producer {p} reordered"
+                            );
                             last[p] = Some(i);
                             seen[v].fetch_add(1, Ordering::SeqCst);
                             taken += 1;
@@ -652,7 +669,11 @@ mod tests {
         let taken: usize = consumers.into_iter().map(|c| c.join().unwrap()).sum();
         assert_eq!(taken, PRODUCERS * PER_PRODUCER, "every element delivered");
         for (i, s) in seen.iter().enumerate() {
-            assert_eq!(s.load(Ordering::SeqCst), 1, "element {i} delivered exactly once");
+            assert_eq!(
+                s.load(Ordering::SeqCst),
+                1,
+                "element {i} delivered exactly once"
+            );
         }
     }
 
@@ -746,7 +767,11 @@ mod tests {
         let taken: usize = consumers.into_iter().map(|c| c.join().unwrap()).sum();
         assert_eq!(taken, PRODUCERS * PER_PRODUCER, "every element delivered");
         for (i, s) in seen.iter().enumerate() {
-            assert_eq!(s.load(Ordering::SeqCst), 1, "element {i} delivered exactly once");
+            assert_eq!(
+                s.load(Ordering::SeqCst),
+                1,
+                "element {i} delivered exactly once"
+            );
         }
         assert!(q.is_empty());
     }
@@ -876,8 +901,7 @@ mod tests {
         const PER_PRODUCER: usize = 30_000;
         let domain = Domain::new(PRODUCERS + CONSUMERS);
         // SAFETY: every accessing thread below registers and pins.
-        let q: Arc<Injector<usize>> =
-            Arc::new(unsafe { Injector::in_domain(Arc::clone(&domain)) });
+        let q: Arc<Injector<usize>> = Arc::new(unsafe { Injector::in_domain(Arc::clone(&domain)) });
         let seen = Arc::new(
             (0..PRODUCERS * PER_PRODUCER)
                 .map(|_| StdAtomicUsize::new(0))
@@ -941,7 +965,11 @@ mod tests {
         let taken: usize = consumers.into_iter().map(|c| c.join().unwrap()).sum();
         assert_eq!(taken, PRODUCERS * PER_PRODUCER, "every element delivered");
         for (i, s) in seen.iter().enumerate() {
-            assert_eq!(s.load(Ordering::SeqCst), 1, "element {i} delivered exactly once");
+            assert_eq!(
+                s.load(Ordering::SeqCst),
+                1,
+                "element {i} delivered exactly once"
+            );
         }
         let (freed_segments, _, _) = domain.totals();
         assert!(freed_segments > 0, "concurrent run must reclaim segments");

@@ -423,7 +423,11 @@ mod tests {
         let stolen: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
         assert_eq!(owner_popped + stolen, N, "every element delivered");
         for (i, s) in seen.iter().enumerate() {
-            assert_eq!(s.load(Ordering::SeqCst), 1, "element {i} delivered exactly once");
+            assert_eq!(
+                s.load(Ordering::SeqCst),
+                1,
+                "element {i} delivered exactly once"
+            );
         }
     }
 

@@ -270,7 +270,11 @@ mod tests {
             h.join().unwrap();
         }
         for (i, s) in seen.iter().enumerate() {
-            assert_eq!(s.load(Ordering::SeqCst), 1, "element {i} delivered exactly once");
+            assert_eq!(
+                s.load(Ordering::SeqCst),
+                1,
+                "element {i} delivered exactly once"
+            );
         }
     }
 }

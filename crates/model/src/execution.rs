@@ -68,7 +68,11 @@ impl ObjState {
     fn new(kind: ObjKind, initial: u64) -> Self {
         ObjState {
             kind,
-            hist: if kind == ObjKind::Atomic { vec![initial] } else { Vec::new() },
+            hist: if kind == ObjKind::Atomic {
+                vec![initial]
+            } else {
+                Vec::new()
+            },
             last_seen: Vec::new(),
             held_by: None,
             waiters: Vec::new(),
@@ -120,7 +124,10 @@ pub(crate) enum OpKind {
     MutexUnlock,
     /// Atomically release `mutex` and park on the condvar; the announced
     /// step is the release, after which the thread blocks.
-    CondWait { mutex: usize, timeout_ns: Option<u64> },
+    CondWait {
+        mutex: usize,
+        timeout_ns: Option<u64>,
+    },
     /// notify_one / notify_all on a condvar.
     Notify,
     /// Scheduling hint; no effect.
@@ -147,7 +154,11 @@ pub(crate) const NO_OBJ: usize = usize::MAX;
 #[derive(Debug, Clone, Copy)]
 enum Block {
     /// Parked on a condvar (the `CondWait` release step already ran).
-    Cond { cv: usize, mutex: usize, deadline: Option<u64> },
+    Cond {
+        cv: usize,
+        mutex: usize,
+        deadline: Option<u64>,
+    },
     /// Woken (by notify or timeout) and waiting to re-acquire the mutex.
     Reacquire { mutex: usize, timed_out: bool },
 }
@@ -186,9 +197,20 @@ pub(crate) struct Step {
 
 impl Step {
     pub(crate) fn render(&self) -> String {
-        let obj = if self.obj == NO_OBJ { String::new() } else { format!("#{}", self.obj) };
-        let var = if self.variant == 0 { String::new() } else { format!(".{}", self.variant) };
-        format!("t{}{} {}{} = {:#x}", self.tid, var, self.desc, obj, self.value)
+        let obj = if self.obj == NO_OBJ {
+            String::new()
+        } else {
+            format!("#{}", self.obj)
+        };
+        let var = if self.variant == 0 {
+            String::new()
+        } else {
+            format!(".{}", self.variant)
+        };
+        format!(
+            "t{}{} {}{} = {:#x}",
+            self.tid, var, self.desc, obj, self.value
+        )
     }
 }
 
@@ -294,7 +316,10 @@ impl Execution {
             let mut ctl = self.ctl.lock().unwrap();
             assert!(ctl.threads.is_empty());
             ctl.threads.push(ThreadCtl {
-                pending: Some(Op { kind: OpKind::Start, obj: NO_OBJ }),
+                pending: Some(Op {
+                    kind: OpKind::Start,
+                    obj: NO_OBJ,
+                }),
                 ..ThreadCtl::default()
             });
         }
@@ -346,7 +371,10 @@ impl Execution {
             // acceptable for the parking protocol).
             let mut best: Option<(usize, u64)> = None;
             for (tid, t) in ctl.threads.iter().enumerate() {
-                if let Some(Block::Cond { deadline: Some(d), .. }) = t.blocked {
+                if let Some(Block::Cond {
+                    deadline: Some(d), ..
+                }) = t.blocked
+                {
                     if best.map(|(_, bd)| d < bd).unwrap_or(true) {
                         best = Some((tid, d));
                     }
@@ -360,8 +388,10 @@ impl Execution {
                         _ => unreachable!(),
                     };
                     ctl.objects[cv].waiters.retain(|&w| w != tid);
-                    ctl.threads[tid].blocked =
-                        Some(Block::Reacquire { mutex, timed_out: true });
+                    ctl.threads[tid].blocked = Some(Block::Reacquire {
+                        mutex,
+                        timed_out: true,
+                    });
                 }
                 None => {
                     let held = describe_blocked(&ctl);
@@ -433,24 +463,48 @@ impl Execution {
                     } else {
                         1
                     };
-                    Candidate { tid, variants, objs: [op.obj, NO_OBJ], is_write: false, is_fence: false }
+                    Candidate {
+                        tid,
+                        variants,
+                        objs: [op.obj, NO_OBJ],
+                        is_write: false,
+                        is_fence: false,
+                    }
                 }
                 OpKind::Write | OpKind::MutexLock | OpKind::MutexUnlock | OpKind::Notify => {
-                    Candidate { tid, variants: 1, objs: [op.obj, NO_OBJ], is_write: true, is_fence: false }
+                    Candidate {
+                        tid,
+                        variants: 1,
+                        objs: [op.obj, NO_OBJ],
+                        is_write: true,
+                        is_fence: false,
+                    }
                 }
-                OpKind::CondWait { mutex, .. } => {
-                    Candidate { tid, variants: 1, objs: [op.obj, mutex], is_write: true, is_fence: false }
-                }
-                OpKind::Fence => {
-                    Candidate { tid, variants: 1, objs: [NO_OBJ, NO_OBJ], is_write: true, is_fence: true }
-                }
+                OpKind::CondWait { mutex, .. } => Candidate {
+                    tid,
+                    variants: 1,
+                    objs: [op.obj, mutex],
+                    is_write: true,
+                    is_fence: false,
+                },
+                OpKind::Fence => Candidate {
+                    tid,
+                    variants: 1,
+                    objs: [NO_OBJ, NO_OBJ],
+                    is_write: true,
+                    is_fence: true,
+                },
                 OpKind::Start
                 | OpKind::Yield
                 | OpKind::Sleep { .. }
                 | OpKind::Spawn
-                | OpKind::Join { .. } => {
-                    Candidate { tid, variants: 1, objs: [NO_OBJ, NO_OBJ], is_write: false, is_fence: false }
-                }
+                | OpKind::Join { .. } => Candidate {
+                    tid,
+                    variants: 1,
+                    objs: [NO_OBJ, NO_OBJ],
+                    is_write: false,
+                    is_fence: false,
+                },
             };
             out.push(cand);
         }
@@ -479,12 +533,7 @@ impl Execution {
 
     /// Core yield-point protocol: announce `op`, park until granted, then
     /// apply `effect` under the control lock and resume user code.
-    fn yield_point<R>(
-        &self,
-        tid: usize,
-        op: Op,
-        effect: impl FnOnce(&mut Ctl, u8) -> R,
-    ) -> R {
+    fn yield_point<R>(&self, tid: usize, op: Op, effect: impl FnOnce(&mut Ctl, u8) -> R) -> R {
         let mut ctl = self.ctl.lock().unwrap();
         debug_assert!(ctl.threads[tid].pending.is_none());
         ctl.threads[tid].pending = Some(op);
@@ -506,7 +555,10 @@ impl Execution {
         let window = self.stale_window;
         self.yield_point(
             tid,
-            Op { kind: OpKind::Load { relaxed }, obj },
+            Op {
+                kind: OpKind::Load { relaxed },
+                obj,
+            },
             |ctl, variant| {
                 let o = &mut ctl.objects[obj];
                 let idx = if relaxed && window > 0 {
@@ -525,27 +577,41 @@ impl Execution {
     }
 
     pub(crate) fn atomic_store(&self, tid: usize, obj: usize, val: u64) {
-        self.yield_point(tid, Op { kind: OpKind::Write, obj }, |ctl, variant| {
-            let o = &mut ctl.objects[obj];
-            o.hist.push(val);
-            let idx = o.hist.len() - 1;
-            *o.last_seen_mut(tid) = idx;
-            ctl.record(tid, variant, "store", obj, val);
-        })
+        self.yield_point(
+            tid,
+            Op {
+                kind: OpKind::Write,
+                obj,
+            },
+            |ctl, variant| {
+                let o = &mut ctl.objects[obj];
+                o.hist.push(val);
+                let idx = o.hist.len() - 1;
+                *o.last_seen_mut(tid) = idx;
+                ctl.record(tid, variant, "store", obj, val);
+            },
+        )
     }
 
     /// Read-modify-write: reads the latest value (RMWs are never stale),
     /// appends `f(old)`, returns `old`.
     pub(crate) fn atomic_rmw(&self, tid: usize, obj: usize, f: impl FnOnce(u64) -> u64) -> u64 {
-        self.yield_point(tid, Op { kind: OpKind::Write, obj }, |ctl, variant| {
-            let o = &mut ctl.objects[obj];
-            let old = *o.hist.last().unwrap();
-            o.hist.push(f(old));
-            let idx = o.hist.len() - 1;
-            *o.last_seen_mut(tid) = idx;
-            ctl.record(tid, variant, "rmw", obj, old);
-            old
-        })
+        self.yield_point(
+            tid,
+            Op {
+                kind: OpKind::Write,
+                obj,
+            },
+            |ctl, variant| {
+                let o = &mut ctl.objects[obj];
+                let old = *o.hist.last().unwrap();
+                o.hist.push(f(old));
+                let idx = o.hist.len() - 1;
+                *o.last_seen_mut(tid) = idx;
+                ctl.record(tid, variant, "rmw", obj, old);
+                old
+            },
+        )
     }
 
     pub(crate) fn atomic_cas(
@@ -555,43 +621,77 @@ impl Execution {
         current: u64,
         new: u64,
     ) -> Result<u64, u64> {
-        self.yield_point(tid, Op { kind: OpKind::Write, obj }, |ctl, variant| {
-            let o = &mut ctl.objects[obj];
-            let latest = *o.hist.last().unwrap();
-            let res = if latest == current {
-                o.hist.push(new);
-                Ok(current)
-            } else {
-                Err(latest)
-            };
-            let idx = o.hist.len() - 1;
-            *o.last_seen_mut(tid) = idx;
-            ctl.record(tid, variant, if res.is_ok() { "cas+" } else { "cas-" }, obj, latest);
-            res
-        })
+        self.yield_point(
+            tid,
+            Op {
+                kind: OpKind::Write,
+                obj,
+            },
+            |ctl, variant| {
+                let o = &mut ctl.objects[obj];
+                let latest = *o.hist.last().unwrap();
+                let res = if latest == current {
+                    o.hist.push(new);
+                    Ok(current)
+                } else {
+                    Err(latest)
+                };
+                let idx = o.hist.len() - 1;
+                *o.last_seen_mut(tid) = idx;
+                ctl.record(
+                    tid,
+                    variant,
+                    if res.is_ok() { "cas+" } else { "cas-" },
+                    obj,
+                    latest,
+                );
+                res
+            },
+        )
     }
 
     pub(crate) fn fence(&self, tid: usize) {
-        self.yield_point(tid, Op { kind: OpKind::Fence, obj: NO_OBJ }, |ctl, variant| {
-            ctl.record(tid, variant, "fence", NO_OBJ, 0);
-        })
+        self.yield_point(
+            tid,
+            Op {
+                kind: OpKind::Fence,
+                obj: NO_OBJ,
+            },
+            |ctl, variant| {
+                ctl.record(tid, variant, "fence", NO_OBJ, 0);
+            },
+        )
     }
 
     pub(crate) fn mutex_lock(&self, tid: usize, obj: usize) {
-        self.yield_point(tid, Op { kind: OpKind::MutexLock, obj }, |ctl, variant| {
-            debug_assert_eq!(ctl.objects[obj].kind, ObjKind::Mutex);
-            debug_assert!(ctl.objects[obj].held_by.is_none());
-            ctl.objects[obj].held_by = Some(tid);
-            ctl.record(tid, variant, "lock", obj, 0);
-        })
+        self.yield_point(
+            tid,
+            Op {
+                kind: OpKind::MutexLock,
+                obj,
+            },
+            |ctl, variant| {
+                debug_assert_eq!(ctl.objects[obj].kind, ObjKind::Mutex);
+                debug_assert!(ctl.objects[obj].held_by.is_none());
+                ctl.objects[obj].held_by = Some(tid);
+                ctl.record(tid, variant, "lock", obj, 0);
+            },
+        )
     }
 
     pub(crate) fn mutex_unlock(&self, tid: usize, obj: usize) {
-        self.yield_point(tid, Op { kind: OpKind::MutexUnlock, obj }, |ctl, variant| {
-            debug_assert_eq!(ctl.objects[obj].held_by, Some(tid));
-            ctl.objects[obj].held_by = None;
-            ctl.record(tid, variant, "unlock", obj, 0);
-        })
+        self.yield_point(
+            tid,
+            Op {
+                kind: OpKind::MutexUnlock,
+                obj,
+            },
+            |ctl, variant| {
+                debug_assert_eq!(ctl.objects[obj].held_by, Some(tid));
+                ctl.objects[obj].held_by = None;
+                ctl.record(tid, variant, "unlock", obj, 0);
+            },
+        )
     }
 
     /// Release `mutex`, park on condvar `cv`, and (on wake or timeout)
@@ -607,8 +707,10 @@ impl Execution {
         // parks the thread.
         let mut ctl = self.ctl.lock().unwrap();
         debug_assert!(ctl.threads[tid].pending.is_none());
-        ctl.threads[tid].pending =
-            Some(Op { kind: OpKind::CondWait { mutex, timeout_ns }, obj: cv_obj });
+        ctl.threads[tid].pending = Some(Op {
+            kind: OpKind::CondWait { mutex, timeout_ns },
+            obj: cv_obj,
+        });
         ctl.turn = Turn::Controller;
         self.cv.notify_all();
         loop {
@@ -624,7 +726,11 @@ impl Execution {
         ctl.objects[mutex].held_by = None;
         let deadline = timeout_ns.map(|ns| ctl.clock_ns.saturating_add(ns));
         ctl.objects[cv_obj].waiters.push(tid);
-        ctl.threads[tid].blocked = Some(Block::Cond { cv: cv_obj, mutex, deadline });
+        ctl.threads[tid].blocked = Some(Block::Cond {
+            cv: cv_obj,
+            mutex,
+            deadline,
+        });
         ctl.record(tid, variant, "wait", cv_obj, 0);
         // The release step is complete: hand the token back and park
         // until the controller grants us again (via notify or timeout
@@ -641,7 +747,10 @@ impl Execution {
         // Phase 2: woken with the mutex free — re-acquire and resume.
         let variant = ctl.threads[tid].variant;
         let timed_out = match ctl.threads[tid].blocked.take() {
-            Some(Block::Reacquire { mutex: m, timed_out }) => {
+            Some(Block::Reacquire {
+                mutex: m,
+                timed_out,
+            }) => {
                 debug_assert_eq!(m, mutex);
                 timed_out
             }
@@ -649,77 +758,136 @@ impl Execution {
         };
         debug_assert!(ctl.objects[mutex].held_by.is_none());
         ctl.objects[mutex].held_by = Some(tid);
-        ctl.record(tid, variant, if timed_out { "wake-timeout" } else { "wake" }, cv_obj, 0);
+        ctl.record(
+            tid,
+            variant,
+            if timed_out { "wake-timeout" } else { "wake" },
+            cv_obj,
+            0,
+        );
         timed_out
     }
 
     pub(crate) fn notify(&self, tid: usize, cv_obj: usize, all: bool) {
-        self.yield_point(tid, Op { kind: OpKind::Notify, obj: cv_obj }, |ctl, variant| {
-            let mut woken = 0u64;
-            // Lowest-tid waiter first: deterministic, and matches the
-            // single-waiter-per-slot usage in the eventcount.
-            while let Some(pos) = ctl.objects[cv_obj]
-                .waiters
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &w)| w)
-                .map(|(i, _)| i)
-            {
-                let w = ctl.objects[cv_obj].waiters.remove(pos);
-                let mutex = match ctl.threads[w].blocked {
-                    Some(Block::Cond { mutex, .. }) => mutex,
-                    other => unreachable!("condvar waiter {w} in state {other:?}"),
-                };
-                ctl.threads[w].blocked = Some(Block::Reacquire { mutex, timed_out: false });
-                woken += 1;
-                if !all {
-                    break;
+        self.yield_point(
+            tid,
+            Op {
+                kind: OpKind::Notify,
+                obj: cv_obj,
+            },
+            |ctl, variant| {
+                let mut woken = 0u64;
+                // Lowest-tid waiter first: deterministic, and matches the
+                // single-waiter-per-slot usage in the eventcount.
+                while let Some(pos) = ctl.objects[cv_obj]
+                    .waiters
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, &w)| w)
+                    .map(|(i, _)| i)
+                {
+                    let w = ctl.objects[cv_obj].waiters.remove(pos);
+                    let mutex = match ctl.threads[w].blocked {
+                        Some(Block::Cond { mutex, .. }) => mutex,
+                        other => unreachable!("condvar waiter {w} in state {other:?}"),
+                    };
+                    ctl.threads[w].blocked = Some(Block::Reacquire {
+                        mutex,
+                        timed_out: false,
+                    });
+                    woken += 1;
+                    if !all {
+                        break;
+                    }
                 }
-            }
-            ctl.record(tid, variant, if all { "notify-all" } else { "notify-one" }, cv_obj, woken);
-        })
+                ctl.record(
+                    tid,
+                    variant,
+                    if all { "notify-all" } else { "notify-one" },
+                    cv_obj,
+                    woken,
+                );
+            },
+        )
     }
 
     pub(crate) fn yield_now(&self, tid: usize) {
-        self.yield_point(tid, Op { kind: OpKind::Yield, obj: NO_OBJ }, |ctl, variant| {
-            ctl.record(tid, variant, "yield", NO_OBJ, 0);
-        })
+        self.yield_point(
+            tid,
+            Op {
+                kind: OpKind::Yield,
+                obj: NO_OBJ,
+            },
+            |ctl, variant| {
+                ctl.record(tid, variant, "yield", NO_OBJ, 0);
+            },
+        )
     }
 
     pub(crate) fn sleep(&self, tid: usize, ns: u64) {
-        self.yield_point(tid, Op { kind: OpKind::Sleep { ns }, obj: NO_OBJ }, |ctl, variant| {
-            ctl.clock_ns = ctl.clock_ns.saturating_add(ns);
-            ctl.record(tid, variant, "sleep", NO_OBJ, ns);
-        })
+        self.yield_point(
+            tid,
+            Op {
+                kind: OpKind::Sleep { ns },
+                obj: NO_OBJ,
+            },
+            |ctl, variant| {
+                ctl.clock_ns = ctl.clock_ns.saturating_add(ns);
+                ctl.record(tid, variant, "sleep", NO_OBJ, ns);
+            },
+        )
     }
 
     /// Spawn a virtual thread running `f`; returns its tid.
     pub(crate) fn spawn(self: &Arc<Self>, tid: usize, f: Box<dyn FnOnce() + Send>) -> usize {
-        let new_tid = self.yield_point(tid, Op { kind: OpKind::Spawn, obj: NO_OBJ }, |ctl, variant| {
-            ctl.threads.push(ThreadCtl {
-                pending: Some(Op { kind: OpKind::Start, obj: NO_OBJ }),
-                ..ThreadCtl::default()
-            });
-            let new_tid = ctl.threads.len() - 1;
-            ctl.record(tid, variant, "spawn", NO_OBJ, new_tid as u64);
-            new_tid
-        });
+        let new_tid = self.yield_point(
+            tid,
+            Op {
+                kind: OpKind::Spawn,
+                obj: NO_OBJ,
+            },
+            |ctl, variant| {
+                ctl.threads.push(ThreadCtl {
+                    pending: Some(Op {
+                        kind: OpKind::Start,
+                        obj: NO_OBJ,
+                    }),
+                    ..ThreadCtl::default()
+                });
+                let new_tid = ctl.threads.len() - 1;
+                ctl.record(tid, variant, "spawn", NO_OBJ, new_tid as u64);
+                new_tid
+            },
+        );
         let exec = Arc::clone(self);
         std::thread::spawn(move || run_vthread(exec, new_tid, f));
         new_tid
     }
 
     pub(crate) fn join(&self, tid: usize, target: usize) {
-        self.yield_point(tid, Op { kind: OpKind::Join { target }, obj: NO_OBJ }, |ctl, variant| {
-            debug_assert!(ctl.threads[target].finished);
-            ctl.record(tid, variant, "join", NO_OBJ, target as u64);
-        })
+        self.yield_point(
+            tid,
+            Op {
+                kind: OpKind::Join { target },
+                obj: NO_OBJ,
+            },
+            |ctl, variant| {
+                debug_assert!(ctl.threads[target].finished);
+                ctl.record(tid, variant, "join", NO_OBJ, target as u64);
+            },
+        )
     }
 }
 
 impl Ctl {
     fn record(&mut self, tid: usize, variant: u8, desc: &'static str, obj: usize, value: u64) {
-        self.trace.push(Step { tid, variant, desc, obj, value });
+        self.trace.push(Step {
+            tid,
+            variant,
+            desc,
+            obj,
+            value,
+        });
     }
 }
 
@@ -754,7 +922,10 @@ fn park_forever(cv: &StdCondvar, mut guard: std::sync::MutexGuard<'_, Ctl>) -> !
 /// first grant (the `Start` op), run the closure, report completion (or
 /// panic) back to the controller.
 fn run_vthread(exec: Arc<Execution>, tid: usize, f: impl FnOnce() + Send + 'static) {
-    set_current(Some(Ctx { exec: Arc::clone(&exec), tid }));
+    set_current(Some(Ctx {
+        exec: Arc::clone(&exec),
+        tid,
+    }));
     {
         let mut ctl = exec.ctl.lock().unwrap();
         loop {

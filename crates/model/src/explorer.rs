@@ -122,18 +122,29 @@ impl Builder {
     fn check_random(&self, f: &Arc<dyn Fn() + Send + Sync>, seed: u64, iters: usize) -> Report {
         let mut schedules = 0;
         for i in 0..iters {
-            let mut rng = Rng::new(seed.wrapping_add(i as u64).wrapping_mul(0x9E3779B97F4A7C15) | 1);
+            let mut rng =
+                Rng::new(seed.wrapping_add(i as u64).wrapping_mul(0x9E3779B97F4A7C15) | 1);
             let res = run_once(self, f, |_, cands, _| {
                 let c = &cands[rng.next_below(cands.len())];
-                let variant = if c.variants > 1 { (rng.next_below(c.variants as usize)) as u8 } else { 0 };
-                Choice { tid: c.tid, variant }
+                let variant = if c.variants > 1 {
+                    (rng.next_below(c.variants as usize)) as u8
+                } else {
+                    0
+                };
+                Choice {
+                    tid: c.tid,
+                    variant,
+                }
             });
             schedules += 1;
             if let RunOutcome::Failed(msg) = res.outcome {
                 fail(schedules, &msg, &res.schedule, &res.trace);
             }
         }
-        Report { schedules, truncated: true }
+        Report {
+            schedules,
+            truncated: true,
+        }
     }
 
     fn check_dfs(&self, f: &Arc<dyn Fn() + Send + Sync>) -> Report {
@@ -142,7 +153,10 @@ impl Builder {
         loop {
             if schedules >= self.max_schedules {
                 if self.allow_truncation {
-                    return Report { schedules, truncated: true };
+                    return Report {
+                        schedules,
+                        truncated: true,
+                    };
                 }
                 panic!(
                     "model exploration exceeded max_schedules = {} — \
@@ -163,7 +177,10 @@ impl Builder {
             // non-sleeping, preemption-feasible alternative.
             loop {
                 let Some(top) = path.last_mut() else {
-                    return Report { schedules, truncated: false };
+                    return Report {
+                        schedules,
+                        truncated: false,
+                    };
                 };
                 top.done.insert(top.chosen);
                 if let Some(next) = pick_unexplored(top, self.preemption_bound) {
@@ -200,7 +217,12 @@ impl Node {
         // been explored.
         let mut out = BTreeSet::new();
         for c in &self.cands {
-            if (0..c.variants).all(|v| self.done.contains(&Choice { tid: c.tid, variant: v })) {
+            if (0..c.variants).all(|v| {
+                self.done.contains(&Choice {
+                    tid: c.tid,
+                    variant: v,
+                })
+            }) {
                 out.insert(c.tid);
             }
         }
@@ -228,7 +250,10 @@ fn pick_unexplored(node: &Node, bound: Option<u32>) -> Option<Choice> {
             }
         }
         for v in 0..c.variants {
-            let ch = Choice { tid: c.tid, variant: v };
+            let ch = Choice {
+                tid: c.tid,
+                variant: v,
+            };
             if !node.done.contains(&ch) {
                 return Some(ch);
             }
@@ -282,12 +307,20 @@ fn dfs_pick(
                 })
                 .collect();
             let pre = parent.preemptions_before
-                + u32::from(is_preemption(parent.prev_tid, &parent.cands, parent.chosen.tid));
+                + u32::from(is_preemption(
+                    parent.prev_tid,
+                    &parent.cands,
+                    parent.chosen.tid,
+                ));
             (sleep, pre)
         }
         Some(parent) => {
             let pre = parent.preemptions_before
-                + u32::from(is_preemption(parent.prev_tid, &parent.cands, parent.chosen.tid));
+                + u32::from(is_preemption(
+                    parent.prev_tid,
+                    &parent.cands,
+                    parent.chosen.tid,
+                ));
             (BTreeSet::new(), pre)
         }
         None => (BTreeSet::new(), 0),
@@ -297,22 +330,22 @@ fn dfs_pick(
     let pick_tid = prev
         .filter(|p| cands.iter().any(|c| c.tid == *p) && !sleep.contains(p))
         .or_else(|| {
-            cands
-                .iter()
-                .map(|c| c.tid)
-                .find(|t| {
-                    !sleep.contains(t)
-                        && bound
-                            .map(|b| {
-                                preemptions_before + u32::from(is_preemption(prev, cands, *t)) <= b
-                            })
-                            .unwrap_or(true)
-                })
+            cands.iter().map(|c| c.tid).find(|t| {
+                !sleep.contains(t)
+                    && bound
+                        .map(|b| {
+                            preemptions_before + u32::from(is_preemption(prev, cands, *t)) <= b
+                        })
+                        .unwrap_or(true)
+            })
         })
         // Everything is sleeping or over-bound: the branch is redundant,
         // but the run must still terminate — take the first candidate.
         .unwrap_or(cands[0].tid);
-    let chosen = Choice { tid: pick_tid, variant: 0 };
+    let chosen = Choice {
+        tid: pick_tid,
+        variant: 0,
+    };
     path.push(Node {
         cands: cands.to_vec(),
         chosen,
@@ -454,13 +487,23 @@ where
     let mut rng = Rng::new(seed | 1);
     let res = run_once(&b, &f, |_, cands, _| {
         let c = &cands[rng.next_below(cands.len())];
-        let variant = if c.variants > 1 { (rng.next_below(c.variants as usize)) as u8 } else { 0 };
-        Choice { tid: c.tid, variant }
+        let variant = if c.variants > 1 {
+            (rng.next_below(c.variants as usize)) as u8
+        } else {
+            0
+        };
+        Choice {
+            tid: c.tid,
+            variant,
+        }
     });
     let trace = match res.outcome {
-        RunOutcome::Complete => {
-            res.trace.iter().map(|s| s.render()).collect::<Vec<_>>().join("\n")
-        }
+        RunOutcome::Complete => res
+            .trace
+            .iter()
+            .map(|s| s.render())
+            .collect::<Vec<_>>()
+            .join("\n"),
         RunOutcome::Failed(msg) => format!("FAILED: {msg}"),
     };
     (schedule_to_string(&res.schedule), trace)

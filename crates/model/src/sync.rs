@@ -68,12 +68,16 @@ macro_rules! int_atomic {
         impl $name {
             /// Create a new atomic with the given initial value.
             pub const fn new(v: $prim) -> Self {
-                Self { value: <$std>::new(v), id: ObjId::new() }
+                Self {
+                    value: <$std>::new(v),
+                    id: ObjId::new(),
+                }
             }
 
             fn obj(&self, ctx: &Ctx) -> usize {
                 use std::sync::atomic::Ordering::Relaxed;
-                self.id.get(ctx, ObjKind::Atomic, self.value.load(Relaxed) as u64)
+                self.id
+                    .get(ctx, ObjKind::Atomic, self.value.load(Relaxed) as u64)
             }
 
             /// Atomic load.  Under the model, `Relaxed` loads may observe
@@ -107,10 +111,12 @@ macro_rules! int_atomic {
                 match execution::current() {
                     Some(ctx) => {
                         let obj = self.obj(&ctx);
-                        let old = ctx.exec.atomic_rmw(ctx.tid, obj, |v| {
-                            ((v as $prim).wrapping_add(val)) as u64
-                        }) as $prim;
-                        self.value.store(old.wrapping_add(val), std::sync::atomic::Ordering::SeqCst);
+                        let old = ctx
+                            .exec
+                            .atomic_rmw(ctx.tid, obj, |v| ((v as $prim).wrapping_add(val)) as u64)
+                            as $prim;
+                        self.value
+                            .store(old.wrapping_add(val), std::sync::atomic::Ordering::SeqCst);
                         old
                     }
                     None => self.value.fetch_add(val, order),
@@ -122,10 +128,12 @@ macro_rules! int_atomic {
                 match execution::current() {
                     Some(ctx) => {
                         let obj = self.obj(&ctx);
-                        let old = ctx.exec.atomic_rmw(ctx.tid, obj, |v| {
-                            ((v as $prim).wrapping_sub(val)) as u64
-                        }) as $prim;
-                        self.value.store(old.wrapping_sub(val), std::sync::atomic::Ordering::SeqCst);
+                        let old = ctx
+                            .exec
+                            .atomic_rmw(ctx.tid, obj, |v| ((v as $prim).wrapping_sub(val)) as u64)
+                            as $prim;
+                        self.value
+                            .store(old.wrapping_sub(val), std::sync::atomic::Ordering::SeqCst);
                         old
                     }
                     None => self.value.fetch_sub(val, order),
@@ -248,11 +256,18 @@ pub mod atomic {
     impl AtomicBool {
         /// Create a new atomic with the given initial value.
         pub const fn new(v: bool) -> Self {
-            Self { value: std::sync::atomic::AtomicBool::new(v), id: super::ObjId::new() }
+            Self {
+                value: std::sync::atomic::AtomicBool::new(v),
+                id: super::ObjId::new(),
+            }
         }
 
         fn obj(&self, ctx: &Ctx) -> usize {
-            self.id.get(ctx, ObjKind::Atomic, self.value.load(Ordering::Relaxed) as u64)
+            self.id.get(
+                ctx,
+                ObjKind::Atomic,
+                self.value.load(Ordering::Relaxed) as u64,
+            )
         }
 
         /// Atomic load (see [`AtomicUsize::load`] for `Relaxed` semantics).
@@ -339,12 +354,18 @@ pub mod atomic {
     impl<T> AtomicPtr<T> {
         /// Create a new atomic pointer.
         pub const fn new(p: *mut T) -> Self {
-            Self { value: std::sync::atomic::AtomicPtr::new(p), id: super::ObjId::new() }
+            Self {
+                value: std::sync::atomic::AtomicPtr::new(p),
+                id: super::ObjId::new(),
+            }
         }
 
         fn obj(&self, ctx: &Ctx) -> usize {
-            self.id
-                .get(ctx, ObjKind::Atomic, self.value.load(Ordering::Relaxed) as usize as u64)
+            self.id.get(
+                ctx,
+                ObjKind::Atomic,
+                self.value.load(Ordering::Relaxed) as usize as u64,
+            )
         }
 
         /// Atomic load (see [`AtomicUsize::load`] for `Relaxed` semantics).
@@ -479,12 +500,14 @@ unsafe impl<T: Send> Sync for Mutex<T> {}
 impl<T> Mutex<T> {
     /// Create a new mutex guarding `value`.
     pub const fn new(value: T) -> Self {
-        Mutex { data: UnsafeCell::new(value), id: ObjId::new() }
+        Mutex {
+            data: UnsafeCell::new(value),
+            id: ObjId::new(),
+        }
     }
 
     fn ctx_and_obj(&self) -> (Ctx, usize) {
-        let ctx = execution::current()
-            .expect("teamsteal-model Mutex used outside a model run");
+        let ctx = execution::current().expect("teamsteal-model Mutex used outside a model run");
         let obj = self.id.get(&ctx, ObjKind::Mutex, 0);
         (ctx, obj)
     }
@@ -494,7 +517,10 @@ impl<T> Mutex<T> {
     pub fn lock(&self) -> LockResult<MutexGuard<'_, T>> {
         let (ctx, obj) = self.ctx_and_obj();
         ctx.exec.mutex_lock(ctx.tid, obj);
-        Ok(MutexGuard { mutex: self, armed: true })
+        Ok(MutexGuard {
+            mutex: self,
+            armed: true,
+        })
     }
 
     /// Mutable access without locking; no yield point.
@@ -589,21 +615,22 @@ impl Condvar {
         let mutex = guard.mutex;
         drop(guard);
         let timed_out = ctx.exec.cond_wait(ctx.tid, cv_obj, mutex_obj, timeout_ns);
-        (MutexGuard { mutex, armed: true }, WaitTimeoutResult(timed_out))
+        (
+            MutexGuard { mutex, armed: true },
+            WaitTimeoutResult(timed_out),
+        )
     }
 
     /// Wake one parked waiter (lowest virtual-thread id first).
     pub fn notify_one(&self) {
-        let ctx = execution::current()
-            .expect("teamsteal-model Condvar used outside a model run");
+        let ctx = execution::current().expect("teamsteal-model Condvar used outside a model run");
         let obj = self.obj(&ctx);
         ctx.exec.notify(ctx.tid, obj, false);
     }
 
     /// Wake all parked waiters.
     pub fn notify_all(&self) {
-        let ctx = execution::current()
-            .expect("teamsteal-model Condvar used outside a model run");
+        let ctx = execution::current().expect("teamsteal-model Condvar used outside a model run");
         let obj = self.obj(&ctx);
         ctx.exec.notify(ctx.tid, obj, true);
     }

@@ -22,10 +22,15 @@ impl<T> JoinHandle<T> {
     /// `join` can observe it, so unlike std this never returns `Err` —
     /// the `Result` is kept for source compatibility.
     pub fn join(self) -> Result<T, Box<dyn std::any::Any + Send>> {
-        let ctx = execution::current()
-            .expect("teamsteal-model JoinHandle::join outside a model run");
+        let ctx =
+            execution::current().expect("teamsteal-model JoinHandle::join outside a model run");
         ctx.exec.join(ctx.tid, self.tid);
-        let v = self.result.lock().unwrap().take().expect("joined thread left no result");
+        let v = self
+            .result
+            .lock()
+            .unwrap()
+            .take()
+            .expect("joined thread left no result");
         Ok(v)
     }
 
@@ -42,8 +47,7 @@ where
     F: FnOnce() -> T + Send + 'static,
     T: Send + 'static,
 {
-    let ctx = execution::current()
-        .expect("teamsteal-model thread::spawn outside a model run");
+    let ctx = execution::current().expect("teamsteal-model thread::spawn outside a model run");
     let result = Arc::new(StdMutex::new(None));
     let slot = Arc::clone(&result);
     let tid = ctx.exec.spawn(

@@ -25,8 +25,12 @@ impl Instant {
     /// does not interact with other threads.
     pub fn now() -> Instant {
         match execution::current() {
-            Some(ctx) => Instant { ns: ctx.exec.peek_clock_ns() },
-            None => Instant { ns: FALLBACK_NS.fetch_add(1, Ordering::Relaxed) },
+            Some(ctx) => Instant {
+                ns: ctx.exec.peek_clock_ns(),
+            },
+            None => Instant {
+                ns: FALLBACK_NS.fetch_add(1, Ordering::Relaxed),
+            },
         }
     }
 
@@ -56,7 +60,8 @@ impl Instant {
 impl std::ops::Add<Duration> for Instant {
     type Output = Instant;
     fn add(self, dur: Duration) -> Instant {
-        self.checked_add(dur).expect("overflow when adding duration to instant")
+        self.checked_add(dur)
+            .expect("overflow when adding duration to instant")
     }
 }
 
@@ -71,7 +76,9 @@ impl std::ops::Sub<Duration> for Instant {
     type Output = Instant;
     fn sub(self, dur: Duration) -> Instant {
         let ns = u64::try_from(dur.as_nanos()).expect("duration overflows u64 ns");
-        Instant { ns: self.ns.saturating_sub(ns) }
+        Instant {
+            ns: self.ns.saturating_sub(ns),
+        }
     }
 }
 

@@ -46,58 +46,65 @@ impl Drop for Tracked {
 /// domain is gone the free must have run exactly once.
 #[test]
 fn pinned_reader_never_overlaps_the_free() {
-    Builder::new().without_stale_reads().preemption_bound(2).check(|| {
-        let drops = Arc::new(StdAtomicUsize::new(0));
-        let domain = Domain::new(2);
-        let shared: Arc<AtomicPtr<Tracked>> = Arc::new(AtomicPtr::new(Box::into_raw(
-            Box::new(Tracked(Arc::clone(&drops))),
-        )));
+    Builder::new()
+        .without_stale_reads()
+        .preemption_bound(2)
+        .check(|| {
+            let drops = Arc::new(StdAtomicUsize::new(0));
+            let domain = Domain::new(2);
+            let shared: Arc<AtomicPtr<Tracked>> = Arc::new(AtomicPtr::new(Box::into_raw(
+                Box::new(Tracked(Arc::clone(&drops))),
+            )));
 
-        let reader = {
-            let domain = Arc::clone(&domain);
-            let shared = Arc::clone(&shared);
-            let drops = Arc::clone(&drops);
-            thread::spawn(move || {
-                let participant = domain.register().expect("domain has a free slot");
-                participant.pin();
-                let raw = shared.load(Ordering::SeqCst);
-                if !raw.is_null() {
-                    // A tracked read between the load and the check gives
-                    // the explorer a scheduling point at which the writer's
-                    // whole defer+collect sequence can run.
-                    let _ = domain.global_epoch();
-                    assert_eq!(
-                        drops.load(StdOrdering::SeqCst),
-                        0,
-                        "object freed while a pinned reader still held it"
-                    );
-                }
-                participant.unpin();
-            })
-        };
-        let writer = {
-            let domain = Arc::clone(&domain);
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || {
-                let raw = shared.swap(ptr::null_mut(), Ordering::SeqCst);
-                assert!(!raw.is_null(), "writer is the only unlinker");
-                // SAFETY: `raw` came from `Box::into_raw` above and the swap
-                // unlinked it — no new reader can reach it.
-                domain.defer(unsafe { Deferred::from_box(raw, ReclaimClass::Segment) });
-                for _ in 0..2 {
-                    domain.try_collect();
-                }
-            })
-        };
-        reader.join().unwrap();
-        writer.join().unwrap();
+            let reader = {
+                let domain = Arc::clone(&domain);
+                let shared = Arc::clone(&shared);
+                let drops = Arc::clone(&drops);
+                thread::spawn(move || {
+                    let participant = domain.register().expect("domain has a free slot");
+                    participant.pin();
+                    let raw = shared.load(Ordering::SeqCst);
+                    if !raw.is_null() {
+                        // A tracked read between the load and the check gives
+                        // the explorer a scheduling point at which the writer's
+                        // whole defer+collect sequence can run.
+                        let _ = domain.global_epoch();
+                        assert_eq!(
+                            drops.load(StdOrdering::SeqCst),
+                            0,
+                            "object freed while a pinned reader still held it"
+                        );
+                    }
+                    participant.unpin();
+                })
+            };
+            let writer = {
+                let domain = Arc::clone(&domain);
+                let shared = Arc::clone(&shared);
+                thread::spawn(move || {
+                    let raw = shared.swap(ptr::null_mut(), Ordering::SeqCst);
+                    assert!(!raw.is_null(), "writer is the only unlinker");
+                    // SAFETY: `raw` came from `Box::into_raw` above and the swap
+                    // unlinked it — no new reader can reach it.
+                    domain.defer(unsafe { Deferred::from_box(raw, ReclaimClass::Segment) });
+                    for _ in 0..2 {
+                        domain.try_collect();
+                    }
+                })
+            };
+            reader.join().unwrap();
+            writer.join().unwrap();
 
-        // Quiescent: nothing is pinned, so the domain (via collect or its
-        // drop) must free the object — exactly once.
-        domain.try_collect();
-        drop(domain);
-        assert_eq!(drops.load(StdOrdering::SeqCst), 1, "deferred free must run exactly once");
-    });
+            // Quiescent: nothing is pinned, so the domain (via collect or its
+            // drop) must free the object — exactly once.
+            domain.try_collect();
+            drop(domain);
+            assert_eq!(
+                drops.load(StdOrdering::SeqCst),
+                1,
+                "deferred free must run exactly once"
+            );
+        });
 }
 
 /// Two collectors race `try_collect` over a domain holding two deferred
@@ -106,34 +113,37 @@ fn pinned_reader_never_overlaps_the_free() {
 /// cause).
 #[test]
 fn racing_collectors_free_each_object_exactly_once() {
-    Builder::new().without_stale_reads().preemption_bound(2).check(|| {
-        let domain = Domain::new(2);
-        let counters: Vec<Arc<StdAtomicUsize>> =
-            (0..2).map(|_| Arc::new(StdAtomicUsize::new(0))).collect();
-        for counter in &counters {
-            let boxed = Box::into_raw(Box::new(Tracked(Arc::clone(counter))));
-            // SAFETY: freshly leaked, never shared — trivially unlinked.
-            domain.defer(unsafe { Deferred::from_box(boxed, ReclaimClass::Buffer) });
-        }
+    Builder::new()
+        .without_stale_reads()
+        .preemption_bound(2)
+        .check(|| {
+            let domain = Domain::new(2);
+            let counters: Vec<Arc<StdAtomicUsize>> =
+                (0..2).map(|_| Arc::new(StdAtomicUsize::new(0))).collect();
+            for counter in &counters {
+                let boxed = Box::into_raw(Box::new(Tracked(Arc::clone(counter))));
+                // SAFETY: freshly leaked, never shared — trivially unlinked.
+                domain.defer(unsafe { Deferred::from_box(boxed, ReclaimClass::Buffer) });
+            }
 
-        let collectors: Vec<_> = (0..2)
-            .map(|_| {
-                let domain = Arc::clone(&domain);
-                thread::spawn(move || {
-                    domain.try_collect();
+            let collectors: Vec<_> = (0..2)
+                .map(|_| {
+                    let domain = Arc::clone(&domain);
+                    thread::spawn(move || {
+                        domain.try_collect();
+                    })
                 })
-            })
-            .collect();
-        for h in collectors {
-            h.join().unwrap();
-        }
-        drop(domain);
-        for (i, counter) in counters.iter().enumerate() {
-            assert_eq!(
-                counter.load(StdOrdering::SeqCst),
-                1,
-                "object {i} must be freed exactly once"
-            );
-        }
-    });
+                .collect();
+            for h in collectors {
+                h.join().unwrap();
+            }
+            drop(domain);
+            for (i, counter) in counters.iter().enumerate() {
+                assert_eq!(
+                    counter.load(StdOrdering::SeqCst),
+                    1,
+                    "object {i} must be freed exactly once"
+                );
+            }
+        });
 }

@@ -81,7 +81,10 @@ fn publish_then_notify_is_never_lost() {
     // lost wakeup; missing one means the model lost interleavings.
     let seen = seen.lock().unwrap();
     for way in ["recheck", "ticket", "notified"] {
-        assert!(seen.contains(way), "exploration never hit the {way} path: {seen:?}");
+        assert!(
+            seen.contains(way),
+            "exploration never hit the {way} path: {seen:?}"
+        );
     }
 }
 

@@ -31,9 +31,17 @@ fn finds_lost_update() {
         sink.lock().unwrap().insert(x.load(Ordering::SeqCst));
     });
     assert!(!report.truncated);
-    assert!(report.schedules >= 2, "only {} schedules explored", report.schedules);
+    assert!(
+        report.schedules >= 2,
+        "only {} schedules explored",
+        report.schedules
+    );
     let outcomes = outcomes.lock().unwrap();
-    assert_eq!(*outcomes, BTreeSet::from([1, 2]), "missed an interleaving: {outcomes:?}");
+    assert_eq!(
+        *outcomes,
+        BTreeSet::from([1, 2]),
+        "missed an interleaving: {outcomes:?}"
+    );
 }
 
 /// Atomic RMWs never lose updates; the model must agree.
@@ -99,7 +107,9 @@ fn sleep_sets_preserve_outcomes() {
             y.store(1, Ordering::SeqCst);
             let seen_x = x.load(Ordering::SeqCst);
             t.join().unwrap();
-            sink.lock().unwrap().insert((seen_x, x.load(Ordering::SeqCst)));
+            sink.lock()
+                .unwrap()
+                .insert((seen_x, x.load(Ordering::SeqCst)));
         });
         let got = outcomes.lock().unwrap().clone();
         (got, report.schedules)
@@ -143,7 +153,10 @@ fn preemption_bound_caps_schedules() {
     );
     // With no preemptions allowed, only forced switches (blocking/finish)
     // remain: there is exactly one schedule per spawn-order arrangement.
-    assert!(bound_0 <= 4, "preemption bound 0 still explored {bound_0} schedules");
+    assert!(
+        bound_0 <= 4,
+        "preemption bound 0 still explored {bound_0} schedules"
+    );
 }
 
 /// ABBA lock ordering must be reported as a deadlock, not a hang.
@@ -166,7 +179,10 @@ fn detects_deadlock() {
     }))
     .expect_err("ABBA deadlock went undetected");
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert!(msg.contains("deadlock"), "unexpected failure message: {msg}");
+    assert!(
+        msg.contains("deadlock"),
+        "unexpected failure message: {msg}"
+    );
 }
 
 /// A panic inside a virtual thread surfaces as a model failure that
@@ -190,8 +206,14 @@ fn reports_assertion_failures_with_schedule() {
     }))
     .expect_err("racy assertion never failed");
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-    assert!(msg.contains("schedule:"), "failure report lacks schedule: {msg}");
-    assert!(msg.contains("lost update"), "failure report lacks panic message: {msg}");
+    assert!(
+        msg.contains("schedule:"),
+        "failure report lacks schedule: {msg}"
+    );
+    assert!(
+        msg.contains("lost update"),
+        "failure report lacks panic message: {msg}"
+    );
 }
 
 /// A `Relaxed` load may observe one stale value; a `SeqCst` load of the
@@ -210,12 +232,20 @@ fn relaxed_loads_branch_over_stale_values() {
             });
             // Force the store to happen first, then read.
             t.join().unwrap();
-            let order = if relaxed { Ordering::Relaxed } else { Ordering::SeqCst };
+            let order = if relaxed {
+                Ordering::Relaxed
+            } else {
+                Ordering::SeqCst
+            };
             sink.lock().unwrap().insert(x.load(order));
         });
         Arc::try_unwrap(outcomes).unwrap().into_inner().unwrap()
     }
-    assert_eq!(observed(false), BTreeSet::from([1]), "SeqCst load saw a stale value");
+    assert_eq!(
+        observed(false),
+        BTreeSet::from([1]),
+        "SeqCst load saw a stale value"
+    );
     assert_eq!(
         observed(true),
         BTreeSet::from([0, 1]),
@@ -274,7 +304,10 @@ fn notify_wakes_waiter() {
         // The producer can only set the flag while holding the mutex, so
         // any waiter that parked is woken by the notify — the timeout
         // backstop is never needed in this protocol.
-        assert!(!timed_out, "waiter woke via timeout despite a delivered notify");
+        assert!(
+            !timed_out,
+            "waiter woke via timeout despite a delivered notify"
+        );
     });
 }
 
@@ -299,8 +332,14 @@ fn replay_is_deterministic() {
         let (schedule, trace) = random_walk(seed, scenario());
         let replayed_a = replay(&schedule, scenario());
         let replayed_b = replay(&schedule, scenario());
-        assert_eq!(replayed_a, replayed_b, "replay diverged from itself (seed {seed})");
-        assert_eq!(trace, replayed_a, "replay diverged from original walk (seed {seed})");
+        assert_eq!(
+            replayed_a, replayed_b,
+            "replay diverged from itself (seed {seed})"
+        );
+        assert_eq!(
+            trace, replayed_a,
+            "replay diverged from original walk (seed {seed})"
+        );
     }
 }
 
@@ -326,8 +365,9 @@ fn random_walks_are_seeded() {
     let (s1, _) = random_walk(7, scenario());
     let (s1b, _) = random_walk(7, scenario());
     assert_eq!(s1, s1b);
-    let distinct: BTreeSet<String> =
-        (0..16).map(|seed| random_walk(seed, scenario()).0).collect();
+    let distinct: BTreeSet<String> = (0..16)
+        .map(|seed| random_walk(seed, scenario()).0)
+        .collect();
     assert!(distinct.len() > 1, "all seeds produced the same walk");
 }
 

@@ -44,10 +44,18 @@ fn concurrent_pushes_are_exactly_once_and_fifo_per_producer() {
         }
         let mut sorted = drained.clone();
         sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 10, 11], "exactly-once violated: {drained:?}");
+        assert_eq!(
+            sorted,
+            vec![0, 1, 10, 11],
+            "exactly-once violated: {drained:?}"
+        );
         for p in 0..2usize {
             let mine: Vec<usize> = drained.iter().copied().filter(|v| v / 10 == p).collect();
-            assert_eq!(mine, vec![10 * p, 10 * p + 1], "FIFO per producer violated: {drained:?}");
+            assert_eq!(
+                mine,
+                vec![10 * p, 10 * p + 1],
+                "FIFO per producer violated: {drained:?}"
+            );
         }
         assert!(inj.is_empty());
     });
@@ -94,8 +102,10 @@ fn concurrent_pops_take_each_value_once() {
         sorted.sort_unstable();
         assert_eq!(sorted, vec![0, 1, 2], "exactly-once violated: {taken:?}");
         for got in &taken {
-            assert!(got.windows(2).all(|w| w[0] < w[1]),
-                "a consumer observed out-of-order values: {taken:?}");
+            assert!(
+                got.windows(2).all(|w| w[0] < w[1]),
+                "a consumer observed out-of-order values: {taken:?}"
+            );
         }
     });
 }
@@ -111,42 +121,56 @@ fn segment_retire_race_keeps_values_exactly_once() {
     // `live_segments` gauge the final assert reads is a deliberately
     // `Relaxed` statistic — branching it over stale values fails the
     // assert without any protocol misbehavior.
-    Builder::new().without_stale_reads().preemption_bound(3).check(|| {
-        let inj = Arc::new(Injector::new());
-        let producer = {
-            let inj = Arc::clone(&inj);
-            // 3 values with SEGMENT_SLOTS = 2: the third push links a new
-            // segment while the consumer may be retiring the first.
-            thread::spawn(move || {
-                for v in 0..3usize {
-                    inj.push(v);
-                }
-            })
-        };
-        let consumer = {
-            let inj = Arc::clone(&inj);
-            thread::spawn(move || {
-                let mut got = Vec::new();
-                for _ in 0..8 {
-                    match inj.try_pop() {
-                        Steal::Stolen(v) => got.push(v),
-                        Steal::Empty | Steal::Retry => continue,
+    Builder::new()
+        .without_stale_reads()
+        .preemption_bound(3)
+        .check(|| {
+            let inj = Arc::new(Injector::new());
+            let producer = {
+                let inj = Arc::clone(&inj);
+                // 3 values with SEGMENT_SLOTS = 2: the third push links a new
+                // segment while the consumer may be retiring the first.
+                thread::spawn(move || {
+                    for v in 0..3usize {
+                        inj.push(v);
                     }
-                }
-                got
-            })
-        };
-        producer.join().unwrap();
-        let mut all = consumer.join().unwrap();
-        assert!(all.windows(2).all(|w| w[0] < w[1]), "FIFO violated: {all:?}");
-        while let Some(v) = inj.pop() {
-            all.push(v);
-        }
-        let mut sorted = all.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2], "exactly-once violated across retire: {all:?}");
-        assert_eq!(inj.live_segments(), 1, "drained injector must keep exactly one live segment");
-    });
+                })
+            };
+            let consumer = {
+                let inj = Arc::clone(&inj);
+                thread::spawn(move || {
+                    let mut got = Vec::new();
+                    for _ in 0..8 {
+                        match inj.try_pop() {
+                            Steal::Stolen(v) => got.push(v),
+                            Steal::Empty | Steal::Retry => continue,
+                        }
+                    }
+                    got
+                })
+            };
+            producer.join().unwrap();
+            let mut all = consumer.join().unwrap();
+            assert!(
+                all.windows(2).all(|w| w[0] < w[1]),
+                "FIFO violated: {all:?}"
+            );
+            while let Some(v) = inj.pop() {
+                all.push(v);
+            }
+            let mut sorted = all.clone();
+            sorted.sort_unstable();
+            assert_eq!(
+                sorted,
+                vec![0, 1, 2],
+                "exactly-once violated across retire: {all:?}"
+            );
+            assert_eq!(
+                inj.live_segments(),
+                1,
+                "drained injector must keep exactly one live segment"
+            );
+        });
 }
 
 /// A batch claim races a single-element claim and the producer across the
@@ -160,54 +184,66 @@ fn segment_retire_race_keeps_values_exactly_once() {
 fn batch_claim_races_single_claim_across_the_segment_boundary() {
     // Stale `Relaxed` reads off for the same reason as the retire race
     // above: `live_segments` is a deliberately `Relaxed` gauge.
-    Builder::new().without_stale_reads().preemption_bound(2).check(|| {
-        let inj = Arc::new(Injector::new());
-        let producer = {
-            let inj = Arc::clone(&inj);
-            thread::spawn(move || {
-                for v in 0..3usize {
-                    inj.push(v);
-                }
-            })
-        };
-        let batcher = {
-            let inj = Arc::clone(&inj);
-            thread::spawn(move || {
-                let mut got = Vec::new();
-                for _ in 0..4 {
-                    match inj.try_pop_batch(2, |v| got.push(v)) {
-                        Steal::Stolen(n) => assert!((1..=2).contains(&n), "claimed {n} of max 2"),
-                        Steal::Empty | Steal::Retry => continue,
+    Builder::new()
+        .without_stale_reads()
+        .preemption_bound(2)
+        .check(|| {
+            let inj = Arc::new(Injector::new());
+            let producer = {
+                let inj = Arc::clone(&inj);
+                thread::spawn(move || {
+                    for v in 0..3usize {
+                        inj.push(v);
                     }
-                }
-                got
-            })
-        };
-        let single = {
-            let inj = Arc::clone(&inj);
-            thread::spawn(move || {
-                let mut got = Vec::new();
-                for _ in 0..4 {
-                    if let Steal::Stolen(v) = inj.try_pop() {
-                        got.push(v);
+                })
+            };
+            let batcher = {
+                let inj = Arc::clone(&inj);
+                thread::spawn(move || {
+                    let mut got = Vec::new();
+                    for _ in 0..4 {
+                        match inj.try_pop_batch(2, |v| got.push(v)) {
+                            Steal::Stolen(n) => {
+                                assert!((1..=2).contains(&n), "claimed {n} of max 2")
+                            }
+                            Steal::Empty | Steal::Retry => continue,
+                        }
                     }
-                }
-                got
-            })
-        };
-        producer.join().unwrap();
-        let taken = [batcher.join().unwrap(), single.join().unwrap()];
-        for got in &taken {
-            assert!(got.windows(2).all(|w| w[0] < w[1]), "a consumer saw values out of order: {taken:?}");
-        }
-        let mut all: Vec<usize> = taken.iter().flatten().copied().collect();
-        while let Some(v) = inj.pop() {
-            all.push(v);
-        }
-        all.sort_unstable();
-        assert_eq!(all, vec![0, 1, 2], "exactly-once violated: {taken:?}");
-        assert_eq!(inj.live_segments(), 1, "drained injector must keep exactly one live segment");
-    });
+                    got
+                })
+            };
+            let single = {
+                let inj = Arc::clone(&inj);
+                thread::spawn(move || {
+                    let mut got = Vec::new();
+                    for _ in 0..4 {
+                        if let Steal::Stolen(v) = inj.try_pop() {
+                            got.push(v);
+                        }
+                    }
+                    got
+                })
+            };
+            producer.join().unwrap();
+            let taken = [batcher.join().unwrap(), single.join().unwrap()];
+            for got in &taken {
+                assert!(
+                    got.windows(2).all(|w| w[0] < w[1]),
+                    "a consumer saw values out of order: {taken:?}"
+                );
+            }
+            let mut all: Vec<usize> = taken.iter().flatten().copied().collect();
+            while let Some(v) = inj.pop() {
+                all.push(v);
+            }
+            all.sort_unstable();
+            assert_eq!(all, vec![0, 1, 2], "exactly-once violated: {taken:?}");
+            assert_eq!(
+                inj.live_segments(),
+                1,
+                "drained injector must keep exactly one live segment"
+            );
+        });
 }
 
 /// The sharded facade keeps the per-shard invariants when two producers

@@ -68,15 +68,20 @@ fn acquire_race_admits_exactly_one_thief() {
 
         // Thieves are done; the word is complete, so team formation is a
         // single uncontended CAS now.
-        let teamed = word.try_form_team().expect("complete word must form a team");
+        let teamed = word
+            .try_form_team()
+            .expect("complete word must form a team");
         assert!(teamed.is_well_formed());
         assert_eq!((teamed.teamed, teamed.acquired, teamed.required), (2, 2, 2));
         outcomes_in.lock().unwrap().insert((wins[0], wins[1]));
     });
     // Both orders of the race must have been explored.
     let outcomes = outcomes.lock().unwrap();
-    assert!(outcomes.contains(&(true, false)) && outcomes.contains(&(false, true)),
-        "exploration missed a winner ordering: {outcomes:?} over {} schedules", report.schedules);
+    assert!(
+        outcomes.contains(&(true, false)) && outcomes.contains(&(false, true)),
+        "exploration missed a winner ordering: {outcomes:?} over {} schedules",
+        report.schedules
+    );
 }
 
 /// A thief's `try_release` races the coordinator's shrinking
@@ -200,10 +205,19 @@ fn acquire_race_explored_under_plain_sc() {
         };
         let main_won = matches!(word.try_acquire(2), AcquireOutcome::Registered(_));
         let thief_won = t.join().unwrap();
-        assert!(main_won ^ thief_won, "exactly one of two racers must register");
+        assert!(
+            main_won ^ thief_won,
+            "exactly one of two racers must register"
+        );
         winners_in.fetch_add(usize::from(main_won), Ordering::Relaxed);
     });
-    assert!(report.schedules >= 2, "race must have multiple interleavings");
+    assert!(
+        report.schedules >= 2,
+        "race must have multiple interleavings"
+    );
     let w = winners.load(Ordering::Relaxed);
-    assert!(w > 0 && w < report.schedules, "both racers must win somewhere");
+    assert!(
+        w > 0 && w < report.schedules,
+        "both racers must win somewhere"
+    );
 }

@@ -143,7 +143,10 @@ impl Service {
             self.admitted.load(Ordering::SeqCst),
             "drain returned with an admitted task not yet run"
         );
-        assert!(!by_backstop, "lost wake: the countdown wait ended on its backstop");
+        assert!(
+            !by_backstop,
+            "lost wake: the countdown wait ended on its backstop"
+        );
         self.drain_returned.store(1, Ordering::SeqCst);
     }
 }
@@ -168,7 +171,10 @@ fn race(exit_early: bool) -> usize {
         thread::spawn(move || service.drain())
     };
 
-    let wins: usize = submitters.into_iter().map(|s| s.join().unwrap() as usize).sum();
+    let wins: usize = submitters
+        .into_iter()
+        .map(|s| s.join().unwrap() as usize)
+        .sum();
     drainer.join().unwrap();
     worker.join().unwrap();
 
@@ -183,7 +189,10 @@ fn race(exit_early: bool) -> usize {
     assert_eq!(service.gate.state(), GateState::Drained);
     assert_eq!(service.gate.in_flight(), 0);
     // The gate stays shut forever after the drain.
-    assert!(!service.gate.try_enter(), "post-drain submission must be rejected");
+    assert!(
+        !service.gate.try_enter(),
+        "post-drain submission must be rejected"
+    );
     wins
 }
 
@@ -262,9 +271,15 @@ fn racing_drainers_initiate_exactly_once() {
             let gate = Arc::clone(&gate);
             thread::spawn(move || gate.exit())
         };
-        let initiations: usize = drainers.into_iter().map(|d| d.join().unwrap() as usize).sum();
+        let initiations: usize = drainers
+            .into_iter()
+            .map(|d| d.join().unwrap() as usize)
+            .sum();
         completer.join().unwrap();
-        assert_eq!(initiations, 1, "the Open → Draining transition must be exactly-once");
+        assert_eq!(
+            initiations, 1,
+            "the Open → Draining transition must be exactly-once"
+        );
         assert_eq!(gate.state(), GateState::Drained);
         seen_in.lock().unwrap().insert("done");
     });

@@ -45,7 +45,9 @@ fn formed_pair() -> (Arc<AtomicRegistration>, u16) {
         teamsteal_registration::AcquireOutcome::Registered(_) => {}
         other => panic!("uncontended acquire failed: {other:?}"),
     }
-    let teamed = word.try_form_team().expect("complete word must form a team");
+    let teamed = word
+        .try_form_team()
+        .expect("complete word must form a team");
     (word, teamed.counter)
 }
 
@@ -72,7 +74,10 @@ fn reuse_claim_vs_disband_is_atomic() {
         let claim = reuser.join().unwrap();
         let after = disbander.join().unwrap();
         assert!(after.is_well_formed(), "torn post-disband word: {after:?}");
-        assert_eq!((after.teamed, after.required, after.counter), (1, 1, counter + 1));
+        assert_eq!(
+            (after.teamed, after.required, after.counter),
+            (1, 1, counter + 1)
+        );
 
         let how = match claim {
             ReuseOutcome::Reused(snap) => {
@@ -173,7 +178,10 @@ fn elastic_disband_releases_the_pooled_member_exactly_once() {
     // All three rescue paths must be reachable, as in the §12 tests.
     let seen = seen.lock().unwrap();
     for way in ["recheck", "ticket", "notified"] {
-        assert!(seen.contains(way), "exploration never hit the {way} path: {seen:?}");
+        assert!(
+            seen.contains(way),
+            "exploration never hit the {way} path: {seen:?}"
+        );
     }
 }
 

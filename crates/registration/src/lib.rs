@@ -199,7 +199,10 @@ impl AtomicRegistration {
         current: Registration,
         new: Registration,
     ) -> Result<(), Registration> {
-        debug_assert!(new.is_well_formed(), "refusing to install malformed registration {new:?}");
+        debug_assert!(
+            new.is_well_formed(),
+            "refusing to install malformed registration {new:?}"
+        );
         self.word
             .compare_exchange(
                 current.pack(),
@@ -317,7 +320,11 @@ impl AtomicRegistration {
     pub fn shrink_team(&self, new_size: u16) -> Registration {
         loop {
             let cur = self.load();
-            debug_assert!(new_size <= cur.teamed, "shrink_team({new_size}) on team of {}", cur.teamed);
+            debug_assert!(
+                new_size <= cur.teamed,
+                "shrink_team({new_size}) on team of {}",
+                cur.teamed
+            );
             debug_assert!(new_size >= 1);
             let mut new = cur;
             new.required = new_size;
@@ -490,7 +497,10 @@ mod tests {
         let before = reg.load();
         let after = reg.push_requirement(8);
         assert_eq!(after.required, 8);
-        assert_eq!(after.acquired, before.acquired, "growing r keeps acquisitions");
+        assert_eq!(
+            after.acquired, before.acquired,
+            "growing r keeps acquisitions"
+        );
         assert_eq!(after.counter, before.counter, "growing r does not revoke");
     }
 

@@ -249,6 +249,10 @@ mod tests {
         assert!(gate.begin_drain());
         gate.await_empty(Duration::from_millis(10));
         assert_eq!(gate.state(), GateState::Drained);
-        assert_eq!(gate.backstops(), 0, "nothing in flight, nothing to back stop");
+        assert_eq!(
+            gate.backstops(),
+            0,
+            "nothing in flight, nothing to back stop"
+        );
     }
 }

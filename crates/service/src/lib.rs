@@ -608,10 +608,14 @@ impl TaskService {
     /// Looks up a tenant handle by name.  Handles are cheap to clone and
     /// safe to share across submitter threads.
     pub fn tenant(&self, name: &str) -> Option<Tenant> {
-        self.core.tenants.iter().find(|t| t.name == name).map(|t| Tenant {
-            core: Arc::clone(&self.core),
-            state: Arc::clone(t),
-        })
+        self.core
+            .tenants
+            .iter()
+            .find(|t| t.name == name)
+            .map(|t| Tenant {
+                core: Arc::clone(&self.core),
+                state: Arc::clone(t),
+            })
     }
 
     /// The wrapped scheduler, for metrics and backlog gauges.
@@ -711,12 +715,10 @@ impl Tenant {
         F: FnOnce(&TaskContext<'_>) + Send + 'static,
     {
         let (_entry, guard) = self.admit(Instant::now())?;
-        self.core
-            .scope
-            .submit(&self.core.scheduler, move |ctx| {
-                let _guard = guard;
-                f(ctx);
-            });
+        self.core.scope.submit(&self.core.scheduler, move |ctx| {
+            let _guard = guard;
+            f(ctx);
+        });
         Ok(())
     }
 

@@ -51,7 +51,12 @@ pub fn fork_join_sort(scheduler: &Scheduler, data: &mut [u32], config: &SortConf
 ///
 /// `ptr[0 .. n]` must be a valid, exclusively owned region for the duration
 /// of this task tree; the recursion only ever hands out disjoint subranges.
-pub(crate) fn sort_task(ctx: &TaskContext<'_>, ptr: SendMutPtr<u32>, n: usize, config: &Arc<SortConfig>) {
+pub(crate) fn sort_task(
+    ctx: &TaskContext<'_>,
+    ptr: SendMutPtr<u32>,
+    n: usize,
+    config: &Arc<SortConfig>,
+) {
     // SAFETY: the caller guarantees exclusive ownership of ptr[0..n]; child
     // tasks receive disjoint subranges, so no two tasks alias.
     let data = unsafe { ptr.slice_mut(n) };
@@ -107,13 +112,17 @@ mod tests {
 
     #[test]
     fn sorts_on_three_threads_randomized_within_level() {
-        with_watchdog("sorts_on_three_threads_randomized_within_level", WATCHDOG, || {
-            let s = Scheduler::builder()
-                .threads(3)
-                .steal_policy(StealPolicy::RandomizedWithinLevel)
-                .build();
-            check_sort(&s, 50_000, 3);
-        });
+        with_watchdog(
+            "sorts_on_three_threads_randomized_within_level",
+            WATCHDOG,
+            || {
+                let s = Scheduler::builder()
+                    .threads(3)
+                    .steal_policy(StealPolicy::RandomizedWithinLevel)
+                    .build();
+                check_sort(&s, 50_000, 3);
+            },
+        );
     }
 
     #[test]
@@ -132,21 +141,25 @@ mod tests {
     /// observed; the watchdog bounds the attempts.
     #[test]
     fn stealing_actually_happens_on_multiple_workers() {
-        with_watchdog("stealing_actually_happens_on_multiple_workers", WATCHDOG, || {
-            const ATTEMPTS: u64 = 1_000;
-            let s = Scheduler::with_threads(4);
-            for attempt in 0..ATTEMPTS {
-                let mut v = Distribution::Random.generate(200_000, 4, 5 + attempt);
-                fork_join_sort(&s, &mut v, &SortConfig::default());
-                assert!(is_sorted(&v));
-                let m = s.metrics();
-                assert_eq!(m.teams_formed, 0, "fork-join variant never builds teams");
-                if m.steals > 0 {
-                    return;
+        with_watchdog(
+            "stealing_actually_happens_on_multiple_workers",
+            WATCHDOG,
+            || {
+                const ATTEMPTS: u64 = 1_000;
+                let s = Scheduler::with_threads(4);
+                for attempt in 0..ATTEMPTS {
+                    let mut v = Distribution::Random.generate(200_000, 4, 5 + attempt);
+                    fork_join_sort(&s, &mut v, &SortConfig::default());
+                    assert!(is_sorted(&v));
+                    let m = s.metrics();
+                    assert_eq!(m.teams_formed, 0, "fork-join variant never builds teams");
+                    if m.steals > 0 {
+                        return;
+                    }
                 }
-            }
-            panic!("{ATTEMPTS} parallel quicksorts on 4 workers triggered no steal");
-        });
+                panic!("{ATTEMPTS} parallel quicksorts on 4 workers triggered no steal");
+            },
+        );
     }
 
     #[test]

@@ -221,7 +221,10 @@ mod tests {
         // Degenerate arguments stay in range.
         assert_eq!(team_width(0, 0, 4, &cfg), 1);
         let top_bit = 1 << (usize::BITS - 1);
-        assert_eq!(team_width(usize::MAX, usize::MAX, usize::MAX, &NO_FLOOR), top_bit);
+        assert_eq!(
+            team_width(usize::MAX, usize::MAX, usize::MAX, &NO_FLOOR),
+            top_bit
+        );
     }
 
     proptest! {
@@ -275,19 +278,23 @@ mod tests {
 
     #[test]
     fn sorts_with_a_small_config_on_four_threads() {
-        with_watchdog("sorts_with_a_small_config_on_four_threads", WATCHDOG, || {
-            let s = Scheduler::with_threads(4);
-            let cfg = SortConfig {
-                cutoff: 256,
-                block_size: 512,
-                min_blocks_per_thread: 4,
-            };
-            check_mm_sort(&s, 200_000, &cfg, 11);
-            // Teams must actually have been built for the partitioning step.
-            let m = s.metrics();
-            assert!(m.teams_formed > 0, "mixed-mode sort should form teams");
-            assert!(m.team_tasks_executed > 0);
-        });
+        with_watchdog(
+            "sorts_with_a_small_config_on_four_threads",
+            WATCHDOG,
+            || {
+                let s = Scheduler::with_threads(4);
+                let cfg = SortConfig {
+                    cutoff: 256,
+                    block_size: 512,
+                    min_blocks_per_thread: 4,
+                };
+                check_mm_sort(&s, 200_000, &cfg, 11);
+                // Teams must actually have been built for the partitioning step.
+                let m = s.metrics();
+                assert!(m.teams_formed > 0, "mixed-mode sort should form teams");
+                assert!(m.team_tasks_executed > 0);
+            },
+        );
     }
 
     #[test]
@@ -331,18 +338,22 @@ mod tests {
 
     #[test]
     fn sorts_with_randomized_within_level_stealing() {
-        with_watchdog("sorts_with_randomized_within_level_stealing", WATCHDOG, || {
-            let s = Scheduler::builder()
-                .threads(4)
-                .steal_policy(StealPolicy::RandomizedWithinLevel)
-                .build();
-            let cfg = SortConfig {
-                cutoff: 256,
-                block_size: 512,
-                min_blocks_per_thread: 4,
-            };
-            check_mm_sort(&s, 150_000, &cfg, 14);
-        });
+        with_watchdog(
+            "sorts_with_randomized_within_level_stealing",
+            WATCHDOG,
+            || {
+                let s = Scheduler::builder()
+                    .threads(4)
+                    .steal_policy(StealPolicy::RandomizedWithinLevel)
+                    .build();
+                let cfg = SortConfig {
+                    cutoff: 256,
+                    block_size: 512,
+                    min_blocks_per_thread: 4,
+                };
+                check_mm_sort(&s, 150_000, &cfg, 14);
+            },
+        );
     }
 
     #[test]
@@ -360,23 +371,27 @@ mod tests {
 
     #[test]
     fn duplicate_heavy_input_terminates_and_sorts() {
-        with_watchdog("duplicate_heavy_input_terminates_and_sorts", WATCHDOG, || {
-            let s = Scheduler::with_threads(4);
-            let cfg = SortConfig {
-                cutoff: 128,
-                block_size: 256,
-                min_blocks_per_thread: 2,
-            };
-            let original: Vec<u32> = (0..100_000).map(|i| (i % 3) as u32).collect();
-            let mut v = original.clone();
-            mixed_mode_sort(&s, &mut v, &cfg);
-            assert!(is_sorted(&v));
-            assert!(is_permutation_of(&original, &v));
-            // Fully constant input as the extreme case.
-            let mut constant = vec![7u32; 50_000];
-            mixed_mode_sort(&s, &mut constant, &cfg);
-            assert!(constant.iter().all(|&x| x == 7));
-        });
+        with_watchdog(
+            "duplicate_heavy_input_terminates_and_sorts",
+            WATCHDOG,
+            || {
+                let s = Scheduler::with_threads(4);
+                let cfg = SortConfig {
+                    cutoff: 128,
+                    block_size: 256,
+                    min_blocks_per_thread: 2,
+                };
+                let original: Vec<u32> = (0..100_000).map(|i| (i % 3) as u32).collect();
+                let mut v = original.clone();
+                mixed_mode_sort(&s, &mut v, &cfg);
+                assert!(is_sorted(&v));
+                assert!(is_permutation_of(&original, &v));
+                // Fully constant input as the extreme case.
+                let mut constant = vec![7u32; 50_000];
+                mixed_mode_sort(&s, &mut constant, &cfg);
+                assert!(constant.iter().all(|&x| x == 7));
+            },
+        );
     }
 
     #[test]

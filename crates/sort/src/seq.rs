@@ -148,7 +148,11 @@ mod tests {
         let mut expected = input.to_vec();
         let split = scalar_partition_by(&mut expected, &pred);
         let mut actual = input.to_vec();
-        assert_eq!(partition_by(&mut actual, &pred), split, "{what}: split point");
+        assert_eq!(
+            partition_by(&mut actual, &pred),
+            split,
+            "{what}: split point"
+        );
         for side in [0..split, split..input.len()] {
             expected[side.clone()].sort_unstable();
             actual[side].sort_unstable();
@@ -200,9 +204,17 @@ mod tests {
                 ("sorted", (0..n).collect()),
                 ("reversed", (0..n).rev().collect()),
                 ("constant", vec![n / 2; n as usize]),
-                ("two-value", (0..n).map(|i| (i * 7 % 5 < 2) as u32 * n).collect()),
+                (
+                    "two-value",
+                    (0..n).map(|i| (i * 7 % 5 < 2) as u32 * n).collect(),
+                ),
                 ("alternating", (0..n).map(|i| (i % 2) * n).collect()),
-                ("scrambled", (0..n).map(|i| i.wrapping_mul(2_654_435_761) % (n + 1)).collect()),
+                (
+                    "scrambled",
+                    (0..n)
+                        .map(|i| i.wrapping_mul(2_654_435_761) % (n + 1))
+                        .collect(),
+                ),
             ];
             for (shape, input) in &shapes {
                 let what = format!("{shape}, n={n}");
@@ -253,8 +265,16 @@ mod tests {
 
     #[test]
     fn sequential_quicksort_edge_cases() {
-        let cfg = SortConfig { cutoff: 4, ..SortConfig::default() };
-        for v in [vec![], vec![1u32], vec![2, 1], vec![3, 3, 3, 3, 3, 3, 3, 3, 3]] {
+        let cfg = SortConfig {
+            cutoff: 4,
+            ..SortConfig::default()
+        };
+        for v in [
+            vec![],
+            vec![1u32],
+            vec![2, 1],
+            vec![3, 3, 3, 3, 3, 3, 3, 3, 3],
+        ] {
             let mut s = v.clone();
             sequential_quicksort(&mut s, &cfg);
             assert!(is_sorted(&s));

@@ -40,7 +40,10 @@ impl Topology {
     ///
     /// Panics if `p` is zero or not a power of two.
     pub fn power_of_two(p: usize) -> Self {
-        assert!(bits::is_pow2(p), "power_of_two requires p to be a power of two (got {p})");
+        assert!(
+            bits::is_pow2(p),
+            "power_of_two requires p to be a power of two (got {p})"
+        );
         let sizes: Vec<usize> = (0..=bits::msb_index(p)).map(|l| 1usize << l).collect();
         Self::from_level_sizes(&sizes)
     }
@@ -81,7 +84,10 @@ impl Topology {
     /// Panics if the slice is empty or contains a zero.
     pub fn from_machine(domains: &[usize]) -> Self {
         assert!(!domains.is_empty(), "machine description must not be empty");
-        assert!(domains.iter().all(|&d| d > 0), "domain sizes must be positive");
+        assert!(
+            domains.iter().all(|&d| d > 0),
+            "domain sizes must be positive"
+        );
         let mut sizes = vec![1usize];
         let mut cur = 1usize;
         for &d in domains {

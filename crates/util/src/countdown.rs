@@ -307,7 +307,10 @@ mod tests {
         c.finished(1);
         assert!(!c.wait());
         assert_eq!(c.waiters.load(Ordering::SeqCst), 0);
-        assert!(!c.signal_if_zero(), "the finisher's late signal finds nobody");
+        assert!(
+            !c.signal_if_zero(),
+            "the finisher's late signal finds nobody"
+        );
     }
 
     /// A wait that polls in vain registers, blocks, and is released by the
@@ -326,7 +329,10 @@ mod tests {
         assert!(!c.signal_if_zero(), "registered, but a task is outstanding");
         c.finished(1);
         c.signal_if_zero();
-        assert!(!waiter.join().unwrap(), "ended on the backstop, not the signal");
+        assert!(
+            !waiter.join().unwrap(),
+            "ended on the backstop, not the signal"
+        );
         assert_eq!(c.waiters.load(Ordering::SeqCst), 0);
     }
 }

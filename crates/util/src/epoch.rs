@@ -468,7 +468,9 @@ impl Participant {
     #[inline]
     pub fn pin(&self) {
         let epoch = self.domain.global.load(Ordering::Relaxed);
-        self.slot().state.store((epoch << 1) | PINNED, Ordering::Relaxed);
+        self.slot()
+            .state
+            .store((epoch << 1) | PINNED, Ordering::Relaxed);
         // Full fence: the pin announcement must be ordered before every
         // subsequent protected load, and visible to the advance scan's
         // fence-then-load (DESIGN.md §11, rows A and C).

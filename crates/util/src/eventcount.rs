@@ -218,7 +218,13 @@ impl EventCount {
     /// this eventcount, and the caller's wait condition must have been
     /// re-checked in between.  One slot must never be parked by two threads
     /// at once (the scheduler gives each worker its own slot).
-    pub fn park(&self, slot: usize, ticket: u64, class: ParkClass, backstop: Duration) -> WakeReason {
+    pub fn park(
+        &self,
+        slot: usize,
+        ticket: u64,
+        class: ParkClass,
+        backstop: Duration,
+    ) -> WakeReason {
         let s = &*self.slots[slot];
         // Publish the parked state *before* re-reading the ticket: if a
         // notifier's bump is not visible to the re-read below, the bump is
@@ -242,10 +248,9 @@ impl EventCount {
             if now >= deadline {
                 break WakeReason::Backstop;
             }
-            let (g, _) = s
-                .cv
-                .wait_timeout(guard, deadline - now)
-                .expect("eventcount slot mutex poisoned");
+            let (g, _) =
+                s.cv.wait_timeout(guard, deadline - now)
+                    .expect("eventcount slot mutex poisoned");
             guard = g;
         };
         // Reclaim the slot.  A notifier may have claimed us concurrently
@@ -444,15 +449,20 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         // Anonymous wake: must not claim the handshake parker (the ticket
         // bump may still abort its next commit, which is fine).
-        assert!(!ec.notify_one_idle(), "handshake parker must not be claimed");
+        assert!(
+            !ec.notify_one_idle(),
+            "handshake parker must not be claimed"
+        );
         std::thread::sleep(Duration::from_millis(20));
         // Targeted wake reaches it.
         stop.store(true, Ordering::Release);
-        assert!(ec.notify_slot(1) || {
-            // The waiter may have been between parks (ticket bump covers
-            // it); either way it must terminate.
-            true
-        });
+        assert!(
+            ec.notify_slot(1) || {
+                // The waiter may have been between parks (ticket bump covers
+                // it); either way it must terminate.
+                true
+            }
+        );
         let _ = waiter.join().unwrap();
     }
 
@@ -499,7 +509,11 @@ mod tests {
         stop.store(true, Ordering::Release);
         ec.notify_all();
         let wakes: Vec<u32> = waiters.into_iter().map(|w| w.join().unwrap()).collect();
-        assert_eq!(wakes[0] + wakes[1] + wakes[3], 0, "only slot 2 was targeted");
+        assert_eq!(
+            wakes[0] + wakes[1] + wakes[3],
+            0,
+            "only slot 2 was targeted"
+        );
         assert!(wakes[2] > 0);
     }
 
@@ -526,8 +540,14 @@ mod tests {
             .collect();
         let all_parked = |slots: std::ops::Range<usize>| {
             let deadline = Instant::now() + Duration::from_secs(10);
-            while !slots.clone().all(|i| ec.slots[i].state.load(Ordering::SeqCst) == PARKED_IDLE) {
-                assert!(Instant::now() < deadline, "waiters {slots:?} not parked within 10 s");
+            while !slots
+                .clone()
+                .all(|i| ec.slots[i].state.load(Ordering::SeqCst) == PARKED_IDLE)
+            {
+                assert!(
+                    Instant::now() < deadline,
+                    "waiters {slots:?} not parked within 10 s"
+                );
                 std::thread::yield_now();
             }
         };
@@ -604,7 +624,11 @@ mod tests {
         let in_block = park_once(0, ParkClass::Idle);
         let handshake = park_once(1, ParkClass::Handshake);
         settle();
-        assert_eq!(ec.notify_idle_block(0..2), 1, "the idle waiter, not the handshake");
+        assert_eq!(
+            ec.notify_idle_block(0..2),
+            1,
+            "the idle waiter, not the handshake"
+        );
         assert!(matches!(in_block.join().unwrap(), WakeReason::Notified(_)));
         // No idle waiter left in the block: one from outside it, as for any
         // anonymous work; the other one is in the next call's block.
@@ -615,7 +639,10 @@ mod tests {
         for waiter in outside {
             assert!(matches!(waiter.join().unwrap(), WakeReason::Notified(_)));
         }
-        assert!(ec.notify_slot(1), "the handshake waiter slept through all of it");
+        assert!(
+            ec.notify_slot(1),
+            "the handshake waiter slept through all of it"
+        );
         assert!(matches!(handshake.join().unwrap(), WakeReason::Notified(_)));
     }
 
@@ -639,9 +666,7 @@ mod tests {
                     seen = current;
                     continue;
                 }
-                if ec2.park(0, t, ParkClass::Idle, Duration::from_secs(5))
-                    == WakeReason::Backstop
-                {
+                if ec2.park(0, t, ParkClass::Idle, Duration::from_secs(5)) == WakeReason::Backstop {
                     backstops += 1;
                 }
             }

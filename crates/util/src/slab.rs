@@ -300,7 +300,10 @@ mod tests {
         for i in 0..3 * CHUNK_SLOTS as u64 {
             let (ptr, recycled) = write_node(&slab, i);
             assert!(!recycled, "nothing was freed yet");
-            assert!(seen.insert(ptr as usize), "slab handed out a live slot twice");
+            assert!(
+                seen.insert(ptr as usize),
+                "slab handed out a live slot twice"
+            );
         }
     }
 
@@ -418,8 +421,16 @@ mod tests {
                 let mut freed = 0u64;
                 while let Ok(addr) = freer_rx.recv() {
                     let ptr = addr as *mut Node;
-                    let canary = live.lock().unwrap().remove(&addr).expect("freed slot was live");
-                    assert_eq!(unsafe { (*ptr).value }, canary, "a live slot was overwritten");
+                    let canary = live
+                        .lock()
+                        .unwrap()
+                        .remove(&addr)
+                        .expect("freed slot was live");
+                    assert_eq!(
+                        unsafe { (*ptr).value },
+                        canary,
+                        "a live slot was overwritten"
+                    );
                     unsafe {
                         std::ptr::drop_in_place(ptr);
                         slab.free(ptr);
@@ -450,7 +461,10 @@ mod tests {
                             let canary = (owner << 32) | done;
                             let (ptr, _) = write_node(&slab, canary);
                             let previous = live.lock().unwrap().insert(ptr as usize, canary);
-                            assert!(previous.is_none(), "slab handed out live slot {ptr:p} twice");
+                            assert!(
+                                previous.is_none(),
+                                "slab handed out live slot {ptr:p} twice"
+                            );
                             to_freer.send(ptr as usize).expect("freer alive");
                             done += 1;
                         }

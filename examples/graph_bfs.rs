@@ -49,7 +49,10 @@ fn main() {
     let distances = bfs_mixed(&scheduler, &graph, source);
     let mixed_time = t1.elapsed();
 
-    assert_eq!(distances, reference, "mixed-mode BFS must agree with sequential BFS");
+    assert_eq!(
+        distances, reference,
+        "mixed-mode BFS must agree with sequential BFS"
+    );
 
     let reachable = distances.iter().filter(|&&d| d != UNREACHABLE).count();
     let eccentricity = distances

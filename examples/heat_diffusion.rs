@@ -18,10 +18,11 @@ fn main() {
     let mut args = std::env::args().skip(1);
     let cells: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(400_000);
     let sweeps: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(200);
-    let threads: usize = args
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4));
+    let threads: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    });
 
     println!("heat_diffusion: {cells} cells, {sweeps} sweeps, {threads} worker threads");
 
@@ -67,5 +68,8 @@ fn main() {
         "  scheduler: {} teams formed, {} registrations, {} team-task executions",
         metrics.teams_formed, metrics.registrations, metrics.team_tasks_executed
     );
-    assert!(max_diff < 1e-9, "mixed-mode result must match the sequential solver");
+    assert!(
+        max_diff < 1e-9,
+        "mixed-mode result must match the sequential solver"
+    );
 }

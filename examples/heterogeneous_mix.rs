@@ -60,7 +60,10 @@ fn main() {
                     per_worker[ctx.global_thread_id()].fetch_add(1, Ordering::Relaxed);
                     // Split the work across the members; the barrier makes the
                     // task genuinely cooperative.
-                    let share = busy_work(i as u64 + ctx.local_id() as u64, 20_000 / ctx.team_size() as u64);
+                    let share = busy_work(
+                        i as u64 + ctx.local_id() as u64,
+                        20_000 / ctx.team_size() as u64,
+                    );
                     team_work.fetch_add(share, Ordering::Relaxed);
                     ctx.barrier();
                 });

@@ -20,10 +20,11 @@ use teamsteal::{Distribution, Scheduler};
 fn main() {
     let mut args = std::env::args().skip(1);
     let n: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(1 << 20);
-    let threads: usize = args
-        .next()
-        .and_then(|a| a.parse().ok())
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4));
+    let threads: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    });
 
     println!("kernel_suite: n = {n}, {threads} worker threads");
     let scheduler = Scheduler::with_threads(threads);
@@ -57,7 +58,10 @@ fn main() {
         .max_by_key(|(_, &c)| c)
         .map(|(i, c)| (i, *c))
         .unwrap();
-    println!("  histogram: densest bucket {} holds {} keys", densest.0, densest.1);
+    println!(
+        "  histogram: densest bucket {} holds {} keys",
+        densest.0, densest.1
+    );
 
     // Matrix multiplication (kept small so the example stays quick).
     let dim = 160;

@@ -13,18 +13,12 @@ use teamsteal_util::timing::{speedup, time};
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let n: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1 << 21);
-    let threads: usize = args
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|x| x.get().max(2))
-                .unwrap_or(4)
-        });
+    let n: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(1 << 21);
+    let threads: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|x| x.get().max(2))
+            .unwrap_or(4)
+    });
 
     println!("sorting {n} uniformly random u32 values with {threads} worker threads");
     let input = Distribution::Random.generate(n, threads, 0xC0FFEE);
@@ -34,7 +28,10 @@ fn main() {
     // Sequential reference (the paper's Seq/STL column).
     let mut seq = input.clone();
     let (t_seq, ()) = time(|| std_sort(&mut seq));
-    println!("  Seq/STL                     {:>9.3} s", t_seq.as_secs_f64());
+    println!(
+        "  Seq/STL                     {:>9.3} s",
+        t_seq.as_secs_f64()
+    );
 
     // Fork-join Quicksort (Algorithm 10) on the work-stealer.
     let mut fork = input.clone();
@@ -55,7 +52,10 @@ fn main() {
         t_mm.as_secs_f64(),
         speedup(t_seq, t_mm)
     );
-    assert_eq!(seq, mm, "all variants must produce the identical sorted array");
+    assert_eq!(
+        seq, mm,
+        "all variants must produce the identical sorted array"
+    );
 
     let m = scheduler.metrics();
     println!(

@@ -41,7 +41,10 @@ fn main() {
         }
     });
     let expected: u64 = (0..16_000u64).sum();
-    println!("sequential tasks: sum = {} (expected {expected})", sum.load(Ordering::Relaxed));
+    println!(
+        "sequential tasks: sum = {} (expected {expected})",
+        sum.load(Ordering::Relaxed)
+    );
     assert_eq!(sum.load(Ordering::Relaxed), expected);
 
     // ---------------------------------------------------------------
@@ -60,7 +63,9 @@ fn main() {
         let me = ctx.local_id();
         let team = ctx.team_size();
         // Split a reduction across the team by local id (SPMD style).
-        let total: u64 = (0..1_000_000u64).filter(|x| x % team as u64 == me as u64).sum();
+        let total: u64 = (0..1_000_000u64)
+            .filter(|x| x % team as u64 == me as u64)
+            .sum();
         p[me].store(total, Ordering::Relaxed);
         // Synchronize, then let exactly one member report.
         if ctx.barrier() {

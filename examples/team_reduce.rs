@@ -30,7 +30,9 @@ struct Reduction {
 impl Reduction {
     fn new(n: usize, team: usize, seed: u64) -> Arc<Self> {
         Arc::new(Reduction {
-            input: (0..n as u64).map(|i| (i.wrapping_mul(seed) % 1000) + 1).collect(),
+            input: (0..n as u64)
+                .map(|i| (i.wrapping_mul(seed) % 1000) + 1)
+                .collect(),
             partials: (0..team).map(|_| AtomicU64::new(0)).collect(),
             result: AtomicU64::new(0),
         })
@@ -42,7 +44,10 @@ impl Reduction {
         // Distribute over the *requested* number of threads; surplus members
         // (possible when the requirement is rounded up to a hierarchy group
         // on non power-of-two machines) only take part in the barriers.
-        let workers = ctx.requested_threads().min(ctx.team_size()).min(self.partials.len());
+        let workers = ctx
+            .requested_threads()
+            .min(ctx.team_size())
+            .min(self.partials.len());
         let me = ctx.local_id();
         if me < workers {
             let chunk = self.input.len().div_ceil(workers);
@@ -52,7 +57,11 @@ impl Reduction {
             self.partials[me].store(partial, Ordering::Relaxed);
         }
         if ctx.barrier() {
-            let total: u64 = self.partials.iter().map(|p| p.load(Ordering::Relaxed)).sum();
+            let total: u64 = self
+                .partials
+                .iter()
+                .map(|p| p.load(Ordering::Relaxed))
+                .sum();
             self.result.store(total, Ordering::Relaxed);
         }
         // Second barrier so every member sees the published result before the
@@ -68,7 +77,9 @@ impl Reduction {
 fn main() {
     let threads = 8;
     let scheduler = Scheduler::with_threads(threads);
-    println!("running three team reductions (r = 2, 4, 8) plus 64 sequential tasks on {threads} workers");
+    println!(
+        "running three team reductions (r = 2, 4, 8) plus 64 sequential tasks on {threads} workers"
+    );
 
     let small = Reduction::new(200_000, 2, 3);
     let medium = Reduction::new(400_000, 4, 5);

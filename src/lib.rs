@@ -51,13 +51,13 @@
 
 pub use teamsteal_core::{
     enable_stall_debug, stall_report, ConcurrentScope, MetricsSnapshot, ReclamationSnapshot,
-    Scheduler, SchedulerBuilder, Scope, StealPolicy, TaskContext, TeamBarrier,
-    Topology, WakeLatencyHistogram,
+    Scheduler, SchedulerBuilder, Scope, StealPolicy, TaskContext, TeamBarrier, Topology,
+    WakeLatencyHistogram,
 };
 pub use teamsteal_data::{is_permutation_of, is_sorted, Distribution, Scale};
 pub use teamsteal_sort::{
-    best_np, fork_join_sort, mixed_mode_sort, sequential_quicksort, std_sort,
-    ParallelPartitioner, SortConfig,
+    best_np, fork_join_sort, mixed_mode_sort, sequential_quicksort, std_sort, ParallelPartitioner,
+    SortConfig,
 };
 
 /// The multi-tenant task-service front-end (DESIGN.md §16): a persistent

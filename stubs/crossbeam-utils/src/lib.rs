@@ -51,7 +51,9 @@ impl<T> From<T> for CachePadded<T> {
 
 impl<T: fmt::Debug> fmt::Debug for CachePadded<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CachePadded").field("value", &self.value).finish()
+        f.debug_struct("CachePadded")
+            .field("value", &self.value)
+            .finish()
     }
 }
 

@@ -51,7 +51,9 @@ pub mod test_runner {
     impl TestCaseError {
         /// Creates a failure carrying `message`.
         pub fn fail(message: impl Into<String>) -> Self {
-            TestCaseError { message: message.into() }
+            TestCaseError {
+                message: message.into(),
+            }
         }
     }
 
@@ -72,7 +74,8 @@ pub mod test_runner {
         /// an independent, reproducible stream.
         pub fn for_case(case: u64) -> Self {
             TestRng {
-                state: (case.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xD1B5_4A32_D192_ED03,
+                state: (case.wrapping_add(1)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    ^ 0xD1B5_4A32_D192_ED03,
             }
         }
 
@@ -231,19 +234,28 @@ pub mod collection {
     impl From<Range<usize>> for SizeRange {
         fn from(range: Range<usize>) -> Self {
             assert!(range.start < range.end, "empty size range");
-            SizeRange { start: range.start, end: range.end }
+            SizeRange {
+                start: range.start,
+                end: range.end,
+            }
         }
     }
 
     impl From<RangeInclusive<usize>> for SizeRange {
         fn from(range: RangeInclusive<usize>) -> Self {
-            SizeRange { start: *range.start(), end: range.end().checked_add(1).expect("size range overflow") }
+            SizeRange {
+                start: *range.start(),
+                end: range.end().checked_add(1).expect("size range overflow"),
+            }
         }
     }
 
     impl From<usize> for SizeRange {
         fn from(exact: usize) -> Self {
-            SizeRange { start: exact, end: exact + 1 }
+            SizeRange {
+                start: exact,
+                end: exact + 1,
+            }
         }
     }
 
@@ -266,7 +278,10 @@ pub mod collection {
     /// A strategy for `Vec`s whose length is drawn from `size` and whose
     /// elements are drawn from `element`.
     pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-        VecStrategy { element, size: size.into() }
+        VecStrategy {
+            element,
+            size: size.into(),
+        }
     }
 }
 

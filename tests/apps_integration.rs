@@ -18,7 +18,9 @@ use teamsteal::apps::matmul::{matmul_mixed, matmul_mixed_with, matmul_sequential
 use teamsteal::apps::reduce::{parallel_sum, team_reduce_with};
 use teamsteal::apps::scan::scan_with;
 use teamsteal::apps::stencil::{jacobi_mixed, jacobi_sequential, StencilConfig};
-use teamsteal::{is_permutation_of, is_sorted, mixed_mode_sort, Distribution, Scheduler, SortConfig, StealPolicy};
+use teamsteal::{
+    is_permutation_of, is_sorted, mixed_mode_sort, Distribution, Scheduler, SortConfig, StealPolicy,
+};
 
 /// Every kernel, one after another, on one shared scheduler.  Checks results
 /// and that team machinery was actually exercised.
@@ -200,8 +202,12 @@ fn repeated_matmul_on_a_reused_scheduler() {
     let scheduler = Scheduler::with_threads(4);
     for round in 0..3 {
         let dim = 70 + round * 30;
-        let a = Matrix::from_fn(dim, dim, |i, j| ((i * 13 + j * 5 + round) % 17) as f64 * 0.5);
-        let b = Matrix::from_fn(dim, dim, |i, j| ((i * 3 + j * 11 + round) % 19) as f64 * 0.25);
+        let a = Matrix::from_fn(dim, dim, |i, j| {
+            ((i * 13 + j * 5 + round) % 17) as f64 * 0.5
+        });
+        let b = Matrix::from_fn(dim, dim, |i, j| {
+            ((i * 3 + j * 11 + round) % 19) as f64 * 0.25
+        });
         let reference = matmul_sequential(&a, &b);
         let got = matmul_mixed_with(&scheduler, &a, &b, 1 << 12);
         assert!(
@@ -218,6 +224,10 @@ fn reduction_threshold_boundary_is_seamless() {
     let scheduler = Scheduler::with_threads(2);
     for n in [0usize, 1, 100, 8 * 1024, 8 * 1024 + 1, 64 * 1024] {
         let data: Vec<u64> = (0..n as u64).collect();
-        assert_eq!(parallel_sum(&scheduler, &data), data.iter().sum::<u64>(), "n = {n}");
+        assert_eq!(
+            parallel_sum(&scheduler, &data),
+            data.iter().sum::<u64>(),
+            "n = {n}"
+        );
     }
 }

@@ -51,7 +51,10 @@ fn cancelled_before_pop_never_increments_tasks_executed() {
                 ran_in.store(true, Ordering::SeqCst);
             })
             .unwrap();
-        assert!(!handle.is_finished(), "task cannot finish behind the blocker");
+        assert!(
+            !handle.is_finished(),
+            "task cannot finish behind the blocker"
+        );
         assert!(handle.cancel(), "cancel must win while the task is queued");
         assert!(handle.is_cancelled());
         assert!(!handle.cancel(), "second cancel does not win again");
@@ -59,7 +62,10 @@ fn cancelled_before_pop_never_increments_tasks_executed() {
         release.store(true, Ordering::Release);
         let report = service.drain();
         assert!(!ran.load(Ordering::SeqCst), "cancelled task must never run");
-        assert!(handle.is_finished(), "dropped tasks still finish their guard");
+        assert!(
+            handle.is_finished(),
+            "dropped tasks still finish their guard"
+        );
         // Accounting: the blocker executed, the cancelled task did not, and
         // both retired exactly once.
         let metrics = service.metrics();
@@ -166,8 +172,16 @@ fn stale_tasks_in_a_claimed_batch_retire_once_and_the_rest_run() {
         let report = service.drain();
 
         let stale = TASKS / 3;
-        assert_eq!(ran.load(Ordering::SeqCst), TASKS - 2 * stale, "every live task runs");
-        assert_eq!(dropped.load(Ordering::SeqCst), TASKS, "each job is dropped exactly once");
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            TASKS - 2 * stale,
+            "every live task runs"
+        );
+        assert_eq!(
+            dropped.load(Ordering::SeqCst),
+            TASKS,
+            "each job is dropped exactly once"
+        );
         for (i, handle) in handles.iter().enumerate() {
             assert!(handle.is_finished(), "task {i} finished its guard");
             assert_eq!(handle.is_cancelled(), i % 3 == 1, "task {i}");
@@ -300,9 +314,12 @@ fn shared_token_batch_all_run_when_uncancelled() {
             .map(|_| {
                 let ran = Arc::clone(&ran);
                 tenant
-                    .submit_with(SubmitOptions::new().cancel_token(token.clone()), move |_| {
-                        ran.fetch_add(1, Ordering::SeqCst);
-                    })
+                    .submit_with(
+                        SubmitOptions::new().cancel_token(token.clone()),
+                        move |_| {
+                            ran.fetch_add(1, Ordering::SeqCst);
+                        },
+                    )
                     .unwrap()
             })
             .collect();
@@ -346,9 +363,12 @@ fn shared_token_cancel_sweeps_whole_batch() {
             .map(|_| {
                 let ran = Arc::clone(&ran);
                 tenant
-                    .submit_with(SubmitOptions::new().cancel_token(token.clone()), move |_| {
-                        ran.fetch_add(1, Ordering::SeqCst);
-                    })
+                    .submit_with(
+                        SubmitOptions::new().cancel_token(token.clone()),
+                        move |_| {
+                            ran.fetch_add(1, Ordering::SeqCst);
+                        },
+                    )
                     .unwrap()
             })
             .collect();
@@ -397,12 +417,18 @@ fn cancelled_token_poisons_later_submissions() {
         let ran = Arc::new(AtomicBool::new(false));
         let ran_in = Arc::clone(&ran);
         let handle = tenant
-            .submit_with(SubmitOptions::new().cancel_token(token.clone()), move |_| {
-                ran_in.store(true, Ordering::SeqCst);
-            })
+            .submit_with(
+                SubmitOptions::new().cancel_token(token.clone()),
+                move |_| {
+                    ran_in.store(true, Ordering::SeqCst);
+                },
+            )
             .unwrap();
         service.drain();
-        assert!(!ran.load(Ordering::SeqCst), "poisoned submission must not run");
+        assert!(
+            !ran.load(Ordering::SeqCst),
+            "poisoned submission must not run"
+        );
         assert!(handle.is_finished());
         assert!(handle.is_cancelled());
         assert_eq!(service.metrics().tasks_cancelled, 1);
@@ -460,7 +486,10 @@ fn report_surfaces_panics_and_gate_backstops() {
         service.drain();
         let report = service.report();
         assert_eq!(report.panics_observed, 2, "both panics must be counted");
-        assert_eq!(report.gate_backstops, 0, "no submission was in the gate to back stop");
+        assert_eq!(
+            report.gate_backstops, 0,
+            "no submission was in the gate to back stop"
+        );
         assert!(service.take_panic().is_some(), "first payload is kept");
         assert!(service.take_panic().is_none(), "…and only the first");
     });

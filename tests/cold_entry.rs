@@ -62,12 +62,19 @@ fn a_cold_run_costs_three_parks_not_five() {
         let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
         let scheduler = Scheduler::with_threads(2);
         let (members, delta, median) = cold_runs(&scheduler);
-        assert_eq!(members, vec![RUNS, RUNS], "each worker ran each team task once");
+        assert_eq!(
+            members,
+            vec![RUNS, RUNS],
+            "each worker ran each team task once"
+        );
         // One publication per run, and a cold one: a coordinator that lost
         // its core for a while may still hold the team when the next call
         // comes (seen twice in 500 runs, once in thirty processes).
         assert_eq!(delta.teams_built + delta.team_reuses, RUNS, "{delta:?}");
-        assert!(delta.team_reuses * 20 <= RUNS, "the runs are not cold: {delta:?}");
+        assert!(
+            delta.team_reuses * 20 <= RUNS,
+            "the runs are not cold: {delta:?}"
+        );
         assert_eq!(delta.team_tasks_executed, 2 * RUNS, "{delta:?}");
         assert_eq!(delta.liveness_resyncs, 0, "{delta:?}");
         let parks_per_run = delta.parks as f64 / RUNS as f64;
@@ -85,16 +92,20 @@ fn a_cold_run_costs_three_parks_not_five() {
 /// well inside the watchdog and no liveness backstop fires.
 #[test]
 fn a_yielding_waiter_never_starves_the_worker_it_waits_for() {
-    with_watchdog("a_yielding_waiter_never_starves_the_worker_it_waits_for", WATCHDOG, || {
-        let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-        let scheduler = Scheduler::with_threads(4);
-        let (members, delta, median) = cold_runs(&scheduler);
-        assert_eq!(members.iter().sum::<u64>(), 2 * RUNS, "{members:?}");
-        assert_eq!(delta.team_tasks_executed, 2 * RUNS, "{delta:?}");
-        assert_eq!(delta.liveness_resyncs, 0, "{delta:?}");
-        eprintln!(
-            "cold run_team(2) at p = 4: median {median:?}, {:.2} parks per run",
-            delta.parks as f64 / RUNS as f64
-        );
-    });
+    with_watchdog(
+        "a_yielding_waiter_never_starves_the_worker_it_waits_for",
+        WATCHDOG,
+        || {
+            let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+            let scheduler = Scheduler::with_threads(4);
+            let (members, delta, median) = cold_runs(&scheduler);
+            assert_eq!(members.iter().sum::<u64>(), 2 * RUNS, "{members:?}");
+            assert_eq!(delta.team_tasks_executed, 2 * RUNS, "{delta:?}");
+            assert_eq!(delta.liveness_resyncs, 0, "{delta:?}");
+            eprintln!(
+                "cold run_team(2) at p = 4: median {median:?}, {:.2} parks per run",
+                delta.parks as f64 / RUNS as f64
+            );
+        },
+    );
 }

@@ -72,7 +72,10 @@ fn single_cas_join_is_visible_in_metrics() {
 /// classical work-stealer.
 #[test]
 fn degenerate_case_has_zero_team_overhead() {
-    for policy in [StealPolicy::Deterministic, StealPolicy::RandomizedWithinLevel] {
+    for policy in [
+        StealPolicy::Deterministic,
+        StealPolicy::RandomizedWithinLevel,
+    ] {
         let scheduler = Scheduler::builder().threads(4).steal_policy(policy).build();
         let hits = Arc::new(AtomicUsize::new(0));
         {

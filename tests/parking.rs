@@ -115,7 +115,10 @@ fn team_handshakes_wake_parked_members() {
         }
         let delta = scheduler.metrics().delta_since(&before_all);
         assert_eq!(delta.teams_formed, 10);
-        assert!(delta.parks > 0, "teams formed without any parking: {delta:?}");
+        assert!(
+            delta.parks > 0,
+            "teams formed without any parking: {delta:?}"
+        );
         assert_eq!(
             delta.liveness_resyncs, 0,
             "healthy team rounds must not trip the liveness backstops: {delta:?}"
@@ -156,34 +159,38 @@ fn shutdown_wakes_parked_workers() {
 /// team and sequential traffic with parking pauses in between.
 #[test]
 fn parking_survives_randomized_mixed_traffic() {
-    with_watchdog("parking_survives_randomized_mixed_traffic", WATCHDOG, || {
-        let scheduler = Scheduler::builder()
-            .threads(4)
-            .steal_policy(StealPolicy::RandomizedWithinLevel)
-            .seed(0xBEEF)
-            .build();
-        let total = Arc::new(AtomicUsize::new(0));
-        for round in 0..8 {
-            std::thread::sleep(Duration::from_millis(3));
-            let t = Arc::clone(&total);
-            scheduler.scope(|scope| {
-                for _ in 0..8 {
+    with_watchdog(
+        "parking_survives_randomized_mixed_traffic",
+        WATCHDOG,
+        || {
+            let scheduler = Scheduler::builder()
+                .threads(4)
+                .steal_policy(StealPolicy::RandomizedWithinLevel)
+                .seed(0xBEEF)
+                .build();
+            let total = Arc::new(AtomicUsize::new(0));
+            for round in 0..8 {
+                std::thread::sleep(Duration::from_millis(3));
+                let t = Arc::clone(&total);
+                scheduler.scope(|scope| {
+                    for _ in 0..8 {
+                        let t = Arc::clone(&t);
+                        scope.spawn(move |_| {
+                            t.fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
                     let t = Arc::clone(&t);
-                    scope.spawn(move |_| {
+                    scope.spawn_team(2, move |ctx| {
                         t.fetch_add(1, Ordering::Relaxed);
+                        ctx.barrier();
                     });
-                }
-                let t = Arc::clone(&t);
-                scope.spawn_team(2, move |ctx| {
-                    t.fetch_add(1, Ordering::Relaxed);
-                    ctx.barrier();
                 });
-            });
-            assert_eq!(
-                total.load(Ordering::Relaxed),
-                (round + 1) * (8 + 2),
-                "round {round}"
-            );
-        }
-    });
+                assert_eq!(
+                    total.load(Ordering::Relaxed),
+                    (round + 1) * (8 + 2),
+                    "round {round}"
+                );
+            }
+        },
+    );
 }

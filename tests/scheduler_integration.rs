@@ -179,7 +179,11 @@ fn tasks_spawned_from_team_members_complete() {
             });
         });
     }
-    assert_eq!(follow_up.load(Ordering::Relaxed), 4, "one follow-up per member");
+    assert_eq!(
+        follow_up.load(Ordering::Relaxed),
+        4,
+        "one follow-up per member"
+    );
 }
 
 #[test]

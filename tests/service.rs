@@ -370,7 +370,10 @@ fn in_flight_counts_queued_tasks_until_the_drain() {
             tenant.submit(|_| {}).unwrap();
         }
         let in_flight = service.report().in_flight;
-        assert!(in_flight >= QUEUED, "in_flight {in_flight} < {QUEUED} queued");
+        assert!(
+            in_flight >= QUEUED,
+            "in_flight {in_flight} < {QUEUED} queued"
+        );
         release.store(true, Ordering::Release);
         let report = service.drain();
         assert_eq!(report.completed(), report.admitted());

@@ -53,12 +53,7 @@ fn concurrent_submitters_stress_sharded_injector() {
         const TEAMS_PER_SUBMITTER: usize = 20;
         const TEAM_SIZE: usize = 4;
 
-        let scheduler = Arc::new(
-            Scheduler::builder()
-                .threads(16)
-                .domain_width(4)
-                .build(),
-        );
+        let scheduler = Arc::new(Scheduler::builder().threads(16).domain_width(4).build());
         let shards = scheduler.injector_shard_segments().len();
         assert!(
             shards >= 2,
@@ -160,12 +155,7 @@ fn single_shard_width_keeps_exactly_once_semantics() {
         const SUBMITTERS: usize = 8;
         const SCOPES_PER_SUBMITTER: usize = 20;
         const PER_SCOPE: usize = 16;
-        let scheduler = Arc::new(
-            Scheduler::builder()
-                .threads(4)
-                .domain_width(64)
-                .build(),
-        );
+        let scheduler = Arc::new(Scheduler::builder().threads(4).domain_width(64).build());
         assert_eq!(scheduler.injector_shard_segments().len(), 1);
         let before = scheduler.metrics();
         let executed = Arc::new(AtomicUsize::new(0));

@@ -62,7 +62,10 @@ fn mixed_mode_sort_uses_teams_on_large_inputs_only() {
     mixed_mode_sort(&scheduler, &mut big, &config);
     assert!(is_sorted(&big));
     let after_big = scheduler.metrics();
-    assert!(after_big.teams_formed > 0, "expected team-built partitioning");
+    assert!(
+        after_big.teams_formed > 0,
+        "expected team-built partitioning"
+    );
 
     // Small input on a fresh scheduler: pure fork-join, no team overhead.
     let scheduler_small = Scheduler::with_threads(4);
@@ -78,19 +81,29 @@ fn mixed_mode_sort_uses_teams_on_large_inputs_only() {
 /// Algorithm 10's task.
 #[test]
 fn two_threads_partition_only_the_root_as_a_team() {
-    with_watchdog("two_threads_partition_only_the_root_as_a_team", WATCHDOG, || {
-        let scheduler = Scheduler::with_threads(2);
-        for distribution in Distribution::ALL {
-            let mut data = distribution.generate(1 << 20, 2, 22);
-            let mut reference = data.clone();
-            reference.sort_unstable();
-            let before = scheduler.metrics();
-            mixed_mode_sort(&scheduler, &mut data, &SortConfig::default());
-            let team_tasks = scheduler.metrics().delta_since(&before).team_tasks_executed;
-            assert!(data == reference, "{distribution:?} differs from sort_unstable");
-            assert_eq!(team_tasks, 2, "{distribution:?}: one two-member root partition");
-        }
-    });
+    with_watchdog(
+        "two_threads_partition_only_the_root_as_a_team",
+        WATCHDOG,
+        || {
+            let scheduler = Scheduler::with_threads(2);
+            for distribution in Distribution::ALL {
+                let mut data = distribution.generate(1 << 20, 2, 22);
+                let mut reference = data.clone();
+                reference.sort_unstable();
+                let before = scheduler.metrics();
+                mixed_mode_sort(&scheduler, &mut data, &SortConfig::default());
+                let team_tasks = scheduler.metrics().delta_since(&before).team_tasks_executed;
+                assert!(
+                    data == reference,
+                    "{distribution:?} differs from sort_unstable"
+                );
+                assert_eq!(
+                    team_tasks, 2,
+                    "{distribution:?}: one two-member root partition"
+                );
+            }
+        },
+    );
 }
 
 /// On four threads the teams below the root shrink with their share: a sort
@@ -99,25 +112,32 @@ fn two_threads_partition_only_the_root_as_a_team() {
 /// one child above half the machine for a few levels.
 #[test]
 fn four_threads_run_a_handful_of_team_partitions() {
-    with_watchdog("four_threads_run_a_handful_of_team_partitions", WATCHDOG, || {
-        let threads = 4;
-        let scheduler = Scheduler::with_threads(threads);
-        for distribution in Distribution::ALL {
-            let input = distribution.generate(1 << 20, threads, 23);
-            let mut data = input.clone();
-            let before = scheduler.metrics();
-            mixed_mode_sort(&scheduler, &mut data, &SortConfig::default());
-            let delta = scheduler.metrics().delta_since(&before);
-            assert!(is_sorted(&data), "{distribution:?} not sorted");
-            assert!(is_permutation_of(&input, &data), "{distribution:?} corrupted");
-            assert!(
-                delta.team_tasks_executed <= 8 * threads as u64,
-                "{distribution:?}: {} team-task executions in one sort",
-                delta.team_tasks_executed
-            );
-        }
-        assert!(scheduler.metrics().teams_formed > 0);
-    });
+    with_watchdog(
+        "four_threads_run_a_handful_of_team_partitions",
+        WATCHDOG,
+        || {
+            let threads = 4;
+            let scheduler = Scheduler::with_threads(threads);
+            for distribution in Distribution::ALL {
+                let input = distribution.generate(1 << 20, threads, 23);
+                let mut data = input.clone();
+                let before = scheduler.metrics();
+                mixed_mode_sort(&scheduler, &mut data, &SortConfig::default());
+                let delta = scheduler.metrics().delta_since(&before);
+                assert!(is_sorted(&data), "{distribution:?} not sorted");
+                assert!(
+                    is_permutation_of(&input, &data),
+                    "{distribution:?} corrupted"
+                );
+                assert!(
+                    delta.team_tasks_executed <= 8 * threads as u64,
+                    "{distribution:?}: {} team-task executions in one sort",
+                    delta.team_tasks_executed
+                );
+            }
+            assert!(scheduler.metrics().teams_formed > 0);
+        },
+    );
 }
 
 #[test]

@@ -83,31 +83,49 @@ fn counters_stay_exact_under_cross_worker_frees() {
             ctx.spawn(move |ctx| tree(ctx, depth - 1, &tally));
         }
     }
-    with_watchdog("counters_stay_exact_under_cross_worker_frees", WATCHDOG, || {
-        const DEPTH: u32 = 16;
-        const TREES: u64 = 20;
-        let scheduler = Scheduler::with_threads(8);
-        let tally = Arc::new(Tally::default());
-        let before = scheduler.metrics();
-        for _ in 0..TREES {
-            let tally = Arc::clone(&tally);
-            scheduler.run(move |ctx| tree(ctx, DEPTH, &tally));
-        }
-        let delta = scheduler.metrics().delta_since(&before);
-        let spawned = tally.spawned.load(Ordering::Relaxed);
-        let ran = tally.ran.load(Ordering::Relaxed);
-        assert_eq!(ran, TREES * ((1 << (DEPTH + 1)) - 1), "every task of every tree ran");
-        assert_eq!(spawned, ran - TREES, "every task but the roots is an in-task spawn");
-        assert!(delta.steals > 0, "an 8-worker pool on this tree must steal: {delta:?}");
-        assert_eq!(delta.tasks_spawned, spawned, "in-task spawns counted exactly once");
-        assert_eq!(delta.tasks_executed, ran, "executions counted exactly once");
-        assert!(
-            delta.nodes_recycled <= delta.tasks_spawned,
-            "more recycled nodes ({}) than spawns ({})",
-            delta.nodes_recycled,
-            delta.tasks_spawned
-        );
-    });
+    with_watchdog(
+        "counters_stay_exact_under_cross_worker_frees",
+        WATCHDOG,
+        || {
+            const DEPTH: u32 = 16;
+            const TREES: u64 = 20;
+            let scheduler = Scheduler::with_threads(8);
+            let tally = Arc::new(Tally::default());
+            let before = scheduler.metrics();
+            for _ in 0..TREES {
+                let tally = Arc::clone(&tally);
+                scheduler.run(move |ctx| tree(ctx, DEPTH, &tally));
+            }
+            let delta = scheduler.metrics().delta_since(&before);
+            let spawned = tally.spawned.load(Ordering::Relaxed);
+            let ran = tally.ran.load(Ordering::Relaxed);
+            assert_eq!(
+                ran,
+                TREES * ((1 << (DEPTH + 1)) - 1),
+                "every task of every tree ran"
+            );
+            assert_eq!(
+                spawned,
+                ran - TREES,
+                "every task but the roots is an in-task spawn"
+            );
+            assert!(
+                delta.steals > 0,
+                "an 8-worker pool on this tree must steal: {delta:?}"
+            );
+            assert_eq!(
+                delta.tasks_spawned, spawned,
+                "in-task spawns counted exactly once"
+            );
+            assert_eq!(delta.tasks_executed, ran, "executions counted exactly once");
+            assert!(
+                delta.nodes_recycled <= delta.tasks_spawned,
+                "more recycled nodes ({}) than spawns ({})",
+                delta.nodes_recycled,
+                delta.tasks_spawned
+            );
+        },
+    );
 }
 
 /// Node recycling must never hand the same node to two live tasks: every
@@ -148,43 +166,47 @@ fn recycled_nodes_never_alias_live_tasks() {
 /// must deliver every root task exactly once, across producers.
 #[test]
 fn concurrent_external_submitters_share_the_injector() {
-    with_watchdog("concurrent_external_submitters_share_the_injector", WATCHDOG, || {
-        const SUBMITTERS: usize = 4;
-        const SCOPES_PER_SUBMITTER: usize = 40;
-        const TASKS_PER_SCOPE: usize = 25;
-        let scheduler = Arc::new(Scheduler::with_threads(4));
-        let executed = Arc::new(AtomicUsize::new(0));
-        let before = scheduler.metrics();
-        let submitters: Vec<_> = (0..SUBMITTERS)
-            .map(|_| {
-                let scheduler = Arc::clone(&scheduler);
-                let executed = Arc::clone(&executed);
-                std::thread::spawn(move || {
-                    for _ in 0..SCOPES_PER_SUBMITTER {
-                        let executed = Arc::clone(&executed);
-                        scheduler.scope(|scope| {
-                            for _ in 0..TASKS_PER_SCOPE {
-                                let executed = Arc::clone(&executed);
-                                scope.spawn(move |_| {
-                                    executed.fetch_add(1, Ordering::Relaxed);
-                                });
-                            }
-                        });
-                    }
+    with_watchdog(
+        "concurrent_external_submitters_share_the_injector",
+        WATCHDOG,
+        || {
+            const SUBMITTERS: usize = 4;
+            const SCOPES_PER_SUBMITTER: usize = 40;
+            const TASKS_PER_SCOPE: usize = 25;
+            let scheduler = Arc::new(Scheduler::with_threads(4));
+            let executed = Arc::new(AtomicUsize::new(0));
+            let before = scheduler.metrics();
+            let submitters: Vec<_> = (0..SUBMITTERS)
+                .map(|_| {
+                    let scheduler = Arc::clone(&scheduler);
+                    let executed = Arc::clone(&executed);
+                    std::thread::spawn(move || {
+                        for _ in 0..SCOPES_PER_SUBMITTER {
+                            let executed = Arc::clone(&executed);
+                            scheduler.scope(|scope| {
+                                for _ in 0..TASKS_PER_SCOPE {
+                                    let executed = Arc::clone(&executed);
+                                    scope.spawn(move |_| {
+                                        executed.fetch_add(1, Ordering::Relaxed);
+                                    });
+                                }
+                            });
+                        }
+                    })
                 })
-            })
-            .collect();
-        for submitter in submitters {
-            submitter.join().unwrap();
-        }
-        let expected = SUBMITTERS * SCOPES_PER_SUBMITTER * TASKS_PER_SCOPE;
-        assert_eq!(executed.load(Ordering::Relaxed), expected);
-        let delta = scheduler.metrics().delta_since(&before);
-        assert_eq!(
-            delta.tasks_injected as usize, expected,
-            "every root task flows through the injection queue exactly once"
-        );
-    });
+                .collect();
+            for submitter in submitters {
+                submitter.join().unwrap();
+            }
+            let expected = SUBMITTERS * SCOPES_PER_SUBMITTER * TASKS_PER_SCOPE;
+            assert_eq!(executed.load(Ordering::Relaxed), expected);
+            let delta = scheduler.metrics().delta_since(&before);
+            assert_eq!(
+                delta.tasks_injected as usize, expected,
+                "every root task flows through the injection queue exactly once"
+            );
+        },
+    );
 }
 
 /// Team tasks also live in arena nodes (their nodes are recycled by whichever
@@ -192,27 +214,31 @@ fn concurrent_external_submitters_share_the_injector() {
 /// must not corrupt the free lists.
 #[test]
 fn team_task_nodes_survive_cross_worker_recycling() {
-    with_watchdog("team_task_nodes_survive_cross_worker_recycling", WATCHDOG, || {
-        let scheduler = Scheduler::with_threads(4);
-        let hits = Arc::new(AtomicUsize::new(0));
-        const ROUNDS: usize = 120;
-        let h = Arc::clone(&hits);
-        scheduler.scope(|scope| {
-            let h = Arc::clone(&h);
-            // Root task spawns team tasks from a worker thread so their
-            // nodes come from the worker's arena.
-            scope.spawn(move |ctx| {
-                for _ in 0..ROUNDS {
-                    let h = Arc::clone(&h);
-                    ctx.spawn_team(2, move |tctx| {
-                        h.fetch_add(1, Ordering::Relaxed);
-                        tctx.barrier();
-                    });
-                }
+    with_watchdog(
+        "team_task_nodes_survive_cross_worker_recycling",
+        WATCHDOG,
+        || {
+            let scheduler = Scheduler::with_threads(4);
+            let hits = Arc::new(AtomicUsize::new(0));
+            const ROUNDS: usize = 120;
+            let h = Arc::clone(&hits);
+            scheduler.scope(|scope| {
+                let h = Arc::clone(&h);
+                // Root task spawns team tasks from a worker thread so their
+                // nodes come from the worker's arena.
+                scope.spawn(move |ctx| {
+                    for _ in 0..ROUNDS {
+                        let h = Arc::clone(&h);
+                        ctx.spawn_team(2, move |tctx| {
+                            h.fetch_add(1, Ordering::Relaxed);
+                            tctx.barrier();
+                        });
+                    }
+                });
             });
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), ROUNDS * 2);
-    });
+            assert_eq!(hits.load(Ordering::Relaxed), ROUNDS * 2);
+        },
+    );
 }
 
 /// Oversized closures fall back to boxed storage; mixing inline and boxed
@@ -265,63 +291,71 @@ fn oversized_captures_mix_with_inline_ones() {
 /// still queued, breaks one or the other.
 #[test]
 fn external_arenas_change_hands_without_aliasing() {
-    with_watchdog("external_arenas_change_hands_without_aliasing", WATCHDOG, || {
-        // More submitters than the pool's 32 slots, so the slots' arenas
-        // keep changing owner.
-        const SUBMITTERS: usize = 40;
-        const PER_SUBMITTER: usize = 3_000;
-        const TASKS: usize = SUBMITTERS * PER_SUBMITTER;
-        const MAGIC: usize = 0x5a5a_c3c3;
-        #[derive(Default)]
-        struct Check {
-            bad_canaries: AtomicUsize,
-            repeats: AtomicUsize,
-        }
-        let scheduler = Arc::new(Scheduler::builder().threads(2).build());
-        let scope = ConcurrentScope::new();
-        let ran: Arc<Vec<AtomicU64>> =
-            Arc::new((0..TASKS.div_ceil(64)).map(|_| AtomicU64::new(0)).collect());
-        let check = Arc::new(Check::default());
-        let before = scheduler.metrics();
-        let submitters: Vec<_> = (0..SUBMITTERS)
-            .map(|t| {
-                let scheduler = Arc::clone(&scheduler);
-                let scope = scope.clone();
-                let ran = Arc::clone(&ran);
-                let check = Arc::clone(&check);
-                std::thread::spawn(move || {
-                    for id in t * PER_SUBMITTER..(t + 1) * PER_SUBMITTER {
-                        let canary = (id, id ^ MAGIC);
-                        let ran = Arc::clone(&ran);
-                        let check = Arc::clone(&check);
-                        scope.submit(&scheduler, move |_| {
-                            let (id, sealed) = canary;
-                            if sealed != id ^ MAGIC {
-                                check.bad_canaries.fetch_add(1, Ordering::Relaxed);
-                                return;
-                            }
-                            let bit = 1u64 << (id % 64);
-                            if ran[id / 64].fetch_or(bit, Ordering::Relaxed) & bit != 0 {
-                                check.repeats.fetch_add(1, Ordering::Relaxed);
-                            }
-                        });
-                    }
+    with_watchdog(
+        "external_arenas_change_hands_without_aliasing",
+        WATCHDOG,
+        || {
+            // More submitters than the pool's 32 slots, so the slots' arenas
+            // keep changing owner.
+            const SUBMITTERS: usize = 40;
+            const PER_SUBMITTER: usize = 3_000;
+            const TASKS: usize = SUBMITTERS * PER_SUBMITTER;
+            const MAGIC: usize = 0x5a5a_c3c3;
+            #[derive(Default)]
+            struct Check {
+                bad_canaries: AtomicUsize,
+                repeats: AtomicUsize,
+            }
+            let scheduler = Arc::new(Scheduler::builder().threads(2).build());
+            let scope = ConcurrentScope::new();
+            let ran: Arc<Vec<AtomicU64>> =
+                Arc::new((0..TASKS.div_ceil(64)).map(|_| AtomicU64::new(0)).collect());
+            let check = Arc::new(Check::default());
+            let before = scheduler.metrics();
+            let submitters: Vec<_> = (0..SUBMITTERS)
+                .map(|t| {
+                    let scheduler = Arc::clone(&scheduler);
+                    let scope = scope.clone();
+                    let ran = Arc::clone(&ran);
+                    let check = Arc::clone(&check);
+                    std::thread::spawn(move || {
+                        for id in t * PER_SUBMITTER..(t + 1) * PER_SUBMITTER {
+                            let canary = (id, id ^ MAGIC);
+                            let ran = Arc::clone(&ran);
+                            let check = Arc::clone(&check);
+                            scope.submit(&scheduler, move |_| {
+                                let (id, sealed) = canary;
+                                if sealed != id ^ MAGIC {
+                                    check.bad_canaries.fetch_add(1, Ordering::Relaxed);
+                                    return;
+                                }
+                                let bit = 1u64 << (id % 64);
+                                if ran[id / 64].fetch_or(bit, Ordering::Relaxed) & bit != 0 {
+                                    check.repeats.fetch_add(1, Ordering::Relaxed);
+                                }
+                            });
+                        }
+                    })
                 })
-            })
-            .collect();
-        for submitter in submitters {
-            submitter.join().unwrap();
-        }
-        scope.wait_idle();
-        assert!(scope.take_panic().is_none(), "no task may panic");
-        assert_eq!(check.bad_canaries.load(Ordering::Relaxed), 0, "a task ran a torn node");
-        assert_eq!(check.repeats.load(Ordering::Relaxed), 0, "a task ran twice");
-        let missing = (0..TASKS)
-            .filter(|&id| ran[id / 64].load(Ordering::Relaxed) & (1 << (id % 64)) == 0)
-            .count();
-        assert_eq!(missing, 0, "every submitted task ran");
-        let delta = scheduler.metrics().delta_since(&before);
-        assert_eq!(delta.tasks_injected as usize, TASKS);
-        assert_eq!(delta.total_executions() as usize, TASKS);
-    });
+                .collect();
+            for submitter in submitters {
+                submitter.join().unwrap();
+            }
+            scope.wait_idle();
+            assert!(scope.take_panic().is_none(), "no task may panic");
+            assert_eq!(
+                check.bad_canaries.load(Ordering::Relaxed),
+                0,
+                "a task ran a torn node"
+            );
+            assert_eq!(check.repeats.load(Ordering::Relaxed), 0, "a task ran twice");
+            let missing = (0..TASKS)
+                .filter(|&id| ran[id / 64].load(Ordering::Relaxed) & (1 << (id % 64)) == 0)
+                .count();
+            assert_eq!(missing, 0, "every submitted task ran");
+            let delta = scheduler.metrics().delta_since(&before);
+            assert_eq!(delta.tasks_injected as usize, TASKS);
+            assert_eq!(delta.total_executions() as usize, TASKS);
+        },
+    );
 }

@@ -197,7 +197,10 @@ fn task_storm_with_randomized_stealing() {
         });
         assert_eq!(counter.load(Ordering::Relaxed), 8 * 48);
         let m = scheduler.metrics();
-        assert_eq!(m.teams_formed, 0, "r = 1 storms must not touch team machinery");
+        assert_eq!(
+            m.teams_formed, 0,
+            "r = 1 storms must not touch team machinery"
+        );
         assert!(m.total_executions() >= 8 * 48);
     });
 }

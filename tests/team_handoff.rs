@@ -75,26 +75,41 @@ fn total(per_worker: &[AtomicU64; 2]) -> u64 {
 /// repeated `spawn_team(2)` wakes nobody.
 #[test]
 fn dense_stream_runs_without_parking_between_tasks() {
-    with_watchdog("dense_stream_runs_without_parking_between_tasks", WATCHDOG, || {
-        let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-        let scheduler = Scheduler::with_threads(2);
-        let (ran, delta) = dense_stream(&scheduler);
+    with_watchdog(
+        "dense_stream_runs_without_parking_between_tasks",
+        WATCHDOG,
+        || {
+            let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+            let scheduler = Scheduler::with_threads(2);
+            let (ran, delta) = dense_stream(&scheduler);
 
-        assert_eq!(total(&ran.singletons), SINGLETONS, "every singleton ran once");
-        for (worker, members) in ran.team_members.iter().enumerate() {
             assert_eq!(
-                members.load(Ordering::Relaxed),
-                TEAM_TASKS,
-                "worker {worker} ran every team task once"
+                total(&ran.singletons),
+                SINGLETONS,
+                "every singleton ran once"
             );
-        }
-        assert_eq!(delta.tasks_executed, SINGLETONS + 1, "{delta:?}");
-        assert_eq!(delta.team_tasks_executed, 2 * TEAM_TASKS, "{delta:?}");
-        assert_eq!(delta.team_reuses + delta.teams_built, TEAM_TASKS, "{delta:?}");
-        assert_eq!(delta.liveness_resyncs, 0, "{delta:?}");
-        assert!(delta.parks <= 64, "a park per hand-off is back: {delta:?}");
-        assert!(delta.wakeups <= 64, "a wake per hand-off is back: {delta:?}");
-    });
+            for (worker, members) in ran.team_members.iter().enumerate() {
+                assert_eq!(
+                    members.load(Ordering::Relaxed),
+                    TEAM_TASKS,
+                    "worker {worker} ran every team task once"
+                );
+            }
+            assert_eq!(delta.tasks_executed, SINGLETONS + 1, "{delta:?}");
+            assert_eq!(delta.team_tasks_executed, 2 * TEAM_TASKS, "{delta:?}");
+            assert_eq!(
+                delta.team_reuses + delta.teams_built,
+                TEAM_TASKS,
+                "{delta:?}"
+            );
+            assert_eq!(delta.liveness_resyncs, 0, "{delta:?}");
+            assert!(delta.parks <= 64, "a park per hand-off is back: {delta:?}");
+            assert!(
+                delta.wakeups <= 64,
+                "a wake per hand-off is back: {delta:?}"
+            );
+        },
+    );
 }
 
 /// The second worker steals the singletons queued beside the advertised team
@@ -104,31 +119,35 @@ fn dense_stream_runs_without_parking_between_tasks() {
 /// got their share (bounded attempts); exactly-once holds on every attempt.
 #[test]
 fn thief_takes_singletons_before_it_registers() {
-    with_watchdog("thief_takes_singletons_before_it_registers", WATCHDOG, || {
-        let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
-        const ATTEMPTS: usize = 20;
-        let scheduler = Scheduler::with_threads(2);
-        let mut seen = Vec::new();
-        for _ in 0..ATTEMPTS {
-            let (ran, delta) = dense_stream(&scheduler);
-            assert_eq!(total(&ran.singletons), SINGLETONS);
-            assert_eq!(total(&ran.team_members), 2 * TEAM_TASKS);
-            let least = ran
-                .singletons
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .min()
-                .expect("two workers");
-            if delta.steals > 0 && least * 20 >= SINGLETONS {
-                return;
+    with_watchdog(
+        "thief_takes_singletons_before_it_registers",
+        WATCHDOG,
+        || {
+            let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+            const ATTEMPTS: usize = 20;
+            let scheduler = Scheduler::with_threads(2);
+            let mut seen = Vec::new();
+            for _ in 0..ATTEMPTS {
+                let (ran, delta) = dense_stream(&scheduler);
+                assert_eq!(total(&ran.singletons), SINGLETONS);
+                assert_eq!(total(&ran.team_members), 2 * TEAM_TASKS);
+                let least = ran
+                    .singletons
+                    .iter()
+                    .map(|c| c.load(Ordering::Relaxed))
+                    .min()
+                    .expect("two workers");
+                if delta.steals > 0 && least * 20 >= SINGLETONS {
+                    return;
+                }
+                seen.push((delta.steals, least));
             }
-            seen.push((delta.steals, least));
-        }
-        panic!(
+            panic!(
             "one worker ran under 5 % of {SINGLETONS} singletons in each of {ATTEMPTS} streams \
              (steals, smaller share): {seen:?}"
         );
-    });
+        },
+    );
 }
 
 /// Marks task `i` as run and fails if it already was (one bit per task).
@@ -192,12 +211,18 @@ fn thief_takes_a_batch_from_a_long_queue_and_one_task_from_a_short_one() {
                 }
             });
             let delta = scheduler.metrics().delta_since(&before);
-            assert!(ran.all_ran(CHILDREN), "a flat-loop task was lost: {delta:?}");
+            assert!(
+                ran.all_ran(CHILDREN),
+                "a flat-loop task was lost: {delta:?}"
+            );
             assert_eq!(delta.tasks_executed, CHILDREN as u64 + 1, "{delta:?}");
             seen.push((delta.steals, delta.tasks_stolen));
             delta.tasks_stolen > delta.steals
         });
-        assert!(batched, "no steal took more than one task (steals, tasks stolen): {seen:?}");
+        assert!(
+            batched,
+            "no steal took more than one task (steals, tasks stolen): {seen:?}"
+        );
         let mut seen = Vec::new();
         let stole = (0..ATTEMPTS).any(|_| {
             let ran = Arc::new(RunOnce::new(TREE_TASKS));
@@ -206,11 +231,17 @@ fn thief_takes_a_batch_from_a_long_queue_and_one_task_from_a_short_one() {
             scheduler.run(move |ctx| tree(ctx, 0, &marks));
             let delta = scheduler.metrics().delta_since(&before);
             assert!(ran.all_ran(TREE_TASKS), "a tree task was lost: {delta:?}");
-            assert_eq!(delta.tasks_stolen, delta.steals, "a tree steal took a batch: {delta:?}");
+            assert_eq!(
+                delta.tasks_stolen, delta.steals,
+                "a tree steal took a batch: {delta:?}"
+            );
             seen.push(delta.steals);
             delta.steals > 0
         });
-        assert!(stole, "no tree was stolen from in {ATTEMPTS} attempts (steals): {seen:?}");
+        assert!(
+            stole,
+            "no tree was stolen from in {ATTEMPTS} attempts (steals): {seen:?}"
+        );
     });
 }
 
