@@ -9,6 +9,17 @@
 //! left here is the spin-then-yield prefix of those waits and of the short
 //! ones that never park, plus the round count and streak time the parking
 //! and stall-report paths read.
+//!
+//! A spin round of the prefix is not blind: it spins its `2^k` pauses in
+//! polls of four (`POLL_PAUSES`) and reads the wait's own condition between
+//! polls, ending the round as soon as the condition holds.  Exponential
+//! spacing keeps contending read-modify-writes apart (Anderson, "The
+//! Performance of Spin Lock Alternatives", IEEE TPDS 1990); every caller's
+//! condition here only loads, which never fails or retries the way a
+//! contended CAS does, so the round lengths only pace the escalation to
+//! yielding and parking.  A
+//! round counts as one round however it ends, so a wait in which nothing
+//! arrives keeps the same round count, duration and park schedule.
 
 use crate::sync::thread as shim_thread;
 use crate::sync::time::Instant;
@@ -18,21 +29,28 @@ use std::time::Duration;
 /// yielding.
 const SPIN_LIMIT: u32 = 6;
 
+/// Pauses a spin round spins between two polls of its condition: one poll
+/// of a few top-level atomics costs about what four pauses do.
+const POLL_PAUSES: u32 = 4;
+
 /// Exponential backoff helper.
 ///
 /// A `Backoff` value tracks how many unproductive rounds the caller has been
 /// through and escalates from busy spinning (`core::hint::spin_loop`) to
-/// `std::thread::yield_now`.
+/// `std::thread::yield_now`.  A spin round polls the caller's wait
+/// condition while it spins and ends early once it holds.
 ///
 /// ```
+/// use std::sync::atomic::{AtomicBool, Ordering};
 /// use teamsteal_util::Backoff;
 ///
+/// let flag = AtomicBool::new(false);
 /// let mut backoff = Backoff::new();
 /// for _ in 0..4 {
 ///     // ... some CAS failed / nothing to steal ...
-///     backoff.spin_light();
+///     backoff.spin_light(|| flag.load(Ordering::Relaxed));
 /// }
-/// assert!(backoff.rounds() >= 4);
+/// assert_eq!(backoff.rounds(), 4);
 /// backoff.reset();
 /// assert_eq!(backoff.rounds(), 0);
 /// ```
@@ -112,20 +130,41 @@ impl Backoff {
     }
 
     /// Performs one backoff round: spins for the first rounds, then yields.
-    /// Used on paths whose wait ends within a few operations of another
-    /// thread (a coordinator waiting for the start countdown `G` of an
-    /// already published task, a submitter waiting for an external pin
-    /// slot): a yield hands the CPU to that thread when it was preempted.
-    pub fn spin_light(&mut self) {
+    /// A spin round of `2^k` pauses polls `ready` — the caller's wait
+    /// condition, a pure read — every four pauses and returns as
+    /// soon as it holds; a yield round never calls it.  Either way the round
+    /// counts once.  A caller with no condition to poll passes `|| false`.
+    ///
+    /// Used as the prefix of the scheduler's parking waits and on paths
+    /// whose wait ends within a few operations of another thread (a
+    /// coordinator waiting for the start countdown `G` of an already
+    /// published task, a submitter waiting for an external pin slot): a
+    /// yield hands the CPU to that thread when it was preempted.
+    pub fn spin_light(&mut self, ready: impl FnMut() -> bool) {
         self.touch();
         if self.rounds <= SPIN_LIMIT {
-            for _ in 0..(1u32 << self.rounds) {
-                core::hint::spin_loop();
-            }
+            spin_polling(1 << self.rounds, ready, core::hint::spin_loop);
         } else {
             shim_thread::yield_now();
         }
         self.rounds = self.rounds.saturating_add(1);
+    }
+}
+
+/// Runs `pause` `pauses` times in polls of `POLL_PAUSES`, calling `ready`
+/// between two polls (not after the last: the caller checks its condition
+/// itself when the round ends) and stopping once it returns `true`.
+fn spin_polling(pauses: u32, mut ready: impl FnMut() -> bool, mut pause: impl FnMut()) {
+    let mut left = pauses;
+    loop {
+        let poll = left.min(POLL_PAUSES);
+        for _ in 0..poll {
+            pause();
+        }
+        left -= poll;
+        if left == 0 || ready() {
+            return;
+        }
     }
 }
 
@@ -139,11 +178,92 @@ mod tests {
         assert_eq!(b.rounds(), 0);
     }
 
+    /// `spin_polling` with a counting pause: `(pauses spun, ready calls)`.
+    fn polled_round(pauses: u32, holds_at_call: Option<u32>) -> (u32, u32) {
+        let (mut spun, mut calls) = (0, 0);
+        spin_polling(
+            pauses,
+            || {
+                calls += 1;
+                holds_at_call == Some(calls)
+            },
+            || spun += 1,
+        );
+        (spun, calls)
+    }
+
+    #[test]
+    fn a_condition_that_holds_at_the_first_poll_ends_the_round() {
+        let mut b = Backoff::new();
+        for _ in 0..SPIN_LIMIT {
+            b.spin_light(|| false);
+        }
+        let mut calls = 0;
+        b.spin_light(|| {
+            calls += 1;
+            true
+        });
+        assert_eq!(calls, 1, "the round stops polling once the condition holds");
+        assert_eq!(
+            b.rounds(),
+            SPIN_LIMIT + 1,
+            "an early end still counts one round"
+        );
+        assert_eq!(polled_round(1 << SPIN_LIMIT, Some(1)), (POLL_PAUSES, 1));
+        assert_eq!(polled_round(1 << SPIN_LIMIT, Some(3)), (3 * POLL_PAUSES, 3));
+    }
+
+    #[test]
+    fn a_condition_that_never_holds_leaves_every_round_full_length() {
+        let mut b = Backoff::new();
+        for k in 0..=SPIN_LIMIT {
+            let pauses = 1u32 << k;
+            let polls = pauses.div_ceil(POLL_PAUSES);
+            assert_eq!(polled_round(pauses, None), (pauses, polls - 1), "round {k}");
+            let mut calls = 0;
+            b.spin_light(|| {
+                calls += 1;
+                false
+            });
+            assert_eq!(calls, polls - 1, "round {k} checks between its polls");
+        }
+        assert_eq!(b.rounds(), SPIN_LIMIT + 1);
+    }
+
+    #[test]
+    fn yield_rounds_never_poll() {
+        let mut b = Backoff::new();
+        for _ in 0..=SPIN_LIMIT {
+            b.spin_light(|| false);
+        }
+        let mut calls = 0;
+        for _ in 0..10 {
+            b.spin_light(|| {
+                calls += 1;
+                true
+            });
+        }
+        assert_eq!(calls, 0);
+        assert_eq!(b.rounds(), SPIN_LIMIT + 11);
+    }
+
+    #[test]
+    fn the_park_schedule_counts_rounds_however_they_end() {
+        for holds in [false, true] {
+            let mut b = Backoff::new();
+            for _ in 0..16 {
+                assert!(!b.should_park(16));
+                b.spin_light(|| holds);
+            }
+            assert!(b.should_park(16), "condition {holds}");
+        }
+    }
+
     #[test]
     fn reset_returns_to_spin_phase() {
         let mut b = Backoff::new();
         for _ in 0..20 {
-            b.spin_light();
+            b.spin_light(|| false);
         }
         assert!(b.rounds() > SPIN_LIMIT, "20 rounds escalate past spinning");
         b.reset();
@@ -155,7 +275,7 @@ mod tests {
     fn rounds_saturate_instead_of_overflowing() {
         let mut b = Backoff::new();
         b.rounds = u32::MAX;
-        b.spin_light();
+        b.spin_light(|| false);
         assert_eq!(b.rounds(), u32::MAX);
     }
 
