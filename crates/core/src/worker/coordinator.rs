@@ -145,15 +145,13 @@ impl Worker {
                         // word, a thief drains the level, or the poll finds
                         // a partner event (DESIGN.md §12).
                         let mut polled = PollOutcome::Nothing;
-                        self.park_unless(
-                            ParkClass::Handshake,
-                            &mut backoff,
-                            |w| w.me().reg.load() != reg || w.me().queues[level].is_empty(),
-                            |w| {
-                                polled = w.poll_partners(me, team_size, level);
-                                polled != PollOutcome::Nothing
-                            },
-                        );
+                        self.park_unless(ParkClass::Handshake, &mut backoff, |w| {
+                            if w.me().reg.load() != reg || w.me().queues[level].is_empty() {
+                                return true;
+                            }
+                            polled = w.poll_partners(me, team_size, level);
+                            polled != PollOutcome::Nothing
+                        });
                         if polled != PollOutcome::Nothing {
                             return;
                         }
@@ -237,12 +235,9 @@ impl Worker {
             self.stall_report("wait_countdown", &backoff);
             // Park until the member whose decrement reaches zero notifies
             // us (member_step), shutdown broadcasts, or the backstop fires.
-            self.park_unless(
-                ParkClass::Handshake,
-                &mut backoff,
-                |w| w.me().publication.pending_pickups() == 0,
-                |_| false,
-            );
+            self.park_unless(ParkClass::Handshake, &mut backoff, |w| {
+                w.me().publication.pending_pickups() == 0
+            });
         }
     }
 
@@ -334,9 +329,7 @@ impl Worker {
             if self.pop_injected() || self.warm_steal_round() {
                 return true;
             }
-            // Every steal partner, of any policy and level, is another
-            // worker, so any set occupancy word may be a task to take.
-            self.unpinned_spin(&mut warm, Self::queued_work_visible);
+            self.unpinned_spin(&mut warm, |_| false);
         }
     }
 

@@ -52,11 +52,6 @@ impl Worker {
             // it; fall through to the validity checks.
         }
         let creg = self.shared.workers[cid].reg.load();
-        // What every wait below waits for: the coordinator's word changed or
-        // a newer publication exists (both top-level atomics).
-        let changed = move |w: &Self| {
-            w.shared.workers[cid].reg.load() != creg || w.read_publication(cid).is_some()
-        };
         // 2. Are we part of a formed team?  Then we only wait for work
         // (Section 3: "Teamed up threads are not allowed to do any
         // coordination work, except polling the coordinator") — parked on
@@ -64,7 +59,9 @@ impl Worker {
         // disbands.
         let teamed = creg.teamed as usize;
         if teamed > 1 && self.topo().team_for(cid, teamed).contains(&me) {
-            self.park_unless(ParkClass::Handshake, backoff, changed, |_| false);
+            self.park_unless(ParkClass::Handshake, backoff, |w| {
+                w.shared.workers[cid].reg.load() != creg || w.read_publication(cid).is_some()
+            });
             return;
         }
         // 3. Is our registration still valid and needed?
@@ -115,7 +112,11 @@ impl Worker {
                 // lands, or a partner event (checked by one more poll after
                 // prepare) needs handling.
                 let mut polled = PollOutcome::Nothing;
-                self.park_unless(ParkClass::Handshake, backoff, changed, |w| {
+                self.park_unless(ParkClass::Handshake, backoff, |w| {
+                    if w.shared.workers[cid].reg.load() != creg || w.read_publication(cid).is_some()
+                    {
+                        return true;
+                    }
                     polled = w.poll_partners(cid, required, req_level);
                     polled != PollOutcome::Nothing
                 });

@@ -41,9 +41,9 @@ use shared::{WorkerShared, INJECT_HOME};
 /// an eventcount park (DESIGN.md §12): seven short spins, then yields — a few
 /// microseconds in all.  The prefix keeps short contention windows — a steal
 /// that will succeed on the next attempt, a countdown about to hit zero —
-/// off the parking path entirely.  A spin round polls the site's wait
-/// condition every four pauses and ends once it holds; it still counts as a
-/// round, so the park comes after the same 16 rounds whether rounds end
+/// off the parking path entirely.  An idle wait's spin round checks the
+/// injector every four pauses and ends once it is non-empty; it still counts
+/// as a round, so the park comes after the same 16 rounds whether rounds end
 /// early or not.  It is the whole prefix of an *idle* park; a handshake park
 /// goes on yielding until [`HANDSHAKE_POLL`] has passed.
 const PARK_SPIN_ROUNDS: u32 = 16;

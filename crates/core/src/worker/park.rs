@@ -15,12 +15,10 @@ use super::{Worker, HANDSHAKE_POLL, LAST_SEARCHER_EXTRA_ROUNDS, PARK_BACKSTOP, P
 impl Worker {
     /// One spin/yield round of a blocking site's pre-park prefix, with the
     /// epoch pin released around the (potentially descheduling) yield so a
-    /// preempted worker never blocks the global epoch.  A spin round polls
-    /// `ready`, the site's wait condition, and ends as soon as it holds
-    /// (`Backoff::spin_light`); because it runs unpinned, `ready` may only
-    /// read top-level atomics, never dereference epoch-protected memory.
-    /// The caller's next protected access happens after the repin (a fresh
-    /// quiescent point).
+    /// preempted worker never blocks the global epoch.  A spin round ends
+    /// early once `ready` holds (`Backoff::spin_light`); because it runs
+    /// unpinned, `ready` may read only top-level atomics.  The caller's next
+    /// protected access happens after the repin (a fresh quiescent point).
     pub(super) fn unpinned_spin(&self, backoff: &mut Backoff, ready: impl Fn(&Self) -> bool) {
         self.participant.unpin();
         backoff.spin_light(|| ready(self));
@@ -33,11 +31,7 @@ impl Worker {
     /// what it waits for is a partner already on its way — then the park
     /// protocol (prepare → recheck → commit, DESIGN.md §12): block on this
     /// worker's eventcount slot unless the scheduler is shutting down or
-    /// the caller's full wait condition finds something to do.  That
-    /// condition has two parts: `ready`, a pure read of top-level atomics
-    /// that the prefix's spin rounds also poll (see
-    /// [`unpinned_spin`](Self::unpinned_spin)), and `act`, which may act on
-    /// what it finds (`pollPartners`) and so runs only in the recheck.
+    /// `recheck`, the caller's full wait condition, finds something to do.
     /// The recheck runs *after* the prepare announced this worker as a
     /// sleeper, so a producer that publishes after it is guaranteed to
     /// observe a sleeper and wake it (§12 rows A/B); anything published
@@ -48,17 +42,16 @@ impl Worker {
         &mut self,
         class: ParkClass,
         backoff: &mut Backoff,
-        ready: impl Fn(&Self) -> bool,
-        act: impl FnOnce(&mut Self) -> bool,
+        recheck: impl FnOnce(&mut Self) -> bool,
     ) {
         if !backoff.should_park(PARK_SPIN_ROUNDS)
             || (class == ParkClass::Handshake && backoff.unproductive_for() < HANDSHAKE_POLL)
         {
-            self.unpinned_spin(backoff, ready);
+            self.unpinned_spin(backoff, |_| false);
             return;
         }
         let ticket = self.shared.sleep.prepare(class);
-        if self.shared.shutdown.load(Ordering::Acquire) || ready(self) || act(self) {
+        if self.shared.shutdown.load(Ordering::Acquire) || recheck(self) {
             self.shared.sleep.cancel(class);
         } else {
             // Never sleep holding a scope: our last finish may have completed
@@ -111,12 +104,18 @@ impl Worker {
         }
     }
 
-    /// One idle blocking round: spin/yield prefix (its spin rounds end as
-    /// soon as [`work_hints_visible`](Self::work_hints_visible) holds),
-    /// bounded last-searcher stay-awake, then the eventcount park protocol
+    /// One idle blocking round: spin/yield prefix, bounded last-searcher
+    /// stay-awake, then the eventcount park protocol
     /// (prepare → recheck → commit) of DESIGN.md §12.
     pub(super) fn idle_park(&mut self, idle: &mut Backoff) {
         debug_assert!(self.searching);
+        // The prefix's spin rounds end once the injector is non-empty:
+        // submitted tasks arrive there, and the poll's cost does not grow
+        // with the number of workers the way `work_hints_visible` does.
+        if !idle.should_park(PARK_SPIN_ROUNDS) {
+            self.unpinned_spin(idle, |w| !w.shared.injector.is_empty());
+            return;
+        }
         // Bounded "last searcher stays awake": while this is the only
         // searching worker and work hints are visible, burn a few more
         // steal rounds instead of trading the whole pool's steal throughput
@@ -124,18 +123,15 @@ impl Worker {
         // unhealed occupancy hint must not pin us to the CPU forever — the
         // eventcount makes parking with work present merely slower, never
         // incorrect.
-        if idle.should_park(PARK_SPIN_ROUNDS)
-            && self.shared.sleep.is_last_searcher()
+        if self.shared.sleep.is_last_searcher()
             && self.last_searcher_rounds < LAST_SEARCHER_EXTRA_ROUNDS
             && self.work_hints_visible()
         {
-            // Hints are already visible here: polling them would cut the
-            // round short, so it polls no condition.
             self.last_searcher_rounds += 1;
             self.unpinned_spin(idle, |_| false);
             return;
         }
-        self.park_unless(ParkClass::Idle, idle, Self::work_hints_visible, |_| false);
+        self.park_unless(ParkClass::Idle, idle, |w| w.work_hints_visible());
     }
 
     /// Cheap scan for any sign of obtainable work: a queued injector
@@ -144,30 +140,22 @@ impl Worker {
     /// (occupancy words, registration words, injector indices), so it is
     /// safe while unpinned and cheap enough to run as the park recheck.
     fn work_hints_visible(&self) -> bool {
-        if self.queued_work_visible() {
+        if !self.shared.injector.is_empty() {
             return true;
         }
-        self.shared.workers.iter().enumerate().any(|(other, w)| {
+        for (other, w) in self.shared.workers.iter().enumerate() {
             if other == self.id {
-                return false;
+                continue;
+            }
+            if w.occupancy.load(Ordering::Relaxed) != 0 {
+                return true;
             }
             let reg = w.reg.load();
             let required = reg.required as usize;
-            required > 1 && !reg.is_complete() && self.topo().overlap(other, self.id, required)
-        })
-    }
-
-    /// The queue half of [`work_hints_visible`](Self::work_hints_visible):
-    /// a queued injector element or a possibly non-empty foreign queue —
-    /// what a steal round, or the warm hold's restricted one, could take.
-    /// Top-level atomics only.
-    pub(super) fn queued_work_visible(&self) -> bool {
-        !self.shared.injector.is_empty()
-            || self
-                .shared
-                .workers
-                .iter()
-                .enumerate()
-                .any(|(other, w)| other != self.id && w.occupancy.load(Ordering::Relaxed) != 0)
+            if required > 1 && !reg.is_complete() && self.topo().overlap(other, self.id, required) {
+                return true;
+            }
+        }
+        false
     }
 }

@@ -275,19 +275,15 @@ impl ExternalPins {
                 return result;
             }
             // All slots claimed: more threads are mid-injection right now
-            // than the pool has slots.  Spin (a spin round ends once a slot
-            // reads free), then yield, and rescan — a slot frees after one
-            // queue operation, and a yield lets a preempted holder finish
-            // it.  Count the episode so saturation is observable.
+            // than the pool has slots.  Spin, then yield, and rescan — a
+            // slot frees after one queue operation, and a yield lets a
+            // preempted holder finish it.  Count the episode so saturation
+            // is observable.
             if !waited {
                 waited = true;
                 self.pin_waits.fetch_add(1, Ordering::Relaxed);
             }
-            backoff.spin_light(|| {
-                self.slots
-                    .iter()
-                    .any(|slot| !slot.busy.load(Ordering::Relaxed))
-            });
+            backoff.spin_light(|| false);
         }
     }
 }

@@ -10,16 +10,18 @@
 //! ones that never park, plus the round count and streak time the parking
 //! and stall-report paths read.
 //!
-//! A spin round of the prefix is not blind: it spins its `2^k` pauses in
-//! polls of four (`POLL_PAUSES`) and reads the wait's own condition between
-//! polls, ending the round as soon as the condition holds.  Exponential
-//! spacing keeps contending read-modify-writes apart (Anderson, "The
-//! Performance of Spin Lock Alternatives", IEEE TPDS 1990); every caller's
-//! condition here only loads, which never fails or retries the way a
-//! contended CAS does, so the round lengths only pace the escalation to
-//! yielding and parking.  A
-//! round counts as one round however it ends, so a wait in which nothing
-//! arrives keeps the same round count, duration and park schedule.
+//! A spin round need not be blind: it spins its `2^k` pauses in polls of
+//! four (`POLL_PAUSES`) and reads the caller's condition between polls,
+//! ending the round as soon as the condition holds.  Exponential spacing
+//! keeps contending read-modify-writes apart (Anderson, "The Performance of
+//! Spin Lock Alternatives", IEEE TPDS 1990); a condition that only loads
+//! never fails or retries the way a contended CAS does, so the round
+//! lengths only pace the escalation to yielding and parking.  A round counts
+//! as one round however it ends, so when the condition never holds the
+//! round count, duration and park schedule are those of a blind spin.  A
+//! condition that holds without the caller being able to act on it ends
+//! every spin round after four pauses, and the caller reaches its yields
+//! sooner.
 
 use crate::sync::thread as shim_thread;
 use crate::sync::time::Instant;
