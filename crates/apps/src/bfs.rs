@@ -178,11 +178,11 @@ pub const MIN_EDGES_PER_MEMBER: usize = 4 * 1024;
 
 /// Mixed-mode level-synchronous BFS (see the module documentation).
 pub fn bfs_mixed(scheduler: &Scheduler, graph: &CsrGraph, source: u32) -> Vec<u32> {
-    bfs_mixed_with(scheduler, graph, source, MIN_EDGES_PER_MEMBER)
+    bfs_with_floor(scheduler, graph, source, MIN_EDGES_PER_MEMBER)
 }
 
-/// [`bfs_mixed`] with an explicit work-per-member threshold.
-pub fn bfs_mixed_with(
+/// [`bfs_mixed`] with the per-level edges-per-member floor as a parameter.
+fn bfs_with_floor(
     scheduler: &Scheduler,
     graph: &CsrGraph,
     source: u32,
@@ -344,7 +344,7 @@ mod tests {
                 let s = Scheduler::with_threads(4);
                 let g = CsrGraph::grid(300, 200);
                 let reference = bfs_sequential(&g, 0);
-                let got = bfs_mixed_with(&s, &g, 0, 128);
+                let got = bfs_with_floor(&s, &g, 0, 128);
                 assert_eq!(got, reference);
                 assert!(
                     s.metrics().teams_formed > 0,
@@ -382,7 +382,7 @@ mod tests {
             let g = CsrGraph::random(20_000, 8, 77);
             for source in [0u32, 17, 9999] {
                 assert_eq!(
-                    bfs_mixed_with(&s, &g, source, 256),
+                    bfs_with_floor(&s, &g, source, 256),
                     bfs_sequential(&g, source)
                 );
             }
@@ -394,7 +394,7 @@ mod tests {
         with_watchdog("non_power_of_two_threads", WATCHDOG, || {
             let s = Scheduler::with_threads(3);
             let g = CsrGraph::grid(150, 150);
-            assert_eq!(bfs_mixed_with(&s, &g, 42, 128), bfs_sequential(&g, 42));
+            assert_eq!(bfs_with_floor(&s, &g, 42, 128), bfs_sequential(&g, 42));
         });
     }
 
@@ -415,7 +415,7 @@ mod tests {
             let g = CsrGraph::random(n, avg_degree, seed);
             let source = source_pick % n as u32;
             let s = Scheduler::with_threads(2);
-            let got = bfs_mixed_with(&s, &g, source, floor);
+            let got = bfs_with_floor(&s, &g, source, floor);
             prop_assert_eq!(got, bfs_sequential(&g, source));
         }
     }

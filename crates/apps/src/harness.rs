@@ -45,12 +45,11 @@ use teamsteal_data::Distribution;
 use teamsteal_util::rng::Xoshiro256;
 use teamsteal_util::timing::time;
 
-use crate::bfs::{bfs_mixed_with, bfs_sequential, CsrGraph};
-use crate::histogram::{histogram_mixed_with, histogram_sequential};
-use crate::matmul::{matmul_mixed_with, matmul_sequential, Matrix};
-use crate::reduce::{reduce_sequential, team_reduce_with};
-use crate::scan::{scan_with, sequential_scan};
-use crate::stencil::{jacobi_mixed, jacobi_sequential, StencilConfig};
+use crate::bfs::{bfs_mixed, bfs_sequential, CsrGraph};
+use crate::histogram::{histogram_mixed, histogram_sequential};
+use crate::matmul::{matmul_mixed, matmul_sequential, Matrix};
+use crate::reduce::{reduce_sequential, team_reduce};
+use crate::scan::{inclusive_scan_mixed, sequential_scan};
 
 /// The application kernels covered by the perf harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,8 +60,6 @@ pub enum Kernel {
     Scan,
     /// Blocked dense matrix multiplication ([`crate::matmul`]).
     MatMul,
-    /// Iterative 1-D Jacobi stencil ([`crate::stencil`]).
-    Stencil,
     /// Level-synchronous breadth-first search ([`crate::bfs`]).
     Bfs,
     /// Bucket counting ([`crate::histogram`]).
@@ -71,11 +68,10 @@ pub enum Kernel {
 
 impl Kernel {
     /// Every kernel, in the order the perf harness sweeps them.
-    pub const ALL: [Kernel; 6] = [
+    pub const ALL: [Kernel; 5] = [
         Kernel::Reduce,
         Kernel::Scan,
         Kernel::MatMul,
-        Kernel::Stencil,
         Kernel::Bfs,
         Kernel::Histogram,
     ];
@@ -86,15 +82,11 @@ impl Kernel {
             Kernel::Reduce => "reduce",
             Kernel::Scan => "scan",
             Kernel::MatMul => "matmul",
-            Kernel::Stencil => "stencil",
             Kernel::Bfs => "bfs",
             Kernel::Histogram => "histogram",
         }
     }
 }
-
-/// Number of Jacobi sweeps every stencil workload performs.
-const STENCIL_SWEEPS: usize = 10;
 
 /// Histogram bucket count.
 const HISTOGRAM_BUCKETS: usize = 256;
@@ -110,12 +102,6 @@ enum Payload {
     },
     /// Histogram keys with expected bucket counts.
     Keys { data: Vec<u32>, expected: Vec<u64> },
-    /// Stencil grid with the expected post-iteration grid.
-    Grid {
-        data: Vec<f64>,
-        config: StencilConfig,
-        expected: Vec<f64>,
-    },
     /// Matmul operands with the expected product.
     Matrices {
         a: Matrix,
@@ -131,7 +117,6 @@ enum Payload {
 pub struct Workload {
     kernel: Kernel,
     size: usize,
-    min_per_member: usize,
     payload: Payload,
 }
 
@@ -140,16 +125,13 @@ impl Workload {
     /// deterministically from `seed`, and computes the expected output.
     ///
     /// `size` is the element count for the linear kernels (reduce, scan,
-    /// histogram, stencil), the vertex count of a random graph of mean
-    /// out-degree 8 for BFS (wide levels, so teams form), and a work budget
-    /// for matmul, whose square operands have dimension `2·∛size`.  The
-    /// per-member team threshold scales down with `size` so that even
-    /// smoke-sized workloads exercise the team path.
+    /// histogram), the vertex count of a random graph of mean out-degree 8
+    /// for BFS (wide levels, so teams form), and a work budget for matmul,
+    /// whose square operands have dimension `2·∛size`.  The mixed side runs
+    /// each kernel's own floor, so a workload below it measures the
+    /// sequential path on both sides.
     pub fn prepare(kernel: Kernel, size: usize, seed: u64) -> Self {
         let size = size.max(16);
-        // Thresholds tuned so that a perf-sized run (~2^19 elements) uses
-        // the kernels' defaults while a smoke-sized run still builds teams.
-        let min_per_member = (size / 16).clamp(128, 8 * 1024);
         let mut rng = Xoshiro256::new(seed ^ 0x7ea_57ea1);
         let payload = match kernel {
             Kernel::Reduce => {
@@ -175,20 +157,6 @@ impl Workload {
                 let expected = histogram_sequential(&data, HISTOGRAM_BUCKETS);
                 Payload::Keys { data, expected }
             }
-            Kernel::Stencil => {
-                let data: Vec<f64> = (0..size).map(|_| rng.next_f64()).collect();
-                let config = StencilConfig {
-                    sweeps: STENCIL_SWEEPS,
-                    alpha: 0.25,
-                    min_cells_per_member: min_per_member,
-                };
-                let expected = jacobi_sequential(&data, &config);
-                Payload::Grid {
-                    data,
-                    config,
-                    expected,
-                }
-            }
             Kernel::MatMul => {
                 let dim = (((size as f64).cbrt() as usize) * 2).max(8);
                 let mut gen = |_r: usize, _c: usize| rng.next_f64() - 0.5;
@@ -206,7 +174,6 @@ impl Workload {
         Workload {
             kernel,
             size,
-            min_per_member,
             payload,
         }
     }
@@ -238,14 +205,13 @@ impl Workload {
         } else {
             "sequential"
         };
-        let floor = black_box(self.min_per_member);
         let add = |a: u64, b: u64| a + b;
         match &self.payload {
             Payload::ReduceInts { data, expected_sum } => {
                 let data = black_box(data.as_slice());
                 let (d, total) = time(|| match scheduler {
                     None => reduce_sequential(data, 0, add),
-                    Some(s) => team_reduce_with(s, data, 0, add, floor),
+                    Some(s) => team_reduce(s, data, 0, add),
                 });
                 assert_eq!(total, *expected_sum, "{side} reduce mismatch");
                 d
@@ -258,7 +224,7 @@ impl Workload {
                 let mut out = vec![0u64; data.len()];
                 let (d, ()) = time(|| match scheduler {
                     None => sequential_scan(data, &mut out, 0, &add, true),
-                    Some(s) => scan_with(s, data, &mut out, 0, add, true, floor),
+                    Some(s) => inclusive_scan_mixed(s, data, &mut out, 0, add),
                 });
                 assert_eq!(&out, expected_scan, "{side} scan mismatch");
                 d
@@ -267,32 +233,16 @@ impl Workload {
                 let (data, buckets) = black_box((data.as_slice(), HISTOGRAM_BUCKETS));
                 let (d, out) = time(|| match scheduler {
                     None => histogram_sequential(data, buckets),
-                    Some(s) => histogram_mixed_with(s, data, buckets, floor),
+                    Some(s) => histogram_mixed(s, data, buckets),
                 });
                 assert_eq!(&out, expected, "{side} histogram mismatch");
                 d
             }
-            Payload::Grid {
-                data,
-                config,
-                expected,
-            } => {
-                let (data, config) = black_box((data.as_slice(), config));
-                let (d, out) = time(|| match scheduler {
-                    None => jacobi_sequential(data, config),
-                    Some(s) => jacobi_mixed(s, data, config),
-                });
-                assert_grids_close(&out, expected, &format!("{side} stencil"));
-                d
-            }
             Payload::Matrices { a, b, expected } => {
                 let (a, b) = black_box((a, b));
-                // The flops threshold mirrors `min_per_member`, scaled by the
-                // ~2·k flops each output element costs.
-                let min_flops = floor * 2 * a.cols();
                 let (d, out) = time(|| match scheduler {
                     None => matmul_sequential(a, b),
-                    Some(s) => matmul_mixed_with(s, a, b, min_flops),
+                    Some(s) => matmul_mixed(s, a, b),
                 });
                 assert!(
                     out.max_abs_diff(expected) <= matmul_tolerance(a),
@@ -304,7 +254,7 @@ impl Workload {
                 let (graph, source) = black_box((graph, 0));
                 let (d, out) = time(|| match scheduler {
                     None => bfs_sequential(graph, source),
-                    Some(s) => bfs_mixed_with(s, graph, source, floor),
+                    Some(s) => bfs_mixed(s, graph, source),
                 });
                 assert_eq!(&out, expected, "{side} BFS mismatch");
                 d
@@ -317,16 +267,6 @@ impl Workload {
 /// reassociate the `k`-dimension sum, so exact equality is not guaranteed.
 fn matmul_tolerance(a: &Matrix) -> f64 {
     1e-9 * a.cols() as f64
-}
-
-fn assert_grids_close(out: &[f64], expected: &[f64], what: &str) {
-    assert_eq!(out.len(), expected.len(), "{what}: length mismatch");
-    for (i, (&x, &y)) in out.iter().zip(expected).enumerate() {
-        assert!(
-            (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0),
-            "{what}: cell {i} diverged ({x} vs {y})"
-        );
-    }
 }
 
 #[cfg(test)]

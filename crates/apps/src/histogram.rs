@@ -41,11 +41,11 @@ pub fn bucket_of(x: u32, num_buckets: usize) -> usize {
 /// cooperative merge (see the module documentation).  Falls back to the
 /// sequential implementation for small inputs.
 pub fn histogram_mixed(scheduler: &Scheduler, data: &[u32], num_buckets: usize) -> Vec<u64> {
-    histogram_mixed_with(scheduler, data, num_buckets, MIN_ELEMENTS_PER_MEMBER)
+    histogram_with_floor(scheduler, data, num_buckets, MIN_ELEMENTS_PER_MEMBER)
 }
 
-/// [`histogram_mixed`] with an explicit work-per-member threshold.
-pub fn histogram_mixed_with(
+/// [`histogram_mixed`] with the per-member floor as a parameter.
+fn histogram_with_floor(
     scheduler: &Scheduler,
     data: &[u32],
     num_buckets: usize,
@@ -148,7 +148,7 @@ mod tests {
                 let s = Scheduler::with_threads(4);
                 for d in Distribution::ALL {
                     let data = d.generate(150_000, 4, 5);
-                    let got = histogram_mixed_with(&s, &data, 64, 1024);
+                    let got = histogram_with_floor(&s, &data, 64, 1024);
                     let reference = histogram_sequential(&data, 64);
                     assert_eq!(got, reference, "{d:?} histogram mismatch");
                     assert_eq!(got.iter().sum::<u64>(), data.len() as u64);
@@ -168,7 +168,7 @@ mod tests {
             // the output.
             let s = Scheduler::with_threads(4);
             let data = Distribution::Random.generate(120_000, 4, 6);
-            let got = histogram_mixed_with(&s, &data, 2, 1024);
+            let got = histogram_with_floor(&s, &data, 2, 1024);
             assert_eq!(got, histogram_sequential(&data, 2));
         });
     }
@@ -178,7 +178,7 @@ mod tests {
         with_watchdog("non_power_of_two_threads", WATCHDOG, || {
             let s = Scheduler::with_threads(3);
             let data = Distribution::Gauss.generate(100_000, 3, 7);
-            let got = histogram_mixed_with(&s, &data, 31, 1024);
+            let got = histogram_with_floor(&s, &data, 31, 1024);
             assert_eq!(got, histogram_sequential(&data, 31));
         });
     }
@@ -192,7 +192,7 @@ mod tests {
             buckets in 1usize..64,
         ) {
             let s = Scheduler::with_threads(2);
-            let got = histogram_mixed_with(&s, &data, buckets, 64);
+            let got = histogram_with_floor(&s, &data, buckets, 64);
             prop_assert_eq!(got, histogram_sequential(&data, buckets));
         }
 

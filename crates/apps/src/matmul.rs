@@ -160,12 +160,11 @@ const BAND_ROWS: usize = 64;
 ///
 /// Panics if the inner dimensions do not match.
 pub fn matmul_mixed(scheduler: &Scheduler, a: &Matrix, b: &Matrix) -> Matrix {
-    matmul_mixed_with(scheduler, a, b, MIN_FLOPS_PER_MEMBER)
+    matmul_with_floor(scheduler, a, b, MIN_FLOPS_PER_MEMBER)
 }
 
-/// [`matmul_mixed`] with an explicit flops-per-member threshold (exposed for
-/// the benchmark harness's team-size ablation).
-pub fn matmul_mixed_with(
+/// [`matmul_mixed`] with the per-member flops floor as a parameter.
+fn matmul_with_floor(
     scheduler: &Scheduler,
     a: &Matrix,
     b: &Matrix,
@@ -313,7 +312,7 @@ mod tests {
             let b = random_matrix(96, 128, 10);
             let reference = matmul_sequential(&a, &b);
             // Force a low threshold so bands become team tasks.
-            let c = matmul_mixed_with(&s, &a, &b, 1 << 12);
+            let c = matmul_with_floor(&s, &a, &b, 1 << 12);
             assert!(c.max_abs_diff(&reference) < 1e-9);
             assert!(s.metrics().teams_formed > 0, "bands must run as team tasks");
         });
@@ -326,7 +325,7 @@ mod tests {
             let a = random_matrix(130, 70, 11);
             let b = random_matrix(70, 90, 12);
             let reference = matmul_sequential(&a, &b);
-            let c = matmul_mixed_with(&s, &a, &b, 1 << 12);
+            let c = matmul_with_floor(&s, &a, &b, 1 << 12);
             assert!(c.max_abs_diff(&reference) < 1e-9);
         });
     }
@@ -345,7 +344,7 @@ mod tests {
             let a = random_matrix(m, k, seed);
             let b = random_matrix(k, n, seed ^ 0xABCD);
             let reference = matmul_sequential(&a, &b);
-            let c = matmul_mixed_with(&s, &a, &b, 1 << 10);
+            let c = matmul_with_floor(&s, &a, &b, 1 << 10);
             prop_assert!(c.max_abs_diff(&reference) < 1e-9);
         }
     }

@@ -13,6 +13,7 @@
 //! still leaves every member a meaningful amount of work, and plain
 //! sequential execution below that threshold.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use teamsteal_core::Scheduler;
@@ -48,12 +49,11 @@ where
     T: Copy + Send + Sync + 'static,
     F: Fn(T, T) -> T + Send + Sync + 'static,
 {
-    team_reduce_with(scheduler, data, identity, combine, MIN_ELEMENTS_PER_MEMBER)
+    reduce_with_floor(scheduler, data, identity, combine, MIN_ELEMENTS_PER_MEMBER)
 }
 
-/// Like [`team_reduce`] with an explicit work-per-member threshold, exposed
-/// for the benchmark harness's ablation over the team-size policy.
-pub fn team_reduce_with<T, F>(
+/// [`team_reduce`] with the per-member floor as a parameter.
+fn reduce_with_floor<T, F>(
     scheduler: &Scheduler,
     data: &[T],
     identity: T,
@@ -65,38 +65,64 @@ where
     F: Fn(T, T) -> T + Send + Sync + 'static,
 {
     let n = data.len();
+    let input = SendConstPtr::from_slice(data);
+    let fold = move |range: Range<usize>, combine: &F| {
+        // SAFETY: `data` outlives the blocking `team_fold` call, and nobody
+        // mutates it while the fold reads it.
+        let slice = unsafe { input.slice(n) };
+        reduce_sequential(&slice[range], identity, combine)
+    };
+    team_fold(scheduler, n, min_per_member, identity, combine, fold)
+}
+
+/// Sequential reference: `data` folded with `combine` from `identity`, the
+/// path [`team_reduce`] takes below its team floor.
+pub(crate) fn reduce_sequential<T, F>(data: &[T], identity: T, combine: F) -> T
+where
+    T: Copy,
+    F: Fn(T, T) -> T,
+{
+    data.iter().copied().fold(identity, combine)
+}
+
+/// The team body of every reduction: `fold` turns a range of `0..n` into a
+/// partial result.  At or above the floor one team task gives each member
+/// its chunk of the range, and the barrier leader combines the partials
+/// left to right; below it `fold(0..n)` runs on the caller.
+fn team_fold<T, F, C>(
+    scheduler: &Scheduler,
+    n: usize,
+    min_per_member: usize,
+    identity: T,
+    combine: C,
+    fold: F,
+) -> T
+where
+    T: Copy + Send + Sync + 'static,
+    F: Fn(Range<usize>, &C) -> T + Send + Sync + 'static,
+    C: Fn(T, T) -> T + Send + Sync + 'static,
+{
     if n == 0 {
         return identity;
     }
     let p = scheduler.num_threads();
     let team = best_team_size(n, min_per_member, p);
     if team <= 1 {
-        return reduce_sequential(data, identity, combine);
+        return fold(0..n, &combine);
     }
 
-    let input = SendConstPtr::from_slice(data);
     // Slots are sized to the machine, not the request: on non power-of-two
     // machines (Refinement 3) the executing team may be the enclosing
     // hierarchy group and therefore larger than `team`.
     let partials = Arc::new(TeamSlots::new(p, identity));
     let result = Arc::new(TeamSlots::new(1, identity));
-    let combine = Arc::new(combine);
-
     {
         let partials = Arc::clone(&partials);
         let result = Arc::clone(&result);
-        let combine = Arc::clone(&combine);
         scheduler.run_team(team, move |ctx| {
             let members = ctx.team_size();
             let me = ctx.local_id();
-            // SAFETY: `data` outlives the enclosing scope (run_team blocks),
-            // and nobody mutates it while the team reads it.
-            let slice = unsafe { input.slice(n) };
-            let range = chunk_range(n, members, me);
-            let mut acc = identity;
-            for &x in &slice[range] {
-                acc = combine(acc, x);
-            }
+            let acc = fold(chunk_range(n, members, me), &combine);
             // SAFETY: slot `me` is written only by this member before the
             // barrier.
             unsafe { partials.write(me, acc) };
@@ -117,16 +143,6 @@ where
     // wrote the result) has finished; scope completion orders that write
     // before this read.
     unsafe { result.read(0) }
-}
-
-/// Sequential reference: `data` folded with `combine` from `identity`, the
-/// path [`team_reduce_with`] takes below its team floor.
-pub(crate) fn reduce_sequential<T, F>(data: &[T], identity: T, combine: F) -> T
-where
-    T: Copy,
-    F: Fn(T, T) -> T,
-{
-    data.iter().copied().fold(identity, combine)
 }
 
 /// Sum of a `u64` slice via a team reduction.
@@ -163,48 +179,26 @@ pub fn dot_product(scheduler: &Scheduler, a: &[f64], b: &[f64]) -> f64 {
         "dot product requires equally long vectors"
     );
     let n = a.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let p = scheduler.num_threads();
-    let team = best_team_size(n, MIN_ELEMENTS_PER_MEMBER, p);
-    if team <= 1 {
-        return a.iter().zip(b).map(|(x, y)| x * y).sum();
-    }
-
-    let pa = SendConstPtr::from_slice(a);
-    let pb = SendConstPtr::from_slice(b);
-    let partials = Arc::new(TeamSlots::new(p, 0.0f64));
-    let result = Arc::new(TeamSlots::new(1, 0.0f64));
-    {
-        let partials = Arc::clone(&partials);
-        let result = Arc::clone(&result);
-        scheduler.run_team(team, move |ctx| {
-            let members = ctx.team_size();
-            let me = ctx.local_id();
-            // SAFETY: both inputs outlive the blocking run_team call and are
-            // never mutated.
-            let (a, b) = unsafe { (pa.slice(n), pb.slice(n)) };
-            let range = chunk_range(n, members, me);
-            let mut acc = 0.0;
-            for i in range {
-                acc += a[i] * b[i];
-            }
-            // SAFETY: slot `me` is exclusive to this member before the barrier.
-            unsafe { partials.write(me, acc) };
-            if ctx.barrier() {
-                let mut total = 0.0;
-                for i in 0..members {
-                    // SAFETY: written before the barrier by each member.
-                    total += unsafe { partials.read(i) };
-                }
-                // SAFETY: single leader writes the result.
-                unsafe { result.write(0, total) };
-            }
-        });
-    }
-    // SAFETY: ordered by scope completion.
-    unsafe { result.read(0) }
+    let (pa, pb) = (SendConstPtr::from_slice(a), SendConstPtr::from_slice(b));
+    let products = move |range: Range<usize>| -> f64 {
+        // SAFETY: both inputs outlive the blocking `team_fold` call and are
+        // never mutated.
+        let (a, b) = unsafe { (pa.slice(n), pb.slice(n)) };
+        a[range.clone()]
+            .iter()
+            .zip(&b[range])
+            .map(|(x, y)| x * y)
+            .sum()
+    };
+    let add = |x, y| x + y;
+    team_fold(
+        scheduler,
+        n,
+        MIN_ELEMENTS_PER_MEMBER,
+        0.0,
+        add,
+        move |r, _| products(r),
+    )
 }
 
 #[cfg(test)]
@@ -252,7 +246,10 @@ mod tests {
                 let s = scheduler();
                 let data: Vec<u64> = (0..200_000).map(|i| i % 1000).collect();
                 let expected: u64 = data.iter().sum();
-                assert_eq!(team_reduce_with(&s, &data, 0, |a, b| a + b, 1024), expected);
+                assert_eq!(
+                    reduce_with_floor(&s, &data, 0, |a, b| a + b, 1024),
+                    expected
+                );
                 let m = s.metrics();
                 assert!(
                     m.teams_formed > 0,
@@ -316,7 +313,7 @@ mod tests {
             let s = Scheduler::with_threads(3);
             let data: Vec<u64> = (0..150_000).map(|i| i % 7).collect();
             assert_eq!(
-                team_reduce_with(&s, &data, 0, |a, b| a + b, 1024),
+                reduce_with_floor(&s, &data, 0, |a, b| a + b, 1024),
                 data.iter().sum::<u64>()
             );
         });
@@ -329,14 +326,14 @@ mod tests {
         fn prop_sum_matches_sequential(data in proptest::collection::vec(0u64..1_000, 0..4_000)) {
             let s = Scheduler::with_threads(2);
             // Force small chunks so teams form even for modest inputs.
-            let got = team_reduce_with(&s, &data, 0, |a, b| a + b, 64);
+            let got = reduce_with_floor(&s, &data, 0, |a, b| a + b, 64);
             prop_assert_eq!(got, data.iter().sum::<u64>());
         }
 
         #[test]
         fn prop_min_matches_sequential(data in proptest::collection::vec(any::<u64>(), 1..2_000)) {
             let s = Scheduler::with_threads(2);
-            let got = team_reduce_with(&s, &data, u64::MAX, |a, b| a.min(b), 64);
+            let got = reduce_with_floor(&s, &data, u64::MAX, |a, b| a.min(b), 64);
             prop_assert_eq!(got, data.iter().copied().min().unwrap());
         }
     }

@@ -93,32 +93,8 @@ pub fn exclusive_scan_mixed<T, F>(
     );
 }
 
-/// Scan with an explicit work-per-member threshold (used by tests and the
-/// benchmark harness to force team execution on small inputs).
-pub fn scan_with<T, F>(
-    scheduler: &Scheduler,
-    input: &[T],
-    out: &mut [T],
-    identity: T,
-    combine: F,
-    inclusive: bool,
-    min_per_member: usize,
-) where
-    T: Copy + Send + Sync + 'static,
-    F: Fn(T, T) -> T + Send + Sync + 'static,
-{
-    scan_impl(
-        scheduler,
-        input,
-        out,
-        identity,
-        combine,
-        inclusive,
-        min_per_member,
-    );
-}
-
-/// Sequential reference: the scan [`scan_with`] runs below its team floor.
+/// Sequential reference: the scan both entry points run below their team
+/// floor.
 pub(crate) fn sequential_scan<T, F>(
     input: &[T],
     out: &mut [T],
@@ -141,6 +117,7 @@ pub(crate) fn sequential_scan<T, F>(
     }
 }
 
+/// The one scan body, with the per-member floor as a parameter.
 fn scan_impl<T, F>(
     scheduler: &Scheduler,
     input: &[T],
@@ -281,7 +258,7 @@ mod tests {
             let s = Scheduler::with_threads(4);
             let input: Vec<u64> = (0..120_000).map(|i| i % 5).collect();
             let mut out = vec![0u64; input.len()];
-            scan_with(&s, &input, &mut out, 0, |a, b| a + b, true, 1024);
+            scan_impl(&s, &input, &mut out, 0, |a, b| a + b, true, 1024);
             assert_eq!(out, reference_inclusive(&input));
             assert!(
                 s.metrics().teams_formed > 0,
@@ -296,7 +273,7 @@ mod tests {
             let s = Scheduler::with_threads(4);
             let input: Vec<u64> = (0..90_000).map(|i| (i * 7) % 11).collect();
             let mut out = vec![0u64; input.len()];
-            scan_with(&s, &input, &mut out, 0, |a, b| a + b, false, 1024);
+            scan_impl(&s, &input, &mut out, 0, |a, b| a + b, false, 1024);
             assert_eq!(out, reference_exclusive(&input));
         });
     }
@@ -308,7 +285,7 @@ mod tests {
             let s = Scheduler::with_threads(4);
             let input: Vec<u64> = (0..60_000).map(|i| (i * 2654435761u64) % 1_000).collect();
             let mut out = vec![0u64; input.len()];
-            scan_with(&s, &input, &mut out, 0, |a, b| a.max(b), true, 512);
+            scan_impl(&s, &input, &mut out, 0, |a, b| a.max(b), true, 512);
             let mut acc = 0u64;
             for (i, &x) in input.iter().enumerate() {
                 acc = acc.max(x);
@@ -323,7 +300,7 @@ mod tests {
             let s = Scheduler::with_threads(3);
             let input: Vec<u64> = (0..70_001).map(|i| i % 3).collect();
             let mut out = vec![0u64; input.len()];
-            scan_with(&s, &input, &mut out, 0, |a, b| a + b, true, 512);
+            scan_impl(&s, &input, &mut out, 0, |a, b| a + b, true, 512);
             assert_eq!(out, reference_inclusive(&input));
         });
     }
@@ -335,7 +312,7 @@ mod tests {
         fn prop_inclusive_matches_reference(input in proptest::collection::vec(0u64..100, 0..3_000)) {
             let s = Scheduler::with_threads(2);
             let mut out = vec![0u64; input.len()];
-            scan_with(&s, &input, &mut out, 0, |a, b| a + b, true, 64);
+            scan_impl(&s, &input, &mut out, 0, |a, b| a + b, true, 64);
             prop_assert_eq!(out, reference_inclusive(&input));
         }
 
@@ -343,7 +320,7 @@ mod tests {
         fn prop_exclusive_matches_reference(input in proptest::collection::vec(0u64..100, 0..3_000)) {
             let s = Scheduler::with_threads(2);
             let mut out = vec![0u64; input.len()];
-            scan_with(&s, &input, &mut out, 0, |a, b| a + b, false, 64);
+            scan_impl(&s, &input, &mut out, 0, |a, b| a + b, false, 64);
             prop_assert_eq!(out, reference_exclusive(&input));
         }
     }

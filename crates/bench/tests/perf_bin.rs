@@ -164,7 +164,7 @@ fn smoke_run_writes_complete_parseable_reports() {
         std::fs::read_to_string(dir.join("BENCH_kernels.json")).expect("kernel report");
     let kernels = Report::from_json_str(&kernel_text).expect("kernel report parses");
     assert_eq!(kernels.group, "kernel");
-    for name in ["reduce", "scan", "matmul", "stencil", "bfs", "histogram"] {
+    for name in ["reduce", "scan", "matmul", "bfs", "histogram"] {
         let record = kernels
             .records
             .iter()

@@ -68,7 +68,7 @@ pub mod service {
 }
 
 /// Further mixed-mode parallel application kernels built on the scheduler
-/// (reductions, scans, matrix multiplication, stencils, BFS, histograms) —
+/// (reductions, scans, matrix multiplication, BFS, histograms) —
 /// the paper's "future work" applications.
 pub mod apps {
     pub use teamsteal_apps::*;

@@ -12,12 +12,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use teamsteal::apps::bfs::{bfs_mixed_with, bfs_sequential, CsrGraph};
-use teamsteal::apps::histogram::{histogram_mixed_with, histogram_sequential};
-use teamsteal::apps::matmul::{matmul_mixed, matmul_mixed_with, matmul_sequential, Matrix};
-use teamsteal::apps::reduce::{parallel_sum, team_reduce_with};
-use teamsteal::apps::scan::scan_with;
-use teamsteal::apps::stencil::{jacobi_mixed, jacobi_sequential, StencilConfig};
+use teamsteal::apps::bfs::{self, bfs_mixed, bfs_sequential, CsrGraph};
+use teamsteal::apps::histogram::{self, histogram_mixed, histogram_sequential};
+use teamsteal::apps::matmul::{self, matmul_mixed, matmul_sequential, Matrix};
+use teamsteal::apps::reduce::{self, parallel_sum, team_reduce};
+use teamsteal::apps::scan::{self, inclusive_scan_mixed};
 use teamsteal::{
     is_permutation_of, is_sorted, mixed_mode_sort, Distribution, Scheduler, SortConfig, StealPolicy,
 };
@@ -29,21 +28,23 @@ fn kernel_suite_shares_one_scheduler() {
     let scheduler = Scheduler::with_threads(4);
     // Sizes are modest: the suite's point is cross-kernel composition on one
     // pool, not throughput, and the CI host is a single oversubscribed CPU.
-    let n = 60_000usize;
+    // Four times the largest element floor gives reduce, scan and histogram
+    // a team each.
+    let n = 4 * histogram::MIN_ELEMENTS_PER_MEMBER;
 
     let ints: Vec<u64> = (0..n as u64).map(|i| i % 97).collect();
     assert_eq!(
-        team_reduce_with(&scheduler, &ints, 0u64, |a, b| a + b, 1024),
+        team_reduce(&scheduler, &ints, 0u64, |a, b| a + b),
         ints.iter().sum::<u64>()
     );
 
     let mut prefix = vec![0u64; n];
-    scan_with(&scheduler, &ints, &mut prefix, 0, |a, b| a + b, true, 1024);
+    inclusive_scan_mixed(&scheduler, &ints, &mut prefix, 0, |a, b| a + b);
     assert_eq!(*prefix.last().unwrap(), ints.iter().sum::<u64>());
 
     let keys = Distribution::Buckets.generate(n, 4, 3);
     assert_eq!(
-        histogram_mixed_with(&scheduler, &keys, 48, 1024),
+        histogram_mixed(&scheduler, &keys, 48),
         histogram_sequential(&keys, 48)
     );
 
@@ -52,19 +53,6 @@ fn kernel_suite_shares_one_scheduler() {
     let b = Matrix::from_fn(80, 64, |i, j| ((i + j * 3) % 11) as f64);
     let product = matmul_mixed(&scheduler, &a, &b);
     assert!(product.max_abs_diff(&matmul_sequential(&a, &b)) < 1e-9);
-
-    let grid: Vec<f64> = (0..n).map(|i| (i % 31) as f64).collect();
-    let stencil_cfg = StencilConfig {
-        sweeps: 8,
-        alpha: 0.25,
-        min_cells_per_member: 1024,
-    };
-    let heat = jacobi_mixed(&scheduler, &grid, &stencil_cfg);
-    let heat_ref = jacobi_sequential(&grid, &stencil_cfg);
-    assert!(heat
-        .iter()
-        .zip(&heat_ref)
-        .all(|(a, b)| (a - b).abs() < 1e-12));
 
     let metrics = scheduler.metrics();
     assert!(metrics.teams_formed > 0, "the suite must have formed teams");
@@ -85,8 +73,10 @@ fn quicksort_and_reduction_share_the_pool_concurrently() {
     // The reduction is sized so its team requirement (r = 2) is smaller than
     // the machine: the team can form while the other workers keep sorting,
     // which is the co-existence behaviour this test is about (a full-machine
-    // team would simply serialize after the sort drains).
-    let ints: Vec<u64> = (0..60_000u64).map(|i| i % 1009).collect();
+    // team would simply serialize after the sort drains).  Three floors'
+    // worth of elements is two members' and not four.
+    let n = 3 * reduce::MIN_ELEMENTS_PER_MEMBER as u64;
+    let ints: Vec<u64> = (0..n).map(|i| i % 1009).collect();
     let expected_sum: u64 = ints.iter().sum();
 
     let s1 = Arc::clone(&scheduler);
@@ -108,7 +98,7 @@ fn quicksort_and_reduction_share_the_pool_concurrently() {
     let reducer = std::thread::spawn(move || {
         let mut sums = Vec::new();
         for _ in 0..3 {
-            sums.push(team_reduce_with(&s2, &ints, 0u64, |a, b| a + b, 16_384));
+            sums.push(team_reduce(&s2, &ints, 0u64, |a, b| a + b));
         }
         sums
     });
@@ -182,13 +172,15 @@ fn kernels_respect_refinements_3_and_4() {
             .build();
         let ints: Vec<u64> = (0..90_000u64).map(|i| i % 11).collect();
         assert_eq!(
-            team_reduce_with(&scheduler, &ints, 0u64, |a, b| a + b, 1024),
+            team_reduce(&scheduler, &ints, 0u64, |a, b| a + b),
             ints.iter().sum::<u64>(),
             "reduce failed for p={threads}, {policy:?}"
         );
-        let graph = CsrGraph::grid(120, 90);
+        // A degree-8 random graph's widest levels hold several floors' worth
+        // of edges, so they run as team tasks.
+        let graph = CsrGraph::random(4 * bfs::MIN_EDGES_PER_MEMBER, 8, 5);
         assert_eq!(
-            bfs_mixed_with(&scheduler, &graph, 7, 512),
+            bfs_mixed(&scheduler, &graph, 7),
             bfs_sequential(&graph, 7),
             "bfs failed for p={threads}, {policy:?}"
         );
@@ -200,8 +192,13 @@ fn kernels_respect_refinements_3_and_4() {
 #[test]
 fn repeated_matmul_on_a_reused_scheduler() {
     let scheduler = Scheduler::with_threads(4);
+    // A band of 64 rows gets two members once its `64·n·k` flops reach two
+    // floors: square operands of dimension 256 and up.
+    let min_dim = (1..)
+        .find(|d| 64 * d * d >= 2 * matmul::MIN_FLOPS_PER_MEMBER)
+        .unwrap();
     for round in 0..3 {
-        let dim = 70 + round * 30;
+        let dim = min_dim + round * 32;
         let a = Matrix::from_fn(dim, dim, |i, j| {
             ((i * 13 + j * 5 + round) % 17) as f64 * 0.5
         });
@@ -209,7 +206,7 @@ fn repeated_matmul_on_a_reused_scheduler() {
             ((i * 3 + j * 11 + round) % 19) as f64 * 0.25
         });
         let reference = matmul_sequential(&a, &b);
-        let got = matmul_mixed_with(&scheduler, &a, &b, 1 << 12);
+        let got = matmul_mixed(&scheduler, &a, &b);
         assert!(
             got.max_abs_diff(&reference) < 1e-9,
             "round {round}: mixed-mode matmul diverged"
@@ -230,4 +227,59 @@ fn reduction_threshold_boundary_is_seamless() {
             "n = {n}"
         );
     }
+}
+
+/// Per kernel, the team publications its public entry point causes on a
+/// two-thread scheduler: a team exactly from twice its floor (two members'
+/// worth of work) and none at one unit less.
+#[test]
+fn every_kernel_builds_a_team_from_twice_its_floor() {
+    let scheduler = Scheduler::with_threads(2);
+    // Each case runs its kernel at `units` of the unit its floor counts.
+    type Run = fn(&Scheduler, usize);
+    let cases: [(&str, usize, Run); 5] = [
+        ("reduce", reduce::MIN_ELEMENTS_PER_MEMBER, |s, n| {
+            parallel_sum(s, &vec![1; n]);
+        }),
+        ("scan", scan::MIN_ELEMENTS_PER_MEMBER, |s, n| {
+            inclusive_scan_mixed(s, &vec![1u64; n], &mut vec![0; n], 0, |a, b| a + b);
+        }),
+        ("histogram", histogram::MIN_ELEMENTS_PER_MEMBER, |s, n| {
+            histogram_mixed(s, &vec![7; n], 16);
+        }),
+        ("matmul", matmul::MIN_FLOPS_PER_MEMBER, |s, flops| {
+            let (rows, k, n) = one_band(flops);
+            matmul_mixed(s, &Matrix::zeros(rows, k), &Matrix::zeros(k, n));
+        }),
+        ("bfs", bfs::MIN_EDGES_PER_MEMBER, |s, edges| {
+            // A star: the second level is the `edges` leaves, one edge each
+            // by the mean degree.
+            let star: Vec<(u32, u32)> = (1..=edges as u32).map(|v| (0, v)).collect();
+            bfs_mixed(s, &CsrGraph::from_edges(edges + 1, &star), 0);
+        }),
+    ];
+    for (kernel, floor, run) in cases {
+        let teams = |units: usize| {
+            let before = scheduler.metrics();
+            run(&scheduler, units);
+            let delta = scheduler.metrics().delta_since(&before);
+            delta.teams_built + delta.team_reuses
+        };
+        assert!(teams(2 * floor) > 0, "{kernel}: no team at 2 × floor");
+        assert_eq!(teams(2 * floor - 1), 0, "{kernel}: a team below 2 × floor");
+    }
+}
+
+/// The shape of a matmul whose single row band (at most 64 rows) costs
+/// exactly `flops` multiply-adds: `rows × k` times `k × n`, each factor as
+/// large as it divides.
+fn one_band(flops: usize) -> (usize, usize, usize) {
+    let rows = (1..=64).rev().find(|r| flops % r == 0).unwrap();
+    let rest = flops / rows;
+    let k = (1..)
+        .take_while(|k| k * k <= rest)
+        .filter(|k| rest % k == 0)
+        .last()
+        .unwrap();
+    (rows, k, rest / k)
 }
