@@ -504,14 +504,11 @@ fn sweep_spawn_overhead(opts: &Options) -> Vec<RunRecord> {
 
 /// Sweeps the multi-producer injection scenario
 /// ([`micro::injection_throughput`]): 8 concurrent submitter threads feed
-/// empty root tasks into one persistent scheduler.  Each thread count is
-/// measured twice — once with the default domain width (sharded injector)
-/// and once with `domain_width = p` (a single shard, the pre-sharding
-/// layout) — so the sharded-vs-single comparison lives side by side in the
-/// report.  On top of `--threads`, oversubscribed p = 32/64 "simulated big
-/// iron" cells run too: that is where the domain structure has more than
-/// one shard to spread producers over.  One scheduler at a time, for the
-/// reason [`spawn_overhead_records`] gives.
+/// empty root tasks into one persistent scheduler.  On top of `--threads`,
+/// oversubscribed p = 32/64 "simulated big iron" cells run too: that is
+/// where the domain structure has more than one shard to spread producers
+/// over.  One scheduler at a time, for the reason [`spawn_overhead_records`]
+/// gives.
 fn sweep_injection(opts: &Options) -> Vec<RunRecord> {
     const PRODUCERS: usize = 8;
     let per_producer = (opts.size / 32).clamp(256, 16_384);
@@ -524,65 +521,59 @@ fn sweep_injection(opts: &Options) -> Vec<RunRecord> {
     }
     let mut records = Vec::new();
     for &threads in &thread_counts {
-        for (name, width) in [("sharded", None), ("single_shard", Some(threads))] {
-            let mut builder = Scheduler::builder().threads(threads);
-            if let Some(width) = width {
-                builder = builder.domain_width(width);
-            }
-            let scheduler = builder.build();
-            let cell = Cell::new(Some(&scheduler), || {
-                micro::injection_throughput(&scheduler, PRODUCERS, per_producer)
-            });
-            let (outcomes, metrics) = interleave(vec![cell], opts.warmups, opts.reps).remove(0);
-            let shards = scheduler.injector_shard_segments().len();
-            let secs = summary(&outcomes.iter().map(|o| o.duration).collect::<Vec<_>>());
-            let submit: Vec<Duration> = outcomes
-                .into_iter()
-                .flat_map(|o| o.submit_to_start)
-                .collect();
-            let submit_secs = summary(&submit);
-            let tasks_per_sec = if secs.median_s > 0.0 {
-                tasks as f64 / secs.median_s
-            } else {
-                0.0
-            };
-            let pops = metrics.injector_local_pops + metrics.injector_remote_pops;
-            let remote_share = if pops > 0 {
-                metrics.injector_remote_pops as f64 / pops as f64
-            } else {
-                0.0
-            };
-            eprintln!(
-                "inject  | {name:<12} | p = {threads:>2} | median {:>10.6}s | {tasks_per_sec:>10.0} tasks/s | shards {shards} | remote {:>5.1}%",
+        let scheduler = Scheduler::with_threads(threads);
+        let cell = Cell::new(Some(&scheduler), || {
+            micro::injection_throughput(&scheduler, PRODUCERS, per_producer)
+        });
+        let (outcomes, metrics) = interleave(vec![cell], opts.warmups, opts.reps).remove(0);
+        let shards = scheduler.injector_shard_segments().len();
+        let secs = summary(&outcomes.iter().map(|o| o.duration).collect::<Vec<_>>());
+        let submit: Vec<Duration> = outcomes
+            .into_iter()
+            .flat_map(|o| o.submit_to_start)
+            .collect();
+        let submit_secs = summary(&submit);
+        let tasks_per_sec = if secs.median_s > 0.0 {
+            tasks as f64 / secs.median_s
+        } else {
+            0.0
+        };
+        let pops = metrics.injector_local_pops + metrics.injector_remote_pops;
+        let remote_share = if pops > 0 {
+            metrics.injector_remote_pops as f64 / pops as f64
+        } else {
+            0.0
+        };
+        eprintln!(
+                "inject  | sharded | p = {threads:>2} | median {:>10.6}s | {tasks_per_sec:>10.0} tasks/s | shards {shards} | remote {:>5.1}%",
                 secs.median_s,
                 remote_share * 100.0
             );
-            records.push(RunRecord {
-                group: "injection_throughput".into(),
-                name: name.into(),
-                distribution: None,
-                size: tasks,
-                threads,
-                warmups: opts.warmups,
-                repetitions: opts.reps,
-                secs,
-                metrics,
-                seq_reference_s: None,
-                speedup_vs_seq: None,
-                extra: Some(Json::obj([
-                    ("producers", Json::Num(PRODUCERS as f64)),
-                    ("per_producer", Json::Num(per_producer as f64)),
-                    ("shards", Json::Num(shards as f64)),
-                    ("tasks_per_sec", Json::Num(tasks_per_sec)),
-                    (
-                        "submit_to_start_median_us",
-                        Json::Num(submit_secs.median_s * 1e6),
-                    ),
-                    ("submit_to_start_p95_us", Json::Num(submit_secs.p95_s * 1e6)),
-                    ("injector_remote_pop_share", Json::Num(remote_share)),
-                ])),
-            });
-        }
+        records.push(RunRecord {
+            group: "injection_throughput".into(),
+            name: "sharded".into(),
+            distribution: None,
+            size: tasks,
+            threads,
+            warmups: opts.warmups,
+            repetitions: opts.reps,
+            secs,
+            metrics,
+            seq_reference_s: None,
+            speedup_vs_seq: None,
+            extra: Some(Json::obj([
+                ("producers", Json::Num(PRODUCERS as f64)),
+                ("per_producer", Json::Num(per_producer as f64)),
+                ("shards", Json::Num(shards as f64)),
+                ("tasks_per_sec", Json::Num(tasks_per_sec)),
+                (
+                    "submit_to_start_median_us",
+                    Json::Num(submit_secs.median_s * 1e6),
+                ),
+                ("submit_to_start_p95_us", Json::Num(submit_secs.p95_s * 1e6)),
+                ("injector_remote_pop_share", Json::Num(remote_share)),
+            ])),
+        });
     }
     records
 }

@@ -92,7 +92,8 @@ pub use scheduler::{ConcurrentScope, ReclamationSnapshot, Scheduler, SchedulerBu
 pub use team::TeamBarrier;
 pub use worker::{enable_stall_debug, stall_report};
 
-// Re-export the topology types users need to configure a scheduler.
+// `StealPolicy` configures a scheduler; `Topology` is only read back
+// (`Scheduler::topology`).
 pub use teamsteal_topology::{StealPolicy, Topology};
 
 #[cfg(test)]

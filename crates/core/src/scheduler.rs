@@ -12,14 +12,17 @@ use crate::metrics::MetricsSnapshot;
 use crate::task::{check_requirement, Job, JobSlot, OnceJob, ScopeState, TeamJob};
 use crate::worker::{SchedulerShared, Worker};
 
-/// Builder for a [`Scheduler`], and the one place its five settable values
-/// live; each is documented on its setter.
+/// Builder for a [`Scheduler`], and the one place its two settable values
+/// live: the thread count and the steal policy.
 ///
 /// Section 4 of the paper lists the tunables of the prototype: backoff
 /// intervals, the number of tasks to steal, and (for the evaluation) whether
-/// stealing is deterministic or randomized.  The builder sets that list —
-/// thread count, machine topology, steal policy and seed — plus the one
-/// size a deployment sets: the injection-shard width.  The pool of epoch
+/// stealing is deterministic or randomized.  The builder sets the last of
+/// these and the thread count `p`; everything else is derived from `p` or
+/// fixed.  The hierarchy is [`Topology::balanced`] over `p` (Refinement 3;
+/// bit flipping for powers of two), the injection shards are its groups of
+/// at most 8 workers (`worker::shared::DOMAIN_WIDTH`), the per-worker PRNGs
+/// share one seed (`worker::shared::WORKER_SEED`), and the pool of epoch
 /// pins external submitters borrow is fixed at 32 slots
 /// (`worker::shared::EXTERNAL_PARTICIPANTS`).  The steal amount is fixed:
 /// the paper's default (`2^ℓ`, capped at half the victim's queue), raised
@@ -34,17 +37,15 @@ use crate::worker::{SchedulerShared, Worker};
 ///
 /// let scheduler = Scheduler::builder()
 ///     .threads(4)
-///     .steal_policy(StealPolicy::Deterministic)
+///     .steal_policy(StealPolicy::RandomizedWithinLevel)
 ///     .build();
 /// assert_eq!(scheduler.num_threads(), 4);
+/// assert_eq!(scheduler.topology().level_sizes(), &[1, 2, 4]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SchedulerBuilder {
     pub(crate) num_threads: usize,
-    pub(crate) topology: Option<Topology>,
     pub(crate) steal_policy: StealPolicy,
-    pub(crate) seed: u64,
-    pub(crate) domain_width: usize,
 }
 
 impl Default for SchedulerBuilder {
@@ -53,10 +54,7 @@ impl Default for SchedulerBuilder {
             num_threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            topology: None,
             steal_policy: StealPolicy::Deterministic,
-            seed: 0x7465616d_73746561, // "teamstea(l)"
-            domain_width: 8,
         }
     }
 }
@@ -73,24 +71,6 @@ impl SchedulerBuilder {
     /// ```
     pub fn threads(mut self, threads: usize) -> Self {
         self.num_threads = threads;
-        self
-    }
-
-    /// Sets an explicit machine topology (Refinement 3).  Its size must match
-    /// the configured thread count.  Defaults to [`Topology::balanced`] over
-    /// the thread count.
-    ///
-    /// ```
-    /// use teamsteal_core::{Scheduler, Topology};
-    ///
-    /// let scheduler = Scheduler::builder()
-    ///     .threads(4)
-    ///     .topology(Topology::power_of_two(4))
-    ///     .build();
-    /// assert_eq!(scheduler.topology().num_threads(), 4);
-    /// ```
-    pub fn topology(mut self, topology: Topology) -> Self {
-        self.topology = Some(topology);
         self
     }
 
@@ -115,52 +95,11 @@ impl SchedulerBuilder {
         self
     }
 
-    /// Sets the seed of the per-worker PRNGs (randomized policies and
-    /// tie-breaking).
-    ///
-    /// ```
-    /// use teamsteal_core::{Scheduler, StealPolicy};
-    ///
-    /// let scheduler = Scheduler::builder()
-    ///     .threads(2)
-    ///     .steal_policy(StealPolicy::UniformRandom)
-    ///     .seed(0xfeed)
-    ///     .build();
-    /// scheduler.run(|_| {});
-    /// ```
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the maximum worker count per injection-shard **domain**
-    /// (DESIGN.md §13).  The external injection queue is sharded per domain:
-    /// the domains are the groups of the largest hierarchy level whose
-    /// nominal size is at most this width, so the default of 8 gives one
-    /// shard per 8-worker neighbourhood (and machines with `p ≤ 8` keep a
-    /// single shard, the pre-sharding behaviour).  A width ≥ the thread
-    /// count forces a single shard; a width of 1 gives one shard per worker.
-    ///
-    /// ```
-    /// use teamsteal_core::Scheduler;
-    ///
-    /// let scheduler = Scheduler::builder()
-    ///     .threads(4)
-    ///     .domain_width(2)
-    ///     .build();
-    /// assert_eq!(scheduler.injector_shard_segments().len(), 2);
-    /// ```
-    pub fn domain_width(mut self, width: usize) -> Self {
-        self.domain_width = width;
-        self
-    }
-
     /// Builds the scheduler and starts its worker threads.
     ///
     /// # Panics
     ///
-    /// Panics if the thread count is zero or an explicit topology disagrees
-    /// with it.
+    /// Panics if the thread count is zero.
     pub fn build(self) -> Scheduler {
         let shared = SchedulerShared::new(&self);
         let mut threads = Vec::with_capacity(shared.num_threads());
@@ -176,23 +115,6 @@ impl SchedulerBuilder {
             threads.push(handle);
         }
         Scheduler { shared, threads }
-    }
-
-    /// The explicit topology if one was set (its size must match the thread
-    /// count), otherwise a balanced hierarchy.
-    pub(crate) fn resolve_topology(&self) -> Topology {
-        assert!(self.num_threads > 0, "scheduler needs at least one thread");
-        match &self.topology {
-            Some(t) => {
-                assert_eq!(
-                    t.num_threads(),
-                    self.num_threads,
-                    "topology size must match num_threads"
-                );
-                t.clone()
-            }
-            None => Topology::balanced(self.num_threads),
-        }
     }
 }
 
@@ -227,7 +149,8 @@ impl Scheduler {
         self.shared.num_threads()
     }
 
-    /// The machine topology the scheduler was built with.
+    /// The thread hierarchy the scheduler derived from its thread count:
+    /// [`Topology::balanced`] over `p`.
     pub fn topology(&self) -> &Topology {
         &self.shared.topology
     }
@@ -753,48 +676,38 @@ mod tests {
         assert_eq!(b.steal_policy, StealPolicy::Deterministic);
     }
 
+    /// The derived shard count: one injection shard per hierarchy group of
+    /// at most 8 workers, so machines with `p ≤ 8` keep a single shard.
     #[test]
     fn default_domain_width_keeps_small_machines_single_shard() {
-        use teamsteal_topology::Domains;
-        let b = Scheduler::builder().threads(4);
-        let domains = Domains::new(&b.resolve_topology(), b.domain_width);
-        assert_eq!(domains.num_domains(), 1);
-        // A 32-thread machine shards at the default width of 8.
-        let b = Scheduler::builder().threads(32);
-        let domains = Domains::new(&b.resolve_topology(), b.domain_width);
-        assert_eq!(domains.num_domains(), 4);
+        for (p, shards) in [(1, 1), (4, 1), (8, 1), (9, 2), (16, 2), (32, 4), (64, 8)] {
+            let scheduler = unstarted(p);
+            assert_eq!(scheduler.injector_shard_segments().len(), shards, "p = {p}");
+        }
     }
 
     #[test]
     fn resolve_topology_balanced_by_default() {
-        let t = Scheduler::builder().threads(6).resolve_topology();
-        assert_eq!(t.num_threads(), 6);
-        assert_eq!(t.level_sizes(), &[1, 2, 3, 6]);
+        let scheduler = unstarted(6);
+        assert_eq!(scheduler.topology().num_threads(), 6);
+        assert_eq!(scheduler.topology().level_sizes(), &[1, 2, 3, 6]);
     }
 
-    #[test]
-    #[should_panic]
-    fn mismatched_topology_is_rejected() {
-        let _ = Scheduler::builder()
-            .threads(4)
-            .topology(Topology::balanced(8))
-            .resolve_topology();
-    }
-
-    /// All five setters reach the built scheduler: the three values it
-    /// exposes read back as set.
+    /// Both setters reach the built scheduler, and the derived values follow
+    /// from the thread count.
     #[test]
     fn every_setter_reaches_the_built_scheduler() {
         let scheduler = Scheduler::builder()
             .threads(4)
-            .topology(Topology::power_of_two(4))
             .steal_policy(StealPolicy::RandomizedWithinLevel)
-            .seed(0xfeed)
-            .domain_width(2)
             .build();
         assert_eq!(scheduler.num_threads(), 4);
+        assert_eq!(
+            scheduler.shared.steal_policy,
+            StealPolicy::RandomizedWithinLevel
+        );
         assert_eq!(scheduler.topology().level_sizes(), &[1, 2, 4]);
-        assert_eq!(scheduler.injector_shard_segments().len(), 2);
+        assert_eq!(scheduler.injector_shard_segments().len(), 1);
     }
 
     #[test]

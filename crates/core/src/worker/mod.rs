@@ -35,7 +35,7 @@ mod steal;
 
 pub(crate) use shared::SchedulerShared;
 pub use shared::{enable_stall_debug, stall_report};
-use shared::{WorkerShared, INJECT_HOME};
+use shared::{WorkerShared, INJECT_HOME, WORKER_SEED};
 
 /// Unproductive spin/yield rounds a blocking site burns before it commits to
 /// an eventcount park (DESIGN.md §12): seven short spins, then yields — a few
@@ -135,7 +135,7 @@ pub(crate) struct Worker {
 impl Worker {
     pub(crate) fn new(id: usize, shared: Arc<SchedulerShared>) -> Self {
         let p = shared.num_threads();
-        let rng = worker_rng(shared.seed, id);
+        let rng = worker_rng(WORKER_SEED, id);
         let participant = shared
             .epoch
             .register()

@@ -156,6 +156,16 @@ impl WorkerShared {
 /// the signal to raise the constant (DESIGN.md §13).
 pub(crate) const EXTERNAL_PARTICIPANTS: usize = 32;
 
+/// The largest nominal group size of an injection-shard domain: the
+/// injector has one shard per group of the largest hierarchy level whose
+/// groups hold at most this many workers, so machines with `p ≤ 8` keep a
+/// single shard (DESIGN.md §13).
+const DOMAIN_WIDTH: usize = 8;
+
+/// The seed every scheduler's per-worker PRNGs derive their streams from
+/// (`worker_rng`), so a given `p` gets the same streams in every run.
+pub(super) const WORKER_SEED: u64 = 0x7465616d_73746561; // "teamstea(l)"
+
 /// A fixed pool of [`EXTERNAL_PARTICIPANTS`] pre-registered epoch
 /// participants that threads outside the worker pool borrow around each
 /// injector access (`Scheduler::scope` submitters, drop-time draining).
@@ -305,7 +315,6 @@ pub(crate) struct SchedulerShared {
     /// distance-ordered shard sweep (DESIGN.md §13).
     pub(crate) domains: Domains,
     pub(crate) steal_policy: StealPolicy,
-    pub(crate) seed: u64,
     /// The parking/wakeup subsystem: every blocking site parks here and
     /// every state change that can unblock a worker notifies it
     /// (DESIGN.md §12).
@@ -327,10 +336,10 @@ pub(crate) struct SchedulerShared {
 
 impl SchedulerShared {
     pub(crate) fn new(builder: &SchedulerBuilder) -> Arc<Self> {
-        let topology = builder.resolve_topology();
+        let topology = Topology::balanced(builder.num_threads);
         let p = topology.num_threads();
         let queue_levels = topology.num_queue_levels();
-        let domains = Domains::new(&topology, builder.domain_width);
+        let domains = Domains::new(&topology, DOMAIN_WIDTH);
         let epoch = Domain::new(p + EXTERNAL_PARTICIPANTS);
         let external_pins = ExternalPins::new(&epoch, EXTERNAL_PARTICIPANTS);
         let shared = Arc::new(SchedulerShared {
@@ -339,7 +348,6 @@ impl SchedulerShared {
                 .collect(),
             topology,
             steal_policy: builder.steal_policy,
-            seed: builder.seed,
             sleep: SleepController::new(p),
             // SAFETY: all injector access goes through pinned participants —
             // workers pin for the whole loop iteration, external submitters

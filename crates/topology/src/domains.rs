@@ -7,9 +7,9 @@
 //! derives that shard map from an existing [`Topology`]:
 //!
 //! * the **domain level** is the largest hierarchy level whose nominal group
-//!   size does not exceed a configurable `domain_width`, so a width of 8 on a
-//!   64-thread machine yields eight 8-thread domains, while a width ≥ `p`
-//!   degenerates to a single domain (the pre-sharding behaviour);
+//!   size does not exceed a width, so the scheduler's width of 8 yields
+//!   eight 8-thread domains on a 64-thread machine and a single domain for
+//!   `p ≤ 8`, while any width ≥ `p` degenerates to a single domain;
 //! * each **domain** is one group at that level (groups partition `0..p`
 //!   exactly once, so every worker belongs to exactly one domain);
 //! * each domain carries a **sweep order**: the shard-visit sequence an idle
@@ -22,7 +22,7 @@ use crate::Topology;
 /// The shard map: how many injection shards exist, which one each worker
 /// belongs to, and in which order a worker visits the others.
 ///
-/// Built once per scheduler from the resolved [`Topology`]; all queries are
+/// Built once per scheduler from its [`Topology`]; all queries are
 /// O(1) lookups into precomputed tables.
 #[derive(Debug, Clone)]
 pub struct Domains {
@@ -183,7 +183,7 @@ mod tests {
     fn dual_socket_example_shards_per_socket() {
         // 2 sockets x 3 cores (levels 1 < 2 < 3 < 6): width 3 picks the
         // socket level, one shard per socket.
-        let topo = Topology::from_machine(&[3, 2]);
+        let topo = Topology::balanced(6);
         let domains = Domains::new(&topo, 3);
         assert_eq!(domains.level(), 2);
         assert_eq!(domains.num_domains(), 2);
@@ -197,7 +197,7 @@ mod tests {
     fn sweep_is_distance_ordered_on_sixteen_threads() {
         // p = 16, width 4: four 4-thread domains.  Domain 0's nearest ring
         // at level 3 (groups of 8) is domain 1; the rest follow.
-        let topo = Topology::power_of_two(16);
+        let topo = Topology::balanced(16);
         let domains = Domains::new(&topo, 4);
         assert_eq!(domains.num_domains(), 4);
         assert_eq!(domains.sweep_order(0), &[0, 1, 2, 3]);

@@ -1,6 +1,5 @@
 //! The thread hierarchy: level sizes, groups, partners and team boundaries.
 
-use teamsteal_util::bits;
 use teamsteal_util::rng::Xoshiro256;
 
 /// Precomputed description of the machine's thread hierarchy.
@@ -33,26 +32,12 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Builds the classic power-of-two topology of the base algorithm
-    /// (Section 3): level sizes `1, 2, 4, …, p` and partners by bit-flipping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is zero or not a power of two.
-    pub fn power_of_two(p: usize) -> Self {
-        assert!(
-            bits::is_pow2(p),
-            "power_of_two requires p to be a power of two (got {p})"
-        );
-        let sizes: Vec<usize> = (0..=bits::msb_index(p)).map(|l| 1usize << l).collect();
-        Self::from_level_sizes(&sizes)
-    }
-
     /// Builds a balanced topology for an arbitrary number of threads
     /// (Refinement 3) by repeatedly halving: `n_L = p`,
     /// `n_{ℓ-1} = ⌈n_ℓ / 2⌉`, down to `n_0 = 1`.
     ///
-    /// For powers of two this coincides with [`Topology::power_of_two`].
+    /// For powers of two this is the classic topology of the base algorithm
+    /// (Section 3): level sizes `1, 2, 4, …, p` and partners by bit flipping.
     ///
     /// # Panics
     ///
@@ -68,43 +53,6 @@ impl Topology {
         Self::from_level_sizes(&sizes)
     }
 
-    /// Builds a topology from an explicit machine description, e.g.
-    /// `&[2, 3]` for a dual-socket machine with three cores per socket
-    /// (the paper's Refinement 3 example, which yields level sizes
-    /// `1 < 2 < 3 < 6` after the mandatory unit level is inserted).
-    ///
-    /// The slice lists, from the innermost sharing domain outwards, how many
-    /// children each domain has; the product must not exceed `usize::MAX`.
-    /// Extra unit levels are inserted whenever a domain more than doubles the
-    /// previous level size, so the constraint `n_{ℓ-1} < n_ℓ ≤ 2·n_{ℓ-1}` of
-    /// Refinement 3 always holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice is empty or contains a zero.
-    pub fn from_machine(domains: &[usize]) -> Self {
-        assert!(!domains.is_empty(), "machine description must not be empty");
-        assert!(
-            domains.iter().all(|&d| d > 0),
-            "domain sizes must be positive"
-        );
-        let mut sizes = vec![1usize];
-        let mut cur = 1usize;
-        for &d in domains {
-            let target = cur * d;
-            // Insert intermediate levels so each level at most doubles.
-            while cur * 2 < target {
-                cur *= 2;
-                sizes.push(cur);
-            }
-            if target > cur {
-                cur = target;
-                sizes.push(cur);
-            }
-        }
-        Self::from_level_sizes(&sizes)
-    }
-
     /// Builds a topology from explicit level sizes `n_0, …, n_L`.
     ///
     /// # Panics
@@ -112,7 +60,7 @@ impl Topology {
     /// Panics unless `n_0 == 1`, the sizes are strictly increasing, and each
     /// level is at most twice the previous one (`n_{ℓ-1} < n_ℓ ≤ 2·n_{ℓ-1}`,
     /// Refinement 3).  A single level `[1]` describes a one-thread machine.
-    pub fn from_level_sizes(sizes: &[usize]) -> Self {
+    fn from_level_sizes(sizes: &[usize]) -> Self {
         assert!(!sizes.is_empty(), "at least one level is required");
         assert_eq!(sizes[0], 1, "the innermost level must have size 1");
         for w in sizes.windows(2) {
@@ -220,7 +168,7 @@ impl Topology {
 
     /// Nominal size `n_ℓ` of groups at `level`.
     #[inline]
-    pub fn nominal_level_size(&self, level: usize) -> usize {
+    pub(crate) fn nominal_level_size(&self, level: usize) -> usize {
         self.level_sizes[level]
     }
 
@@ -232,7 +180,7 @@ impl Topology {
 
     /// First id of the level-`level` group containing `thread`.
     #[inline]
-    pub fn group_base(&self, thread: usize, level: usize) -> usize {
+    pub(crate) fn group_base(&self, thread: usize, level: usize) -> usize {
         self.group_base[level][thread]
     }
 
@@ -337,11 +285,12 @@ impl Topology {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use teamsteal_util::bits;
 
     #[test]
     fn power_of_two_matches_bit_flipping() {
         for &p in &[1usize, 2, 4, 8, 16, 32, 64, 128] {
-            let topo = Topology::power_of_two(p);
+            let topo = Topology::balanced(p);
             assert_eq!(topo.num_threads(), p);
             assert_eq!(topo.num_steal_levels(), bits::levels_for(p));
             for i in 0..p {
@@ -362,7 +311,7 @@ mod tests {
     fn paper_example_dual_socket_three_cores() {
         // Refinement 3 example: 2 sockets x 3 cores => a 3-thread task must
         // fit on one socket.
-        let topo = Topology::from_machine(&[3, 2]);
+        let topo = Topology::balanced(6);
         assert_eq!(topo.num_threads(), 6);
         assert_eq!(topo.level_sizes(), &[1, 2, 3, 6]);
         // Teams of 3 threads are exactly one socket.
@@ -406,7 +355,7 @@ mod tests {
 
     #[test]
     fn membership_and_local_ids_power_of_two() {
-        let topo = Topology::power_of_two(8);
+        let topo = Topology::balanced(8);
         // Coordinator 5, r = 4 => team {4,5,6,7}.
         assert_eq!(topo.team_for(5, 4), 4..8);
         assert!(topo.overlap(5, 4, 4) && topo.overlap(5, 7, 4));
@@ -422,7 +371,7 @@ mod tests {
 
     #[test]
     fn overlap_matches_bitwise_overlap_for_pow2() {
-        let topo = Topology::power_of_two(16);
+        let topo = Topology::balanced(16);
         for x in 0..16 {
             for y in 0..16 {
                 for r_log in 0..=4 {
@@ -439,22 +388,12 @@ mod tests {
 
     #[test]
     fn non_pow2_requirement_rounds_up_to_group() {
-        let topo = Topology::power_of_two(8);
+        let topo = Topology::balanced(8);
         // r = 3 rounds up to the 4-thread group.
         assert_eq!(topo.team_for(1, 3), 0..4);
         assert_eq!(topo.level_for_requirement(1, 3), 2);
         // r = 5..8 needs the whole machine.
         assert_eq!(topo.team_for(6, 5), 0..8);
-    }
-
-    #[test]
-    fn from_machine_inserts_intermediate_levels() {
-        // 8 cores per socket, 2 sockets: 1,2,4,8,16.
-        let topo = Topology::from_machine(&[8, 2]);
-        assert_eq!(topo.level_sizes(), &[1, 2, 4, 8, 16]);
-        // A quad-core domain: 1,2,4 then 3 sockets => 4 < 8 <= 8, then 12.
-        let topo = Topology::from_machine(&[4, 3]);
-        assert_eq!(topo.level_sizes(), &[1, 2, 4, 8, 12]);
     }
 
     #[test]

@@ -14,15 +14,18 @@
 //! 2. every thread can compute its local id inside a team from the team size
 //!    and its own global id alone (Section 3.1).
 //!
-//! This crate packages that arithmetic as [`Topology`]:
+//! This crate packages that arithmetic as [`Topology`], whose one
+//! constructor [`Topology::balanced`] derives the hierarchy from `p` alone:
 //!
-//! * the classic power-of-two case (`Topology::power_of_two`),
+//! * for powers of two, the classic case: level sizes `1, 2, 4, …, p` and
+//!   partners by bit flipping,
 //! * **Refinement 3** — an arbitrary number of hardware threads via a
-//!   hierarchy of level sizes `n_ℓ` with `n_{ℓ-1} < n_ℓ ≤ 2·n_{ℓ-1}` and
-//!   precomputed per-thread partner arrays (`Topology::balanced`,
-//!   `Topology::from_level_sizes`),
+//!   hierarchy of level sizes `n_ℓ` with `n_{ℓ-1} < n_ℓ ≤ 2·n_{ℓ-1}`
+//!   (halving `p`, rounding up) and precomputed per-thread partner arrays,
 //! * **Refinement 4** — randomization of the partner *within* a level
 //!   ([`Topology::partner_randomized`]).
+//!
+//! [`Domains`] derives the injection-shard map from the same hierarchy.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -166,7 +166,6 @@ fn parking_survives_randomized_mixed_traffic() {
             let scheduler = Scheduler::builder()
                 .threads(4)
                 .steal_policy(StealPolicy::RandomizedWithinLevel)
-                .seed(0xBEEF)
                 .build();
             let total = Arc::new(AtomicUsize::new(0));
             for round in 0..8 {

@@ -41,8 +41,8 @@ fn settle(budget: Duration, mut predicate: impl FnMut() -> bool) -> bool {
 #[test]
 fn concurrent_submitters_stress_sharded_injector() {
     with_watchdog("sharded_injector_stress", WATCHDOG, || {
-        // 16 workers with domain width 4 → a genuinely sharded injector
-        // (multiple domains), unlike the default-width small schedulers in
+        // 16 workers → two 8-worker domains, a genuinely sharded injector
+        // (multiple domains), unlike the one-shard small schedulers in
         // the other stress tests.  8 scope submitters hammer the shards
         // while 2 more threads keep forming teams, so the sweep path, the
         // hierarchical wake path, and team building all run concurrently.
@@ -53,7 +53,7 @@ fn concurrent_submitters_stress_sharded_injector() {
         const TEAMS_PER_SUBMITTER: usize = 20;
         const TEAM_SIZE: usize = 4;
 
-        let scheduler = Arc::new(Scheduler::builder().threads(16).domain_width(4).build());
+        let scheduler = Arc::new(Scheduler::with_threads(16));
         let shards = scheduler.injector_shard_segments().len();
         assert!(
             shards >= 2,
@@ -149,13 +149,12 @@ fn concurrent_submitters_stress_sharded_injector() {
 #[test]
 fn single_shard_width_keeps_exactly_once_semantics() {
     with_watchdog("single_shard_width", WATCHDOG, || {
-        // domain_width ≥ p collapses the injector back to one shard (the
-        // pre-sharding layout); concurrent submission must behave
-        // identically and every pop must count as local.
+        // p ≤ 8 keeps the injector at one shard; concurrent submission
+        // must behave identically and every pop must count as local.
         const SUBMITTERS: usize = 8;
         const SCOPES_PER_SUBMITTER: usize = 20;
         const PER_SCOPE: usize = 16;
-        let scheduler = Arc::new(Scheduler::builder().threads(4).domain_width(64).build());
+        let scheduler = Arc::new(Scheduler::with_threads(4));
         assert_eq!(scheduler.injector_shard_segments().len(), 1);
         let before = scheduler.metrics();
         let executed = Arc::new(AtomicUsize::new(0));

@@ -178,7 +178,6 @@ fn task_storm_with_randomized_stealing() {
         let scheduler = Scheduler::builder()
             .threads(4)
             .steal_policy(StealPolicy::RandomizedWithinLevel)
-            .seed(0xFEED)
             .build();
         let counter = Arc::new(AtomicUsize::new(0));
         let c = Arc::clone(&counter);
@@ -218,7 +217,6 @@ fn task_storm_with_uniform_random_stealing() {
         let scheduler = Scheduler::builder()
             .threads(4)
             .steal_policy(StealPolicy::UniformRandom)
-            .seed(0xD1CE)
             .build();
         let mut rounds = 0usize;
         loop {
