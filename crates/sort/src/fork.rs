@@ -82,6 +82,7 @@ pub(crate) fn sort_task(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::seq::sequential_quicksort;
     use teamsteal_core::test_support::{with_watchdog, WATCHDOG};
     use teamsteal_core::StealPolicy;
     use teamsteal_data::{is_permutation_of, is_sorted, Distribution};
@@ -172,6 +173,41 @@ mod tests {
             fork_join_sort(&s, &mut v, &SortConfig::default());
             assert!(v == reference, "{d:?} differs from sort_unstable");
         }
+    }
+
+    /// The shapes where the partition's prefix/suffix trim and its second,
+    /// `< pivot` pass do the work, at a size with many recursion levels.
+    #[test]
+    fn sequential_and_fork_join_match_sort_unstable_on_structured_inputs() {
+        with_watchdog(
+            "sequential_and_fork_join_match_sort_unstable_on_structured_inputs",
+            WATCHDOG,
+            || {
+                const N: u32 = 1 << 16;
+                let shapes: [(&str, Vec<u32>); 5] = [
+                    ("sorted", (0..N).collect()),
+                    ("reversed", (0..N).rev().collect()),
+                    ("organ-pipe", (0..N).map(|i| i.min(N - 1 - i)).collect()),
+                    ("constant", vec![7; N as usize]),
+                    (
+                        "two-value",
+                        (0..N).map(|i| (i * 7 % 5 < 2) as u32).collect(),
+                    ),
+                ];
+                let s = Scheduler::with_threads(2);
+                let config = SortConfig::default();
+                for (shape, input) in shapes {
+                    let mut reference = input.clone();
+                    reference.sort_unstable();
+                    let mut seq = input.clone();
+                    sequential_quicksort(&mut seq, &config);
+                    assert!(seq == reference, "{shape}: sequential_quicksort differs");
+                    let mut fork = input;
+                    fork_join_sort(&s, &mut fork, &config);
+                    assert!(fork == reference, "{shape}: fork_join_sort differs");
+                }
+            },
+        );
     }
 
     #[test]

@@ -1,16 +1,15 @@
-//! The branch-free block-neutralisation kernel under every partition in this
-//! crate (BlockQuicksort's offset buffers applied to Tsigas–Zhang
-//! neutralisation).
+//! The team's block-pair kernel: the branch-free loop that neutralises a
+//! claimed left and right block in phase 1 of
+//! [`crate::parallel_partition::ParallelPartitioner`] (BlockQuicksort's offset
+//! buffers applied to Tsigas–Zhang neutralisation).
 //!
 //! A *left* chunk is scanned for the offsets of elements failing the
 //! predicate, a *right* chunk for the offsets of elements satisfying it — a
 //! compare and an `as usize` add per element, no data-dependent branch — and
 //! `min(nl, nr)` misplaced pairs are swapped.  Whichever side has no misplaced
-//! element left is finished and gets its next chunk from the caller.  Where
-//! the chunks come from is the only difference between the sequential
-//! partition (both ends of one slice, [`crate::seq::partition_by`]) and the
-//! team partition (a claimed block pair,
-//! [`crate::parallel_partition::ParallelPartitioner`]).
+//! element left is finished and gets its next chunk from the caller.  The
+//! sequential partition is a different loop ([`crate::seq::partition_by`]):
+//! it has one slice and nothing to neutralise.
 
 /// Elements scanned per side between exchanges.  Offsets are stored as `u8`,
 /// so this must not exceed 256.
@@ -71,31 +70,6 @@ impl<'a> Pending<'a> {
         self.start = 0;
         self.end = count;
     }
-
-    /// Moves the still-misplaced elements to the inner edge of the chunk —
-    /// its back on the left side, its front on the right side — and returns
-    /// how many there are.
-    fn settle(&mut self, side: Side) -> usize {
-        let pending = &self.offsets[self.start..self.end];
-        match side {
-            Side::Left => {
-                // From the highest offset down: the slot swapped with is
-                // either the offset itself or a correctly placed element
-                // above every remaining offset.
-                let mut hi = self.chunk.len();
-                for &o in pending.iter().rev() {
-                    hi -= 1;
-                    self.chunk.swap(o as usize, hi);
-                }
-            }
-            Side::Right => {
-                for (lo, &o) in pending.iter().enumerate() {
-                    self.chunk.swap(o as usize, lo);
-                }
-            }
-        }
-        pending.len()
-    }
 }
 
 /// Swaps `min(l.len(), r.len())` misplaced pairs between the two chunks.
@@ -129,7 +103,7 @@ impl<'a> Neutralizer<'a> {
         }
     }
 
-    /// The one partition loop.  Whenever a side has no misplaced element
+    /// The neutralisation loop.  Whenever a side has no misplaced element
     /// left, its chunk is finished — everything in a finished left chunk
     /// satisfies `pred`, nothing in a finished right chunk does — and
     /// `next_chunk(side)` supplies the next one (at most [`CHUNK`] elements,
@@ -165,14 +139,5 @@ impl<'a> Neutralizer<'a> {
             Side::Left => self.left.len(),
             Side::Right => self.right.len(),
         }
-    }
-
-    /// Moves the misplaced elements left over after [`run`](Self::run) to the
-    /// inner edge of their chunk and returns `(left, right)` counts: the
-    /// current left chunk then ends with `left` elements failing the
-    /// predicate, the current right chunk starts with `right` elements
-    /// satisfying it.
-    pub(crate) fn settle(mut self) -> (usize, usize) {
-        (self.left.settle(Side::Left), self.right.settle(Side::Right))
     }
 }

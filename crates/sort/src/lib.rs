@@ -13,8 +13,8 @@
 //! * [`parallel_partition`] — the Tsigas–Zhang blocked, data-parallel
 //!   partitioning step: block neutralization by a team of threads plus a
 //!   sequential cleanup phase.
-//! * `kernel` (private) — the branch-free block-neutralisation loop under
-//!   every partition above, sequential or by a team.
+//! * `kernel` (private) — the team's block-pair kernel: the branch-free
+//!   block-neutralisation loop of the partitioning step's phase 1.
 //! * [`mixed`] — the mixed-mode parallel Quicksort of Algorithm 11
 //!   ("MMPar"): data-parallel partitioning by a team whose size follows
 //!   `getBestNp` capped by the subrange's share of the machine, then

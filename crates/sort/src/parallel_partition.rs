@@ -15,7 +15,7 @@
 //! barrier) moves the unfinished blocks to the inner boundary of their
 //! region, so everything that is not yet classified forms one contiguous
 //! range (unfinished blocks + never-claimed middle), and finishes it with the
-//! sequential [`partition_by`] — the same kernel.  The paper replaces the
+//! sequential [`partition_by`] (a trimmed Lomuto pass).  The paper replaces the
 //! original "thread 0 collects everything" second phase with a
 //! producer/consumer exchanger; we keep the sequential cleanup (its work is
 //! bounded by `O(team_size · block_size + block_size)` elements) and note the

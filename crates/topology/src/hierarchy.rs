@@ -285,7 +285,28 @@ impl Topology {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use teamsteal_util::bits;
+
+    /// The paper's power-of-two team arithmetic (Section 3), kept as the
+    /// oracle the balanced tables are checked against.
+    mod bits {
+        /// Number of steal levels for `p` threads: `⌈log₂ p⌉`.
+        pub fn levels_for(p: usize) -> usize {
+            assert!(p > 0, "at least one thread is required");
+            (usize::BITS - (p - 1).leading_zeros()) as usize
+        }
+
+        /// The partner of thread `id` at level `level`: `id ⊕ 2^level`.
+        pub fn flip_partner(id: usize, level: usize) -> usize {
+            id ^ (1usize << level)
+        }
+
+        /// The smallest thread id of the power-of-two team of size
+        /// `team_size` containing `id` (Section 3.1).
+        pub fn team_base(id: usize, team_size: usize) -> usize {
+            debug_assert!(team_size.is_power_of_two());
+            id & !(team_size - 1)
+        }
+    }
 
     #[test]
     fn power_of_two_matches_bit_flipping() {
@@ -295,14 +316,46 @@ mod tests {
             assert_eq!(topo.num_steal_levels(), bits::levels_for(p));
             for i in 0..p {
                 for level in 0..topo.num_steal_levels() {
+                    let partner = bits::flip_partner(i, level);
                     assert_eq!(
                         topo.partner(i, level),
-                        Some(bits::flip_partner(i, level)),
+                        Some(partner),
                         "p={p} thread={i} level={level}"
                     );
+                    // Flipping the same bit twice is the identity.
+                    assert_eq!(topo.partner(partner, level), Some(i));
                     assert_eq!(topo.group_base(i, level), bits::team_base(i, 1 << level));
                     assert_eq!(topo.group_size(i, level), 1 << level);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn levels_examples_from_paper() {
+        // 8 hardware threads => log p = 3 partners; 128 (Sun T2+) => 7.
+        for (p, levels) in [(1, 0), (2, 1), (5, 3), (8, 3), (9, 4), (128, 7)] {
+            assert_eq!(bits::levels_for(p), levels, "p={p}");
+            assert_eq!(Topology::balanced(p).num_steal_levels(), levels, "p={p}");
+        }
+    }
+
+    #[test]
+    fn team_boundaries_paper_shape() {
+        assert_eq!(bits::team_base(5, 4), 4); // team {4,5,6,7}
+        assert_eq!(bits::team_base(5, 2), 4); // team {4,5}
+        assert_eq!(bits::team_base(5, 1), 5); // singleton team
+        assert_eq!(bits::team_base(13, 8), 8); // team {8..=15}
+
+        // Teams consist of thread ids kr, kr+1, ..., (k+1)r - 1, and a
+        // member's local id is its distance from the base.
+        let topo = Topology::balanced(16);
+        for r_log in 0..=4 {
+            let r = 1usize << r_log;
+            for id in 0..16 {
+                let base = bits::team_base(id, r);
+                assert_eq!(topo.team_for(id, r), base..base + r, "id={id} r={r}");
+                assert_eq!(topo.local_id(id, r), id - base, "id={id} r={r}");
             }
         }
     }
@@ -378,7 +431,7 @@ mod tests {
                     let r = 1usize << r_log;
                     assert_eq!(
                         topo.overlap(x, y, r),
-                        bits::overlap(x, y, r),
+                        bits::team_base(x, r) == bits::team_base(y, r),
                         "x={x} y={y} r={r}"
                     );
                 }
