@@ -285,28 +285,7 @@ impl Topology {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    /// The paper's power-of-two team arithmetic (Section 3), kept as the
-    /// oracle the balanced tables are checked against.
-    mod bits {
-        /// Number of steal levels for `p` threads: `⌈log₂ p⌉`.
-        pub fn levels_for(p: usize) -> usize {
-            assert!(p > 0, "at least one thread is required");
-            (usize::BITS - (p - 1).leading_zeros()) as usize
-        }
-
-        /// The partner of thread `id` at level `level`: `id ⊕ 2^level`.
-        pub fn flip_partner(id: usize, level: usize) -> usize {
-            id ^ (1usize << level)
-        }
-
-        /// The smallest thread id of the power-of-two team of size
-        /// `team_size` containing `id` (Section 3.1).
-        pub fn team_base(id: usize, team_size: usize) -> usize {
-            debug_assert!(team_size.is_power_of_two());
-            id & !(team_size - 1)
-        }
-    }
+    use teamsteal_util::bits;
 
     #[test]
     fn power_of_two_matches_bit_flipping() {
