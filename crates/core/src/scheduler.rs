@@ -5,6 +5,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use teamsteal_topology::{StealPolicy, Topology};
+use teamsteal_util::affinity;
 
 use crate::cancel::CancelCell;
 use crate::context::TaskContext;
@@ -97,17 +98,31 @@ impl SchedulerBuilder {
 
     /// Builds the scheduler and starts its worker threads.
     ///
+    /// When `2 ≤ p` and the process may run on at least `p` CPUs, worker `i`
+    /// pins itself to the `i`-th allowed CPU (ascending) before it builds its
+    /// per-worker state, so a team's members never share a CPU and
+    /// [`Topology::balanced`]'s groups are groups of CPUs in mask order.  A
+    /// pool of one or an oversubscribed pool is not pinned, nor is the
+    /// calling thread (DESIGN.md §13 "Worker placement").
+    ///
     /// # Panics
     ///
     /// Panics if the thread count is zero.
     pub fn build(self) -> Scheduler {
         let shared = SchedulerShared::new(&self);
-        let mut threads = Vec::with_capacity(shared.num_threads());
-        for id in 0..shared.num_threads() {
+        let p = shared.num_threads();
+        let allowed = affinity::allowed_cpus();
+        let pinned = (2..=allowed.len()).contains(&p);
+        let mut threads = Vec::with_capacity(p);
+        for id in 0..p {
             let shared = Arc::clone(&shared);
+            let cpu = allowed.get(id).copied().filter(|_| pinned);
             let handle = std::thread::Builder::new()
                 .name(format!("teamsteal-worker-{id}"))
                 .spawn(move || {
+                    if let Some(cpu) = cpu {
+                        affinity::pin_current_thread(cpu);
+                    }
                     let mut worker = Worker::new(id, shared);
                     worker.run_loop();
                 })

@@ -25,7 +25,7 @@ use std::sync::Arc;
 use teamsteal_core::{Scheduler, TaskContext};
 use teamsteal_util::SendMutPtr;
 
-use crate::seq::{median_of_three, split_around, std_sort};
+use crate::seq::{pivot, split_around, std_sort};
 use crate::SortConfig;
 
 /// Sorts `data` with the task-parallel Quicksort of Algorithm 10 on the given
@@ -64,7 +64,7 @@ pub(crate) fn sort_task(
         std_sort(data);
         return;
     }
-    let pivot = median_of_three(data);
+    let pivot = pivot(data);
     let (left_len, right_start) = split_around(data, pivot);
     let right_len = n - right_start;
     if left_len > 0 {

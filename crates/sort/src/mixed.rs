@@ -35,7 +35,7 @@ use teamsteal_util::SendMutPtr;
 
 use crate::fork::sort_task;
 use crate::parallel_partition::ParallelPartitioner;
-use crate::seq::{median_of_three, partition_by};
+use crate::seq::{partition_by, pivot};
 use crate::SortConfig;
 
 /// The paper's `getBestNp(n)`: the number of threads to use for the
@@ -93,7 +93,7 @@ pub fn mixed_mode_sort(scheduler: &Scheduler, data: &mut [u32], config: &SortCon
 /// Builds the team-task closure for one mixed-mode recursion step over
 /// `ptr[0 .. n]` of a sort whose root holds `root_len` elements.
 ///
-/// The pivot is chosen (median of three) by the spawner, which at that point
+/// The pivot is chosen ([`pivot`]) by the spawner, which at that point
 /// has exclusive access to the subrange; the per-step
 /// [`ParallelPartitioner`] is created here as well so all team members share
 /// it through the captured `Arc`.
@@ -106,7 +106,7 @@ fn mm_task(
 ) -> impl Fn(&TaskContext<'_>) + Send + Sync + 'static {
     // SAFETY: the spawner owns ptr[0..n] exclusively until the spawned task
     // starts running.
-    let pivot = median_of_three(unsafe { ptr.slice_mut(n) });
+    let pivot = pivot(unsafe { ptr.slice_mut(n) });
     let partitioner = Arc::new(ParallelPartitioner::new(n, config.block_size, num_threads));
     move |ctx: &TaskContext<'_>| {
         let split = partitioner.run(ctx, ptr, pivot);

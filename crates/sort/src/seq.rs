@@ -11,7 +11,7 @@ pub fn std_sort(data: &mut [u32]) {
 }
 
 /// Handwritten sequential Quicksort with the same cutoff as the parallel
-/// variants (the paper's *SeqQS* column): median-of-three pivot selection,
+/// variants (the paper's *SeqQS* column): [`pivot`] selection,
 /// a trimmed branchless Lomuto partition ([`partition_by`]), recursion into
 /// the smaller side first and a switch to [`std_sort`] below the cutoff.
 pub fn sequential_quicksort(data: &mut [u32], config: &SortConfig) {
@@ -25,7 +25,7 @@ fn quicksort_recursive(mut data: &mut [u32], cutoff: usize) {
             std_sort(data);
             return;
         }
-        let pivot = median_of_three(data);
+        let pivot = pivot(data);
         let (left_len, right_start) = split_around(data, pivot);
         // Recurse into the smaller part, loop on the larger one so the stack
         // depth stays O(log n) even for adversarial inputs.
@@ -42,14 +42,42 @@ fn quicksort_recursive(mut data: &mut [u32], cutoff: usize) {
     }
 }
 
-/// Median of the first, middle and last element — the pivot selection used by
-/// every Quicksort variant in this crate.
+/// Length from which [`pivot`] takes Tukey's ninther instead of the median
+/// of three.
+const NINTHER_MIN_LEN: usize = 128;
+
+/// The pivot selection used by every Quicksort variant in this crate:
+/// Tukey's ninther (the median of three medians of three, sampled at nine
+/// spread positions; Bentley and McIlroy, "Engineering a Sort Function",
+/// 1993) from 128 elements on, [`median_of_three`] below.
+///
+/// The Lomuto partition keeps each side's order, so on blocked input the
+/// first, middle and last element keep landing in the same sub-runs; nine
+/// samples spread over the slice give a pivot nearer the median.
+pub fn pivot(data: &[u32]) -> u32 {
+    let n = data.len();
+    if n < NINTHER_MIN_LEN {
+        return median_of_three(data);
+    }
+    let s = n / 8;
+    let (m, l) = (n / 2, n - 1);
+    let sample = |a: usize, b: usize, c: usize| med3(data[a], data[b], data[c]);
+    med3(
+        sample(0, s, 2 * s),
+        sample(m - s, m, m + s),
+        sample(l - 2 * s, l - s, l),
+    )
+}
+
+/// Median of the first, middle and last element — [`pivot`] below 128
+/// elements.
 pub fn median_of_three(data: &[u32]) -> u32 {
     let n = data.len();
     debug_assert!(n >= 1);
-    let a = data[0];
-    let b = data[n / 2];
-    let c = data[n - 1];
+    med3(data[0], data[n / 2], data[n - 1])
+}
+
+fn med3(a: u32, b: u32, c: u32) -> u32 {
     a.max(b).min(a.min(b).max(c))
 }
 
@@ -170,6 +198,36 @@ mod tests {
     }
 
     #[test]
+    fn pivot_takes_the_ninther_from_128_elements() {
+        // Below the threshold: the median of three.
+        let short: Vec<u32> = (0..127).rev().collect();
+        assert_eq!(pivot(&short), median_of_three(&short));
+        // n = 128, s = 16: samples at 0, 16, 32 | 48, 64, 80 | 95, 111, 127.
+        let mut v = vec![0u32; 128];
+        for (i, x) in [
+            (0, 9),
+            (16, 1),
+            (32, 5),
+            (48, 2),
+            (64, 8),
+            (80, 3),
+            (95, 7),
+            (111, 4),
+            (127, 6),
+        ] {
+            v[i] = x;
+        }
+        // Medians 5, 3, 6; their median 5.
+        assert_eq!(pivot(&v), 5);
+        // Four blocks of ascending runs: median of three reads 0, 0, 31
+        // (the first element of block 0 and 2, the last of block 3) and picks
+        // the minimum; the ninther's samples reach into the middle blocks.
+        let blocked: Vec<u32> = (0..4).flat_map(|_| 0..32u32).collect();
+        assert_eq!(median_of_three(&blocked), 0);
+        assert_eq!(pivot(&blocked), 16);
+    }
+
+    #[test]
     fn partition_by_basic() {
         let mut v = vec![4u32, 1, 7, 2, 9, 3];
         let k = partition_by(&mut v, |x| x <= 3);
@@ -283,6 +341,13 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn pivot_lies_between_min_and_max(v in proptest::collection::vec(any::<u32>(), 1..600)) {
+            let p = pivot(&v);
+            prop_assert!(v.contains(&p));
+            prop_assert!(*v.iter().min().unwrap() <= p && p <= *v.iter().max().unwrap());
+        }
+
         #[test]
         fn quicksort_matches_std_sort(mut v in proptest::collection::vec(any::<u32>(), 0..2000)) {
             let mut reference = v.clone();

@@ -29,12 +29,15 @@
 //!   scheduler's event-driven parking (prepare → recheck → park, targeted
 //!   per-worker wakes), replacing timed sleep-polling on every idle and
 //!   coordination path,
+//! * [`affinity`] — the process's CPU mask and thread pinning, with which
+//!   the scheduler places worker `i` on the `i`-th allowed CPU,
 //! * [`timing`] — the monotonic timer the harnesses and examples time one
 //!   run with, and the paper's speedup ratio.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod affinity;
 pub mod backoff;
 pub mod bits;
 pub mod countdown;
