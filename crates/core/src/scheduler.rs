@@ -98,12 +98,13 @@ impl SchedulerBuilder {
 
     /// Builds the scheduler and starts its worker threads.
     ///
-    /// When `2 ≤ p` and the process may run on at least `p` CPUs, worker `i`
-    /// pins itself to the `i`-th allowed CPU (ascending) before it builds its
-    /// per-worker state, so a team's members never share a CPU and
-    /// [`Topology::balanced`]'s groups are groups of CPUs in mask order.  A
-    /// pool of one or an oversubscribed pool is not pinned, nor is the
-    /// calling thread (DESIGN.md §13 "Worker placement").
+    /// When `2 ≤ p` and the calling thread may run on exactly `p` CPUs,
+    /// worker `i` pins itself to the `i`-th allowed CPU (ascending) before it
+    /// builds its per-worker state, so a team's members never share a CPU
+    /// and [`Topology::balanced`]'s groups are groups of CPUs in mask order.
+    /// A pool of one, a pool smaller than the mask and an oversubscribed
+    /// pool are not pinned, nor is the calling thread (DESIGN.md §13 "Worker
+    /// placement").
     ///
     /// # Panics
     ///
@@ -112,7 +113,7 @@ impl SchedulerBuilder {
         let shared = SchedulerShared::new(&self);
         let p = shared.num_threads();
         let allowed = affinity::allowed_cpus();
-        let pinned = (2..=allowed.len()).contains(&p);
+        let pinned = p >= 2 && p == allowed.len();
         let mut threads = Vec::with_capacity(p);
         for id in 0..p {
             let shared = Arc::clone(&shared);

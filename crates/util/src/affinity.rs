@@ -2,8 +2,8 @@
 //! calling thread to one of them (DESIGN.md §13 "Worker placement").
 //!
 //! The scheduler pins worker `i` to the `i`-th allowed CPU when its pool
-//! fits the mask, so the `r` members of a team run on `r` distinct CPUs
-//! instead of wherever the kernel's wake placement puts them.  There is no
+//! takes the whole mask, so the `r` members of a team run on `r` distinct
+//! CPUs instead of wherever the kernel's wake placement puts them.  There is no
 //! `libc` in the tree: both calls are raw `sched_getaffinity` /
 //! `sched_setaffinity` system calls on x86-64 Linux.  Everywhere else, and
 //! under `--cfg teamsteal_model`, [`allowed_cpus`] returns an empty list and

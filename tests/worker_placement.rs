@@ -1,13 +1,10 @@
-//! Worker placement (DESIGN.md §13 "Worker placement"): a pool that fits the
-//! process's CPU mask pins worker `i` to the `i`-th allowed CPU, so a team's
-//! members run on distinct CPUs; an oversubscribed pool (or a pool of one)
-//! keeps the mask every thread inherits.  Each member reads its own
-//! `Cpus_allowed_list` from `/proc/thread-self/status`, so the check does
-//! not go through the code under test.
-//!
-//! Run under `taskset -c 0` the first test builds a pool of one and the
-//! second a pool of two on one CPU: the "mask respected, nothing pinned"
-//! branch.
+//! Worker placement (DESIGN.md §13 "Worker placement"): a pool of `p ≥ 2`
+//! workers on a mask of exactly `p` CPUs pins worker `i` to the `i`-th
+//! allowed CPU, so a team's members run on distinct CPUs; a pool of one, a
+//! pool smaller than the mask and an oversubscribed pool keep the mask every
+//! thread inherits.  Each member reads its own `Cpus_allowed_list` from
+//! `/proc/thread-self/status`, so the check does not go through the code
+//! under test.  Cases that the runner's mask cannot express return early.
 #![cfg(all(target_os = "linux", target_arch = "x86_64"))]
 
 use std::sync::{Arc, Mutex};
@@ -16,6 +13,9 @@ use teamsteal::Scheduler;
 
 mod common;
 use common::{with_watchdog, WATCHDOG};
+
+/// Masks wider than this skip the cases that start one worker per CPU.
+const MAX_MASK: usize = 16;
 
 /// Parses a kernel CPU list (`0-3,8,10-11`) into ascending CPU numbers.
 fn parse_cpu_list(list: &str) -> Vec<usize> {
@@ -38,10 +38,10 @@ fn own_cpus() -> Vec<usize> {
     parse_cpu_list(list)
 }
 
-/// Runs a team of all `p` workers and returns each worker's allowed CPUs,
-/// indexed by worker id.
-fn worker_cpus(p: usize) -> Vec<Vec<usize>> {
-    let scheduler = Scheduler::with_threads(p);
+/// Runs a team of all of `scheduler`'s workers and returns each worker's
+/// allowed CPUs, indexed by worker id.
+fn team_cpus(scheduler: &Scheduler) -> Vec<Vec<usize>> {
+    let p = scheduler.num_threads();
     let seen = Arc::new(Mutex::new(vec![Vec::new(); p]));
     let sink = Arc::clone(&seen);
     scheduler.run_team(p, move |ctx| {
@@ -53,6 +53,16 @@ fn worker_cpus(p: usize) -> Vec<Vec<usize>> {
     cpus
 }
 
+/// Builds a pool of `p` workers and returns each worker's allowed CPUs.
+fn worker_cpus(p: usize) -> Vec<Vec<usize>> {
+    team_cpus(&Scheduler::with_threads(p))
+}
+
+/// The one-CPU lists a pool that takes the whole `mask` must report.
+fn one_cpu_each(mask: &[usize]) -> Vec<Vec<usize>> {
+    mask.iter().map(|&cpu| vec![cpu]).collect()
+}
+
 #[test]
 fn parse_cpu_list_examples() {
     assert_eq!(parse_cpu_list("0\n"), vec![0]);
@@ -62,22 +72,49 @@ fn parse_cpu_list_examples() {
 }
 
 #[test]
-fn a_pool_that_fits_the_mask_puts_each_member_on_its_own_cpu() {
-    with_watchdog("worker placement, fitting pool", WATCHDOG, || {
+fn a_pool_that_takes_the_whole_mask_puts_worker_i_on_the_ith_cpu() {
+    with_watchdog("worker placement, whole-mask pool", WATCHDOG, || {
         let mask = own_cpus();
-        let p = mask.len().min(2);
-        let cpus = worker_cpus(p);
-        for (worker, list) in cpus.iter().enumerate() {
-            assert_eq!(list.len(), 1, "worker {worker} may run on {list:?}");
-            assert!(
-                mask.contains(&list[0]),
-                "worker {worker} on {list:?}, mask {mask:?}"
-            );
+        if !(2..=MAX_MASK).contains(&mask.len()) {
+            return;
         }
-        let mut distinct: Vec<usize> = cpus.iter().map(|list| list[0]).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        assert_eq!(distinct.len(), p, "members share a CPU: {cpus:?}");
+        assert_eq!(worker_cpus(mask.len()), one_cpu_each(&mask));
+    });
+}
+
+#[test]
+fn two_whole_mask_pools_at_once_both_spread_over_the_whole_mask() {
+    with_watchdog("worker placement, two pools at once", WATCHDOG, || {
+        let mask = own_cpus();
+        if !(2..=MAX_MASK).contains(&mask.len()) {
+            return;
+        }
+        let first = Scheduler::with_threads(mask.len());
+        let second = Scheduler::with_threads(mask.len());
+        // Worker `i` of each pool is on `mask[i]`: every CPU carries one
+        // worker of each pool, and none is left out.
+        assert_eq!(team_cpus(&first), one_cpu_each(&mask));
+        assert_eq!(team_cpus(&second), one_cpu_each(&mask));
+    });
+}
+
+#[test]
+fn a_pool_of_one_keeps_the_process_mask() {
+    with_watchdog("worker placement, pool of one", WATCHDOG, || {
+        assert_eq!(worker_cpus(1)[0], own_cpus());
+    });
+}
+
+#[test]
+fn a_pool_smaller_than_the_mask_keeps_the_process_mask() {
+    with_watchdog("worker placement, smaller pool", WATCHDOG, || {
+        let mask = own_cpus();
+        if mask.len() < 3 {
+            return;
+        }
+        for (worker, list) in worker_cpus(2).iter().enumerate() {
+            assert_eq!(list, &mask, "worker {worker}");
+        }
     });
 }
 
@@ -85,11 +122,10 @@ fn a_pool_that_fits_the_mask_puts_each_member_on_its_own_cpu() {
 fn an_oversubscribed_pool_keeps_the_process_mask() {
     with_watchdog("worker placement, oversubscribed pool", WATCHDOG, || {
         let mask = own_cpus();
-        if mask.len() > 16 {
+        if mask.len() > MAX_MASK {
             return;
         }
-        let cpus = worker_cpus(mask.len() + 1);
-        for (worker, list) in cpus.iter().enumerate() {
+        for (worker, list) in worker_cpus(mask.len() + 1).iter().enumerate() {
             assert_eq!(list, &mask, "worker {worker}");
         }
     });
