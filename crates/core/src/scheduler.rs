@@ -1,6 +1,7 @@
 //! The public scheduler front-end: thread pool construction, scopes and
 //! metrics.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -181,8 +182,8 @@ impl Scheduler {
     where
         F: FnOnce(&Scope<'_>) -> R,
     {
-        // One countdown shard per worker plus one for this thread.
-        let state = ScopeState::new(self.num_threads() + 1);
+        // One owned countdown shard per worker plus one for this thread.
+        let state = ScopeState::for_workers(self.num_threads());
         let scope = Scope {
             scheduler: self,
             state: &state,
@@ -190,7 +191,9 @@ impl Scheduler {
         // Task nodes borrow `state`, so not even a panic in `f` may skip
         // the wait (the same rule as `std::thread::scope`).
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&scope)));
-        state.wait();
+        if state.wait() {
+            self.shared.scope_backstops.fetch_add(1, Ordering::Relaxed);
+        }
         let result = result.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
         if let Some(payload) = state.take_panic() {
             std::panic::resume_unwind(payload);
@@ -245,6 +248,17 @@ impl Scheduler {
         // Scheduler-wide counters that no single worker owns.
         aggregate.external_pin_waits = self.shared.external_pins.pin_waits();
         aggregate
+    }
+
+    /// Number of [`scope`](Self::scope) calls whose wait for their tasks
+    /// ended on the countdown's 5 ms timed backstop rather than on a
+    /// finisher's signal or the waiter's own check.  Zero in a healthy run:
+    /// the backstop guards against a lost signal, which the protocol has
+    /// none of (DESIGN.md §9, row 7).  Kept beside [`metrics`](Self::metrics)
+    /// rather than in it, because the snapshot's counter list is also the
+    /// schema of the committed `BENCH_*.json` records.
+    pub fn scope_backstops(&self) -> u64 {
+        self.shared.scope_backstops.load(Ordering::Relaxed)
     }
 
     /// Point-in-time snapshot of the memory-reclamation state (DESIGN.md
@@ -339,9 +353,7 @@ impl Scheduler {
 
 impl Drop for Scheduler {
     fn drop(&mut self) {
-        self.shared
-            .shutdown
-            .store(true, std::sync::atomic::Ordering::Release);
+        self.shared.shutdown.store(true, Ordering::Release);
         // Wake every parked worker so shutdown is observed in microseconds;
         // the eventcount's ticket bump also covers workers that are
         // mid-commit into a park.

@@ -268,11 +268,29 @@ pub struct ScopeState {
 }
 
 impl ScopeState {
-    /// Creates the state with `shards` countdown shards: workers count on
-    /// shard `worker id`, threads outside the pool on the last one.
+    /// Creates the state with `shards` countdown shards, all shared:
+    /// workers count on shard `worker id` (reduced modulo the count),
+    /// threads outside the pool on the last one.  For a scope that workers
+    /// of several schedulers may serve ([`ConcurrentScope`]).
+    ///
+    /// [`ConcurrentScope`]: crate::ConcurrentScope
     pub(crate) fn new(shards: usize) -> Arc<Self> {
+        Self::with_countdown(ShardedCountdown::new(shards))
+    }
+
+    /// Creates the state of a scope served by one scheduler's `workers`
+    /// workers only ([`Scheduler::scope`]): worker `i` alone counts on
+    /// shard `i`, so those shards are owned and count without an RMW
+    /// (DESIGN.md §9); threads outside the pool share the last one.
+    ///
+    /// [`Scheduler::scope`]: crate::Scheduler::scope
+    pub(crate) fn for_workers(workers: usize) -> Arc<Self> {
+        Self::with_countdown(ShardedCountdown::with_owned_shards(workers + 1, workers))
+    }
+
+    fn with_countdown(countdown: ShardedCountdown) -> Arc<Self> {
         Arc::new(ScopeState {
-            countdown: ShardedCountdown::new(shards),
+            countdown,
             panic: Mutex::new(None),
             panics_observed: AtomicUsize::new(0),
             orphaned: AtomicBool::new(false),
@@ -353,8 +371,11 @@ impl ScopeState {
     }
 
     /// Blocks until every task spawned in this scope has finished.
-    pub(crate) fn wait(&self) {
-        self.countdown.wait();
+    /// Returns `true` when the wait ended on the countdown's timed backstop
+    /// instead of a signal (or its own check), which no schedule should
+    /// need.
+    pub(crate) fn wait(&self) -> bool {
+        self.countdown.wait()
     }
 
     /// Called when the last user handle of a [`ConcurrentScope`] goes away:

@@ -332,6 +332,9 @@ pub(crate) struct SchedulerShared {
     /// against submitters with a different shard affinity (DESIGN.md §13).
     pub(crate) injector: ShardedInjector<TaskPtr>,
     pub(crate) shutdown: AtomicBool,
+    /// `Scheduler::scope` waits that ended on the countdown's timed
+    /// backstop instead of a signal (`Scheduler::scope_backstops`).
+    pub(crate) scope_backstops: AtomicU64,
 }
 
 impl SchedulerShared {
@@ -360,6 +363,7 @@ impl SchedulerShared {
             epoch,
             external_pins,
             shutdown: AtomicBool::new(false),
+            scope_backstops: AtomicU64::new(0),
         });
         let mut registry = SCHEDULERS.lock().unwrap_or_else(|e| e.into_inner());
         registry.retain(|weak| weak.strong_count() > 0);

@@ -650,7 +650,11 @@ impl Execution {
         )
     }
 
-    pub(crate) fn fence(&self, tid: usize) {
+    /// A fence; a `seq_cst` one raises `tid`'s coherence floor on every
+    /// atomic to its newest value.  That is stronger than C++ (a fence only
+    /// guarantees the writes ordered before it in the `SeqCst` order), so it
+    /// may hide a bug, never invent one.
+    pub(crate) fn fence(&self, tid: usize, seq_cst: bool) {
         self.yield_point(
             tid,
             Op {
@@ -658,6 +662,13 @@ impl Execution {
                 obj: NO_OBJ,
             },
             |ctl, variant| {
+                if seq_cst {
+                    for o in ctl.objects.iter_mut() {
+                        if let Some(newest) = o.hist.len().checked_sub(1) {
+                            *o.last_seen_mut(tid) = newest;
+                        }
+                    }
+                }
                 ctl.record(tid, variant, "fence", NO_OBJ, 0);
             },
         )

@@ -453,12 +453,15 @@ pub mod atomic {
         }
     }
 
-    /// Memory fence.  The model is sequentially consistent, so the fence
-    /// has no state effect, but it is still a yield point and is treated
-    /// as dependent with every atomic op by the sleep-set pruner.
+    /// Memory fence: a yield point, treated as dependent with every atomic
+    /// op by the sleep-set pruner.  A `SeqCst` fence also ends the calling
+    /// thread's stale reads: its later `Relaxed` loads return no value older
+    /// than the newest one of each object at the fence (DESIGN.md §14).
+    /// Other orderings have no state effect (non-`Relaxed` accesses are
+    /// sequentially consistent here anyway).
     pub fn fence(order: Ordering) {
         match execution::current() {
-            Some(ctx) => ctx.exec.fence(ctx.tid),
+            Some(ctx) => ctx.exec.fence(ctx.tid, matches!(order, Ordering::SeqCst)),
             None => std::sync::atomic::fence(order),
         }
     }

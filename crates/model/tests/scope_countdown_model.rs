@@ -32,8 +32,13 @@
 //!    fires a timeout only when nothing else can run, so a backstop wake
 //!    *is* a missed signal.
 //!
-//! A third test shows the scenario has teeth: a countdown that sums
-//! `spawned` before `finished` is caught returning early on it.
+//! Two negative controls show the scenario has teeth: a countdown that sums
+//! `spawned` before `finished` is caught returning early on it, and a copy
+//! of the owned-shard protocol whose `signal_if_zero` lacks its fence is
+//! caught losing the wake.  The second relies on the explorer's stale
+//! `Relaxed` loads, which a `SeqCst` fence ends (DESIGN.md §14): the
+//! finisher's `Relaxed` load of `waiters` may miss the waiter's
+//! registration exactly when no fence precedes it.
 //!
 //! Run with `RUSTFLAGS='--cfg teamsteal_model' cargo test -p teamsteal-model`.
 #![cfg(teamsteal_model)]
@@ -47,7 +52,8 @@ use std::time::Duration;
 use teamsteal_model::time::Instant;
 use teamsteal_model::{thread, Builder};
 use teamsteal_util::countdown::ShardedCountdown;
-use teamsteal_util::sync::atomic::{AtomicUsize, Ordering};
+use teamsteal_util::sync::atomic::{fence, AtomicUsize, Ordering};
+use teamsteal_util::sync::{Condvar, Mutex};
 
 /// Shard keys: one per worker, the last for the thread outside the pool.
 const A: usize = 0;
@@ -81,7 +87,7 @@ struct Scene {
 impl Scene {
     fn new() -> Arc<Self> {
         Arc::new(Scene {
-            countdown: ShardedCountdown::new(3),
+            countdown: ShardedCountdown::with_owned_shards(3, 2),
             slot: AtomicUsize::new(EMPTY),
             ran: AtomicUsize::new(0),
             root_done: AtomicUsize::new(0),
@@ -295,6 +301,111 @@ fn spawned_before_finished_is_caught_returning_early() {
     };
     assert!(
         message.contains("read zero while a counted task had not run"),
+        "failed for another reason: {message}"
+    );
+}
+
+/// The owned-shard protocol of `ShardedCountdown`, copied down to what one
+/// finisher and one registered waiter touch, with `signal_if_zero`'s fence
+/// switchable.  `fenced: true` is the production protocol.
+struct OwnedShardCopy {
+    fenced: bool,
+    spawned: [AtomicUsize; 2],
+    finished: [AtomicUsize; 2],
+    waiters: AtomicUsize,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl OwnedShardCopy {
+    fn is_zero(&self) -> bool {
+        let finished: usize = self.finished.iter().map(|f| f.load(Ordering::SeqCst)).sum();
+        let spawned: usize = self.spawned.iter().map(|s| s.load(Ordering::Acquire)).sum();
+        finished == spawned
+    }
+
+    /// `finished` on owned shard `A`, then `signal_if_zero`.
+    fn finish_and_signal(&self) {
+        let count = self.finished[A].load(Ordering::Relaxed);
+        self.finished[A].store(count + 1, Ordering::Release);
+        if self.fenced {
+            fence(Ordering::SeqCst);
+        }
+        if self.waiters.load(Ordering::Relaxed) != 0 && self.is_zero() {
+            drop(self.lock.lock().unwrap());
+            self.cv.notify_all();
+        }
+    }
+
+    /// `wait` past its poll budget: register, then check under the lock.
+    /// Returns `true` when the backstop ended it.
+    fn wait_registered(&self) -> bool {
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let mut by_backstop = false;
+        let mut guard = self.lock.lock().unwrap();
+        while !self.is_zero() {
+            let (g, timeout) = self
+                .cv
+                .wait_timeout(guard, Duration::from_millis(5))
+                .unwrap();
+            guard = g;
+            by_backstop = timeout.timed_out();
+        }
+        by_backstop
+    }
+}
+
+/// One task counted on the shared shard (index 1 here), finished by worker
+/// A on its owned shard while the waiter registers.  Panics with "lost
+/// wake" when the waiter needed its backstop.
+fn owned_shard_scene(fenced: bool) {
+    Builder::new().preemption_bound(2).check(move || {
+        let c = Arc::new(OwnedShardCopy {
+            fenced,
+            spawned: Default::default(),
+            finished: Default::default(),
+            waiters: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            cv: Condvar::new(),
+        });
+        c.spawned[1].fetch_add(1, Ordering::SeqCst);
+        let worker = {
+            let c = Arc::clone(&c);
+            thread::spawn(move || c.finish_and_signal())
+        };
+        assert!(
+            !c.wait_registered(),
+            "lost wake: the finisher missed the registered waiter"
+        );
+        worker.join().unwrap();
+    });
+}
+
+/// The copy with its fence is as safe as the production countdown: the
+/// fence is what makes the `Relaxed` load of `waiters` see a waiter that
+/// registered before it.
+#[test]
+fn owned_shard_copy_with_its_fence_never_loses_the_wake() {
+    owned_shard_scene(true);
+}
+
+/// Negative control: without the fence, the finisher's `Release` store and
+/// its `Relaxed` load of `waiters` form no Dekker pair with the waiter's
+/// registration and check — the store-buffering outcome where each side
+/// misses the other.  The explorer must find it.
+#[test]
+fn signal_without_its_fence_is_caught_losing_the_wake() {
+    let result = catch_unwind(AssertUnwindSafe(|| owned_shard_scene(false)));
+    let message = match result {
+        Ok(()) => panic!("the explorer never found the lost wake"),
+        Err(payload) => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default(),
+    };
+    assert!(
+        message.contains("lost wake: the finisher missed the registered waiter"),
         "failed for another reason: {message}"
     );
 }

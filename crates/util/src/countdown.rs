@@ -11,6 +11,13 @@
 //!   [`finished`](ShardedCountdown::finished) bump **monotone** per-shard
 //!   counters.  A task may be spawned on one shard and finished on another
 //!   (it was stolen), so no single shard ever knows a balance.
+//! * **Owned shards.**  A countdown made by
+//!   [`with_owned_shards`](ShardedCountdown::with_owned_shards) promises
+//!   that each of its first shards is counted by one thread only (a
+//!   scheduler's worker `i` on shard `i`).  Such a shard counts with a load
+//!   and a store instead of a locked read-modify-write: the `r = 1` task
+//!   path then pays no barrier for its count.  Every other shard may be
+//!   shared and counts with RMWs.  Debug builds assert the promise.
 //! * [`is_zero`](ShardedCountdown::is_zero) sums every `finished` **first**
 //!   and every `spawned` **second** and reports zero only when the sums
 //!   match.  Let `t` be the moment the first pass ends: the first pass
@@ -27,12 +34,16 @@
 //!   the worker the caller is waiting for.  During that phase the waiter is
 //!   invisible: finishers skip the sums while `waiters` is zero.
 //! * A waiter that outlives the budget is **signalled**, not polled: it
-//!   registers in `waiters` before it checks again, a finisher calls
+//!   registers in `waiters` before it checks again, and a finisher calls
 //!   [`signal_if_zero`](ShardedCountdown::signal_if_zero) after its
-//!   increments, and all four accesses are `SeqCst` — the Dekker pair that
-//!   guarantees the waiter sees the last increment or the finisher sees the
-//!   waiter.  The waiter's 5 ms timed wait is a backstop the protocol never
-//!   relies on (model-checked: `crates/model/tests/scope_countdown_model.rs`).
+//!   increments.  The waiter's registration and its first load of the sums
+//!   are `SeqCst`; the finisher's side is its `SeqCst` RMW on a shared shard
+//!   or, after a `Release` store on an owned one, the `SeqCst` fence that
+//!   `signal_if_zero` issues before it loads `waiters` — once per run-out,
+//!   not once per task.  Either form is the Dekker pair that guarantees
+//!   the waiter sees the last increment or the finisher sees the waiter.
+//!   The waiter's 5 ms timed wait is a backstop the protocol never relies
+//!   on (model-checked: `crates/model/tests/scope_countdown_model.rs`).
 //!
 //! The countdown does not manage its own lifetime: `finished` may be the
 //! increment that releases a waiter — a polling one needs no signal for
@@ -61,7 +72,7 @@
 //! worker.join().unwrap();
 //! ```
 
-use crate::sync::atomic::{AtomicUsize, Ordering};
+use crate::sync::atomic::{fence, AtomicUsize, Ordering};
 use crate::sync::time::Instant;
 use crate::sync::{thread, Condvar, Mutex};
 use std::time::Duration;
@@ -87,11 +98,17 @@ const POLL_BUDGET: Duration = Duration::from_micros(50);
 struct Shard {
     spawned: AtomicUsize,
     finished: AtomicUsize,
+    /// Debug builds: the thread that counts on this shard, if it is owned
+    /// (see [`ShardedCountdown::sole_writer`]).  A std atomic, so the model
+    /// explores no interleavings of the check itself.
+    writer: std::sync::atomic::AtomicUsize,
 }
 
 /// A completion countdown sharded by thread.  See the [module docs](self).
 pub struct ShardedCountdown {
     shards: Box<[CachePadded<Shard>]>,
+    /// Shards `0..owned` are each counted by one thread only.
+    owned: usize,
     /// Threads currently inside [`wait`](Self::wait) (plus any registered
     /// through [`add_waiter`](Self::add_waiter)); finishers skip the sums
     /// while it is zero.
@@ -101,13 +118,25 @@ pub struct ShardedCountdown {
 }
 
 impl ShardedCountdown {
-    /// Creates a countdown with `shards` shards (at least one).  Callers
-    /// give each thread that counts often a shard key of its own; keys are
-    /// reduced modulo the shard count, so any key is valid and two threads
-    /// sharing a shard are merely slower, never wrong.
+    /// Creates a countdown with `shards` shards (at least one), all of
+    /// them shared.  Callers give each thread that counts often a shard key
+    /// of its own; keys are reduced modulo the shard count, so any key is
+    /// valid and two threads sharing a shard are merely slower, never wrong.
     pub fn new(shards: usize) -> Self {
+        Self::with_owned_shards(shards, 0)
+    }
+
+    /// Creates a countdown with `shards` shards whose first `owned` are
+    /// **owned**: the caller promises that each key below `owned` is
+    /// counted by one thread only, so those shards count without an RMW
+    /// (module docs).  At least one shard stays shared; keys from `owned`
+    /// up are reduced onto the shared ones, never onto an owned shard.
+    pub fn with_owned_shards(shards: usize, owned: usize) -> Self {
+        let shards = shards.max(1);
+        assert!(owned < shards, "a countdown needs a shared shard");
         ShardedCountdown {
-            shards: (0..shards.max(1)).map(|_| CachePadded::default()).collect(),
+            shards: (0..shards).map(|_| CachePadded::default()).collect(),
+            owned,
             waiters: AtomicUsize::new(0),
             lock: Mutex::new(()),
             cv: Condvar::new(),
@@ -119,10 +148,34 @@ impl ShardedCountdown {
         self.shards.len()
     }
 
+    /// The shard `key` counts on, and whether it is owned.
     #[inline]
-    fn shard(&self, key: usize) -> &Shard {
+    fn shard(&self, key: usize) -> (&Shard, bool) {
         let n = self.shards.len();
-        &self.shards[if key < n { key } else { key % n }]
+        let index = if key < n {
+            key
+        } else {
+            self.owned + (key - self.owned) % (n - self.owned)
+        };
+        let owned = index < self.owned;
+        debug_assert!(
+            !owned || self.sole_writer(index),
+            "owned countdown shard {index} counted by a second thread"
+        );
+        (&self.shards[index], owned)
+    }
+
+    /// `true` when the calling thread is the only one that has counted on
+    /// owned shard `index`.  The first counter claims the shard.
+    fn sole_writer(&self, index: usize) -> bool {
+        use std::sync::atomic::Ordering::Relaxed;
+        thread_local!(static TOKEN: u8 = const { 0 });
+        let me = TOKEN.with(|token| token as *const u8 as usize);
+        let writer = &self.shards[index].writer;
+        match writer.compare_exchange(0, me, Relaxed, Relaxed) {
+            Ok(_) => true,
+            Err(first) => first == me,
+        }
     }
 
     /// Counts one more outstanding task on shard `key`.
@@ -131,21 +184,40 @@ impl ShardedCountdown {
     /// task runnable, so it happens-before the task's own `finished` and —
     /// when a running task spawns — before the spawner's.  Whoever
     /// acquire-reads either of those in `is_zero`'s first pass therefore
-    /// sees this increment in the second.
+    /// sees this increment in the second.  On an owned shard the load reads
+    /// the owner's own last store, so load plus store is an increment.
     #[inline]
     pub fn spawned(&self, key: usize) {
-        self.shard(key).spawned.fetch_add(1, Ordering::Relaxed);
+        let (shard, owned) = self.shard(key);
+        if owned {
+            let count = shard.spawned.load(Ordering::Relaxed);
+            shard
+                .spawned
+                .store(count.wrapping_add(1), Ordering::Relaxed);
+        } else {
+            shard.spawned.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Counts one task as finished on shard `key`.  May release a waiter:
     /// see the module docs for what the caller may touch afterwards.
     ///
-    /// `SeqCst`: the release half publishes the task's effects to whoever
-    /// reads the counter in `is_zero`; the total order is the finisher's
-    /// half of the Dekker pair with `waiters`.
+    /// The release half publishes the task's effects to whoever reads the
+    /// counter in `is_zero`.  On a shared shard the RMW is `SeqCst`: it is
+    /// the finisher's half of the Dekker pair with `waiters`.  On an owned
+    /// shard a `Release` store suffices, because `signal_if_zero` fences
+    /// before it reads `waiters`.
     #[inline]
     pub fn finished(&self, key: usize) {
-        self.shard(key).finished.fetch_add(1, Ordering::SeqCst);
+        let (shard, owned) = self.shard(key);
+        if owned {
+            let count = shard.finished.load(Ordering::Relaxed);
+            shard
+                .finished
+                .store(count.wrapping_add(1), Ordering::Release);
+        } else {
+            shard.finished.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     /// Sums `finished` over all shards, then `spawned`.  The order is the
@@ -179,7 +251,7 @@ impl ShardedCountdown {
     /// `finished` increments, whenever they run out of work that could
     /// belong to this countdown — not per task.
     pub fn signal_if_zero(&self) -> bool {
-        if self.waiters.load(Ordering::SeqCst) == 0 || !self.is_zero() {
+        if !self.has_waiter() || !self.is_zero() {
             return false;
         }
         // Taking the lock orders this notification after a waiter's failed
@@ -188,6 +260,21 @@ impl ShardedCountdown {
         drop(self.lock.lock().expect("countdown lock poisoned"));
         self.cv.notify_all();
         true
+    }
+
+    /// The finisher's half of the Dekker pair with `wait`'s registration.
+    /// Without owned shards every finish was a `SeqCst` RMW, and a `SeqCst`
+    /// load completes the pair.  An owned shard's finish is a `Release`
+    /// store, which a later load may overtake: the fence keeps it ahead, so
+    /// either the waiter's `SeqCst` first pass sees it or this load sees
+    /// the waiter (DESIGN.md §9, row 7).
+    #[inline]
+    fn has_waiter(&self) -> bool {
+        if self.owned == 0 {
+            return self.waiters.load(Ordering::SeqCst) != 0;
+        }
+        fence(Ordering::SeqCst);
+        self.waiters.load(Ordering::Relaxed) != 0
     }
 
     /// Registers a permanent waiter: from now on every `signal_if_zero`
@@ -265,14 +352,60 @@ mod tests {
     }
 
     #[test]
-    fn signal_needs_a_waiter_and_zero() {
-        let c = ShardedCountdown::new(2);
-        assert!(!c.signal_if_zero(), "no waiter registered");
-        c.add_waiter();
+    fn owned_shards_count_and_wrap_only_onto_shared_ones() {
+        let c = ShardedCountdown::with_owned_shards(4, 2);
         c.spawned(0);
-        assert!(!c.signal_if_zero(), "a task is outstanding");
+        c.spawned(1);
+        c.spawned(5); // 2 + (5 - 2) % 2 = shard 3
+        assert_eq!(c.pending(), 3);
         c.finished(1);
-        assert!(c.signal_if_zero());
+        c.finished(0);
+        c.finished(2);
+        assert!(c.is_zero());
+        assert_eq!(c.shards[3].spawned.load(Ordering::Relaxed), 1);
+        assert_eq!(c.shards[2].finished.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a countdown needs a shared shard")]
+    fn every_shard_owned_is_refused() {
+        ShardedCountdown::with_owned_shards(2, 2);
+    }
+
+    /// Two threads counting on one owned shard would lose counts (load plus
+    /// store is no RMW); debug builds refuse the second thread.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_second_writer_on_an_owned_shard_is_caught() {
+        let c = Arc::new(ShardedCountdown::with_owned_shards(2, 1));
+        c.spawned(0);
+        let other = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || c.finished(0))
+        };
+        let message = other.join().expect_err("the second writer must panic");
+        let message = message
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert!(message.contains("counted by a second thread"), "{message}");
+        c.finished(0);
+        assert!(c.is_zero());
+    }
+
+    #[test]
+    fn signal_needs_a_waiter_and_zero() {
+        for c in [
+            ShardedCountdown::new(2),
+            ShardedCountdown::with_owned_shards(2, 1),
+        ] {
+            assert!(!c.signal_if_zero(), "no waiter registered");
+            c.add_waiter();
+            c.spawned(0);
+            assert!(!c.signal_if_zero(), "a task is outstanding");
+            c.finished(0);
+            assert!(c.signal_if_zero());
+        }
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!
 //! * [`Participant::pin`] — (re)announce "I am reading, and the global epoch
 //!   I have observed is `E`".  Workers call this once per scheduler-loop
-//!   iteration; it is one store plus one fence.
+//!   iteration.  When the epoch has moved it is one store plus one fence;
+//!   when the participant already stands pinned at the current epoch it is
+//!   two loads and nothing else (the same-epoch skip, DESIGN.md §11 row A).
 //! * [`Participant::unpin`] — announce "I hold no protected pointers".
 //!   Workers unpin before parking so sleepers never stall reclamation.
 //! * [`Domain::defer`] — hand over ownership of an *already unlinked* object
@@ -426,8 +428,10 @@ impl Drop for Domain {
 /// ```
 ///
 /// The scheduler gives every worker its own participant and multiplexes
-/// external submitters over a claimed-slot pool.  Dropping the participant
-/// unpins it and releases its slot.
+/// external submitters over a claimed-slot pool, which hands a participant
+/// on only unpinned (a re-pin at an unchanged epoch relies on the fence of
+/// the thread that pinned, see [`pin`](Self::pin)).  Dropping the
+/// participant unpins it and releases its slot.
 pub struct Participant {
     domain: Arc<Domain>,
     index: usize,
@@ -464,13 +468,22 @@ impl Participant {
     ///
     /// A pin is a **quiescent point**: any pointer obtained from a protected
     /// structure under an earlier pin must not be used after this call.
-    /// Cost: one load, one store, one full fence.
+    /// Cost: two loads when the slot already announces the current epoch,
+    /// else one store and one full fence more.
     #[inline]
     pub fn pin(&self) {
         let epoch = self.domain.global.load(Ordering::Relaxed);
-        self.slot()
-            .state
-            .store((epoch << 1) | PINNED, Ordering::Relaxed);
+        let pinned = (epoch << 1) | PINNED;
+        let state = &self.slot().state;
+        // Same-epoch skip: the slot already says "pinned at `epoch`", and
+        // the pin that wrote it fenced.  Every later protected load follows
+        // that fence, and a store of the same word would tell the advance
+        // scan nothing new (DESIGN.md §11, row A).  "Follows" needs the
+        // same thread: a participant moves between threads only unpinned.
+        if state.load(Ordering::Relaxed) == pinned {
+            return;
+        }
+        state.store(pinned, Ordering::Relaxed);
         // Full fence: the pin announcement must be ordered before every
         // subsequent protected load, and visible to the advance scan's
         // fence-then-load (DESIGN.md §11, rows A and C).
@@ -491,6 +504,12 @@ impl Participant {
     #[inline]
     pub fn is_pinned(&self) -> bool {
         self.slot().state.load(Ordering::Relaxed) & PINNED == PINNED
+    }
+
+    /// The epoch this participant is pinned at, or `None` while unpinned.
+    pub fn pinned_epoch(&self) -> Option<u64> {
+        let state = self.slot().state.load(Ordering::Relaxed);
+        (state & PINNED == PINNED).then_some(state >> 1)
     }
 
     /// Convenience forwarding of [`Domain::defer`].
@@ -576,6 +595,43 @@ mod tests {
         assert_eq!(c.freed_segments, 1);
         assert_eq!(DROPS.load(Ordering::SeqCst), 1);
         assert_eq!(domain.pending(), 0);
+    }
+
+    #[test]
+    fn a_pin_at_an_unchanged_epoch_leaves_the_slot_word_alone() {
+        let domain = Domain::new(1);
+        let p = domain.register().unwrap();
+        p.pin();
+        let word = domain.slots[0].state.load(Ordering::Relaxed);
+        assert_eq!(word, PINNED, "pinned at epoch 0");
+        p.pin();
+        assert_eq!(domain.slots[0].state.load(Ordering::Relaxed), word);
+        assert_eq!(p.pinned_epoch(), Some(0));
+        // After an unpin the word differs, so the next pin stores again.
+        p.unpin();
+        assert_eq!(p.pinned_epoch(), None);
+        p.pin();
+        assert_eq!(domain.slots[0].state.load(Ordering::Relaxed), word);
+    }
+
+    #[test]
+    fn a_pin_after_an_advance_moves_the_word_and_unblocks_the_next_advance() {
+        let domain = Domain::new(2);
+        let p = domain.register().unwrap();
+        p.pin();
+        assert!(domain.try_advance(), "pinned at the current epoch: 0 -> 1");
+        assert!(
+            !domain.try_advance(),
+            "still announcing 0, which blocks 1 -> 2"
+        );
+        p.pin();
+        assert_eq!(
+            domain.slots[0].state.load(Ordering::Relaxed),
+            (1 << 1) | PINNED,
+            "the pin announced the new epoch"
+        );
+        assert!(domain.try_advance(), "1 -> 2 goes through");
+        assert_eq!(domain.global_epoch(), 2);
     }
 
     #[test]

@@ -46,6 +46,13 @@ fn back_to_back_scopes_are_signalled_not_polled() {
             }
             let took = start.elapsed();
             assert_eq!(ran.load(Ordering::Relaxed), RUNS as usize);
+            // Decided by state: each wait reports how it ended, and none may
+            // have needed the backstop.
+            assert_eq!(
+                scheduler.scope_backstops(),
+                0,
+                "a scope wait ended on the {POLL:?} backstop instead of a signal"
+            );
             // Each scope ends microseconds after its only task — since the
             // waiter polls before it blocks, usually before it has even
             // registered, so "signalled" here mostly means "seen".  A waiter
@@ -333,6 +340,52 @@ fn dropping_a_concurrent_scope_with_tasks_outstanding_is_safe() {
                 std::thread::yield_now();
             }
             assert_eq!(retired.load(Ordering::SeqCst), TASKS);
+        },
+    );
+}
+
+/// A `ConcurrentScope` may be served by several schedulers at once, so
+/// worker 0 of each counts on the scope's shard 0: its shards must stay
+/// shared (counted by RMWs), unlike a `Scheduler::scope`'s owned worker
+/// shards, or one worker's plain store would overwrite the other's count.
+/// Debug builds also assert that an owned shard has a single writer.
+#[test]
+fn a_concurrent_scope_served_by_two_schedulers_drains_exactly() {
+    with_watchdog(
+        "a_concurrent_scope_served_by_two_schedulers_drains_exactly",
+        WATCHDOG,
+        || {
+            const ROOTS: usize = 200;
+            const CHILDREN: usize = 16;
+            let schedulers = [Scheduler::with_threads(2), Scheduler::with_threads(2)];
+            let scope = ConcurrentScope::new();
+            let ran = Arc::new(AtomicUsize::new(0));
+            std::thread::scope(|threads| {
+                for scheduler in &schedulers {
+                    let (scope, ran) = (scope.clone(), Arc::clone(&ran));
+                    threads.spawn(move || {
+                        for _ in 0..ROOTS {
+                            let ran = Arc::clone(&ran);
+                            scope.submit(scheduler, move |ctx| {
+                                for _ in 0..CHILDREN {
+                                    let ran = Arc::clone(&ran);
+                                    ctx.spawn(move |_| {
+                                        ran.fetch_add(1, Ordering::Relaxed);
+                                    });
+                                }
+                                ran.fetch_add(1, Ordering::Relaxed);
+                            });
+                        }
+                    });
+                }
+            });
+            scope.wait_idle();
+            assert_eq!(scope.pending(), 0);
+            assert_eq!(
+                ran.load(Ordering::Relaxed),
+                2 * ROOTS * (CHILDREN + 1),
+                "wait_idle returned with tasks still running"
+            );
         },
     );
 }
