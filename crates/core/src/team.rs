@@ -2,8 +2,9 @@
 //!
 //! Once a team has been built for a data-parallel task, its members execute
 //! the task cooperatively and typically need to synchronize between phases
-//! (the mixed-mode Quicksort's parallel partitioning, for example, has a
-//! block-neutralization phase followed by a cleanup phase).  The paper leaves
+//! (the mixed-mode Quicksort's parallel partitioning, for example, has each
+//! member partition its own slice, then the members exchange the misplaced
+//! elements, with a barrier after each phase).  The paper leaves
 //! intra-team communication to the application — members are given
 //! consecutive local ids "such that the co-scheduled tasks have a means of
 //! identifying and communicating with each other" — so this crate provides

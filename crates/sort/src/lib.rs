@@ -10,20 +10,20 @@
 //! * [`fork`] — the classic task-parallel Quicksort of Algorithm 10:
 //!   sequential partitioning, two spawned subtasks per level ("Fork" /
 //!   "Randfork" depending on the scheduler's steal policy).
-//! * [`parallel_partition`] — the Tsigas–Zhang blocked, data-parallel
-//!   partitioning step: block neutralization by a team of threads plus a
-//!   sequential cleanup phase.
-//! * `kernel` (private) — the team's block-pair kernel: the branch-free
-//!   block-neutralisation loop of the partitioning step's phase 1.
+//! * [`parallel_partition`] — the data-parallel partitioning step: each
+//!   team member partitions its own slice, then the members swap the
+//!   misplaced elements in parallel.
 //! * [`mixed`] — the mixed-mode parallel Quicksort of Algorithm 11
 //!   ("MMPar"): data-parallel partitioning by a team whose size follows
 //!   `getBestNp` capped by the subrange's share of the machine, then
 //!   recursion with smaller teams until the fork-join algorithm takes over.
+//!
+//! Every partition pass, sequential or a team member's, is one loop:
+//! [`seq::partition_le`], vectorised with AVX2 where the CPU has it.
 
 #![warn(missing_docs)]
 
 pub mod fork;
-mod kernel;
 pub mod mixed;
 pub mod parallel_partition;
 pub mod seq;

@@ -35,7 +35,7 @@ use teamsteal_util::SendMutPtr;
 
 use crate::fork::sort_task;
 use crate::parallel_partition::ParallelPartitioner;
-use crate::seq::{partition_by, pivot};
+use crate::seq::{partition_lt, pivot};
 use crate::SortConfig;
 
 /// The paper's `getBestNp(n)`: the number of threads to use for the
@@ -119,9 +119,8 @@ fn mm_task(
             // input).  Split off the elements equal to the pivot — they are
             // already in their final position — and recurse on the rest only.
             // SAFETY: the team task owns ptr[0..n]; all other members are
-            // done with phase 1 (the partitioner's barriers ensure that).
-            let data = unsafe { ptr.slice_mut(n) };
-            let lt = partition_by(data, |x| x < pivot);
+            // done with the step (its closing barrier ensures that).
+            let lt = partition_lt(unsafe { ptr.slice_mut(n) }, pivot);
             spawn_recursive(ctx, ptr, lt, root_len, &config);
         } else {
             spawn_recursive(ctx, ptr, split, root_len, &config);

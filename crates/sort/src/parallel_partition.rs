@@ -1,38 +1,33 @@
-//! The Tsigas–Zhang blocked, data-parallel partitioning step.
+//! The data-parallel partitioning step of MMPar (Algorithm 11).
 //!
-//! Full blocks of `block_size` elements are claimed from the two ends of the
-//! array: left block `k` is `[k·bs, (k+1)·bs)`, right block `k` is
-//! `[n-(k+1)·bs, n-k·bs)`, so whatever is never claimed — whole blocks and
-//! the `n mod bs` remainder — lies in the middle.  During **phase 1** every
-//! team member keeps one left and one right block and *neutralizes* them
-//! chunk by chunk with the block kernel (`kernel.rs`): elements failing
-//! the predicate in the left block are swapped with elements satisfying it
-//! in the right block until one of the blocks is fully classified, at which
-//! point a fresh block is claimed from that side.  When no blocks remain,
-//! each member parks its at most one unfinished block per side.
+//! The array is cut into one contiguous slice per member, aligned to blocks
+//! of `block_size` elements.  Each member partitions its slice with the
+//! sequential pass ([`partition_le`]) and publishes the slice's midpoint.
+//! After a team barrier every member computes the global split `s` — the sum
+//! of the slices' left sides — and with it the misplaced positions: the
+//! elements above the pivot left of `s` and those at or below it from `s`
+//! on.  There are as many of one as of the other.  Paired in ascending
+//! order, they are swapped by all members in equal shares, range by range
+//! (Frias and Petit, "Parallel partition revisited", 2008); a second barrier
+//! ends the step.
 //!
-//! **Phase 2/3** (performed by the member with local id 0 after a team
-//! barrier) moves the unfinished blocks to the inner boundary of their
-//! region, so everything that is not yet classified forms one contiguous
-//! range (unfinished blocks + never-claimed middle), and finishes it with the
-//! sequential [`partition_by`] (a trimmed Lomuto pass).  The paper replaces the
-//! original "thread 0 collects everything" second phase with a
-//! producer/consumer exchanger; we keep the sequential cleanup (its work is
-//! bounded by `O(team_size · block_size + block_size)` elements) and note the
-//! substitution in DESIGN.md.
+//! The paper cites Tsigas and Zhang's partition, whose members claim blocks
+//! from both ends one at a time and finish with a sequential cleanup; here
+//! per-member slices trade those dynamic claims for a parallel exchange, so
+//! no phase is sequential and each member's pass is the vectorised one
+//! (DESIGN.md §3, "Team step").
 //!
 //! The result is the usual partition contract: a split point `s` such that
 //! `data[..s] <= pivot < data[s..]` (with the all-`<= pivot` corner case
 //! reported as `s == n` and resolved by the caller).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use teamsteal_core::TaskContext;
 use teamsteal_util::SendMutPtr;
 
-use crate::kernel::{Neutralizer, Side, CHUNK};
-use crate::seq::partition_by;
+use crate::seq::partition_le;
 
 /// Shared state of one data-parallel partitioning step, used by every member
 /// of the team executing it.  A `ParallelPartitioner` is **single use**: it
@@ -40,73 +35,23 @@ use crate::seq::partition_by;
 pub struct ParallelPartitioner {
     n: usize,
     block_size: usize,
-    nblocks: usize,
-    /// Packed claim counters: upper 32 bits = blocks taken from the left,
-    /// lower 32 bits = blocks taken from the right.
-    taken: AtomicU64,
-    /// Per-member unfinished block (side-local index + 1; 0 = none): the
-    /// left ones in the first half, the right ones in the second.  Allocated
-    /// by the first member that has one, for the team that actually runs the
-    /// step (which may be larger than the requested one, Refinement 2).
-    leftover: OnceLock<Box<[AtomicUsize]>>,
-    /// The final split point, published by local id 0.
-    split: AtomicUsize,
+    /// Each slice's midpoint (an index into the whole array), stored by the
+    /// member that partitioned the slice.  The team barrier orders the
+    /// stores before every member's loads, so both are `Relaxed`.
+    mids: Box<[AtomicUsize]>,
 }
 
 impl ParallelPartitioner {
     /// Creates the shared state for partitioning an array of `n` elements
-    /// with blocks of `block_size` elements.  The per-member state is sized
-    /// by the team that runs the step, so `_max_team` is not needed; the
-    /// parameter is kept for existing callers.
-    pub fn new(n: usize, block_size: usize, _max_team: usize) -> Self {
-        let block_size = block_size.max(1);
+    /// in slices aligned to blocks of `block_size` elements, one slice each
+    /// for up to `max_team` members.  Members beyond `max_team` (a team
+    /// rounded up past its request, Refinement 2) take part in the exchange
+    /// only.
+    pub fn new(n: usize, block_size: usize, max_team: usize) -> Self {
         ParallelPartitioner {
             n,
-            block_size,
-            nblocks: n / block_size,
-            taken: AtomicU64::new(0),
-            leftover: OnceLock::new(),
-            split: AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of full blocks phase 1 operates on.
-    pub fn num_blocks(&self) -> usize {
-        self.nblocks
-    }
-
-    /// The members' unfinished-block slots of one side; empty if no member
-    /// has published one.
-    fn leftovers(&self, side: Side) -> &[AtomicUsize] {
-        let slots = self.leftover.get().map_or(&[][..], |slots| slots);
-        let (left, right) = slots.split_at(slots.len() / 2);
-        match side {
-            Side::Left => left,
-            Side::Right => right,
-        }
-    }
-
-    /// Claims the next block from `side`, if any block is still unclaimed;
-    /// returns its side-local index.
-    fn acquire_block(&self, side: Side) -> Option<usize> {
-        loop {
-            let cur = self.taken.load(Ordering::Acquire);
-            let left = (cur >> 32) as usize;
-            let right = (cur & 0xFFFF_FFFF) as usize;
-            if left + right >= self.nblocks {
-                return None;
-            }
-            let (new, index) = match side {
-                Side::Left => (cur + (1 << 32), left),
-                Side::Right => (cur + 1, right),
-            };
-            if self
-                .taken
-                .compare_exchange(cur, new, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                return Some(index);
-            }
+            block_size: block_size.max(1),
+            mids: (0..max_team.max(1)).map(|_| AtomicUsize::new(0)).collect(),
         }
     }
 
@@ -121,135 +66,134 @@ impl ParallelPartitioner {
     /// must be valid and owned exclusively by this team task for the duration
     /// of the call.
     pub fn run(&self, ctx: &TaskContext<'_>, ptr: SendMutPtr<u32>, pivot: u32) -> usize {
-        // ---- Phase 1: parallel block neutralization -------------------
-        self.neutralize_blocks(ctx, ptr, pivot);
-        ctx.barrier();
-
-        // ---- Phase 2 + 3: sequential cleanup by local id 0 -------------
-        if ctx.local_id() == 0 {
-            let split = self.cleanup(ptr, pivot);
-            self.split.store(split, Ordering::Release);
+        let slices = self.mids.len().min(ctx.team_size());
+        let id = ctx.local_id();
+        if id < slices {
+            let slice = self.slice(id, slices);
+            // SAFETY: the slices are disjoint and inside ptr[0..n], and each
+            // is partitioned by its own member only.
+            let data = unsafe { ptr.add(slice.start).slice_mut(slice.len()) };
+            let mid = slice.start + partition_le(data, pivot);
+            self.mids[id].store(mid, Ordering::Relaxed);
         }
         ctx.barrier();
-        self.split.load(Ordering::Acquire)
+        let split = (0..slices)
+            .map(|i| self.mid(i) - self.slice(i, slices).start)
+            .sum();
+        let misplaced = self.misplaced_above(slices, split).map(|r| r.len()).sum();
+        let team = ctx.team_size();
+        let share = portion(misplaced, id, team)..portion(misplaced, id + 1, team);
+        self.exchange(ptr, slices, split, share);
+        ctx.barrier();
+        split
     }
 
-    /// Element offset of block `index` of `side`.
-    fn block_start(&self, side: Side, index: usize) -> usize {
-        match side {
-            Side::Left => index * self.block_size,
-            Side::Right => self.n - (index + 1) * self.block_size,
-        }
+    fn mid(&self, i: usize) -> usize {
+        self.mids[i].load(Ordering::Relaxed)
     }
 
-    fn block_slice<'a>(&self, ptr: SendMutPtr<u32>, side: Side, index: usize) -> &'a mut [u32] {
-        // SAFETY: blocks are disjoint (acquire_block never hands out more
-        // than `nblocks = n / block_size` blocks in total, so the left and
-        // the right ones cannot meet) and inside ptr[0..n].
-        unsafe {
-            ptr.add(self.block_start(side, index))
-                .slice_mut(self.block_size)
-        }
+    /// Slice `i` of `slices`: whole blocks, the last one cut at `n`.
+    fn slice(&self, i: usize, slices: usize) -> Range<usize> {
+        let blocks = self.n.div_ceil(self.block_size);
+        let edge = |i| (portion(blocks, i, slices) * self.block_size).min(self.n);
+        edge(i)..edge(i + 1)
     }
 
-    fn neutralize_blocks(&self, ctx: &TaskContext<'_>, ptr: SendMutPtr<u32>, pivot: u32) {
-        // Per side: the claimed block and the part of it not yet handed to
-        // the kernel.  Both survive a claim on the other side, and so do the
-        // kernel's misplaced offsets of the current chunk.
-        let mut blocks: [Option<usize>; 2] = [None, None];
-        let mut unscanned: [&mut [u32]; 2] = [&mut [], &mut []];
-        let mut kernel = Neutralizer::new();
-        kernel.run(
-            |x| x <= pivot,
-            |side| {
-                let s = side as usize;
-                if unscanned[s].is_empty() {
-                    // The kernel asks only once the previous chunk is fully
-                    // classified, so the block is finished.
-                    blocks[s] = None;
-                    let index = self.acquire_block(side)?;
-                    blocks[s] = Some(index);
-                    unscanned[s] = self.block_slice(ptr, side, index);
-                }
-                let rest = std::mem::take(&mut unscanned[s]);
-                let (chunk, rest) = rest.split_at_mut(rest.len().min(CHUNK));
-                unscanned[s] = rest;
-                Some(chunk)
-            },
-        );
-        for side in [Side::Left, Side::Right] {
-            let s = side as usize;
-            if let Some(index) = blocks[s] {
-                if !unscanned[s].is_empty() || kernel.pending(side) > 0 {
-                    self.leftover.get_or_init(|| {
-                        (0..2 * ctx.team_size())
-                            .map(|_| AtomicUsize::new(0))
-                            .collect()
-                    });
-                    self.leftovers(side)[ctx.local_id()].store(index + 1, Ordering::Release);
-                }
-            }
-        }
+    /// The positions left of `split` holding elements above the pivot, one
+    /// range per slice in ascending order.
+    fn misplaced_above(
+        &self,
+        slices: usize,
+        split: usize,
+    ) -> impl Iterator<Item = Range<usize>> + '_ {
+        (0..slices).map(move |i| {
+            let mid = self.mid(i);
+            mid..self.slice(i, slices).end.min(split).max(mid)
+        })
     }
 
-    /// Moves the unfinished blocks of `side` into the innermost of the
-    /// `taken` block slots claimed there, so the unclassified data becomes
-    /// contiguous.  Returns the number of unfinished blocks.
-    fn compact_leftovers(&self, ptr: SendMutPtr<u32>, side: Side, taken: usize) -> usize {
-        let slots = self.leftovers(side);
-        let unfinished =
-            |index: usize| slots.iter().any(|a| a.load(Ordering::Acquire) == index + 1);
-        let count = slots
-            .iter()
-            .filter(|a| a.load(Ordering::Acquire) > 0)
-            .count();
-        debug_assert!(count <= taken);
-        // Target zone: the `count` highest indices.  Unfinished blocks
-        // already inside stay; each one outside is swapped with the next
-        // finished block inside (there are exactly as many of either).
-        let zone = taken - count;
-        let mut target = zone;
-        for slot in slots {
-            let Some(index) = slot.load(Ordering::Acquire).checked_sub(1) else {
-                continue;
+    /// The positions from `split` on holding elements at or below the
+    /// pivot, one range per slice in ascending order.
+    fn misplaced_below(
+        &self,
+        slices: usize,
+        split: usize,
+    ) -> impl Iterator<Item = Range<usize>> + '_ {
+        (0..slices).map(move |i| {
+            let mid = self.mid(i);
+            self.slice(i, slices).start.max(split).min(mid)..mid
+        })
+    }
+
+    /// Swaps the misplaced pairs numbered `share` (the `k`-th misplaced
+    /// position above the pivot with the `k`-th below it).  Allocates
+    /// nothing: both sides are walked range by range.
+    fn exchange(&self, ptr: SendMutPtr<u32>, slices: usize, split: usize, share: Range<usize>) {
+        let mut above = Cursor::new(self.misplaced_above(slices, split));
+        let mut below = Cursor::new(self.misplaced_below(slices, split));
+        let mut k = 0;
+        while k < share.end {
+            let until = if k < share.start {
+                share.start
+            } else {
+                share.end
             };
-            if index >= zone {
-                continue;
+            let run = (until - k).min(above.fill()).min(below.fill());
+            assert!(
+                run > 0,
+                "both sides hold the same number of misplaced elements"
+            );
+            let (a, b) = (above.take(run), below.take(run));
+            if k >= share.start {
+                // SAFETY: a + run <= split <= b: the two runs are disjoint,
+                // inside ptr[0..n], and in no other member's share.
+                unsafe {
+                    ptr.add(a)
+                        .slice_mut(run)
+                        .swap_with_slice(ptr.add(b).slice_mut(run))
+                };
             }
-            while unfinished(target) {
-                target += 1;
-            }
-            debug_assert!(target < taken);
-            self.block_slice(ptr, side, index)
-                .swap_with_slice(self.block_slice(ptr, side, target));
-            target += 1;
+            k += run;
         }
-        count
+    }
+}
+
+/// `total * i / parts` for `i <= parts`, without overflow.
+fn portion(total: usize, i: usize, parts: usize) -> usize {
+    total / parts * i + total % parts * i / parts
+}
+
+/// One side's misplaced positions, consumed from the front.
+struct Cursor<I> {
+    ranges: I,
+    current: Range<usize>,
+}
+
+impl<I: Iterator<Item = Range<usize>>> Cursor<I> {
+    fn new(ranges: I) -> Self {
+        Cursor {
+            ranges,
+            current: 0..0,
+        }
     }
 
-    /// Phase 2 + 3: make the unclassified range contiguous and finish it with
-    /// a sequential pass.  Returns the global split point.
-    fn cleanup(&self, ptr: SendMutPtr<u32>, pivot: u32) -> usize {
-        let cur = self.taken.load(Ordering::Acquire);
-        let taken_left = (cur >> 32) as usize;
-        let taken_right = (cur & 0xFFFF_FFFF) as usize;
-        debug_assert!(taken_left + taken_right <= self.nblocks);
+    /// Length of the current range, moving on to the next non-empty one
+    /// first; 0 once every range is consumed.
+    fn fill(&mut self) -> usize {
+        while self.current.is_empty() {
+            match self.ranges.next() {
+                Some(range) => self.current = range,
+                None => return 0,
+            }
+        }
+        self.current.len()
+    }
 
-        let ll = self.compact_leftovers(ptr, Side::Left, taken_left);
-        let rl = self.compact_leftovers(ptr, Side::Right, taken_right);
-
-        // The contiguous unclassified range: unfinished left blocks, the
-        // never-claimed middle (with the sub-block remainder), and the
-        // unfinished right blocks.
-        let unknown_start = (taken_left - ll) * self.block_size;
-        let unknown_end = self.n - (taken_right - rl) * self.block_size;
-        debug_assert!(unknown_start <= unknown_end);
-        // SAFETY: exclusive access (phase 1 is over; only local id 0 runs this).
-        let unknown = unsafe {
-            ptr.add(unknown_start)
-                .slice_mut(unknown_end - unknown_start)
-        };
-        unknown_start + partition_by(unknown, |x| x <= pivot)
+    /// Consumes `run <= fill()` positions; returns the first.
+    fn take(&mut self, run: usize) -> usize {
+        let start = self.current.start;
+        self.current.start += run;
+        start
     }
 }
 
@@ -261,6 +205,8 @@ mod tests {
     use teamsteal_core::Scheduler;
     use teamsteal_data::{is_permutation_of, Distribution};
 
+    use crate::seq::VECTOR_MIN_LEN as MIN;
+
     /// Runs the partitioner on `data` inside a real team task and checks the
     /// partition contract; returns the split point.
     fn partition_in_team(
@@ -270,21 +216,37 @@ mod tests {
         block_size: usize,
         pivot: u32,
     ) -> usize {
+        partition_in_sized_team(scheduler, team, data, block_size, pivot).0
+    }
+
+    /// [`partition_in_team`], also returning the size of the team that ran
+    /// the step.
+    fn partition_in_sized_team(
+        scheduler: &Scheduler,
+        team: usize,
+        data: &mut [u32],
+        block_size: usize,
+        pivot: u32,
+    ) -> (usize, usize) {
         let original = data.to_vec();
         let n = data.len();
         let ptr = SendMutPtr::from_slice(data);
         let partitioner = Arc::new(ParallelPartitioner::new(n, block_size, team));
-        let split_seen = Arc::new(AtomicUsize::new(usize::MAX));
+        // Lowest and highest split any member returned, and the team size.
+        let seen = Arc::new([usize::MAX, 0, 0].map(AtomicUsize::new));
         {
             let partitioner = Arc::clone(&partitioner);
-            let split_seen = Arc::clone(&split_seen);
+            let seen = Arc::clone(&seen);
             scheduler.run_team(team, move |ctx| {
                 let s = partitioner.run(ctx, ptr, pivot);
-                split_seen.store(s, Ordering::Release);
+                seen[0].fetch_min(s, Ordering::Relaxed);
+                seen[1].fetch_max(s, Ordering::Relaxed);
+                seen[2].store(ctx.team_size(), Ordering::Relaxed);
             });
         }
-        let split = split_seen.load(Ordering::Acquire);
+        let [split, highest, team_size] = [0, 1, 2].map(|i| seen[i].load(Ordering::Relaxed));
         let what = format!("n={n}, team={team}, block_size={block_size}");
+        assert_eq!(split, highest, "members disagree on the split ({what})");
         assert!(split <= n, "{what}");
         assert!(
             data[..split].iter().all(|&x| x <= pivot),
@@ -298,7 +260,7 @@ mod tests {
             is_permutation_of(&original, data),
             "partition changed the multiset of elements ({what})"
         );
-        split
+        (split, team_size)
     }
 
     fn check_partition(scheduler: &Scheduler, team: usize, n: usize, block_size: usize, seed: u64) {
@@ -352,15 +314,15 @@ mod tests {
     }
 
     /// Teams of 1–4 (a request for 3 may get a team of 4) against
-    /// block sizes below, equal to, above and not a multiple of the kernel
-    /// chunk, with `n` leaving a remainder and with fewer than two blocks
-    /// per member.
+    /// block sizes below, equal to, above and not a multiple of the vector
+    /// loop's threshold, with `n` leaving a remainder and with fewer than
+    /// two blocks per member.
     #[test]
     fn handles_every_team_and_block_size_against_the_kernel_chunk() {
         with_watchdog("every_team_and_block_size", WATCHDOG, || {
             let s = Scheduler::with_threads(4);
             for team in 1..=4 {
-                for block_size in [CHUNK / 2, CHUNK, CHUNK + 72, 3 * CHUNK, 1000] {
+                for block_size in [MIN / 2, MIN, MIN + 72, 3 * MIN, 1000] {
                     for n in [
                         20 * block_size + 17,
                         2 * team * block_size - 1,
@@ -373,9 +335,8 @@ mod tests {
         });
     }
 
-    /// Sorted, reversed and constant input: one side never has a misplaced
-    /// element, so every block of the other side ends up unfinished or in
-    /// the never-claimed middle.
+    /// Sorted, reversed and constant input: every slice is one-sided, so
+    /// reversed input leaves half the array misplaced.
     #[test]
     fn handles_one_sided_inputs() {
         let s = Scheduler::with_threads(2);
@@ -396,32 +357,75 @@ mod tests {
         }
     }
 
-    /// Phase 2 on a hand-built phase-1 outcome: unfinished blocks at the
-    /// outer end of their region must be swapped inwards past finished ones.
+    /// Staggered and Buckets inputs on a team of four: the misplaced
+    /// positions of one side lie in several members' slices, so the pairs
+    /// of the exchange cross slice boundaries.
     #[test]
-    fn cleanup_compacts_unfinished_blocks_from_anywhere() {
-        let (bs, pivot) = (4, 5u32);
-        let n = 10 * bs + 3;
-        let p = ParallelPartitioner::new(n, bs, 3);
-        // Four left and three right blocks claimed; left blocks 0 and 2 and
-        // the outermost right block are unfinished.
-        p.taken.store((4 << 32) | 3, Ordering::Release);
-        let slots = [1, 0, 3, 0, 1, 0].map(AtomicUsize::new);
-        p.leftover.set(Box::new(slots)).expect("fresh partitioner");
-        let mixed = |i: usize| if i % 2 == 0 { 1 } else { 8 };
-        let mut data: Vec<u32> = (0..n).map(mixed).collect();
-        for finished in [1, 3] {
-            data[finished * bs..][..bs].fill(0);
-        }
-        for finished in [1, 2] {
-            let start = p.block_start(Side::Right, finished);
-            data[start..][..bs].fill(9);
-        }
-        let original = data.clone();
-        let split = p.cleanup(SendMutPtr::from_slice(&mut data), pivot);
-        assert!(data[..split].iter().all(|&x| x <= pivot), "{data:?}");
-        assert!(data[split..].iter().all(|&x| x > pivot), "{data:?}");
-        assert!(is_permutation_of(&original, &data));
+    fn exchanges_misplaced_ranges_across_several_slices() {
+        with_watchdog("exchange_across_slices", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            let (n, block_size, team) = (60_000, 256, 4);
+            for d in [Distribution::Staggered, Distribution::Buckets] {
+                for seed in 0..3 {
+                    let mut data = d.generate(n, 8, seed);
+                    let pivot = crate::seq::pivot(&data);
+                    // The midpoints each member's pass will publish.
+                    let p = ParallelPartitioner::new(n, block_size, team);
+                    let mut split = 0;
+                    for (i, mid) in p.mids.iter().enumerate() {
+                        let slice = p.slice(i, team);
+                        let le = data[slice.clone()].iter().filter(|&&x| x <= pivot).count();
+                        mid.store(slice.start + le, Ordering::Relaxed);
+                        split += le;
+                    }
+                    let spread = |ranges: &mut dyn Iterator<Item = Range<usize>>| {
+                        ranges.filter(|r| !r.is_empty()).count()
+                    };
+                    let what = format!("{d:?}, seed {seed}");
+                    let above = spread(&mut p.misplaced_above(team, split));
+                    let below = spread(&mut p.misplaced_below(team, split));
+                    assert!(above + below >= 3, "{what}: {above} + {below} slices");
+                    partition_in_team(&s, team, &mut data, block_size, pivot);
+                }
+            }
+        });
+    }
+
+    /// Fewer elements than members: some slices are empty, and every
+    /// member still takes part in both barriers and the exchange.
+    #[test]
+    fn handles_fewer_elements_than_members() {
+        with_watchdog("fewer_elements_than_members", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            for n in 0..4u32 {
+                for block_size in [1, 2, 1024] {
+                    for pivot in 0..=n {
+                        let mut data: Vec<u32> = (0..n).rev().collect();
+                        let split = partition_in_team(&s, 4, &mut data, block_size, pivot);
+                        assert_eq!(split, (pivot + 1).min(n) as usize);
+                    }
+                }
+            }
+        });
+    }
+
+    /// A request for three members on four workers runs as a team of four
+    /// (Refinement 2): the partitioner has three slices, and the fourth
+    /// member joins only the exchange.
+    #[test]
+    fn a_team_rounded_up_past_its_request_partitions_correctly() {
+        with_watchdog("rounded_up_team", WATCHDOG, || {
+            let s = Scheduler::with_threads(4);
+            for d in Distribution::ALL {
+                let mut data = d.generate(30_001, 8, 9);
+                let pivot = crate::seq::pivot(&data);
+                let (_, team) = partition_in_sized_team(&s, 3, &mut data, 512, pivot);
+                assert_eq!(team, 4, "{d:?}: the request was not rounded up");
+            }
+            let mut reversed: Vec<u32> = (0..30_000).rev().collect();
+            let (split, _) = partition_in_sized_team(&s, 3, &mut reversed, 512, 9_999);
+            assert_eq!(split, 10_000);
+        });
     }
 
     #[test]
@@ -430,28 +434,5 @@ mod tests {
         let n = 8_192;
         let mut data = vec![3u32; n];
         assert_eq!(partition_in_team(&s, 2, &mut data, 512, 3), n);
-    }
-
-    #[test]
-    fn acquire_block_never_hands_out_duplicates() {
-        let p = ParallelPartitioner::new(64 * 128 + 5, 128, 4);
-        let mut seen = vec![false; p.n];
-        let mut toggle = true;
-        loop {
-            let side = if toggle { Side::Left } else { Side::Right };
-            toggle = !toggle;
-            match p.acquire_block(side) {
-                Some(b) => {
-                    let start = p.block_start(side, b);
-                    for taken in &mut seen[start..start + 128] {
-                        assert!(!*taken, "{side:?} block {b} overlaps an earlier one");
-                        *taken = true;
-                    }
-                }
-                None => break,
-            }
-        }
-        let claimed = seen.into_iter().filter(|&s| s).count();
-        assert_eq!(claimed, p.num_blocks() * 128, "every block must be claimed");
     }
 }

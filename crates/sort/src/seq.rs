@@ -87,40 +87,80 @@ fn med3(a: u32, b: u32, c: u32) -> u32 {
 /// empty) gap `[left_len, right_start)` consists of elements equal to the
 /// pivot that are already in their final position.
 ///
-/// In the common case this is a single [`partition_by`] pass splitting into
+/// In the common case this is a single [`partition_le`] pass splitting into
 /// `≤ pivot | > pivot`.  Only when every element is `≤ pivot` (e.g. the pivot
-/// is the maximum, or the slice is constant) a second pass separates the
-/// elements equal to the pivot so both recursion ranges are strictly smaller
-/// than the input — this is what keeps duplicate-heavy inputs from
-/// degenerating into infinite recursion.
+/// is the maximum, or the slice is constant) a second pass
+/// ([`partition_lt`]) separates the elements equal to the pivot so both
+/// recursion ranges are strictly smaller than the input — this is what keeps
+/// duplicate-heavy inputs from degenerating into infinite recursion.
 pub fn split_around(data: &mut [u32], pivot: u32) -> (usize, usize) {
-    let le = partition_by(data, |x| x <= pivot);
+    let le = partition_le(data, pivot);
     if le < data.len() {
         (le, le)
     } else {
         // Everything is <= pivot (e.g. pivot is the maximum): split off the
         // equals so the recursion strictly shrinks.
-        let lt = partition_by(data, |x| x < pivot);
-        (lt, data.len())
+        (partition_lt(data, pivot), data.len())
     }
+}
+
+/// Shortest slice [`partition_le`] hands to the vector loop: one step of
+/// four 8-lane vectors plus the 32 elements it saves at each end.
+pub(crate) const VECTOR_MIN_LEN: usize = 96;
+
+/// In-place partition around `bound`, the pass every Quicksort in this crate
+/// runs: afterwards every element `<= bound` precedes every element above
+/// it; returns their number.
+///
+/// Skips the prefix already `<= bound` and the suffix already above it
+/// (reading only, so sorted input costs one scan).  The rest goes through
+/// an in-place AVX2 loop when the CPU has AVX2 and POPCNT (detected at run
+/// time) and at least 96 elements remain, and through [`partition_by`]
+/// otherwise (DESIGN.md §3, "One partition kernel").
+pub fn partition_le(data: &mut [u32], bound: u32) -> usize {
+    let (lo, hi) = trimmed(data, |x| x <= bound);
+    let rest = &mut data[lo..hi];
+    if rest.len() >= VECTOR_MIN_LEN {
+        #[cfg(target_arch = "x86_64")]
+        if avx2::available() {
+            // SAFETY: the CPU has AVX2 and POPCNT.
+            return lo + unsafe { avx2::partition_le(rest, bound) };
+        }
+    }
+    lo + partition_by(rest, |x| x <= bound)
+}
+
+/// [`partition_le`] for `x < pivot`: elements below `pivot` first; returns
+/// their number.
+pub fn partition_lt(data: &mut [u32], pivot: u32) -> usize {
+    pivot
+        .checked_sub(1)
+        .map_or(0, |bound| partition_le(data, bound))
+}
+
+/// `(lo, hi)` such that `data[..lo]` all satisfy `pred`, `data[hi..]` all
+/// fail it and `data[lo]`, `data[hi - 1]` do not (when `lo < hi`).
+fn trimmed(data: &[u32], pred: impl Fn(u32) -> bool) -> (usize, usize) {
+    let lo = data.iter().position(|&x| !pred(x)).unwrap_or(data.len());
+    // `take_while(..).count()`, not `rposition`: it compiles to the tighter
+    // loop, and sorting sorted input is nearly all trim (SeqQS on sorted
+    // 2^22 elements measured 3.0 against 4.4 ns/elem).
+    let failing = data[lo..].iter().rev().take_while(|&&x| !pred(x)).count();
+    (lo, data.len() - failing)
 }
 
 /// In-place partition by a predicate: afterwards every element satisfying
 /// `pred` precedes every element that does not; returns the number of
-/// elements satisfying `pred`.
+/// elements satisfying `pred`.  [`partition_le`]'s fallback.
 ///
 /// Skips the prefix that already satisfies `pred` and the suffix that
-/// already fails it (reading only, so sorted input costs one scan), then runs
-/// one branchless Lomuto pass over the rest: every element is swapped with
-/// the first failing one, and the boundary advances by `pred(x) as usize`.
-/// The pass indexes unchecked: the safe `data.swap(i, lt)` form partitions
-/// about 15 % fewer elements per second (`sort.seq.partition_melems_per_s`).
+/// already fails it, then runs one branchless Lomuto pass over the rest:
+/// every element is swapped with the first failing one, and the boundary
+/// advances by `pred(x) as usize`.  The pass indexes unchecked: the safe
+/// `data.swap(i, lt)` form partitions about 15 % fewer elements per second
+/// (`sort.seq.partition_melems_per_s`).
 pub fn partition_by(data: &mut [u32], pred: impl Fn(u32) -> bool) -> usize {
-    let lo = data.iter().position(|&x| !pred(x)).unwrap_or(data.len());
-    let hi = data[lo..]
-        .iter()
-        .rposition(|&x| pred(x))
-        .map_or(lo, |k| lo + k + 1);
+    let (lo, hi) = trimmed(data, &pred);
     let mut lt = lo;
     let base = data.as_mut_ptr();
     for i in lo..hi {
@@ -136,10 +176,141 @@ pub fn partition_by(data: &mut [u32], pred: impl Fn(u32) -> bool) -> usize {
     lt
 }
 
+/// The vector loop of [`partition_le`], after Gueron and Krasnov ("Fast
+/// Quicksort Implementation Using AVX Instructions", 2016).
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use std::arch::x86_64::*;
+
+    /// Lanes per vector.
+    const LANES: usize = 8;
+    /// Elements read per step: four vectors.
+    const STEP: usize = 4 * LANES;
+    const _: () = assert!(super::VECTOR_MIN_LEN == 3 * STEP);
+
+    /// `LANE_ORDER[m]` packs, one nibble per output lane, the source lanes
+    /// that put the lanes whose bit in `m` is clear first (in order) and
+    /// those whose bit is set after them.
+    static LANE_ORDER: [u32; 256] = lane_orders();
+
+    const fn lane_orders() -> [u32; 256] {
+        let mut table = [0u32; 256];
+        let mut mask = 0;
+        while mask < 256 {
+            let (mut packed, mut out, mut bit) = (0u32, 0, 0);
+            while bit < 2 {
+                let mut lane = 0;
+                while lane < LANES {
+                    if (mask >> lane) & 1 == bit {
+                        packed |= (lane as u32) << (4 * out);
+                        out += 1;
+                    }
+                    lane += 1;
+                }
+                bit += 1;
+            }
+            table[mask] = packed;
+            mask += 1;
+        }
+        table
+    }
+
+    /// Whether this CPU can run [`partition_le`].
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt")
+    }
+
+    /// Partitions `data` into `<= bound | > bound`; returns the split.
+    ///
+    /// The first and last [`STEP`] elements are saved, which leaves that
+    /// much free room at each end.  Each step reads four vectors from the
+    /// end with less free room; a vector's lanes `<= bound` are permuted to
+    /// its front and the vector is stored whole at both write cursors, which
+    /// advance by the lanes that belong to their side.  The free room of the
+    /// two ends sums to `2 * STEP` between steps, so after a step's read
+    /// each end has at least `STEP` free — room for four whole stores — and
+    /// no store reaches an unread element.  The saved elements and the
+    /// unread tail (< `STEP`) then fill the `2 * STEP + tail` free slots
+    /// between the cursors with a branchless two-cursor loop.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and POPCNT ([`available`]).
+    #[target_feature(enable = "avx2,popcnt")]
+    pub(super) unsafe fn partition_le(data: &mut [u32], bound: u32) -> usize {
+        let n = data.len();
+        assert!(
+            n >= 2 * STEP,
+            "the vector loop saves {STEP} elements at each end"
+        );
+        let mut saved = [0u32; 3 * STEP];
+        saved[..STEP].copy_from_slice(&data[..STEP]);
+        saved[STEP..2 * STEP].copy_from_slice(&data[n - STEP..]);
+        let base = data.as_mut_ptr();
+        let sign = _mm256_set1_epi32(i32::MIN);
+        // Unsigned `x > bound` as a signed compare of both with the sign bit
+        // flipped.
+        let biased_bound = _mm256_set1_epi32((bound as i32) ^ i32::MIN);
+        let nibbles = _mm256_setr_epi32(0, 4, 8, 12, 16, 20, 24, 28);
+        // Placed: [0, left) and [right, n).  Unread: [read_left, read_right).
+        let (mut left, mut right) = (0, n);
+        let (mut read_left, mut read_right) = (STEP, n - STEP);
+        while read_right - read_left >= STEP {
+            // `from_left` is all ones when the left end has less free room.
+            // Masks where an `if` would read better: LLVM lowers this form
+            // to a branch, which the CPU predicts and runs ahead of, and the
+            // `if` to a `cmov`, which puts the compare on the dependency
+            // chain of the next step's loads (measured ~30 % slower).
+            let left_tighter = read_left - left <= right - read_right;
+            let from_left = 0usize.wrapping_sub(left_tighter as usize);
+            let from_right = read_right - STEP;
+            let src = from_right ^ ((read_left ^ from_right) & from_left);
+            read_left += STEP & from_left;
+            read_right -= STEP & !from_left;
+            // SAFETY: [src, src + STEP) was unread, so it lies in the slice;
+            // every load happens before the stores that may reuse it.
+            let at = base.add(src) as *const __m256i;
+            let v = [
+                _mm256_loadu_si256(at),
+                _mm256_loadu_si256(at.add(1)),
+                _mm256_loadu_si256(at.add(2)),
+                _mm256_loadu_si256(at.add(3)),
+            ];
+            for x in v {
+                let gt = _mm256_cmpgt_epi32(_mm256_xor_si256(x, sign), biased_bound);
+                let mask = _mm256_movemask_ps(_mm256_castsi256_ps(gt)) as u8;
+                let order = _mm256_set1_epi32(LANE_ORDER[usize::from(mask)] as i32);
+                // `permutevar8x32` reads only the low three bits of a lane.
+                let y = _mm256_permutevar8x32_epi32(x, _mm256_srlv_epi32(order, nibbles));
+                // SAFETY: [left, left + LANES) and [right - LANES, right) are
+                // free room (the invariant above).
+                _mm256_storeu_si256(base.add(left) as *mut __m256i, y);
+                _mm256_storeu_si256(base.add(right - LANES) as *mut __m256i, y);
+                let above = mask.count_ones() as usize;
+                left += LANES - above;
+                right -= above;
+            }
+        }
+        let tail = read_right - read_left;
+        saved[2 * STEP..][..tail]
+            .copy_from_slice(std::slice::from_raw_parts(base.add(read_left), tail));
+        for &x in &saved[..2 * STEP + tail] {
+            // SAFETY: left < right <= n here: the free slots between the
+            // cursors number exactly the elements still to place.
+            let le = (x <= bound) as usize;
+            *base.add(left) = x;
+            *base.add(right - 1) = x;
+            left += le;
+            right -= 1 - le;
+        }
+        debug_assert_eq!(left, right);
+        left
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::CHUNK;
     use proptest::prelude::*;
     use teamsteal_data::{is_permutation_of, is_sorted, Distribution};
 
@@ -164,21 +335,48 @@ mod tests {
         }
     }
 
-    /// Same split point and the same multiset on each side as the oracle.
-    fn assert_matches_oracle(input: &[u32], pred: impl Fn(u32) -> bool, what: &str) {
+    /// `partition` leaves the oracle's split point and the same multiset on
+    /// each side.
+    fn assert_like_oracle(
+        input: &[u32],
+        pred: impl Fn(u32) -> bool,
+        partition: impl FnOnce(&mut [u32]) -> usize,
+        what: &str,
+    ) {
         let mut expected = input.to_vec();
         let split = scalar_partition_by(&mut expected, &pred);
         let mut actual = input.to_vec();
-        assert_eq!(
-            partition_by(&mut actual, &pred),
-            split,
-            "{what}: split point"
-        );
+        assert_eq!(partition(&mut actual), split, "{what}: split point");
         for side in [0..split, split..input.len()] {
             expected[side.clone()].sort_unstable();
             actual[side].sort_unstable();
         }
         assert_eq!(actual, expected, "{what}: sides differ");
+    }
+
+    fn assert_matches_oracle(input: &[u32], pred: impl Fn(u32) -> bool, what: &str) {
+        assert_like_oracle(input, &pred, |d| partition_by(d, &pred), what);
+    }
+
+    /// [`partition_le`] and both loops it dispatches to, each called
+    /// directly: the AVX2 one where the CPU has it and the slice is long
+    /// enough, the scalar fallback always.
+    fn assert_le_matches_oracle(input: &[u32], bound: u32, what: &str) {
+        let le = |x: u32| x <= bound;
+        let dispatched = |d: &mut [u32]| partition_le(d, bound);
+        assert_like_oracle(input, le, dispatched, &format!("{what}, dispatched"));
+        assert_like_oracle(
+            input,
+            le,
+            |d| partition_by(d, le),
+            &format!("{what}, scalar"),
+        );
+        #[cfg(target_arch = "x86_64")]
+        if input.len() >= VECTOR_MIN_LEN && avx2::available() {
+            // SAFETY: both conditions of the call are checked just above.
+            let vector = |d: &mut [u32]| unsafe { avx2::partition_le(d, bound) };
+            assert_like_oracle(input, le, vector, &format!("{what}, AVX2"));
+        }
     }
 
     #[test]
@@ -245,12 +443,13 @@ mod tests {
         assert_eq!(partition_by(&mut empty, |_| true), 0);
     }
 
-    /// Every length around the chunk boundaries, on the input shapes and
-    /// predicates that drive the kernel into its corners: no misplaced
-    /// element at all, every element misplaced, one side running dry first.
+    /// Every length up to six vector thresholds, on the input shapes and
+    /// predicates that drive a partition loop into its corners: no
+    /// misplaced element at all, every element misplaced, one side running
+    /// dry first.
     #[test]
     fn partition_by_matches_the_scalar_oracle_on_every_small_length() {
-        for n in 0..=4 * CHUNK as u32 + 3 {
+        for n in 0..=6 * VECTOR_MIN_LEN as u32 {
             let shapes: [(&str, Vec<u32>); 6] = [
                 ("sorted", (0..n).collect()),
                 ("reversed", (0..n).rev().collect()),
@@ -273,8 +472,58 @@ mod tests {
                 assert_matches_oracle(input, |_| false, &what);
                 assert_matches_oracle(input, |x| x % 2 == 0, &what);
                 assert_matches_oracle(input, |x| x <= n / 2, &what);
+                assert_le_matches_oracle(input, n / 2, &what);
                 assert_matches_oracle(input, |x| x < n / 2, &what);
             }
+        }
+    }
+
+    /// Every length across the 32-element step, the 96-element threshold
+    /// and the saved ends, on shapes that drive the vector loop into its
+    /// corners, with bounds at both ends of the range and around the sign
+    /// bit the unsigned compare flips.
+    #[test]
+    fn partition_le_matches_the_scalar_oracle_on_every_length() {
+        const HALF: u32 = 1 << 31;
+        for n in 0..=8 * VECTOR_MIN_LEN as u32 / 3 {
+            let shapes: [(&str, Vec<u32>); 7] = [
+                ("all at or below", vec![0; n as usize]),
+                ("all above", vec![u32::MAX; n as usize]),
+                ("alternating", (0..n).map(|i| (i % 2) * u32::MAX).collect()),
+                (
+                    "below, then above",
+                    (0..n).map(|i| HALF - n / 2 + i).collect(),
+                ),
+                (
+                    "above, then below",
+                    (0..n).rev().map(|i| HALF - n / 2 + i).collect(),
+                ),
+                ("few distinct", (0..n).map(|i| (i * 7 % 4) << 30).collect()),
+                (
+                    "scrambled",
+                    (0..n).map(|i| i.wrapping_mul(2_654_435_761)).collect(),
+                ),
+            ];
+            for (shape, input) in &shapes {
+                for bound in [0, 1 << 30, HALF - 1, HALF, u32::MAX - 1, u32::MAX] {
+                    assert_le_matches_oracle(
+                        input,
+                        bound,
+                        &format!("{shape}, n={n}, bound={bound}"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn partition_lt_puts_the_elements_below_the_pivot_first() {
+        let mut v: Vec<u32> = (0..300).map(|i| i % 5).collect();
+        let original = v.clone();
+        assert_eq!(partition_lt(&mut v, 0), 0, "nothing is below 0");
+        assert_eq!(v, original, "pivot 0 leaves the slice untouched");
+        for pivot in [1, 3, 5, u32::MAX] {
+            assert_like_oracle(&original, |x| x < pivot, |d| partition_lt(d, pivot), "lt");
         }
     }
 
@@ -379,15 +628,19 @@ mod tests {
 
         #[test]
         fn partition_by_matches_the_scalar_oracle(
-            v in proptest::collection::vec(any::<u32>(), 0..=4 * CHUNK + 3),
+            v in proptest::collection::vec(any::<u32>(), 0..=6 * VECTOR_MIN_LEN),
             pivot in any::<u32>(),
             modulus in 1u32..9,
         ) {
             assert_matches_oracle(&v, |x| x <= pivot, "threshold");
-            // Few distinct values, so runs of equal elements span chunks.
+            assert_le_matches_oracle(&v, pivot, "threshold");
+            // Few distinct values, so runs of equal elements span steps.
             let few: Vec<u32> = v.iter().map(|x| x % modulus).collect();
             assert_matches_oracle(&few, |x| x <= pivot % modulus, "few values");
             assert_matches_oracle(&few, |x| x < pivot % modulus, "few values, strict");
+            assert_le_matches_oracle(&few, pivot % modulus, "few values");
+            let strict = |d: &mut [u32]| partition_lt(d, pivot % modulus);
+            assert_like_oracle(&few, |x| x < pivot % modulus, strict, "few values, lt");
         }
     }
 }
