@@ -9,6 +9,9 @@
 //!     sync
 //! ```
 //!
+//! The `sequential_sort` at the cutoff is [`sort_leaf`], the leaf SeqQS
+//! runs too.
+//!
 //! Every task has thread requirement 1, so this is exactly the workload a
 //! classical work-stealer handles; run on the `teamsteal` scheduler it is the
 //! paper's *Fork* column (deterministic stealing) or *Randfork* column
@@ -25,7 +28,7 @@ use std::sync::Arc;
 use teamsteal_core::{Scheduler, TaskContext};
 use teamsteal_util::SendMutPtr;
 
-use crate::seq::{pivot, split_around, std_sort};
+use crate::seq::{pivot, sort_leaf, split_around};
 use crate::SortConfig;
 
 /// Sorts `data` with the task-parallel Quicksort of Algorithm 10 on the given
@@ -61,7 +64,7 @@ pub(crate) fn sort_task(
     // tasks receive disjoint subranges, so no two tasks alias.
     let data = unsafe { ptr.slice_mut(n) };
     if n <= config.cutoff.max(1) {
-        std_sort(data);
+        sort_leaf(data);
         return;
     }
     let pivot = pivot(data);

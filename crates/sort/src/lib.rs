@@ -4,9 +4,9 @@
 //! This crate implements the evaluation workload of the paper (Section 5):
 //!
 //! * [`seq`] — the sequential baselines: the standard-library sort (the
-//!   paper's "Seq/STL" reference, used both as the speedup baseline and as
-//!   the cutoff sorter) and a handwritten sequential Quicksort with the same
-//!   cutoff ("SeqQS").
+//!   paper's "Seq/STL" reference, the speedup baseline) and a handwritten
+//!   sequential Quicksort with the same cutoff ("SeqQS"); and
+//!   [`seq::sort_leaf`], the sort all three Quicksorts run at the cutoff.
 //! * [`fork`] — the classic task-parallel Quicksort of Algorithm 10:
 //!   sequential partitioning, two spawned subtasks per level ("Fork" /
 //!   "Randfork" depending on the scheduler's steal policy).
@@ -19,7 +19,10 @@
 //!   recursion with smaller teams until the fork-join algorithm takes over.
 //!
 //! Every partition pass, sequential or a team member's, is one loop:
-//! [`seq::partition_le`], vectorised with AVX2 where the CPU has it.
+//! [`seq::partition_le`], vectorised with AVX2 where the CPU has it.  Every
+//! range at or below the cutoff is sorted by one leaf, [`seq::sort_leaf`]:
+//! that loop down to 128 elements and an AVX2 bitonic network, or
+//! [`std_sort`] where the CPU lacks AVX2.
 
 #![warn(missing_docs)]
 
@@ -37,8 +40,9 @@ pub use seq::{sequential_quicksort, std_sort};
 /// "Tunable parameters of the Quicksort algorithm").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SortConfig {
-    /// Subsequences at or below this length are sorted with the standard
-    /// library sort (the paper's cutoff of 512 elements).
+    /// The task cutoff (the paper's 512 elements): no Quicksort splits a
+    /// subsequence at or below this length further into tasks or recursion
+    /// steps of its own; [`seq::sort_leaf`] sorts it.
     pub cutoff: usize,
     /// Block size (in elements) of the data-parallel partitioning step.  The
     /// paper uses 4096 four-byte integers per block.

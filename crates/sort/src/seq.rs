@@ -1,5 +1,7 @@
-//! Sequential baselines: the standard-library reference sort and the
-//! handwritten sequential Quicksort ("SeqQS").
+//! Sequential baselines and the leaf sort: the standard-library reference
+//! sort, the handwritten sequential Quicksort ("SeqQS"), and
+//! [`sort_leaf`], which every Quicksort in this crate runs on a range at or
+//! below its cutoff.
 
 use crate::SortConfig;
 
@@ -12,17 +14,40 @@ pub fn std_sort(data: &mut [u32]) {
 
 /// Handwritten sequential Quicksort with the same cutoff as the parallel
 /// variants (the paper's *SeqQS* column): [`pivot`] selection,
-/// a trimmed branchless Lomuto partition ([`partition_by`]), recursion into
-/// the smaller side first and a switch to [`std_sort`] below the cutoff.
+/// a [`split_around`] pass, recursion into the smaller side first and a
+/// switch to [`sort_leaf`] at the cutoff.
 pub fn sequential_quicksort(data: &mut [u32], config: &SortConfig) {
-    quicksort_recursive(data, config.cutoff.max(1));
+    quicksort_recursive(data, config.cutoff.max(1), sort_leaf);
 }
 
-fn quicksort_recursive(mut data: &mut [u32], cutoff: usize) {
+/// Longest range the leaf sort hands to the sorting network: 16 vectors of
+/// 8 lanes.
+pub(crate) const NETWORK_MAX: usize = 128;
+
+/// The sort every Quicksort in this crate runs on a range at or below its
+/// cutoff.
+///
+/// Where the CPU has AVX2 and POPCNT (detected at run time) this is the
+/// Quicksort loop again ([`pivot`], [`split_around`], smaller side first)
+/// down to 128 elements, and each range left is sorted in registers by a
+/// bitonic network.  Other hosts run [`std_sort`] (DESIGN.md §3, "One leaf
+/// sort").
+pub fn sort_leaf(data: &mut [u32]) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2::available() {
+        // SAFETY: the CPU has AVX2.
+        return quicksort_recursive(data, NETWORK_MAX, |d| unsafe { avx2::sort_network(d) });
+    }
+    std_sort(data);
+}
+
+/// Quicksort down to ranges of at most `cutoff` (≥ 1) elements, each of
+/// which `leaf` sorts.
+fn quicksort_recursive(mut data: &mut [u32], cutoff: usize, leaf: fn(&mut [u32])) {
     loop {
         let n = data.len();
         if n <= cutoff {
-            std_sort(data);
+            leaf(data);
             return;
         }
         let pivot = pivot(data);
@@ -33,10 +58,10 @@ fn quicksort_recursive(mut data: &mut [u32], cutoff: usize) {
         let (left, rest) = whole.split_at_mut(left_len);
         let right = &mut rest[right_start - left_len..];
         if left.len() < right.len() {
-            quicksort_recursive(left, cutoff);
+            quicksort_recursive(left, cutoff, leaf);
             data = right;
         } else {
-            quicksort_recursive(right, cutoff);
+            quicksort_recursive(right, cutoff, leaf);
             data = left;
         }
     }
@@ -306,6 +331,130 @@ mod avx2 {
         debug_assert_eq!(left, right);
         left
     }
+
+    const _: () = assert!(super::NETWORK_MAX == 16 * LANES);
+
+    /// Sorts `data`, at most [`NETWORK_MAX`](super::NETWORK_MAX) elements,
+    /// with a bitonic network in registers (after Bramas, "A Novel Hybrid
+    /// Quicksort Algorithm Vectorized using AVX-512 on Intel Skylake",
+    /// 2017).
+    ///
+    /// The elements are copied into a buffer padded with `u32::MAX` to the
+    /// next power of two of vectors (1, 2, 4, 8 or 16); the padding sorts
+    /// to the end, so the first `n` elements of the sorted buffer are the
+    /// sorted input, and they are copied back.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 ([`available`]).
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sort_network(data: &mut [u32]) {
+        let n = data.len();
+        assert!(n <= super::NETWORK_MAX, "the network sorts 16 vectors");
+        if n <= 1 {
+            return;
+        }
+        let mut buf = [u32::MAX; super::NETWORK_MAX];
+        buf[..n].copy_from_slice(data);
+        match n.div_ceil(LANES).next_power_of_two() {
+            1 => sort_vectors::<1>(&mut buf),
+            2 => sort_vectors::<2>(&mut buf),
+            4 => sort_vectors::<4>(&mut buf),
+            8 => sort_vectors::<8>(&mut buf),
+            _ => sort_vectors::<16>(&mut buf),
+        }
+        data.copy_from_slice(&buf[..n]);
+    }
+
+    /// Sorts the first `K` vectors of `buf` (`K` a power of two): each
+    /// vector alone, then bitonic merges of blocks of 2, 4, .., `K`
+    /// vectors.  A merge's first step compares each element of a block's
+    /// lower half with its mirror in the upper half (a lane-reversed
+    /// partner vector), which leaves both halves bitonic; half-cleaners
+    /// across vectors and then inside each vector, at distances 4, 2 and 1,
+    /// sort them.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sort_vectors<const K: usize>(buf: &mut [u32; super::NETWORK_MAX]) {
+        let at = buf.as_mut_ptr() as *mut __m256i;
+        let mut v = [_mm256_setzero_si256(); K];
+        for (i, x) in v.iter_mut().enumerate() {
+            // SAFETY: K * LANES <= NETWORK_MAX, so every vector lies in `buf`.
+            *x = sort_vector(_mm256_loadu_si256(at.add(i)));
+        }
+        let reversed = lanes_xor(7);
+        let mut block = 2;
+        while block <= K {
+            for lo in (0..K).step_by(block) {
+                for j in 0..block / 2 {
+                    let (a, b) = (v[lo + j], v[lo + block - 1 - j]);
+                    let b = _mm256_permutevar8x32_epi32(b, reversed);
+                    v[lo + j] = _mm256_min_epu32(a, b);
+                    let hi = _mm256_max_epu32(a, b);
+                    v[lo + block - 1 - j] = _mm256_permutevar8x32_epi32(hi, reversed);
+                }
+            }
+            let mut d = block / 4;
+            while d >= 1 {
+                for i in (0..K).filter(|i| i & d == 0) {
+                    let (a, b) = (v[i], v[i + d]);
+                    v[i] = _mm256_min_epu32(a, b);
+                    v[i + d] = _mm256_max_epu32(a, b);
+                }
+                d /= 2;
+            }
+            for x in &mut v {
+                *x = clean_vector(*x);
+            }
+            block *= 2;
+        }
+        for (i, x) in v.into_iter().enumerate() {
+            // SAFETY: as for the loads.
+            _mm256_storeu_si256(at.add(i), x);
+        }
+    }
+
+    /// Sorts the lanes of `x`: a bitonic sort of 8 in six steps, whose
+    /// last three are [`clean_vector`]'s with the first one a mirror.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sort_vector(x: __m256i) -> __m256i {
+        let x = exchange::<1, 0b1010_1010>(x);
+        let x = exchange::<3, 0b1100_1100>(x);
+        let x = exchange::<1, 0b1010_1010>(x);
+        let x = exchange::<7, 0b1111_0000>(x);
+        let x = exchange::<2, 0b1100_1100>(x);
+        exchange::<1, 0b1010_1010>(x)
+    }
+
+    /// Sorts the lanes of a bitonic `x`: half-cleaners at distances 4, 2
+    /// and 1.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn clean_vector(x: __m256i) -> __m256i {
+        let x = exchange::<4, 0b1111_0000>(x);
+        let x = exchange::<2, 0b1100_1100>(x);
+        exchange::<1, 0b1010_1010>(x)
+    }
+
+    /// One compare-exchange step inside a vector: lane `i` meets lane
+    /// `i ^ PARTNER`, and the lanes whose bit is set in `HIGH` (the upper
+    /// lane of each pair) keep the larger of the two, the others the
+    /// smaller.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn exchange<const PARTNER: i32, const HIGH: i32>(x: __m256i) -> __m256i {
+        let y = _mm256_permutevar8x32_epi32(x, lanes_xor(PARTNER));
+        _mm256_blend_epi32::<HIGH>(_mm256_min_epu32(x, y), _mm256_max_epu32(x, y))
+    }
+
+    /// The permutation that moves lane `i ^ partner` to lane `i`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lanes_xor(partner: i32) -> __m256i {
+        let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+        _mm256_xor_si256(lanes, _mm256_set1_epi32(partner))
+    }
 }
 
 #[cfg(test)]
@@ -376,6 +525,67 @@ mod tests {
             // SAFETY: both conditions of the call are checked just above.
             let vector = |d: &mut [u32]| unsafe { avx2::partition_le(d, bound) };
             assert_like_oracle(input, le, vector, &format!("{what}, AVX2"));
+        }
+    }
+
+    /// Every length the network takes, on random input, repeated and
+    /// ordered input, and input holding both ends of the range, one of
+    /// which is the padding value.
+    #[test]
+    fn sort_network_matches_sort_unstable_on_every_length() {
+        #[cfg(target_arch = "x86_64")]
+        if avx2::available() {
+            let mut state = 0x9e37_79b9_7f4a_7c15u64;
+            let mut random = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u32
+            };
+            for n in 0..=NETWORK_MAX as u32 {
+                let shapes: [(&str, Vec<u32>); 7] = [
+                    ("random", (0..n).map(|_| random()).collect()),
+                    ("all equal", vec![n; n as usize]),
+                    ("few distinct", (0..n).map(|_| random() % 3).collect()),
+                    ("sorted", (0..n).collect()),
+                    ("reversed", (0..n).rev().collect()),
+                    (
+                        "zero and max",
+                        (0..n)
+                            .map(|_| [0, u32::MAX][random() as usize % 2])
+                            .collect(),
+                    ),
+                    (
+                        "ends of the range",
+                        (0..n)
+                            .map(|_| {
+                                [0, 1, random(), u32::MAX - 1, u32::MAX][random() as usize % 5]
+                            })
+                            .collect(),
+                    ),
+                ];
+                for (shape, input) in shapes {
+                    let mut expected = input.clone();
+                    expected.sort_unstable();
+                    let mut actual = input;
+                    // SAFETY: `available()` holds.
+                    unsafe { avx2::sort_network(&mut actual) };
+                    assert_eq!(actual, expected, "{shape}, n={n}");
+                }
+            }
+        }
+    }
+
+    /// The leaf hosts without AVX2 run: SeqQS, with [`std_sort`] at the
+    /// cutoff, on every distribution.
+    #[test]
+    fn the_portable_leaf_path_sorts() {
+        for d in Distribution::ALL {
+            let mut v = d.generate(1 << 14, 2, 7);
+            let mut expected = v.clone();
+            expected.sort_unstable();
+            quicksort_recursive(&mut v, SortConfig::default().cutoff, std_sort);
+            assert!(v == expected, "{d:?} differs from sort_unstable");
         }
     }
 
@@ -595,6 +805,14 @@ mod tests {
             let p = pivot(&v);
             prop_assert!(v.contains(&p));
             prop_assert!(*v.iter().min().unwrap() <= p && p <= *v.iter().max().unwrap());
+        }
+
+        #[test]
+        fn sort_leaf_matches_sort_unstable(mut v in proptest::collection::vec(any::<u32>(), 0..2000)) {
+            let mut reference = v.clone();
+            reference.sort_unstable();
+            sort_leaf(&mut v);
+            prop_assert_eq!(v, reference);
         }
 
         #[test]
